@@ -24,7 +24,7 @@ from .datasets import (
     write_scores_csv,
     write_truth_csv,
 )
-from .errors import MissingArtifactError, OfferLabError
+from .errors import DataIntegrityError, MissingArtifactError, OfferLabError
 from .evaluate import (
     ScoredLabels,
     accuracy_at_base_rate,
@@ -57,6 +57,8 @@ SUBCOMMANDS = (
     "ingest-retail",
     "report",
 )
+
+POLICY_COLUMNS = ("segment", "r", "M_months", "nop", "n_customers", "degenerate", "at_bound")
 
 
 def _out(config: PipelineConfig) -> Path:
@@ -245,8 +247,18 @@ def run_pipeline(subcommand: str, config: PipelineConfig, args: argparse.Namespa
             if seg.n_customers == 0:
                 continue
             policy = optimize_policy(seg, draws, config.nop, mode=config.predict_mode)
-            rows.append((policy.segment, policy.r, policy.months, policy.nop_value, policy.n_customers))
-        write_csv_atomic(out / "policy.csv", ("segment", "r", "M_months", "nop", "n_customers"), rows)
+            rows.append(
+                (
+                    policy.segment,
+                    policy.r,
+                    policy.months,
+                    policy.nop_value,
+                    policy.n_customers,
+                    int(policy.degenerate),
+                    int(policy.at_bound),
+                )
+            )
+        write_csv_atomic(out / "policy.csv", POLICY_COLUMNS, rows)
         artifacts += ["policy.csv"]
 
     elif subcommand == "ingest-retail":
@@ -288,23 +300,30 @@ def run_pipeline(subcommand: str, config: PipelineConfig, args: argparse.Namespa
         if policy_path.exists():
             with open(policy_path, newline="", encoding="utf-8") as fh:
                 reader = csv.reader(fh)
-                next(reader)
+                header = tuple(next(reader, ()))
+                if header != POLICY_COLUMNS:
+                    raise DataIntegrityError(
+                        f"{policy_path} has columns {list(header)}, expected {list(POLICY_COLUMNS)}"
+                    )
                 policies = {row[0]: row for row in reader}
 
             def _cell(segment):
                 if segment not in policies:
                     return "(no customers)"
                 row = policies[segment]
-                return f"r = {100 * float(row[1]):+.1f}%  m = {row[2]} months"
+                marks = "!" * (row[5] == "1") + "^" * (row[6] == "1")
+                return f"r = {100 * float(row[1]):+.1f}%  m = {row[2]} months {marks}".rstrip()
 
             lines = ["Optimal discount rate (r) and contract length (m)", "-" * 60]
-            lines.append(f"{'':<22}{'Not Loyal':<28}{'Loyal':<28}")
+            lines.append(f"{'':<22}{'Not Loyal':<30}{'Loyal':<30}")
             lines.append(
-                f"{'Discount Inelastic':<22}{_cell('inelastic-not-loyal'):<28}{_cell('inelastic-loyal'):<28}"
+                f"{'Discount Inelastic':<22}{_cell('inelastic-not-loyal'):<30}{_cell('inelastic-loyal'):<30}"
             )
             lines.append(
-                f"{'Discount Elastic':<22}{_cell('elastic-not-loyal'):<28}{_cell('elastic-loyal'):<28}"
+                f"{'Discount Elastic':<22}{_cell('elastic-not-loyal'):<30}{_cell('elastic-loyal'):<30}"
             )
+            lines.append("^ r at a bound of the segment's discount range")
+            lines.append("! degenerate: no customer adds profit, r and m are defaults")
             sections.append("\n".join(lines))
         if not sections:
             raise MissingArtifactError(

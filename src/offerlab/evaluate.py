@@ -35,6 +35,11 @@ class ScoredLabels:
             raise InvalidInputError("scores and labels must be equal-length non-empty vectors")
         if not np.all(np.isin(self.labels, (0, 1))):
             raise InvalidInputError("labels must be 0/1")
+        bad = np.flatnonzero(~np.isfinite(scores))
+        if bad.size:
+            raise InvalidInputError(
+                f"{bad.size} score(s) not finite, the first at index {int(bad[0])}"
+            )
 
     @property
     def n_positive(self) -> int:

@@ -217,7 +217,24 @@ class PosteriorDraws:
         header = json.loads(header_path.read_text())
         if header.get("format") != "hb-posterior-v1":
             raise DataIntegrityError(f"unrecognized posterior format in {header_path}")
+        for name in cls._ARRAYS:
+            if not (path / f"{name}.npy").exists():
+                raise MissingArtifactError(str(path / f"{name}.npy"))
         arrays = {name: np.load(path / f"{name}.npy") for name in cls._ARRAYS}
+        n_customers = len(header["customer_ids"])
+        for name, array in arrays.items():
+            expected = header.get("shapes", {}).get(name)
+            if list(array.shape) != expected:
+                raise DataIntegrityError(
+                    f"posterior array {name} has shape {list(array.shape)}, "
+                    f"header.json records {expected}"
+                )
+        for name, axis in (("betas", 1), ("acceptance_rates", 0)):
+            if arrays[name].shape[axis : axis + 1] != (n_customers,):
+                raise DataIntegrityError(
+                    f"posterior array {name} has shape {list(arrays[name].shape)}, "
+                    f"not {n_customers} customers on axis {axis} as header.json lists"
+                )
         return cls(
             customer_ids=list(header["customer_ids"]),
             config=McmcConfig(**header["config"]),

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .choice import logistic
+from .choice import UTILITY_CLAMP
 from .errors import ConfigurationError, InvalidInputError
 from .hb import DRAW_AVERAGED, POSTERIOR_MEAN, PosteriorDraws
 from .segments import SEGMENTS
@@ -27,6 +27,11 @@ _INVPHI_SQ = (3.0 - math.sqrt(5.0)) / 2.0
 TRAINED_DISCOUNT_BAND = (-0.5, 0.5)
 
 DEFAULT_CONTRACT_OPTIONS = (1, 12, 24, 36, 60)
+
+# elements of the objective's scratch buffer per block (512 KB of float64):
+# large enough to amortize numpy's per-call overhead, small enough to stay
+# in a core's L2 cache and to keep memory flat however long the r grid
+VALUES_BLOCK = 1 << 16
 
 
 def contract_months_to_years(months: float) -> float:
@@ -98,7 +103,8 @@ class OfferPolicy:
     months: int
     nop_value: float
     n_customers: int = 0
-    degenerate: bool = False
+    degenerate: bool = False  # no customer contributes profit; r and months are defaults
+    at_bound: bool = False  # r sits at a bound of the segment's discount range
 
 
 @dataclass(frozen=True)
@@ -158,33 +164,94 @@ def nop(prob: float, loyalty: float, pv: float, initial_cost: float) -> float:
 
 
 class _SegmentObjective:
-    """Reusable evaluator: caches the segment's coefficient draws so a
-    search can probe many (r, months) points cheaply."""
+    """Reusable evaluator of a segment's total next-offer profit.
+
+    The segment's coefficient draws are copied once into contiguous
+    (customers x draws) arrays, so each customer's draw mean is one pairwise
+    sum over contiguous memory.  Utilities are kept negated: negation is
+    exact, so ``exp(na + r * nb)`` is ``exp(-u)`` bit for bit.  Only the
+    contract option being searched keeps its base utility and annuity
+    factor, so memory stays at a few copies of one draw slice.
+    """
 
     def __init__(self, seg: SegmentData, draws: PosteriorDraws, config: NopConfig, mode: str):
         if draws.n_params != 3:
             raise InvalidInputError("the objective requires the 3-attribute offer model")
         config.validate()
         idx = [draws.index_of(cid) for cid in seg.customer_ids]
-        if mode == POSTERIOR_MEAN:
-            self.betas = draws.posterior_mean_matrix()[None, idx, :]
-        else:
-            self.betas = draws.betas[:, idx, :]
+        betas = draws.posterior_mean_matrix()[None] if mode == POSTERIOR_MEAN else draws.betas
+        self.b0 = np.ascontiguousarray(betas[:, idx, 0].T)
+        self.b1 = np.ascontiguousarray(betas[:, idx, 1].T)
+        self.nb = np.negative(np.ascontiguousarray(betas[:, idx, 2].T))
+        self._nb_max = np.abs(self.nb).max(initial=0.0)
         self.seg = seg
         self.config = config
+        self._months = None
+        self._scratch = np.empty(0)
+
+    def _select(self, months: int) -> None:
+        """Negated base utility -(b0 + b1 * years) and the annuity factor of
+        one contract option."""
+        if months == self._months:
+            return
+        na = self.b1 * contract_months_to_years(months)
+        na += self.b0
+        self.na = np.negative(na, out=na)
+        self._na_max = np.abs(na).max(initial=0.0)
+        self.factor = annuity_factor(months, self.config.annual_rate)
+        self._months = months
+
+    def _mean_probabilities(self, rs: np.ndarray, cols: int, clip: bool) -> np.ndarray:
+        """(len(rs), customers) draw-averaged acceptance probabilities,
+        computed in place in the scratch buffer, ``cols`` customers at a
+        time."""
+        n, n_draws = self.na.shape
+        if self._scratch.size < len(rs) * cols * n_draws:
+            self._scratch = np.empty(len(rs) * cols * n_draws)
+        r = rs[:, None, None]
+        probs = np.empty((len(rs), n))
+        for j in range(0, n, cols):
+            nb = self.nb[j : j + cols]
+            buf = self._scratch[: len(rs) * nb.size].reshape(len(rs), *nb.shape)
+            np.multiply(r, nb, out=buf)
+            buf += self.na[j : j + cols]
+            if clip:
+                np.clip(buf, -UTILITY_CLAMP, UTILITY_CLAMP, out=buf)
+            np.exp(buf, out=buf)
+            buf += 1.0
+            np.divide(1.0, buf, out=buf)
+            np.add.reduce(buf, axis=2, out=probs[:, j : j + cols])
+        probs /= n_draws
+        return probs
+
+    def values(self, rs, months: int) -> np.ndarray:
+        """Total next-offer profit at each discount rate in ``rs``, scored
+        in blocks of at most VALUES_BLOCK (rate, customer, draw) elements."""
+        rs = np.asarray(rs, dtype=float).reshape(-1)
+        lo, hi = TRAINED_DISCOUNT_BAND
+        outside = ~((rs >= lo) & (rs <= hi))
+        if outside.any():
+            r = float(rs[np.argmax(outside)])
+            raise InvalidInputError(f"discount rate {r!r} leaves the trained band [{lo}, {hi}]")
+        out = np.zeros(rs.size)
+        if self.seg.n_customers == 0 or rs.size == 0:
+            return out
+        self._select(months)
+        n, n_draws = self.na.shape
+        cols = max(1, min(n, VALUES_BLOCK // n_draws))
+        rows = max(1, VALUES_BLOCK // (cols * n_draws))
+        # the clip is a no-op when no |na + r * nb| can exceed the clamp
+        clip = not self._na_max + self._nb_max * np.abs(rs).max() <= UTILITY_CLAMP
+        mrp, loyalty, config = self.seg.mrp, self.seg.loyalty, self.config
+        for i in range(0, rs.size, rows):
+            r = rs[i : i + rows]
+            probs = self._mean_probabilities(r, cols, clip)
+            pv = (mrp * (1.0 + r[:, None]) - config.monthly_cost) * self.factor
+            out[i : i + rows] = np.sum(probs * loyalty * (pv - config.initial_cost), axis=1)
+        return out
 
     def value(self, r: float, months: int) -> float:
-        lo, hi = TRAINED_DISCOUNT_BAND
-        if not lo <= r <= hi:
-            raise InvalidInputError(f"discount rate {r!r} leaves the trained band [{lo}, {hi}]")
-        if self.seg.n_customers == 0:
-            return 0.0
-        years = contract_months_to_years(months)
-        u = self.betas[:, :, 0] + self.betas[:, :, 1] * years + self.betas[:, :, 2] * r
-        probs = logistic(u).mean(axis=0)
-        factor = annuity_factor(months, self.config.annual_rate)
-        pv = (self.seg.mrp * (1.0 + r) - self.config.monthly_cost) * factor
-        return float(np.sum(probs * self.seg.loyalty * (pv - self.config.initial_cost)))
+        return float(self.values([r], months)[0])
 
 
 def segment_objective(
@@ -251,11 +318,11 @@ def optimize_policy(
     config.validate()
     objective = _SegmentObjective(seg, draws, config, mode)
     lo, hi = config.bounds_for(seg.segment)
+    rs = _r_grid(lo, hi, coarse_points)
     best = None
     any_nonzero = False
     for months in sorted(config.contract_options):
-        rs = _r_grid(lo, hi, coarse_points)
-        values = np.array([objective.value(r, months) for r in rs])
+        values = objective.values(rs, months)
         if np.any(values != 0.0):
             any_nonzero = True
         i = int(np.argmax(values))
@@ -275,6 +342,7 @@ def optimize_policy(
                 months=int(months),
                 nop_value=v_star,
                 n_customers=seg.n_customers,
+                at_bound=r_star in (lo, hi),
             )
     if not any_nonzero:
         # nothing to optimize (e.g. zero loyalty everywhere): flag it
@@ -285,6 +353,7 @@ def optimize_policy(
             nop_value=0.0,
             n_customers=seg.n_customers,
             degenerate=True,
+            at_bound=True,
         )
     return best
 
@@ -303,10 +372,10 @@ def grid_oracle(
     objective = _SegmentObjective(seg, draws, config, mode)
     lo, hi = config.bounds_for(seg.segment)
     n_steps = max(int(round((hi - lo) / r_step)), 0)
+    rs = _r_grid(lo, hi, n_steps + 1)
     best = None
     for months in sorted(config.contract_options):
-        rs = _r_grid(lo, hi, n_steps + 1)
-        values = np.array([objective.value(r, months) for r in rs])
+        values = objective.values(rs, months)
         i = int(np.argmax(values))
         if best is None or values[i] > best.nop_value:
             best = OfferPolicy(
@@ -315,5 +384,6 @@ def grid_oracle(
                 months=int(months),
                 nop_value=float(values[i]),
                 n_customers=seg.n_customers,
+                at_bound=float(rs[i]) in (lo, hi),
             )
     return best

@@ -8,11 +8,13 @@ discount, with relative price defined as 1 + discount.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+
+import numpy as np
 
 from .choice import OfferObservation
 from .errors import DegenerateInputError, InvalidInputError
-from .hb import DRAW_AVERAGED, PosteriorDraws, predict_probability
+from .hb import DRAW_AVERAGED, PosteriorDraws, predict_panel_probabilities
 
 INELASTIC_NOT_LOYAL = "inelastic-not-loyal"
 INELASTIC_LOYAL = "inelastic-loyal"
@@ -46,6 +48,42 @@ def arc_elasticity(p0: float, p1: float, price0: float, price1: float) -> float:
     return prob_change / price_change
 
 
+def _elasticities(
+    draws: PosteriorDraws,
+    offers,
+    delta: float = DEFAULT_DISCOUNT_SHIFT,
+) -> list:
+    """Arc elasticity of each offer's customer, from the offered discount to
+    ``delta`` more discount.
+
+    Probabilities are draw-averaged, from one batched prediction at the
+    offered discounts and one at the shifted discounts; relative prices are
+    1 + discount.
+    """
+    offers = list(offers)
+    if draws.n_params != 3:
+        raise InvalidInputError("elasticities require the 3-attribute offer model")
+    X = np.array([o.attributes.as_array() for o in offers]).reshape(-1, 3)
+    discounts = X[:, 2].copy()
+    shifted = discounts - delta
+    lo, hi = DISCOUNT_SAFETY_BAND
+    outside = ~((shifted >= lo) & (shifted <= hi))
+    if outside.any():
+        i = int(np.argmax(outside))
+        raise InvalidInputError(
+            f"customer {offers[i].customer_id}: shifted discount {float(shifted[i])!r} "
+            f"leaves the safety band [{lo}, {hi}]"
+        )
+    ids = [o.customer_id for o in offers]
+    p0 = predict_panel_probabilities(draws, X, ids, mode=DRAW_AVERAGED)
+    X[:, 2] = shifted
+    p1 = predict_panel_probabilities(draws, X, ids, mode=DRAW_AVERAGED)
+    return [
+        arc_elasticity(float(a), float(b), 1.0 + float(d), 1.0 + float(s))
+        for a, b, d, s in zip(p0, p1, discounts, shifted)
+    ]
+
+
 def customer_elasticity(
     draws: PosteriorDraws,
     test_offer: OfferObservation,
@@ -55,19 +93,7 @@ def customer_elasticity(
 
     Probabilities are draw-averaged; relative prices are 1 + discount.
     """
-    discount = test_offer.attributes.discount
-    shifted = discount - delta
-    lo, hi = DISCOUNT_SAFETY_BAND
-    if not lo <= shifted <= hi:
-        raise InvalidInputError(
-            f"shifted discount {shifted!r} leaves the safety band [{lo}, {hi}]"
-        )
-    p0 = predict_probability(draws, test_offer, mode=DRAW_AVERAGED)
-    shifted_offer = replace(
-        test_offer, attributes=replace(test_offer.attributes, discount=shifted)
-    )
-    p1 = predict_probability(draws, shifted_offer, mode=DRAW_AVERAGED)
-    return arc_elasticity(p0, p1, 1.0 + discount, 1.0 + shifted)
+    return _elasticities(draws, [test_offer], delta=delta)[0]
 
 
 def assign_segment(elasticity: float, loyalty: float) -> str:
@@ -88,18 +114,19 @@ def assign_segments(
     delta: float = DEFAULT_DISCOUNT_SHIFT,
 ):
     """SegmentAssignment per customer, from each customer's test offer."""
-    assignments = []
-    for offer in sorted(test_offers, key=lambda o: o.customer_id):
-        profile = profiles.get(offer.customer_id)
-        if profile is None:
+    offers = sorted(test_offers, key=lambda o: o.customer_id)
+    for offer in offers:
+        if offer.customer_id not in profiles:
             raise InvalidInputError(f"no profile for customer {offer.customer_id}")
-        elasticity = customer_elasticity(draws, offer, delta=delta)
+    assignments = []
+    for offer, elasticity in zip(offers, _elasticities(draws, offers, delta=delta)):
+        loyalty = profiles[offer.customer_id].loyalty
         assignments.append(
             SegmentAssignment(
                 customer_id=offer.customer_id,
                 elasticity=elasticity,
-                loyalty=profile.loyalty,
-                segment=assign_segment(elasticity, profile.loyalty),
+                loyalty=loyalty,
+                segment=assign_segment(elasticity, loyalty),
             )
         )
     return assignments

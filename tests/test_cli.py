@@ -5,7 +5,7 @@ import pytest
 
 from offerlab.cli import main, run_pipeline
 from offerlab.config import PipelineConfig
-from offerlab.errors import ConfigurationError
+from offerlab.errors import ConfigurationError, DataIntegrityError
 
 SMALL_CONFIG = {
     "seed": 424242,
@@ -101,10 +101,44 @@ class TestArtifacts:
 
     def test_policy_schema(self, pipeline):
         rows = read_rows(pipeline / "policy.csv")
-        assert rows[0] == ["segment", "r", "M_months", "nop", "n_customers"]
+        assert rows[0] == [
+            "segment", "r", "M_months", "nop", "n_customers", "degenerate", "at_bound"
+        ]
         for row in rows[1:]:
             assert -0.5 <= float(row[1]) <= 0.5
             assert int(row[2]) in (1, 12, 24, 36, 60)
+
+    def test_policy_flags(self, pipeline):
+        rows = read_rows(pipeline / "policy.csv")[1:]
+        assert rows
+        for row in rows:
+            assert row[5] in ("0", "1") and row[6] in ("0", "1")
+            # default bounds are (-0.5, 0.5) for every segment
+            assert row[6] == str(int(float(row[1]) in (-0.5, 0.5)))
+
+    def test_report_marks_policy_flags(self, tmp_path):
+        out = tmp_path / "flags"
+        out.mkdir()
+        (out / "policy.csv").write_text(
+            "segment,r,M_months,nop,n_customers,degenerate,at_bound\n"
+            "inelastic-not-loyal,0.5,60,0.0,3,1,1\n"
+            "inelastic-loyal,0.5,60,10.0,4,0,1\n"
+            "elastic-not-loyal,0.125,24,5.0,2,0,0\n"
+        )
+        run_pipeline("report", PipelineConfig.from_dict({}, out_override=str(out)))
+        text = (out / "report.txt").read_text()
+        assert "r = +50.0%  m = 60 months !^" in text
+        assert "r = +50.0%  m = 60 months ^" in text
+        assert "r = +12.5%  m = 24 months   " in text
+        assert "(no customers)" in text
+        assert "^ r at a bound" in text and "! degenerate" in text
+
+    def test_report_refuses_policy_without_flag_columns(self, tmp_path):
+        out = tmp_path / "old"
+        out.mkdir()
+        (out / "policy.csv").write_text("segment,r,M_months,nop,n_customers\ninelastic-loyal,0.5,60,1.0,4\n")
+        with pytest.raises(DataIntegrityError, match="policy.csv has columns"):
+            run_pipeline("report", PipelineConfig.from_dict({}, out_override=str(out)))
 
     def test_report_contains_tables(self, pipeline):
         text = (pipeline / "report.txt").read_text()

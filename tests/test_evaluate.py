@@ -75,6 +75,11 @@ class TestScoredLabels:
         with pytest.raises(InvalidInputError):
             ScoredLabels([0.1], [2])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_scores_rejected_by_name(self, bad):
+        with pytest.raises(InvalidInputError, match=r"2 score\(s\) not finite, the first at index 1"):
+            ScoredLabels([0.9, bad, 0.2, bad], [1, 0, 1, 0])
+
 
 class TestAuc:
     def test_perfect_separation(self):
@@ -93,6 +98,11 @@ class TestAuc:
     def test_single_class_rejected(self):
         with pytest.raises(DegenerateInputError):
             auc(ScoredLabels([0.5, 0.6], [1, 1]))
+
+    def test_nan_score_rejected(self):
+        # a NaN sorts last, so the AUC would read 1.0
+        with pytest.raises(InvalidInputError, match="index 0"):
+            auc(ScoredLabels([float("nan"), 0.8, 0.2, 0.1], [1, 1, 0, 0]))
 
     def test_matches_brute_force_for_all_small_datasets(self):
         # every label pattern with both classes, n <= 8, two score shapes
@@ -244,6 +254,15 @@ class TestDelong:
     def test_single_class_rejected(self):
         with pytest.raises(DegenerateInputError):
             delong_test([0.5, 0.6], [0.4, 0.7], [1, 1])
+
+    @pytest.mark.parametrize("side", ["a", "b"])
+    def test_nan_score_rejected(self, side):
+        labels = [1, 0, 1, 0, 1]
+        good = [0.9, 0.2, 0.7, 0.4, 0.6]
+        bad = [0.9, 0.2, float("nan"), 0.4, 0.6]
+        a, b = (bad, good) if side == "a" else (good, bad)
+        with pytest.raises(InvalidInputError, match="1 score\\(s\\) not finite, the first at index 2"):
+            delong_test(a, b, labels)
 
 
 class TestTuningSelection:

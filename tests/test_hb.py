@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -272,6 +273,33 @@ class TestPersistence:
         assert np.array_equal(loaded.weights, draws.weights)
         assert np.array_equal(loaded.delta, draws.delta)
         assert loaded.config == draws.config
+
+    @pytest.mark.parametrize("name", ["betas", "acceptance_rates"])
+    def test_array_with_one_customer_fewer_rejected_by_name(self, tmp_path, name):
+        draws = hand_built_draws(np.zeros((4, 3, 3)))
+        draws.save(tmp_path / "posterior")
+        truncated = np.delete(getattr(draws, name), -1, axis=1 if name == "betas" else 0)
+        np.save(tmp_path / "posterior" / f"{name}.npy", truncated)
+        with pytest.raises(DataIntegrityError, match=f"posterior array {name} has shape"):
+            PosteriorDraws.load(tmp_path / "posterior")
+
+    def test_header_disagreeing_with_customer_ids_rejected(self, tmp_path):
+        draws = hand_built_draws(np.zeros((4, 3, 3)))
+        draws.save(tmp_path / "posterior")
+        header_path = tmp_path / "posterior" / "header.json"
+        header = json.loads(header_path.read_text())
+        header["customer_ids"] = header["customer_ids"][:-1]
+        header_path.write_text(json.dumps(header))
+        with pytest.raises(DataIntegrityError, match="not 2 customers on axis 1"):
+            PosteriorDraws.load(tmp_path / "posterior")
+
+    def test_missing_array_is_a_missing_artifact(self, tmp_path):
+        from offerlab.errors import MissingArtifactError
+
+        hand_built_draws(np.zeros((2, 3, 3))).save(tmp_path / "posterior")
+        (tmp_path / "posterior" / "weights.npy").unlink()
+        with pytest.raises(MissingArtifactError, match="weights.npy"):
+            PosteriorDraws.load(tmp_path / "posterior")
 
     def test_missing_header_raises(self, tmp_path):
         from offerlab.errors import MissingArtifactError

@@ -1,13 +1,15 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from offerlab.choice import logistic
+from offerlab import profit
+from offerlab.choice import UTILITY_CLAMP, logistic
 from offerlab.errors import ConfigurationError, InvalidInputError
-from offerlab.hb import POSTERIOR_MEAN
+from offerlab.hb import DRAW_AVERAGED, POSTERIOR_MEAN
 from offerlab.profit import (
     NopConfig,
     SegmentData,
@@ -39,6 +41,56 @@ def make_segment(betas_per_customer, loyalty, mrp=None, segment="inelastic-loyal
         mrp=np.full(n, 100.0) if mrp is None else np.asarray(mrp, dtype=float),
     )
     return seg, draws
+
+
+def random_segment(rng, n, n_draws, scale=1.0):
+    """A criterion-3-style segment: n customers, n_draws coefficient draws."""
+    betas = scale * rng.normal([0.5, 0.1, -3.0], [1.2, 0.4, 2.5], size=(n_draws, n, 3))
+    return make_segment(betas, rng.random(n), 60 + 80 * rng.random(n))
+
+
+def reference_values(seg, draws, config, rs, months, mode=DRAW_AVERAGED):
+    """Per-customer, per-draw recomputation of the objective with math.exp."""
+    betas = draws.posterior_mean_matrix()[None] if mode == POSTERIOR_MEAN else draws.betas
+    years = contract_months_to_years(months)
+    out = []
+    for r in rs:
+        total = 0.0
+        for i in range(seg.n_customers):
+            probs = []
+            for b0, b1, b2 in betas[:, i, :]:
+                u = min(max(b0 + b1 * years + b2 * r, -UTILITY_CLAMP), UTILITY_CLAMP)
+                probs.append(1.0 / (1.0 + math.exp(-u)))
+            prob = math.fsum(probs) / len(probs)
+            pv = present_value(seg.mrp[i], config.monthly_cost, r, months, config.annual_rate)
+            total += nop(prob, seg.loyalty[i], pv, config.initial_cost)
+        out.append(total)
+    return np.array(out)
+
+
+class SeedObjective:
+    """The scalar objective as first written (one numpy pass per r), kept as
+    the reference the batched objective must reproduce."""
+
+    def __init__(self, seg, draws, config, mode):
+        idx = [draws.index_of(cid) for cid in seg.customer_ids]
+        if mode == POSTERIOR_MEAN:
+            self.betas = draws.posterior_mean_matrix()[None, idx, :]
+        else:
+            self.betas = draws.betas[:, idx, :]
+        self.seg = seg
+        self.config = config
+
+    def value(self, r, months):
+        years = contract_months_to_years(months)
+        u = self.betas[:, :, 0] + self.betas[:, :, 1] * years + self.betas[:, :, 2] * r
+        probs = logistic(u).mean(axis=0)
+        factor = annuity_factor(months, self.config.annual_rate)
+        pv = (self.seg.mrp * (1.0 + r) - self.config.monthly_cost) * factor
+        return float(np.sum(probs * self.seg.loyalty * (pv - self.config.initial_cost)))
+
+    def values(self, rs, months):
+        return np.array([self.value(float(r), months) for r in rs])
 
 
 class TestPresentValue:
@@ -156,6 +208,76 @@ class TestSegmentObjective:
         assert value == pytest.approx(expected_prob * 100.0, rel=1e-9)
 
 
+class TestBatchedObjective:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 6),
+        n_draws=st.integers(1, 5),
+        scale=st.sampled_from([1.0, 400.0]),
+        n_rates=st.integers(1, 30),
+        months=st.sampled_from(NopConfig().contract_options),
+        mode=st.sampled_from([DRAW_AVERAGED, POSTERIOR_MEAN]),
+        block=st.sampled_from([1, 4, 13, profit.VALUES_BLOCK]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_values_match_per_customer_recomputation(
+        self, seed, n, n_draws, scale, n_rates, months, mode, block
+    ):
+        # scale 400 puts |u| past the clamp; small blocks split both the
+        # rate grid and the customers over several blocks
+        rng = np.random.default_rng(seed)
+        seg, draws = random_segment(rng, n, n_draws, scale)
+        config = NopConfig()
+        rs = rng.uniform(-0.5, 0.5, n_rates)
+        with mock.patch.object(profit, "VALUES_BLOCK", block):
+            values = profit._SegmentObjective(seg, draws, config, mode).values(rs, months)
+        expected = reference_values(seg, draws, config, rs, months, mode)
+        assert values == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    def test_clip_path_matches_reference(self):
+        # u = -800 - r: only the clamp keeps exp(-u) finite and the
+        # probability at 1 / (1 + e^700) rather than 0
+        seg, draws = make_segment([[[-800.0, 0.0, 1.0]], [[-810.0, 0.0, -1.0]]], [1.0])
+        config = NopConfig()
+        objective = profit._SegmentObjective(seg, draws, config, DRAW_AVERAGED)
+        rs = np.linspace(-0.5, 0.5, 11)
+        with np.errstate(over="raise"):
+            values = objective.values(rs, 12)
+        assert np.all(values > 0.0)
+        assert values == pytest.approx(
+            reference_values(seg, draws, config, rs, 12), rel=1e-12, abs=0.0
+        )
+
+    def test_value_is_the_one_point_batch(self):
+        rng = np.random.default_rng(3)
+        seg, draws = random_segment(rng, 9, 50)
+        objective = profit._SegmentObjective(seg, draws, NopConfig(), DRAW_AVERAGED)
+        rs = np.linspace(-0.5, 0.5, 101)
+        batch = objective.values(rs, 24)
+        assert [objective.value(float(r), 24) for r in rs] == list(batch)
+
+    def test_bit_identical_to_seed_objective(self):
+        rng = np.random.default_rng(8)
+        seg, draws = random_segment(rng, 300, 120)
+        config = NopConfig()
+        rs = np.linspace(-0.5, 0.5, 101)
+        seed = SeedObjective(seg, draws, config, DRAW_AVERAGED)
+        for block in (97, profit.VALUES_BLOCK):
+            with mock.patch.object(profit, "VALUES_BLOCK", block):
+                objective = profit._SegmentObjective(seg, draws, config, DRAW_AVERAGED)
+                for months in (1, 60):
+                    assert np.array_equal(objective.values(rs, months), seed.values(rs, months))
+
+    @pytest.mark.parametrize("bad", [0.5000001, -0.75, float("nan"), float("inf")])
+    def test_rate_outside_band_or_nan_rejected(self, bad):
+        seg, draws = make_segment([[0.5, 0.2, -3.0]], [0.5])
+        objective = profit._SegmentObjective(seg, draws, NopConfig(), DRAW_AVERAGED)
+        with pytest.raises(InvalidInputError, match="leaves the trained band"):
+            objective.values([0.0, bad, 0.1], 12)
+        with pytest.raises(InvalidInputError, match="leaves the trained band"):
+            objective.value(bad, 12)
+
+
 class TestOptimizePolicy:
     def test_discount_insensitive_segment_hits_upper_bound(self):
         rng = np.random.default_rng(9)
@@ -179,6 +301,7 @@ class TestOptimizePolicy:
         seg, draws = make_segment([[0.5, 0.1, -2.0]], [0.0])
         policy = optimize_policy(seg, draws, NopConfig())
         assert policy.degenerate
+        assert policy.at_bound
         assert policy.r == 0.5
         assert policy.months == 60
         assert policy.nop_value == 0.0
@@ -205,6 +328,31 @@ class TestOptimizePolicy:
         empty = SegmentData("elastic-loyal", (), np.array([]), np.array([]))
         with pytest.raises(InvalidInputError):
             optimize_policy(empty, draws, NopConfig())
+
+    @pytest.mark.parametrize("mode", [DRAW_AVERAGED, POSTERIOR_MEAN])
+    def test_matches_seed_scalar_objective(self, mode):
+        rng = np.random.default_rng(20260809)
+        config = NopConfig()
+        for _ in range(6):
+            seg, draws = random_segment(rng, int(rng.integers(1, 13)), int(rng.integers(60, 121)))
+            policy = optimize_policy(seg, draws, config, mode=mode)
+            with mock.patch.object(profit, "_SegmentObjective", SeedObjective):
+                seed = optimize_policy(seg, draws, config, mode=mode)
+            assert (policy.r, policy.months) == (seed.r, seed.months)
+            assert policy.nop_value == pytest.approx(seed.nop_value, rel=1e-12)
+            assert (policy.degenerate, policy.at_bound) == (seed.degenerate, seed.at_bound)
+
+    def test_at_bound_flag(self):
+        rng = np.random.default_rng(9)
+        insensitive = np.column_stack(
+            [rng.normal(1.0, 0.3, 12), rng.normal(0.2, 0.05, 12), rng.normal(0.0, 0.01, 12)]
+        )
+        seg, draws = make_segment(insensitive, rng.random(12))
+        assert optimize_policy(seg, draws, NopConfig()).at_bound
+        assert grid_oracle(seg, draws, NopConfig(), r_step=0.01).at_bound
+        sensitive, draws = make_segment([[2.0, 0.0, -12.0]], [1.0])
+        policy = optimize_policy(sensitive, draws, NopConfig())
+        assert -0.5 < policy.r < 0.5 and not policy.at_bound
 
     def test_posterior_mean_mode_runs(self):
         seg, draws = make_segment([[0.5, 0.1, -2.0]], [0.8])

@@ -16,6 +16,7 @@ from offerlab.segments import (
     customer_elasticity,
     segment_distribution,
 )
+from offerlab.hb import predict_probability
 from tests.test_hb import hand_built_draws
 
 
@@ -95,6 +96,35 @@ class TestCustomerElasticity:
         offer = OfferObservation(1, 1, OfferAttributes(0, -0.55))
         with pytest.raises(InvalidInputError):
             customer_elasticity(draws, offer, delta=0.10)
+
+    def test_batched_pass_matches_scalar_predictions_exactly(self):
+        rng = np.random.default_rng(5)
+        n = 40
+        betas = rng.normal([0.5, 0.1, -3.0], [1.0, 0.3, 2.0], size=(25, n, 3))
+        draws = hand_built_draws(betas)
+        offers = [
+            OfferObservation(c, 1, OfferAttributes(int(rng.integers(0, 6)), float(rng.uniform(-0.4, 0.5))))
+            for c in range(1, n + 1)
+        ]
+        profiles = {c: CustomerProfile(c, float(rng.random()), 0.0, 0.0) for c in range(1, n + 1)}
+        assignments = assign_segments(draws, reversed(offers), profiles, delta=0.1)
+        assert [a.customer_id for a in assignments] == list(range(1, n + 1))
+        for a, offer in zip(assignments, offers):
+            d = offer.attributes.discount
+            shifted = OfferObservation(
+                offer.customer_id, 1, OfferAttributes(offer.attributes.contract_length, d - 0.1)
+            )
+            p0 = predict_probability(draws, offer)
+            p1 = predict_probability(draws, shifted)
+            assert a.elasticity == arc_elasticity(p0, p1, 1.0 + d, 1.0 + (d - 0.1))
+            assert a.elasticity == customer_elasticity(draws, offer, delta=0.1)
+
+    def test_safety_band_error_names_the_customer(self):
+        draws = hand_built_draws(np.zeros((1, 3, 3)))
+        offers = [OfferObservation(c, 1, OfferAttributes(0, d)) for c, d in ((1, 0.0), (2, -0.55), (3, -0.58))]
+        profiles = {c: CustomerProfile(c, 0.5, 0.0, 0.0) for c in (1, 2, 3)}
+        with pytest.raises(InvalidInputError, match=r"customer 2: shifted discount -0\.65"):
+            assign_segments(draws, offers, profiles, delta=0.10)
 
     @given(st.floats(-8.0, -0.2), st.floats(-0.4, 0.4))
     @settings(max_examples=100)
