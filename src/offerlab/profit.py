@@ -183,7 +183,6 @@ class _SegmentObjective:
         self.b0 = np.ascontiguousarray(betas[:, idx, 0].T)
         self.b1 = np.ascontiguousarray(betas[:, idx, 1].T)
         self.nb = np.negative(np.ascontiguousarray(betas[:, idx, 2].T))
-        self._nb_max = np.abs(self.nb).max(initial=0.0)
         self.seg = seg
         self.config = config
         self._months = None
@@ -197,11 +196,10 @@ class _SegmentObjective:
         na = self.b1 * contract_months_to_years(months)
         na += self.b0
         self.na = np.negative(na, out=na)
-        self._na_max = np.abs(na).max(initial=0.0)
         self.factor = annuity_factor(months, self.config.annual_rate)
         self._months = months
 
-    def _mean_probabilities(self, rs: np.ndarray, cols: int, clip: bool) -> np.ndarray:
+    def _mean_probabilities(self, rs: np.ndarray, cols: int) -> np.ndarray:
         """(len(rs), customers) draw-averaged acceptance probabilities,
         computed in place in the scratch buffer, ``cols`` customers at a
         time."""
@@ -215,8 +213,7 @@ class _SegmentObjective:
             buf = self._scratch[: len(rs) * nb.size].reshape(len(rs), *nb.shape)
             np.multiply(r, nb, out=buf)
             buf += self.na[j : j + cols]
-            if clip:
-                np.clip(buf, -UTILITY_CLAMP, UTILITY_CLAMP, out=buf)
+            np.clip(buf, -UTILITY_CLAMP, UTILITY_CLAMP, out=buf)
             np.exp(buf, out=buf)
             buf += 1.0
             np.divide(1.0, buf, out=buf)
@@ -240,12 +237,10 @@ class _SegmentObjective:
         n, n_draws = self.na.shape
         cols = max(1, min(n, VALUES_BLOCK // n_draws))
         rows = max(1, VALUES_BLOCK // (cols * n_draws))
-        # the clip is a no-op when no |na + r * nb| can exceed the clamp
-        clip = not self._na_max + self._nb_max * np.abs(rs).max() <= UTILITY_CLAMP
         mrp, loyalty, config = self.seg.mrp, self.seg.loyalty, self.config
         for i in range(0, rs.size, rows):
             r = rs[i : i + rows]
-            probs = self._mean_probabilities(r, cols, clip)
+            probs = self._mean_probabilities(r, cols)
             pv = (mrp * (1.0 + r[:, None]) - config.monthly_cost) * self.factor
             out[i : i + rows] = np.sum(probs * loyalty * (pv - config.initial_cost), axis=1)
         return out
@@ -384,6 +379,5 @@ def grid_oracle(
                 months=int(months),
                 nop_value=float(values[i]),
                 n_customers=seg.n_customers,
-                at_bound=float(rs[i]) in (lo, hi),
             )
     return best

@@ -349,7 +349,6 @@ class TestOptimizePolicy:
         )
         seg, draws = make_segment(insensitive, rng.random(12))
         assert optimize_policy(seg, draws, NopConfig()).at_bound
-        assert grid_oracle(seg, draws, NopConfig(), r_step=0.01).at_bound
         sensitive, draws = make_segment([[2.0, 0.0, -12.0]], [1.0])
         policy = optimize_policy(sensitive, draws, NopConfig())
         assert -0.5 < policy.r < 0.5 and not policy.at_bound
