@@ -18,7 +18,6 @@ from .choice import (
 from .evaluate import ScoredLabels, accuracy_at_base_rate, auc, delong_test, lift_curve, tune_ncomp
 from .hb import (
     McmcConfig,
-    MixtureModel,
     PosteriorDraws,
     fit_hb_mixed_logit,
     posterior_mean_betas,

@@ -5,7 +5,6 @@ manifest that records the resolved config, seed, and artifact hashes."""
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from pathlib import Path
 
@@ -14,6 +13,7 @@ import numpy as np
 from . import __version__
 from .config import PipelineConfig
 from .datasets import (
+    index_by_occasion,
     ingest_retail_csv,
     read_customers_csv,
     read_offer_csv,
@@ -24,7 +24,7 @@ from .datasets import (
     write_scores_csv,
     write_truth_csv,
 )
-from .errors import DataIntegrityError, MissingArtifactError, OfferLabError
+from .errors import MissingArtifactError, OfferLabError
 from .evaluate import (
     ScoredLabels,
     accuracy_at_base_rate,
@@ -39,6 +39,7 @@ from .segments import SEGMENTS, SegmentAssignment, assign_segments, segment_dist
 from .simulate import simulate_dataset, summarize_dataset
 from .storage import (
     canonical_json,
+    read_csv,
     sha256_file,
     sha256_text,
     write_csv_atomic,
@@ -58,6 +59,12 @@ SUBCOMMANDS = (
     "report",
 )
 
+# the schemas of the CSV artifacts the CLI writes itself; a stage that
+# reads one of them back refuses any other header
+SEGMENT_COLUMNS = ("customer_id", "elasticity", "loyalty", "segment")
+DISTRIBUTION_COLUMNS = ("segment", "percent")
+TUNING_COLUMNS = ("ncomp", "mean_auc", "mean_accuracy", "selected")
+LIFT_COLUMNS = ("fraction", "capture")
 POLICY_COLUMNS = ("segment", "r", "M_months", "nop", "n_customers", "degenerate", "at_bound")
 
 
@@ -94,21 +101,30 @@ def _write_manifest(out: Path, subcommand: str, config: PipelineConfig, artifact
     return path
 
 
-def _load_segments_csv(path: Path):
-    assignments = []
-    with open(_require(path), newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for row in reader:
-            assignments.append(
-                SegmentAssignment(
-                    customer_id=int(row[0]),
-                    elasticity=float(row[1]),
-                    loyalty=float(row[2]),
-                    segment=row[3],
-                )
-            )
-    return assignments
+def _segment(cell: str) -> str:
+    if cell not in SEGMENTS:
+        raise ValueError(f"unknown segment {cell!r}")
+    return cell
+
+
+def _flag(cell: str) -> bool:
+    return {"0": False, "1": True}[cell]
+
+
+def _cells(*types):
+    """A row parser that converts the i-th cell with ``types[i]``."""
+    return lambda row: tuple(convert(cell) for convert, cell in zip(types, row))
+
+
+def _aligned_scores(path, observations) -> np.ndarray:
+    """The scores of ``path`` in the order of ``observations``, by (customer_id, occasion)."""
+    rows = read_scores_csv(path)
+    by_key = index_by_occasion(path, (((cid, occ), score) for cid, occ, _, score in rows))
+    keys = [(o.customer_id, o.occasion) for o in observations]
+    missing = [key for key in keys if key not in by_key]
+    if missing:
+        raise MissingArtifactError(f"{path} has no score for row {missing[0]}")
+    return np.array([by_key[key] for key in keys])
 
 
 def run_pipeline(subcommand: str, config: PipelineConfig, args: argparse.Namespace | None = None):
@@ -128,8 +144,8 @@ def run_pipeline(subcommand: str, config: PipelineConfig, args: argparse.Namespa
         artifacts += ["train.csv", "test.csv", "customers.csv", "truth.csv", "summary.txt"]
 
     elif subcommand == "fit":
-        observations, _ = read_offer_csv(_require(out / "train.csv"))
-        profiles, _ = read_customers_csv(_require(out / "customers.csv"))
+        observations, _ = read_offer_csv(out / "train.csv")
+        profiles, _ = read_customers_csv(out / "customers.csv")
         covariates = _covariates_from_customers(profiles, config.include_demographic)
         draws = fit_hb_mixed_logit(
             observations, covariates, ncomp=config.ncomp, config=config.mcmc
@@ -141,8 +157,8 @@ def run_pipeline(subcommand: str, config: PipelineConfig, args: argparse.Namespa
         ]
 
     elif subcommand == "tune":
-        observations, _ = read_offer_csv(_require(out / "train.csv"))
-        profiles, _ = read_customers_csv(_require(out / "customers.csv"))
+        observations, _ = read_offer_csv(out / "train.csv")
+        profiles, _ = read_customers_csv(out / "customers.csv")
         covariates = _covariates_from_customers(profiles, config.include_demographic)
         report = tune_ncomp(
             observations, covariates, config.ncomp_candidates, config.resampling, config.mcmc
@@ -151,12 +167,12 @@ def run_pipeline(subcommand: str, config: PipelineConfig, args: argparse.Namespa
             (r.ncomp, r.mean_auc, r.mean_accuracy, int(r.ncomp == report.selected_ncomp))
             for r in report.rows
         ]
-        write_csv_atomic(out / "tuning.csv", ("ncomp", "mean_auc", "mean_accuracy", "selected"), rows)
+        write_csv_atomic(out / "tuning.csv", TUNING_COLUMNS, rows)
         artifacts += ["tuning.csv"]
 
     elif subcommand == "predict":
         draws = PosteriorDraws.load(out / "posterior")
-        observations, _ = read_offer_csv(_require(out / "test.csv"))
+        observations, _ = read_offer_csv(out / "test.csv")
         X = np.array([o.attributes.as_array() for o in observations])
         ids = [o.customer_id for o in observations]
         scores = predict_panel_probabilities(
@@ -172,18 +188,11 @@ def run_pipeline(subcommand: str, config: PipelineConfig, args: argparse.Namespa
         artifacts += ["scores.csv"]
 
     elif subcommand == "evaluate":
-        score_rows = read_scores_csv(_require(out / "scores.csv"))
-        observations, _ = read_offer_csv(_require(out / "test.csv"))
-        train_obs, _ = read_offer_csv(_require(out / "train.csv"))
-        by_key = {(cid, occ): score for cid, occ, _, score in score_rows}
-        scores, labels = [], []
-        for o in observations:
-            key = (o.customer_id, o.occasion)
-            if key not in by_key:
-                raise MissingArtifactError(f"scores.csv has no score for row {key}")
-            scores.append(by_key[key])
-            labels.append(o.label)
-        data = ScoredLabels(np.array(scores), np.array(labels))
+        observations, _ = read_offer_csv(out / "test.csv")
+        train_obs, _ = read_offer_csv(out / "train.csv")
+        scores = _aligned_scores(out / "scores.csv", observations)
+        labels = np.array([o.label for o in observations])
+        data = ScoredLabels(scores, labels)
         base_rate = float(np.mean([o.label for o in train_obs]))
         metrics = {
             "auc": auc(data),
@@ -194,17 +203,8 @@ def run_pipeline(subcommand: str, config: PipelineConfig, args: argparse.Namespa
         if args is not None and getattr(args, "compare", None):
             # imported benchmark scores (e.g. an external model) aligned on
             # (customer_id, occasion); compared via the DeLong ROC test
-            other_rows = read_scores_csv(Path(args.compare))
-            other_by_key = {(cid, occ): score for cid, occ, _, score in other_rows}
-            other = []
-            for o in observations:
-                key = (o.customer_id, o.occasion)
-                if key not in other_by_key:
-                    raise MissingArtifactError(
-                        f"{args.compare} has no score for row {key}"
-                    )
-                other.append(other_by_key[key])
-            result = delong_test(np.array(scores), np.array(other), np.array(labels))
+            other = _aligned_scores(Path(args.compare), observations)
+            result = delong_test(scores, other, labels)
             metrics["delong"] = {
                 "auc_model": result.auc_a,
                 "auc_compare": result.auc_b,
@@ -213,33 +213,35 @@ def run_pipeline(subcommand: str, config: PipelineConfig, args: argparse.Namespa
             }
         write_json_atomic(out / "metrics.json", metrics)
         points = lift_curve(data)
-        write_csv_atomic(out / "lift.csv", ("fraction", "capture"), points)
+        write_csv_atomic(out / "lift.csv", LIFT_COLUMNS, points)
         artifacts += ["metrics.json", "lift.csv"]
 
     elif subcommand == "segment":
         draws = PosteriorDraws.load(out / "posterior")
-        observations, _ = read_offer_csv(_require(out / "test.csv"))
-        profiles, _ = read_customers_csv(_require(out / "customers.csv"))
+        observations, _ = read_offer_csv(out / "test.csv")
+        profiles, _ = read_customers_csv(out / "customers.csv")
         assignments = assign_segments(
             draws, observations, profiles, delta=config.elasticity_delta
         )
         write_csv_atomic(
             out / "segments.csv",
-            ("customer_id", "elasticity", "loyalty", "segment"),
+            SEGMENT_COLUMNS,
             [(a.customer_id, a.elasticity, a.loyalty, a.segment) for a in assignments],
         )
         shares = segment_distribution(assignments)
         write_csv_atomic(
             out / "segment_distribution.csv",
-            ("segment", "percent"),
+            DISTRIBUTION_COLUMNS,
             [(segment, shares[segment]) for segment in SEGMENTS],
         )
         artifacts += ["segments.csv", "segment_distribution.csv"]
 
     elif subcommand == "optimize":
         draws = PosteriorDraws.load(out / "posterior")
-        assignments = _load_segments_csv(out / "segments.csv")
-        _, mrp = read_customers_csv(_require(out / "customers.csv"))
+        parse = _cells(int, float, float, _segment)
+        rows = read_csv(out / "segments.csv", SEGMENT_COLUMNS, parse)
+        assignments = [SegmentAssignment(*row) for row in rows]
+        _, mrp = read_customers_csv(out / "customers.csv")
         segments = segment_data_from_assignments(assignments, config.nop, mrp)
         rows = []
         for segment in SEGMENTS:
@@ -266,7 +268,7 @@ def run_pipeline(subcommand: str, config: PipelineConfig, args: argparse.Namespa
             raise MissingArtifactError("ingest-retail requires --input <retail csv>")
         product_filter = None
         if args.products:
-            lines = Path(_require(Path(args.products))).read_text().split()
+            lines = _require(Path(args.products)).read_text().split()
             product_filter = {line.strip() for line in lines if line.strip()}
         dataset = ingest_retail_csv(args.input, product_filter=product_filter)
         write_multinomial_csv(out / "multinomial.csv", dataset)
@@ -276,43 +278,31 @@ def run_pipeline(subcommand: str, config: PipelineConfig, args: argparse.Namespa
         sections = []
         dist_path = out / "segment_distribution.csv"
         if dist_path.exists():
-            with open(dist_path, newline="", encoding="utf-8") as fh:
-                reader = csv.reader(fh)
-                next(reader)
-                shares = {row[0]: float(row[1]) for row in reader}
+            shares = dict(read_csv(dist_path, DISTRIBUTION_COLUMNS, _cells(_segment, float)))
             lines = ["Customer segments (percent of customers)", "-" * 44]
             for segment in SEGMENTS:
                 lines.append(f"{segment:<24}{shares.get(segment, 0.0):>8.1f}")
             sections.append("\n".join(lines))
         tuning_path = out / "tuning.csv"
         if tuning_path.exists():
-            with open(tuning_path, newline="", encoding="utf-8") as fh:
-                reader = csv.reader(fh)
-                next(reader)
-                rows = list(reader)
+            rows = read_csv(tuning_path, TUNING_COLUMNS, _cells(int, float, float, _flag))
             lines = ["Mixture-size tuning (mean validation AUC)", "-" * 44]
             lines.append(f"{'ncomp':<8}{'AUC':>10}{'accuracy':>12}{'selected':>10}")
-            for row in rows:
-                mark = "*" if row[3] == "1" else ""
-                lines.append(f"{row[0]:<8}{float(row[1]):>10.4f}{float(row[2]):>12.4f}{mark:>10}")
+            for ncomp, mean_auc, mean_accuracy, selected in rows:
+                mark = "*" if selected else ""
+                lines.append(f"{ncomp:<8}{mean_auc:>10.4f}{mean_accuracy:>12.4f}{mark:>10}")
             sections.append("\n".join(lines))
         policy_path = out / "policy.csv"
         if policy_path.exists():
-            with open(policy_path, newline="", encoding="utf-8") as fh:
-                reader = csv.reader(fh)
-                header = tuple(next(reader, ()))
-                if header != POLICY_COLUMNS:
-                    raise DataIntegrityError(
-                        f"{policy_path} has columns {list(header)}, expected {list(POLICY_COLUMNS)}"
-                    )
-                policies = {row[0]: row for row in reader}
+            parse = _cells(_segment, float, int, float, int, _flag, _flag)
+            policies = {row[0]: row for row in read_csv(policy_path, POLICY_COLUMNS, parse)}
 
             def _cell(segment):
                 if segment not in policies:
                     return "(no customers)"
-                row = policies[segment]
-                marks = "!" * (row[5] == "1") + "^" * (row[6] == "1")
-                return f"r = {100 * float(row[1]):+.1f}%  m = {row[2]} months {marks}".rstrip()
+                _, r, months, _, _, degenerate, at_bound = policies[segment]
+                marks = "!" * degenerate + "^" * at_bound
+                return f"r = {100 * r:+.1f}%  m = {months} months {marks}".rstrip()
 
             lines = ["Optimal discount rate (r) and contract length (m)", "-" * 60]
             lines.append(f"{'':<22}{'Not Loyal':<30}{'Loyal':<30}")

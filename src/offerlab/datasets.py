@@ -1,14 +1,12 @@
 """Dataset persistence, retail ingestion, and train/validation splitting.
 
-CSV files are UTF-8 with a header row and RFC-4180 quoting; floats are
-written with round-trip repr so that write-then-read reproduces the
-in-memory values exactly.
+Every dataset file goes through ``storage.write_csv_atomic`` and
+``storage.read_csv``, which define the CSV format.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
@@ -25,12 +23,13 @@ from .choice import (
 )
 from .errors import (
     ConfigurationError,
+    DataIntegrityError,
     EmptySelectionError,
     InvalidInputError,
     MissingArtifactError,
     ParseError,
 )
-from .storage import fmt, write_text_atomic
+from .storage import read_csv, write_csv_atomic
 
 OFFER_COLUMNS = (
     "id",
@@ -51,28 +50,15 @@ _OUTCOME_TO_CELL = {ACCEPTED: "1", REJECTED: "0", UNLABELED: ""}
 _CELL_TO_OUTCOME = {"1": ACCEPTED, "0": REJECTED, "": UNLABELED}
 
 
-def _write_csv(path, header, rows) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([fmt(cell) for cell in row])
-    write_text_atomic(path, buf.getvalue())
-
-
-def _read_csv(path, expected_header=None):
-    path = Path(path)
-    if not path.exists():
-        raise MissingArtifactError(str(path))
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file")
-        if expected_header is not None and tuple(header) != tuple(expected_header):
-            raise ParseError(f"{path}: expected header {expected_header}, got {header}")
-        return header, list(reader)
+def index_by_occasion(path, pairs) -> dict:
+    """Map each (customer_id, occasion) key of ``pairs`` (key, value) to its
+    value; a key read twice from ``path`` is a ``DataIntegrityError``."""
+    index = {}
+    for key, value in pairs:
+        if key in index:
+            raise DataIntegrityError(f"{path} repeats (customer_id, occasion) = {key}")
+        index[key] = value
+    return index
 
 
 def write_offer_csv(path, observations, profiles: dict) -> None:
@@ -91,32 +77,31 @@ def write_offer_csv(path, observations, profiles: dict) -> None:
                 _OUTCOME_TO_CELL[o.outcome],
             )
         )
-    _write_csv(path, OFFER_COLUMNS, rows)
+    write_csv_atomic(path, OFFER_COLUMNS, rows)
+
+
+def _parse_offer(row):
+    obs = OfferObservation(
+        customer_id=int(row[0]),
+        occasion=int(row[1]),
+        attributes=OfferAttributes(
+            intercept=float(row[2]),
+            contract_length=float(row[3]),
+            discount=float(row[4]),
+        ),
+        outcome=_CELL_TO_OUTCOME[row[7]],
+    )
+    return obs, (float(row[6]), float(row[5]))
 
 
 def read_offer_csv(path):
-    """Return (observations, covariate map id -> (loyalty_c, demographic_c))."""
-    _, rows = _read_csv(path, OFFER_COLUMNS)
-    observations = []
-    covariates = {}
-    for lineno, row in enumerate(rows, start=2):
-        try:
-            cid = int(row[0])
-            obs = OfferObservation(
-                customer_id=cid,
-                occasion=int(row[1]),
-                attributes=OfferAttributes(
-                    intercept=float(row[2]),
-                    contract_length=float(row[3]),
-                    discount=float(row[4]),
-                ),
-                outcome=_CELL_TO_OUTCOME[row[7]],
-            )
-            covariates[cid] = (float(row[6]), float(row[5]))
-        except (ValueError, KeyError, IndexError) as exc:
-            raise ParseError(f"{path}: line {lineno}: {exc}")
-        observations.append(obs)
-    return observations, covariates
+    """Return (observations, covariate map id -> (loyalty_c, demographic_c)).
+
+    A (customer_id, occasion) that appears twice is a ``DataIntegrityError``.
+    """
+    rows = read_csv(path, OFFER_COLUMNS, _parse_offer)
+    by_key = index_by_occasion(path, (((o.customer_id, o.occasion), o) for o, _ in rows))
+    return list(by_key.values()), {o.customer_id: cov for o, cov in rows}
 
 
 def write_customers_csv(path, profiles: dict, mrp: dict | None = None) -> None:
@@ -131,27 +116,24 @@ def write_customers_csv(path, profiles: dict, mrp: dict | None = None) -> None:
         )
         for p in (profiles[k] for k in sorted(profiles))
     ]
-    _write_csv(path, CUSTOMER_COLUMNS, rows)
+    write_csv_atomic(path, CUSTOMER_COLUMNS, rows)
+
+
+def _parse_customer(row):
+    profile = CustomerProfile(
+        customer_id=int(row[0]),
+        loyalty=float(row[1]),
+        loyalty_centered=float(row[2]),
+        demographic_centered=float(row[3]),
+    )
+    return profile, float(row[4]) if row[4] != "" else None
 
 
 def read_customers_csv(path):
     """Return (profiles dict, mrp dict; mrp only for rows that carry one)."""
-    _, rows = _read_csv(path, CUSTOMER_COLUMNS)
-    profiles = {}
-    mrp = {}
-    for lineno, row in enumerate(rows, start=2):
-        try:
-            cid = int(row[0])
-            profiles[cid] = CustomerProfile(
-                customer_id=cid,
-                loyalty=float(row[1]),
-                loyalty_centered=float(row[2]),
-                demographic_centered=float(row[3]),
-            )
-            if row[4] != "":
-                mrp[cid] = float(row[4])
-        except (ValueError, IndexError) as exc:
-            raise ParseError(f"{path}: line {lineno}: {exc}")
+    rows = read_csv(path, CUSTOMER_COLUMNS, _parse_customer)
+    profiles = {p.customer_id: p for p, _ in rows}
+    mrp = {p.customer_id: m for p, m in rows if m is not None}
     return profiles, mrp
 
 
@@ -160,36 +142,19 @@ def write_truth_csv(path, coefficients: dict) -> None:
         (cid, b.k, b.beta_contract, b.beta_discount)
         for cid, b in sorted(coefficients.items())
     ]
-    _write_csv(path, TRUTH_COLUMNS, rows)
-
-
-def read_truth_csv(path) -> dict:
-    from .choice import CoefficientVector
-
-    _, rows = _read_csv(path, TRUTH_COLUMNS)
-    out = {}
-    for lineno, row in enumerate(rows, start=2):
-        try:
-            out[int(row[0])] = CoefficientVector(float(row[1]), float(row[2]), float(row[3]))
-        except (ValueError, IndexError) as exc:
-            raise ParseError(f"{path}: line {lineno}: {exc}")
-    return out
+    write_csv_atomic(path, TRUTH_COLUMNS, rows)
 
 
 def write_scores_csv(path, rows) -> None:
     """rows: iterable of (customer_id, occasion, alternative, score)."""
-    _write_csv(path, SCORE_COLUMNS, rows)
+    write_csv_atomic(path, SCORE_COLUMNS, rows)
 
 
 def read_scores_csv(path):
-    _, rows = _read_csv(path, SCORE_COLUMNS)
-    out = []
-    for lineno, row in enumerate(rows, start=2):
-        try:
-            out.append((int(row[0]), int(row[1]), int(row[2]), float(row[3])))
-        except (ValueError, IndexError) as exc:
-            raise ParseError(f"{path}: line {lineno}: {exc}")
-    return out
+    """Return [(customer_id, occasion, alternative, score)] in file order."""
+    return read_csv(
+        path, SCORE_COLUMNS, lambda row: (int(row[0]), int(row[1]), int(row[2]), float(row[3]))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -214,10 +179,6 @@ class ResamplingScheme:
         if self.repeats < 1:
             raise ConfigurationError("repeats must be >= 1")
         return self
-
-    @property
-    def cells_per_repeat(self) -> int:
-        return self.folds if self.kind == KFOLD_BY_OCCASION else 1
 
 
 def _occasion_units(items):
@@ -265,22 +226,6 @@ def split_kfold_by_occasion(items, k: int, seed: int):
             (validation if fold_of[i] == fold else train).extend(units[key])
         pairs.append((train, validation))
     return pairs
-
-
-def split_train_validation(items, scheme, seed: int, fold: int = 0):
-    """Single (train, validation) pair under the named scheme.
-
-    For the k-fold scheme, ``fold`` selects which fold is validation.
-    """
-    if isinstance(scheme, ResamplingScheme):
-        kind, k = scheme.kind, scheme.folds
-    else:
-        kind, k = scheme, 10
-    if kind == PER_CUSTOMER_HOLDOUT:
-        return split_per_customer_holdout(items, seed)
-    if kind == KFOLD_BY_OCCASION:
-        return split_kfold_by_occasion(items, k, seed)[fold]
-    raise ConfigurationError(f"unknown split scheme {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -438,25 +383,7 @@ def write_multinomial_csv(path, dataset: MultinomialDataset) -> None:
     for cs in dataset.choice_sets:
         for product_id, chosen in cs.alternatives:
             rows.append((cs.customer_id, cs.occasion, product_id, chosen))
-    _write_csv(path, MULTINOMIAL_COLUMNS, rows)
-
-
-def read_multinomial_csv(path) -> MultinomialDataset:
-    _, rows = _read_csv(path, MULTINOMIAL_COLUMNS)
-    grouped = {}
-    products = set()
-    for lineno, row in enumerate(rows, start=2):
-        try:
-            key = (int(row[0]), int(row[1]))
-            grouped.setdefault(key, []).append((row[2], int(row[3])))
-            products.add(row[2])
-        except (ValueError, IndexError) as exc:
-            raise ParseError(f"{path}: line {lineno}: {exc}")
-    choice_sets = tuple(
-        MultinomialChoiceSet(cid, occ, tuple(sorted(grouped[(cid, occ)])))
-        for cid, occ in sorted(grouped)
-    )
-    return MultinomialDataset(choice_sets=choice_sets, product_ids=tuple(sorted(products)))
+    write_csv_atomic(path, MULTINOMIAL_COLUMNS, rows)
 
 
 def multinomial_to_panel(dataset: MultinomialDataset):

@@ -91,37 +91,6 @@ class McmcConfig:
         return (self.total_draws - self.burn_in) // self.keep
 
 
-@dataclass(frozen=True)
-class MixtureModel:
-    """Population heterogeneity: weights, component moments, and the
-    covariate loading on the component means."""
-
-    weights: np.ndarray  # (ncomp,)
-    means: np.ndarray  # (ncomp, K)
-    covariances: np.ndarray  # (ncomp, K, K)
-    delta: np.ndarray  # (K, n_covariates)
-
-    @property
-    def ncomp(self) -> int:
-        return len(self.weights)
-
-    def validate(self) -> "MixtureModel":
-        if self.ncomp < 1:
-            raise ConfigurationError("mixture needs at least one component")
-        if np.any(self.weights < 0) or abs(float(self.weights.sum()) - 1.0) > 1e-12:
-            raise ConfigurationError("mixture weights must sum to 1")
-        for k in range(self.ncomp):
-            try:
-                np.linalg.cholesky(self.covariances[k])
-            except np.linalg.LinAlgError:
-                raise ConfigurationError(f"component {k} covariance is not SPD")
-        return self
-
-    def population_mean(self) -> np.ndarray:
-        """Weighted mean of the component means (covariates at zero)."""
-        return self.weights @ self.means
-
-
 @dataclass
 class PosteriorDraws:
     """Retained MCMC draws plus per-customer acceptance diagnostics."""
@@ -165,14 +134,6 @@ class PosteriorDraws:
 
     def __contains__(self, customer_id) -> bool:
         return customer_id in self._index
-
-    def mixture_at(self, draw: int) -> MixtureModel:
-        return MixtureModel(
-            weights=self.weights[draw],
-            means=self.means[draw],
-            covariances=self.covariances[draw],
-            delta=self.delta[draw],
-        )
 
     def population_mean_coefficients(self) -> np.ndarray:
         """Posterior mean of the weighted mixture mean; used for customers

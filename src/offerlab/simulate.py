@@ -50,11 +50,6 @@ class MixtureComponent:
         return np.asarray(self.cov, dtype=float)
 
 
-def _diag(*v):
-    n = len(v)
-    return tuple(tuple(float(v[i]) if i == j else 0.0 for j in range(n)) for i in range(n))
-
-
 # Default ground truth, shaped like a real B2B offer book: roughly 61%
 # overall acceptance, a clearly bimodal intercept distribution (a large
 # eager segment and a smaller reluctant one), negative-centered discount
@@ -246,11 +241,6 @@ def _draw_population(config: GroundTruthConfig):
         )
         coefficients[cid] = CoefficientVector.from_array(betas[i])
     return profiles, coefficients
-
-
-def draw_customer_profiles(config: GroundTruthConfig) -> dict:
-    """Map customer_id -> CustomerProfile (loyalty drawn uniform, then centered)."""
-    return _draw_population(config)[0]
 
 
 def draw_true_coefficients(config: GroundTruthConfig) -> dict:

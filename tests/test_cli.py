@@ -1,11 +1,13 @@
 import csv
 import json
+import shutil
 
 import pytest
 
-from offerlab.cli import main, run_pipeline
+from offerlab.cli import TUNING_COLUMNS, main, run_pipeline
 from offerlab.config import PipelineConfig
 from offerlab.errors import ConfigurationError, DataIntegrityError
+from offerlab.storage import write_csv_atomic
 
 SMALL_CONFIG = {
     "seed": 424242,
@@ -29,6 +31,25 @@ def write_config(tmp_path, overrides=None, out_name="run"):
 def read_rows(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
+
+
+def rewrite_rows(path, edit):
+    """Apply ``edit`` to the rows (header first) of a CSV and write them back."""
+    rows = read_rows(path)
+    edit(rows)
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+
+
+def copy_run(pipeline, tmp_path):
+    """A copy of a finished run plus a config that points at it."""
+    out = tmp_path / "copy"
+    shutil.copytree(pipeline, out)
+    raw = dict(SMALL_CONFIG)
+    raw["out_dir"] = str(out)
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps(raw))
+    return out, config_path
 
 
 @pytest.fixture(scope="module")
@@ -163,10 +184,7 @@ class TestArtifacts:
         assert regenerated == (pipeline / "train.csv").read_bytes()
 
     def test_evaluate_compare_runs_delong(self, pipeline, tmp_path):
-        import shutil
-
-        out = tmp_path / "cmp"
-        shutil.copytree(pipeline, out)
+        out, config_path = copy_run(pipeline, tmp_path)
         # a benchmark score file: the model's own scores, perturbed
         rows = read_rows(out / "scores.csv")
         bench = tmp_path / "benchmark.csv"
@@ -175,10 +193,6 @@ class TestArtifacts:
             writer.writerow(rows[0])
             for cid, occ, alt, score in rows[1:]:
                 writer.writerow([cid, occ, alt, min(float(score) + 0.05, 1.0)])
-        config_path = tmp_path / "cfg.json"
-        raw = dict(SMALL_CONFIG)
-        raw["out_dir"] = str(out)
-        config_path.write_text(json.dumps(raw))
         assert main(["evaluate", "--config", str(config_path), "--compare", str(bench)]) == 0
         metrics = json.loads((out / "metrics.json").read_text())
         assert "delong" in metrics
@@ -203,6 +217,105 @@ class TestDependencies:
     def test_report_needs_some_artifact(self, tmp_path, capsys):
         config_path = write_config(tmp_path, out_name="bare")
         assert main(["report", "--config", str(config_path)]) == 2
+
+
+# every CSV a stage reads: (file, a stage that reads it, two columns to
+# swap, a column to spoil)
+STAGE_INPUTS = [
+    ("train.csv", "fit", (3, 4), 3),
+    ("test.csv", "predict", (3, 4), 4),
+    ("customers.csv", "segment", (1, 2), 1),
+    ("scores.csv", "evaluate", (2, 3), 3),
+    ("segments.csv", "optimize", (1, 2), 1),
+    ("segment_distribution.csv", "report", (0, 1), 1),
+    ("tuning.csv", "report", (1, 2), 1),
+    ("policy.csv", "report", (1, 3), 1),
+]
+
+
+class TestStageInputs:
+    @pytest.mark.parametrize("fault", ["swapped-columns", "malformed-cell"])
+    @pytest.mark.parametrize(
+        "name, stage, swap, spoil", STAGE_INPUTS, ids=[case[0] for case in STAGE_INPUTS]
+    )
+    def test_stage_refuses_faulty_input(
+        self, pipeline, tmp_path, capsys, name, stage, swap, spoil, fault
+    ):
+        out, config_path = copy_run(pipeline, tmp_path)
+        if name == "tuning.csv":
+            write_csv_atomic(out / name, TUNING_COLUMNS, [(1, 0.8, 0.7, 1), (2, 0.75, 0.7, 0)])
+
+        def edit(rows):
+            if fault == "swapped-columns":
+                i, j = swap
+                for row in rows:
+                    row[i], row[j] = row[j], row[i]
+            else:
+                rows[1][spoil] = "oops"
+
+        rewrite_rows(out / name, edit)
+        assert main([stage, "--config", str(config_path)]) == 1
+        err = capsys.readouterr().err
+        assert name in err
+        if fault == "swapped-columns":
+            assert "has columns" in err and "expected" in err
+        else:
+            assert "line 2: " in err
+
+    def test_optimize_refuses_swapped_elasticity_and_loyalty(self, pipeline, tmp_path, capsys):
+        out, config_path = copy_run(pipeline, tmp_path)
+        (out / "policy.csv").unlink()
+
+        def swap(rows):
+            for row in rows:
+                row[1], row[2] = row[2], row[1]
+
+        rewrite_rows(out / "segments.csv", swap)
+        assert main(["optimize", "--config", str(config_path)]) == 1
+        assert "segments.csv has columns ['customer_id', 'loyalty', 'elasticity'" in (
+            capsys.readouterr().err
+        )
+        assert not (out / "policy.csv").exists()
+
+    def test_optimize_refuses_unknown_segment(self, pipeline, tmp_path, capsys):
+        out, config_path = copy_run(pipeline, tmp_path)
+
+        def rename(rows):
+            rows[3][3] = "loyal-ish"
+
+        rewrite_rows(out / "segments.csv", rename)
+        assert main(["optimize", "--config", str(config_path)]) == 1
+        assert "segments.csv: line 4: unknown segment 'loyal-ish'" in capsys.readouterr().err
+
+    def test_evaluate_refuses_repeated_score_rows(self, pipeline, tmp_path, capsys):
+        out, config_path = copy_run(pipeline, tmp_path)
+        rewrite_rows(out / "scores.csv", lambda rows: rows.append(rows[1][:3] + ["0.5"]))
+        assert main(["evaluate", "--config", str(config_path)]) == 1
+        cid, occ = read_rows(out / "scores.csv")[1][:2]
+        assert f"scores.csv repeats (customer_id, occasion) = ({cid}, {occ})" in (
+            capsys.readouterr().err
+        )
+
+    def test_evaluate_refuses_repeated_compare_rows(self, pipeline, tmp_path, capsys):
+        out, config_path = copy_run(pipeline, tmp_path)
+        bench = tmp_path / "benchmark.csv"
+        shutil.copy(out / "scores.csv", bench)
+        rewrite_rows(bench, lambda rows: rows.insert(2, rows[1]))
+        code = main(["evaluate", "--config", str(config_path), "--compare", str(bench)])
+        assert code == 1
+        assert "benchmark.csv repeats (customer_id, occasion)" in capsys.readouterr().err
+
+    def test_evaluate_names_a_missing_score_row(self, pipeline, tmp_path, capsys):
+        out, config_path = copy_run(pipeline, tmp_path)
+        rewrite_rows(out / "scores.csv", lambda rows: rows.pop(1))
+        assert main(["evaluate", "--config", str(config_path)]) == 2
+        assert "scores.csv has no score for row" in capsys.readouterr().err
+
+    def test_fit_refuses_repeated_offer_rows(self, pipeline, tmp_path, capsys):
+        out, config_path = copy_run(pipeline, tmp_path)
+        rewrite_rows(out / "train.csv", lambda rows: rows.append(rows[1]))
+        assert main(["fit", "--config", str(config_path)]) == 1
+        assert "train.csv repeats (customer_id, occasion)" in capsys.readouterr().err
 
 
 class TestDeterminism:

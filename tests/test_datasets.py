@@ -4,26 +4,20 @@ import numpy as np
 import pytest
 
 from offerlab.datasets import (
-    KFOLD_BY_OCCASION,
-    PER_CUSTOMER_HOLDOUT,
     ResamplingScheme,
     ingest_retail_csv,
     multinomial_to_panel,
     read_customers_csv,
-    read_multinomial_csv,
     read_offer_csv,
     read_scores_csv,
-    read_truth_csv,
     split_kfold_by_occasion,
     split_per_customer_holdout,
-    split_train_validation,
     write_customers_csv,
-    write_multinomial_csv,
     write_offer_csv,
     write_scores_csv,
-    write_truth_csv,
 )
 from offerlab.errors import (
+    DataIntegrityError,
     EmptySelectionError,
     InvalidInputError,
     MissingArtifactError,
@@ -79,6 +73,22 @@ class TestOfferCsv:
         with pytest.raises(MissingArtifactError):
             read_offer_csv(tmp_path / "absent.csv")
 
+    def test_repeated_occasion_is_refused(self, dataset, tmp_path):
+        path = tmp_path / "train.csv"
+        first = dataset.train[0]
+        write_offer_csv(path, dataset.train + (first,), dataset.profiles)
+        with pytest.raises(
+            DataIntegrityError,
+            match=rf"repeats \(customer_id, occasion\) = \({first.customer_id}, {first.occasion}\)",
+        ):
+            read_offer_csv(path)
+
+    def test_wrong_header_is_refused(self, dataset, tmp_path):
+        path = tmp_path / "scores.csv"
+        write_scores_csv(path, [(1, 1, 1, 0.5)])
+        with pytest.raises(DataIntegrityError, match="scores.csv has columns"):
+            read_offer_csv(path)
+
 
 class TestOtherCsvs:
     def test_customers_round_trip(self, dataset, tmp_path):
@@ -87,11 +97,6 @@ class TestOtherCsvs:
         profiles, mrp = read_customers_csv(path)
         assert profiles == dataset.profiles
         assert mrp == {3: 120.5}
-
-    def test_truth_round_trip(self, dataset, tmp_path):
-        path = tmp_path / "truth.csv"
-        write_truth_csv(path, dataset.true_coefficients)
-        assert read_truth_csv(path) == dataset.true_coefficients
 
     def test_scores_round_trip(self, tmp_path):
         rows = [(1, 1, 1, 0.25), (2, 1, 1, 1 / 3)]
@@ -149,16 +154,6 @@ class TestSplitting:
     def test_too_many_folds(self, dataset):
         with pytest.raises(InvalidInputError):
             split_kfold_by_occasion(dataset.train, 10_000, seed=1)
-
-    def test_dispatch_by_name(self, dataset):
-        train, validation = split_train_validation(
-            dataset.train, PER_CUSTOMER_HOLDOUT, seed=3
-        )
-        assert train and validation
-        train2, validation2 = split_train_validation(
-            dataset.train, ResamplingScheme(kind=KFOLD_BY_OCCASION, folds=3), seed=3, fold=1
-        )
-        assert train2 and validation2
 
     def test_scheme_validation(self):
         with pytest.raises(Exception):
@@ -245,14 +240,6 @@ class TestRetailIngestion:
         )
         with pytest.raises(ParseError, match="line 3"):
             ingest_retail_csv(path, product_filter={"C0"})
-
-    def test_multinomial_round_trip(self, retail_csv, tmp_path):
-        data = ingest_retail_csv(retail_csv, product_filter={"C0", "C1", "C2"})
-        path = tmp_path / "multi.csv"
-        write_multinomial_csv(path, data)
-        loaded = read_multinomial_csv(path)
-        assert loaded.product_ids == data.product_ids
-        assert loaded.choice_sets == data.choice_sets
 
     def test_panel_conversion(self, retail_csv):
         data = ingest_retail_csv(retail_csv, product_filter={"C0", "C1", "C2"})

@@ -16,7 +16,6 @@ from offerlab.hb import (
     POPULATION_MEAN,
     POSTERIOR_MEAN,
     McmcConfig,
-    MixtureModel,
     PosteriorDraws,
     build_panel,
     fit_hb_mixed_logit,
@@ -129,8 +128,11 @@ class TestSampler:
 
     def test_retained_mixtures_satisfy_invariants(self):
         _, draws = small_fit(n_customers=25, total_draws=300, burn_in=60, ncomp=2)
+        np.testing.assert_allclose(draws.weights.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+        assert np.all(draws.weights >= 0)
         for r in range(0, draws.n_draws, 37):
-            draws.mixture_at(r).validate()
+            for k in range(draws.ncomp):
+                np.linalg.cholesky(draws.covariances[r, k])  # raises unless SPD
 
     def test_acceptance_rates_within_diagnostic_band(self):
         _, draws = small_fit(n_customers=120, total_draws=800, burn_in=160, data_seed=71)
@@ -306,36 +308,3 @@ class TestPersistence:
 
         with pytest.raises(MissingArtifactError):
             PosteriorDraws.load(tmp_path / "nothing")
-
-
-class TestMixtureModel:
-    def test_weight_sum_enforced(self):
-        model = MixtureModel(
-            weights=np.array([0.6, 0.5]),
-            means=np.zeros((2, 3)),
-            covariances=np.tile(np.eye(3), (2, 1, 1)),
-            delta=np.zeros((3, 0)),
-        )
-        with pytest.raises(ConfigurationError):
-            model.validate()
-
-    def test_spd_enforced(self):
-        bad = np.tile(np.eye(3), (1, 1, 1))
-        bad[0, 2, 2] = -1.0
-        model = MixtureModel(
-            weights=np.array([1.0]),
-            means=np.zeros((1, 3)),
-            covariances=bad,
-            delta=np.zeros((3, 0)),
-        )
-        with pytest.raises(ConfigurationError):
-            model.validate()
-
-    def test_population_mean(self):
-        model = MixtureModel(
-            weights=np.array([0.25, 0.75]),
-            means=np.array([[1.0, 0.0, -2.0], [3.0, 0.0, -2.0]]),
-            covariances=np.tile(np.eye(3), (2, 1, 1)),
-            delta=np.zeros((3, 0)),
-        )
-        assert model.validate().population_mean() == pytest.approx([2.5, 0.0, -2.0])

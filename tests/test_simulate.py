@@ -88,9 +88,7 @@ class TestTrueCoefficients:
             loyalty_loadings=(2.0, 0.0, 0.0),
             seed=11,
         )
-        from offerlab.simulate import draw_customer_profiles
-
-        profiles = draw_customer_profiles(loaded)
+        profiles = generate_offers(loaded).profiles
         coeffs = draw_true_coefficients(loaded)
         for cid, profile in profiles.items():
             expected = 1.0 + 2.0 * profile.loyalty_centered
