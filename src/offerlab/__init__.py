@@ -24,11 +24,10 @@ from .hb import (
     predict_probability,
 )
 from .profit import NopConfig, OfferPolicy, grid_oracle, nop, optimize_policy, present_value, segment_objective
-from .segments import arc_elasticity, assign_segment, customer_elasticity, segment_distribution
+from .segments import arc_elasticity, assign_segment, segment_distribution
 from .simulate import (
     GroundTruthConfig,
     SimulatedDataset,
-    draw_true_coefficients,
     generate_offers,
     simulate_dataset,
     simulate_responses,

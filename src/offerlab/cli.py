@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,8 @@ import numpy as np
 from . import __version__
 from .config import PipelineConfig
 from .datasets import (
-    index_by_occasion,
+    OCCASION_KEY,
+    index_unique,
     ingest_retail_csv,
     read_customers_csv,
     read_offer_csv,
@@ -87,13 +89,13 @@ def _covariates_from_customers(profiles: dict, include_demographic: bool) -> dic
 
 
 def _write_manifest(out: Path, subcommand: str, config: PipelineConfig, artifacts) -> Path:
-    config_json = canonical_json(config.to_dict())
+    config_dict = asdict(config)
     manifest = {
         "subcommand": subcommand,
         "seed": config.seed,
         "version": __version__,
-        "config": config.to_dict(),
-        "config_sha256": sha256_text(config_json),
+        "config": config_dict,
+        "config_sha256": sha256_text(canonical_json(config_dict)),
         "artifacts": {name: sha256_file(out / name) for name in sorted(artifacts)},
     }
     path = out / f"manifest-{subcommand}.json"
@@ -119,7 +121,7 @@ def _cells(*types):
 def _aligned_scores(path, observations) -> np.ndarray:
     """The scores of ``path`` in the order of ``observations``, by (customer_id, occasion)."""
     rows = read_scores_csv(path)
-    by_key = index_by_occasion(path, (((cid, occ), score) for cid, occ, _, score in rows))
+    by_key = index_unique(path, OCCASION_KEY, (((cid, occ), score) for cid, occ, _, score in rows))
     keys = [(o.customer_id, o.occasion) for o in observations]
     missing = [key for key in keys if key not in by_key]
     if missing:

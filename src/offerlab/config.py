@@ -8,7 +8,7 @@ re-derives the unset ones, so one integer reproduces a whole run.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .datasets import KFOLD_BY_OCCASION, ResamplingScheme
@@ -17,21 +17,7 @@ from .hb import DRAW_AVERAGED, PREDICTION_MODES, McmcConfig
 from .profit import NopConfig
 from .segments import DEFAULT_DISCOUNT_SHIFT
 from .simulate import GroundTruthConfig
-from .storage import derive_seed
-
-_KNOWN_KEYS = {
-    "seed",
-    "out_dir",
-    "ground_truth",
-    "mcmc",
-    "nop",
-    "ncomp",
-    "ncomp_candidates",
-    "resampling",
-    "include_demographic",
-    "elasticity_delta",
-    "predict_mode",
-}
+from .storage import derive_seed, load_dataclass
 
 
 @dataclass
@@ -42,7 +28,7 @@ class PipelineConfig:
     mcmc: McmcConfig = field(default_factory=McmcConfig)
     nop: NopConfig = field(default_factory=NopConfig)
     ncomp: int = 1
-    ncomp_candidates: tuple = (1, 2, 3)
+    ncomp_candidates: tuple[int, ...] = (1, 2, 3)
     resampling: ResamplingScheme = field(
         default_factory=lambda: ResamplingScheme(kind=KFOLD_BY_OCCASION, folds=10, repeats=1)
     )
@@ -64,68 +50,21 @@ class PipelineConfig:
         self.resampling.validate()
         return self
 
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "out_dir": self.out_dir,
-            "ground_truth": self.ground_truth.to_dict(),
-            "mcmc": dict(self.mcmc.__dict__),
-            "nop": self.nop.to_dict(),
-            "ncomp": self.ncomp,
-            "ncomp_candidates": list(self.ncomp_candidates),
-            "resampling": {
-                "kind": self.resampling.kind,
-                "folds": self.resampling.folds,
-                "repeats": self.resampling.repeats,
-            },
-            "include_demographic": self.include_demographic,
-            "elasticity_delta": self.elasticity_delta,
-            "predict_mode": self.predict_mode,
-        }
-
     @classmethod
     def from_dict(
         cls, raw: dict, seed_override: int | None = None, out_override: str | None = None
     ) -> "PipelineConfig":
-        unknown = set(raw) - _KNOWN_KEYS
-        if unknown:
-            raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
-        seed = int(raw.get("seed", cls.seed))
+        config = load_dataclass(cls, raw, "config")
         if seed_override is not None:
-            seed = int(seed_override)
-
-        gt_raw = dict(raw.get("ground_truth", {}))
-        if "seed" not in gt_raw or seed_override is not None:
-            gt_raw["seed"] = derive_seed(seed, 11)
-        ground_truth = GroundTruthConfig.from_dict(gt_raw)
-
-        mcmc_raw = dict(raw.get("mcmc", {}))
-        if "seed" not in mcmc_raw or seed_override is not None:
-            mcmc_raw["seed"] = derive_seed(seed, 13)
-        mcmc = McmcConfig(**mcmc_raw)
-
-        nop_config = NopConfig.from_dict(raw.get("nop", {}))
-
-        rs_raw = raw.get("resampling", {})
-        resampling = ResamplingScheme(
-            kind=rs_raw.get("kind", KFOLD_BY_OCCASION),
-            folds=int(rs_raw.get("folds", 10)),
-            repeats=int(rs_raw.get("repeats", 1)),
-        )
-
-        config = cls(
-            seed=seed,
-            out_dir=str(out_override if out_override is not None else raw.get("out_dir", "out")),
-            ground_truth=ground_truth,
-            mcmc=mcmc,
-            nop=nop_config,
-            ncomp=int(raw.get("ncomp", 1)),
-            ncomp_candidates=tuple(int(c) for c in raw.get("ncomp_candidates", (1, 2, 3))),
-            resampling=resampling,
-            include_demographic=bool(raw.get("include_demographic", False)),
-            elasticity_delta=float(raw.get("elasticity_delta", DEFAULT_DISCOUNT_SHIFT)),
-            predict_mode=str(raw.get("predict_mode", DRAW_AVERAGED)),
-        )
+            config.seed = int(seed_override)
+        if out_override is not None:
+            config.out_dir = str(out_override)
+        # sub-seeds the JSON leaves out, or all of them under --seed, derive
+        # from the master seed
+        if seed_override is not None or "seed" not in raw.get("ground_truth", {}):
+            config.ground_truth = replace(config.ground_truth, seed=derive_seed(config.seed, 11))
+        if seed_override is not None or "seed" not in raw.get("mcmc", {}):
+            config.mcmc = replace(config.mcmc, seed=derive_seed(config.seed, 13))
         return config.validate()
 
     @classmethod

@@ -46,17 +46,21 @@ TRUTH_COLUMNS = ("id", "k", "beta_contract", "beta_discount")
 SCORE_COLUMNS = ("customer_id", "occasion", "alternative", "score")
 MULTINOMIAL_COLUMNS = ("customer_id", "occasion", "product_id", "chosen")
 
+# the key columns of an offer or a score row, as named in error messages
+OCCASION_KEY = "(customer_id, occasion)"
+
 _OUTCOME_TO_CELL = {ACCEPTED: "1", REJECTED: "0", UNLABELED: ""}
 _CELL_TO_OUTCOME = {"1": ACCEPTED, "0": REJECTED, "": UNLABELED}
 
 
-def index_by_occasion(path, pairs) -> dict:
-    """Map each (customer_id, occasion) key of ``pairs`` (key, value) to its
-    value; a key read twice from ``path`` is a ``DataIntegrityError``."""
+def index_unique(path, key_columns: str, pairs) -> dict:
+    """Map each key of ``pairs`` (key, value) to its value; a key read twice
+    from ``path`` is a ``DataIntegrityError`` naming the file, the
+    ``key_columns`` and the key."""
     index = {}
     for key, value in pairs:
         if key in index:
-            raise DataIntegrityError(f"{path} repeats (customer_id, occasion) = {key}")
+            raise DataIntegrityError(f"{path} repeats {key_columns} = {key}")
         index[key] = value
     return index
 
@@ -100,7 +104,7 @@ def read_offer_csv(path):
     A (customer_id, occasion) that appears twice is a ``DataIntegrityError``.
     """
     rows = read_csv(path, OFFER_COLUMNS, _parse_offer)
-    by_key = index_by_occasion(path, (((o.customer_id, o.occasion), o) for o, _ in rows))
+    by_key = index_unique(path, OCCASION_KEY, (((o.customer_id, o.occasion), o) for o, _ in rows))
     return list(by_key.values()), {o.customer_id: cov for o, cov in rows}
 
 
@@ -130,9 +134,12 @@ def _parse_customer(row):
 
 
 def read_customers_csv(path):
-    """Return (profiles dict, mrp dict; mrp only for rows that carry one)."""
+    """Return (profiles dict, mrp dict; mrp only for rows that carry one).
+
+    An id that appears twice is a ``DataIntegrityError``.
+    """
     rows = read_csv(path, CUSTOMER_COLUMNS, _parse_customer)
-    profiles = {p.customer_id: p for p, _ in rows}
+    profiles = index_unique(path, "id", ((p.customer_id, p) for p, _ in rows))
     mrp = {p.customer_id: m for p, m in rows if m is not None}
     return profiles, mrp
 

@@ -4,7 +4,7 @@ the DeLong correlated-ROC test, and cross-validated mixture-size tuning."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -259,11 +259,8 @@ def tune_ncomp(
         aucs = []
         accuracies = []
         for train, validation, cell_seed in cells:
-            cell_config = McmcConfig(
-                **{**config.__dict__, "seed": cell_seed}
-            )
             cell_auc, cell_accuracy = _scored_cell(
-                train, validation, covariates, ncomp, cell_config
+                train, validation, covariates, ncomp, replace(config, seed=cell_seed)
             )
             aucs.append(cell_auc)
             accuracies.append(cell_accuracy)

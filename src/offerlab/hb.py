@@ -30,7 +30,7 @@ from .errors import (
     MissingArtifactError,
     UnknownCustomerError,
 )
-from .storage import write_array_atomic, write_json_atomic
+from .storage import load_dataclass, write_array_atomic, write_json_atomic
 
 log = logging.getLogger(__name__)
 
@@ -40,6 +40,13 @@ POPULATION_MEAN = "population-mean"
 PREDICTION_MODES = (DRAW_AVERAGED, POSTERIOR_MEAN, POPULATION_MEAN)
 
 _LOG_2PI = math.log(2.0 * math.pi)
+
+# design rows per draw-averaged prediction block: bounds the
+# (draws x rows) utility temporary
+PREDICT_CHUNK = 1024
+
+# ridge on the pooled logit's Newton steps, which start the sampler
+POOLED_RIDGE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -198,7 +205,7 @@ class PosteriorDraws:
                 )
         return cls(
             customer_ids=list(header["customer_ids"]),
-            config=McmcConfig(**header["config"]),
+            config=load_dataclass(McmcConfig, header["config"], f"{header_path}: config"),
             **arrays,
         )
 
@@ -243,7 +250,7 @@ def build_panel(observations, covariates: dict | None = None):
 # ---------------------------------------------------------------------------
 
 
-def _pooled_logit(X: np.ndarray, y: np.ndarray, ridge: float = 1e-6):
+def _pooled_logit(X: np.ndarray, y: np.ndarray):
     """Newton fit of a pooled logit; returns (beta_hat, mean per-row
     information matrix at the optimum)."""
     n, k = X.shape
@@ -251,8 +258,8 @@ def _pooled_logit(X: np.ndarray, y: np.ndarray, ridge: float = 1e-6):
     for _ in range(50):
         p = logistic(X @ beta)
         w = np.clip(p * (1.0 - p), 1e-10, None)
-        H = (X * w[:, None]).T @ X + ridge * np.eye(k)
-        g = X.T @ (y - p) - ridge * beta
+        H = (X * w[:, None]).T @ X + POOLED_RIDGE * np.eye(k)
+        g = X.T @ (y - p) - POOLED_RIDGE * beta
         step = np.linalg.solve(H, g)
         beta = beta + step
         if np.max(np.abs(step)) < 1e-10:
@@ -562,7 +569,6 @@ def predict_panel_probabilities(
     row_customer_ids,
     mode: str = DRAW_AVERAGED,
     fallback_population_mean: bool = False,
-    chunk: int = 1024,
 ) -> np.ndarray:
     """Acceptance probabilities for arbitrary design rows.
 
@@ -594,8 +600,8 @@ def predict_panel_probabilities(
         out[known] = logistic(np.einsum("ij,ij->i", X[known], mean[idx[known]]))
     else:
         ks = np.flatnonzero(known)
-        for start in range(0, len(ks), chunk):
-            rows = ks[start : start + chunk]
+        for start in range(0, len(ks), PREDICT_CHUNK):
+            rows = ks[start : start + PREDICT_CHUNK]
             # (n_draws, chunk): utility of each row under each retained draw
             u = np.einsum("rij,ij->ri", draws.betas[:, idx[rows], :], X[rows])
             out[rows] = logistic(u).mean(axis=0)

@@ -33,6 +33,14 @@ DEFAULT_CONTRACT_OPTIONS = (1, 12, 24, 36, 60)
 # in a core's L2 cache and to keep memory flat however long the r grid
 VALUES_BLOCK = 1 << 16
 
+# optimize_policy scans this many evenly spaced rates per contract option,
+# then refines around the best one to this width
+COARSE_POINTS = 101
+REFINE_TOL = 1e-5
+
+# the modes the objective implements: the mean over draws, or one plug-in draw
+OBJECTIVE_MODES = (DRAW_AVERAGED, POSTERIOR_MEAN)
+
 
 def contract_months_to_years(months: float) -> float:
     """Contract attribute seen by the choice model (1 month -> 1/12 year)."""
@@ -47,8 +55,10 @@ class NopConfig:
     monthly_cost: float = 5.0  # recurring cost to serve, per customer-month
     initial_cost: float = 0.0
     default_mrp: float = 100.0  # undiscounted monthly recurring price
-    r_bounds: dict = field(default_factory=lambda: {s: (-0.5, 0.5) for s in SEGMENTS})
-    contract_options: tuple = DEFAULT_CONTRACT_OPTIONS
+    r_bounds: dict[str, tuple[float, float]] = field(
+        default_factory=lambda: {s: (-0.5, 0.5) for s in SEGMENTS}
+    )
+    contract_options: tuple[int, ...] = DEFAULT_CONTRACT_OPTIONS
 
     def validate(self) -> "NopConfig":
         if self.annual_rate < 0:
@@ -70,28 +80,6 @@ class NopConfig:
             return self.r_bounds[segment]
         except KeyError:
             raise ConfigurationError(f"no discount bounds configured for segment {segment!r}")
-
-    def to_dict(self) -> dict:
-        return {
-            "annual_rate": self.annual_rate,
-            "monthly_cost": self.monthly_cost,
-            "initial_cost": self.initial_cost,
-            "default_mrp": self.default_mrp,
-            "r_bounds": {k: list(v) for k, v in self.r_bounds.items()},
-            "contract_options": list(self.contract_options),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "NopConfig":
-        kwargs = {}
-        for key in ("annual_rate", "monthly_cost", "initial_cost", "default_mrp"):
-            if key in d:
-                kwargs[key] = float(d[key])
-        if "r_bounds" in d:
-            kwargs["r_bounds"] = {k: tuple(float(x) for x in v) for k, v in d["r_bounds"].items()}
-        if "contract_options" in d:
-            kwargs["contract_options"] = tuple(int(m) for m in d["contract_options"])
-        return cls(**kwargs).validate()
 
 
 @dataclass(frozen=True)
@@ -175,6 +163,8 @@ class _SegmentObjective:
     """
 
     def __init__(self, seg: SegmentData, draws: PosteriorDraws, config: NopConfig, mode: str):
+        if mode not in OBJECTIVE_MODES:
+            raise InvalidInputError(f"objective modes are {OBJECTIVE_MODES}, got {mode!r}")
         if draws.n_params != 3:
             raise InvalidInputError("the objective requires the 3-attribute offer model")
         config.validate()
@@ -261,16 +251,17 @@ def segment_objective(
     return _SegmentObjective(seg, draws, config, mode).value(r, months)
 
 
-def _golden_section_max(f, a: float, b: float, tol: float = 1e-5):
-    """Golden-section maximization on [a, b]; returns the best probed point."""
+def _golden_section_max(f, a: float, b: float):
+    """Golden-section maximization on [a, b] down to REFINE_TOL; returns the
+    best probed point."""
     best_x, best_y = a, f(a)
     yb = f(b)
     if yb > best_y:
         best_x, best_y = b, yb
     h = b - a
-    if h <= tol:
+    if h <= REFINE_TOL:
         return best_x, best_y
-    n = int(math.ceil(math.log(tol / h) / math.log(_INVPHI)))
+    n = int(math.ceil(math.log(REFINE_TOL / h) / math.log(_INVPHI)))
     c = a + _INVPHI_SQ * h
     d = a + _INVPHI * h
     yc, yd = f(c), f(d)
@@ -302,10 +293,8 @@ def optimize_policy(
     draws: PosteriorDraws,
     config: NopConfig,
     mode: str = DRAW_AVERAGED,
-    coarse_points: int = 101,
-    refine_tol: float = 1e-5,
 ) -> OfferPolicy:
-    """Best (r, months) for a segment: 101-point coarse scan of r per
+    """Best (r, months) for a segment: COARSE_POINTS-point scan of r per
     contract option, then golden-section refinement around the best point.
     Ties across contract options go to the shorter contract."""
     if seg.n_customers == 0:
@@ -313,7 +302,7 @@ def optimize_policy(
     config.validate()
     objective = _SegmentObjective(seg, draws, config, mode)
     lo, hi = config.bounds_for(seg.segment)
-    rs = _r_grid(lo, hi, coarse_points)
+    rs = _r_grid(lo, hi, COARSE_POINTS)
     best = None
     any_nonzero = False
     for months in sorted(config.contract_options):
@@ -325,9 +314,7 @@ def optimize_policy(
         if len(rs) > 1:
             a = float(rs[max(i - 1, 0)])
             b = float(rs[min(i + 1, len(rs) - 1)])
-            r_ref, v_ref = _golden_section_max(
-                lambda r: objective.value(r, months), a, b, tol=refine_tol
-            )
+            r_ref, v_ref = _golden_section_max(lambda r: objective.value(r, months), a, b)
             if v_ref > v_star:
                 r_star, v_star = float(r_ref), float(v_ref)
         if best is None or v_star > best.nop_value:

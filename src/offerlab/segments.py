@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .choice import OfferObservation
 from .errors import DegenerateInputError, InvalidInputError
 from .hb import DRAW_AVERAGED, PosteriorDraws, predict_panel_probabilities
 
@@ -82,18 +81,6 @@ def _elasticities(
         arc_elasticity(float(a), float(b), 1.0 + float(d), 1.0 + float(s))
         for a, b, d, s in zip(p0, p1, discounts, shifted)
     ]
-
-
-def customer_elasticity(
-    draws: PosteriorDraws,
-    test_offer: OfferObservation,
-    delta: float = DEFAULT_DISCOUNT_SHIFT,
-) -> float:
-    """Arc elasticity from the offered discount to ``delta`` more discount.
-
-    Probabilities are draw-averaged; relative prices are 1 + discount.
-    """
-    return _elasticities(draws, [test_offer], delta=delta)[0]
 
 
 def assign_segment(elasticity: float, loyalty: float) -> str:

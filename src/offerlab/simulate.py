@@ -37,11 +37,14 @@ def purpose_rng(seed: int, purpose: str) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed & 0xFFFFFFFFFFFFFFFF, code)))
 
 
+Vector3 = tuple[float, float, float]
+
+
 @dataclass(frozen=True)
 class MixtureComponent:
     weight: float
-    mean: tuple  # length 3: (k, beta_contract, beta_discount)
-    cov: tuple  # 3x3 nested tuples, symmetric positive semidefinite
+    mean: Vector3  # (k, beta_contract, beta_discount)
+    cov: tuple[Vector3, Vector3, Vector3]  # symmetric positive semidefinite
 
     def mean_array(self) -> np.ndarray:
         return np.asarray(self.mean, dtype=float)
@@ -100,11 +103,11 @@ class GroundTruthConfig:
     """Everything needed to fabricate a dataset, including the seed."""
 
     n_customers: int = 1000
-    mixture: tuple = DEFAULT_MIXTURE
-    loyalty_loadings: tuple = DEFAULT_LOYALTY_LOADINGS
-    offer_count_distribution: tuple = DEFAULT_OFFER_COUNTS
-    discount_bounds: tuple = (-0.5, 0.5)
-    contract_values: tuple = (0, 1, 2, 3, 4, 5)
+    mixture: tuple[MixtureComponent, ...] = DEFAULT_MIXTURE
+    loyalty_loadings: Vector3 = DEFAULT_LOYALTY_LOADINGS
+    offer_count_distribution: tuple[tuple[int, float], ...] = DEFAULT_OFFER_COUNTS
+    discount_bounds: tuple[float, float] = (-0.5, 0.5)
+    contract_values: tuple[int, ...] = (0, 1, 2, 3, 4, 5)
     seed: int = 20210521
 
     def validate(self) -> "GroundTruthConfig":
@@ -139,46 +142,6 @@ class GroundTruthConfig:
             raise ConfigurationError("contract_values must be non-empty")
         return self
 
-    def to_dict(self) -> dict:
-        return {
-            "n_customers": self.n_customers,
-            "mixture": [
-                {"weight": c.weight, "mean": list(c.mean), "cov": [list(r) for r in c.cov]}
-                for c in self.mixture
-            ],
-            "loyalty_loadings": list(self.loyalty_loadings),
-            "offer_count_distribution": [[c, p] for c, p in self.offer_count_distribution],
-            "discount_bounds": list(self.discount_bounds),
-            "contract_values": list(self.contract_values),
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GroundTruthConfig":
-        kwargs = {}
-        if "mixture" in d:
-            kwargs["mixture"] = tuple(
-                MixtureComponent(
-                    float(c["weight"]),
-                    tuple(float(x) for x in c["mean"]),
-                    tuple(tuple(float(x) for x in row) for row in c["cov"]),
-                )
-                for c in d["mixture"]
-            )
-        if "offer_count_distribution" in d:
-            kwargs["offer_count_distribution"] = tuple(
-                (int(c), float(p)) for c, p in d["offer_count_distribution"]
-            )
-        for key in ("n_customers", "seed"):
-            if key in d:
-                kwargs[key] = int(d[key])
-        for key in ("loyalty_loadings", "discount_bounds"):
-            if key in d:
-                kwargs[key] = tuple(float(x) for x in d[key])
-        if "contract_values" in d:
-            kwargs["contract_values"] = tuple(int(x) for x in d["contract_values"])
-        return cls(**kwargs).validate()
-
 
 @dataclass(frozen=True)
 class SimulatedDataset:
@@ -209,7 +172,12 @@ def _psd_factor(cov: np.ndarray, context: str = "covariance") -> np.ndarray:
 
 
 def _draw_population(config: GroundTruthConfig):
-    """Single pass over customers drawing profiles and true coefficients."""
+    """Single pass over customers drawing profiles and true coefficients.
+
+    Per customer: a mixture component is sampled by weight, a multivariate
+    normal is drawn through the component's covariance factor, and the
+    loyalty loadings times the centered loyalty are added to the mean.
+    """
     config.validate()
     rng = purpose_rng(config.seed, "coefficients")
     n = config.n_customers
@@ -241,16 +209,6 @@ def _draw_population(config: GroundTruthConfig):
         )
         coefficients[cid] = CoefficientVector.from_array(betas[i])
     return profiles, coefficients
-
-
-def draw_true_coefficients(config: GroundTruthConfig) -> dict:
-    """Map customer_id -> true CoefficientVector.
-
-    Per customer: a mixture component is sampled by weight, a multivariate
-    normal is drawn through the component's covariance factor, and the
-    loyalty loadings times the centered loyalty are added to the mean.
-    """
-    return _draw_population(config)[1]
 
 
 def generate_offers(config: GroundTruthConfig) -> SimulatedDataset:

@@ -11,20 +11,27 @@ reproduces the in-memory values exactly.  ``write_csv_atomic`` and
 ``read_csv`` are the only CSV writer and reader: a reader names the exact
 header it expects, so a file written under another schema is refused
 instead of being parsed by position.
+
+Config JSON has one reader too: ``load_dataclass`` builds a dataclass from
+a parsed JSON object by the dataclass's own annotations and refuses an
+unknown key or a mistyped value by its dotted path.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import io
 import json
 import os
+import types
+import typing
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DataIntegrityError, MissingArtifactError, ParseError
+from .errors import ConfigurationError, DataIntegrityError, MissingArtifactError, ParseError
 
 
 def fmt(value) -> str:
@@ -110,3 +117,50 @@ def derive_seed(*parts: int) -> int:
     """Deterministically derive a 32-bit seed from integer parts."""
     ss = np.random.SeedSequence([int(p) & 0xFFFFFFFFFFFFFFFF for p in parts])
     return int(ss.generate_state(1)[0])
+
+
+def load_dataclass(cls, obj, where: str):
+    """Dataclass ``cls`` built from the parsed JSON object ``obj``; keys left
+    out keep their defaults.  An unknown key or a value that does not match
+    its field's annotation is a ``ConfigurationError`` naming its dotted path
+    below ``where``."""
+    if not isinstance(obj, dict):
+        raise ConfigurationError(f"{where} must be an object, got {obj!r}")
+    unknown = sorted(set(obj) - {f.name for f in dataclasses.fields(cls) if f.init})
+    if unknown:
+        raise ConfigurationError(f"{where} has unknown keys {unknown}")
+    hints = typing.get_type_hints(cls)
+    return cls(**{key: _load_value(hints[key], v, f"{where}.{key}") for key, v in obj.items()})
+
+
+def _load_value(tp, value, where: str):
+    """``value`` checked against (and, for tuples and floats, converted to)
+    the annotation ``tp``: int, float, str, bool, ``X | None``,
+    ``tuple[X, ...]``, ``tuple[X, Y]``, ``dict[str, X]`` or a dataclass."""
+    if dataclasses.is_dataclass(tp):
+        return load_dataclass(tp, value, where)
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin in (typing.Union, types.UnionType):
+        if value is None and type(None) in args:
+            return None
+        (tp,) = [arg for arg in args if arg is not type(None)]
+        return _load_value(tp, value, where)
+    if origin is tuple:
+        fixed = args[-1] is not Ellipsis
+        if not isinstance(value, list) or (fixed and len(value) != len(args)):
+            size = f" of {len(args)}" if fixed else ""
+            raise ConfigurationError(f"{where} must be a list{size}, got {value!r}")
+        items = args if fixed else [args[0]] * len(value)
+        return tuple(
+            _load_value(t, v, f"{where}[{i}]") for i, (t, v) in enumerate(zip(items, value))
+        )
+    if origin is dict:
+        if not isinstance(value, dict):
+            raise ConfigurationError(f"{where} must be an object, got {value!r}")
+        return {key: _load_value(args[1], v, f"{where}[{key!r}]") for key, v in value.items()}
+    # exact types, so that a bool is never taken for a number
+    if tp is float and type(value) in (int, float):
+        return float(value)
+    if tp in (int, str, bool) and type(value) is tp:
+        return value
+    raise ConfigurationError(f"{where} must be {tp.__name__}, got {value!r}")

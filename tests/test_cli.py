@@ -63,6 +63,54 @@ def pipeline(tmp_path_factory):
     return out
 
 
+COMPONENT = {"weight": 1.0, "mean": [1.0, 0.2, -2.0], "cov": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}
+
+# per config section: a misspelt key and a mistyped value, each with the
+# message that names it
+CONFIG_FAULTS = {
+    "top": [
+        ({"sede": 1}, "config has unknown keys ['sede']"),
+        ({"ncomp": "2"}, "config.ncomp must be int, got '2'"),
+    ],
+    "ground_truth": [
+        (
+            {"ground_truth": {"n_customer": 50}},
+            "config.ground_truth has unknown keys ['n_customer']",
+        ),
+        (
+            {"ground_truth": {"n_customers": 50.7}},
+            "config.ground_truth.n_customers must be int, got 50.7",
+        ),
+    ],
+    "mixture": [
+        (
+            {"ground_truth": {"mixture": [{**COMPONENT, "wieght": 1.0}]}},
+            "config.ground_truth.mixture[0] has unknown keys ['wieght']",
+        ),
+        (
+            {"ground_truth": {"mixture": [{**COMPONENT, "mean": [1.0, 0.2]}]}},
+            "config.ground_truth.mixture[0].mean must be a list of 3, got [1.0, 0.2]",
+        ),
+    ],
+    "mcmc": [
+        ({"mcmc": {"total_draw": 700}}, "config.mcmc has unknown keys ['total_draw']"),
+        ({"mcmc": {"total_draws": "700"}}, "config.mcmc.total_draws must be int, got '700'"),
+    ],
+    "nop": [
+        ({"nop": {"anual_rate": 0.5}}, "config.nop has unknown keys ['anual_rate']"),
+        ({"nop": {"annual_rate": True}}, "config.nop.annual_rate must be float, got True"),
+    ],
+    "resampling": [
+        ({"resampling": {"fold": 3}}, "config.resampling has unknown keys ['fold']"),
+        ({"resampling": {"folds": [3]}}, "config.resampling.folds must be int, got [3]"),
+    ],
+}
+CONFIG_FAULT_CASES = [
+    pytest.param(overrides, message, id=f"{section}-{kind}")
+    for section, faults in CONFIG_FAULTS.items()
+    for kind, (overrides, message) in zip(("unknown-key", "wrong-type"), faults)
+]
+
 class TestConfig:
     def test_unknown_keys_rejected(self, tmp_path):
         path = tmp_path / "config.json"
@@ -85,6 +133,13 @@ class TestConfig:
         path = write_config(tmp_path, overrides={"ground_truth": {"n_customers": 50, "seed": 99}})
         config = PipelineConfig.from_json(path)
         assert config.ground_truth.seed == 99
+
+    @pytest.mark.parametrize("overrides, message", CONFIG_FAULT_CASES)
+    def test_config_fault_named_by_dotted_path(self, tmp_path, capsys, overrides, message):
+        path = write_config(tmp_path, overrides=overrides)
+        assert main(["simulate", "--config", str(path)]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
 
 class TestArtifacts:
@@ -310,6 +365,28 @@ class TestStageInputs:
         rewrite_rows(out / "scores.csv", lambda rows: rows.pop(1))
         assert main(["evaluate", "--config", str(config_path)]) == 2
         assert "scores.csv has no score for row" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("stage", ["fit", "segment", "optimize"])
+    def test_stage_refuses_repeated_customer_ids(self, pipeline, tmp_path, capsys, stage):
+        out, config_path = copy_run(pipeline, tmp_path)
+
+        def repeat_first(rows):
+            # the repeated customer comes back with another loyalty
+            rows.append(rows[1][:1] + ["0.99"] + rows[1][2:])
+
+        rewrite_rows(out / "customers.csv", repeat_first)
+        assert main([stage, "--config", str(config_path)]) == 1
+        cid = read_rows(out / "customers.csv")[1][0]
+        assert f"customers.csv repeats id = {cid}" in capsys.readouterr().err
+
+    def test_optimize_refuses_a_mode_it_does_not_implement(self, pipeline, tmp_path, capsys):
+        out, config_path = copy_run(pipeline, tmp_path)
+        (out / "policy.csv").unlink()
+        raw = json.loads(config_path.read_text())
+        config_path.write_text(json.dumps({**raw, "predict_mode": "population-mean"}))
+        assert main(["optimize", "--config", str(config_path)]) == 1
+        assert "got 'population-mean'" in capsys.readouterr().err
+        assert not (out / "policy.csv").exists()
 
     def test_fit_refuses_repeated_offer_rows(self, pipeline, tmp_path, capsys):
         out, config_path = copy_run(pipeline, tmp_path)

@@ -295,6 +295,16 @@ class TestPersistence:
         with pytest.raises(DataIntegrityError, match="not 2 customers on axis 1"):
             PosteriorDraws.load(tmp_path / "posterior")
 
+    def test_header_config_with_unknown_key_rejected_by_name(self, tmp_path):
+        hand_built_draws(np.zeros((2, 3, 3))).save(tmp_path / "posterior")
+        header_path = tmp_path / "posterior" / "header.json"
+        header = json.loads(header_path.read_text())
+        header["config"]["total_draw"] = 700
+        header_path.write_text(json.dumps(header))
+        expected = r"header\.json: config has unknown keys \['total_draw'\]"
+        with pytest.raises(ConfigurationError, match=expected):
+            PosteriorDraws.load(tmp_path / "posterior")
+
     def test_missing_array_is_a_missing_artifact(self, tmp_path):
         from offerlab.errors import MissingArtifactError
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from offerlab import profit
 from offerlab.choice import UTILITY_CLAMP, logistic
 from offerlab.errors import ConfigurationError, InvalidInputError
-from offerlab.hb import DRAW_AVERAGED, POSTERIOR_MEAN
+from offerlab.hb import DRAW_AVERAGED, POPULATION_MEAN, POSTERIOR_MEAN
 from offerlab.profit import (
     NopConfig,
     SegmentData,
@@ -358,6 +358,20 @@ class TestOptimizePolicy:
         policy = optimize_policy(seg, draws, NopConfig(), mode=POSTERIOR_MEAN)
         assert policy.months in NopConfig().contract_options
 
+    @pytest.mark.parametrize(
+        "solve",
+        [
+            optimize_policy,
+            grid_oracle,
+            lambda seg, draws, config, mode: segment_objective(0.0, 12, seg, draws, config, mode),
+        ],
+        ids=["optimize_policy", "grid_oracle", "segment_objective"],
+    )
+    def test_unimplemented_mode_rejected_by_name(self, solve):
+        seg, draws = make_segment([[0.5, 0.1, -2.0]], [0.8])
+        with pytest.raises(InvalidInputError, match="got 'population-mean'"):
+            solve(seg, draws, NopConfig(), mode=POPULATION_MEAN)
+
 
 class TestGridOracle:
     def test_single_grid_point(self):
@@ -383,11 +397,6 @@ class TestNopConfig:
     def test_contract_options_floor(self):
         with pytest.raises(ConfigurationError):
             NopConfig(contract_options=(0, 12)).validate()
-
-    def test_dict_round_trip(self):
-        config = NopConfig(annual_rate=0.08, contract_options=(1, 12))
-        rebuilt = NopConfig.from_dict(config.to_dict())
-        assert rebuilt == config
 
     def test_segment_data_grouping(self):
         assignments = [

@@ -13,7 +13,6 @@ from offerlab.segments import (
     arc_elasticity,
     assign_segment,
     assign_segments,
-    customer_elasticity,
     segment_distribution,
 )
 from offerlab.hb import predict_probability
@@ -69,11 +68,17 @@ class TestArcElasticity:
         assert base == pytest.approx(scaled, rel=1e-9, abs=1e-12)
 
 
+def elasticity(draws, offer, delta=0.10):
+    """The elasticity ``assign_segments`` finds for one customer's offer."""
+    profiles = {offer.customer_id: CustomerProfile(offer.customer_id, 0.5, 0.0, 0.0)}
+    return assign_segments(draws, [offer], profiles, delta=delta)[0].elasticity
+
+
 class TestCustomerElasticity:
     def test_price_insensitive_customer(self):
         draws = hand_built_draws([[[0.8, 0.3, 0.0]]])
         offer = OfferObservation(1, 1, OfferAttributes(2, 0.1))
-        assert customer_elasticity(draws, offer) == 0.0
+        assert elasticity(draws, offer) == 0.0
 
     def test_single_draw_hand_evaluation(self):
         # p0 = logistic(1.8), p1 = logistic(2.0), prices 1.1 and 1.0
@@ -82,20 +87,20 @@ class TestCustomerElasticity:
         p0 = 1 / (1 + math.exp(-1.8))
         p1 = 1 / (1 + math.exp(-2.0))
         expected = ((p1 - p0) / ((p0 + p1) / 2)) / ((1.0 - 1.1) / ((1.1 + 1.0) / 2))
-        value = customer_elasticity(draws, offer, delta=0.10)
+        value = elasticity(draws, offer, delta=0.10)
         assert value == pytest.approx(expected, abs=1e-12)
         assert value == pytest.approx(-0.2742, abs=1e-3)
 
     def test_strongly_price_sensitive_is_elastic(self):
         draws = hand_built_draws([[[0.0, 0.0, -20.0]]])
         offer = OfferObservation(1, 1, OfferAttributes(0, 0.0))
-        assert customer_elasticity(draws, offer) < -1.0
+        assert elasticity(draws, offer) < -1.0
 
     def test_safety_band(self):
         draws = hand_built_draws([[[0.0, 0.0, -1.0]]])
         offer = OfferObservation(1, 1, OfferAttributes(0, -0.55))
         with pytest.raises(InvalidInputError):
-            customer_elasticity(draws, offer, delta=0.10)
+            elasticity(draws, offer, delta=0.10)
 
     def test_batched_pass_matches_scalar_predictions_exactly(self):
         rng = np.random.default_rng(5)
@@ -117,7 +122,7 @@ class TestCustomerElasticity:
             p0 = predict_probability(draws, offer)
             p1 = predict_probability(draws, shifted)
             assert a.elasticity == arc_elasticity(p0, p1, 1.0 + d, 1.0 + (d - 0.1))
-            assert a.elasticity == customer_elasticity(draws, offer, delta=0.1)
+            assert a.elasticity == elasticity(draws, offer, delta=0.1)
 
     def test_safety_band_error_names_the_customer(self):
         draws = hand_built_draws(np.zeros((1, 3, 3)))
@@ -131,7 +136,7 @@ class TestCustomerElasticity:
     def test_negative_discount_coefficient_gives_negative_elasticity(self, b_disc, discount):
         draws = hand_built_draws([[[0.5, 0.2, b_disc]]])
         offer = OfferObservation(1, 1, OfferAttributes(1, discount))
-        assert customer_elasticity(draws, offer) < 0.0
+        assert elasticity(draws, offer) < 0.0
 
 
 class TestAssignSegment:

@@ -7,7 +7,6 @@ from offerlab.simulate import (
     DEFAULT_OFFER_COUNTS,
     GroundTruthConfig,
     MixtureComponent,
-    draw_true_coefficients,
     generate_offers,
     purpose_rng,
     simulate_dataset,
@@ -52,23 +51,23 @@ class TestConfigValidation:
     def test_default_offer_counts_sum_to_one(self):
         assert abs(sum(p for _, p in DEFAULT_OFFER_COUNTS) - 1.0) < 1e-12
 
-    def test_dict_round_trip(self):
-        config = GroundTruthConfig(n_customers=17, seed=99)
-        assert GroundTruthConfig.from_dict(config.to_dict()) == config
+
+def true_coefficients(config):
+    return generate_offers(config).true_coefficients
 
 
 class TestTrueCoefficients:
     def test_degenerate_mixture_hits_mean_exactly(self):
-        coeffs = draw_true_coefficients(point_mass_config(mean=(1.5, -0.25, -3.0)))
+        coeffs = true_coefficients(point_mass_config(mean=(1.5, -0.25, -3.0)))
         for b in coeffs.values():
             assert b.as_array() == pytest.approx([1.5, -0.25, -3.0], abs=1e-12)
 
     def test_same_seed_identical(self):
         config = GroundTruthConfig(n_customers=40, seed=7)
-        assert draw_true_coefficients(config) == draw_true_coefficients(config)
+        assert true_coefficients(config) == true_coefficients(config)
 
     def test_default_config_is_multimodal_in_intercept(self):
-        coeffs = draw_true_coefficients(GroundTruthConfig(n_customers=4000, seed=3))
+        coeffs = true_coefficients(GroundTruthConfig(n_customers=4000, seed=3))
         ks = np.array([b.k for b in coeffs.values()])
         hist, edges = np.histogram(ks, bins=28)
         # the valley between the reluctant mode (left) and the main mass
@@ -88,8 +87,8 @@ class TestTrueCoefficients:
             loyalty_loadings=(2.0, 0.0, 0.0),
             seed=11,
         )
-        profiles = generate_offers(loaded).profiles
-        coeffs = draw_true_coefficients(loaded)
+        dataset = generate_offers(loaded)
+        profiles, coeffs = dataset.profiles, dataset.true_coefficients
         for cid, profile in profiles.items():
             expected = 1.0 + 2.0 * profile.loyalty_centered
             assert coeffs[cid].k == pytest.approx(expected, abs=1e-9)

@@ -1,9 +1,17 @@
+import json
+from dataclasses import asdict, dataclass, field
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from offerlab.errors import DataIntegrityError, MissingArtifactError, ParseError
-from offerlab.storage import read_csv, write_csv_atomic
+from offerlab.config import PipelineConfig
+from offerlab.datasets import PER_CUSTOMER_HOLDOUT, ResamplingScheme
+from offerlab.errors import ConfigurationError, DataIntegrityError, MissingArtifactError, ParseError
+from offerlab.hb import McmcConfig
+from offerlab.profit import NopConfig
+from offerlab.simulate import GroundTruthConfig, MixtureComponent
+from offerlab.storage import canonical_json, load_dataclass, read_csv, write_csv_atomic
 
 COLUMNS = ("name", "value")
 
@@ -77,3 +85,88 @@ class TestRoundTrip:
         path = tmp_path_factory.mktemp("csv") / "rows.csv"
         write_csv_atomic(path, COLUMNS, rows)
         assert read_csv(path, COLUMNS, parse_pair) == rows
+
+
+@dataclass(frozen=True)
+class Inner:
+    weight: float = 1.0
+
+
+@dataclass(frozen=True)
+class Sample:
+    count: int = 1
+    rate: float = 0.5
+    name: str = "a"
+    flag: bool = False
+    scale: float | None = None
+    items: tuple[int, ...] = (1, 2)
+    pair: tuple[float, float] = (0.0, 1.0)
+    bounds: dict[str, tuple[float, float]] = field(default_factory=dict)
+    inner: Inner = field(default_factory=Inner)
+    parts: tuple[Inner, ...] = ()
+
+
+# every config dataclass, each with some fields off their defaults
+CONFIGS = [
+    PipelineConfig(seed=5, ncomp=2, ncomp_candidates=(2, 4), include_demographic=True),
+    GroundTruthConfig(n_customers=17, seed=99, discount_bounds=(-0.25, 0.5)),
+    MixtureComponent(0.5, (1.0, 0.0, -2.0), ((1.0, 0.0, 0.0), (0.0, 0.5, 0.0), (0.0, 0.0, 2.0))),
+    McmcConfig(total_draws=700, burn_in=100, keep=3, rw_scale=0.4, iw_dof=None, seed=8),
+    NopConfig(annual_rate=0.08, r_bounds={"elastic-loyal": (-0.2, 0.3)}, contract_options=(1, 12)),
+    ResamplingScheme(kind=PER_CUSTOMER_HOLDOUT, folds=2, repeats=3),
+]
+
+
+class TestLoadDataclass:
+    @pytest.mark.parametrize("config", CONFIGS, ids=[type(c).__name__ for c in CONFIGS])
+    def test_json_round_trip(self, config):
+        raw = json.loads(canonical_json(asdict(config)))
+        assert load_dataclass(type(config), raw, "config") == config
+
+    def test_left_out_keys_keep_defaults(self):
+        assert load_dataclass(Sample, {}, "sample") == Sample()
+
+    def test_values_take_their_annotated_types(self):
+        raw = {
+            "rate": 2,
+            "scale": 3,
+            "items": [4],
+            "pair": [1, 2.5],
+            "bounds": {"x": [0, 1]},
+            "inner": {"weight": 0},
+            "parts": [{}, {"weight": 2}],
+        }
+        loaded = load_dataclass(Sample, raw, "sample")
+        assert type(loaded.rate) is float and loaded.rate == 2.0
+        assert type(loaded.scale) is float
+        assert loaded.items == (4,) and loaded.pair == (1.0, 2.5)
+        assert loaded.bounds == {"x": (0.0, 1.0)} and type(loaded.bounds["x"][0]) is float
+        assert loaded.inner == Inner(0.0) and loaded.parts == (Inner(), Inner(2.0))
+        assert load_dataclass(Sample, {"scale": None}, "sample").scale is None
+
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            ({"cuont": 1}, "sample has unknown keys ['cuont']"),
+            ({"inner": {"wieght": 1}}, "sample.inner has unknown keys ['wieght']"),
+            ({"parts": [{}, {"w": 1}]}, "sample.parts[1] has unknown keys ['w']"),
+            ({"count": 1.0}, "sample.count must be int, got 1.0"),
+            ({"count": True}, "sample.count must be int, got True"),
+            ({"count": "1"}, "sample.count must be int, got '1'"),
+            ({"rate": False}, "sample.rate must be float, got False"),
+            ({"rate": "0.5"}, "sample.rate must be float, got '0.5'"),
+            ({"name": 3}, "sample.name must be str, got 3"),
+            ({"flag": 1}, "sample.flag must be bool, got 1"),
+            ({"scale": "x"}, "sample.scale must be float, got 'x'"),
+            ({"items": 3}, "sample.items must be a list, got 3"),
+            ({"items": [1, 2.0]}, "sample.items[1] must be int, got 2.0"),
+            ({"pair": [1.0]}, "sample.pair must be a list of 2, got [1.0]"),
+            ({"bounds": []}, "sample.bounds must be an object, got []"),
+            ({"bounds": {"x": [0, "1"]}}, "sample.bounds['x'][1] must be float, got '1'"),
+            ({"inner": 1.0}, "sample.inner must be an object, got 1.0"),
+        ],
+    )
+    def test_refusals_name_the_dotted_path(self, raw, message):
+        with pytest.raises(ConfigurationError) as info:
+            load_dataclass(Sample, raw, "sample")
+        assert str(info.value) == message
