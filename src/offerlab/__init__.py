@@ -20,7 +20,6 @@ from .hb import (
     McmcConfig,
     PosteriorDraws,
     fit_hb_mixed_logit,
-    posterior_mean_betas,
     predict_probability,
 )
 from .profit import NopConfig, OfferPolicy, grid_oracle, nop, optimize_policy, present_value, segment_objective

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .choice import CoefficientVector, OfferObservation, logistic
+from .choice import OfferObservation, logistic
 from .errors import (
     ConfigurationError,
     DataIntegrityError,
@@ -79,6 +79,10 @@ class McmcConfig:
             raise ConfigurationError("mu_prior_precision must be > 0")
         if self.resolved_iw_dof(n_params) <= n_params + 1:
             raise ConfigurationError("iw_dof must exceed n_params + 1")
+        for name in ("iw_scale", "rw_scale"):
+            value = getattr(self, name)
+            if value is not None and value <= 0:
+                raise ConfigurationError(f"{name} must be > 0, got {value!r}")
         if self.dirichlet_concentration <= 0:
             raise ConfigurationError("dirichlet_concentration must be > 0")
         return self
@@ -182,8 +186,20 @@ class PosteriorDraws:
         header_path = path / "header.json"
         if not header_path.exists():
             raise MissingArtifactError(str(header_path))
-        header = json.loads(header_path.read_text())
-        if header.get("format") != "hb-posterior-v1":
+        try:
+            header = json.loads(header_path.read_text())
+        except json.JSONDecodeError as exc:
+            raise DataIntegrityError(f"{header_path} is not valid JSON: {exc}") from None
+        if not isinstance(header, dict):
+            raise DataIntegrityError(f"{header_path} must hold a JSON object")
+        kinds = {"format": str, "customer_ids": list, "config": dict, "shapes": dict}
+        for key, kind in kinds.items():
+            if not isinstance(header.get(key), kind):
+                got = repr(header[key]) if key in header else "nothing"
+                raise DataIntegrityError(
+                    f"{header_path}: {key} must hold a {kind.__name__}, got {got}"
+                )
+        if header["format"] != "hb-posterior-v1":
             raise DataIntegrityError(f"unrecognized posterior format in {header_path}")
         for name in cls._ARRAYS:
             if not (path / f"{name}.npy").exists():
@@ -191,7 +207,7 @@ class PosteriorDraws:
         arrays = {name: np.load(path / f"{name}.npy") for name in cls._ARRAYS}
         n_customers = len(header["customer_ids"])
         for name, array in arrays.items():
-            expected = header.get("shapes", {}).get(name)
+            expected = header["shapes"].get(name)
             if list(array.shape) != expected:
                 raise DataIntegrityError(
                     f"posterior array {name} has shape {list(array.shape)}, "
@@ -284,33 +300,22 @@ def _chol_or_abort(matrix, draw, what):
         raise EstimationError(f"Cholesky of {what} failed at draw {draw}")
 
 
-def _mvn_logpdf_grouped(x, mean, ind, chols, logdets):
-    """log N(x_i | mean_i, Sigma_{ind_i}) for component-indexed covariances."""
-    out = np.empty(len(x))
-    diff = x - mean
-    k = x.shape[1]
-    for comp, L in enumerate(chols):
-        mask = ind == comp
-        if not np.any(mask):
-            continue
-        sol = np.linalg.solve(L, diff[mask].T)
-        out[mask] = -0.5 * (k * _LOG_2PI + logdets[comp] + np.sum(sol * sol, axis=0))
-    return out
+def _mvn_logpdf(diff, roots):
+    """(ncomp, n) matrix of log N(diff_i | 0, Sigma_k), each Sigma_k given by
+    its lower-triangular precision factor ``roots[k]`` (Sigma_k^-1 = P_k
+    P_k^T).  ``diff`` is one (n, K) block shared by every component or one
+    (ncomp, n, K) block per component."""
+    proj = diff @ roots
+    # -0.5 * log|Sigma_k| = sum(log diag P_k)
+    half_logdet = np.log(np.diagonal(roots, axis1=1, axis2=2)).sum(axis=1)
+    norm = half_logdet - 0.5 * roots.shape[1] * _LOG_2PI
+    return norm[:, None] - 0.5 * np.einsum("cnk,cnk->cn", proj, proj)
 
 
-def _mvn_logpdf_all_components(x, means, chols, logdets):
-    """(n, ncomp) matrix of log N(x_i | mu_k, Sigma_k)."""
-    n, k = x.shape
-    out = np.empty((n, len(chols)))
-    for comp, L in enumerate(chols):
-        sol = np.linalg.solve(L, (x - means[comp]).T)
-        out[:, comp] = -0.5 * (k * _LOG_2PI + logdets[comp] + np.sum(sol * sol, axis=0))
-    return out
-
-
-def _draw_invwishart(rng, dof, scale, draw, what):
-    """Inverse-Wishart draw via the Bartlett decomposition (deterministic
-    under the supplied generator)."""
+def _wishart_root(rng, dof, scale, draw, what):
+    """Lower-triangular factor P of a Wishart(dof, scale^-1) draw P P^T, i.e.
+    the precision factor of an inverse-Wishart(dof, scale) draw, via the
+    Bartlett decomposition (deterministic under the supplied generator)."""
     k = scale.shape[0]
     L = _chol_or_abort(np.linalg.inv(scale), draw, f"inverse scale of {what}")
     A = np.zeros((k, k))
@@ -318,9 +323,88 @@ def _draw_invwishart(rng, dof, scale, draw, what):
         A[i, i] = math.sqrt(rng.chisquare(dof - i))
         for j in range(i):
             A[i, j] = rng.standard_normal()
-    W = L @ A
-    W = W @ W.T
-    return np.linalg.inv(W)
+    return L @ A
+
+
+def _metropolis(rng, X, y, row_customer, beta, loglik, prop_factor, prior_mean, ind, roots):
+    """(a) Random-walk Metropolis update of all customers at once against the
+    logit likelihood times N(prior_mean_i, Sigma_{ind_i}).  Updates ``beta``
+    and its per-customer ``loglik`` in place; returns the accept mask."""
+    n_cust, n_params = beta.shape
+    eps = rng.standard_normal((n_cust, n_params))
+    proposal = beta + np.einsum("nij,nj->ni", prop_factor, eps)
+    loglik_prop = _customer_loglik(X, y, row_customer, n_cust, proposal)
+    rows = np.arange(n_cust)
+    logprior_cur = _mvn_logpdf(beta - prior_mean, roots)[ind, rows]
+    logprior_prop = _mvn_logpdf(proposal - prior_mean, roots)[ind, rows]
+    log_ratio = (loglik_prop - loglik) + (logprior_prop - logprior_cur)
+    accept = np.log(rng.random(n_cust)) < log_ratio
+    beta[accept] = proposal[accept]
+    loglik[accept] = loglik_prop[accept]
+    return accept
+
+
+def _draw_indicators(rng, resid, mu, roots, weights):
+    """(b) Component indicators on the covariate-adjusted coefficients."""
+    log_post = np.log(weights)[None, :] + _mvn_logpdf(resid - mu[:, None, :], roots).T
+    log_post -= log_post.max(axis=1, keepdims=True)
+    probs = np.exp(log_post)
+    probs /= probs.sum(axis=1, keepdims=True)
+    u = rng.random(len(resid))
+    ind = np.minimum((u[:, None] > np.cumsum(probs, axis=1)).sum(axis=1), len(weights) - 1)
+    return ind.astype(np.intp)
+
+
+def _draw_weights(rng, ind, dir_alpha):
+    """(c) Dirichlet weights (degenerate at exactly 1 for one component)."""
+    if len(dir_alpha) == 1:
+        return np.ones(1)
+    return rng.dirichlet(dir_alpha + np.bincount(ind, minlength=len(dir_alpha)))
+
+
+def _draw_components(rng, resid, ind, ncomp, mubar, amu, nu, V, draw):
+    """(d) Per-component normal / inverse-Wishart moments; returns the means
+    (ncomp, K) and precision factors (ncomp, K, K).  The mean's covariance
+    Sigma_k / (amu + n_k) is drawn as P_k^-T z / sqrt(amu + n_k)."""
+    n_params = resid.shape[1]
+    mu = np.empty((ncomp, n_params))
+    roots = np.empty((ncomp, n_params, n_params))
+    for k in range(ncomp):
+        members = resid[ind == k]
+        n_k = len(members)
+        if n_k:
+            bbar = members.mean(axis=0)
+            centered = members - bbar
+            scatter = centered.T @ centered
+            dev = bbar - mubar
+            iw_scale_post = V + scatter + (amu * n_k / (amu + n_k)) * np.outer(dev, dev)
+            post_mean = (amu * mubar + n_k * bbar) / (amu + n_k)
+        else:
+            iw_scale_post = V
+            post_mean = mubar
+        roots[k] = _wishart_root(rng, nu + n_k, iw_scale_post, draw, f"component {k}")
+        z = rng.standard_normal(n_params)
+        mu[k] = post_mean + np.linalg.solve(roots[k].T, z) / math.sqrt(amu + n_k)
+    return mu, roots
+
+
+def _draw_delta(rng, dev, Z, ind, roots, amu, draw):
+    """(e) Covariate loading (K, n_cov) via Bayes multivariate regression of
+    ``dev`` = beta - mu[ind] on ``Z`` (GLS over components, prior precision
+    amu * I on vec(delta))."""
+    n_params, n_cov = dev.shape[1], Z.shape[1]
+    dim = n_params * n_cov
+    A = amu * np.eye(dim)
+    b = np.zeros(dim)
+    for k, root in enumerate(roots):
+        mask = ind == k
+        precision = root @ root.T
+        Zk = Z[mask]
+        A += np.kron(Zk.T @ Zk, precision)
+        b += (precision @ dev[mask].T @ Zk).flatten(order="F")
+    A_inv = np.linalg.inv(A)
+    vec = A_inv @ b + _chol_or_abort(A_inv, draw, "delta posterior") @ rng.standard_normal(dim)
+    return vec.reshape((n_params, n_cov), order="F")
 
 
 def fit_hb_panel(
@@ -397,7 +481,9 @@ def fit_hb_panel(
     ind = np.zeros(n_cust, dtype=np.intp)
     weights = np.full(ncomp, 1.0 / ncomp)
     mu = np.tile(beta_pool, (ncomp, 1))
-    Sigma = np.tile(prior_cov_guess, (ncomp, 1, 1))
+    # component covariances are held as precision factors P_k (Sigma_k^-1 =
+    # P_k P_k^T); Sigma_k itself is formed only for adaptation and output
+    roots = np.tile(np.linalg.cholesky(np.linalg.inv(prior_cov_guess)), (ncomp, 1, 1))
     # start the covariate loading at its pooled interaction estimate; a zero
     # start can settle into a sign-flipped basin that the chain corrects
     # only slowly
@@ -417,83 +503,26 @@ def fit_hb_panel(
     out_betas = np.empty((n_keep, n_cust, n_params))
     out_weights = np.empty((n_keep, ncomp))
     out_means = np.empty((n_keep, ncomp, n_params))
-    out_covs = np.empty((n_keep, ncomp, n_params, n_params))
+    out_roots = np.empty((n_keep, ncomp, n_params, n_params))
     out_delta = np.empty((n_keep, n_params, n_cov))
     out_loglik = np.empty(n_keep)
 
     kept = 0
     for it in range(1, config.total_draws + 1):
-        chols = [_chol_or_abort(Sigma[k], it, f"component {k} covariance") for k in range(ncomp)]
-        logdets = [2.0 * float(np.sum(np.log(np.diag(L)))) for L in chols]
-        prior_mean = mu[ind] + Z @ delta.T
-
-        # (a) random-walk Metropolis, all customers at once
-        eps = rng.standard_normal((n_cust, n_params))
-        proposal = beta + np.einsum("nij,nj->ni", prop_factor, eps)
-        loglik_prop = _customer_loglik(X, y, row_customer, n_cust, proposal)
-        logprior_cur = _mvn_logpdf_grouped(beta, prior_mean, ind, chols, logdets)
-        logprior_prop = _mvn_logpdf_grouped(proposal, prior_mean, ind, chols, logdets)
-        log_ratio = (loglik_prop - loglik_cust) + (logprior_prop - logprior_cur)
-        accept = np.log(rng.random(n_cust)) < log_ratio
-        beta[accept] = proposal[accept]
-        loglik_cust[accept] = loglik_prop[accept]
-        accept_counts += accept
-
-        # (b) component indicators on covariate-adjusted coefficients
-        resid = beta - Z @ delta.T
-        log_dens = _mvn_logpdf_all_components(resid, mu, chols, logdets)
-        log_post = np.log(weights)[None, :] + log_dens
-        log_post -= log_post.max(axis=1, keepdims=True)
-        probs = np.exp(log_post)
-        probs /= probs.sum(axis=1, keepdims=True)
-        u = rng.random(n_cust)
-        ind = np.minimum(
-            (u[:, None] > np.cumsum(probs, axis=1)).sum(axis=1), ncomp - 1
-        ).astype(np.intp)
-
-        # (c) Dirichlet weights (degenerate at exactly 1 for one component)
-        counts = np.bincount(ind, minlength=ncomp)
-        weights = np.ones(1) if ncomp == 1 else rng.dirichlet(dir_alpha + counts)
-
-        # (d) per-component normal / inverse-Wishart moments
-        for k in range(ncomp):
-            members = resid[ind == k]
-            n_k = len(members)
-            if n_k:
-                bbar = members.mean(axis=0)
-                centered = members - bbar
-                scatter = centered.T @ centered
-                dev = bbar - mubar
-                iw_scale_post = V + scatter + (amu * n_k / (amu + n_k)) * np.outer(dev, dev)
-                post_mean = (amu * mubar + n_k * bbar) / (amu + n_k)
-            else:
-                iw_scale_post = V
-                post_mean = mubar
-            Sigma[k] = _draw_invwishart(rng, nu + n_k, iw_scale_post, it, f"component {k}")
-            L = _chol_or_abort(Sigma[k] / (amu + n_k), it, f"component {k} mean")
-            mu[k] = post_mean + L @ rng.standard_normal(n_params)
-
-        # (e) covariate loading via Bayes multivariate regression (GLS over
-        # components, prior precision mu_prior_precision * I on vec(delta))
+        shift = Z @ delta.T
+        accept_counts += _metropolis(
+            rng, X, y, row_customer, beta, loglik_cust, prop_factor, mu[ind] + shift, ind, roots
+        )
+        resid = beta - shift
+        ind = _draw_indicators(rng, resid, mu, roots, weights)
+        weights = _draw_weights(rng, ind, dir_alpha)
+        mu, roots = _draw_components(rng, resid, ind, ncomp, mubar, amu, nu, V, it)
         if n_cov:
-            dim = n_params * n_cov
-            A = amu * np.eye(dim)
-            b = np.zeros(dim)
-            dev = beta - mu[ind]
-            for k in range(ncomp):
-                mask = ind == k
-                if not np.any(mask):
-                    continue
-                isig = np.linalg.inv(Sigma[k])
-                Zk = Z[mask]
-                A += np.kron(Zk.T @ Zk, isig)
-                b += (isig @ dev[mask].T @ Zk).flatten(order="F")
-            A_inv = np.linalg.inv(A)
-            vec = A_inv @ b + _chol_or_abort(A_inv, it, "delta posterior") @ rng.standard_normal(dim)
-            delta = vec.reshape((n_params, n_cov), order="F")
+            delta = _draw_delta(rng, beta - mu[ind], Z, ind, roots, amu, it)
 
         if it <= config.burn_in and it % adapt_every == 0:
             # population covariance incl. between-component spread
+            Sigma = np.linalg.inv(roots @ np.swapaxes(roots, 1, 2))
             pop_mean = weights @ mu
             centered = mu - pop_mean
             pop_cov = np.einsum("k,kij->ij", weights, Sigma) + (
@@ -505,7 +534,7 @@ def fit_hb_panel(
             out_betas[kept] = beta
             out_weights[kept] = weights
             out_means[kept] = mu
-            out_covs[kept] = Sigma
+            out_roots[kept] = roots
             out_delta[kept] = delta
             out_loglik[kept] = float(loglik_cust.sum())
             kept += 1
@@ -522,7 +551,7 @@ def fit_hb_panel(
         betas=out_betas,
         weights=out_weights,
         means=out_means,
-        covariances=out_covs,
+        covariances=np.linalg.inv(out_roots @ np.swapaxes(out_roots, -1, -2)),
         delta=out_delta,
         log_likelihood=out_loglik,
         acceptance_rates=rates,
@@ -548,19 +577,6 @@ def fit_hb_mixed_logit(
 # ---------------------------------------------------------------------------
 # Posterior summaries and prediction
 # ---------------------------------------------------------------------------
-
-
-def posterior_mean_betas(draws: PosteriorDraws) -> dict:
-    """Arithmetic mean of retained draws per customer, as coefficient vectors."""
-    if draws.n_draws < 1:
-        raise InvalidInputError("no retained draws")
-    if draws.n_params != 3:
-        raise InvalidInputError("posterior_mean_betas requires the 3-attribute offer model")
-    mean = draws.posterior_mean_matrix()
-    return {
-        cid: CoefficientVector.from_array(mean[i])
-        for i, cid in enumerate(draws.customer_ids)
-    }
 
 
 def predict_panel_probabilities(

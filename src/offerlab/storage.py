@@ -24,6 +24,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
 import os
 import types
 import typing
@@ -160,6 +161,9 @@ def _load_value(tp, value, where: str):
         return {key: _load_value(args[1], v, f"{where}[{key!r}]") for key, v in value.items()}
     # exact types, so that a bool is never taken for a number
     if tp is float and type(value) in (int, float):
+        # json parses the bare tokens NaN and Infinity
+        if not math.isfinite(value):
+            raise ConfigurationError(f"{where} must be a finite float, got {value!r}")
         return float(value)
     if tp in (int, str, bool) and type(value) is tp:
         return value

@@ -134,6 +134,14 @@ class TestConfig:
         config = PipelineConfig.from_json(path)
         assert config.ground_truth.seed == 99
 
+    @pytest.mark.parametrize("name", ["iw_scale", "rw_scale"])
+    def test_fit_refuses_zero_mcmc_scale_by_name(self, pipeline, tmp_path, capsys, name):
+        copy_run(pipeline, tmp_path)
+        mcmc = {**SMALL_CONFIG["mcmc"], name: 0.0}
+        config_path = write_config(tmp_path, overrides={"mcmc": mcmc}, out_name="copy")
+        assert main(["fit", "--config", str(config_path)]) == 1
+        assert f"{name} must be > 0, got 0.0" in capsys.readouterr().err
+
     @pytest.mark.parametrize("overrides, message", CONFIG_FAULT_CASES)
     def test_config_fault_named_by_dotted_path(self, tmp_path, capsys, overrides, message):
         path = write_config(tmp_path, overrides=overrides)

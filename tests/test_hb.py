@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from offerlab.choice import OfferAttributes, OfferObservation
 from offerlab.errors import (
@@ -17,10 +19,11 @@ from offerlab.hb import (
     POSTERIOR_MEAN,
     McmcConfig,
     PosteriorDraws,
+    _mvn_logpdf,
+    _wishart_root,
     build_panel,
     fit_hb_mixed_logit,
     fit_hb_panel,
-    posterior_mean_betas,
     predict_panel_probabilities,
     predict_probability,
 )
@@ -75,6 +78,13 @@ class TestConfig:
     def test_iw_dof_floor(self):
         with pytest.raises(ConfigurationError):
             McmcConfig(iw_dof=4).validate(3)
+
+    @pytest.mark.parametrize(
+        "name, value", [("iw_scale", 0.0), ("iw_scale", -1.0), ("rw_scale", 0.0)]
+    )
+    def test_nonpositive_scales_named(self, name, value):
+        with pytest.raises(ConfigurationError, match=f"{name} must be > 0"):
+            McmcConfig(**{name: value}).validate(3)
 
     def test_retained_count(self):
         assert McmcConfig(total_draws=5000, burn_in=500, keep=1).n_retained() == 4500
@@ -204,18 +214,65 @@ class TestSampler:
 class TestSummaries:
     def test_posterior_mean_of_single_draw(self):
         draws = hand_built_draws([[[0.5, -0.2, 1.0]]])
-        betas = posterior_mean_betas(draws)
-        assert betas[1].as_array() == pytest.approx([0.5, -0.2, 1.0])
+        assert draws.posterior_mean_matrix()[0] == pytest.approx([0.5, -0.2, 1.0])
 
     def test_symmetric_draws_cancel(self):
         b = np.array([[0.4, -1.0, 2.0]])
         draws = hand_built_draws([b, -b])
-        assert posterior_mean_betas(draws)[1].as_array() == pytest.approx([0, 0, 0])
+        assert draws.posterior_mean_matrix()[0] == pytest.approx([0, 0, 0])
 
-    def test_empty_draws_rejected(self):
-        draws = hand_built_draws(np.empty((0, 1, 3)))
-        with pytest.raises(InvalidInputError):
-            posterior_mean_betas(draws)
+
+def dense_mvn_logpdf(x, cov):
+    """Reference log N(x | 0, cov) for one row via slogdet and solve."""
+    _, logdet = np.linalg.slogdet(cov)
+    return -0.5 * (len(x) * math.log(2 * math.pi) + logdet + x @ np.linalg.solve(cov, x))
+
+
+def random_roots(rng, ncomp, k):
+    """Lower-triangular precision factors with a positive diagonal."""
+    roots = np.tril(rng.normal(size=(ncomp, k, k)), -1)
+    idx = np.arange(k)
+    roots[:, idx, idx] = rng.uniform(0.3, 2.0, size=(ncomp, k))
+    return roots
+
+
+class TestSamplerParts:
+    @given(
+        ncomp=st.integers(1, 3),
+        k=st.integers(1, 4),
+        n=st.integers(1, 6),
+        per_component=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_mvn_logpdf_matches_dense_reference(self, ncomp, k, n, per_component, seed):
+        rng = np.random.default_rng(seed)
+        roots = random_roots(rng, ncomp, k)
+        diff = rng.normal(scale=2.0, size=(ncomp, n, k) if per_component else (n, k))
+        got = _mvn_logpdf(diff, roots)
+        assert got.shape == (ncomp, n)
+        for c in range(ncomp):
+            cov = np.linalg.inv(roots[c] @ roots[c].T)
+            for i in range(n):
+                x = diff[c, i] if per_component else diff[i]
+                assert got[c, i] == pytest.approx(dense_mvn_logpdf(x, cov), rel=1e-9, abs=1e-9)
+
+    def test_wishart_root_is_lower_triangular_and_deterministic(self):
+        scale = np.array([[2.0, 0.3, 0.0], [0.3, 1.0, -0.2], [0.0, -0.2, 0.5]])
+        root = _wishart_root(np.random.default_rng(7), 8, scale, 1, "test")
+        assert np.array_equal(root, np.tril(root))
+        assert np.all(np.diag(root) > 0)
+        assert np.array_equal(root, _wishart_root(np.random.default_rng(7), 8, scale, 1, "test"))
+
+    def test_wishart_root_mean_is_dof_times_inverse_scale(self):
+        scale = np.array([[2.0, 0.3, 0.0], [0.3, 1.0, -0.2], [0.0, -0.2, 0.5]])
+        dof, n = 8, 4000
+        rng = np.random.default_rng(11)
+        roots = [_wishart_root(rng, dof, scale, 1, "test") for _ in range(n)]
+        draws = np.array([r @ r.T for r in roots])
+        sigma = np.linalg.inv(scale)
+        # Var(W_ij) = dof * (sigma_ij^2 + sigma_ii * sigma_jj)
+        se = np.sqrt(dof * (sigma**2 + np.outer(np.diag(sigma), np.diag(sigma))) / n)
+        assert np.all(np.abs(draws.mean(axis=0) - dof * sigma) < 5 * se)
 
 
 class TestPrediction:
@@ -312,6 +369,41 @@ class TestPersistence:
         (tmp_path / "posterior" / "weights.npy").unlink()
         with pytest.raises(MissingArtifactError, match="weights.npy"):
             PosteriorDraws.load(tmp_path / "posterior")
+
+    @pytest.mark.parametrize(
+        "text, message", [("{not json", "is not valid JSON"), ("[1, 2]", "must hold a JSON object")]
+    )
+    def test_unreadable_header_rejected_by_name(self, tmp_path, text, message):
+        hand_built_draws(np.zeros((2, 3, 3))).save(tmp_path / "posterior")
+        header_path = tmp_path / "posterior" / "header.json"
+        header_path.write_text(text)
+        with pytest.raises(DataIntegrityError, match=message) as info:
+            PosteriorDraws.load(tmp_path / "posterior")
+        assert str(header_path) in str(info.value)
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("format", None, "format must hold a str, got nothing"),
+            ("customer_ids", None, "customer_ids must hold a list, got nothing"),
+            ("config", None, "config must hold a dict, got nothing"),
+            ("shapes", None, "shapes must hold a dict, got nothing"),
+            ("customer_ids", 3, "customer_ids must hold a list, got 3"),
+            ("shapes", [], "shapes must hold a dict, got []"),
+        ],
+    )
+    def test_header_key_missing_or_mistyped_rejected_by_name(self, tmp_path, key, value, message):
+        hand_built_draws(np.zeros((2, 3, 3))).save(tmp_path / "posterior")
+        header_path = tmp_path / "posterior" / "header.json"
+        header = json.loads(header_path.read_text())
+        if value is None:
+            del header[key]
+        else:
+            header[key] = value
+        header_path.write_text(json.dumps(header))
+        with pytest.raises(DataIntegrityError) as info:
+            PosteriorDraws.load(tmp_path / "posterior")
+        assert str(info.value) == f"{header_path}: {message}"
 
     def test_missing_header_raises(self, tmp_path):
         from offerlab.errors import MissingArtifactError

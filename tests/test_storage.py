@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import asdict, dataclass, field
 
 import pytest
@@ -123,6 +124,12 @@ class TestLoadDataclass:
         raw = json.loads(canonical_json(asdict(config)))
         assert load_dataclass(type(config), raw, "config") == config
 
+    def test_non_finite_json_tokens_refused(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text('{"nop": {"annual_rate": NaN}}')
+        with pytest.raises(ConfigurationError, match=r"config\.nop\.annual_rate must be a finite"):
+            PipelineConfig.from_json(path)
+
     def test_left_out_keys_keep_defaults(self):
         assert load_dataclass(Sample, {}, "sample") == Sample()
 
@@ -164,6 +171,10 @@ class TestLoadDataclass:
             ({"bounds": []}, "sample.bounds must be an object, got []"),
             ({"bounds": {"x": [0, "1"]}}, "sample.bounds['x'][1] must be float, got '1'"),
             ({"inner": 1.0}, "sample.inner must be an object, got 1.0"),
+            ({"rate": math.nan}, "sample.rate must be a finite float, got nan"),
+            ({"rate": math.inf}, "sample.rate must be a finite float, got inf"),
+            ({"scale": -math.inf}, "sample.scale must be a finite float, got -inf"),
+            ({"pair": [0, math.nan]}, "sample.pair[1] must be a finite float, got nan"),
         ],
     )
     def test_refusals_name_the_dotted_path(self, raw, message):
