@@ -2,8 +2,11 @@
 
 An offer carries three observed attributes (a constant, contract length in
 years, and a discount fraction); a customer's taste is a coefficient vector
-of the same dimension.  Acceptance follows a binary logit in which the
-no-purchase alternative's utility is normalized to exactly zero.
+of the same dimension, held as one row of a ``(customers, 3)`` array.
+Acceptance follows a binary logit in which the no-purchase alternative's
+utility is normalized to exactly zero, so ``logistic`` of the utility is
+the single acceptance probability: the simulator, the sampler, prediction
+and the profit objective all call it on arrays of utilities.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInputError, InvalidInputError
+from .errors import InvalidInputError
 
 ACCEPTED = "accepted"
 REJECTED = "rejected"
@@ -24,7 +27,7 @@ CONTRACT_YEAR_VALUES = (0, 1, 2, 3, 4, 5)
 DISCOUNT_MIN = -0.5
 DISCOUNT_MAX = 0.5
 
-# exp() overflows just above 709; clamping keeps the softmax finite while
+# exp() overflows just above 709; clamping keeps the logistic finite while
 # changing no probability by a visible amount.
 UTILITY_CLAMP = 700.0
 
@@ -69,28 +72,6 @@ class OfferAttributes:
 
     def as_array(self) -> np.ndarray:
         return np.array([self.intercept, self.contract_length, self.discount])
-
-
-@dataclass(frozen=True)
-class CoefficientVector:
-    """Per-customer utility coefficients (intercept, contract, discount)."""
-
-    k: float
-    beta_contract: float
-    beta_discount: float
-
-    def __post_init__(self):
-        _require_finite("coefficient", self.k, self.beta_contract, self.beta_discount)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.k, self.beta_contract, self.beta_discount])
-
-    @classmethod
-    def from_array(cls, arr) -> "CoefficientVector":
-        a = np.asarray(arr, dtype=float)
-        if a.shape != (3,):
-            raise InvalidInputError(f"coefficient vector must have 3 entries, got shape {a.shape}")
-        return cls(float(a[0]), float(a[1]), float(a[2]))
 
 
 @dataclass(frozen=True)
@@ -143,61 +124,8 @@ class CustomerProfile:
         return np.array([self.loyalty_centered, self.demographic_centered])
 
 
-def utility(beta: CoefficientVector, attrs: OfferAttributes) -> float:
-    """Deterministic part of offer utility (the error term is excluded)."""
-    return (
-        beta.k * attrs.intercept
-        + beta.beta_contract * attrs.contract_length
-        + beta.beta_discount * attrs.discount
-    )
-
-
-def choice_probabilities(utilities, include_outside_option: bool = False) -> np.ndarray:
-    """Softmax over a utility vector, computed with max-subtraction.
-
-    With ``include_outside_option`` an extra alternative of utility 0 is
-    appended before normalization.  The output sums to 1.
-    """
-    u = np.asarray(utilities, dtype=float)
-    if u.ndim != 1 or u.size == 0:
-        raise InvalidInputError("utilities must be a non-empty 1-d vector")
-    if not np.all(np.isfinite(u)):
-        raise InvalidInputError("utilities must be finite")
-    if include_outside_option:
-        u = np.append(u, 0.0)
-    u = np.clip(u, -UTILITY_CLAMP, UTILITY_CLAMP)
-    z = np.exp(u - u.max())
-    return z / z.sum()
-
-
-def accept_probability(beta: CoefficientVector, attrs: OfferAttributes) -> float:
-    """Probability that the offer beats the zero-utility no-purchase option.
-
-    Clamped into the open unit interval: finite utility never returns an
-    exact 0 or 1 even where float rounding would produce one.
-    """
-    p = float(
-        choice_probabilities([utility(beta, attrs)], include_outside_option=True)[0]
-    )
-    return min(max(p, math.nextafter(0.0, 1.0)), math.nextafter(1.0, 0.0))
-
-
 def logistic(u):
-    """Elementwise 1 / (1 + e^-u) with overflow clamping."""
+    """Probability that an offer of utility ``u`` beats the zero-utility
+    no-purchase option: elementwise 1 / (1 + e^-u) with overflow clamping."""
     u = np.clip(u, -UTILITY_CLAMP, UTILITY_CLAMP)
     return 1.0 / (1.0 + np.exp(-u))
-
-
-def willingness_to_pay(beta: CoefficientVector, attrs: OfferAttributes) -> float:
-    """Non-price utility divided by the discount coefficient.
-
-    The ratio is returned exactly as defined, so a negative discount
-    coefficient yields a negative value; callers interpret the sign.
-    """
-    if beta.beta_discount == 0:
-        raise DegenerateInputError(
-            "discount coefficient is zero; willingness-to-pay is undefined"
-        )
-    return (
-        beta.k * attrs.intercept + beta.beta_contract * attrs.contract_length
-    ) / beta.beta_discount

@@ -144,12 +144,9 @@ def read_customers_csv(path):
     return profiles, mrp
 
 
-def write_truth_csv(path, coefficients: dict) -> None:
-    rows = [
-        (cid, b.k, b.beta_contract, b.beta_discount)
-        for cid, b in sorted(coefficients.items())
-    ]
-    write_csv_atomic(path, TRUTH_COLUMNS, rows)
+def write_truth_csv(path, coefficients: np.ndarray) -> None:
+    """One row per customer; row ``i`` of ``coefficients`` is customer ``i + 1``."""
+    write_csv_atomic(path, TRUTH_COLUMNS, ((i + 1, *b) for i, b in enumerate(coefficients)))
 
 
 def write_scores_csv(path, rows) -> None:

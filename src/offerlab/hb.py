@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .choice import OfferObservation, logistic
+from .choice import logistic
 from .errors import (
     ConfigurationError,
     DataIntegrityError,
@@ -623,13 +623,3 @@ def predict_panel_probabilities(
             out[rows] = logistic(u).mean(axis=0)
     out[~known] = logistic(X[~known] @ pop_beta)
     return out
-
-
-def predict_probability(
-    draws: PosteriorDraws, offer: OfferObservation, mode: str = DRAW_AVERAGED
-) -> float:
-    """Acceptance probability for one offer under the fitted model."""
-    if draws.n_params != 3:
-        raise InvalidInputError("predict_probability requires the 3-attribute offer model")
-    x = offer.attributes.as_array()[None, :]
-    return float(predict_panel_probabilities(draws, x, [offer.customer_id], mode=mode)[0])

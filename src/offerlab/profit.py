@@ -143,14 +143,6 @@ def present_value(mrp: float, mrc: float, r: float, months: int, annual_rate: fl
     return (mrp * (1.0 + r) - mrc) * annuity_factor(months, annual_rate)
 
 
-def nop(prob: float, loyalty: float, pv: float, initial_cost: float) -> float:
-    """Next-offer profit of one customer-offer."""
-    for name, v in (("prob", prob), ("loyalty", loyalty), ("pv", pv), ("initial_cost", initial_cost)):
-        if not math.isfinite(v):
-            raise InvalidInputError(f"{name} must be finite, got {v!r}")
-    return prob * loyalty * (pv - initial_cost)
-
-
 class _SegmentObjective:
     """Reusable evaluator of a segment's total next-offer profit.
 

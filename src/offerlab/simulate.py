@@ -9,6 +9,7 @@ independent Bernoulli draws at each offer's logit acceptance probability.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -16,11 +17,10 @@ import numpy as np
 from .choice import (
     ACCEPTED,
     REJECTED,
-    CoefficientVector,
     CustomerProfile,
     OfferAttributes,
     OfferObservation,
-    accept_probability,
+    logistic,
 )
 from .errors import ConfigurationError, DataIntegrityError
 
@@ -146,12 +146,15 @@ class GroundTruthConfig:
 @dataclass(frozen=True)
 class SimulatedDataset:
     """Training offers (many per customer), test offers (one per customer),
-    customer profiles, and the true coefficients that generated them."""
+    customer profiles, and the true coefficients that generated them: a
+    ``(n_customers, 3)`` array whose row ``i`` belongs to customer ``i + 1``.
+    ``==`` leaves that array out (an ndarray has no single truth value);
+    compare it with ``np.array_equal``."""
 
     train: tuple
     test: tuple
     profiles: dict
-    true_coefficients: dict
+    true_coefficients: np.ndarray = field(compare=False)
     seed: int = 0
 
     @property
@@ -200,15 +203,15 @@ def _draw_population(config: GroundTruthConfig):
     demographic_c = demographic - demographic.mean()
     betas = raw_beta + loyalty_c[:, None] * loadings[None, :]
 
-    profiles = {}
-    coefficients = {}
-    for i in range(n):
-        cid = i + 1
-        profiles[cid] = CustomerProfile(
-            cid, float(loyalty[i]), float(loyalty_c[i]), float(demographic_c[i])
+    if not np.isfinite(betas).all():
+        raise ConfigurationError("ground truth draws non-finite coefficients")
+    profiles = {
+        i + 1: CustomerProfile(
+            i + 1, float(loyalty[i]), float(loyalty_c[i]), float(demographic_c[i])
         )
-        coefficients[cid] = CoefficientVector.from_array(betas[i])
-    return profiles, coefficients
+        for i in range(n)
+    }
+    return profiles, betas
 
 
 def generate_offers(config: GroundTruthConfig) -> SimulatedDataset:
@@ -252,26 +255,40 @@ def generate_offers(config: GroundTruthConfig) -> SimulatedDataset:
 
 
 def simulate_responses(
-    truth: dict, dataset: SimulatedDataset, rng: np.random.Generator | None = None
+    truth: np.ndarray, dataset: SimulatedDataset, rng: np.random.Generator | None = None
 ) -> SimulatedDataset:
     """Label every offer with an independent Bernoulli draw at its logit
-    acceptance probability under the true coefficients."""
+    acceptance probability under the true coefficients ``truth`` (row ``i``
+    for customer ``i + 1``).
+
+    The offers of ``train + test`` are scored as one design matrix and
+    labelled with one uniform draw each, in that order.  Probabilities are
+    clamped into the open unit interval, so finite utility never makes an
+    outcome certain.
+    """
     if rng is None:
         rng = purpose_rng(dataset.seed, "responses")
-
-    def label(obs: OfferObservation) -> OfferObservation:
-        beta = truth.get(obs.customer_id)
-        if beta is None:
-            raise DataIntegrityError(f"no true coefficients for customer {obs.customer_id}")
-        p = accept_probability(beta, obs.attributes)
-        outcome = ACCEPTED if rng.random() < p else REJECTED
-        return replace(obs, outcome=outcome)
-
-    return replace(
-        dataset,
-        train=tuple(label(o) for o in dataset.train),
-        test=tuple(label(o) for o in dataset.test),
+    truth = np.asarray(truth, dtype=float)
+    expected = (dataset.n_customers, 3)
+    if truth.shape != expected:
+        raise DataIntegrityError(
+            f"true coefficients have shape {truth.shape}, expected {expected} "
+            f"for {dataset.n_customers} customers"
+        )
+    offers = dataset.train + dataset.test
+    X = np.array([
+        (o.attributes.intercept, o.attributes.contract_length, o.attributes.discount)
+        for o in offers
+    ])
+    rows = np.array([o.customer_id - 1 for o in offers])
+    p = logistic(np.einsum("ij,ij->i", X, truth[rows]))
+    p = np.clip(p, math.nextafter(0.0, 1.0), math.nextafter(1.0, 0.0))
+    accepted = rng.random(len(offers)) < p
+    labelled = tuple(
+        replace(o, outcome=ACCEPTED if a else REJECTED) for o, a in zip(offers, accepted)
     )
+    n_train = len(dataset.train)
+    return replace(dataset, train=labelled[:n_train], test=labelled[n_train:])
 
 
 def simulate_dataset(config: GroundTruthConfig) -> SimulatedDataset:

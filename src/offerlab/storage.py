@@ -161,10 +161,16 @@ def _load_value(tp, value, where: str):
         return {key: _load_value(args[1], v, f"{where}[{key!r}]") for key, v in value.items()}
     # exact types, so that a bool is never taken for a number
     if tp is float and type(value) in (int, float):
+        try:
+            number = float(value)
+        except OverflowError:  # json parses integers of any size
+            raise ConfigurationError(
+                f"{where} must be a finite float, got an integer beyond the float range"
+            ) from None
         # json parses the bare tokens NaN and Infinity
-        if not math.isfinite(value):
+        if not math.isfinite(number):
             raise ConfigurationError(f"{where} must be a finite float, got {value!r}")
-        return float(value)
+        return number
     if tp in (int, str, bool) and type(value) is tp:
         return value
     raise ConfigurationError(f"{where} must be {tp.__name__}, got {value!r}")

@@ -73,9 +73,7 @@ class TestCriterion2Recovery:
     def test_discount_coefficient_correlations(self, desk_run):
         _, dataset, draws, _, _ = desk_run
         posterior = draws.posterior_mean_matrix()
-        true = np.array(
-            [dataset.true_coefficients[c].as_array() for c in draws.customer_ids]
-        )
+        true = dataset.true_coefficients[np.array(draws.customer_ids) - 1]
         counts = np.bincount(
             [draws.index_of(o.customer_id) for o in dataset.train],
             minlength=draws.n_customers,
@@ -142,8 +140,8 @@ class TestCriterion4PolicyDirections:
             n_customers=240, mixture=mixture, loyalty_loadings=(0, 0, 0), seed=4242
         )
         dataset = simulate.generate_offers(config)
-        ids = sorted(dataset.true_coefficients)
-        betas = np.array([dataset.true_coefficients[c].as_array() for c in ids])[None]
+        ids = list(range(1, config.n_customers + 1))
+        betas = dataset.true_coefficients[None]
         draws = hand_built_draws(betas, customer_ids=ids)
         assignments = segments.assign_segments(draws, dataset.test, dataset.profiles)
         nop_config = profit.NopConfig()

@@ -5,40 +5,36 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from offerlab.choice import (
-    CoefficientVector,
-    CustomerProfile,
-    OfferAttributes,
-    OfferObservation,
-    accept_probability,
-    choice_probabilities,
-    utility,
-    willingness_to_pay,
-)
-from offerlab.errors import DegenerateInputError, InvalidInputError
+from offerlab.choice import CustomerProfile, OfferAttributes, OfferObservation, logistic
+from offerlab.errors import InvalidInputError
 
 
-def beta(k=0.0, contract=0.0, discount=0.0):
-    return CoefficientVector(k, contract, discount)
+def softmax_with_outside_option(u):
+    """The 2-way softmax of (u, 0), as a reference for ``logistic``."""
+    m = max(u, 0.0)
+    return math.exp(u - m) / (math.exp(u - m) + math.exp(-m))
 
 
 class TestUtility:
+    """A utility is an offer's design row ``as_array()`` dotted with a
+    coefficient row (k, beta_contract, beta_discount)."""
+
     def test_zero_coefficients(self):
-        assert utility(beta(), OfferAttributes(3, 0.2)) == 0.0
+        assert OfferAttributes(3, 0.2).as_array() @ np.zeros(3) == 0.0
 
     def test_dot_product(self):
         # oracle: 1.0*1 + 0.5*2 + (-2.0)*0.1 = 1.8
-        value = utility(beta(1.0, 0.5, -2.0), OfferAttributes(2, 0.1))
+        value = OfferAttributes(2, 0.1).as_array() @ [1.0, 0.5, -2.0]
         assert value == pytest.approx(1.8, abs=1e-12)
 
     def test_intercept_only(self):
-        assert utility(beta(k=4.2), OfferAttributes(0, 0.0)) == 4.2
+        assert OfferAttributes(0, 0.0).as_array() @ [4.2, 0.0, 0.0] == 4.2
 
     def test_non_finite_rejected(self):
         with pytest.raises(InvalidInputError):
-            CoefficientVector(float("nan"), 0.0, 0.0)
-        with pytest.raises(InvalidInputError):
             OfferAttributes(float("inf"), 0.0)
+        with pytest.raises(InvalidInputError):
+            OfferAttributes(1, float("nan"))
 
     @given(
         st.floats(-20, 20),
@@ -50,104 +46,67 @@ class TestUtility:
         st.floats(-5, 5),
     )
     def test_linearity_in_attributes(self, k, b1, b2, y1, d1, y2, d2):
-        b = beta(k, b1, b2)
-        a = OfferAttributes(y1, d1)
-        c = OfferAttributes(y2, d2)
-        both = OfferAttributes(y1 + y2, d1 + d2, intercept=2.0)
-        assert utility(b, a) + utility(b, c) == pytest.approx(utility(b, both), abs=1e-9, rel=1e-9)
+        b = np.array([k, b1, b2])
+        a = OfferAttributes(y1, d1).as_array()
+        c = OfferAttributes(y2, d2).as_array()
+        both = OfferAttributes(y1 + y2, d1 + d2, intercept=2.0).as_array()
+        assert a @ b + c @ b == pytest.approx(both @ b, abs=1e-9, rel=1e-9)
 
 
 class TestChoiceProbabilities:
-    def test_symmetric_binary(self):
-        probs = choice_probabilities([0.0], include_outside_option=True)
-        assert probs == pytest.approx([0.5, 0.5], abs=1e-15)
-
-    def test_uniform(self):
-        probs = choice_probabilities([0.0, 0.0, 0.0])
-        assert probs == pytest.approx([1 / 3] * 3, abs=1e-15)
+    """Against the zero-utility outside option, ``logistic(u)`` is the
+    offer's share of the 2-way softmax of (u, 0)."""
 
     def test_scalar_logistic(self):
-        # oracle: 1 / (1 + e^-1.8)
-        expected = 1.0 / (1.0 + math.exp(-1.8))
-        probs = choice_probabilities([1.8], include_outside_option=True)
-        assert probs[0] == pytest.approx(expected, abs=1e-12)
-        assert round(probs[0], 4) == 0.8581
-
-    def test_empty_rejected(self):
-        with pytest.raises(InvalidInputError):
-            choice_probabilities([])
+        p = float(logistic(1.8))
+        assert abs(p - softmax_with_outside_option(1.8)) <= 2 * math.ulp(p)
+        assert round(p, 4) == 0.8581
 
     def test_overflow_safe(self):
-        probs = choice_probabilities([1e6, -1e6, 0.0])
-        assert np.isfinite(probs).all()
-        assert probs.sum() == pytest.approx(1.0, abs=1e-12)
+        p = logistic(np.array([-1e6, 1e6]))
+        assert np.isfinite(p).all()
+        assert 0.0 <= p[0] < p[1] <= 1.0
 
-    @given(st.lists(st.floats(-30, 30), min_size=1, max_size=8))
+    @given(st.floats(-30, 30))
     @settings(max_examples=200)
-    def test_simplex_output(self, utilities):
-        probs = choice_probabilities(utilities)
-        assert np.all(probs > 0) and np.all(probs < 1 + 1e-12)
-        assert abs(probs.sum() - 1.0) < 1e-12
+    def test_simplex_output(self, u):
+        assert 0.0 < logistic(u) < 1.0
 
-    @given(st.lists(st.floats(-30, 30), min_size=1, max_size=8), st.floats(-20, 20))
+    @given(st.floats(-30, 30))
     @settings(max_examples=200)
-    def test_translation_invariance(self, utilities, shift):
-        base = choice_probabilities(utilities)
-        shifted = choice_probabilities([u + shift for u in utilities])
-        assert np.allclose(base, shifted, atol=1e-12)
+    def test_matches_two_way_softmax(self, u):
+        p = float(logistic(u))
+        assert abs(p - softmax_with_outside_option(u)) <= 2 * math.ulp(p)
 
 
 class TestAcceptProbability:
+    """``logistic`` of the utility is the acceptance probability."""
+
     def test_zero_utility(self):
-        assert accept_probability(beta(), OfferAttributes(0, 0.0)) == pytest.approx(0.5)
+        assert logistic(0.0) == 0.5
 
     def test_saturation(self):
-        assert accept_probability(beta(k=-50.0), OfferAttributes(0, 0.0)) < 1e-9
+        assert logistic(-50.0) < 1e-9
 
     def test_logistic_of_dot_product(self):
-        p = accept_probability(beta(1.0, 0.5, -2.0), OfferAttributes(2, 0.1))
+        p = logistic(OfferAttributes(2, 0.1).as_array() @ [1.0, 0.5, -2.0])
         assert p == pytest.approx(1.0 / (1.0 + math.exp(-1.8)), abs=1e-12)
-
-    def test_open_interval(self):
-        assert 0.0 < accept_probability(beta(k=-700.0), OfferAttributes(0, 0.0))
-        assert accept_probability(beta(k=700.0), OfferAttributes(0, 0.0)) < 1.0
 
     @given(st.floats(-30, 30), st.floats(-30, 30))
     @settings(max_examples=200)
     def test_monotone_in_utility(self, u1, u2):
-        p1 = accept_probability(beta(k=u1), OfferAttributes(0, 0.0))
-        p2 = accept_probability(beta(k=u2), OfferAttributes(0, 0.0))
         if u1 + 1e-9 < u2:  # strict order needs float-resolvable separation
-            assert p1 < p2
+            assert logistic(u1) < logistic(u2)
 
     def test_decreasing_in_discount_for_negative_coefficient(self):
-        b = beta(0.5, 0.0, -3.0)
-        probs = [
-            accept_probability(b, OfferAttributes(0, d))
-            for d in np.linspace(-0.5, 0.5, 11)
-        ]
-        assert all(a > b_ for a, b_ in zip(probs, probs[1:]))
+        X = np.array([OfferAttributes(0, d).as_array() for d in np.linspace(-0.5, 0.5, 11)])
+        probs = logistic(X @ [0.5, 0.0, -3.0])
+        assert np.all(np.diff(probs) < 0)
 
     @given(st.floats(-30, 30))
     @settings(max_examples=200)
     def test_complement_symmetry(self, u):
-        p = accept_probability(beta(k=u), OfferAttributes(0, 0.0))
-        q = accept_probability(beta(k=-u), OfferAttributes(0, 0.0))
-        assert p + q == pytest.approx(1.0, abs=1e-12)
-
-
-class TestWillingnessToPay:
-    def test_direct_ratio(self):
-        # non-price utility 1.0 + 0.5*2 = 2.0, price coefficient -2.0
-        value = willingness_to_pay(beta(1.0, 0.5, -2.0), OfferAttributes(2, 0.3))
-        assert value == pytest.approx(-1.0, abs=1e-12)
-
-    def test_zero_numerator(self):
-        assert willingness_to_pay(beta(0.0, 0.0, -1.0), OfferAttributes(0, 0.0)) == 0.0
-
-    def test_zero_price_coefficient(self):
-        with pytest.raises(DegenerateInputError):
-            willingness_to_pay(beta(1.0, 0.5, 0.0), OfferAttributes(2, 0.1))
+        assert abs(logistic(u) + logistic(-u) - 1.0) <= 1e-12
 
 
 class TestDomainTypes:

@@ -65,8 +65,8 @@ def pipeline(tmp_path_factory):
 
 COMPONENT = {"weight": 1.0, "mean": [1.0, 0.2, -2.0], "cov": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}
 
-# per config section: a misspelt key and a mistyped value, each with the
-# message that names it
+# per config section: a misspelt key and a mistyped value (and for nop, an
+# integer beyond the float range), each with the message that names it
 CONFIG_FAULTS = {
     "top": [
         ({"sede": 1}, "config has unknown keys ['sede']"),
@@ -99,6 +99,10 @@ CONFIG_FAULTS = {
     "nop": [
         ({"nop": {"anual_rate": 0.5}}, "config.nop has unknown keys ['anual_rate']"),
         ({"nop": {"annual_rate": True}}, "config.nop.annual_rate must be float, got True"),
+        (
+            {"nop": {"annual_rate": 10**400}},
+            "config.nop.annual_rate must be a finite float, got an integer beyond the float range",
+        ),
     ],
     "resampling": [
         ({"resampling": {"fold": 3}}, "config.resampling has unknown keys ['fold']"),
@@ -108,7 +112,7 @@ CONFIG_FAULTS = {
 CONFIG_FAULT_CASES = [
     pytest.param(overrides, message, id=f"{section}-{kind}")
     for section, faults in CONFIG_FAULTS.items()
-    for kind, (overrides, message) in zip(("unknown-key", "wrong-type"), faults)
+    for kind, (overrides, message) in zip(("unknown-key", "wrong-type", "overflow"), faults)
 ]
 
 class TestConfig:

@@ -25,7 +25,6 @@ from offerlab.hb import (
     fit_hb_mixed_logit,
     fit_hb_panel,
     predict_panel_probabilities,
-    predict_probability,
 )
 from offerlab.simulate import GroundTruthConfig, simulate_dataset
 
@@ -197,9 +196,7 @@ class TestSampler:
         config = McmcConfig(total_draws=800, burn_in=150, seed=14)
         draws = fit_hb_mixed_logit(dataset.train, covariates, ncomp=1, config=config)
         post = draws.posterior_mean_matrix()
-        true = np.array(
-            [dataset.true_coefficients[c].as_array() for c in draws.customer_ids]
-        )
+        true = dataset.true_coefficients[np.array(draws.customer_ids) - 1]
         corr = np.corrcoef(post[:, 2], true[:, 2])[0, 1]
         assert corr >= 0.5
 
@@ -278,34 +275,32 @@ class TestSamplerParts:
 class TestPrediction:
     def test_single_draw_modes_agree(self):
         draws = hand_built_draws([[[1.0, 0.5, -2.0]]])
-        offer = OfferObservation(1, 1, OfferAttributes(2, 0.1))
-        averaged = predict_probability(draws, offer, mode=DRAW_AVERAGED)
-        point = predict_probability(draws, offer, mode=POSTERIOR_MEAN)
+        x = np.array([[1.0, 2.0, 0.1]])
+        averaged = predict_panel_probabilities(draws, x, [1], mode=DRAW_AVERAGED)[0]
+        point = predict_panel_probabilities(draws, x, [1], mode=POSTERIOR_MEAN)[0]
         assert averaged == point == pytest.approx(1 / (1 + math.exp(-1.8)), abs=1e-12)
 
     def test_draw_averaged_is_mean_of_per_draw_probabilities(self):
         betas = np.array([[[0.2, 0.1, -1.0]], [[1.4, -0.3, -4.0]], [[-0.8, 0.6, 0.5]]])
         draws = hand_built_draws(betas)
-        offer = OfferObservation(1, 3, OfferAttributes(3, -0.25))
-        x = offer.attributes.as_array()
+        x = OfferAttributes(3, -0.25).as_array()
         expected = np.mean([1 / (1 + math.exp(-(b[0] @ x))) for b in betas])
-        assert predict_probability(draws, offer) == pytest.approx(expected, abs=1e-12)
+        got = predict_panel_probabilities(draws, x[None, :], [1])[0]
+        assert got == pytest.approx(expected, abs=1e-12)
 
     def test_population_mean_mode_for_new_customer(self):
         means = np.array([[[1.0, 0.0, -2.0], [3.0, 0.0, -2.0]]])
         weights = np.array([[0.25, 0.75]])
         draws = hand_built_draws([[[9.9, 9.9, 9.9]]], weights=weights, means=means)
-        offer = OfferObservation(777, 1, OfferAttributes(0, 0.0))
+        x = np.array([[1.0, 0.0, 0.0]])
         expected = 1 / (1 + math.exp(-(0.25 * 1.0 + 0.75 * 3.0)))
-        assert predict_probability(draws, offer, mode=POPULATION_MEAN) == pytest.approx(
-            expected, abs=1e-12
-        )
+        got = predict_panel_probabilities(draws, x, [777], mode=POPULATION_MEAN)[0]
+        assert got == pytest.approx(expected, abs=1e-12)
 
     def test_unknown_customer_raises_without_fallback(self):
         draws = hand_built_draws([[[1.0, 0.5, -2.0]]])
-        offer = OfferObservation(55, 1, OfferAttributes(2, 0.1))
         with pytest.raises(UnknownCustomerError):
-            predict_probability(draws, offer)
+            predict_panel_probabilities(draws, np.array([[1.0, 2.0, 0.1]]), [55])
 
     def test_unknown_customer_fallback_matches_population_mode(self):
         draws = hand_built_draws([[[1.0, 0.5, -2.0]], [[0.2, 0.0, -1.0]]])

@@ -16,7 +16,6 @@ from offerlab.profit import (
     annuity_factor,
     contract_months_to_years,
     grid_oracle,
-    nop,
     optimize_policy,
     present_value,
     segment_data_from_assignments,
@@ -24,6 +23,12 @@ from offerlab.profit import (
 )
 from offerlab.segments import SEGMENTS, SegmentAssignment
 from tests.test_hb import hand_built_draws
+
+
+def nop(prob, loyalty, pv, initial_cost):
+    """Next-offer profit of one customer-offer: the scalar reference that
+    the oracle sums below add up."""
+    return prob * loyalty * (pv - initial_cost)
 
 
 def make_segment(betas_per_customer, loyalty, mrp=None, segment="inelastic-loyal"):
@@ -140,25 +145,37 @@ class TestPresentValue:
 
 
 class TestNop:
+    """Each customer adds probability x loyalty x (present value - initial
+    cost) to the objective; here one customer on a 12-month offer at r = 0,
+    whose acceptance probability is set through saturated draws."""
+
+    CONFIG = NopConfig(initial_cost=10.0)
+
+    def value(self, intercepts, loyalty):
+        betas = [[[k, 0.0, 0.0]] for k in intercepts]  # one draw per intercept
+        seg, draws = make_segment(betas, [loyalty])
+        return segment_objective(0.0, 12, seg, draws, self.CONFIG)
+
+    def margin(self):
+        c = self.CONFIG
+        return present_value(100.0, c.monthly_cost, 0.0, 12, c.annual_rate) - c.initial_cost
+
     def test_zero_probability(self):
-        assert nop(0.0, 0.9, 1000.0, 10.0) == 0.0
+        assert self.value([-UTILITY_CLAMP], 0.9) == pytest.approx(0.0, abs=1e-250)
 
     def test_zero_loyalty(self):
-        assert nop(0.9, 0.0, 1000.0, 10.0) == 0.0
+        assert self.value([0.0], 0.0) == 0.0
 
     def test_direct_product(self):
-        assert nop(0.5, 0.8, 1000.0, 0.0) == 400.0
+        assert self.value([0.0], 0.8) == pytest.approx(0.5 * 0.8 * self.margin(), rel=1e-12)
 
-    @given(st.floats(0, 1), st.floats(0, 1), st.floats(-1e4, 1e4), st.floats(0, 2))
-    @settings(max_examples=100)
-    def test_linear_in_loyalty_and_probability(self, p, l, pv, scale):
-        base = nop(p, l, pv, 0.0)
-        assert nop(p * scale, l, pv, 0.0) == pytest.approx(scale * base, rel=1e-9, abs=1e-9)
-        assert nop(p, l * scale, pv, 0.0) == pytest.approx(scale * base, rel=1e-9, abs=1e-9)
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(InvalidInputError):
-            nop(float("nan"), 0.5, 1.0, 0.0)
+    @given(st.integers(0, 4), st.floats(0, 1))
+    @settings(max_examples=50)
+    def test_linear_in_loyalty_and_probability(self, accepting, loyalty):
+        # `accepting` of 4 draws accept for certain, the rest never do
+        intercepts = [UTILITY_CLAMP] * accepting + [-UTILITY_CLAMP] * (4 - accepting)
+        expected = accepting / 4 * loyalty * self.margin()
+        assert self.value(intercepts, loyalty) == pytest.approx(expected, rel=1e-9, abs=1e-9)
 
 
 class TestSegmentObjective:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from offerlab.choice import CustomerProfile, OfferAttributes, OfferObservation
 from offerlab.errors import DegenerateInputError, InvalidInputError
+from offerlab.hb import predict_panel_probabilities
 from offerlab.segments import (
     SEGMENTS,
     SegmentAssignment,
@@ -15,7 +16,6 @@ from offerlab.segments import (
     assign_segments,
     segment_distribution,
 )
-from offerlab.hb import predict_probability
 from tests.test_hb import hand_built_draws
 
 
@@ -119,8 +119,10 @@ class TestCustomerElasticity:
             shifted = OfferObservation(
                 offer.customer_id, 1, OfferAttributes(offer.attributes.contract_length, d - 0.1)
             )
-            p0 = predict_probability(draws, offer)
-            p1 = predict_probability(draws, shifted)
+            p0, p1 = (
+                predict_panel_probabilities(draws, o.attributes.as_array()[None], [o.customer_id])[0]
+                for o in (offer, shifted)
+            )
             assert a.elasticity == arc_elasticity(p0, p1, 1.0 + d, 1.0 + (d - 0.1))
             assert a.elasticity == elasticity(draws, offer, delta=0.1)
 

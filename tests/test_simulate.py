@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from offerlab.choice import ACCEPTED, CoefficientVector, accept_probability
+from offerlab.choice import ACCEPTED, UTILITY_CLAMP, OfferAttributes, logistic
 from offerlab.errors import ConfigurationError, DataIntegrityError
 from offerlab.simulate import (
     DEFAULT_OFFER_COUNTS,
@@ -48,8 +50,36 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             GroundTruthConfig(offer_count_distribution=()).validate()
 
+    def test_overflowing_coefficients_rejected(self):
+        # a loyalty loading on a mean near the float maximum overflows to inf
+        config = point_mass_config(mean=(1.5e308, 0.0, 0.0))
+        config = GroundTruthConfig(
+            n_customers=50, mixture=config.mixture, loyalty_loadings=(1e308, 0.0, 0.0), seed=1
+        )
+        with pytest.raises(ConfigurationError, match="non-finite coefficients"):
+            generate_offers(config)
+
     def test_default_offer_counts_sum_to_one(self):
         assert abs(sum(p for _, p in DEFAULT_OFFER_COUNTS) - 1.0) < 1e-12
+
+
+def per_offer_labels(dataset):
+    """Reference labels, one offer at a time: utility, a softmax over it and
+    an appended zero-utility outside option, a clamp into the open unit
+    interval, then one uniform draw on the "responses" stream; train offers
+    first, then test offers."""
+    rng = purpose_rng(dataset.seed, "responses")
+    accepted = []
+    for obs in dataset.train + dataset.test:
+        k, b_contract, b_discount = (float(b) for b in dataset.true_coefficients[obs.customer_id - 1])
+        a = obs.attributes
+        u = k * a.intercept + b_contract * a.contract_length + b_discount * a.discount
+        u = np.clip([u, 0.0], -UTILITY_CLAMP, UTILITY_CLAMP)
+        z = np.exp(u - u.max())
+        p = float(z[0] / z.sum())
+        p = min(max(p, math.nextafter(0.0, 1.0)), math.nextafter(1.0, 0.0))
+        accepted.append(rng.random() < p)
+    return accepted
 
 
 def true_coefficients(config):
@@ -59,16 +89,17 @@ def true_coefficients(config):
 class TestTrueCoefficients:
     def test_degenerate_mixture_hits_mean_exactly(self):
         coeffs = true_coefficients(point_mass_config(mean=(1.5, -0.25, -3.0)))
-        for b in coeffs.values():
-            assert b.as_array() == pytest.approx([1.5, -0.25, -3.0], abs=1e-12)
+        assert coeffs.shape == (50, 3)
+        for b in coeffs:
+            assert b == pytest.approx([1.5, -0.25, -3.0], abs=1e-12)
 
     def test_same_seed_identical(self):
         config = GroundTruthConfig(n_customers=40, seed=7)
-        assert true_coefficients(config) == true_coefficients(config)
+        assert np.array_equal(true_coefficients(config), true_coefficients(config))
 
     def test_default_config_is_multimodal_in_intercept(self):
         coeffs = true_coefficients(GroundTruthConfig(n_customers=4000, seed=3))
-        ks = np.array([b.k for b in coeffs.values()])
+        ks = coeffs[:, 0]
         hist, edges = np.histogram(ks, bins=28)
         # the valley between the reluctant mode (left) and the main mass
         # must dip well below both peaks
@@ -91,7 +122,7 @@ class TestTrueCoefficients:
         profiles, coeffs = dataset.profiles, dataset.true_coefficients
         for cid, profile in profiles.items():
             expected = 1.0 + 2.0 * profile.loyalty_centered
-            assert coeffs[cid].k == pytest.approx(expected, abs=1e-9)
+            assert coeffs[cid - 1, 0] == pytest.approx(expected, abs=1e-9)
 
 
 class TestGenerateOffers:
@@ -179,25 +210,31 @@ class TestSimulateResponses:
 
     def test_missing_coefficient_rejected(self):
         dataset = generate_offers(GroundTruthConfig(n_customers=5, seed=1))
-        truth = dict(dataset.true_coefficients)
-        truth.pop(3)
-        with pytest.raises(DataIntegrityError):
-            simulate_responses(truth, dataset)
+        truth = dataset.true_coefficients
+        with pytest.raises(DataIntegrityError, match=r"shape \(4, 3\), expected \(5, 3\)"):
+            simulate_responses(truth[:4], dataset)
+        with pytest.raises(DataIntegrityError, match=r"shape \(5, 2\), expected \(5, 3\)"):
+            simulate_responses(truth[:, :2], dataset)
 
     def test_acceptance_frequency_converges_to_probability(self):
         # 10,000 replicate draws at one fixed offer
-        beta = CoefficientVector(0.4, 0.3, -2.0)
-        from offerlab.choice import OfferAttributes
-
-        attrs = OfferAttributes(2, -0.2)
-        p = accept_probability(beta, attrs)
+        p = float(logistic(OfferAttributes(2, -0.2).as_array() @ [0.4, 0.3, -2.0]))
         rng = purpose_rng(31, "responses")
         outcomes = [rng.random() < p for _ in range(10_000)]
         assert abs(np.mean(outcomes) - p) < 0.02
 
     def test_determinism_full_dataset(self):
         config = GroundTruthConfig(n_customers=80, seed=37)
-        assert simulate_dataset(config) == simulate_dataset(config)
+        first, second = simulate_dataset(config), simulate_dataset(config)
+        assert first == second
+        assert np.array_equal(first.true_coefficients, second.true_coefficients)
+
+    @pytest.mark.parametrize("seed", [5, 47, 20260809])
+    def test_labels_match_per_offer_softmax_path(self, seed):
+        config = GroundTruthConfig(n_customers=1000, seed=seed)
+        labelled = simulate_dataset(config)
+        expected = per_offer_labels(generate_offers(config))
+        assert [o.outcome == ACCEPTED for o in labelled.train + labelled.test] == expected
 
 
 class TestSummarize:

@@ -175,6 +175,10 @@ class TestLoadDataclass:
             ({"rate": math.inf}, "sample.rate must be a finite float, got inf"),
             ({"scale": -math.inf}, "sample.scale must be a finite float, got -inf"),
             ({"pair": [0, math.nan]}, "sample.pair[1] must be a finite float, got nan"),
+            (
+                {"rate": 10**400},
+                "sample.rate must be a finite float, got an integer beyond the float range",
+            ),
         ],
     )
     def test_refusals_name_the_dotted_path(self, raw, message):
