@@ -5,6 +5,15 @@ segment) and a discrete contract length in months.  The objective sums,
 over the segment's customers, acceptance probability x loyalty x (present
 value of the contract margin - initial cost).  Contract months map to the
 model's contract-year attribute as months / 12.
+
+The objective's derivative in r is exact: with u = b0 + b1 * years + b2 * r,
+dp/dr = b2 * p * (1 - p), so
+
+    f'(r) = sum_i L_i * (pbar_i * mrp_i * A + sbar_i * (PV_i(r) - c0))
+
+where pbar_i and sbar_i are customer i's draw means of p and of
+b2 * p * (1 - p), A is the annuity factor and c0 the initial cost.  The
+optimizer scans r coarsely and then bisects on the sign of f'.
 """
 
 from __future__ import annotations
@@ -19,23 +28,22 @@ from .errors import ConfigurationError, InvalidInputError
 from .hb import DRAW_AVERAGED, POSTERIOR_MEAN, PosteriorDraws
 from .segments import SEGMENTS
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-_INVPHI_SQ = (3.0 - math.sqrt(5.0)) / 2.0
-
 # the choice model was trained on discounts in this band; the objective
 # refuses to extrapolate outside it
 TRAINED_DISCOUNT_BAND = (-0.5, 0.5)
 
 DEFAULT_CONTRACT_OPTIONS = (1, 12, 24, 36, 60)
 
-# elements of the objective's scratch buffer per block (512 KB of float64):
+# elements of the objective's scratch buffer per block (512 KB of float64;
+# the derivative, when asked for, has a second block of the same size):
 # large enough to amortize numpy's per-call overhead, small enough to stay
 # in a core's L2 cache and to keep memory flat however long the r grid
 VALUES_BLOCK = 1 << 16
 
 # optimize_policy scans this many evenly spaced rates per contract option,
-# then refines around the best one to this width
-COARSE_POINTS = 101
+# then bisects on the sign of f' between the best one and the neighbour its
+# slope points to, until the bracket is at most this wide
+COARSE_POINTS = 11
 REFINE_TOL = 1e-5
 
 # the modes the objective implements: the mean over draws, or one plug-in draw
@@ -144,7 +152,8 @@ def present_value(mrp: float, mrc: float, r: float, months: int, annual_rate: fl
 
 
 class _SegmentObjective:
-    """Reusable evaluator of a segment's total next-offer profit.
+    """Reusable evaluator of a segment's total next-offer profit and, on
+    request, of its derivative in r.
 
     The segment's coefficient draws are copied once into contiguous
     (customers x draws) arrays, so each customer's draw mean is one pairwise
@@ -169,6 +178,7 @@ class _SegmentObjective:
         self.config = config
         self._months = None
         self._scratch = np.empty(0)
+        self._slope_scratch = np.empty(0)
 
     def _select(self, months: int) -> None:
         """Negated base utility -(b0 + b1 * years) and the annuity factor of
@@ -181,31 +191,50 @@ class _SegmentObjective:
         self.factor = annuity_factor(months, self.config.annual_rate)
         self._months = months
 
-    def _mean_probabilities(self, rs: np.ndarray, cols: int) -> np.ndarray:
-        """(len(rs), customers) draw-averaged acceptance probabilities,
-        computed in place in the scratch buffer, ``cols`` customers at a
-        time."""
+    def _draw_means(self, rs: np.ndarray, cols: int, slope: bool):
+        """(len(rs), customers) draw means of the acceptance probability p
+        and, if ``slope``, of dp/dr = b2 * p * (1 - p) (else None), computed
+        in place in the scratch buffers, ``cols`` customers at a time."""
         n, n_draws = self.na.shape
-        if self._scratch.size < len(rs) * cols * n_draws:
-            self._scratch = np.empty(len(rs) * cols * n_draws)
+        size = len(rs) * cols * n_draws
+        if self._scratch.size < size:
+            self._scratch = np.empty(size)
+        if slope and self._slope_scratch.size < size:
+            self._slope_scratch = np.empty(size)
         r = rs[:, None, None]
         probs = np.empty((len(rs), n))
+        slopes = np.empty((len(rs), n)) if slope else None
         for j in range(0, n, cols):
             nb = self.nb[j : j + cols]
             buf = self._scratch[: len(rs) * nb.size].reshape(len(rs), *nb.shape)
             np.multiply(r, nb, out=buf)
             buf += self.na[j : j + cols]
             np.clip(buf, -UTILITY_CLAMP, UTILITY_CLAMP, out=buf)
+            if slope:
+                # 1 where u is above the lower clamp; below it p is constant
+                # in r (above the upper one, 1 - p is exactly 0)
+                sbuf = self._slope_scratch[: buf.size].reshape(buf.shape)
+                np.less(buf, UTILITY_CLAMP, out=sbuf)
             np.exp(buf, out=buf)
             buf += 1.0
             np.divide(1.0, buf, out=buf)
             np.add.reduce(buf, axis=2, out=probs[:, j : j + cols])
+            if slope:
+                # -nb * p * (1 - p) where free, summed here and negated below
+                sbuf *= buf
+                np.subtract(1.0, buf, out=buf)
+                sbuf *= buf
+                sbuf *= nb
+                np.add.reduce(sbuf, axis=2, out=slopes[:, j : j + cols])
         probs /= n_draws
-        return probs
+        if slope:
+            slopes /= -n_draws
+        return probs, slopes
 
-    def values(self, rs, months: int) -> np.ndarray:
-        """Total next-offer profit at each discount rate in ``rs``, scored
-        in blocks of at most VALUES_BLOCK (rate, customer, draw) elements."""
+    def _evaluate(self, rs, months: int, slope: bool):
+        """Total next-offer profit at each discount rate in ``rs`` and, if
+        ``slope``, its derivative in r (else None), scored in blocks of at
+        most VALUES_BLOCK (rate, customer, draw) elements."""
         rs = np.asarray(rs, dtype=float).reshape(-1)
         lo, hi = TRAINED_DISCOUNT_BAND
         outside = ~((rs >= lo) & (rs <= hi))
@@ -213,8 +242,9 @@ class _SegmentObjective:
             r = float(rs[np.argmax(outside)])
             raise InvalidInputError(f"discount rate {r!r} leaves the trained band [{lo}, {hi}]")
         out = np.zeros(rs.size)
+        d_out = np.zeros(rs.size) if slope else None
         if self.seg.n_customers == 0 or rs.size == 0:
-            return out
+            return out, d_out
         self._select(months)
         n, n_draws = self.na.shape
         cols = max(1, min(n, VALUES_BLOCK // n_draws))
@@ -222,10 +252,23 @@ class _SegmentObjective:
         mrp, loyalty, config = self.seg.mrp, self.seg.loyalty, self.config
         for i in range(0, rs.size, rows):
             r = rs[i : i + rows]
-            probs = self._mean_probabilities(r, cols)
-            pv = (mrp * (1.0 + r[:, None]) - config.monthly_cost) * self.factor
-            out[i : i + rows] = np.sum(probs * loyalty * (pv - config.initial_cost), axis=1)
-        return out
+            probs, slopes = self._draw_means(r, cols, slope)
+            margin = (mrp * (1.0 + r[:, None]) - config.monthly_cost) * self.factor
+            margin -= config.initial_cost
+            out[i : i + rows] = np.sum(probs * loyalty * margin, axis=1)
+            if slope:
+                d = probs * (mrp * self.factor) + slopes * margin
+                d_out[i : i + rows] = np.sum(loyalty * d, axis=1)
+        return out, d_out
+
+    def values(self, rs, months: int) -> np.ndarray:
+        """Total next-offer profit at each discount rate in ``rs``."""
+        return self._evaluate(rs, months, slope=False)[0]
+
+    def values_and_slopes(self, rs, months: int):
+        """Profit and its derivative in r at each rate in ``rs``; the
+        profit is bit-identical to ``values``."""
+        return self._evaluate(rs, months, slope=True)
 
     def value(self, r: float, months: int) -> float:
         return float(self.values([r], months)[0])
@@ -243,35 +286,20 @@ def segment_objective(
     return _SegmentObjective(seg, draws, config, mode).value(r, months)
 
 
-def _golden_section_max(f, a: float, b: float):
-    """Golden-section maximization on [a, b] down to REFINE_TOL; returns the
-    best probed point."""
-    best_x, best_y = a, f(a)
-    yb = f(b)
-    if yb > best_y:
-        best_x, best_y = b, yb
-    h = b - a
-    if h <= REFINE_TOL:
-        return best_x, best_y
-    n = int(math.ceil(math.log(REFINE_TOL / h) / math.log(_INVPHI)))
-    c = a + _INVPHI_SQ * h
-    d = a + _INVPHI * h
-    yc, yd = f(c), f(d)
-    for _ in range(n):
-        if yc >= yd:
-            b, d, yd = d, c, yc
-            h *= _INVPHI
-            c = a + _INVPHI_SQ * h
-            yc = f(c)
+def _bisect_slope(objective, months: int, a: float, b: float, best_r: float, best_v: float):
+    """Bisection on the sign of f' over [a, b] down to REFINE_TOL, one
+    (f, f') evaluation per midpoint.  (best_r, best_v) is the scan's best
+    point, at one end; returns the best point probed, never worse."""
+    for _ in range(max(0, math.ceil(math.log2((b - a) / REFINE_TOL)))):
+        m = 0.5 * (a + b)
+        values, slopes = objective.values_and_slopes([m], months)
+        if values[0] > best_v:
+            best_r, best_v = m, float(values[0])
+        if slopes[0] > 0:
+            a = m
         else:
-            a, c, yc = c, d, yd
-            h *= _INVPHI
-            d = a + _INVPHI * h
-            yd = f(d)
-        x, y = (c, yc) if yc >= yd else (d, yd)
-        if y > best_y:
-            best_x, best_y = x, y
-    return best_x, best_y
+            b = m
+    return best_r, best_v
 
 
 def _r_grid(lo: float, hi: float, n_points: int) -> np.ndarray:
@@ -286,9 +314,12 @@ def optimize_policy(
     config: NopConfig,
     mode: str = DRAW_AVERAGED,
 ) -> OfferPolicy:
-    """Best (r, months) for a segment: COARSE_POINTS-point scan of r per
-    contract option, then golden-section refinement around the best point.
-    Ties across contract options go to the shorter contract."""
+    """Best (r, months) for a segment.  Per contract option, f and f' are
+    scored at COARSE_POINTS evenly spaced rates in one batched call; from
+    the best of them, f' points to the neighbouring interval that holds a
+    higher value, which ``_bisect_slope`` narrows to REFINE_TOL.  A best
+    point at a bound whose slope points out of the range stays exactly at
+    the bound.  Ties across contract options go to the shorter contract."""
     if seg.n_customers == 0:
         raise InvalidInputError(f"segment {seg.segment!r} has no customers")
     config.validate()
@@ -298,17 +329,18 @@ def optimize_policy(
     best = None
     any_nonzero = False
     for months in sorted(config.contract_options):
-        values = objective.values(rs, months)
+        values, slopes = objective.values_and_slopes(rs, months)
         if np.any(values != 0.0):
             any_nonzero = True
         i = int(np.argmax(values))
         r_star, v_star = float(rs[i]), float(values[i])
-        if len(rs) > 1:
-            a = float(rs[max(i - 1, 0)])
-            b = float(rs[min(i + 1, len(rs) - 1)])
-            r_ref, v_ref = _golden_section_max(lambda r: objective.value(r, months), a, b)
-            if v_ref > v_star:
-                r_star, v_star = float(r_ref), float(v_ref)
+        bracket = None
+        if slopes[i] > 0 and i + 1 < len(rs):
+            bracket = (r_star, float(rs[i + 1]))
+        elif slopes[i] < 0 and i > 0:
+            bracket = (float(rs[i - 1]), r_star)
+        if bracket:
+            r_star, v_star = _bisect_slope(objective, months, *bracket, r_star, v_star)
         if best is None or v_star > best.nop_value:
             best = OfferPolicy(
                 segment=seg.segment,
@@ -339,24 +371,28 @@ def grid_oracle(
     r_step: float = 0.001,
     mode: str = DRAW_AVERAGED,
 ) -> OfferPolicy:
-    """Exhaustive argmax over the r grid x contract options (verification)."""
+    """Exhaustive argmax over the r grid x contract options (verification).
+    The grid steps by about ``r_step`` and always holds both bounds."""
+    if not (math.isfinite(r_step) and r_step > 0):
+        raise InvalidInputError(f"r_step must be finite and > 0, got {r_step!r}")
     if seg.n_customers == 0:
         raise InvalidInputError(f"segment {seg.segment!r} has no customers")
     config.validate()
     objective = _SegmentObjective(seg, draws, config, mode)
     lo, hi = config.bounds_for(seg.segment)
-    n_steps = max(int(round((hi - lo) / r_step)), 0)
-    rs = _r_grid(lo, hi, n_steps + 1)
+    rs = _r_grid(lo, hi, max(int(round((hi - lo) / r_step)), 1) + 1)
     best = None
     for months in sorted(config.contract_options):
         values = objective.values(rs, months)
         i = int(np.argmax(values))
         if best is None or values[i] > best.nop_value:
+            r = float(rs[i])
             best = OfferPolicy(
                 segment=seg.segment,
-                r=float(rs[i]),
+                r=r,
                 months=int(months),
                 nop_value=float(values[i]),
                 n_customers=seg.n_customers,
+                at_bound=r in (lo, hi),
             )
     return best

@@ -94,8 +94,23 @@ class SeedObjective:
         pv = (self.seg.mrp * (1.0 + r) - self.config.monthly_cost) * factor
         return float(np.sum(probs * self.seg.loyalty * (pv - self.config.initial_cost)))
 
+    def slope(self, r, months):
+        """f'(r), with the draw mean of dp/dr = b2 * p * (1 - p)."""
+        years = contract_months_to_years(months)
+        b2 = self.betas[:, :, 2]
+        p = logistic(self.betas[:, :, 0] + self.betas[:, :, 1] * years + b2 * r)
+        probs, dprobs = p.mean(axis=0), (b2 * p * (1.0 - p)).mean(axis=0)
+        factor = annuity_factor(months, self.config.annual_rate)
+        margin = (self.seg.mrp * (1.0 + r) - self.config.monthly_cost) * factor
+        margin -= self.config.initial_cost
+        return float(np.sum(self.seg.loyalty * (probs * self.seg.mrp * factor + dprobs * margin)))
+
     def values(self, rs, months):
         return np.array([self.value(float(r), months) for r in rs])
+
+    def values_and_slopes(self, rs, months):
+        rs = [float(r) for r in rs]
+        return self.values(rs, months), np.array([self.slope(r, months) for r in rs])
 
 
 class TestPresentValue:
@@ -285,6 +300,58 @@ class TestBatchedObjective:
                 for months in (1, 60):
                     assert np.array_equal(objective.values(rs, months), seed.values(rs, months))
 
+    def test_slope_request_leaves_values_bit_identical(self):
+        rng = np.random.default_rng(8)
+        seg, draws = random_segment(rng, 300, 120)
+        rs = np.linspace(-0.5, 0.5, 101)
+        for block in (97, profit.VALUES_BLOCK):
+            with mock.patch.object(profit, "VALUES_BLOCK", block):
+                objective = profit._SegmentObjective(seg, draws, NopConfig(), DRAW_AVERAGED)
+                for months in (1, 60):
+                    values, _ = objective.values_and_slopes(rs, months)
+                    assert np.array_equal(values, objective.values(rs, months))
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 12),
+        n_draws=st.integers(1, 120),
+        mode=st.sampled_from(profit.OBJECTIVE_MODES),
+        months=st.sampled_from(NopConfig().contract_options),
+        r=st.floats(-0.49, 0.49),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_slope_matches_central_difference(self, seed, n, n_draws, mode, months, r):
+        rng = np.random.default_rng(seed)
+        seg, draws = random_segment(rng, n, n_draws)
+        self.assert_slope_matches_central_difference(seg, draws, mode, months, r)
+
+    @pytest.mark.parametrize("u0", [-800.0, -700.3, -699.7, 699.7, 700.3, 800.0])
+    @pytest.mark.parametrize("mode", profit.OBJECTIVE_MODES)
+    def test_slope_near_the_utility_clamp(self, u0, mode):
+        # every utility stays within 0.25 of u0 for |r| <= 0.2, so none
+        # crosses the clamp at +-700 inside a difference step; beyond -700
+        # p is constant and only the margin's slope is left
+        rng = np.random.default_rng(700)
+        betas = np.stack(
+            [u0 + rng.uniform(-0.05, 0.05, (4, 3)), np.zeros((4, 3)), rng.uniform(-1, 1, (4, 3))],
+            axis=-1,
+        )
+        seg, draws = make_segment(betas, rng.random(3), 60 + 80 * rng.random(3))
+        for r in np.linspace(-0.2, 0.2, 5):
+            self.assert_slope_matches_central_difference(seg, draws, mode, 24, float(r))
+
+    @staticmethod
+    def assert_slope_matches_central_difference(seg, draws, mode, months, r, h=1e-5):
+        """f' within 1e-6 of (f(r + h) - f(r - h)) / 2h, relative to the
+        larger of |f'| and |f| (f' vanishes at an optimum; r spans a band of
+        width 1, so f sets the scale there)."""
+        objective = profit._SegmentObjective(seg, draws, NopConfig(), mode)
+        values, slopes = objective.values_and_slopes([r], months)
+        below, above = objective.values([r - h, r + h], months)
+        assert slopes[0] == pytest.approx(
+            (above - below) / (2 * h), rel=1e-6, abs=1e-6 * abs(values[0])
+        )
+
     @pytest.mark.parametrize("bad", [0.5000001, -0.75, float("nan"), float("inf")])
     def test_rate_outside_band_or_nan_rejected(self, bad):
         seg, draws = make_segment([[0.5, 0.2, -3.0]], [0.5])
@@ -339,6 +406,46 @@ class TestOptimizePolicy:
             policy = optimize_policy(seg, draws, config)
             oracle = grid_oracle(seg, draws, config, r_step=0.002)
             assert policy.nop_value >= oracle.nop_value - 0.001 * abs(oracle.nop_value)
+
+    def test_matches_grid_oracle_argmax(self):
+        # a sweep from elastic to price-insensitive segments puts optima at
+        # both bounds, inside the range and on 12- to 60-month contracts;
+        # the search and the oracle's 0.001 grid agree on the contract and
+        # on whether the optimum is a bound, and the search is never worse
+        rng = np.random.default_rng(20261018)
+        config = NopConfig()
+        for b2 in np.linspace(-10.0, 0.0, 10):
+            n, n_draws = int(rng.integers(4, 13)), int(rng.integers(60, 121))
+            mean = [rng.uniform(-1.0, 2.0), rng.uniform(-1.5, 0.5), b2]
+            betas = rng.normal(mean, [1.0, 0.3, 0.5], size=(n_draws, n, 3))
+            seg, draws = make_segment(betas, rng.random(n), 60 + 80 * rng.random(n))
+            policy = optimize_policy(seg, draws, config)
+            oracle = grid_oracle(seg, draws, config, r_step=0.001)
+            assert (policy.months, policy.at_bound) == (oracle.months, oracle.at_bound)
+            gap = (oracle.nop_value - policy.nop_value) / abs(oracle.nop_value)
+            assert gap <= 1e-6
+
+    def test_evaluation_budget(self):
+        # one COARSE_POINTS scan, then single-rate bisection steps down to
+        # REFINE_TOL from a bracket one scan interval (0.1) wide
+        rates = []
+
+        class Counting(profit._SegmentObjective):
+            def values_and_slopes(self, rs, months):
+                rates.append((months, len(rs)))
+                return super().values_and_slopes(rs, months)
+
+        rng = np.random.default_rng(5)
+        seg, draws = random_segment(rng, 8, 40)
+        config = NopConfig()
+        with mock.patch.object(profit, "_SegmentObjective", Counting):
+            optimize_policy(seg, draws, config)
+        steps = math.ceil(math.log2(0.1 / profit.REFINE_TOL))
+        assert len(rates) > len(config.contract_options)  # some option bisected
+        for months in config.contract_options:
+            calls = [k for m, k in rates if m == months]
+            assert calls[0] == profit.COARSE_POINTS == 11
+            assert calls[1:] == [1] * len(calls[1:]) and len(calls) - 1 <= steps
 
     def test_empty_segment_rejected(self):
         _, draws = make_segment([[0.5, 0.1, -2.0]], [0.8])
@@ -404,6 +511,25 @@ class TestGridOracle:
         seg, draws = make_segment([[3.0, 0.1, 0.0]], [1.0])
         policy = grid_oracle(seg, draws, NopConfig(), r_step=0.01)
         assert policy.r == pytest.approx(0.5, abs=1e-12)
+
+    @pytest.mark.parametrize("r_step", [-0.001, 0.0, float("nan"), float("inf"), -float("inf")])
+    def test_step_not_finite_and_positive_rejected_by_name(self, r_step):
+        seg, draws = make_segment([[0.5, 0.1, -2.0]], [0.8])
+        with pytest.raises(InvalidInputError, match="r_step"):
+            grid_oracle(seg, draws, NopConfig(), r_step=r_step)
+
+    @pytest.mark.parametrize("r_step", [5.0, 0.3, 0.001])
+    @pytest.mark.parametrize(
+        "betas, bound",
+        [([[3.0, 0.1, 0.0]], 0.5), ([[-10.0, 0.0, -20.0]], -0.5)],
+        ids=["increasing", "decreasing"],
+    )
+    def test_grid_holds_both_bounds(self, r_step, betas, bound):
+        # a step wider than the range, or one that does not divide it,
+        # still scores both bounds, and the bound optimum is flagged
+        seg, draws = make_segment(betas, [1.0])
+        policy = grid_oracle(seg, draws, NopConfig(), r_step=r_step)
+        assert (policy.r, policy.at_bound) == (bound, True)
 
 
 class TestNopConfig:
