@@ -1,8 +1,14 @@
-"""Random-utility primitives shared by the simulator, estimator, and optimizer.
+"""The offer table and the logit shared by the simulator, estimator, and
+optimizer.
 
-An offer carries three observed attributes (a constant, contract length in
-years, and a discount fraction); a customer's taste is a coefficient vector
-of the same dimension, held as one row of a ``(customers, 3)`` array.
+An offer's design row holds three attributes: a constant, the contract
+length in years and the discount fraction.  A customer's taste is a
+coefficient vector of the same dimension, held as one row of a
+``(customers, 3)`` array.  ``Offers`` is the one table of offers: column
+arrays of customer ids, occasions, the ``(n, 3)`` design ``X`` and the
+labels.  It is built only where offers come into being
+(``simulate.generate_offers`` and ``datasets.read_offer_csv``) and checked
+there by ``Offers.validate``; every other stage reads its columns.
 Acceptance follows a binary logit in which the no-purchase alternative's
 utility is normalized to exactly zero, so ``logistic`` of the utility is
 the single acceptance probability: the simulator, the sampler, prediction
@@ -12,95 +18,120 @@ and the profit objective all call it on arrays of utilities.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import DataIntegrityError, InvalidInputError
 
-ACCEPTED = "accepted"
-REJECTED = "rejected"
-UNLABELED = "unlabeled"
-OUTCOMES = (ACCEPTED, REJECTED, UNLABELED)
+# the values of an offer's label
+ACCEPTED = 1
+REJECTED = 0
+UNLABELED = -1
+OUTCOMES = {ACCEPTED: "accepted", REJECTED: "rejected", UNLABELED: "unlabeled"}
 
 CONTRACT_YEAR_VALUES = (0, 1, 2, 3, 4, 5)
 DISCOUNT_MIN = -0.5
 DISCOUNT_MAX = 0.5
+
+# the design columns, as the offer CSV names them
+DESIGN_COLUMNS = ("X1", "contract_length_years", "offer_discount")
 
 # exp() overflows just above 709; clamping keeps the logistic finite while
 # changing no probability by a visible amount.
 UTILITY_CLAMP = 700.0
 
 
-def _require_finite(name: str, *values: float) -> None:
-    for v in values:
-        if not math.isfinite(v):
-            raise InvalidInputError(f"{name} must be finite, got {v!r}")
-
-
 @dataclass(frozen=True)
-class OfferAttributes:
-    """Observed attributes of a single offer.
+class Offers:
+    """Offers made to customers, one row per (customer_id, occasion).
 
-    ``contract_length`` is expressed in years.  Recorded offer rows use
-    whole years 0..5 (see :meth:`validate_observed`); evaluating the model
-    at fractional years (a 1-month contract as 1/12) is allowed.
+    ``X`` is the ``(n, 3)`` design: intercept, contract length in whole
+    years 0..5 and discount in [-0.5, 0.5].  ``label`` is ``ACCEPTED``,
+    ``REJECTED`` or ``UNLABELED``.  ``==`` compares every column exactly.
     """
 
-    contract_length: float
-    discount: float
-    intercept: float = 1.0
+    customer_id: np.ndarray
+    occasion: np.ndarray
+    X: np.ndarray
+    label: np.ndarray
 
     def __post_init__(self):
-        _require_finite(
-            "offer attribute", self.contract_length, self.discount, self.intercept
+        for name, dtype in (("customer_id", np.int64), ("occasion", np.int64), ("label", np.int8)):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
+        object.__setattr__(self, "X", np.asarray(self.X, dtype=float))
+
+    def __len__(self) -> int:
+        return len(self.label)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Offers) and all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self)
         )
 
-    def validate_observed(self) -> "OfferAttributes":
-        """Enforce the invariants of recorded (as opposed to probed) offers."""
-        if self.intercept != 1.0:
-            raise InvalidInputError(f"intercept must be 1, got {self.intercept!r}")
-        if self.contract_length not in CONTRACT_YEAR_VALUES:
+    def take(self, rows) -> "Offers":
+        """The rows ``rows`` (indices or a mask), in that order."""
+        return Offers(*(getattr(self, f.name)[rows] for f in fields(self)))
+
+    def labels(self) -> np.ndarray:
+        """The 0/1 labels; an unlabeled row is an ``InvalidInputError``."""
+        unlabeled = self.label == UNLABELED
+        if unlabeled.any():
+            i = int(np.argmax(unlabeled))
             raise InvalidInputError(
-                f"contract_length must be a whole year in 0..5, got {self.contract_length!r}"
+                f"offer ({self.customer_id[i]}, {self.occasion[i]}) is unlabeled"
             )
-        if not DISCOUNT_MIN <= self.discount <= DISCOUNT_MAX:
-            raise InvalidInputError(
-                f"discount must lie in [{DISCOUNT_MIN}, {DISCOUNT_MAX}], got {self.discount!r}"
+        return self.label
+
+    def validate(self, where) -> "Offers":
+        """Refuse, as a ``DataIntegrityError`` naming ``where``, the column,
+        the first offending (customer_id, occasion) and its value: a key
+        below 1, a repeated key, an intercept other than 1, a contract
+        length that is not a whole year in 0..5, a discount outside
+        [-0.5, 0.5] (non-finite values fail these too) or an unknown label."""
+        n = len(self)
+        if self.customer_id.shape != (n,) or self.occasion.shape != (n,) or self.X.shape != (n, 3):
+            raise DataIntegrityError(f"{where}: offer columns of unequal shape")
+        x1, years, discount = self.X.T
+        in_range = (discount >= DISCOUNT_MIN) & (discount <= DISCOUNT_MAX)
+        checks = (
+            ("customer_id", self.customer_id, self.customer_id < 1, "must be >= 1"),
+            ("occasion", self.occasion, self.occasion < 1, "must be >= 1"),
+            (DESIGN_COLUMNS[0], x1, x1 != 1.0, "must be 1"),
+            (DESIGN_COLUMNS[1], years, ~np.isin(years, CONTRACT_YEAR_VALUES),
+             "must be a whole year in 0..5"),
+            (DESIGN_COLUMNS[2], discount, ~in_range, f"must lie in [{DISCOUNT_MIN}, {DISCOUNT_MAX}]"),
+            ("label", self.label, ~np.isin(self.label, list(OUTCOMES)),
+             f"must be one of {list(OUTCOMES)}"),
+        )
+        for column, values, bad, rule in checks:
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise DataIntegrityError(
+                    f"{where}: {column} = {values[i].item()!r} at (customer_id, occasion) = "
+                    f"({self.customer_id[i]}, {self.occasion[i]}) {rule}"
+                )
+        order, first = key_runs(self.customer_id, self.occasion)
+        repeated = np.zeros(n, dtype=bool)
+        repeated[order] = ~first
+        if repeated.any():
+            i = int(np.argmax(repeated))
+            raise DataIntegrityError(
+                f"{where} repeats (customer_id, occasion) = "
+                f"({self.customer_id[i]}, {self.occasion[i]})"
             )
         return self
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.intercept, self.contract_length, self.discount])
 
-
-@dataclass(frozen=True)
-class OfferObservation:
-    """One offer made to one customer on one occasion."""
-
-    customer_id: int
-    occasion: int
-    attributes: OfferAttributes
-    outcome: str = UNLABELED
-
-    def __post_init__(self):
-        if self.customer_id < 1:
-            raise InvalidInputError(f"customer_id must be >= 1, got {self.customer_id}")
-        if self.occasion < 1:
-            raise InvalidInputError(f"occasion must be >= 1, got {self.occasion}")
-        if self.outcome not in OUTCOMES:
-            raise InvalidInputError(f"outcome must be one of {OUTCOMES}, got {self.outcome!r}")
-
-    @property
-    def label(self) -> int:
-        """1 for accepted, 0 for rejected."""
-        if self.outcome == ACCEPTED:
-            return 1
-        if self.outcome == REJECTED:
-            return 0
-        raise InvalidInputError(
-            f"observation ({self.customer_id}, {self.occasion}) is unlabeled"
-        )
+def key_runs(customer_id, occasion):
+    """``(order, first)``: the row indices sorted by (customer_id, occasion),
+    ties in input order, and for each sorted row whether it is the first of
+    its key."""
+    order = np.lexsort((occasion, customer_id))
+    cid, occ = np.asarray(customer_id)[order], np.asarray(occasion)[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (cid[1:] != cid[:-1]) | (occ[1:] != occ[:-1])
+    return order, first
 
 
 @dataclass(frozen=True)
@@ -115,9 +146,9 @@ class CustomerProfile:
     def __post_init__(self):
         if not 0.0 <= self.loyalty <= 1.0:
             raise InvalidInputError(f"loyalty must lie in [0, 1], got {self.loyalty!r}")
-        _require_finite(
-            "covariate", self.loyalty_centered, self.demographic_centered
-        )
+        for v in (self.loyalty_centered, self.demographic_centered):
+            if not math.isfinite(v):
+                raise InvalidInputError(f"covariate must be finite, got {v!r}")
 
     @property
     def covariates(self) -> np.ndarray:

@@ -118,11 +118,11 @@ def _cells(*types):
     return lambda row: tuple(convert(cell) for convert, cell in zip(types, row))
 
 
-def _aligned_scores(path, observations) -> np.ndarray:
-    """The scores of ``path`` in the order of ``observations``, by (customer_id, occasion)."""
+def _aligned_scores(path, offers) -> np.ndarray:
+    """The scores of ``path`` in the row order of ``offers``, by (customer_id, occasion)."""
     rows = read_scores_csv(path)
     by_key = index_unique(path, OCCASION_KEY, (((cid, occ), score) for cid, occ, _, score in rows))
-    keys = [(o.customer_id, o.occasion) for o in observations]
+    keys = list(zip(offers.customer_id.tolist(), offers.occasion.tolist()))
     missing = [key for key in keys if key not in by_key]
     if missing:
         raise MissingArtifactError(f"{path} has no score for row {missing[0]}")
@@ -146,12 +146,10 @@ def run_pipeline(subcommand: str, config: PipelineConfig, args: argparse.Namespa
         artifacts += ["train.csv", "test.csv", "customers.csv", "truth.csv", "summary.txt"]
 
     elif subcommand == "fit":
-        observations, _ = read_offer_csv(out / "train.csv")
+        offers = read_offer_csv(out / "train.csv")
         profiles, _ = read_customers_csv(out / "customers.csv")
         covariates = _covariates_from_customers(profiles, config.include_demographic)
-        draws = fit_hb_mixed_logit(
-            observations, covariates, ncomp=config.ncomp, config=config.mcmc
-        )
+        draws = fit_hb_mixed_logit(offers, covariates, ncomp=config.ncomp, config=config.mcmc)
         draws.save(out / "posterior")
         artifacts += [
             f"posterior/{name}"
@@ -159,11 +157,11 @@ def run_pipeline(subcommand: str, config: PipelineConfig, args: argparse.Namespa
         ]
 
     elif subcommand == "tune":
-        observations, _ = read_offer_csv(out / "train.csv")
+        offers = read_offer_csv(out / "train.csv")
         profiles, _ = read_customers_csv(out / "customers.csv")
         covariates = _covariates_from_customers(profiles, config.include_demographic)
         report = tune_ncomp(
-            observations, covariates, config.ncomp_candidates, config.resampling, config.mcmc
+            offers, covariates, config.ncomp_candidates, config.resampling, config.mcmc
         )
         rows = [
             (r.ncomp, r.mean_auc, r.mean_accuracy, int(r.ncomp == report.selected_ncomp))
@@ -174,28 +172,23 @@ def run_pipeline(subcommand: str, config: PipelineConfig, args: argparse.Namespa
 
     elif subcommand == "predict":
         draws = PosteriorDraws.load(out / "posterior")
-        observations, _ = read_offer_csv(out / "test.csv")
-        X = np.array([o.attributes.as_array() for o in observations])
-        ids = [o.customer_id for o in observations]
+        offers = read_offer_csv(out / "test.csv")
+        ids = offers.customer_id.tolist()
         scores = predict_panel_probabilities(
-            draws, X, ids, mode=config.predict_mode, fallback_population_mean=True
+            draws, offers.X, ids, mode=config.predict_mode, fallback_population_mean=True
         )
         write_scores_csv(
             out / "scores.csv",
-            [
-                (o.customer_id, o.occasion, 1, float(s))
-                for o, s in zip(observations, scores)
-            ],
+            [(cid, occ, 1, s) for cid, occ, s in zip(ids, offers.occasion.tolist(), scores.tolist())],
         )
         artifacts += ["scores.csv"]
 
     elif subcommand == "evaluate":
-        observations, _ = read_offer_csv(out / "test.csv")
-        train_obs, _ = read_offer_csv(out / "train.csv")
-        scores = _aligned_scores(out / "scores.csv", observations)
-        labels = np.array([o.label for o in observations])
+        offers = read_offer_csv(out / "test.csv")
+        base_rate = float(np.mean(read_offer_csv(out / "train.csv").labels()))
+        scores = _aligned_scores(out / "scores.csv", offers)
+        labels = offers.labels()
         data = ScoredLabels(scores, labels)
-        base_rate = float(np.mean([o.label for o in train_obs]))
         metrics = {
             "auc": auc(data),
             "accuracy": accuracy_at_base_rate(data, base_rate),
@@ -205,7 +198,7 @@ def run_pipeline(subcommand: str, config: PipelineConfig, args: argparse.Namespa
         if args is not None and getattr(args, "compare", None):
             # imported benchmark scores (e.g. an external model) aligned on
             # (customer_id, occasion); compared via the DeLong ROC test
-            other = _aligned_scores(Path(args.compare), observations)
+            other = _aligned_scores(Path(args.compare), offers)
             result = delong_test(scores, other, labels)
             metrics["delong"] = {
                 "auc_model": result.auc_a,
@@ -220,11 +213,9 @@ def run_pipeline(subcommand: str, config: PipelineConfig, args: argparse.Namespa
 
     elif subcommand == "segment":
         draws = PosteriorDraws.load(out / "posterior")
-        observations, _ = read_offer_csv(out / "test.csv")
+        offers = read_offer_csv(out / "test.csv")
         profiles, _ = read_customers_csv(out / "customers.csv")
-        assignments = assign_segments(
-            draws, observations, profiles, delta=config.elasticity_delta
-        )
+        assignments = assign_segments(draws, offers, profiles, delta=config.elasticity_delta)
         write_csv_atomic(
             out / "segments.csv",
             SEGMENT_COLUMNS,

@@ -1,7 +1,11 @@
 """Dataset persistence, retail ingestion, and train/validation splitting.
 
 Every dataset file goes through ``storage.write_csv_atomic`` and
-``storage.read_csv``, which define the CSV format.
+``storage.read_csv``, which define the CSV format.  ``read_offer_csv``
+returns the offer table (``choice.Offers``) checked by ``Offers.validate``,
+so a recorded offer outside the model's domain is refused by file, column
+and key.  The splits work on (customer_id, occasion) key arrays and return
+row indices, for offer tables and retail choice sets alike.
 """
 
 from __future__ import annotations
@@ -15,11 +19,12 @@ import numpy as np
 
 from .choice import (
     ACCEPTED,
+    DESIGN_COLUMNS,
     REJECTED,
     UNLABELED,
     CustomerProfile,
-    OfferAttributes,
-    OfferObservation,
+    Offers,
+    key_runs,
 )
 from .errors import (
     ConfigurationError,
@@ -34,9 +39,7 @@ from .storage import read_csv, write_csv_atomic
 OFFER_COLUMNS = (
     "id",
     "setnum",
-    "X1",
-    "contract_length_years",
-    "offer_discount",
+    *DESIGN_COLUMNS,
     "demographic_centered",
     "loyalty_centered",
     "outcome",
@@ -49,8 +52,8 @@ MULTINOMIAL_COLUMNS = ("customer_id", "occasion", "product_id", "chosen")
 # the key columns of an offer or a score row, as named in error messages
 OCCASION_KEY = "(customer_id, occasion)"
 
-_OUTCOME_TO_CELL = {ACCEPTED: "1", REJECTED: "0", UNLABELED: ""}
-_CELL_TO_OUTCOME = {"1": ACCEPTED, "0": REJECTED, "": UNLABELED}
+_LABEL_TO_CELL = {ACCEPTED: "1", REJECTED: "0", UNLABELED: ""}
+_CELL_TO_LABEL = {"1": ACCEPTED, "0": REJECTED, "": UNLABELED}
 
 
 def index_unique(path, key_columns: str, pairs) -> dict:
@@ -65,47 +68,35 @@ def index_unique(path, key_columns: str, pairs) -> dict:
     return index
 
 
-def write_offer_csv(path, observations, profiles: dict) -> None:
+def write_offer_csv(path, offers: Offers, profiles: dict) -> None:
     rows = []
-    for o in observations:
-        prof = profiles.get(o.customer_id)
-        rows.append(
-            (
-                o.customer_id,
-                o.occasion,
-                o.attributes.intercept,
-                o.attributes.contract_length,
-                o.attributes.discount,
-                prof.demographic_centered if prof else 0.0,
-                prof.loyalty_centered if prof else 0.0,
-                _OUTCOME_TO_CELL[o.outcome],
-            )
-        )
+    for cid, occ, x, label in zip(
+        offers.customer_id.tolist(), offers.occasion.tolist(), offers.X.tolist(), offers.label.tolist()
+    ):
+        prof = profiles.get(cid)
+        covariates = (prof.demographic_centered, prof.loyalty_centered) if prof else (0.0, 0.0)
+        rows.append((cid, occ, *x, *covariates, _LABEL_TO_CELL[label]))
     write_csv_atomic(path, OFFER_COLUMNS, rows)
 
 
 def _parse_offer(row):
-    obs = OfferObservation(
-        customer_id=int(row[0]),
-        occasion=int(row[1]),
-        attributes=OfferAttributes(
-            intercept=float(row[2]),
-            contract_length=float(row[3]),
-            discount=float(row[4]),
-        ),
-        outcome=_CELL_TO_OUTCOME[row[7]],
+    return (
+        int(row[0]), int(row[1]), float(row[2]), float(row[3]), float(row[4]),
+        _CELL_TO_LABEL[row[7]],
     )
-    return obs, (float(row[6]), float(row[5]))
 
 
-def read_offer_csv(path):
-    """Return (observations, covariate map id -> (loyalty_c, demographic_c)).
-
-    A (customer_id, occasion) that appears twice is a ``DataIntegrityError``.
-    """
+def read_offer_csv(path) -> Offers:
+    """The offer table of ``path``, in file order, checked by
+    ``Offers.validate``: a row outside the model's domain or a repeated
+    (customer_id, occasion) is a ``DataIntegrityError`` naming the file."""
     rows = read_csv(path, OFFER_COLUMNS, _parse_offer)
-    by_key = index_unique(path, OCCASION_KEY, (((o.customer_id, o.occasion), o) for o, _ in rows))
-    return list(by_key.values()), {o.customer_id: cov for o, cov in rows}
+    customer_id, occasion, x1, years, discount, label = zip(*rows) if rows else [()] * 6
+    try:
+        offers = Offers(customer_id, occasion, np.column_stack([x1, years, discount]), label)
+    except OverflowError:
+        raise DataIntegrityError(f"{path}: a customer_id or occasion exceeds 64 bits") from None
+    return offers.validate(path)
 
 
 def write_customers_csv(path, profiles: dict, mrp: dict | None = None) -> None:
@@ -185,51 +176,37 @@ class ResamplingScheme:
         return self
 
 
-def _occasion_units(items):
-    units = {}
-    for item in items:
-        units.setdefault((item.customer_id, item.occasion), []).append(item)
-    return units
-
-
-def split_per_customer_holdout(items, seed: int):
-    """Move one uniformly random non-first occasion per customer to
-    validation; single-occasion customers stay entirely in training."""
-    units = _occasion_units(items)
-    by_customer = {}
-    for cid, occ in units:
-        by_customer.setdefault(cid, set()).add(occ)
+def split_per_customer_holdout(customer_id, occasion, seed: int):
+    """Row indices (train, validation) that move one uniformly random
+    non-first occasion per customer to validation; single-occasion
+    customers stay entirely in training.  Each side lists its rows in
+    ascending (customer_id, occasion) order, ties in input order."""
+    order, first = key_runs(customer_id, occasion)
     rng = np.random.default_rng(np.random.SeedSequence(seed & 0xFFFFFFFFFFFFFFFF))
-    held_out = set()
-    for cid in sorted(by_customer):
-        occasions = sorted(by_customer[cid])
-        if len(occasions) < 2:
-            continue
-        candidates = occasions[1:]  # never the first occasion
-        held_out.add((cid, candidates[int(rng.integers(len(candidates)))]))
-    train, validation = [], []
-    for key in sorted(units):
-        (validation if key in held_out else train).extend(units[key])
-    return train, validation
+    held_out = np.zeros(int(first.sum()), dtype=bool)  # one entry per occasion
+    _, starts, counts = np.unique(
+        np.asarray(customer_id)[order][first], return_index=True, return_counts=True
+    )
+    for start, n_occasions in zip(starts.tolist(), counts.tolist()):
+        if n_occasions >= 2:  # never the first occasion
+            held_out[start + 1 + int(rng.integers(n_occasions - 1))] = True
+    validation = held_out[np.cumsum(first) - 1]
+    return order[~validation], order[validation]
 
 
-def split_kfold_by_occasion(items, k: int, seed: int):
-    """Partition occasions into k folds; returns k (train, validation) pairs."""
-    units = _occasion_units(items)
-    keys = sorted(units)
-    if k > len(keys):
-        raise InvalidInputError(f"cannot make {k} folds from {len(keys)} occasions")
+def split_kfold_by_occasion(customer_id, occasion, k: int, seed: int):
+    """Partition occasions into k folds; returns k (train, validation) pairs
+    of row indices, each side in ascending (customer_id, occasion) order,
+    ties in input order."""
+    order, first = key_runs(customer_id, occasion)
+    n_occasions = int(first.sum())
+    if k > n_occasions:
+        raise InvalidInputError(f"cannot make {k} folds from {n_occasions} occasions")
+    fold_of = np.empty(n_occasions, dtype=int)
     rng = np.random.default_rng(np.random.SeedSequence(seed & 0xFFFFFFFFFFFFFFFF))
-    order = rng.permutation(len(keys))
-    fold_of = np.empty(len(keys), dtype=int)
-    fold_of[order] = np.arange(len(keys)) % k
-    pairs = []
-    for fold in range(k):
-        train, validation = [], []
-        for i, key in enumerate(keys):
-            (validation if fold_of[i] == fold else train).extend(units[key])
-        pairs.append((train, validation))
-    return pairs
+    fold_of[rng.permutation(n_occasions)] = np.arange(n_occasions) % k
+    row_fold = fold_of[np.cumsum(first) - 1]
+    return [(order[row_fold != fold], order[row_fold == fold]) for fold in range(k)]
 
 
 # ---------------------------------------------------------------------------

@@ -190,19 +190,20 @@ class TuningReport:
 
 
 def _scored_cell(train, validation, covariates, ncomp, config):
-    """Fit on one training portion and score its validation rows."""
+    """Fit on one training table and score its validation rows."""
     X, y, row_customer, customer_ids, Z = build_panel(train, covariates)
     draws = fit_hb_panel(X, y, row_customer, customer_ids, Z, ncomp=ncomp, config=config)
-    Xv = np.array([o.attributes.as_array() for o in validation])
-    ids = [o.customer_id for o in validation]
     # occasions whose customer lost all training data fall back to the
     # population mean rather than erroring
     scores = predict_panel_probabilities(
-        draws, Xv, ids, mode=DRAW_AVERAGED, fallback_population_mean=True
+        draws,
+        validation.X,
+        validation.customer_id.tolist(),
+        mode=DRAW_AVERAGED,
+        fallback_population_mean=True,
     )
-    labels = np.array([o.label for o in validation])
-    base_rate = float(np.mean([o.label for o in train]))
-    data = ScoredLabels(scores, labels)
+    base_rate = float(np.mean(y))
+    data = ScoredLabels(scores, validation.labels())
     cell_auc = auc(data)
     if 0.0 < base_rate < 1.0:
         cell_accuracy = accuracy_at_base_rate(data, base_rate)
@@ -212,7 +213,7 @@ def _scored_cell(train, validation, covariates, ncomp, config):
 
 
 def tune_ncomp(
-    observations,
+    offers,
     covariates: dict | None,
     candidates,
     scheme: ResamplingScheme,
@@ -230,27 +231,24 @@ def tune_ncomp(
     if not candidates:
         raise InvalidInputError("candidates must be non-empty")
     scheme.validate()
-    observations = list(observations)
+    keys = (offers.customer_id, offers.occasion)
 
-    cells = []  # (train, validation, cell_seed)
+    cells = []  # (train rows, validation rows, cell_seed)
     for repeat in range(scheme.repeats):
         split_seed = derive_seed(config.seed, 7001, repeat)
         if scheme.kind == KFOLD_BY_OCCASION:
             for fold, (train, validation) in enumerate(
-                split_kfold_by_occasion(observations, scheme.folds, split_seed)
+                split_kfold_by_occasion(*keys, scheme.folds, split_seed)
             ):
                 cells.append((train, validation, derive_seed(config.seed, 7013, repeat, fold)))
         else:
-            train, validation = split_per_customer_holdout(observations, split_seed)
+            train, validation = split_per_customer_holdout(*keys, split_seed)
             cells.append((train, validation, derive_seed(config.seed, 7013, repeat, 0)))
     # AUC needs both outcome classes in a cell's validation rows; a cell's
     # usability depends only on the split, so every candidate skips the
     # same cells
-    cells = [
-        (train, validation, seed)
-        for train, validation, seed in cells
-        if validation and len({o.label for o in validation}) == 2
-    ]
+    cells = [(offers.take(train), offers.take(valid), seed) for train, valid, seed in cells]
+    cells = [cell for cell in cells if len(np.unique(cell[1].labels())) == 2]
     if not cells:
         raise InvalidInputError("resampling produced no usable validation cells")
 

@@ -231,24 +231,19 @@ class PosteriorDraws:
 # ---------------------------------------------------------------------------
 
 
-def build_panel(observations, covariates: dict | None = None):
-    """Convert labeled offer observations into estimation arrays.
+def build_panel(offers, covariates: dict | None = None):
+    """Estimation arrays of a labeled offer table (``choice.Offers``).
 
-    Returns (X, y, row_customer, customer_ids, Z); customers are ordered by
-    ascending id and every observation must be labeled.
+    Returns (X, y, row_customer, customer_ids, Z): ``X`` is the table's
+    design, customers are ordered by ascending id and ``row_customer`` maps
+    each row to its customer's position.  An unlabeled row is an
+    ``InvalidInputError``.
     """
-    observations = list(observations)
-    if not observations:
+    if not len(offers):
         raise InvalidInputError("no observations to fit")
-    customer_ids = sorted({o.customer_id for o in observations})
-    pos = {cid: i for i, cid in enumerate(customer_ids)}
-    X = np.empty((len(observations), 3))
-    y = np.empty(len(observations))
-    row_customer = np.empty(len(observations), dtype=np.intp)
-    for i, o in enumerate(observations):
-        X[i] = o.attributes.as_array()
-        y[i] = o.label  # raises on unlabeled rows
-        row_customer[i] = pos[o.customer_id]
+    y = offers.labels().astype(float)
+    customer_ids, row_customer = np.unique(offers.customer_id, return_inverse=True)
+    customer_ids = customer_ids.tolist()
     if covariates is None:
         Z = np.zeros((len(customer_ids), 0))
     else:
@@ -258,7 +253,7 @@ def build_panel(observations, covariates: dict | None = None):
         Z = np.array([np.asarray(covariates[cid], dtype=float) for cid in customer_ids])
         if Z.ndim == 1:
             Z = Z[:, None]
-    return X, y, row_customer, customer_ids, Z
+    return offers.X, y, row_customer, customer_ids, Z
 
 
 # ---------------------------------------------------------------------------
@@ -560,7 +555,7 @@ def fit_hb_panel(
 
 
 def fit_hb_mixed_logit(
-    observations,
+    offers,
     covariates: dict | None = None,
     ncomp: int = 1,
     config: McmcConfig | None = None,
@@ -570,7 +565,7 @@ def fit_hb_mixed_logit(
     ``covariates`` maps customer_id to a covariate vector entering the
     population means; omit it for a covariate-free population distribution.
     """
-    X, y, row_customer, customer_ids, Z = build_panel(observations, covariates)
+    X, y, row_customer, customer_ids, Z = build_panel(offers, covariates)
     return fit_hb_panel(X, y, row_customer, customer_ids, Z, ncomp=ncomp, config=config)
 
 

@@ -59,27 +59,26 @@ def _elasticities(
     offered discounts and one at the shifted discounts; relative prices are
     1 + discount.
     """
-    offers = list(offers)
     if draws.n_params != 3:
         raise InvalidInputError("elasticities require the 3-attribute offer model")
-    X = np.array([o.attributes.as_array() for o in offers]).reshape(-1, 3)
-    discounts = X[:, 2].copy()
+    X = offers.X.copy()
+    discounts = offers.X[:, 2]
     shifted = discounts - delta
     lo, hi = DISCOUNT_SAFETY_BAND
     outside = ~((shifted >= lo) & (shifted <= hi))
     if outside.any():
         i = int(np.argmax(outside))
         raise InvalidInputError(
-            f"customer {offers[i].customer_id}: shifted discount {float(shifted[i])!r} "
+            f"customer {offers.customer_id[i]}: shifted discount {float(shifted[i])!r} "
             f"leaves the safety band [{lo}, {hi}]"
         )
-    ids = [o.customer_id for o in offers]
+    ids = offers.customer_id.tolist()
     p0 = predict_panel_probabilities(draws, X, ids, mode=DRAW_AVERAGED)
     X[:, 2] = shifted
     p1 = predict_panel_probabilities(draws, X, ids, mode=DRAW_AVERAGED)
     return [
-        arc_elasticity(float(a), float(b), 1.0 + float(d), 1.0 + float(s))
-        for a, b, d, s in zip(p0, p1, discounts, shifted)
+        arc_elasticity(a, b, 1.0 + d, 1.0 + s)
+        for a, b, d, s in zip(p0.tolist(), p1.tolist(), discounts.tolist(), shifted.tolist())
     ]
 
 
@@ -101,22 +100,20 @@ def assign_segments(
     delta: float = DEFAULT_DISCOUNT_SHIFT,
 ):
     """SegmentAssignment per customer, from each customer's test offer."""
-    offers = sorted(test_offers, key=lambda o: o.customer_id)
-    for offer in offers:
-        if offer.customer_id not in profiles:
-            raise InvalidInputError(f"no profile for customer {offer.customer_id}")
-    assignments = []
-    for offer, elasticity in zip(offers, _elasticities(draws, offers, delta=delta)):
-        loyalty = profiles[offer.customer_id].loyalty
-        assignments.append(
-            SegmentAssignment(
-                customer_id=offer.customer_id,
-                elasticity=elasticity,
-                loyalty=loyalty,
-                segment=assign_segment(elasticity, loyalty),
-            )
+    offers = test_offers.take(np.argsort(test_offers.customer_id, kind="stable"))
+    ids = offers.customer_id.tolist()
+    for cid in ids:
+        if cid not in profiles:
+            raise InvalidInputError(f"no profile for customer {cid}")
+    return [
+        SegmentAssignment(
+            customer_id=cid,
+            elasticity=elasticity,
+            loyalty=profiles[cid].loyalty,
+            segment=assign_segment(elasticity, profiles[cid].loyalty),
         )
-    return assignments
+        for cid, elasticity in zip(ids, _elasticities(draws, offers, delta=delta))
+    ]
 
 
 def segment_distribution(assignments) -> dict:

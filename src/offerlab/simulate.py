@@ -15,11 +15,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .choice import (
-    ACCEPTED,
-    REJECTED,
+    CONTRACT_YEAR_VALUES,
+    DESIGN_COLUMNS,
+    OUTCOMES,
+    UNLABELED,
     CustomerProfile,
-    OfferAttributes,
-    OfferObservation,
+    Offers,
     logistic,
 )
 from .errors import ConfigurationError, DataIntegrityError
@@ -138,15 +139,18 @@ class GroundTruthConfig:
         lo, hi = self.discount_bounds
         if not (-0.5 <= lo <= hi <= 0.5):
             raise ConfigurationError("discount bounds must satisfy -0.5 <= lo <= hi <= 0.5")
-        if not self.contract_values:
-            raise ConfigurationError("contract_values must be non-empty")
+        if not self.contract_values or not set(self.contract_values) <= set(CONTRACT_YEAR_VALUES):
+            raise ConfigurationError(
+                f"contract_values must be a non-empty list of whole years in 0..5, "
+                f"got {list(self.contract_values)}"
+            )
         return self
 
 
 @dataclass(frozen=True)
 class SimulatedDataset:
-    """Training offers (many per customer), test offers (one per customer),
-    customer profiles, and the true coefficients that generated them: a
+    """Training offers (many per customer) and test offers (one per
+    customer) as ``Offers`` tables, customer profiles, and the true coefficients that generated them: a
     ``(n_customers, 3)`` array whose row ``i`` belongs to customer ``i + 1``.
     ``==`` leaves that array out (an ndarray has no single truth value);
     compare it with ``np.array_equal``."""
@@ -228,30 +232,30 @@ def generate_offers(config: GroundTruthConfig) -> SimulatedDataset:
     lo, hi = config.discount_bounds
     contracts = config.contract_values
 
-    train = []
-    test = []
+    def attributes():
+        return float(contracts[int(rng.integers(len(contracts)))]), float(rng.uniform(lo, hi))
+
+    train, test = [], []  # (customer_id, occasion, contract years, discount)
     for cid in range(1, config.n_customers + 1):
         n_offers = count_values[
             min(int(np.searchsorted(count_cum, rng.random(), side="right")), len(count_values) - 1)
         ]
         for occ in range(1, n_offers + 1):
-            attrs = OfferAttributes(
-                contract_length=float(contracts[int(rng.integers(len(contracts)))]),
-                discount=float(rng.uniform(lo, hi)),
-            ).validate_observed()
-            train.append(OfferObservation(cid, occ, attrs))
-        attrs = OfferAttributes(
-            contract_length=float(contracts[int(rng.integers(len(contracts)))]),
-            discount=float(rng.uniform(lo, hi)),
-        ).validate_observed()
-        test.append(OfferObservation(cid, 1, attrs))
+            train.append((cid, occ, *attributes()))
+        test.append((cid, 1, *attributes()))
     return SimulatedDataset(
-        train=tuple(train),
-        test=tuple(test),
+        train=_unlabeled_offers(train, "simulated training offers"),
+        test=_unlabeled_offers(test, "simulated test offers"),
         profiles=profiles,
         true_coefficients=coefficients,
         seed=config.seed,
     )
+
+
+def _unlabeled_offers(rows, where: str) -> Offers:
+    customer_id, occasion, years, discount = zip(*rows)
+    X = np.column_stack([np.ones(len(rows)), years, discount])
+    return Offers(customer_id, occasion, X, np.full(len(rows), UNLABELED)).validate(where)
 
 
 def simulate_responses(
@@ -275,20 +279,18 @@ def simulate_responses(
             f"true coefficients have shape {truth.shape}, expected {expected} "
             f"for {dataset.n_customers} customers"
         )
-    offers = dataset.train + dataset.test
-    X = np.array([
-        (o.attributes.intercept, o.attributes.contract_length, o.attributes.discount)
-        for o in offers
-    ])
-    rows = np.array([o.customer_id - 1 for o in offers])
+    offers = (dataset.train, dataset.test)
+    X = np.concatenate([o.X for o in offers])
+    rows = np.concatenate([o.customer_id for o in offers]) - 1
     p = logistic(np.einsum("ij,ij->i", X, truth[rows]))
     p = np.clip(p, math.nextafter(0.0, 1.0), math.nextafter(1.0, 0.0))
-    accepted = rng.random(len(offers)) < p
-    labelled = tuple(
-        replace(o, outcome=ACCEPTED if a else REJECTED) for o, a in zip(offers, accepted)
-    )
+    label = rng.random(len(X)) < p  # accepted is 1, rejected 0
     n_train = len(dataset.train)
-    return replace(dataset, train=labelled[:n_train], test=labelled[n_train:])
+    return replace(
+        dataset,
+        train=replace(dataset.train, label=label[:n_train]),
+        test=replace(dataset.test, label=label[n_train:]),
+    )
 
 
 def simulate_dataset(config: GroundTruthConfig) -> SimulatedDataset:
@@ -350,23 +352,18 @@ def _column_stats(values: np.ndarray) -> ColumnStats:
     )
 
 
-def summarize_dataset(observations, profiles: dict | None = None) -> DatasetSummary:
+def summarize_dataset(offers: Offers, profiles: dict | None = None) -> DatasetSummary:
     """Descriptive statistics per column plus outcome counts.
 
-    An empty observation list produces an explicit empty-report marker
-    rather than an error, so filtered subsets are safe to summarize.
+    An empty offer table produces an explicit empty-report marker rather
+    than an error, so filtered subsets are safe to summarize.
     """
-    observations = list(observations)
-    if not observations:
+    if not len(offers):
         return DatasetSummary(empty=True)
     columns = {
-        "id": np.array([o.customer_id for o in observations], dtype=float),
-        "setnum": np.array([o.occasion for o in observations], dtype=float),
-        "X1": np.array([o.attributes.intercept for o in observations]),
-        "contract_length_years": np.array(
-            [o.attributes.contract_length for o in observations]
-        ),
-        "offer_discount": np.array([o.attributes.discount for o in observations]),
+        "id": offers.customer_id.astype(float),
+        "setnum": offers.occasion.astype(float),
+        **dict(zip(DESIGN_COLUMNS, offers.X.T)),
     }
     if profiles:
         ordered = [profiles[k] for k in sorted(profiles)]
@@ -374,10 +371,8 @@ def summarize_dataset(observations, profiles: dict | None = None) -> DatasetSumm
             [p.demographic_centered for p in ordered]
         )
         columns["loyalty_centered"] = np.array([p.loyalty_centered for p in ordered])
-    outcome_counts = {}
-    for o in observations:
-        outcome_counts[o.outcome] = outcome_counts.get(o.outcome, 0) + 1
+    labels, counts = np.unique(offers.label, return_counts=True)
     return DatasetSummary(
         columns={name: _column_stats(vals) for name, vals in columns.items()},
-        outcome_counts=outcome_counts,
+        outcome_counts={OUTCOMES[k]: c for k, c in zip(labels.tolist(), counts.tolist())},
     )

@@ -5,8 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from offerlab.choice import CustomerProfile, OfferAttributes, OfferObservation, logistic
-from offerlab.errors import InvalidInputError
+from offerlab.choice import ACCEPTED, REJECTED, UNLABELED, CustomerProfile, Offers, logistic
+from offerlab.errors import DataIntegrityError, InvalidInputError
+
+
+def offer_table(*rows, label=UNLABELED, intercept=1.0):
+    """An ``Offers`` table of (contract years, discount) rows for customers
+    1, 2, ... on occasion 1."""
+    n = len(rows)
+    X = np.column_stack([np.full(n, intercept), np.array(rows, dtype=float).reshape(n, 2)])
+    return Offers(np.arange(1, n + 1), np.ones(n), X, np.full(n, label))
 
 
 def softmax_with_outside_option(u):
@@ -16,25 +24,20 @@ def softmax_with_outside_option(u):
 
 
 class TestUtility:
-    """A utility is an offer's design row ``as_array()`` dotted with a
-    coefficient row (k, beta_contract, beta_discount)."""
+    """A utility is an offer's design row (intercept, contract years,
+    discount) dotted with a coefficient row (k, beta_contract,
+    beta_discount)."""
 
     def test_zero_coefficients(self):
-        assert OfferAttributes(3, 0.2).as_array() @ np.zeros(3) == 0.0
+        assert offer_table((3, 0.2)).X[0] @ np.zeros(3) == 0.0
 
     def test_dot_product(self):
         # oracle: 1.0*1 + 0.5*2 + (-2.0)*0.1 = 1.8
-        value = OfferAttributes(2, 0.1).as_array() @ [1.0, 0.5, -2.0]
+        value = offer_table((2, 0.1)).X[0] @ [1.0, 0.5, -2.0]
         assert value == pytest.approx(1.8, abs=1e-12)
 
     def test_intercept_only(self):
-        assert OfferAttributes(0, 0.0).as_array() @ [4.2, 0.0, 0.0] == 4.2
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(InvalidInputError):
-            OfferAttributes(float("inf"), 0.0)
-        with pytest.raises(InvalidInputError):
-            OfferAttributes(1, float("nan"))
+        assert offer_table((0, 0.0)).X[0] @ [4.2, 0.0, 0.0] == 4.2
 
     @given(
         st.floats(-20, 20),
@@ -47,9 +50,8 @@ class TestUtility:
     )
     def test_linearity_in_attributes(self, k, b1, b2, y1, d1, y2, d2):
         b = np.array([k, b1, b2])
-        a = OfferAttributes(y1, d1).as_array()
-        c = OfferAttributes(y2, d2).as_array()
-        both = OfferAttributes(y1 + y2, d1 + d2, intercept=2.0).as_array()
+        a, c = offer_table((y1, d1), (y2, d2)).X
+        both = offer_table((y1 + y2, d1 + d2), intercept=2.0).X[0]
         assert a @ b + c @ b == pytest.approx(both @ b, abs=1e-9, rel=1e-9)
 
 
@@ -89,7 +91,7 @@ class TestAcceptProbability:
         assert logistic(-50.0) < 1e-9
 
     def test_logistic_of_dot_product(self):
-        p = logistic(OfferAttributes(2, 0.1).as_array() @ [1.0, 0.5, -2.0])
+        p = logistic(offer_table((2, 0.1)).X[0] @ [1.0, 0.5, -2.0])
         assert p == pytest.approx(1.0 / (1.0 + math.exp(-1.8)), abs=1e-12)
 
     @given(st.floats(-30, 30), st.floats(-30, 30))
@@ -99,8 +101,8 @@ class TestAcceptProbability:
             assert logistic(u1) < logistic(u2)
 
     def test_decreasing_in_discount_for_negative_coefficient(self):
-        X = np.array([OfferAttributes(0, d).as_array() for d in np.linspace(-0.5, 0.5, 11)])
-        probs = logistic(X @ [0.5, 0.0, -3.0])
+        table = offer_table(*((0, d) for d in np.linspace(-0.5, 0.5, 11)))
+        probs = logistic(table.X @ [0.5, 0.0, -3.0])
         assert np.all(np.diff(probs) < 0)
 
     @given(st.floats(-30, 30))
@@ -110,31 +112,74 @@ class TestAcceptProbability:
 
 
 class TestDomainTypes:
+    """The offer table and the customer profile.  ``Offers.validate`` is the
+    one check of recorded offers, on the simulated and the CSV path alike."""
+
     def test_observed_attribute_invariants(self):
-        OfferAttributes(3, 0.25).validate_observed()
-        with pytest.raises(InvalidInputError):
-            OfferAttributes(2.5, 0.0).validate_observed()
-        with pytest.raises(InvalidInputError):
-            OfferAttributes(2, 0.75).validate_observed()
-        with pytest.raises(InvalidInputError):
-            OfferAttributes(2, 0.0, intercept=0.0).validate_observed()
+        assert offer_table((3, 0.25), (0, -0.5), (5, 0.5)).validate("t") is not None
+        with pytest.raises(DataIntegrityError, match="contract_length_years = 2.5"):
+            offer_table((2.5, 0.0)).validate("t")
+        with pytest.raises(DataIntegrityError, match="offer_discount = 0.75"):
+            offer_table((2, 0.75)).validate("t")
+        with pytest.raises(DataIntegrityError, match="X1 = 0.0"):
+            offer_table((2, 0.0), intercept=0.0).validate("t")
+
+    def test_non_finite_rejected(self):
+        for column in range(3):
+            for value in (float("inf"), float("-inf"), float("nan")):
+                table = offer_table((1, 0.0), (2, 0.1))
+                table.X[1, column] = value
+                with pytest.raises(DataIntegrityError, match=rf"= {value} at .* = \(2, 1\)"):
+                    table.validate("t")
 
     def test_fractional_years_allowed_unvalidated(self):
-        attrs = OfferAttributes(1 / 12, -0.1)
-        assert attrs.contract_length == pytest.approx(1 / 12)
+        # the profit objective evaluates the model at 1-month (1/12 year)
+        # contracts; only recorded offers must use whole years
+        table = offer_table((1 / 12, -0.1))
+        assert table.X[0, 1] == pytest.approx(1 / 12)
+        with pytest.raises(DataIntegrityError, match="whole year"):
+            table.validate("t")
 
     def test_observation_validation(self):
-        attrs = OfferAttributes(1, 0.0)
-        with pytest.raises(InvalidInputError):
-            OfferObservation(0, 1, attrs)
-        with pytest.raises(InvalidInputError):
-            OfferObservation(1, 0, attrs)
-        with pytest.raises(InvalidInputError):
-            OfferObservation(1, 1, attrs, outcome="maybe")
-        assert OfferObservation(1, 1, attrs, outcome="accepted").label == 1
-        assert OfferObservation(1, 1, attrs, outcome="rejected").label == 0
-        with pytest.raises(InvalidInputError):
-            OfferObservation(1, 1, attrs).label
+        table = offer_table((1, 0.0))
+        with pytest.raises(DataIntegrityError, match="customer_id = 0"):
+            Offers([0], [1], table.X, [UNLABELED]).validate("t")
+        with pytest.raises(DataIntegrityError, match="occasion = 0"):
+            Offers([1], [0], table.X, [UNLABELED]).validate("t")
+        with pytest.raises(DataIntegrityError, match="label = 2"):
+            Offers([1], [1], table.X, [2]).validate("t")
+        assert offer_table((1, 0.0), label=ACCEPTED).labels().tolist() == [1]
+        assert offer_table((1, 0.0), label=REJECTED).labels().tolist() == [0]
+        with pytest.raises(InvalidInputError, match=r"offer \(1, 1\) is unlabeled"):
+            table.labels()
+
+    def test_message_names_where_column_key_and_value(self):
+        table = offer_table((1, 0.0), (2, 0.9), (3, 0.8))
+        with pytest.raises(DataIntegrityError) as exc:
+            table.validate("train.csv")
+        assert str(exc.value) == (
+            "train.csv: offer_discount = 0.9 at (customer_id, occasion) = (2, 1) "
+            "must lie in [-0.5, 0.5]"
+        )
+
+    def test_repeated_key_refused(self):
+        table = offer_table((1, 0.0), (2, 0.1), (3, 0.2))
+        repeated = Offers([4, 7, 4], [2, 1, 2], table.X, table.label)
+        with pytest.raises(DataIntegrityError, match=r"t repeats \(customer_id, occasion\) = \(4, 2\)"):
+            repeated.validate("t")
+
+    def test_columns_of_unequal_shape_refused(self):
+        table = offer_table((1, 0.0), (2, 0.1))
+        with pytest.raises(DataIntegrityError, match="unequal shape"):
+            Offers([1], [1], table.X, [UNLABELED]).validate("t")
+
+    def test_take_and_equality(self):
+        table = offer_table((1, 0.0), (2, 0.1), (3, 0.2))
+        picked = table.take([2, 0])
+        assert picked == Offers([3, 1], [1, 1], [[1, 3, 0.2], [1, 1, 0.0]], [UNLABELED] * 2)
+        assert table.take(np.array([False, True, False])) == table.take([1])
+        assert picked != table and picked != table.take([2, 1])
+        assert len(picked) == 2
 
     def test_profile_bounds(self):
         with pytest.raises(InvalidInputError):

@@ -286,6 +286,12 @@ class TestDependencies:
         assert main(["report", "--config", str(config_path)]) == 2
 
 
+# the offer files, a stage that reads each, and what that stage writes
+OFFER_INPUTS = [
+    ("train.csv", "fit", "posterior/header.json"),
+    ("test.csv", "predict", "scores.csv"),
+]
+
 # every CSV a stage reads: (file, a stage that reads it, two columns to
 # swap, a column to spoil)
 STAGE_INPUTS = [
@@ -328,6 +334,32 @@ class TestStageInputs:
             assert "has columns" in err and "expected" in err
         else:
             assert "line 2: " in err
+
+    @pytest.mark.parametrize(
+        "column, cell",
+        [("offer_discount", "0.9"), ("contract_length_years", "9.0"),
+         ("contract_length_years", "2.5"), ("X1", "2.0")],
+    )
+    @pytest.mark.parametrize("name, stage, output", OFFER_INPUTS, ids=[c[0] for c in OFFER_INPUTS])
+    def test_stage_refuses_offer_outside_the_model_domain(
+        self, pipeline, tmp_path, capsys, name, stage, output, column, cell
+    ):
+        out, config_path = copy_run(pipeline, tmp_path)
+        (out / output).unlink()
+        rows = read_rows(out / name)
+        j = rows[0].index(column)
+
+        def spoil(rows):
+            rows[2][j] = cell
+
+        rewrite_rows(out / name, spoil)
+        assert main([stage, "--config", str(config_path)]) == 1
+        cid, occ = rows[2][:2]
+        assert (
+            f"{name}: {column} = {float(cell)!r} at (customer_id, occasion) = ({cid}, {occ})"
+            in capsys.readouterr().err
+        )
+        assert not (out / output).exists()
 
     def test_optimize_refuses_swapped_elasticity_and_loyalty(self, pipeline, tmp_path, capsys):
         out, config_path = copy_run(pipeline, tmp_path)

@@ -2,8 +2,12 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from offerlab.choice import UNLABELED
 from offerlab.datasets import (
+    OFFER_COLUMNS,
     ResamplingScheme,
     ingest_retail_csv,
     multinomial_to_panel,
@@ -23,7 +27,8 @@ from offerlab.errors import (
     MissingArtifactError,
     ParseError,
 )
-from offerlab.simulate import GroundTruthConfig, simulate_dataset
+from offerlab.simulate import GroundTruthConfig, generate_offers, simulate_dataset
+from offerlab.storage import read_csv
 
 
 @pytest.fixture(scope="module")
@@ -35,12 +40,17 @@ class TestOfferCsv:
     def test_round_trip_is_exact(self, dataset, tmp_path):
         path = tmp_path / "train.csv"
         write_offer_csv(path, dataset.train, dataset.profiles)
-        observations, covariates = read_offer_csv(path)
-        assert tuple(observations) == dataset.train
-        for cid, profile in dataset.profiles.items():
-            assert covariates[cid] == (
-                profile.loyalty_centered,
+        assert read_offer_csv(path) == dataset.train
+        unlabeled = generate_offers(GroundTruthConfig(n_customers=40, seed=101))
+        write_offer_csv(path, unlabeled.test, unlabeled.profiles)
+        assert read_offer_csv(path) == unlabeled.test
+        # the customer covariates ride along in every row
+        cells = read_csv(path, OFFER_COLUMNS, lambda row: (int(row[0]), float(row[5]), float(row[6])))
+        for cid, demographic, loyalty in cells:
+            profile = dataset.profiles[cid]
+            assert (demographic, loyalty) == (
                 profile.demographic_centered,
+                profile.loyalty_centered,
             )
 
     def test_rewrites_are_byte_identical(self, dataset, tmp_path):
@@ -50,13 +60,18 @@ class TestOfferCsv:
         assert a.read_bytes() == b.read_bytes()
 
     def test_unlabeled_rows_survive(self, tmp_path):
-        from offerlab.simulate import generate_offers
-
         unlabeled = generate_offers(GroundTruthConfig(n_customers=5, seed=3))
         path = tmp_path / "u.csv"
         write_offer_csv(path, unlabeled.train, unlabeled.profiles)
-        observations, _ = read_offer_csv(path)
-        assert all(o.outcome == "unlabeled" for o in observations)
+        offers = read_offer_csv(path)
+        assert np.all(offers.label == UNLABELED)
+        assert offers == unlabeled.train
+
+    def test_header_only_file_is_an_empty_table(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text(",".join(OFFER_COLUMNS) + "\n")
+        offers = read_offer_csv(path)
+        assert len(offers) == 0 and offers.X.shape == (0, 3)
 
     def test_malformed_row_names_line(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -75,13 +90,37 @@ class TestOfferCsv:
 
     def test_repeated_occasion_is_refused(self, dataset, tmp_path):
         path = tmp_path / "train.csv"
-        first = dataset.train[0]
-        write_offer_csv(path, dataset.train + (first,), dataset.profiles)
+        rows = np.r_[np.arange(len(dataset.train)), 0]
+        write_offer_csv(path, dataset.train.take(rows), dataset.profiles)
+        cid, occ = dataset.train.customer_id[0], dataset.train.occasion[0]
         with pytest.raises(
             DataIntegrityError,
-            match=rf"repeats \(customer_id, occasion\) = \({first.customer_id}, {first.occasion}\)",
+            match=rf"repeats \(customer_id, occasion\) = \({cid}, {occ}\)",
         ):
             read_offer_csv(path)
+
+    @pytest.mark.parametrize(
+        "column, cell, message",
+        [
+            (0, "0", "customer_id = 0"),
+            (1, "0", "occasion = 0"),
+            (0, str(2**63), "exceeds 64 bits"),
+            (2, "nan", "X1 = nan"),
+            (3, "inf", "contract_length_years = inf"),
+            (4, "-inf", "offer_discount = -inf"),
+        ],
+    )
+    def test_key_and_non_finite_cells_are_refused(self, dataset, tmp_path, column, cell, message):
+        path = tmp_path / "train.csv"
+        write_offer_csv(path, dataset.train, dataset.profiles)
+        lines = path.read_text().splitlines()
+        cells = lines[2].split(",")
+        cells[column] = cell
+        lines[2] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataIntegrityError, match=message) as exc:
+            read_offer_csv(path)
+        assert str(exc.value).startswith(str(path))
 
     def test_wrong_header_is_refused(self, dataset, tmp_path):
         path = tmp_path / "scores.csv"
@@ -105,46 +144,82 @@ class TestOtherCsvs:
         assert read_scores_csv(path) == rows
 
 
+def keys(offers):
+    return offers.customer_id, offers.occasion
+
+
+def reference_splits(pairs, seed, k):
+    """The holdout and k-fold splits of the (customer_id, occasion) keys
+    ``pairs`` as row indices, computed one occasion at a time: rows grouped
+    by key in input order, keys walked in sorted order."""
+    units = {}
+    for i, key in enumerate(pairs):
+        units.setdefault(key, []).append(i)
+    keys = sorted(units)
+    occasions = {}
+    for cid, occ in keys:
+        occasions.setdefault(cid, []).append(occ)
+    rng = np.random.default_rng(np.random.SeedSequence(seed & 0xFFFFFFFFFFFFFFFF))
+    held_out = set()
+    for cid in sorted(occasions):
+        candidates = occasions[cid][1:]  # never the first occasion
+        if candidates:
+            held_out.add((cid, candidates[int(rng.integers(len(candidates)))]))
+    holdout = ([], [])
+    for key in keys:
+        holdout[key in held_out].extend(units[key])
+    folds = []
+    if k <= len(keys):
+        rng = np.random.default_rng(np.random.SeedSequence(seed & 0xFFFFFFFFFFFFFFFF))
+        fold_of = np.empty(len(keys), dtype=int)
+        fold_of[rng.permutation(len(keys))] = np.arange(len(keys)) % k
+        for fold in range(k):
+            sides = ([], [])
+            for key, f in zip(keys, fold_of):
+                sides[int(f == fold)].extend(units[key])
+            folds.append(sides)
+    return holdout, folds
+
+
 class TestSplitting:
     def test_single_occasion_customers_stay_in_training(self, dataset):
-        train, validation = split_per_customer_holdout(dataset.train, seed=5)
-        counts = {}
-        for obs in dataset.train:
-            counts.setdefault(obs.customer_id, set()).add(obs.occasion)
-        val_customers = {o.customer_id for o in validation}
-        for cid, occasions in counts.items():
-            if len(occasions) == 1:
-                assert cid not in val_customers
+        train, validation = split_per_customer_holdout(*keys(dataset.train), seed=5)
+        counts = np.bincount(dataset.train.customer_id)  # one row per occasion
+        val_customers = set(dataset.train.customer_id[validation].tolist())
+        for cid in np.flatnonzero(counts == 1).tolist():
+            assert cid not in val_customers
 
     def test_never_first_occasion_and_exactly_one_held_out(self, dataset):
-        train, validation = split_per_customer_holdout(dataset.train, seed=5)
+        train, validation = split_per_customer_holdout(*keys(dataset.train), seed=5)
         held = {}
-        for obs in validation:
-            held.setdefault(obs.customer_id, set()).add(obs.occasion)
+        for cid, occ in zip(*(k[validation].tolist() for k in keys(dataset.train))):
+            held.setdefault(cid, set()).add(occ)
         for cid, occasions in held.items():
             assert len(occasions) == 1
             assert 1 not in occasions
 
     def test_split_is_disjoint_and_complete(self, dataset):
-        train, validation = split_per_customer_holdout(dataset.train, seed=5)
-        train_keys = {(o.customer_id, o.occasion) for o in train}
-        val_keys = {(o.customer_id, o.occasion) for o in validation}
+        train, validation = split_per_customer_holdout(*keys(dataset.train), seed=5)
+        pairs = list(zip(*(k.tolist() for k in keys(dataset.train))))
+        train_keys = {pairs[i] for i in train}
+        val_keys = {pairs[i] for i in validation}
         assert not train_keys & val_keys
         assert len(train) + len(validation) == len(dataset.train)
 
     def test_same_seed_same_split(self, dataset):
-        a = split_per_customer_holdout(dataset.train, seed=9)
-        b = split_per_customer_holdout(dataset.train, seed=9)
-        assert a == b
+        a = split_per_customer_holdout(*keys(dataset.train), seed=9)
+        b = split_per_customer_holdout(*keys(dataset.train), seed=9)
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
     def test_kfold_partitions_occasions(self, dataset):
-        folds = split_kfold_by_occasion(dataset.train, 4, seed=2)
+        folds = split_kfold_by_occasion(*keys(dataset.train), 4, seed=2)
         assert len(folds) == 4
-        all_keys = {(o.customer_id, o.occasion) for o in dataset.train}
+        pairs = list(zip(*(k.tolist() for k in keys(dataset.train))))
+        all_keys = set(pairs)
         seen = set()
         for train, validation in folds:
-            val_keys = {(o.customer_id, o.occasion) for o in validation}
-            train_keys = {(o.customer_id, o.occasion) for o in train}
+            val_keys = {pairs[i] for i in validation}
+            train_keys = {pairs[i] for i in train}
             assert not val_keys & train_keys
             assert val_keys | train_keys == all_keys
             assert not val_keys & seen
@@ -153,7 +228,47 @@ class TestSplitting:
 
     def test_too_many_folds(self, dataset):
         with pytest.raises(InvalidInputError):
-            split_kfold_by_occasion(dataset.train, 10_000, seed=1)
+            split_kfold_by_occasion(*keys(dataset.train), 10_000, seed=1)
+
+    @given(
+        st.lists(st.tuples(st.integers(1, 6), st.integers(1, 4)), max_size=40),
+        st.integers(0, 2**32),
+        st.integers(2, 4),
+    )
+    @settings(max_examples=200)
+    def test_splits_partition_rows_and_keep_keys_together(self, pairs, seed, k):
+        # repeated keys (several rows of one occasion, as in a retail choice
+        # set) stay on one side, and each side lists its rows by ascending
+        # key, ties in input order
+        customer_id = np.array([c for c, _ in pairs], dtype=np.int64)
+        occasion = np.array([o for _, o in pairs], dtype=np.int64)
+        holdout = split_per_customer_holdout(customer_id, occasion, seed)
+        expected_holdout, expected_folds = reference_splits(pairs, seed, k)
+        assert [side.tolist() for side in holdout] == list(expected_holdout)
+        sides = [holdout]
+        if k <= len(set(pairs)):
+            folds = split_kfold_by_occasion(customer_id, occasion, k, seed)
+            assert [[side.tolist() for side in fold] for fold in folds] == [
+                list(fold) for fold in expected_folds
+            ]
+            assert sorted(np.concatenate([v for _, v in folds]).tolist()) == list(range(len(pairs)))
+            sides += folds
+        for train, validation in sides:
+            assert sorted(np.r_[train, validation].tolist()) == list(range(len(pairs)))
+            assert not {pairs[i] for i in train} & {pairs[i] for i in validation}
+            for side in (train, validation):
+                assert side.tolist() == sorted(side.tolist(), key=lambda i: (pairs[i], i))
+        occasions = {}
+        for c, o in set(pairs):
+            occasions.setdefault(c, []).append(o)
+        held = {}
+        for i in holdout[1].tolist():
+            held.setdefault(pairs[i][0], set()).add(pairs[i][1])
+        for c, occs in occasions.items():
+            if len(occs) < 2:
+                assert c not in held
+            else:
+                assert len(held[c]) == 1 and min(occs) not in held[c]
 
     def test_scheme_validation(self):
         with pytest.raises(Exception):
@@ -255,7 +370,10 @@ class TestRetailIngestion:
 
     def test_split_works_on_choice_sets(self, retail_csv):
         data = ingest_retail_csv(retail_csv, product_filter={"C0", "C1", "C2"})
-        train, validation = split_per_customer_holdout(data.choice_sets, seed=1)
-        val_keys = {(cs.customer_id, cs.occasion) for cs in validation}
+        sets = data.choice_sets
+        train, validation = split_per_customer_holdout(
+            [cs.customer_id for cs in sets], [cs.occasion for cs in sets], seed=1
+        )
+        val_keys = {(sets[i].customer_id, sets[i].occasion) for i in validation}
         assert val_keys
         assert all(occ != 1 for _, occ in val_keys)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from offerlab.choice import OfferAttributes, OfferObservation
+from offerlab.choice import ACCEPTED, REJECTED, UNLABELED, Offers
 from offerlab.errors import (
     ConfigurationError,
     DataIntegrityError,
@@ -92,25 +92,23 @@ class TestConfig:
 
 class TestPanel:
     def test_unlabeled_rows_rejected(self):
-        rows = [OfferObservation(1, 1, OfferAttributes(1, 0.1))]
+        rows = Offers([1], [1], [[1.0, 1.0, 0.1]], [UNLABELED])
         with pytest.raises(InvalidInputError):
             build_panel(rows)
 
     def test_missing_covariates_rejected(self):
-        rows = [
-            OfferObservation(1, 1, OfferAttributes(1, 0.1), outcome="accepted"),
-            OfferObservation(2, 1, OfferAttributes(1, 0.1), outcome="rejected"),
-        ]
+        rows = Offers([1, 2], [1, 1], [[1.0, 1.0, 0.1]] * 2, [ACCEPTED, REJECTED])
         with pytest.raises(DataIntegrityError):
             build_panel(rows, covariates={1: (0.0,)})
 
     def test_customers_sorted_by_id(self):
-        rows = [
-            OfferObservation(9, 1, OfferAttributes(1, 0.1), outcome="accepted"),
-            OfferObservation(2, 1, OfferAttributes(0, -0.1), outcome="rejected"),
-        ]
-        _, _, _, customer_ids, _ = build_panel(rows)
+        X = [[1.0, 1.0, 0.1], [1.0, 0.0, -0.1], [1.0, 2.0, 0.0]]
+        rows = Offers([9, 2, 9], [1, 1, 2], X, [ACCEPTED, REJECTED, REJECTED])
+        X, y, row_customer, customer_ids, _ = build_panel(rows)
         assert customer_ids == [2, 9]
+        assert row_customer.tolist() == [1, 0, 1]
+        assert y.tolist() == [1.0, 0.0, 0.0]
+        assert np.array_equal(X, rows.X)
 
 
 class TestSampler:
@@ -150,16 +148,14 @@ class TestSampler:
 
     def test_shrinkage_keeps_sparse_customers_near_population(self):
         dataset, draws = small_fit(n_customers=60, total_draws=600, burn_in=150, data_seed=81)
-        counts = {}
-        for obs in dataset.train:
-            counts[obs.customer_id] = counts.get(obs.customer_id, 0) + 1
+        counts = np.bincount(dataset.train.customer_id)
         post_mean = draws.posterior_mean_matrix()
         mean_mu = draws.means.mean(axis=0)[0]
         mean_sigma = draws.covariances.mean(axis=0)[0]
         mean_delta = draws.delta.mean(axis=0)
         scale = np.sqrt(np.diag(mean_sigma))
         z = {cid: p.loyalty_centered for cid, p in dataset.profiles.items()}
-        singles = [cid for cid, c in counts.items() if c == 1]
+        singles = np.flatnonzero(counts == 1).tolist()
         assert singles
         for cid in singles:
             idx = draws.index_of(cid)
@@ -283,7 +279,7 @@ class TestPrediction:
     def test_draw_averaged_is_mean_of_per_draw_probabilities(self):
         betas = np.array([[[0.2, 0.1, -1.0]], [[1.4, -0.3, -4.0]], [[-0.8, 0.6, 0.5]]])
         draws = hand_built_draws(betas)
-        x = OfferAttributes(3, -0.25).as_array()
+        x = np.array([1.0, 3.0, -0.25])
         expected = np.mean([1 / (1 + math.exp(-(b[0] @ x))) for b in betas])
         got = predict_panel_probabilities(draws, x[None, :], [1])[0]
         assert got == pytest.approx(expected, abs=1e-12)

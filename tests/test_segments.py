@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from offerlab.choice import CustomerProfile, OfferAttributes, OfferObservation
+from offerlab.choice import UNLABELED, CustomerProfile, Offers
 from offerlab.errors import DegenerateInputError, InvalidInputError
 from offerlab.hb import predict_panel_probabilities
 from offerlab.segments import (
@@ -68,67 +68,67 @@ class TestArcElasticity:
         assert base == pytest.approx(scaled, rel=1e-9, abs=1e-12)
 
 
-def elasticity(draws, offer, delta=0.10):
+def offer_rows(*rows):
+    """An unlabeled ``Offers`` table of (customer_id, contract years,
+    discount) rows, each on occasion 1."""
+    cid, years, discount = (np.array(col) for col in zip(*rows))
+    X = np.column_stack([np.ones(len(rows)), years, discount])
+    return Offers(cid, np.ones(len(rows)), X, np.full(len(rows), UNLABELED))
+
+
+def elasticity(draws, years, discount, delta=0.10, cid=1):
     """The elasticity ``assign_segments`` finds for one customer's offer."""
-    profiles = {offer.customer_id: CustomerProfile(offer.customer_id, 0.5, 0.0, 0.0)}
-    return assign_segments(draws, [offer], profiles, delta=delta)[0].elasticity
+    profiles = {cid: CustomerProfile(cid, 0.5, 0.0, 0.0)}
+    offers = offer_rows((cid, years, discount))
+    return assign_segments(draws, offers, profiles, delta=delta)[0].elasticity
 
 
 class TestCustomerElasticity:
     def test_price_insensitive_customer(self):
         draws = hand_built_draws([[[0.8, 0.3, 0.0]]])
-        offer = OfferObservation(1, 1, OfferAttributes(2, 0.1))
-        assert elasticity(draws, offer) == 0.0
+        assert elasticity(draws, 2, 0.1) == 0.0
 
     def test_single_draw_hand_evaluation(self):
         # p0 = logistic(1.8), p1 = logistic(2.0), prices 1.1 and 1.0
         draws = hand_built_draws([[[1.0, 0.5, -2.0]]])
-        offer = OfferObservation(1, 1, OfferAttributes(2, 0.1))
         p0 = 1 / (1 + math.exp(-1.8))
         p1 = 1 / (1 + math.exp(-2.0))
         expected = ((p1 - p0) / ((p0 + p1) / 2)) / ((1.0 - 1.1) / ((1.1 + 1.0) / 2))
-        value = elasticity(draws, offer, delta=0.10)
+        value = elasticity(draws, 2, 0.1, delta=0.10)
         assert value == pytest.approx(expected, abs=1e-12)
         assert value == pytest.approx(-0.2742, abs=1e-3)
 
     def test_strongly_price_sensitive_is_elastic(self):
         draws = hand_built_draws([[[0.0, 0.0, -20.0]]])
-        offer = OfferObservation(1, 1, OfferAttributes(0, 0.0))
-        assert elasticity(draws, offer) < -1.0
+        assert elasticity(draws, 0, 0.0) < -1.0
 
     def test_safety_band(self):
         draws = hand_built_draws([[[0.0, 0.0, -1.0]]])
-        offer = OfferObservation(1, 1, OfferAttributes(0, -0.55))
         with pytest.raises(InvalidInputError):
-            elasticity(draws, offer, delta=0.10)
+            elasticity(draws, 0, -0.55, delta=0.10)
 
     def test_batched_pass_matches_scalar_predictions_exactly(self):
         rng = np.random.default_rng(5)
         n = 40
         betas = rng.normal([0.5, 0.1, -3.0], [1.0, 0.3, 2.0], size=(25, n, 3))
         draws = hand_built_draws(betas)
-        offers = [
-            OfferObservation(c, 1, OfferAttributes(int(rng.integers(0, 6)), float(rng.uniform(-0.4, 0.5))))
-            for c in range(1, n + 1)
+        rows = [
+            (c, int(rng.integers(0, 6)), float(rng.uniform(-0.4, 0.5))) for c in range(1, n + 1)
         ]
         profiles = {c: CustomerProfile(c, float(rng.random()), 0.0, 0.0) for c in range(1, n + 1)}
-        assignments = assign_segments(draws, reversed(offers), profiles, delta=0.1)
+        assignments = assign_segments(draws, offer_rows(*reversed(rows)), profiles, delta=0.1)
         assert [a.customer_id for a in assignments] == list(range(1, n + 1))
-        for a, offer in zip(assignments, offers):
-            d = offer.attributes.discount
-            shifted = OfferObservation(
-                offer.customer_id, 1, OfferAttributes(offer.attributes.contract_length, d - 0.1)
-            )
+        for a, (cid, years, d) in zip(assignments, rows):
             p0, p1 = (
-                predict_panel_probabilities(draws, o.attributes.as_array()[None], [o.customer_id])[0]
-                for o in (offer, shifted)
+                predict_panel_probabilities(draws, np.array([[1.0, years, x]]), [cid])[0]
+                for x in (d, d - 0.1)
             )
             assert a.elasticity == arc_elasticity(p0, p1, 1.0 + d, 1.0 + (d - 0.1))
-            assert a.elasticity == elasticity(draws, offer, delta=0.1)
+            assert a.elasticity == elasticity(draws, years, d, delta=0.1, cid=cid)
 
     def test_safety_band_error_names_the_customer(self):
         draws = hand_built_draws(np.zeros((1, 3, 3)))
-        offers = [OfferObservation(c, 1, OfferAttributes(0, d)) for c, d in ((1, 0.0), (2, -0.55), (3, -0.58))]
+        offers = offer_rows((1, 0, 0.0), (2, 0, -0.55), (3, 0, -0.58))
         profiles = {c: CustomerProfile(c, 0.5, 0.0, 0.0) for c in (1, 2, 3)}
         with pytest.raises(InvalidInputError, match=r"customer 2: shifted discount -0\.65"):
             assign_segments(draws, offers, profiles, delta=0.10)
@@ -137,8 +137,7 @@ class TestCustomerElasticity:
     @settings(max_examples=100)
     def test_negative_discount_coefficient_gives_negative_elasticity(self, b_disc, discount):
         draws = hand_built_draws([[[0.5, 0.2, b_disc]]])
-        offer = OfferObservation(1, 1, OfferAttributes(1, discount))
-        assert elasticity(draws, offer) < 0.0
+        assert elasticity(draws, 1, discount) < 0.0
 
 
 class TestAssignSegment:
@@ -187,10 +186,7 @@ class TestDistribution:
     def test_assign_segments_covers_all_customers(self):
         betas = np.array([[[0.5, 0.2, -1.0], [0.1, 0.0, -9.0]]])
         draws = hand_built_draws(betas, customer_ids=[1, 2])
-        offers = [
-            OfferObservation(1, 1, OfferAttributes(1, 0.2)),
-            OfferObservation(2, 1, OfferAttributes(3, -0.1)),
-        ]
+        offers = offer_rows((1, 1, 0.2), (2, 3, -0.1))
         profiles = {
             1: CustomerProfile(1, 0.9, 0.2, 0.0),
             2: CustomerProfile(2, 0.1, -0.2, 0.0),

@@ -1,9 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from offerlab.choice import ACCEPTED, UTILITY_CLAMP, OfferAttributes, logistic
+from offerlab.choice import ACCEPTED, UTILITY_CLAMP, Offers, logistic
+from offerlab.config import PipelineConfig
 from offerlab.errors import ConfigurationError, DataIntegrityError
 from offerlab.simulate import (
     DEFAULT_OFFER_COUNTS,
@@ -59,6 +61,14 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError, match="non-finite coefficients"):
             generate_offers(config)
 
+    @pytest.mark.parametrize("values", [[7], [-1], [0, 2, 6]])
+    def test_contract_values_must_be_whole_years_in_range(self, values):
+        # refused when the config is read, before any offer is drawn
+        with pytest.raises(ConfigurationError, match=rf"contract_values .* got {re.escape(str(values))}"):
+            PipelineConfig.from_dict({"ground_truth": {"contract_values": values}})
+        with pytest.raises(ConfigurationError, match="contract_values"):
+            GroundTruthConfig(contract_values=tuple(values)).validate()
+
     def test_default_offer_counts_sum_to_one(self):
         assert abs(sum(p for _, p in DEFAULT_OFFER_COUNTS) - 1.0) < 1e-12
 
@@ -70,10 +80,12 @@ def per_offer_labels(dataset):
     first, then test offers."""
     rng = purpose_rng(dataset.seed, "responses")
     accepted = []
-    for obs in dataset.train + dataset.test:
-        k, b_contract, b_discount = (float(b) for b in dataset.true_coefficients[obs.customer_id - 1])
-        a = obs.attributes
-        u = k * a.intercept + b_contract * a.contract_length + b_discount * a.discount
+    offers = (dataset.train, dataset.test)
+    ids = np.concatenate([o.customer_id for o in offers]).tolist()
+    design = np.concatenate([o.X for o in offers]).tolist()
+    for cid, (x1, years, discount) in zip(ids, design):
+        k, b_contract, b_discount = (float(b) for b in dataset.true_coefficients[cid - 1])
+        u = k * x1 + b_contract * years + b_discount * discount
         u = np.clip([u, 0.0], -UTILITY_CLAMP, UTILITY_CLAMP)
         z = np.exp(u - u.max())
         p = float(z[0] / z.sum())
@@ -133,44 +145,35 @@ class TestGenerateOffers:
             seed=5,
         )
         dataset = generate_offers(config)
-        per_customer = {}
-        for obs in dataset.train:
-            per_customer[obs.customer_id] = per_customer.get(obs.customer_id, 0) + 1
-        assert set(per_customer.values()) == {48}
+        assert set(np.bincount(dataset.train.customer_id)[1:].tolist()) == {48}
         assert len(dataset.test) == 30
 
     def test_exactly_one_test_offer_per_customer(self):
         dataset = generate_offers(GroundTruthConfig(n_customers=60, seed=2))
-        assert sorted(o.customer_id for o in dataset.test) == list(range(1, 61))
-        assert all(o.occasion == 1 for o in dataset.test)
+        assert sorted(dataset.test.customer_id.tolist()) == list(range(1, 61))
+        assert np.all(dataset.test.occasion == 1)
 
     def test_attribute_ranges_and_coverage(self):
         dataset = generate_offers(GroundTruthConfig(n_customers=4000, seed=9))
-        discounts = np.array([o.attributes.discount for o in dataset.train])
-        contracts = {o.attributes.contract_length for o in dataset.train}
+        assert np.all(dataset.train.X[:, 0] == 1.0)
+        discounts = dataset.train.X[:, 2]
+        contracts = set(dataset.train.X[:, 1].tolist())
         assert discounts.min() >= -0.5 and discounts.max() <= 0.5
         assert discounts.min() < -0.49 and discounts.max() > 0.49
         assert contracts == {0.0, 1.0, 2.0, 3.0, 4.0, 5.0}
 
     def test_share_with_single_offer_near_config(self):
         dataset = generate_offers(GroundTruthConfig(n_customers=4000, seed=13))
-        counts = {}
-        for obs in dataset.train:
-            counts[obs.customer_id] = counts.get(obs.customer_id, 0) + 1
-        singles = sum(1 for c in counts.values() if c == 1) / len(counts)
+        counts = np.bincount(dataset.train.customer_id)[1:]
+        singles = np.mean(counts == 1)
         assert singles == pytest.approx(0.690, abs=0.02)
 
     def test_offer_count_distribution_within_two_percent(self):
         config = GroundTruthConfig(n_customers=10_000, seed=17)
         dataset = generate_offers(config)
-        counts = {}
-        for obs in dataset.train:
-            counts[obs.customer_id] = counts.get(obs.customer_id, 0) + 1
-        empirical = {}
-        for c in counts.values():
-            empirical[c] = empirical.get(c, 0) + 1
+        empirical = np.bincount(np.bincount(dataset.train.customer_id)[1:])
         for value, prob in config.offer_count_distribution:
-            share = empirical.get(value, 0) / config.n_customers
+            share = (empirical[value] if value < len(empirical) else 0) / config.n_customers
             assert abs(share - prob) <= 0.02
 
     def test_centered_covariates(self):
@@ -185,8 +188,8 @@ class TestSimulateResponses:
     def test_saturated_utility_accepts_everything(self):
         config = point_mass_config(mean=(50.0, 0.0, 0.0), n=40, seed=3)
         dataset = simulate_dataset(config)
-        assert all(o.outcome == ACCEPTED for o in dataset.train)
-        assert all(o.outcome == ACCEPTED for o in dataset.test)
+        assert np.all(dataset.train.label == ACCEPTED)
+        assert np.all(dataset.test.label == ACCEPTED)
 
     def test_zero_utility_half_accept(self):
         config = GroundTruthConfig(
@@ -199,13 +202,13 @@ class TestSimulateResponses:
             seed=23,
         )
         dataset = simulate_dataset(config)
-        rate = np.mean([o.label for o in dataset.train])
+        rate = np.mean(dataset.train.labels())
         # 10,000 rows at p=0.5: binomial 95% interval is about +/- 0.01
         assert rate == pytest.approx(0.5, abs=0.015)
 
     def test_default_acceptance_rate_in_calibrated_band(self):
         dataset = simulate_dataset(GroundTruthConfig(n_customers=1000, seed=29))
-        rate = np.mean([o.label for o in dataset.train])
+        rate = np.mean(dataset.train.labels())
         assert rate == pytest.approx(0.61, abs=0.10)
 
     def test_missing_coefficient_rejected(self):
@@ -218,7 +221,7 @@ class TestSimulateResponses:
 
     def test_acceptance_frequency_converges_to_probability(self):
         # 10,000 replicate draws at one fixed offer
-        p = float(logistic(OfferAttributes(2, -0.2).as_array() @ [0.4, 0.3, -2.0]))
+        p = float(logistic(np.array([1.0, 2.0, -0.2]) @ [0.4, 0.3, -2.0]))
         rng = purpose_rng(31, "responses")
         outcomes = [rng.random() < p for _ in range(10_000)]
         assert abs(np.mean(outcomes) - p) < 0.02
@@ -234,7 +237,8 @@ class TestSimulateResponses:
         config = GroundTruthConfig(n_customers=1000, seed=seed)
         labelled = simulate_dataset(config)
         expected = per_offer_labels(generate_offers(config))
-        assert [o.outcome == ACCEPTED for o in labelled.train + labelled.test] == expected
+        labels = np.concatenate([labelled.train.label, labelled.test.label])
+        assert (labels == ACCEPTED).tolist() == expected
 
 
 class TestSummarize:
@@ -262,6 +266,6 @@ class TestSummarize:
         assert "1st Qu." in text and "3rd Qu." in text
 
     def test_empty_subset_marker(self):
-        summary = summarize_dataset([])
+        summary = summarize_dataset(Offers([], [], np.empty((0, 3)), []))
         assert summary.empty
         assert "empty dataset" in summary.to_text()
