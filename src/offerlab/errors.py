@@ -22,7 +22,12 @@ class DegenerateInputError(OfferLabError, ValueError):
 
 
 class EstimationError(OfferLabError, RuntimeError):
-    """The sampler failed mid-run; the message carries the draw index."""
+    """The sampler failed mid-run; the message carries the draw index and
+    ``block`` the index of the failing block of a stacked chain."""
+
+    def __init__(self, message: str, block: int | None = None):
+        super().__init__(message)
+        self.block = block
 
 
 class UnknownCustomerError(OfferLabError, KeyError):

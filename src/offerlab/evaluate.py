@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -14,8 +15,8 @@ from .datasets import (
     split_kfold_by_occasion,
     split_per_customer_holdout,
 )
-from .errors import DegenerateInputError, InvalidInputError
-from .hb import DRAW_AVERAGED, McmcConfig, build_panel, fit_hb_panel, predict_panel_probabilities
+from .errors import DegenerateInputError, EstimationError, InvalidInputError
+from .hb import DRAW_AVERAGED, McmcConfig, build_panel, fit_hb_panels, predict_panel_probabilities
 from .storage import derive_seed
 
 
@@ -189,27 +190,50 @@ class TuningReport:
     selected_ncomp: int = 1
 
 
-def _scored_cell(train, validation, covariates, ncomp, config):
-    """Fit on one training table and score its validation rows."""
-    X, y, row_customer, customer_ids, Z = build_panel(train, covariates)
-    draws = fit_hb_panel(X, y, row_customer, customer_ids, Z, ncomp=ncomp, config=config)
-    # occasions whose customer lost all training data fall back to the
-    # population mean rather than erroring
-    scores = predict_panel_probabilities(
-        draws,
-        validation.X,
-        validation.customer_id.tolist(),
-        mode=DRAW_AVERAGED,
-        fallback_population_mean=True,
-    )
-    base_rate = float(np.mean(y))
-    data = ScoredLabels(scores, validation.labels())
-    cell_auc = auc(data)
-    if 0.0 < base_rate < 1.0:
-        cell_accuracy = accuracy_at_base_rate(data, base_rate)
-    else:
-        cell_accuracy = float("nan")
-    return cell_auc, cell_accuracy
+class _Cell(NamedTuple):
+    """One resampling cell: its training panel (``build_panel``), its
+    validation offers and its chain seed."""
+
+    repeat: int
+    fold: int
+    panel: tuple
+    validation: object
+    seed: int
+
+
+def _scored_repeat(cells, ncomp, config):
+    """Fit one repeat's cells as one stacked chain and score each cell's
+    validation rows; returns one (AUC, accuracy) pair per cell.  The
+    cells' draws are freed when this returns."""
+    try:
+        fits = fit_hb_panels(
+            [cell.panel for cell in cells],
+            ncomp,
+            [replace(config, seed=cell.seed) for cell in cells],
+        )
+    except EstimationError as exc:
+        cell = cells[exc.block]
+        raise EstimationError(
+            f"ncomp {ncomp}, repeat {cell.repeat}, fold {cell.fold}: {exc}"
+        ) from exc
+    scored = []
+    for draws, cell in zip(fits, cells):
+        # occasions whose customer lost all training data fall back to the
+        # population mean rather than erroring
+        scores = predict_panel_probabilities(
+            draws,
+            cell.validation.X,
+            cell.validation.customer_id.tolist(),
+            mode=DRAW_AVERAGED,
+            fallback_population_mean=True,
+        )
+        base_rate = float(np.mean(cell.panel[1]))
+        data = ScoredLabels(scores, cell.validation.labels())
+        cell_accuracy = (
+            accuracy_at_base_rate(data, base_rate) if 0.0 < base_rate < 1.0 else float("nan")
+        )
+        scored.append((auc(data), cell_accuracy))
+    return scored
 
 
 def tune_ncomp(
@@ -225,7 +249,9 @@ def tune_ncomp(
     per-cell chain seeds are derived from the config seed independently of
     the candidate, so candidate comparisons share their randomness); the
     candidate with the highest mean validation AUC wins, ties going to the
-    smallest candidate.
+    smallest candidate.  For each candidate, the cells of one repeat are
+    fitted as one stacked chain (``fit_hb_panels``), each cell on its own
+    random stream, and scored before the next repeat's chain starts.
     """
     candidates = sorted(set(int(c) for c in candidates))
     if not candidates:
@@ -233,35 +259,35 @@ def tune_ncomp(
     scheme.validate()
     keys = (offers.customer_id, offers.occasion)
 
-    cells = []  # (train rows, validation rows, cell_seed)
+    cells = []  # (repeat, fold, training offers, validation offers, cell_seed)
     for repeat in range(scheme.repeats):
         split_seed = derive_seed(config.seed, 7001, repeat)
         if scheme.kind == KFOLD_BY_OCCASION:
-            for fold, (train, validation) in enumerate(
-                split_kfold_by_occasion(*keys, scheme.folds, split_seed)
-            ):
-                cells.append((train, validation, derive_seed(config.seed, 7013, repeat, fold)))
+            splits = split_kfold_by_occasion(*keys, scheme.folds, split_seed)
         else:
-            train, validation = split_per_customer_holdout(*keys, split_seed)
-            cells.append((train, validation, derive_seed(config.seed, 7013, repeat, 0)))
+            splits = [split_per_customer_holdout(*keys, split_seed)]
+        for fold, (train, validation) in enumerate(splits):
+            seed = derive_seed(config.seed, 7013, repeat, fold)
+            cells.append((repeat, fold, offers.take(train), offers.take(validation), seed))
     # AUC needs both outcome classes in a cell's validation rows; a cell's
     # usability depends only on the split, so every candidate skips the
     # same cells
-    cells = [(offers.take(train), offers.take(valid), seed) for train, valid, seed in cells]
-    cells = [cell for cell in cells if len(np.unique(cell[1].labels())) == 2]
+    cells = [
+        _Cell(repeat, fold, build_panel(train, covariates), validation, seed)
+        for repeat, fold, train, validation, seed in cells
+        if len(np.unique(validation.labels())) == 2
+    ]
     if not cells:
         raise InvalidInputError("resampling produced no usable validation cells")
+    repeats = [[cell for cell in cells if cell.repeat == r] for r in range(scheme.repeats)]
+    repeats = [group for group in repeats if group]
 
     rows = []
     for ncomp in candidates:
-        aucs = []
-        accuracies = []
-        for train, validation, cell_seed in cells:
-            cell_auc, cell_accuracy = _scored_cell(
-                train, validation, covariates, ncomp, replace(config, seed=cell_seed)
-            )
-            aucs.append(cell_auc)
-            accuracies.append(cell_accuracy)
+        scored = []
+        for group in repeats:
+            scored += _scored_repeat(group, ncomp, config)
+        aucs, accuracies = zip(*scored)
         rows.append(
             TuningRow(
                 ncomp=ncomp,

@@ -9,6 +9,14 @@ moments, and a multivariate regression of the coefficients on covariates.
 
 The sampler operates on a generic design matrix, so the same machinery
 estimates the 3-attribute offer model and dummy-coded multinomial panels.
+
+One chain can carry several independent panels ("blocks") along a leading
+block axis (``fit_hb_panels``): the five steps run as batched numpy calls
+over (block, component), while every block draws its variates from its own
+generator in the order of a one-block fit, so a block's draws do not depend
+on what it is stacked with.  ``fit_hb_panel`` is the one-block call, and
+cross-validated tuning fits the cells of one resampling repeat as one
+stacked chain.
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -71,10 +79,19 @@ class McmcConfig:
     seed: int = 0
 
     def validate(self, n_params: int) -> "McmcConfig":
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigurationError(f"{f.name} must be finite, got {value!r}")
         if not 0 < self.burn_in < self.total_draws:
             raise ConfigurationError("need 0 < burn_in < total_draws")
         if self.keep < 1:
             raise ConfigurationError("keep must be >= 1")
+        if self.n_retained() < 1:
+            raise ConfigurationError(
+                f"keep = {self.keep} retains no draw of the "
+                f"{self.total_draws - self.burn_in} after burn-in"
+            )
         if self.mu_prior_precision <= 0:
             raise ConfigurationError("mu_prior_precision must be > 0")
         if self.resolved_iw_dof(n_params) <= n_params + 1:
@@ -259,6 +276,12 @@ def build_panel(offers, covariates: dict | None = None):
 # ---------------------------------------------------------------------------
 # Sampler internals
 # ---------------------------------------------------------------------------
+#
+# The chain runs over a leading block axis: every per-customer array is held
+# block-padded as (B, n, ...) with n the largest block's customer count, and
+# every population array as (B, ncomp, ...).  Padded customers have no rows,
+# draw no variates and are masked out of the population steps, so a block's
+# draws do not depend on what it is stacked with.
 
 
 def _pooled_logit(X: np.ndarray, y: np.ndarray):
@@ -281,125 +304,369 @@ def _pooled_logit(X: np.ndarray, y: np.ndarray):
     return beta, info
 
 
-def _customer_loglik(X, y, row_customer, n_customers, betas):
-    """Per-customer binary-logit log likelihood at one beta per customer."""
-    u = np.einsum("ij,ij->i", X, betas[row_customer])
+def _stacked(rngs, sizes, method, fill, tail=()):
+    """(B, n, *tail) variates: block b's rows drawn by its generator's
+    ``method`` at the block's real size ``sizes[b]``, padded rows set to
+    ``fill``.  One block is returned as a view of its draw."""
+    if len(rngs) == 1:
+        return getattr(rngs[0], method)((sizes[0], *tail))[None]
+    out = np.full((len(rngs), max(sizes), *tail), fill)
+    for b, (rng, n) in enumerate(zip(rngs, sizes)):
+        out[b, :n] = getattr(rng, method)((n, *tail))
+    return out
+
+
+def _customer_loglik(X, y, row_customer, betas):
+    """(B, n) per-customer binary-logit log likelihood at one beta per
+    customer; ``row_customer`` indexes the flattened (B * n) customers."""
+    flat = betas.reshape(-1, betas.shape[-1])
+    u = np.einsum("ij,ij->i", X, flat[row_customer])
     row_ll = y * u - np.logaddexp(0.0, u)
-    return np.bincount(row_customer, weights=row_ll, minlength=n_customers)
+    return np.bincount(row_customer, weights=row_ll, minlength=len(flat)).reshape(betas.shape[:-1])
 
 
-def _chol_or_abort(matrix, draw, what):
+def _chol_or_abort(matrices, draw, what):
+    """Cholesky factors of a (B, ...) stack of matrices.  A failure is an
+    EstimationError naming the first failing block; ``what`` is formatted
+    with the failing matrix's index, e.g. "component {1}"."""
     try:
-        return np.linalg.cholesky(matrix)
+        return np.linalg.cholesky(matrices)
     except np.linalg.LinAlgError:
-        raise EstimationError(f"Cholesky of {what} failed at draw {draw}")
+        for index in np.ndindex(matrices.shape[:-2]):
+            try:
+                np.linalg.cholesky(matrices[index])
+            except np.linalg.LinAlgError:
+                raise EstimationError(
+                    f"block {index[0]}: Cholesky of {what.format(*index)} failed at draw {draw}",
+                    block=index[0],
+                ) from None
+        raise
 
 
 def _mvn_logpdf(diff, roots):
-    """(ncomp, n) matrix of log N(diff_i | 0, Sigma_k), each Sigma_k given by
-    its lower-triangular precision factor ``roots[k]`` (Sigma_k^-1 = P_k
-    P_k^T).  ``diff`` is one (n, K) block shared by every component or one
-    (ncomp, n, K) block per component."""
+    """(B, ncomp, n) log N(diff_i | 0, Sigma_k) of each block, each Sigma_k
+    given by its lower-triangular precision factor ``roots[b, k]``
+    (Sigma_k^-1 = P_k P_k^T).  ``diff`` is one (B, n, K) block shared by
+    every component or one (B, ncomp, n, K) block per component."""
+    if diff.ndim == 3:
+        diff = diff[:, None]
     proj = diff @ roots
     # -0.5 * log|Sigma_k| = sum(log diag P_k)
-    half_logdet = np.log(np.diagonal(roots, axis1=1, axis2=2)).sum(axis=1)
-    norm = half_logdet - 0.5 * roots.shape[1] * _LOG_2PI
-    return norm[:, None] - 0.5 * np.einsum("cnk,cnk->cn", proj, proj)
+    half_logdet = np.log(np.diagonal(roots, axis1=2, axis2=3)).sum(axis=2)
+    norm = half_logdet - 0.5 * roots.shape[-1] * _LOG_2PI
+    return norm[..., None] - 0.5 * np.einsum("bcnk,bcnk->bcn", proj, proj)
 
 
-def _wishart_root(rng, dof, scale, draw, what):
-    """Lower-triangular factor P of a Wishart(dof, scale^-1) draw P P^T, i.e.
-    the precision factor of an inverse-Wishart(dof, scale) draw, via the
-    Bartlett decomposition (deterministic under the supplied generator)."""
-    k = scale.shape[0]
-    L = _chol_or_abort(np.linalg.inv(scale), draw, f"inverse scale of {what}")
-    A = np.zeros((k, k))
-    for i in range(k):
-        A[i, i] = math.sqrt(rng.chisquare(dof - i))
-        for j in range(i):
-            A[i, j] = rng.standard_normal()
-    return L @ A
+def _wishart_root(rngs, dof, scale, draw):
+    """Lower-triangular factors P (B, ncomp, K, K) of Wishart(dof, scale^-1)
+    draws P P^T, i.e. the precision factors of inverse-Wishart(dof, scale)
+    draws, via the Bartlett decomposition; ``dof`` is (B, ncomp) and
+    ``scale`` (B, ncomp, K, K).  Also returns one standard-normal K-vector
+    per (block, component), z (B, ncomp, K).  Block b draws from
+    ``rngs[b]``, component by component: the Bartlett variates row by row
+    (the chi-square, then the normals left of the diagonal), then z."""
+    n_blocks, ncomp, k, _ = scale.shape
+    L = _chol_or_abort(np.linalg.inv(scale), draw, "inverse scale of component {1}")
+    A = np.zeros(scale.shape)
+    z = np.empty((n_blocks, ncomp, k))
+    for b, rng in enumerate(rngs):
+        for c, component_dof in enumerate(dof[b].tolist()):
+            factor = A[b, c]
+            for i in range(k):
+                factor[i, i] = math.sqrt(rng.chisquare(component_dof - i))
+                if i:
+                    factor[i, :i] = rng.standard_normal(i)
+            z[b, c] = rng.standard_normal(k)
+    return L @ A, z
 
 
-def _metropolis(rng, X, y, row_customer, beta, loglik, prop_factor, prior_mean, ind, roots):
-    """(a) Random-walk Metropolis update of all customers at once against the
-    logit likelihood times N(prior_mean_i, Sigma_{ind_i}).  Updates ``beta``
-    and its per-customer ``loglik`` in place; returns the accept mask."""
-    n_cust, n_params = beta.shape
-    eps = rng.standard_normal((n_cust, n_params))
-    proposal = beta + np.einsum("nij,nj->ni", prop_factor, eps)
-    loglik_prop = _customer_loglik(X, y, row_customer, n_cust, proposal)
-    rows = np.arange(n_cust)
-    logprior_cur = _mvn_logpdf(beta - prior_mean, roots)[ind, rows]
-    logprior_prop = _mvn_logpdf(proposal - prior_mean, roots)[ind, rows]
+def _metropolis(
+    rngs, sizes, X, y, row_customer, beta, loglik, prop_factor, prior_mean, member, roots
+):
+    """(a) Random-walk Metropolis update of every customer of every block at
+    once against the logit likelihood times N(prior_mean_i, Sigma_{ind_i}),
+    where ``member`` (B, n) is b * ncomp + ind_i.  Updates ``beta`` (B, n,
+    K) and its per-customer ``loglik`` (B, n) in place; returns the (B, n)
+    accept mask.  A padded customer proposes a zero step and is never
+    accepted."""
+    eps = _stacked(rngs, sizes, "standard_normal", 0.0, beta.shape[-1:])
+    proposal = beta + np.einsum("bnij,bnj->bni", prop_factor, eps)
+    loglik_prop = _customer_loglik(X, y, row_customer, proposal)
+    # flat index of (b, ind_i, i) in a (B, ncomp, n) density array
+    n = beta.shape[1]
+    pick = member * n + np.arange(n)
+    logprior_cur = _mvn_logpdf(beta - prior_mean, roots).reshape(-1)[pick]
+    logprior_prop = _mvn_logpdf(proposal - prior_mean, roots).reshape(-1)[pick]
     log_ratio = (loglik_prop - loglik) + (logprior_prop - logprior_cur)
-    accept = np.log(rng.random(n_cust)) < log_ratio
+    accept = np.log(_stacked(rngs, sizes, "random", 1.0)) < log_ratio
     beta[accept] = proposal[accept]
     loglik[accept] = loglik_prop[accept]
     return accept
 
 
-def _draw_indicators(rng, resid, mu, roots, weights):
-    """(b) Component indicators on the covariate-adjusted coefficients."""
-    log_post = np.log(weights)[None, :] + _mvn_logpdf(resid - mu[:, None, :], roots).T
+def _draw_indicators(rngs, sizes, resid, mu, roots, weights):
+    """(b) Component indicators (B, n) on the covariate-adjusted
+    coefficients."""
+    log_post = np.log(weights)[..., None] + _mvn_logpdf(resid[:, None] - mu[..., None, :], roots)
     log_post -= log_post.max(axis=1, keepdims=True)
     probs = np.exp(log_post)
     probs /= probs.sum(axis=1, keepdims=True)
-    u = rng.random(len(resid))
-    ind = np.minimum((u[:, None] > np.cumsum(probs, axis=1)).sum(axis=1), len(weights) - 1)
+    u = _stacked(rngs, sizes, "random", 1.0)
+    ind = np.minimum((u[:, None] > np.cumsum(probs, axis=1)).sum(axis=1), weights.shape[1] - 1)
     return ind.astype(np.intp)
 
 
-def _draw_weights(rng, ind, dir_alpha):
-    """(c) Dirichlet weights (degenerate at exactly 1 for one component)."""
+def _draw_weights(rngs, counts, dir_alpha):
+    """(c) Dirichlet weights (B, ncomp) given the (B, ncomp) component counts
+    (degenerate at exactly 1 for one component)."""
     if len(dir_alpha) == 1:
-        return np.ones(1)
-    return rng.dirichlet(dir_alpha + np.bincount(ind, minlength=len(dir_alpha)))
+        return np.ones(counts.shape)
+    return np.stack([rng.dirichlet(dir_alpha + n) for rng, n in zip(rngs, counts)])
 
 
-def _draw_components(rng, resid, ind, ncomp, mubar, amu, nu, V, draw):
-    """(d) Per-component normal / inverse-Wishart moments; returns the means
-    (ncomp, K) and precision factors (ncomp, K, K).  The mean's covariance
-    Sigma_k / (amu + n_k) is drawn as P_k^-T z / sqrt(amu + n_k)."""
-    n_params = resid.shape[1]
-    mu = np.empty((ncomp, n_params))
-    roots = np.empty((ncomp, n_params, n_params))
-    for k in range(ncomp):
-        members = resid[ind == k]
-        n_k = len(members)
-        if n_k:
-            bbar = members.mean(axis=0)
-            centered = members - bbar
-            scatter = centered.T @ centered
-            dev = bbar - mubar
-            iw_scale_post = V + scatter + (amu * n_k / (amu + n_k)) * np.outer(dev, dev)
-            post_mean = (amu * mubar + n_k * bbar) / (amu + n_k)
-        else:
-            iw_scale_post = V
-            post_mean = mubar
-        roots[k] = _wishart_root(rng, nu + n_k, iw_scale_post, draw, f"component {k}")
-        z = rng.standard_normal(n_params)
-        mu[k] = post_mean + np.linalg.solve(roots[k].T, z) / math.sqrt(amu + n_k)
-    return mu, roots
+def _draw_components(rngs, resid, onehot, counts, mubar, amu, nu, V, draw):
+    """(d) Normal / inverse-Wishart moments of every (block, component), whose
+    members are the customers ``onehot`` (B, ncomp, n) marks; returns the
+    means (B, ncomp, K) and precision factors (B, ncomp, K, K).  The mean's
+    covariance Sigma_k / (amu + n_k) is drawn as P_k^-T z / sqrt(amu + n_k)."""
+    n_k = counts[..., None]
+    bbar = (onehot @ resid) / np.maximum(n_k, 1.0)
+    centered = (resid[:, None] - bbar[:, :, None]) * onehot[..., None]
+    scatter = np.swapaxes(centered, -1, -2) @ centered
+    dev = bbar - mubar
+    shrink = (amu * n_k / (amu + n_k))[..., None]
+    iw_scale_post = V + scatter + shrink * (dev[..., :, None] * dev[..., None, :])
+    post_mean = (amu * mubar + n_k * bbar) / (amu + n_k)
+    roots, z = _wishart_root(rngs, nu + counts, iw_scale_post, draw)
+    step = np.linalg.solve(np.swapaxes(roots, -1, -2), z[..., None])[..., 0]
+    return post_mean + step / np.sqrt(amu + n_k), roots
 
 
-def _draw_delta(rng, dev, Z, ind, roots, amu, draw):
-    """(e) Covariate loading (K, n_cov) via Bayes multivariate regression of
-    ``dev`` = beta - mu[ind] on ``Z`` (GLS over components, prior precision
-    amu * I on vec(delta))."""
-    n_params, n_cov = dev.shape[1], Z.shape[1]
-    dim = n_params * n_cov
-    A = amu * np.eye(dim)
-    b = np.zeros(dim)
-    for k, root in enumerate(roots):
-        mask = ind == k
-        precision = root @ root.T
-        Zk = Z[mask]
-        A += np.kron(Zk.T @ Zk, precision)
-        b += (precision @ dev[mask].T @ Zk).flatten(order="F")
+def _draw_delta(rngs, dev, Z, onehot, roots, amu, draw):
+    """(e) Covariate loading (B, K, n_cov) of each block via Bayes
+    multivariate regression of ``dev`` = beta - mu[ind] on ``Z`` (GLS over
+    components, prior precision amu * I on vec(delta))."""
+    n_blocks, _, n_params = dev.shape
+    dim = n_params * Z.shape[-1]
+    precision = roots @ np.swapaxes(roots, -1, -2)
+    Zk = onehot[..., None] * Z[:, None]  # (B, ncomp, n, n_cov): members' rows
+    ZZ = np.swapaxes(Zk, -1, -2) @ Z[:, None]
+    # sum_k kron(Z_k^T Z_k, P_k P_k^T) and vec_F(sum_k P_k P_k^T dev_k^T Z_k)
+    A = amu * np.eye(dim) + np.einsum("bcqr,bckl->bqkrl", ZZ, precision).reshape(
+        n_blocks, dim, dim
+    )
+    rhs = (precision @ (np.swapaxes(dev, -1, -2)[:, None] @ Zk)).sum(axis=1)
+    rhs = np.swapaxes(rhs, -1, -2).reshape(n_blocks, dim, 1)
     A_inv = np.linalg.inv(A)
-    vec = A_inv @ b + _chol_or_abort(A_inv, draw, "delta posterior") @ rng.standard_normal(dim)
-    return vec.reshape((n_params, n_cov), order="F")
+    z = np.stack([rng.standard_normal(dim) for rng in rngs])[..., None]
+    vec = A_inv @ rhs + _chol_or_abort(A_inv, draw, "delta posterior") @ z
+    return np.swapaxes(vec.reshape(n_blocks, -1, n_params), -1, -2)
+
+
+def _proposal_factors(rows_per_cust, info, population_cov, scale, prior_cov_guess):
+    """(n, K, K) random-walk proposal factors of one block: the scaled
+    inverse of each customer's pooled-likelihood Hessian approximation
+    (rows * mean row information) plus the population precision; a fraction
+    of the prior covariance when that is singular."""
+    counts, by_customer = np.unique(rows_per_cust, return_inverse=True)
+    try:
+        precision = counts[:, None, None] * info + np.linalg.inv(population_cov)
+        return np.linalg.cholesky(scale**2 * np.linalg.inv(precision))[by_customer]
+    except np.linalg.LinAlgError:
+        fallback = np.linalg.cholesky(scale**2 * 0.5 * prior_cov_guess)
+        return np.tile(fallback, (len(rows_per_cust), 1, 1))
+
+
+def _population_cov(weights, mu, roots):
+    """Covariance of one block's mixture, between-component spread included."""
+    Sigma = np.linalg.inv(roots @ np.swapaxes(roots, 1, 2))
+    centered = mu - weights @ mu
+    return np.einsum("k,kij->ij", weights, Sigma) + (centered.T * weights) @ centered
+
+
+def _config_of_stack(configs, n_blocks):
+    """The one config of a stack whose configs may differ only in seed."""
+    if len(configs) != n_blocks:
+        raise InvalidInputError(f"{len(configs)} configs for {n_blocks} blocks")
+    first = configs[0]
+    for b, other in enumerate(configs[1:], 1):
+        for f in fields(McmcConfig):
+            if f.name != "seed" and getattr(other, f.name) != getattr(first, f.name):
+                raise ConfigurationError(
+                    f"block {b}: config differs from block 0 in {f.name} "
+                    f"({getattr(other, f.name)!r} != {getattr(first, f.name)!r})"
+                )
+    return first
+
+
+def fit_hb_panels(panels, ncomp: int, configs) -> list[PosteriorDraws]:
+    """Run one Metropolis-within-Gibbs chain over a stack of panels (blocks).
+
+    Each panel is the ``(X, y, row_customer, customer_ids, Z)`` of
+    ``build_panel``: ``row_customer`` maps each row to a position in
+    ``customer_ids`` and ``Z`` holds one covariate row per customer (may be
+    None or zero-width).  ``configs`` holds one McmcConfig per block; they
+    may differ only in ``seed``.  Block b draws every variate from its own
+    generator, seeded from ``configs[b].seed``, in the per-step order of a
+    one-block fit, so its draws equal those of fitting it alone up to
+    rounding.  Returns one PosteriorDraws per block.
+    """
+    if not panels:
+        raise InvalidInputError("no panels to fit")
+    if ncomp < 1:
+        raise ConfigurationError("ncomp must be >= 1")
+    config = _config_of_stack(configs, len(panels))
+    n_params = np.shape(panels[0][0])[1]
+    n_cov = 0 if panels[0][4] is None else np.shape(panels[0][4])[1]
+    config.validate(n_params)
+    blocks = []  # (X, y, row_customer, Z, rows per customer) of each block
+    for b, (X_b, y_b, row_b, ids, Z_b) in enumerate(panels):
+        X_b = np.asarray(X_b, dtype=float)
+        row_b = np.asarray(row_b, dtype=np.intp)
+        Z_b = np.zeros((len(ids), 0)) if Z_b is None else np.asarray(Z_b, dtype=float)
+        if X_b.shape[1] != n_params or Z_b.shape != (len(ids), n_cov):
+            raise InvalidInputError(
+                f"block {b}: design width {X_b.shape[1]} and covariates {Z_b.shape} do not "
+                f"match block 0's {n_params} and (customers, {n_cov})"
+            )
+        rows_per_cust = np.bincount(row_b, minlength=len(ids))
+        if rows_per_cust.min() < 1:
+            raise DataIntegrityError(f"block {b}: every customer needs at least one observation")
+        blocks.append((X_b, np.asarray(y_b, dtype=float), row_b, Z_b, rows_per_cust))
+
+    sizes = [len(p[3]) for p in panels]
+    n_blocks, n_max = len(panels), max(sizes)
+    rngs = [
+        np.random.default_rng(np.random.SeedSequence(c.seed & 0xFFFFFFFFFFFFFFFF)) for c in configs
+    ]
+    # rows of every block against the flattened (B * n_max) customers
+    X = np.concatenate([block[0] for block in blocks])
+    y = np.concatenate([block[1] for block in blocks])
+    row_customer = np.concatenate([block[2] + b * n_max for b, block in enumerate(blocks)])
+    valid = np.arange(n_max) < np.array(sizes)[:, None]
+    Z = np.zeros((n_blocks, n_max, n_cov))
+    for b, (block, n) in enumerate(zip(blocks, sizes)):
+        Z[b, :n] = block[3]
+
+    # Priors
+    amu = config.mu_prior_precision
+    mubar = np.full(n_params, config.mu_prior_mean)
+    nu = config.resolved_iw_dof(n_params)
+    V = config.resolved_iw_scale(n_params) * np.eye(n_params)
+    dir_alpha = np.full(ncomp, config.dirichlet_concentration)
+    prior_cov_guess = V / (nu - n_params - 1)
+
+    # Random-walk proposal (see _proposal_factors): without the population
+    # precision term the proposal is far wider than a sparse customer's
+    # posterior and the chain stalls.  The population covariance is
+    # re-estimated a few times during burn-in and frozen afterwards, so
+    # retained draws come from a fixed-kernel chain.
+    scale = config.resolved_rw_scale(n_params)
+    adapt_every = max(min(25, config.burn_in // 4), 1)
+
+    # State.  Customer betas start at the pooled fit plus prior-scale noise:
+    # an all-equal start has zero scatter, which collapses the first
+    # covariance draw and can trap the chain in an over-shrunk state.  The
+    # covariate loading starts at its pooled interaction estimate; a zero
+    # start can settle into a sign-flipped basin that the chain corrects
+    # only slowly.
+    infos = []
+    prop_factor = np.zeros((n_blocks, n_max, n_params, n_params))
+    beta = np.zeros((n_blocks, n_max, n_params))
+    mu = np.empty((n_blocks, ncomp, n_params))
+    delta = np.zeros((n_blocks, n_params, n_cov))
+    start_factor = np.linalg.cholesky(prior_cov_guess).T
+    for b, ((X_b, y_b, row_b, Z_b, rows_per_cust), rng, n) in enumerate(zip(blocks, rngs, sizes)):
+        beta_pool, info = _pooled_logit(X_b, y_b)
+        infos.append(info)
+        prop_factor[b, :n] = _proposal_factors(
+            rows_per_cust, info, prior_cov_guess, scale, prior_cov_guess
+        )
+        beta[b, :n] = beta_pool + rng.standard_normal((n, n_params)) @ start_factor
+        mu[b] = beta_pool
+        if n_cov:
+            z_rows = Z_b[row_b]
+            X_ext = np.hstack([X_b] + [X_b * z_rows[:, [j]] for j in range(n_cov)])
+            beta_ext, _ = _pooled_logit(X_ext, y_b)
+            delta[b] = beta_ext[n_params:].reshape(n_cov, n_params).T
+    weights = np.full((n_blocks, ncomp), 1.0 / ncomp)
+    # component covariances are held as precision factors P_k (Sigma_k^-1 =
+    # P_k P_k^T); Sigma_k itself is formed only for adaptation and output
+    roots = np.tile(np.linalg.cholesky(np.linalg.inv(prior_cov_guess)), (n_blocks, ncomp, 1, 1))
+    # member[b, i] = b * ncomp + ind[b, i] indexes mu.reshape(-1, K)
+    comp_offset = ncomp * np.arange(n_blocks)[:, None]
+    member = np.repeat(comp_offset, n_max, axis=1)
+    loglik_cust = _customer_loglik(X, y, row_customer, beta)
+    accept_counts = np.zeros((n_blocks, n_max))
+
+    n_keep = config.n_retained()
+    out_betas = [np.empty((n_keep, n, n_params)) for n in sizes]
+    out_weights = np.empty((n_keep, n_blocks, ncomp))
+    out_means = np.empty((n_keep, n_blocks, ncomp, n_params))
+    out_roots = np.empty((n_keep, n_blocks, ncomp, n_params, n_params))
+    out_delta = np.empty((n_keep, n_blocks, n_params, n_cov))
+    out_loglik = np.empty((n_keep, n_blocks))
+
+    kept = 0
+    for it in range(1, config.total_draws + 1):
+        shift = Z @ np.swapaxes(delta, -1, -2)
+        prior_mean = mu.reshape(-1, n_params)[member] + shift
+        accept_counts += _metropolis(
+            rngs, sizes, X, y, row_customer, beta, loglik_cust, prop_factor, prior_mean, member,
+            roots,
+        )
+        resid = beta - shift
+        ind = _draw_indicators(rngs, sizes, resid, mu, roots, weights)
+        member = ind + comp_offset
+        onehot = ((ind[:, None] == np.arange(ncomp)[:, None]) & valid[:, None]).astype(float)
+        counts = onehot.sum(axis=2)
+        weights = _draw_weights(rngs, counts, dir_alpha)
+        mu, roots = _draw_components(rngs, resid, onehot, counts, mubar, amu, nu, V, it)
+        if n_cov:
+            dev = beta - mu.reshape(-1, n_params)[member]
+            delta = _draw_delta(rngs, dev, Z, onehot, roots, amu, it)
+
+        if it <= config.burn_in and it % adapt_every == 0:
+            for b, (block, info, n) in enumerate(zip(blocks, infos, sizes)):
+                pop_cov = _population_cov(weights[b], mu[b], roots[b])
+                prop_factor[b, :n] = _proposal_factors(
+                    block[4], info, pop_cov, scale, prior_cov_guess
+                )
+
+        if it > config.burn_in and (it - config.burn_in) % config.keep == 0:
+            for b, n in enumerate(sizes):
+                out_betas[b][kept] = beta[b, :n]
+                out_loglik[kept, b] = loglik_cust[b, :n].sum()
+            out_weights[kept] = weights
+            out_means[kept] = mu
+            out_roots[kept] = roots
+            out_delta[kept] = delta
+            kept += 1
+
+    fits = []
+    for b, (p, block_config, n) in enumerate(zip(panels, configs, sizes)):
+        rates = accept_counts[b, :n] / config.total_draws
+        low, high = float(rates.min()), float(rates.max())
+        if low < 0.05 or high > 0.70:
+            log.warning(
+                "block %d: Metropolis acceptance rates outside (0.05, 0.70): min=%.3f max=%.3f",
+                b, low, high,
+            )
+        block_roots = out_roots[:, b]
+        fits.append(
+            PosteriorDraws(
+                customer_ids=list(p[3]),
+                betas=out_betas[b],
+                weights=np.ascontiguousarray(out_weights[:, b]),
+                means=np.ascontiguousarray(out_means[:, b]),
+                covariances=np.linalg.inv(block_roots @ np.swapaxes(block_roots, -1, -2)),
+                delta=np.ascontiguousarray(out_delta[:, b]),
+                log_likelihood=np.ascontiguousarray(out_loglik[:, b]),
+                acceptance_rates=rates,
+                config=block_config,
+            )
+        )
+    return fits
 
 
 def fit_hb_panel(
@@ -411,147 +678,10 @@ def fit_hb_panel(
     ncomp: int = 1,
     config: McmcConfig | None = None,
 ) -> PosteriorDraws:
-    """Run the Metropolis-within-Gibbs chain on estimation arrays.
-
-    ``row_customer`` maps each row to a position in ``customer_ids``; ``Z``
-    holds one covariate row per customer (may be zero-width).
-    """
-    config = config or McmcConfig()
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    row_customer = np.asarray(row_customer, dtype=np.intp)
-    n_cust = len(customer_ids)
-    n_params = X.shape[1]
-    if ncomp < 1:
-        raise ConfigurationError("ncomp must be >= 1")
-    config.validate(n_params)
-    if np.bincount(row_customer, minlength=n_cust).min() < 1:
-        raise DataIntegrityError("every customer needs at least one observation")
-    Z = np.zeros((n_cust, 0)) if Z is None else np.asarray(Z, dtype=float)
-    n_cov = Z.shape[1]
-
-    rng = np.random.default_rng(np.random.SeedSequence(config.seed & 0xFFFFFFFFFFFFFFFF))
-
-    # Priors
-    amu = config.mu_prior_precision
-    mubar = np.full(n_params, config.mu_prior_mean)
-    nu = config.resolved_iw_dof(n_params)
-    V = config.resolved_iw_scale(n_params) * np.eye(n_params)
-    dir_alpha = np.full(ncomp, config.dirichlet_concentration)
-    prior_cov_guess = V / (nu - n_params - 1)
-
-    # Random-walk proposal: scaled inverse of the pooled-likelihood Hessian
-    # approximation for each customer (rows * mean row information) plus the
-    # precision of the current population covariance -- without the prior
-    # term the proposal is far wider than a sparse customer's posterior and
-    # the chain stalls.  The population covariance is re-estimated a few
-    # times during burn-in and frozen afterwards, so retained draws come
-    # from a fixed-kernel chain.  Falls back to a fraction of the prior
-    # covariance when the pooled Hessian is singular.
-    scale = config.resolved_rw_scale(n_params)
-    rows_per_cust = np.bincount(row_customer, minlength=n_cust)
-    beta_pool, info = _pooled_logit(X, y)
-
-    def proposal_factors(population_cov):
-        try:
-            pop_precision = np.linalg.inv(population_cov)
-            factor_by_count = {}
-            for m in np.unique(rows_per_cust):
-                precision = m * info + pop_precision
-                factor_by_count[m] = np.linalg.cholesky(scale**2 * np.linalg.inv(precision))
-            return np.stack([factor_by_count[m] for m in rows_per_cust])
-        except np.linalg.LinAlgError:
-            fallback = np.linalg.cholesky(scale**2 * 0.5 * prior_cov_guess)
-            return np.tile(fallback, (n_cust, 1, 1))
-
-    prop_factor = proposal_factors(prior_cov_guess)
-    adapt_every = max(min(25, config.burn_in // 4), 1)
-
-    # State.  Customer betas start at the pooled fit plus prior-scale noise:
-    # an all-equal start has zero scatter, which collapses the first
-    # covariance draw and can trap the chain in an over-shrunk state.
-    beta = np.tile(beta_pool, (n_cust, 1)) + rng.standard_normal(
-        (n_cust, n_params)
-    ) @ np.linalg.cholesky(prior_cov_guess).T
-    ind = np.zeros(n_cust, dtype=np.intp)
-    weights = np.full(ncomp, 1.0 / ncomp)
-    mu = np.tile(beta_pool, (ncomp, 1))
-    # component covariances are held as precision factors P_k (Sigma_k^-1 =
-    # P_k P_k^T); Sigma_k itself is formed only for adaptation and output
-    roots = np.tile(np.linalg.cholesky(np.linalg.inv(prior_cov_guess)), (ncomp, 1, 1))
-    # start the covariate loading at its pooled interaction estimate; a zero
-    # start can settle into a sign-flipped basin that the chain corrects
-    # only slowly
-    delta = np.zeros((n_params, n_cov))
-    if n_cov:
-        z_rows = Z[row_customer]
-        X_ext = np.hstack([X] + [X * z_rows[:, [j]] for j in range(n_cov)])
-        beta_ext, _ = _pooled_logit(X_ext, y)
-        delta = np.stack(
-            [beta_ext[n_params * (j + 1) : n_params * (j + 2)] for j in range(n_cov)],
-            axis=1,
-        )
-    loglik_cust = _customer_loglik(X, y, row_customer, n_cust, beta)
-    accept_counts = np.zeros(n_cust)
-
-    n_keep = config.n_retained()
-    out_betas = np.empty((n_keep, n_cust, n_params))
-    out_weights = np.empty((n_keep, ncomp))
-    out_means = np.empty((n_keep, ncomp, n_params))
-    out_roots = np.empty((n_keep, ncomp, n_params, n_params))
-    out_delta = np.empty((n_keep, n_params, n_cov))
-    out_loglik = np.empty(n_keep)
-
-    kept = 0
-    for it in range(1, config.total_draws + 1):
-        shift = Z @ delta.T
-        accept_counts += _metropolis(
-            rng, X, y, row_customer, beta, loglik_cust, prop_factor, mu[ind] + shift, ind, roots
-        )
-        resid = beta - shift
-        ind = _draw_indicators(rng, resid, mu, roots, weights)
-        weights = _draw_weights(rng, ind, dir_alpha)
-        mu, roots = _draw_components(rng, resid, ind, ncomp, mubar, amu, nu, V, it)
-        if n_cov:
-            delta = _draw_delta(rng, beta - mu[ind], Z, ind, roots, amu, it)
-
-        if it <= config.burn_in and it % adapt_every == 0:
-            # population covariance incl. between-component spread
-            Sigma = np.linalg.inv(roots @ np.swapaxes(roots, 1, 2))
-            pop_mean = weights @ mu
-            centered = mu - pop_mean
-            pop_cov = np.einsum("k,kij->ij", weights, Sigma) + (
-                centered.T * weights
-            ) @ centered
-            prop_factor = proposal_factors(pop_cov)
-
-        if it > config.burn_in and (it - config.burn_in) % config.keep == 0:
-            out_betas[kept] = beta
-            out_weights[kept] = weights
-            out_means[kept] = mu
-            out_roots[kept] = roots
-            out_delta[kept] = delta
-            out_loglik[kept] = float(loglik_cust.sum())
-            kept += 1
-
-    rates = accept_counts / config.total_draws
-    low, high = float(rates.min()), float(rates.max())
-    if low < 0.05 or high > 0.70:
-        log.warning(
-            "Metropolis acceptance rates outside (0.05, 0.70): min=%.3f max=%.3f", low, high
-        )
-
-    return PosteriorDraws(
-        customer_ids=list(customer_ids),
-        betas=out_betas,
-        weights=out_weights,
-        means=out_means,
-        covariances=np.linalg.inv(out_roots @ np.swapaxes(out_roots, -1, -2)),
-        delta=out_delta,
-        log_likelihood=out_loglik,
-        acceptance_rates=rates,
-        config=config,
-    )
+    """Run the Metropolis-within-Gibbs chain on one panel's estimation arrays:
+    the one-block call of ``fit_hb_panels``."""
+    panel = (X, y, row_customer, customer_ids, Z)
+    return fit_hb_panels([panel], ncomp, [config or McmcConfig()])[0]
 
 
 def fit_hb_mixed_logit(

@@ -1,20 +1,39 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from offerlab.errors import DegenerateInputError, InvalidInputError
+from offerlab.datasets import (
+    KFOLD_BY_OCCASION,
+    PER_CUSTOMER_HOLDOUT,
+    ResamplingScheme,
+    split_kfold_by_occasion,
+    split_per_customer_holdout,
+)
+from offerlab.errors import DegenerateInputError, EstimationError, InvalidInputError
 from offerlab.evaluate import (
     ScoredLabels,
+    TuningRow,
     accuracy_at_base_rate,
     auc,
     capture_at,
     delong_test,
     lift_curve,
+    tune_ncomp,
 )
+from offerlab.hb import (
+    DRAW_AVERAGED,
+    McmcConfig,
+    build_panel,
+    fit_hb_panel,
+    predict_panel_probabilities,
+)
+from offerlab.simulate import GroundTruthConfig, simulate_dataset
+from offerlab.storage import derive_seed
 
 
 def brute_force_auc(scores, labels):
@@ -307,3 +326,74 @@ class TestTuningSelection:
 
         with pytest.raises(InvalidInputError):
             tune_ncomp([], None, [], ResamplingScheme(), McmcConfig())
+
+
+def per_cell_tuning_rows(offers, covariates, candidates, scheme, config):
+    """Scalar reference for tuning: one fit_hb_panel chain per cell, fitted
+    and scored one cell at a time."""
+    keys = (offers.customer_id, offers.occasion)
+    cells = []
+    for repeat in range(scheme.repeats):
+        split_seed = derive_seed(config.seed, 7001, repeat)
+        if scheme.kind == KFOLD_BY_OCCASION:
+            for fold, (train, valid) in enumerate(
+                split_kfold_by_occasion(*keys, scheme.folds, split_seed)
+            ):
+                seed = derive_seed(config.seed, 7013, repeat, fold)
+                cells.append((offers.take(train), offers.take(valid), seed))
+        else:
+            train, valid = split_per_customer_holdout(*keys, split_seed)
+            seed = derive_seed(config.seed, 7013, repeat, 0)
+            cells.append((offers.take(train), offers.take(valid), seed))
+    cells = [cell for cell in cells if len(np.unique(cell[1].labels())) == 2]
+    rows = []
+    for ncomp in sorted(candidates):
+        aucs, accuracies = [], []
+        for train, valid, seed in cells:
+            X, y, row_customer, customer_ids, Z = build_panel(train, covariates)
+            draws = fit_hb_panel(
+                X, y, row_customer, customer_ids, Z, ncomp=ncomp, config=replace(config, seed=seed)
+            )
+            scores = predict_panel_probabilities(
+                draws,
+                valid.X,
+                valid.customer_id.tolist(),
+                mode=DRAW_AVERAGED,
+                fallback_population_mean=True,
+            )
+            data = ScoredLabels(scores, valid.labels())
+            aucs.append(auc(data))
+            base_rate = float(np.mean(y))
+            accuracies.append(
+                accuracy_at_base_rate(data, base_rate) if 0 < base_rate < 1 else float("nan")
+            )
+        rows.append(TuningRow(ncomp, float(np.mean(aucs)), float(np.nanmean(accuracies))))
+    return rows
+
+
+def small_tuning_problem(kind=KFOLD_BY_OCCASION):
+    dataset = simulate_dataset(GroundTruthConfig(n_customers=40, seed=83))
+    covariates = {cid: (p.loyalty_centered,) for cid, p in dataset.profiles.items()}
+    scheme = ResamplingScheme(kind=kind, folds=3, repeats=2)
+    return dataset.train, covariates, scheme, McmcConfig(total_draws=80, burn_in=20, seed=17)
+
+
+class TestStackedTuning:
+    @pytest.mark.parametrize("kind", [KFOLD_BY_OCCASION, PER_CUSTOMER_HOLDOUT])
+    def test_rows_equal_the_per_cell_loop_exactly(self, kind):
+        offers, covariates, scheme, config = small_tuning_problem(kind)
+        report = tune_ncomp(offers, covariates, [1, 2], scheme, config)
+        assert report.rows == per_cell_tuning_rows(offers, covariates, [1, 2], scheme, config)
+
+    def test_cholesky_failure_names_repeat_and_fold(self, monkeypatch):
+        from tests.test_hb import break_block_at_draw
+
+        offers, covariates, scheme, config = small_tuning_problem()
+        # block 1 of the second chain: repeat 1, fold 1 of ncomp 1
+        break_block_at_draw(monkeypatch, "_draw_components", block=1, draw=3, chain=2)
+        expected = (
+            "^ncomp 1, repeat 1, fold 1: block 1: Cholesky of inverse scale of component 0 "
+            "failed at draw 3$"
+        )
+        with pytest.raises(EstimationError, match=expected):
+            tune_ncomp(offers, covariates, [1, 2], scheme, config)

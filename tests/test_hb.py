@@ -1,15 +1,18 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from offerlab import hb
 from offerlab.choice import ACCEPTED, REJECTED, UNLABELED, Offers
 from offerlab.errors import (
     ConfigurationError,
     DataIntegrityError,
+    EstimationError,
     InvalidInputError,
     UnknownCustomerError,
 )
@@ -24,6 +27,7 @@ from offerlab.hb import (
     build_panel,
     fit_hb_mixed_logit,
     fit_hb_panel,
+    fit_hb_panels,
     predict_panel_probabilities,
 )
 from offerlab.simulate import GroundTruthConfig, simulate_dataset
@@ -88,6 +92,27 @@ class TestConfig:
     def test_retained_count(self):
         assert McmcConfig(total_draws=5000, burn_in=500, keep=1).n_retained() == 4500
         assert McmcConfig(total_draws=1000, burn_in=100, keep=7).n_retained() == 128
+
+    def test_empty_posterior_refused_by_keep(self):
+        config = McmcConfig(total_draws=60, burn_in=10, keep=100)
+        with pytest.raises(ConfigurationError, match="keep = 100 retains no draw of the 50"):
+            config.validate(3)
+        X, y, row_customer, customer_ids, _ = random_panel(3, 4, 0)
+        with pytest.raises(ConfigurationError, match="keep = 100"):
+            fit_hb_panel(X, y, row_customer, customer_ids, config=config)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "name",
+        ["rw_scale", "mu_prior_mean", "mu_prior_precision", "iw_scale", "dirichlet_concentration"],
+    )
+    def test_non_finite_float_refused_by_name(self, name, value):
+        config = McmcConfig(total_draws=60, burn_in=10, **{name: value})
+        with pytest.raises(ConfigurationError, match=f"^{name} must be finite, got {value!r}$"):
+            config.validate(3)
+        X, y, row_customer, customer_ids, _ = random_panel(3, 4, 0)
+        with pytest.raises(ConfigurationError, match=f"^{name} must be finite"):
+            fit_hb_panel(X, y, row_customer, customer_ids, config=config)
 
 
 class TestPanel:
@@ -204,6 +229,122 @@ class TestSampler:
             fit_hb_panel(X, y, row_customer, [1, 2], None)
 
 
+def random_panel(seed, n_customers, n_cov):
+    """A shuffled panel of 1-3 offers per customer (ids from 100), each
+    offer seen once accepted and once rejected: separable labels would send
+    the pooled start and a tiny block's betas off to infinity."""
+    rng = np.random.default_rng(seed)
+    offer_customer = np.repeat(np.arange(n_customers), rng.integers(1, 4, n_customers))
+    n = len(offer_customer)
+    X = np.column_stack([np.ones(n), rng.integers(1, 6, n), rng.uniform(-0.3, 0.3, n)])
+    rows = rng.permutation(2 * n)
+    y = np.repeat([1.0, 0.0], n)[rows]
+    Z = rng.normal(size=(n_customers, n_cov)) if n_cov else None
+    customer_ids = list(range(100, 100 + n_customers))
+    return np.vstack([X, X])[rows], y, np.tile(offer_customer, 2)[rows], customer_ids, Z
+
+
+def assert_same_fit(got, expected):
+    assert got.customer_ids == expected.customer_ids
+    assert got.config == expected.config
+    assert np.array_equal(got.acceptance_rates, expected.acceptance_rates)
+    for name in PosteriorDraws._ARRAYS:
+        a, b = getattr(got, name), getattr(expected, name)
+        assert a.shape == b.shape, name
+        np.testing.assert_allclose(a, b, rtol=1e-9, atol=0, err_msg=name)
+
+
+def stack_configs(seeds):
+    return [McmcConfig(total_draws=24, burn_in=8, seed=seed) for seed in seeds]
+
+
+class TestStacking:
+    @settings(max_examples=50, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(1, 25), min_size=1, max_size=4),
+        ncomp=st.integers(1, 3),
+        n_cov=st.integers(0, 2),
+        seed=st.integers(0, 2**32 - 1),
+        order=st.randoms(use_true_random=False),
+    )
+    def test_each_block_equals_its_solo_fit_in_any_order(self, sizes, ncomp, n_cov, seed, order):
+        panels = [random_panel(seed + b, n, n_cov) for b, n in enumerate(sizes)]
+        configs = stack_configs([seed + 100 * b for b in range(len(sizes))])
+        stacked = fit_hb_panels(panels, ncomp, configs)
+        assert len(stacked) == len(panels)
+        for panel, config, fit in zip(panels, configs, stacked):
+            assert_same_fit(fit, fit_hb_panel(*panel, ncomp=ncomp, config=config))
+        perm = list(range(len(sizes)))
+        order.shuffle(perm)
+        permuted = fit_hb_panels([panels[i] for i in perm], ncomp, [configs[i] for i in perm])
+        for i, fit in zip(perm, permuted):
+            assert_same_fit(fit, stacked[i])
+
+    def test_reruns_are_byte_identical(self):
+        panels = [random_panel(b, n, 1) for b, n in enumerate([7, 3, 11])]
+        first = fit_hb_panels(panels, 2, stack_configs([1, 2, 3]))
+        second = fit_hb_panels(panels, 2, stack_configs([1, 2, 3]))
+        for a, b in zip(first, second):
+            for name in PosteriorDraws._ARRAYS:
+                assert np.array_equal(getattr(a, name), getattr(b, name))
+
+    def test_config_differing_beyond_seed_named_by_block_and_field(self):
+        panels = [random_panel(b, 5, 0) for b in range(3)]
+        configs = stack_configs([1, 2, 3])
+        configs[1] = replace(configs[1], burn_in=9)
+        expected = "^block 1: config differs from block 0 in burn_in"
+        with pytest.raises(ConfigurationError, match=expected):
+            fit_hb_panels(panels, 1, configs)
+
+    def test_customer_without_rows_named_by_block(self):
+        panels = [random_panel(b, 5, 0) for b in range(3)]
+        X, y, row_customer, customer_ids, Z = panels[1]
+        panels[1] = (X, y, row_customer, customer_ids + [999], Z)
+        with pytest.raises(
+            DataIntegrityError, match="^block 1: every customer needs at least one observation$"
+        ):
+            fit_hb_panels(panels, 1, stack_configs([1, 2, 3]))
+
+    @pytest.mark.parametrize(
+        "step, message",
+        [
+            ("_draw_components", "Cholesky of inverse scale of component 0 failed at draw 3"),
+            ("_draw_delta", "Cholesky of delta posterior failed at draw 3"),
+        ],
+    )
+    def test_cholesky_failure_named_by_block_and_draw(self, monkeypatch, step, message):
+        break_block_at_draw(monkeypatch, step, block=1, draw=3)
+        panels = [random_panel(b, 6, 1) for b in range(3)]
+        with pytest.raises(EstimationError, match=f"^block 1: {message}$") as info:
+            fit_hb_panels(panels, 2, stack_configs([1, 2, 3]))
+        assert info.value.block == 1
+
+
+def break_block_at_draw(monkeypatch, step, block, draw, chain=1):
+    """Make ``step`` hand one block a negative definite prior scale at one
+    draw of the ``chain``-th chain it sees, so that block's Cholesky fails."""
+    original = getattr(hb, step)
+    chains_seen = [0]
+
+    def broken(*args):
+        args = list(args)
+        at = args[-1]  # every step takes the draw index last
+        chains_seen[0] += at == 1
+        if at == draw and chains_seen[0] == chain:
+            n_blocks = len(args[0])
+            if step == "_draw_components":  # V, the inverse-Wishart prior scale
+                V = np.tile(args[-2], (n_blocks, 1, 1, 1))
+                V[block] = -1e6 * np.eye(V.shape[-1])
+                args[-2] = V
+            else:  # amu, the prior precision of vec(delta)
+                amu = np.full((n_blocks, 1, 1), args[-2])
+                amu[block] = -1e6
+                args[-2] = amu
+        return original(*args)
+
+    monkeypatch.setattr(hb, step, broken)
+
+
 class TestSummaries:
     def test_posterior_mean_of_single_draw(self):
         draws = hand_built_draws([[[0.5, -0.2, 1.0]]])
@@ -231,41 +372,59 @@ def random_roots(rng, ncomp, k):
 
 class TestSamplerParts:
     @given(
+        n_blocks=st.integers(1, 3),
         ncomp=st.integers(1, 3),
         k=st.integers(1, 4),
         n=st.integers(1, 6),
         per_component=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_mvn_logpdf_matches_dense_reference(self, ncomp, k, n, per_component, seed):
+    def test_mvn_logpdf_matches_dense_reference(self, n_blocks, ncomp, k, n, per_component, seed):
         rng = np.random.default_rng(seed)
-        roots = random_roots(rng, ncomp, k)
-        diff = rng.normal(scale=2.0, size=(ncomp, n, k) if per_component else (n, k))
+        roots = np.stack([random_roots(rng, ncomp, k) for _ in range(n_blocks)])
+        shape = (n_blocks, ncomp, n, k) if per_component else (n_blocks, n, k)
+        diff = rng.normal(scale=2.0, size=shape)
         got = _mvn_logpdf(diff, roots)
-        assert got.shape == (ncomp, n)
-        for c in range(ncomp):
-            cov = np.linalg.inv(roots[c] @ roots[c].T)
-            for i in range(n):
-                x = diff[c, i] if per_component else diff[i]
-                assert got[c, i] == pytest.approx(dense_mvn_logpdf(x, cov), rel=1e-9, abs=1e-9)
+        assert got.shape == (n_blocks, ncomp, n)
+        for b in range(n_blocks):
+            for c in range(ncomp):
+                cov = np.linalg.inv(roots[b, c] @ roots[b, c].T)
+                for i in range(n):
+                    x = diff[b, c, i] if per_component else diff[b, i]
+                    expected = dense_mvn_logpdf(x, cov)
+                    assert got[b, c, i] == pytest.approx(expected, rel=1e-9, abs=1e-9)
 
     def test_wishart_root_is_lower_triangular_and_deterministic(self):
         scale = np.array([[2.0, 0.3, 0.0], [0.3, 1.0, -0.2], [0.0, -0.2, 0.5]])
-        root = _wishart_root(np.random.default_rng(7), 8, scale, 1, "test")
+        dof, scales = np.array([[8.0]]), scale[None, None]
+        root, z = _wishart_root([np.random.default_rng(7)], dof, scales, 1)
+        assert root.shape == (1, 1, 3, 3) and z.shape == (1, 1, 3)
         assert np.array_equal(root, np.tril(root))
-        assert np.all(np.diag(root) > 0)
-        assert np.array_equal(root, _wishart_root(np.random.default_rng(7), 8, scale, 1, "test"))
+        assert np.all(np.diagonal(root, axis1=2, axis2=3) > 0)
+        again = _wishart_root([np.random.default_rng(7)], dof, scales, 1)
+        assert np.array_equal(root, again[0]) and np.array_equal(z, again[1])
 
     def test_wishart_root_mean_is_dof_times_inverse_scale(self):
         scale = np.array([[2.0, 0.3, 0.0], [0.3, 1.0, -0.2], [0.0, -0.2, 0.5]])
         dof, n = 8, 4000
-        rng = np.random.default_rng(11)
-        roots = [_wishart_root(rng, dof, scale, 1, "test") for _ in range(n)]
-        draws = np.array([r @ r.T for r in roots])
+        # one block of n components, all drawn from one generator
+        roots, _ = _wishart_root(
+            [np.random.default_rng(11)], np.full((1, n), dof), np.tile(scale, (1, n, 1, 1)), 1
+        )
+        draws = roots[0] @ np.swapaxes(roots[0], 1, 2)
         sigma = np.linalg.inv(scale)
         # Var(W_ij) = dof * (sigma_ij^2 + sigma_ii * sigma_jj)
         se = np.sqrt(dof * (sigma**2 + np.outer(np.diag(sigma), np.diag(sigma))) / n)
         assert np.all(np.abs(draws.mean(axis=0) - dof * sigma) < 5 * se)
+
+    def test_wishart_root_blocks_draw_from_their_own_generators(self):
+        scale = np.tile(np.diag([2.0, 1.0, 0.5]), (2, 2, 1, 1))
+        dof = np.array([[8.0, 9.0], [10.0, 8.0]])
+        pair = _wishart_root([np.random.default_rng(1), np.random.default_rng(2)], dof, scale, 1)
+        for b, seed in enumerate([1, 2]):
+            alone = _wishart_root([np.random.default_rng(seed)], dof[[b]], scale[[b]], 1)
+            assert np.array_equal(pair[0][b], alone[0][0])
+            assert np.array_equal(pair[1][b], alone[1][0])
 
 
 class TestPrediction:
