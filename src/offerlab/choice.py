@@ -1,14 +1,16 @@
-"""The offer table and the logit shared by the simulator, estimator, and
-optimizer.
+"""The offer and customer tables, the id join and the logit shared by the
+simulator, estimator, and optimizer.
 
 An offer's design row holds three attributes: a constant, the contract
 length in years and the discount fraction.  A customer's taste is a
 coefficient vector of the same dimension, held as one row of a
 ``(customers, 3)`` array.  ``Offers`` is the one table of offers: column
 arrays of customer ids, occasions, the ``(n, 3)`` design ``X`` and the
-labels.  It is built only where offers come into being
-(``simulate.generate_offers`` and ``datasets.read_offer_csv``) and checked
-there by ``Offers.validate``; every other stage reads its columns.
+labels.  ``Customers`` is the one table of customers: ids, loyalty and the
+centered covariates.  Each is built only where its rows come into being
+(``simulate`` and ``datasets.read_offer_csv`` / ``read_customers_csv``)
+and checked there by its ``validate``; every other stage reads columns,
+and ``join`` finds the row of each customer id in a key column.
 Acceptance follows a binary logit in which the no-purchase alternative's
 utility is normalized to exactly zero, so ``logistic`` of the utility is
 the single acceptance probability: the simulator, the sampler, prediction
@@ -17,7 +19,6 @@ and the profit objective all call it on arrays of utilities.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -42,13 +43,56 @@ DESIGN_COLUMNS = ("X1", "contract_length_years", "offer_discount")
 UTILITY_CLAMP = 700.0
 
 
-@dataclass(frozen=True)
-class Offers:
+class _Table:
+    """Frozen columns of one length; ``==`` compares every column exactly."""
+
+    _DTYPES: dict = {}  # column -> dtype; the others are float
+
+    def __post_init__(self):
+        for f in fields(self):
+            dtype = self._DTYPES.get(f.name, float)
+            object.__setattr__(self, f.name, np.asarray(getattr(self, f.name), dtype=dtype))
+
+    def __len__(self) -> int:
+        return len(self.customer_id)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self)
+        )
+
+    def take(self, rows):
+        """The rows ``rows`` (indices or a mask), in that order."""
+        return type(self)(*(getattr(self, f.name)[rows] for f in fields(self)))
+
+    def _refuse(self, where, checks, key, key_columns):
+        """Return the table, or raise a ``DataIntegrityError`` naming
+        ``where``: for a column of unequal length; for the first row that
+        fails a check ``(column, values, bad mask, rule)`` of ``checks``,
+        with the column, the row's key ``key(i)`` and its value; or for the
+        first row whose ``key_columns`` repeat an earlier row's."""
+        if any(getattr(self, f.name).shape[:1] != (len(self),) for f in fields(self)):
+            raise DataIntegrityError(f"{where}: columns of unequal shape")
+        for column, values, bad, rule in checks:
+            if bad.any():
+                i = int(np.argmax(bad))
+                value = values[i].item()
+                raise DataIntegrityError(f"{where}: {column} = {value!r} at {key(i)} {rule}")
+        order, first = key_runs(*key_columns)
+        repeated = np.zeros(len(self), dtype=bool)
+        repeated[order] = ~first
+        if repeated.any():
+            raise DataIntegrityError(f"{where} repeats {key(int(np.argmax(repeated)))}")
+        return self
+
+
+@dataclass(frozen=True, eq=False)
+class Offers(_Table):
     """Offers made to customers, one row per (customer_id, occasion).
 
     ``X`` is the ``(n, 3)`` design: intercept, contract length in whole
     years 0..5 and discount in [-0.5, 0.5].  ``label`` is ``ACCEPTED``,
-    ``REJECTED`` or ``UNLABELED``.  ``==`` compares every column exactly.
+    ``REJECTED`` or ``UNLABELED``.
     """
 
     customer_id: np.ndarray
@@ -56,22 +100,7 @@ class Offers:
     X: np.ndarray
     label: np.ndarray
 
-    def __post_init__(self):
-        for name, dtype in (("customer_id", np.int64), ("occasion", np.int64), ("label", np.int8)):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
-        object.__setattr__(self, "X", np.asarray(self.X, dtype=float))
-
-    def __len__(self) -> int:
-        return len(self.label)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Offers) and all(
-            np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self)
-        )
-
-    def take(self, rows) -> "Offers":
-        """The rows ``rows`` (indices or a mask), in that order."""
-        return Offers(*(getattr(self, f.name)[rows] for f in fields(self)))
+    _DTYPES = {"customer_id": np.int64, "occasion": np.int64, "label": np.int8}
 
     def labels(self) -> np.ndarray:
         """The 0/1 labels; an unlabeled row is an ``InvalidInputError``."""
@@ -89,9 +118,6 @@ class Offers:
         below 1, a repeated key, an intercept other than 1, a contract
         length that is not a whole year in 0..5, a discount outside
         [-0.5, 0.5] (non-finite values fail these too) or an unknown label."""
-        n = len(self)
-        if self.customer_id.shape != (n,) or self.occasion.shape != (n,) or self.X.shape != (n, 3):
-            raise DataIntegrityError(f"{where}: offer columns of unequal shape")
         x1, years, discount = self.X.T
         in_range = (discount >= DISCOUNT_MIN) & (discount <= DISCOUNT_MAX)
         checks = (
@@ -104,55 +130,86 @@ class Offers:
             ("label", self.label, ~np.isin(self.label, list(OUTCOMES)),
              f"must be one of {list(OUTCOMES)}"),
         )
-        for column, values, bad, rule in checks:
-            if bad.any():
-                i = int(np.argmax(bad))
-                raise DataIntegrityError(
-                    f"{where}: {column} = {values[i].item()!r} at (customer_id, occasion) = "
-                    f"({self.customer_id[i]}, {self.occasion[i]}) {rule}"
-                )
-        order, first = key_runs(self.customer_id, self.occasion)
-        repeated = np.zeros(n, dtype=bool)
-        repeated[order] = ~first
-        if repeated.any():
-            i = int(np.argmax(repeated))
-            raise DataIntegrityError(
-                f"{where} repeats (customer_id, occasion) = "
-                f"({self.customer_id[i]}, {self.occasion[i]})"
-            )
-        return self
+
+        def key(i):
+            return f"(customer_id, occasion) = ({self.customer_id[i]}, {self.occasion[i]})"
+
+        return self._refuse(where, checks, key, (self.customer_id, self.occasion))
 
 
-def key_runs(customer_id, occasion):
-    """``(order, first)``: the row indices sorted by (customer_id, occasion),
-    ties in input order, and for each sorted row whether it is the first of
-    its key."""
-    order = np.lexsort((occasion, customer_id))
-    cid, occ = np.asarray(customer_id)[order], np.asarray(occasion)[order]
+@dataclass(frozen=True, eq=False)
+class Customers(_Table):
+    """Customers, one row per id: ``loyalty`` in [0, 1] and the
+    mean-centered covariates ``loyalty_centered`` and
+    ``demographic_centered`` that shift the population means."""
+
+    customer_id: np.ndarray
+    loyalty: np.ndarray
+    loyalty_centered: np.ndarray
+    demographic_centered: np.ndarray
+
+    _DTYPES = {"customer_id": np.int64}
+
+    def covariates(self, include_demographic: bool):
+        """``(customer_id, Z)``: each customer's covariate row, the centered
+        loyalty and, if ``include_demographic``, the centered demographic."""
+        columns = [self.loyalty_centered] + [self.demographic_centered] * include_demographic
+        return self.customer_id, np.column_stack(columns)
+
+    def validate(self, where) -> "Customers":
+        """Refuse, as a ``DataIntegrityError`` naming ``where``, the column,
+        the first offending id and its value: an id below 1, a repeated id,
+        a loyalty outside [0, 1] or a non-finite centered covariate."""
+        checks = [
+            ("id", self.customer_id, self.customer_id < 1, "must be >= 1"),
+            ("loyalty", self.loyalty, ~((self.loyalty >= 0) & (self.loyalty <= 1)),
+             "must lie in [0, 1]"),
+        ] + [
+            (name, getattr(self, name), ~np.isfinite(getattr(self, name)), "must be finite")
+            for name in ("loyalty_centered", "demographic_centered")
+        ]
+
+        def key(i):
+            return f"id = {self.customer_id[i]}"
+
+        return self._refuse(where, checks, key, (self.customer_id,))
+
+
+def key_runs(*columns):
+    """``(order, first)``: the row indices sorted by the key ``columns``
+    (first column first), ties in input order, and for each sorted row
+    whether it is the first of its key."""
+    order = np.lexsort(columns[::-1])
     first = np.ones(len(order), dtype=bool)
-    first[1:] = (cid[1:] != cid[:-1]) | (occ[1:] != occ[:-1])
+    for column in columns:
+        sorted_column = np.asarray(column)[order]
+        first[1:] &= sorted_column[1:] == sorted_column[:-1]
+    first[1:] = ~first[1:]
     return order, first
 
 
-@dataclass(frozen=True)
-class CustomerProfile:
-    """Customer-level context: loyalty score plus mean-centered covariates."""
+def join(keys, ids, unknown=None) -> np.ndarray:
+    """The row of each of ``ids`` in the key column ``keys``, by one
+    ``searchsorted`` over the keys in argsort order.
 
-    customer_id: int
-    loyalty: float
-    loyalty_centered: float
-    demographic_centered: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.loyalty <= 1.0:
-            raise InvalidInputError(f"loyalty must lie in [0, 1], got {self.loyalty!r}")
-        for v in (self.loyalty_centered, self.demographic_centered):
-            if not math.isfinite(v):
-                raise InvalidInputError(f"covariate must be finite, got {v!r}")
-
-    @property
-    def covariates(self) -> np.ndarray:
-        return np.array([self.loyalty_centered, self.demographic_centered])
+    An id absent from ``keys`` gets row -1, or, if ``unknown`` is given,
+    raises ``unknown(id)`` for the first such id.  A key repeated in
+    ``keys`` is a ``DataIntegrityError``.
+    """
+    keys = np.asarray(keys, dtype=np.int64)
+    ids = np.asarray(ids, dtype=np.int64)
+    order, first = key_runs(keys)
+    if not first.all():
+        raise DataIntegrityError(f"key {keys[order][np.argmin(first)]} is repeated")
+    sorted_keys = keys[order]
+    pos = np.searchsorted(sorted_keys, ids)
+    found = pos < len(keys)
+    found[found] = sorted_keys[pos[found]] == ids[found]
+    if unknown is not None and not found.all():
+        raise unknown(ids[np.argmax(~found)].item())
+    rows = np.full(len(ids), -1, dtype=np.intp)
+    rows[found] = order[pos[found]]
+    return rows
 
 
 def logistic(u):

@@ -15,7 +15,6 @@ from . import __version__
 from .config import PipelineConfig
 from .datasets import (
     OCCASION_KEY,
-    index_unique,
     ingest_retail_csv,
     read_customers_csv,
     read_offer_csv,
@@ -26,7 +25,7 @@ from .datasets import (
     write_scores_csv,
     write_truth_csv,
 )
-from .errors import MissingArtifactError, OfferLabError
+from .errors import DataIntegrityError, MissingArtifactError, OfferLabError
 from .evaluate import (
     ScoredLabels,
     accuracy_at_base_rate,
@@ -82,12 +81,6 @@ def _require(path: Path) -> Path:
     return path
 
 
-def _covariates_from_customers(profiles: dict, include_demographic: bool) -> dict:
-    if include_demographic:
-        return {cid: (p.loyalty_centered, p.demographic_centered) for cid, p in profiles.items()}
-    return {cid: (p.loyalty_centered,) for cid, p in profiles.items()}
-
-
 def _write_manifest(out: Path, subcommand: str, config: PipelineConfig, artifacts) -> Path:
     config_dict = asdict(config)
     manifest = {
@@ -120,8 +113,11 @@ def _cells(*types):
 
 def _aligned_scores(path, offers) -> np.ndarray:
     """The scores of ``path`` in the row order of ``offers``, by (customer_id, occasion)."""
-    rows = read_scores_csv(path)
-    by_key = index_unique(path, OCCASION_KEY, (((cid, occ), score) for cid, occ, _, score in rows))
+    by_key = {}
+    for cid, occ, _, score in read_scores_csv(path):
+        if (cid, occ) in by_key:
+            raise DataIntegrityError(f"{path} repeats {OCCASION_KEY} = {(cid, occ)}")
+        by_key[cid, occ] = score
     keys = list(zip(offers.customer_id.tolist(), offers.occasion.tolist()))
     missing = [key for key in keys if key not in by_key]
     if missing:
@@ -136,19 +132,19 @@ def run_pipeline(subcommand: str, config: PipelineConfig, args: argparse.Namespa
 
     if subcommand == "simulate":
         dataset = simulate_dataset(config.ground_truth)
-        write_offer_csv(out / "train.csv", dataset.train, dataset.profiles)
-        write_offer_csv(out / "test.csv", dataset.test, dataset.profiles)
-        write_customers_csv(out / "customers.csv", dataset.profiles)
+        write_offer_csv(out / "train.csv", dataset.train)
+        write_offer_csv(out / "test.csv", dataset.test)
+        write_customers_csv(out / "customers.csv", dataset.customers)
         write_truth_csv(out / "truth.csv", dataset.true_coefficients)
-        summary = summarize_dataset(dataset.train, dataset.profiles).to_text()
-        summary += "\n" + summarize_dataset(dataset.test, dataset.profiles).to_text()
+        summary = summarize_dataset(dataset.train, dataset.customers).to_text()
+        summary += "\n" + summarize_dataset(dataset.test, dataset.customers).to_text()
         write_text_atomic(out / "summary.txt", summary)
         artifacts += ["train.csv", "test.csv", "customers.csv", "truth.csv", "summary.txt"]
 
     elif subcommand == "fit":
         offers = read_offer_csv(out / "train.csv")
-        profiles, _ = read_customers_csv(out / "customers.csv")
-        covariates = _covariates_from_customers(profiles, config.include_demographic)
+        customers, _ = read_customers_csv(out / "customers.csv")
+        covariates = customers.covariates(config.include_demographic)
         draws = fit_hb_mixed_logit(offers, covariates, ncomp=config.ncomp, config=config.mcmc)
         draws.save(out / "posterior")
         artifacts += [
@@ -158,8 +154,8 @@ def run_pipeline(subcommand: str, config: PipelineConfig, args: argparse.Namespa
 
     elif subcommand == "tune":
         offers = read_offer_csv(out / "train.csv")
-        profiles, _ = read_customers_csv(out / "customers.csv")
-        covariates = _covariates_from_customers(profiles, config.include_demographic)
+        customers, _ = read_customers_csv(out / "customers.csv")
+        covariates = customers.covariates(config.include_demographic)
         report = tune_ncomp(
             offers, covariates, config.ncomp_candidates, config.resampling, config.mcmc
         )
@@ -173,14 +169,12 @@ def run_pipeline(subcommand: str, config: PipelineConfig, args: argparse.Namespa
     elif subcommand == "predict":
         draws = PosteriorDraws.load(out / "posterior")
         offers = read_offer_csv(out / "test.csv")
-        ids = offers.customer_id.tolist()
         scores = predict_panel_probabilities(
-            draws, offers.X, ids, mode=config.predict_mode, fallback_population_mean=True
+            draws, offers.X, offers.customer_id, mode=config.predict_mode,
+            fallback_population_mean=True,
         )
-        write_scores_csv(
-            out / "scores.csv",
-            [(cid, occ, 1, s) for cid, occ, s in zip(ids, offers.occasion.tolist(), scores.tolist())],
-        )
+        rows = zip(offers.customer_id.tolist(), offers.occasion.tolist(), scores.tolist())
+        write_scores_csv(out / "scores.csv", [(cid, occ, 1, s) for cid, occ, s in rows])
         artifacts += ["scores.csv"]
 
     elif subcommand == "evaluate":
@@ -214,8 +208,8 @@ def run_pipeline(subcommand: str, config: PipelineConfig, args: argparse.Namespa
     elif subcommand == "segment":
         draws = PosteriorDraws.load(out / "posterior")
         offers = read_offer_csv(out / "test.csv")
-        profiles, _ = read_customers_csv(out / "customers.csv")
-        assignments = assign_segments(draws, offers, profiles, delta=config.elasticity_delta)
+        customers, _ = read_customers_csv(out / "customers.csv")
+        assignments = assign_segments(draws, offers, customers, delta=config.elasticity_delta)
         write_csv_atomic(
             out / "segments.csv",
             SEGMENT_COLUMNS,

@@ -3,15 +3,18 @@
 Every dataset file goes through ``storage.write_csv_atomic`` and
 ``storage.read_csv``, which define the CSV format.  ``read_offer_csv``
 returns the offer table (``choice.Offers``) checked by ``Offers.validate``,
-so a recorded offer outside the model's domain is refused by file, column
-and key.  The splits work on (customer_id, occasion) key arrays and return
-row indices, for offer tables and retail choice sets alike.
+and ``read_customers_csv`` the customer table (``choice.Customers``)
+checked by ``Customers.validate``, so a recorded row outside the model's
+domain is refused by file, column and key.  The offer CSV holds only keys,
+design and outcome; a customer's loyalty and covariates live in the
+customer CSV alone.  The splits work on (customer_id, occasion) key arrays
+and return row indices, for offer tables and retail choice sets alike.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime
 from pathlib import Path
 
@@ -22,7 +25,7 @@ from .choice import (
     DESIGN_COLUMNS,
     REJECTED,
     UNLABELED,
-    CustomerProfile,
+    Customers,
     Offers,
     key_runs,
 )
@@ -36,14 +39,7 @@ from .errors import (
 )
 from .storage import read_csv, write_csv_atomic
 
-OFFER_COLUMNS = (
-    "id",
-    "setnum",
-    *DESIGN_COLUMNS,
-    "demographic_centered",
-    "loyalty_centered",
-    "outcome",
-)
+OFFER_COLUMNS = ("id", "setnum", *DESIGN_COLUMNS, "outcome")
 CUSTOMER_COLUMNS = ("id", "loyalty", "loyalty_centered", "demographic_centered", "mrp")
 TRUTH_COLUMNS = ("id", "k", "beta_contract", "beta_discount")
 SCORE_COLUMNS = ("customer_id", "occasion", "alternative", "score")
@@ -56,33 +52,16 @@ _LABEL_TO_CELL = {ACCEPTED: "1", REJECTED: "0", UNLABELED: ""}
 _CELL_TO_LABEL = {"1": ACCEPTED, "0": REJECTED, "": UNLABELED}
 
 
-def index_unique(path, key_columns: str, pairs) -> dict:
-    """Map each key of ``pairs`` (key, value) to its value; a key read twice
-    from ``path`` is a ``DataIntegrityError`` naming the file, the
-    ``key_columns`` and the key."""
-    index = {}
-    for key, value in pairs:
-        if key in index:
-            raise DataIntegrityError(f"{path} repeats {key_columns} = {key}")
-        index[key] = value
-    return index
-
-
-def write_offer_csv(path, offers: Offers, profiles: dict) -> None:
-    rows = []
-    for cid, occ, x, label in zip(
-        offers.customer_id.tolist(), offers.occasion.tolist(), offers.X.tolist(), offers.label.tolist()
-    ):
-        prof = profiles.get(cid)
-        covariates = (prof.demographic_centered, prof.loyalty_centered) if prof else (0.0, 0.0)
-        rows.append((cid, occ, *x, *covariates, _LABEL_TO_CELL[label]))
+def write_offer_csv(path, offers: Offers) -> None:
+    labels = [_LABEL_TO_CELL[label] for label in offers.label.tolist()]
+    rows = zip(offers.customer_id.tolist(), offers.occasion.tolist(), *offers.X.T.tolist(), labels)
     write_csv_atomic(path, OFFER_COLUMNS, rows)
 
 
 def _parse_offer(row):
     return (
         int(row[0]), int(row[1]), float(row[2]), float(row[3]), float(row[4]),
-        _CELL_TO_LABEL[row[7]],
+        _CELL_TO_LABEL[row[5]],
     )
 
 
@@ -99,40 +78,32 @@ def read_offer_csv(path) -> Offers:
     return offers.validate(path)
 
 
-def write_customers_csv(path, profiles: dict, mrp: dict | None = None) -> None:
+def write_customers_csv(path, customers: Customers, mrp: dict | None = None) -> None:
+    """One row per customer, in table order; ``mrp`` maps an id to its
+    monthly recurring price, left blank for the others."""
     mrp = mrp or {}
-    rows = [
-        (
-            p.customer_id,
-            p.loyalty,
-            p.loyalty_centered,
-            p.demographic_centered,
-            mrp.get(p.customer_id, ""),
-        )
-        for p in (profiles[k] for k in sorted(profiles))
-    ]
+    columns = [getattr(customers, f.name).tolist() for f in fields(customers)]
+    rows = zip(*columns, (mrp.get(cid, "") for cid in columns[0]))
     write_csv_atomic(path, CUSTOMER_COLUMNS, rows)
 
 
 def _parse_customer(row):
-    profile = CustomerProfile(
-        customer_id=int(row[0]),
-        loyalty=float(row[1]),
-        loyalty_centered=float(row[2]),
-        demographic_centered=float(row[3]),
-    )
-    return profile, float(row[4]) if row[4] != "" else None
+    mrp = float(row[4]) if row[4] != "" else None
+    return int(row[0]), float(row[1]), float(row[2]), float(row[3]), mrp
 
 
 def read_customers_csv(path):
-    """Return (profiles dict, mrp dict; mrp only for rows that carry one).
-
-    An id that appears twice is a ``DataIntegrityError``.
-    """
+    """``(customers, mrp)``: the customer table of ``path`` in file order,
+    checked by ``Customers.validate``, and the monthly recurring price of
+    each id whose row carries one."""
     rows = read_csv(path, CUSTOMER_COLUMNS, _parse_customer)
-    profiles = index_unique(path, "id", ((p.customer_id, p) for p, _ in rows))
-    mrp = {p.customer_id: m for p, m in rows if m is not None}
-    return profiles, mrp
+    *columns, mrp = zip(*rows) if rows else [()] * 5
+    try:
+        customers = Customers(*columns)
+    except OverflowError:
+        raise DataIntegrityError(f"{path}: an id exceeds 64 bits") from None
+    customers.validate(path)
+    return customers, {cid: m for cid, m in zip(columns[0], mrp) if m is not None}
 
 
 def write_truth_csv(path, coefficients: np.ndarray) -> None:
@@ -374,21 +345,12 @@ def multinomial_to_panel(dataset: MultinomialDataset):
     product's alternative-specific intercept as its only active feature.
     Returns (X, y, row_customer, customer_ids, row_meta).
     """
-    products = dataset.product_ids
-    col = {p: i for i, p in enumerate(products)}
-    customer_ids = sorted({cs.customer_id for cs in dataset.choice_sets})
-    pos = {cid: i for i, cid in enumerate(customer_ids)}
-    n_rows = dataset.n_rows
-    X = np.zeros((n_rows, len(products)))
-    y = np.empty(n_rows)
-    row_customer = np.empty(n_rows, dtype=np.intp)
-    row_meta = []
-    i = 0
-    for cs in dataset.choice_sets:
-        for product_id, chosen in cs.alternatives:
-            X[i, col[product_id]] = 1.0
-            y[i] = chosen
-            row_customer[i] = pos[cs.customer_id]
-            row_meta.append((cs.customer_id, cs.occasion, product_id))
-            i += 1
-    return X, y, row_customer, customer_ids, row_meta
+    col = {p: i for i, p in enumerate(dataset.product_ids)}
+    row_meta = [
+        (cs.customer_id, cs.occasion, p) for cs in dataset.choice_sets for p, _ in cs.alternatives
+    ]
+    y = np.array([c for cs in dataset.choice_sets for _, c in cs.alternatives], dtype=float)
+    customer_ids, row_customer = np.unique([m[0] for m in row_meta], return_inverse=True)
+    X = np.zeros((len(row_meta), len(col)))
+    X[np.arange(len(row_meta)), [col[m[2]] for m in row_meta]] = 1.0
+    return X, y, row_customer, customer_ids.tolist(), row_meta

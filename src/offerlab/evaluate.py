@@ -223,7 +223,7 @@ def _scored_repeat(cells, ncomp, config):
         scores = predict_panel_probabilities(
             draws,
             cell.validation.X,
-            cell.validation.customer_id.tolist(),
+            cell.validation.customer_id,
             mode=DRAW_AVERAGED,
             fallback_population_mean=True,
         )
@@ -238,7 +238,7 @@ def _scored_repeat(cells, ncomp, config):
 
 def tune_ncomp(
     offers,
-    covariates: dict | None,
+    covariates,
     candidates,
     scheme: ResamplingScheme,
     config: McmcConfig,

@@ -24,12 +24,12 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .choice import logistic
+from .choice import join, logistic
 from .errors import (
     ConfigurationError,
     DataIntegrityError,
@@ -55,6 +55,9 @@ PREDICT_CHUNK = 1024
 
 # ridge on the pooled logit's Newton steps, which start the sampler
 POOLED_RIDGE = 1e-6
+# the box |coefficient| <= POOLED_BOX the pooled start stays in: on a panel
+# whose labels a plane separates, the Newton steps run off towards infinity
+POOLED_BOX = 30.0
 
 
 @dataclass(frozen=True)
@@ -132,11 +135,6 @@ class PosteriorDraws:
     log_likelihood: np.ndarray  # (n_draws,)
     acceptance_rates: np.ndarray  # (n_customers,)
     config: McmcConfig
-    _index: dict = field(default_factory=dict, repr=False)
-
-    def __post_init__(self):
-        if not self._index:
-            self._index = {cid: i for i, cid in enumerate(self.customer_ids)}
 
     @property
     def n_draws(self) -> int:
@@ -153,15 +151,6 @@ class PosteriorDraws:
     @property
     def ncomp(self) -> int:
         return self.weights.shape[1]
-
-    def index_of(self, customer_id) -> int:
-        try:
-            return self._index[customer_id]
-        except KeyError:
-            raise UnknownCustomerError(customer_id)
-
-    def __contains__(self, customer_id) -> bool:
-        return customer_id in self._index
 
     def population_mean_coefficients(self) -> np.ndarray:
         """Posterior mean of the weighted mixture mean; used for customers
@@ -248,13 +237,15 @@ class PosteriorDraws:
 # ---------------------------------------------------------------------------
 
 
-def build_panel(offers, covariates: dict | None = None):
+def build_panel(offers, covariates=None):
     """Estimation arrays of a labeled offer table (``choice.Offers``).
 
     Returns (X, y, row_customer, customer_ids, Z): ``X`` is the table's
     design, customers are ordered by ascending id and ``row_customer`` maps
-    each row to its customer's position.  An unlabeled row is an
-    ``InvalidInputError``.
+    each row to its customer's position.  ``covariates`` is the
+    ``(customer_id, rows)`` pair of ``Customers.covariates``; ``Z`` holds the
+    row of each customer, and a customer without one is a
+    ``DataIntegrityError``.  An unlabeled row is an ``InvalidInputError``.
     """
     if not len(offers):
         raise InvalidInputError("no observations to fit")
@@ -264,12 +255,10 @@ def build_panel(offers, covariates: dict | None = None):
     if covariates is None:
         Z = np.zeros((len(customer_ids), 0))
     else:
-        missing = [cid for cid in customer_ids if cid not in covariates]
-        if missing:
-            raise DataIntegrityError(f"covariates missing for customers {missing[:5]}")
-        Z = np.array([np.asarray(covariates[cid], dtype=float) for cid in customer_ids])
-        if Z.ndim == 1:
-            Z = Z[:, None]
+        keys, rows = covariates
+        missing = "covariates missing for customer {}".format
+        at = join(keys, customer_ids, lambda cid: DataIntegrityError(missing(cid)))
+        Z = np.asarray(rows, dtype=float)[at]
     return offers.X, y, row_customer, customer_ids, Z
 
 
@@ -286,7 +275,8 @@ def build_panel(offers, covariates: dict | None = None):
 
 def _pooled_logit(X: np.ndarray, y: np.ndarray):
     """Newton fit of a pooled logit; returns (beta_hat, mean per-row
-    information matrix at the optimum)."""
+    information matrix at beta_hat).  A step that would leave the box
+    ``|beta| <= POOLED_BOX`` ends the fit at the iterate before it."""
     n, k = X.shape
     beta = np.zeros(k)
     for _ in range(50):
@@ -295,6 +285,8 @@ def _pooled_logit(X: np.ndarray, y: np.ndarray):
         H = (X * w[:, None]).T @ X + POOLED_RIDGE * np.eye(k)
         g = X.T @ (y - p) - POOLED_RIDGE * beta
         step = np.linalg.solve(H, g)
+        if np.max(np.abs(beta + step)) > POOLED_BOX:
+            break
         beta = beta + step
         if np.max(np.abs(step)) < 1e-10:
             break
@@ -529,10 +521,18 @@ def fit_hb_panels(panels, ncomp: int, configs) -> list[PosteriorDraws]:
                 f"block {b}: design width {X_b.shape[1]} and covariates {Z_b.shape} do not "
                 f"match block 0's {n_params} and (customers, {n_cov})"
             )
+        y_b = np.asarray(y_b, dtype=float)
+        for name, array in (("X", X_b), ("Z", Z_b), ("y", y_b)):
+            bad = (array != 0) & (array != 1) if name == "y" else ~np.isfinite(array)
+            if bad.any():
+                row = int(np.argmax(bad.reshape(len(array), -1).any(axis=1)))
+                rule = "must be 0 or 1" if name == "y" else "must be finite"
+                value = array[row].tolist()
+                raise InvalidInputError(f"block {b}: {name} row {row} = {value} {rule}")
         rows_per_cust = np.bincount(row_b, minlength=len(ids))
         if rows_per_cust.min() < 1:
             raise DataIntegrityError(f"block {b}: every customer needs at least one observation")
-        blocks.append((X_b, np.asarray(y_b, dtype=float), row_b, Z_b, rows_per_cust))
+        blocks.append((X_b, y_b, row_b, Z_b, rows_per_cust))
 
     sizes = [len(p[3]) for p in panels]
     n_blocks, n_max = len(panels), max(sizes)
@@ -686,14 +686,16 @@ def fit_hb_panel(
 
 def fit_hb_mixed_logit(
     offers,
-    covariates: dict | None = None,
+    covariates=None,
     ncomp: int = 1,
     config: McmcConfig | None = None,
 ) -> PosteriorDraws:
     """Fit the offer model (intercept, contract years, discount) by HB MCMC.
 
-    ``covariates`` maps customer_id to a covariate vector entering the
-    population means; omit it for a covariate-free population distribution.
+    ``covariates``, the ``(customer_id, rows)`` pair of
+    ``Customers.covariates``, gives each customer's covariate row entering
+    the population means; omit it for a covariate-free population
+    distribution.
     """
     X, y, row_customer, customer_ids, Z = build_panel(offers, covariates)
     return fit_hb_panel(X, y, row_customer, customer_ids, Z, ncomp=ncomp, config=config)
@@ -720,22 +722,14 @@ def predict_panel_probabilities(
     if mode not in PREDICTION_MODES:
         raise InvalidInputError(f"mode must be one of {PREDICTION_MODES}, got {mode!r}")
     X = np.asarray(X, dtype=float)
-    n = X.shape[0]
     pop_beta = draws.population_mean_coefficients()
     if mode == POPULATION_MEAN:
         return logistic(X @ pop_beta)
 
-    known = np.empty(n, dtype=bool)
-    idx = np.zeros(n, dtype=np.intp)
-    for i, cid in enumerate(row_customer_ids):
-        inside = cid in draws
-        known[i] = inside
-        if inside:
-            idx[i] = draws.index_of(cid)
-        elif not fallback_population_mean:
-            raise UnknownCustomerError(cid)
-
-    out = np.empty(n)
+    unknown = None if fallback_population_mean else UnknownCustomerError
+    idx = join(draws.customer_ids, row_customer_ids, unknown)
+    known = idx >= 0
+    out = np.empty(len(X))
     if mode == POSTERIOR_MEAN:
         mean = draws.posterior_mean_matrix()
         out[known] = logistic(np.einsum("ij,ij->i", X[known], mean[idx[known]]))

@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .choice import UTILITY_CLAMP
-from .errors import ConfigurationError, InvalidInputError
+from .choice import UTILITY_CLAMP, join
+from .errors import ConfigurationError, InvalidInputError, UnknownCustomerError
 from .hb import DRAW_AVERAGED, POSTERIOR_MEAN, PosteriorDraws
 from .segments import SEGMENTS
 
@@ -169,7 +169,7 @@ class _SegmentObjective:
         if draws.n_params != 3:
             raise InvalidInputError("the objective requires the 3-attribute offer model")
         config.validate()
-        idx = [draws.index_of(cid) for cid in seg.customer_ids]
+        idx = join(draws.customer_ids, seg.customer_ids, UnknownCustomerError)
         betas = draws.posterior_mean_matrix()[None] if mode == POSTERIOR_MEAN else draws.betas
         self.b0 = np.ascontiguousarray(betas[:, idx, 0].T)
         self.b1 = np.ascontiguousarray(betas[:, idx, 1].T)

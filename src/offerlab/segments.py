@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .choice import join
 from .errors import DegenerateInputError, InvalidInputError
 from .hb import DRAW_AVERAGED, PosteriorDraws, predict_panel_probabilities
 
@@ -72,10 +73,9 @@ def _elasticities(
             f"customer {offers.customer_id[i]}: shifted discount {float(shifted[i])!r} "
             f"leaves the safety band [{lo}, {hi}]"
         )
-    ids = offers.customer_id.tolist()
-    p0 = predict_panel_probabilities(draws, X, ids, mode=DRAW_AVERAGED)
+    p0 = predict_panel_probabilities(draws, X, offers.customer_id, mode=DRAW_AVERAGED)
     X[:, 2] = shifted
-    p1 = predict_panel_probabilities(draws, X, ids, mode=DRAW_AVERAGED)
+    p1 = predict_panel_probabilities(draws, X, offers.customer_id, mode=DRAW_AVERAGED)
     return [
         arc_elasticity(a, b, 1.0 + d, 1.0 + s)
         for a, b, d, s in zip(p0.tolist(), p1.tolist(), discounts.tolist(), shifted.tolist())
@@ -96,23 +96,20 @@ def assign_segment(elasticity: float, loyalty: float) -> str:
 def assign_segments(
     draws: PosteriorDraws,
     test_offers,
-    profiles: dict,
+    customers,
     delta: float = DEFAULT_DISCOUNT_SHIFT,
 ):
-    """SegmentAssignment per customer, from each customer's test offer."""
+    """SegmentAssignment per customer, from each customer's test offer and
+    its loyalty in the ``Customers`` table ``customers``."""
     offers = test_offers.take(np.argsort(test_offers.customer_id, kind="stable"))
-    ids = offers.customer_id.tolist()
-    for cid in ids:
-        if cid not in profiles:
-            raise InvalidInputError(f"no profile for customer {cid}")
+    rows = join(
+        customers.customer_id, offers.customer_id,
+        lambda cid: InvalidInputError(f"customer {cid} is not in the customer table"),
+    )
+    ids, loyalty = offers.customer_id.tolist(), customers.loyalty[rows].tolist()
     return [
-        SegmentAssignment(
-            customer_id=cid,
-            elasticity=elasticity,
-            loyalty=profiles[cid].loyalty,
-            segment=assign_segment(elasticity, profiles[cid].loyalty),
-        )
-        for cid, elasticity in zip(ids, _elasticities(draws, offers, delta=delta))
+        SegmentAssignment(cid, elasticity, loyal, assign_segment(elasticity, loyal))
+        for cid, elasticity, loyal in zip(ids, _elasticities(draws, offers, delta=delta), loyalty)
     ]
 
 

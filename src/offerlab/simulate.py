@@ -19,7 +19,7 @@ from .choice import (
     DESIGN_COLUMNS,
     OUTCOMES,
     UNLABELED,
-    CustomerProfile,
+    Customers,
     Offers,
     logistic,
 )
@@ -150,20 +150,21 @@ class GroundTruthConfig:
 @dataclass(frozen=True)
 class SimulatedDataset:
     """Training offers (many per customer) and test offers (one per
-    customer) as ``Offers`` tables, customer profiles, and the true coefficients that generated them: a
+    customer) as ``Offers`` tables, the ``Customers`` table (ids 1..n in
+    order), and the true coefficients that generated them: a
     ``(n_customers, 3)`` array whose row ``i`` belongs to customer ``i + 1``.
     ``==`` leaves that array out (an ndarray has no single truth value);
     compare it with ``np.array_equal``."""
 
-    train: tuple
-    test: tuple
-    profiles: dict
+    train: Offers
+    test: Offers
+    customers: Customers
     true_coefficients: np.ndarray = field(compare=False)
     seed: int = 0
 
     @property
     def n_customers(self) -> int:
-        return len(self.profiles)
+        return len(self.customers)
 
 
 def _psd_factor(cov: np.ndarray, context: str = "covariance") -> np.ndarray:
@@ -179,7 +180,8 @@ def _psd_factor(cov: np.ndarray, context: str = "covariance") -> np.ndarray:
 
 
 def _draw_population(config: GroundTruthConfig):
-    """Single pass over customers drawing profiles and true coefficients.
+    """Single pass over customers drawing the customer table and the true
+    coefficients.
 
     Per customer: a mixture component is sampled by weight, a multivariate
     normal is drawn through the component's covariance factor, and the
@@ -209,13 +211,8 @@ def _draw_population(config: GroundTruthConfig):
 
     if not np.isfinite(betas).all():
         raise ConfigurationError("ground truth draws non-finite coefficients")
-    profiles = {
-        i + 1: CustomerProfile(
-            i + 1, float(loyalty[i]), float(loyalty_c[i]), float(demographic_c[i])
-        )
-        for i in range(n)
-    }
-    return profiles, betas
+    customers = Customers(np.arange(1, n + 1), loyalty, loyalty_c, demographic_c)
+    return customers.validate("simulated customers"), betas
 
 
 def generate_offers(config: GroundTruthConfig) -> SimulatedDataset:
@@ -225,7 +222,7 @@ def generate_offers(config: GroundTruthConfig) -> SimulatedDataset:
     uniform over ``discount_bounds`` and contract lengths uniform over
     ``contract_values``.  Each customer also gets exactly one test offer.
     """
-    profiles, coefficients = _draw_population(config)
+    customers, coefficients = _draw_population(config)
     rng = purpose_rng(config.seed, "offers")
     count_values = [c for c, _ in config.offer_count_distribution]
     count_cum = np.cumsum([p for _, p in config.offer_count_distribution])
@@ -246,7 +243,7 @@ def generate_offers(config: GroundTruthConfig) -> SimulatedDataset:
     return SimulatedDataset(
         train=_unlabeled_offers(train, "simulated training offers"),
         test=_unlabeled_offers(test, "simulated test offers"),
-        profiles=profiles,
+        customers=customers,
         true_coefficients=coefficients,
         seed=config.seed,
     )
@@ -352,8 +349,9 @@ def _column_stats(values: np.ndarray) -> ColumnStats:
     )
 
 
-def summarize_dataset(offers: Offers, profiles: dict | None = None) -> DatasetSummary:
-    """Descriptive statistics per column plus outcome counts.
+def summarize_dataset(offers: Offers, customers: Customers | None = None) -> DatasetSummary:
+    """Descriptive statistics per column plus outcome counts; given a
+    customer table, also of its centered covariates.
 
     An empty offer table produces an explicit empty-report marker rather
     than an error, so filtered subsets are safe to summarize.
@@ -365,12 +363,9 @@ def summarize_dataset(offers: Offers, profiles: dict | None = None) -> DatasetSu
         "setnum": offers.occasion.astype(float),
         **dict(zip(DESIGN_COLUMNS, offers.X.T)),
     }
-    if profiles:
-        ordered = [profiles[k] for k in sorted(profiles)]
-        columns["demographic_centered"] = np.array(
-            [p.demographic_centered for p in ordered]
-        )
-        columns["loyalty_centered"] = np.array([p.loyalty_centered for p in ordered])
+    if customers:
+        columns["demographic_centered"] = customers.demographic_centered
+        columns["loyalty_centered"] = customers.loyalty_centered
     labels, counts = np.unique(offers.label, return_counts=True)
     return DatasetSummary(
         columns={name: _column_stats(vals) for name, vals in columns.items()},

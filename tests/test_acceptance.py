@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from offerlab import evaluate, hb, profit, segments, simulate
+from offerlab.choice import join
 from offerlab.config import PipelineConfig
 from offerlab.datasets import KFOLD_BY_OCCASION, ResamplingScheme
 from offerlab.simulate import GroundTruthConfig, MixtureComponent
@@ -40,7 +41,7 @@ def desk_run():
     config = PipelineConfig.from_dict({"ground_truth": {"n_customers": 300}})
     t0 = time.time()
     dataset = simulate.simulate_dataset(config.ground_truth)
-    covariates = {cid: (p.loyalty_centered,) for cid, p in dataset.profiles.items()}
+    covariates = dataset.customers.covariates(include_demographic=False)
     draws = hb.fit_hb_mixed_logit(
         dataset.train, covariates, ncomp=1, config=config.mcmc
     )
@@ -73,7 +74,7 @@ class TestCriterion2Recovery:
         posterior = draws.posterior_mean_matrix()
         true = dataset.true_coefficients[np.array(draws.customer_ids) - 1]
         counts = np.bincount(
-            [draws.index_of(cid) for cid in dataset.train.customer_id.tolist()],
+            join(draws.customer_ids, dataset.train.customer_id),
             minlength=draws.n_customers,
         )
         multi = counts >= 2
@@ -163,7 +164,7 @@ class TestCriterion4PolicyDirections:
         ids = list(range(1, config.n_customers + 1))
         betas = dataset.true_coefficients[None]
         draws = hand_built_draws(betas, customer_ids=ids)
-        assignments = segments.assign_segments(draws, dataset.test, dataset.profiles)
+        assignments = segments.assign_segments(draws, dataset.test, dataset.customers)
         nop_config = profit.NopConfig()
         grouped = profit.segment_data_from_assignments(assignments, nop_config)
         policies = {
@@ -260,7 +261,7 @@ class TestCriterion7Lift:
             seed=321,
         )
         dataset = simulate.simulate_dataset(config)
-        covariates = {cid: (p.loyalty_centered,) for cid, p in dataset.profiles.items()}
+        covariates = dataset.customers.covariates(include_demographic=False)
         draws = hb.fit_hb_mixed_logit(
             dataset.train,
             covariates,
@@ -291,9 +292,7 @@ class TestCriterion8Tuning:
             master = derive_seed(20260809, 800, rep)
             config = GroundTruthConfig(n_customers=200, seed=master)
             dataset = simulate.simulate_dataset(config)
-            covariates = {
-                cid: (p.loyalty_centered,) for cid, p in dataset.profiles.items()
-            }
+            covariates = dataset.customers.covariates(include_demographic=False)
             mcmc = hb.McmcConfig(total_draws=1000, burn_in=150, seed=master)
             scheme = ResamplingScheme(kind=KFOLD_BY_OCCASION, folds=5, repeats=2)
             result = evaluate.tune_ncomp(dataset.train, covariates, [1, 2, 3], scheme, mcmc)
@@ -365,7 +364,7 @@ class TestCriterion10SegmentShares:
     def test_shares_sum_to_hundred(self, desk_run):
         config, dataset, draws, _, _ = desk_run
         assignments = segments.assign_segments(
-            draws, dataset.test, dataset.profiles, delta=config.elasticity_delta
+            draws, dataset.test, dataset.customers, delta=config.elasticity_delta
         )
         shares = segments.segment_distribution(assignments)
         total = sum(shares.values())

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from offerlab.choice import ACCEPTED, REJECTED, UNLABELED, CustomerProfile, Offers, logistic
+from offerlab.choice import ACCEPTED, REJECTED, UNLABELED, Customers, Offers, join, logistic
 from offerlab.errors import DataIntegrityError, InvalidInputError
 
 
@@ -112,8 +112,8 @@ class TestAcceptProbability:
 
 
 class TestDomainTypes:
-    """The offer table and the customer profile.  ``Offers.validate`` is the
-    one check of recorded offers, on the simulated and the CSV path alike."""
+    """The offer and customer tables.  ``Offers.validate`` is the one check
+    of recorded offers, on the simulated and the CSV path alike."""
 
     def test_observed_attribute_invariants(self):
         assert offer_table((3, 0.25), (0, -0.5), (5, 0.5)).validate("t") is not None
@@ -181,8 +181,41 @@ class TestDomainTypes:
         assert picked != table and picked != table.take([2, 1])
         assert len(picked) == 2
 
-    def test_profile_bounds(self):
-        with pytest.raises(InvalidInputError):
-            CustomerProfile(1, 1.2, 0.0, 0.0)
-        profile = CustomerProfile(1, 0.4, -0.1, 0.2)
-        assert profile.covariates == pytest.approx([-0.1, 0.2])
+    def test_customer_covariates_and_equality(self):
+        table = Customers([4, 2], [0.4, 0.9], [-0.1, 0.4], [0.2, -0.3])
+        ids, Z = table.covariates(include_demographic=True)
+        assert ids.tolist() == [4, 2] and Z.tolist() == [[-0.1, 0.2], [0.4, -0.3]]
+        assert table.covariates(include_demographic=False)[1].tolist() == [[-0.1], [0.4]]
+        assert table.take([1, 0]) == Customers([2, 4], [0.9, 0.4], [0.4, -0.1], [-0.3, 0.2])
+        assert table != table.take([1, 0]) and len(table) == 2
+        assert table.validate("t") is table
+
+
+class TestJoin:
+    @settings(max_examples=200)
+    @given(
+        keys=st.lists(st.integers(-(2**62), 2**62), unique=True, max_size=30),
+        ids=st.lists(st.integers(-(2**62), 2**62), max_size=30),
+        data=st.data(),
+    )
+    def test_agrees_with_a_dict_lookup(self, keys, ids, data):
+        # ids drawn partly from the keys, in any order, some absent
+        if keys:
+            ids += data.draw(st.lists(st.sampled_from(keys), max_size=30))
+        ids = data.draw(st.permutations(ids))
+        row_of = {key: row for row, key in enumerate(keys)}
+        assert join(keys, ids).tolist() == [row_of.get(i, -1) for i in ids]
+        missing = [i for i in ids if i not in row_of]
+        if missing:
+            with pytest.raises(KeyError) as exc:
+                join(keys, ids, unknown=KeyError)
+            assert exc.value.args == (missing[0],)
+        else:
+            assert join(keys, ids, unknown=KeyError).tolist() == [row_of[i] for i in ids]
+
+    @given(keys=st.lists(st.integers(1, 50), min_size=1, max_size=20), data=st.data())
+    def test_a_repeated_key_is_refused(self, keys, data):
+        repeated = data.draw(st.sampled_from(keys))
+        keys = data.draw(st.permutations(keys + [repeated]))
+        with pytest.raises(DataIntegrityError, match=r"^key -?\d+ is repeated$"):
+            join(keys, [1])

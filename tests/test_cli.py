@@ -1,6 +1,8 @@
 import csv
+import importlib.util
 import json
 import shutil
+from pathlib import Path
 
 import pytest
 
@@ -52,15 +54,32 @@ def copy_run(pipeline, tmp_path):
     return out, config_path
 
 
+PIPELINE_STAGES = ("simulate", "fit", "predict", "evaluate", "segment", "optimize", "report")
+
+
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
     """One small simulate -> fit -> ... -> report run shared by checks."""
     tmp_path = tmp_path_factory.mktemp("pipeline")
     config_path = write_config(tmp_path)
     out = tmp_path / "run"
-    for subcommand in ("simulate", "fit", "predict", "evaluate", "segment", "optimize", "report"):
+    for subcommand in PIPELINE_STAGES:
         assert main([subcommand, "--config", str(config_path)]) == 0
     return out
+
+
+def test_benchmark_gate_passes_on_the_pipeline(pipeline):
+    """The benchmark's correctness gate (``perfbench/gate.py``) reads the
+    artifacts and calls offerlab's readers and objective by name; a change
+    that breaks one of those calls fails here."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "gate.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gate", path)
+    gate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gate)
+    config = PipelineConfig.from_dict({**SMALL_CONFIG, "out_dir": str(pipeline)})
+    results = gate.run_gate(pipeline, config, PIPELINE_STAGES, floors=False)
+    assert [name for name, passed, _ in results if not passed] == [], results
+    assert len(results) == 5
 
 
 COMPONENT = {"weight": 1.0, "mean": [1.0, 0.2, -2.0], "cov": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}

@@ -1,11 +1,13 @@
 import csv
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from offerlab.choice import UNLABELED
+from offerlab import simulate
+from offerlab.choice import UNLABELED, Customers
 from offerlab.datasets import (
     OFFER_COLUMNS,
     ResamplingScheme,
@@ -28,7 +30,6 @@ from offerlab.errors import (
     ParseError,
 )
 from offerlab.simulate import GroundTruthConfig, generate_offers, simulate_dataset
-from offerlab.storage import read_csv
 
 
 @pytest.fixture(scope="module")
@@ -39,30 +40,27 @@ def dataset():
 class TestOfferCsv:
     def test_round_trip_is_exact(self, dataset, tmp_path):
         path = tmp_path / "train.csv"
-        write_offer_csv(path, dataset.train, dataset.profiles)
+        write_offer_csv(path, dataset.train)
         assert read_offer_csv(path) == dataset.train
         unlabeled = generate_offers(GroundTruthConfig(n_customers=40, seed=101))
-        write_offer_csv(path, unlabeled.test, unlabeled.profiles)
+        write_offer_csv(path, unlabeled.test)
         assert read_offer_csv(path) == unlabeled.test
-        # the customer covariates ride along in every row
-        cells = read_csv(path, OFFER_COLUMNS, lambda row: (int(row[0]), float(row[5]), float(row[6])))
-        for cid, demographic, loyalty in cells:
-            profile = dataset.profiles[cid]
-            assert (demographic, loyalty) == (
-                profile.demographic_centered,
-                profile.loyalty_centered,
-            )
+        # customer attributes live in customers.csv alone
+        with open(path, newline="") as fh:
+            assert next(csv.reader(fh)) == [
+                "id", "setnum", "X1", "contract_length_years", "offer_discount", "outcome"
+            ]
 
     def test_rewrites_are_byte_identical(self, dataset, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_offer_csv(a, dataset.train, dataset.profiles)
-        write_offer_csv(b, dataset.train, dataset.profiles)
+        write_offer_csv(a, dataset.train)
+        write_offer_csv(b, dataset.train)
         assert a.read_bytes() == b.read_bytes()
 
     def test_unlabeled_rows_survive(self, tmp_path):
         unlabeled = generate_offers(GroundTruthConfig(n_customers=5, seed=3))
         path = tmp_path / "u.csv"
-        write_offer_csv(path, unlabeled.train, unlabeled.profiles)
+        write_offer_csv(path, unlabeled.train)
         offers = read_offer_csv(path)
         assert np.all(offers.label == UNLABELED)
         assert offers == unlabeled.train
@@ -75,11 +73,9 @@ class TestOfferCsv:
 
     def test_malformed_row_names_line(self, tmp_path):
         path = tmp_path / "bad.csv"
-        good = "1,1,1.0,2.0,0.1,0.0,0.0,1"
         path.write_text(
-            "id,setnum,X1,contract_length_years,offer_discount,"
-            "demographic_centered,loyalty_centered,outcome\n"
-            f"{good}\n1,2,1.0,not-a-number,0.1,0.0,0.0,1\n"
+            "id,setnum,X1,contract_length_years,offer_discount,outcome\n"
+            "1,1,1.0,2.0,0.1,1\n1,2,1.0,not-a-number,0.1,1\n"
         )
         with pytest.raises(ParseError, match="line 3"):
             read_offer_csv(path)
@@ -91,7 +87,7 @@ class TestOfferCsv:
     def test_repeated_occasion_is_refused(self, dataset, tmp_path):
         path = tmp_path / "train.csv"
         rows = np.r_[np.arange(len(dataset.train)), 0]
-        write_offer_csv(path, dataset.train.take(rows), dataset.profiles)
+        write_offer_csv(path, dataset.train.take(rows))
         cid, occ = dataset.train.customer_id[0], dataset.train.occasion[0]
         with pytest.raises(
             DataIntegrityError,
@@ -112,7 +108,7 @@ class TestOfferCsv:
     )
     def test_key_and_non_finite_cells_are_refused(self, dataset, tmp_path, column, cell, message):
         path = tmp_path / "train.csv"
-        write_offer_csv(path, dataset.train, dataset.profiles)
+        write_offer_csv(path, dataset.train)
         lines = path.read_text().splitlines()
         cells = lines[2].split(",")
         cells[column] = cell
@@ -129,13 +125,60 @@ class TestOfferCsv:
             read_offer_csv(path)
 
 
+# a value put into the row of customer 3, and the refusal that names it
+CUSTOMER_FAULTS = [
+    ("customer_id", 0, ": id = 0 at id = 0 must be >= 1"),
+    ("customer_id", 1, " repeats id = 1"),
+    ("loyalty", 1.5, ": loyalty = 1.5 at id = 3 must lie in [0, 1]"),
+    ("loyalty", math.nan, ": loyalty = nan at id = 3 must lie in [0, 1]"),
+    ("loyalty_centered", math.inf, ": loyalty_centered = inf at id = 3 must be finite"),
+    ("demographic_centered", -math.inf, ": demographic_centered = -inf at id = 3 must be finite"),
+]
+
+
+def spoiled(customers, column, value):
+    """``customers`` with ``value`` in ``column`` of its third row (id 3)."""
+    getattr(customers, column)[2] = value
+    return customers
+
+
+class TestCustomerTable:
+    """``Customers.validate`` checks both places a customer table is built."""
+
+    @pytest.mark.parametrize("column, value, message", CUSTOMER_FAULTS)
+    def test_simulated_table_refused_by_source_column_id_and_value(
+        self, monkeypatch, column, value, message
+    ):
+        monkeypatch.setattr(
+            simulate, "Customers", lambda *columns: spoiled(Customers(*columns), column, value)
+        )
+        with pytest.raises(DataIntegrityError) as exc:
+            generate_offers(GroundTruthConfig(n_customers=6, seed=5))
+        assert str(exc.value) == "simulated customers" + message
+
+    @pytest.mark.parametrize("column, value, message", CUSTOMER_FAULTS)
+    def test_csv_table_refused_by_source_column_id_and_value(
+        self, dataset, tmp_path, column, value, message
+    ):
+        path = tmp_path / "customers.csv"
+        write_customers_csv(path, spoiled(dataset.customers.take(np.arange(6)), column, value))
+        with pytest.raises(DataIntegrityError) as exc:
+            read_customers_csv(path)
+        assert str(exc.value) == str(path) + message
+
+
 class TestOtherCsvs:
     def test_customers_round_trip(self, dataset, tmp_path):
         path = tmp_path / "customers.csv"
-        write_customers_csv(path, dataset.profiles, mrp={3: 120.5})
-        profiles, mrp = read_customers_csv(path)
-        assert profiles == dataset.profiles
+        write_customers_csv(path, dataset.customers, mrp={3: 120.5})
+        customers, mrp = read_customers_csv(path)
+        assert customers == dataset.customers
         assert mrp == {3: 120.5}
+
+    def test_blank_mrp_cells_are_left_out(self, dataset, tmp_path):
+        path = tmp_path / "customers.csv"
+        write_customers_csv(path, dataset.customers)
+        assert read_customers_csv(path)[1] == {}
 
     def test_scores_round_trip(self, tmp_path):
         rows = [(1, 1, 1, 0.25), (2, 1, 1, 1 / 3)]

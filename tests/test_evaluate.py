@@ -312,7 +312,7 @@ class TestTuningSelection:
         from offerlab.simulate import GroundTruthConfig, simulate_dataset
 
         dataset = simulate_dataset(GroundTruthConfig(n_customers=20, seed=71))
-        covariates = {cid: (p.loyalty_centered,) for cid, p in dataset.profiles.items()}
+        covariates = dataset.customers.covariates(include_demographic=False)
         scheme = ResamplingScheme(kind=KFOLD_BY_OCCASION, folds=2, repeats=1)
         config = McmcConfig(total_draws=120, burn_in=30, seed=5)
         result = tune_ncomp(dataset.train, covariates, [2], scheme, config)
@@ -373,7 +373,7 @@ def per_cell_tuning_rows(offers, covariates, candidates, scheme, config):
 
 def small_tuning_problem(kind=KFOLD_BY_OCCASION):
     dataset = simulate_dataset(GroundTruthConfig(n_customers=40, seed=83))
-    covariates = {cid: (p.loyalty_centered,) for cid, p in dataset.profiles.items()}
+    covariates = dataset.customers.covariates(include_demographic=False)
     scheme = ResamplingScheme(kind=kind, folds=3, repeats=2)
     return dataset.train, covariates, scheme, McmcConfig(total_draws=80, burn_in=20, seed=17)
 

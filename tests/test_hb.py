@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from offerlab import hb
-from offerlab.choice import ACCEPTED, REJECTED, UNLABELED, Offers
+from offerlab.choice import ACCEPTED, REJECTED, UNLABELED, Offers, join
 from offerlab.errors import (
     ConfigurationError,
     DataIntegrityError,
@@ -23,6 +23,7 @@ from offerlab.hb import (
     McmcConfig,
     PosteriorDraws,
     _mvn_logpdf,
+    _pooled_logit,
     _wishart_root,
     build_panel,
     fit_hb_mixed_logit,
@@ -35,7 +36,7 @@ from offerlab.simulate import GroundTruthConfig, simulate_dataset
 
 def small_fit(n_customers=40, total_draws=600, burn_in=120, ncomp=1, data_seed=51, chain_seed=4):
     dataset = simulate_dataset(GroundTruthConfig(n_customers=n_customers, seed=data_seed))
-    covariates = {cid: (p.loyalty_centered,) for cid, p in dataset.profiles.items()}
+    covariates = dataset.customers.covariates(include_demographic=False)
     config = McmcConfig(total_draws=total_draws, burn_in=burn_in, seed=chain_seed)
     draws = fit_hb_mixed_logit(dataset.train, covariates, ncomp=ncomp, config=config)
     return dataset, draws
@@ -123,8 +124,14 @@ class TestPanel:
 
     def test_missing_covariates_rejected(self):
         rows = Offers([1, 2], [1, 1], [[1.0, 1.0, 0.1]] * 2, [ACCEPTED, REJECTED])
-        with pytest.raises(DataIntegrityError):
-            build_panel(rows, covariates={1: (0.0,)})
+        with pytest.raises(DataIntegrityError, match="^covariates missing for customer 2$"):
+            build_panel(rows, covariates=([1], [[0.0]]))
+
+    def test_covariate_rows_joined_by_id(self):
+        rows = Offers([7, 3, 7], [1, 1, 2], [[1.0, 1.0, 0.1]] * 3, [ACCEPTED, REJECTED, REJECTED])
+        *_, customer_ids, Z = build_panel(rows, covariates=([9, 7, 3], [[0.9, 9], [0.7, 7], [0.3, 3]]))
+        assert customer_ids == [3, 7]
+        assert Z.tolist() == [[0.3, 3], [0.7, 7]]
 
     def test_customers_sorted_by_id(self):
         X = [[1.0, 1.0, 0.1], [1.0, 0.0, -0.1], [1.0, 2.0, 0.0]]
@@ -179,12 +186,11 @@ class TestSampler:
         mean_sigma = draws.covariances.mean(axis=0)[0]
         mean_delta = draws.delta.mean(axis=0)
         scale = np.sqrt(np.diag(mean_sigma))
-        z = {cid: p.loyalty_centered for cid, p in dataset.profiles.items()}
-        singles = np.flatnonzero(counts == 1).tolist()
-        assert singles
-        for cid in singles:
-            idx = draws.index_of(cid)
-            prior_mean = mean_mu + mean_delta[:, 0] * z[cid]
+        singles = np.flatnonzero(counts == 1)
+        assert singles.size
+        z = dataset.customers.loyalty_centered[join(dataset.customers.customer_id, singles)]
+        for idx, z_c in zip(join(draws.customer_ids, singles), z):
+            prior_mean = mean_mu + mean_delta[:, 0] * z_c
             assert np.all(np.abs(post_mean[idx] - prior_mean) <= 5.0 * scale)
 
     def test_exact_inference_on_flat_prior_toy(self):
@@ -213,7 +219,7 @@ class TestSampler:
 
     def test_recovery_on_thousand_customer_dataset(self):
         dataset = simulate_dataset(GroundTruthConfig(n_customers=1000, seed=91))
-        covariates = {cid: (p.loyalty_centered,) for cid, p in dataset.profiles.items()}
+        covariates = dataset.customers.covariates(include_demographic=False)
         config = McmcConfig(total_draws=800, burn_in=150, seed=14)
         draws = fit_hb_mixed_logit(dataset.train, covariates, ncomp=1, config=config)
         post = draws.posterior_mean_matrix()
@@ -318,6 +324,58 @@ class TestStacking:
         with pytest.raises(EstimationError, match=f"^block 1: {message}$") as info:
             fit_hb_panels(panels, 2, stack_configs([1, 2, 3]))
         assert info.value.block == 1
+
+    @pytest.mark.parametrize(
+        "name, position, value, rule",
+        [("X", 0, math.nan, "must be finite"), ("Z", 4, math.inf, "must be finite"),
+         ("y", 1, 2.0, "must be 0 or 1"), ("y", 1, math.nan, "must be 0 or 1")],
+    )
+    @pytest.mark.parametrize("n_blocks", [1, 2])
+    def test_non_finite_input_named_by_block_and_array(self, name, position, value, rule, n_blocks):
+        panels = [random_panel(b, 5, 1) for b in range(n_blocks)]
+        X, y, row_customer, customer_ids, Z = (np.array(a, dtype=float) for a in panels[-1])
+        {"X": X[:, 1], "Z": Z[:, 0], "y": y}[name][position] = value
+        panels[-1] = (X, y, row_customer.astype(int), customer_ids.astype(int).tolist(), Z)
+        message = rf"^block {n_blocks - 1}: {name} row {position} = .*{value!r}.* {rule}$"
+        with pytest.raises(InvalidInputError, match=message):
+            if n_blocks == 1:
+                fit_hb_panel(*panels[0], config=stack_configs([1])[0])
+            else:
+                fit_hb_panels(panels, 1, stack_configs([1, 2]))
+
+
+# two customers, six offers whose labels a plane separates: without a bound
+# the pooled start ran off to about (-2e6, -9e5, 9e4), and the first
+# covariance draw failed its Cholesky
+SEPARABLE_PANEL = (
+    np.array([[1.0, 1.0, -0.41], [1.0, 3.0, 0.47], [1.0, 4.0, 0.15],
+              [1.0, 1.0, 0.45], [1.0, 4.0, -0.05], [1.0, 0.0, 0.32]]),
+    np.array([0.0, 1.0, 1.0, 1.0, 1.0, 0.0]),
+    np.array([0, 0, 0, 1, 1, 1]),
+    [1, 2],
+    None,
+)
+
+
+class TestPooledStart:
+    def test_separable_panel_fits_with_finite_draws(self):
+        X, y = SEPARABLE_PANEL[:2]
+        start, info = _pooled_logit(X, y)
+        assert np.all(np.abs(start) <= hb.POOLED_BOX) and np.isfinite(info).all()
+        draws = fit_hb_panel(*SEPARABLE_PANEL, config=McmcConfig(total_draws=300, burn_in=50))
+        for name in PosteriorDraws._ARRAYS:
+            assert np.isfinite(getattr(draws, name)).all(), name
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(1, 30), n_cov=st.integers(0, 2), seed=st.integers(0, 2**32 - 1))
+    def test_box_leaves_a_non_separable_start_bit_identical(self, n, n_cov, seed):
+        X, y = random_panel(seed, n, n_cov)[:2]
+        bounded = _pooled_logit(X, y)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(hb, "POOLED_BOX", math.inf)
+            unbounded = _pooled_logit(X, y)
+        for a, b in zip(bounded, unbounded):
+            assert np.array_equal(a, b)
 
 
 def break_block_at_draw(monkeypatch, step, block, draw, chain=1):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from offerlab import profit
-from offerlab.choice import UTILITY_CLAMP, logistic
+from offerlab.choice import UTILITY_CLAMP, join, logistic
 from offerlab.errors import ConfigurationError, InvalidInputError
 from offerlab.hb import DRAW_AVERAGED, POPULATION_MEAN, POSTERIOR_MEAN
 from offerlab.profit import (
@@ -78,7 +78,7 @@ class SeedObjective:
     the reference the batched objective must reproduce."""
 
     def __init__(self, seg, draws, config, mode):
-        idx = [draws.index_of(cid) for cid in seg.customer_ids]
+        idx = join(draws.customer_ids, seg.customer_ids)
         if mode == POSTERIOR_MEAN:
             self.betas = draws.posterior_mean_matrix()[None, idx, :]
         else:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from offerlab.choice import UNLABELED, CustomerProfile, Offers
+from offerlab.choice import UNLABELED, Customers, Offers
 from offerlab.errors import DegenerateInputError, InvalidInputError
 from offerlab.hb import predict_panel_probabilities
 from offerlab.segments import (
@@ -78,9 +78,16 @@ def offer_rows(*rows):
 
 def elasticity(draws, years, discount, delta=0.10, cid=1):
     """The elasticity ``assign_segments`` finds for one customer's offer."""
-    profiles = {cid: CustomerProfile(cid, 0.5, 0.0, 0.0)}
     offers = offer_rows((cid, years, discount))
-    return assign_segments(draws, offers, profiles, delta=delta)[0].elasticity
+    return assign_segments(draws, offers, customer_table([cid]), delta=delta)[0].elasticity
+
+
+def customer_table(ids, loyalty=None):
+    """A ``Customers`` table of ``ids`` with zero covariates, loyalty 0.5
+    unless given."""
+    n = len(ids)
+    loyalty = np.full(n, 0.5) if loyalty is None else loyalty
+    return Customers(ids, loyalty, np.zeros(n), np.zeros(n))
 
 
 class TestCustomerElasticity:
@@ -115,8 +122,8 @@ class TestCustomerElasticity:
         rows = [
             (c, int(rng.integers(0, 6)), float(rng.uniform(-0.4, 0.5))) for c in range(1, n + 1)
         ]
-        profiles = {c: CustomerProfile(c, float(rng.random()), 0.0, 0.0) for c in range(1, n + 1)}
-        assignments = assign_segments(draws, offer_rows(*reversed(rows)), profiles, delta=0.1)
+        customers = customer_table(np.arange(1, n + 1), rng.random(n))
+        assignments = assign_segments(draws, offer_rows(*reversed(rows)), customers, delta=0.1)
         assert [a.customer_id for a in assignments] == list(range(1, n + 1))
         for a, (cid, years, d) in zip(assignments, rows):
             p0, p1 = (
@@ -129,9 +136,8 @@ class TestCustomerElasticity:
     def test_safety_band_error_names_the_customer(self):
         draws = hand_built_draws(np.zeros((1, 3, 3)))
         offers = offer_rows((1, 0, 0.0), (2, 0, -0.55), (3, 0, -0.58))
-        profiles = {c: CustomerProfile(c, 0.5, 0.0, 0.0) for c in (1, 2, 3)}
         with pytest.raises(InvalidInputError, match=r"customer 2: shifted discount -0\.65"):
-            assign_segments(draws, offers, profiles, delta=0.10)
+            assign_segments(draws, offers, customer_table([1, 2, 3]), delta=0.10)
 
     @given(st.floats(-8.0, -0.2), st.floats(-0.4, 0.4))
     @settings(max_examples=100)
@@ -187,11 +193,12 @@ class TestDistribution:
         betas = np.array([[[0.5, 0.2, -1.0], [0.1, 0.0, -9.0]]])
         draws = hand_built_draws(betas, customer_ids=[1, 2])
         offers = offer_rows((1, 1, 0.2), (2, 3, -0.1))
-        profiles = {
-            1: CustomerProfile(1, 0.9, 0.2, 0.0),
-            2: CustomerProfile(2, 0.1, -0.2, 0.0),
-        }
-        assignments = assign_segments(draws, offers, profiles)
+        # the table lists customer 2 first: loyalty is joined by id
+        customers = customer_table([2, 1], loyalty=[0.1, 0.9])
+        assignments = assign_segments(draws, offers, customers)
         assert [a.customer_id for a in assignments] == [1, 2]
+        assert [a.loyalty for a in assignments] == [0.9, 0.1]
+        with pytest.raises(InvalidInputError, match="^customer 2 is not in the customer table$"):
+            assign_segments(draws, offers, customer_table([1, 3]))
         shares = segment_distribution(assignments)
         assert sum(shares.values()) == pytest.approx(100.0, abs=0.1)

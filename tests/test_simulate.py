@@ -131,10 +131,10 @@ class TestTrueCoefficients:
             seed=11,
         )
         dataset = generate_offers(loaded)
-        profiles, coeffs = dataset.profiles, dataset.true_coefficients
-        for cid, profile in profiles.items():
-            expected = 1.0 + 2.0 * profile.loyalty_centered
-            assert coeffs[cid - 1, 0] == pytest.approx(expected, abs=1e-9)
+        customers, coeffs = dataset.customers, dataset.true_coefficients
+        assert customers.customer_id.tolist() == list(range(1, 201))
+        expected = 1.0 + 2.0 * customers.loyalty_centered
+        assert coeffs[:, 0] == pytest.approx(expected, abs=1e-9)
 
 
 class TestGenerateOffers:
@@ -178,10 +178,8 @@ class TestGenerateOffers:
 
     def test_centered_covariates(self):
         dataset = generate_offers(GroundTruthConfig(n_customers=500, seed=21))
-        loyal_c = np.array([p.loyalty_centered for p in dataset.profiles.values()])
-        demo_c = np.array([p.demographic_centered for p in dataset.profiles.values()])
-        assert abs(loyal_c.mean()) < 1e-9
-        assert abs(demo_c.mean()) < 1e-9
+        assert abs(dataset.customers.loyalty_centered.mean()) < 1e-9
+        assert abs(dataset.customers.demographic_centered.mean()) < 1e-9
 
 
 class TestSimulateResponses:
@@ -250,7 +248,7 @@ class TestSummarize:
 
     def test_layout_matches_offer_table(self):
         dataset = simulate_dataset(GroundTruthConfig(n_customers=30, seed=43))
-        summary = summarize_dataset(dataset.train, dataset.profiles)
+        summary = summarize_dataset(dataset.train, dataset.customers)
         assert list(summary.columns) == [
             "id",
             "setnum",
