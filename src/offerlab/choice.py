@@ -78,11 +78,9 @@ class _Table:
                 i = int(np.argmax(bad))
                 value = values[i].item()
                 raise DataIntegrityError(f"{where}: {column} = {value!r} at {key(i)} {rule}")
-        order, first = key_runs(*key_columns)
-        repeated = np.zeros(len(self), dtype=bool)
-        repeated[order] = ~first
-        if repeated.any():
-            raise DataIntegrityError(f"{where} repeats {key(int(np.argmax(repeated)))}")
+        i = first_repeat(*key_columns)
+        if i >= 0:
+            raise DataIntegrityError(f"{where} repeats {key(i)}")
         return self
 
 
@@ -188,28 +186,49 @@ def key_runs(*columns):
     return order, first
 
 
-def join(keys, ids, unknown=None) -> np.ndarray:
-    """The row of each of ``ids`` in the key column ``keys``, by one
-    ``searchsorted`` over the keys in argsort order.
+def first_repeat(*columns) -> int:
+    """The first row whose key ``columns`` repeat an earlier row's, or -1."""
+    order, first = key_runs(*columns)
+    repeated = np.zeros(len(order), dtype=bool)
+    repeated[order] = ~first
+    return int(np.argmax(repeated)) if repeated.any() else -1
 
-    An id absent from ``keys`` gets row -1, or, if ``unknown`` is given,
-    raises ``unknown(id)`` for the first such id.  A key repeated in
-    ``keys`` is a ``DataIntegrityError``.
+
+def join(keys, ids, unknown=None) -> np.ndarray:
+    """The row of each of ``ids`` in the key column ``keys``; ``keys`` may
+    also be a tuple of key columns, and ``ids`` then the tuple of the same
+    columns of the ids, each key being one tuple of values.
+
+    Keys and ids are numbered together by one ``key_runs`` sort.  An id
+    absent from ``keys`` gets row -1, or, if ``unknown`` is given, raises
+    ``unknown(id)`` for the first such id.  A key repeated in ``keys`` is a
+    ``DataIntegrityError``.
     """
-    keys = np.asarray(keys, dtype=np.int64)
-    ids = np.asarray(ids, dtype=np.int64)
-    order, first = key_runs(keys)
-    if not first.all():
-        raise DataIntegrityError(f"key {keys[order][np.argmin(first)]} is repeated")
-    sorted_keys = keys[order]
-    pos = np.searchsorted(sorted_keys, ids)
-    found = pos < len(keys)
-    found[found] = sorted_keys[pos[found]] == ids[found]
-    if unknown is not None and not found.all():
-        raise unknown(ids[np.argmax(~found)].item())
-    rows = np.full(len(ids), -1, dtype=np.intp)
-    rows[found] = order[pos[found]]
+    key_columns, id_columns = (keys, ids) if isinstance(keys, tuple) else ((keys,), (ids,))
+    n = len(key_columns[0])
+    order, first = key_runs(*(
+        np.concatenate([np.asarray(k, dtype=np.int64), np.asarray(i, dtype=np.int64)])
+        for k, i in zip(key_columns, id_columns)
+    ))
+    number = np.empty(len(order), dtype=np.intp)
+    number[order] = np.cumsum(first) - 1
+    repeated = np.bincount(number[:n], minlength=len(order)) > 1
+    if repeated.any():
+        key = _row(keys, np.argmax(number == np.argmax(repeated)))
+        raise DataIntegrityError(f"key {key} is repeated")
+    row_of = np.full(len(order), -1, dtype=np.intp)
+    row_of[number[:n]] = np.arange(n)
+    rows = row_of[number[n:]]
+    if unknown is not None and (rows < 0).any():
+        raise unknown(_row(ids, np.argmax(rows < 0)))
     return rows
+
+
+def _row(columns, i):
+    """Row ``i`` of a key column, or the tuple of row ``i`` of each column."""
+    if isinstance(columns, tuple):
+        return tuple(_row(column, i) for column in columns)
+    return np.asarray(columns)[i].item()
 
 
 def logistic(u):

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .choice import first_repeat, join
 from .config import PipelineConfig
 from .datasets import (
     OCCASION_KEY,
@@ -112,17 +113,19 @@ def _cells(*types):
 
 
 def _aligned_scores(path, offers) -> np.ndarray:
-    """The scores of ``path`` in the row order of ``offers``, by (customer_id, occasion)."""
-    by_key = {}
-    for cid, occ, _, score in read_scores_csv(path):
-        if (cid, occ) in by_key:
-            raise DataIntegrityError(f"{path} repeats {OCCASION_KEY} = {(cid, occ)}")
-        by_key[cid, occ] = score
-    keys = list(zip(offers.customer_id.tolist(), offers.occasion.tolist()))
-    missing = [key for key in keys if key not in by_key]
-    if missing:
-        raise MissingArtifactError(f"{path} has no score for row {missing[0]}")
-    return np.array([by_key[key] for key in keys])
+    """The scores of ``path`` in the row order of ``offers``, joined on
+    (customer_id, occasion)."""
+    rows = read_scores_csv(path)
+    cid, occ, _, scores = (np.array(column) for column in zip(*rows)) if rows else [[]] * 4
+    repeat = first_repeat(cid, occ)
+    if repeat >= 0:
+        key = (int(cid[repeat]), int(occ[repeat]))
+        raise DataIntegrityError(f"{path} repeats {OCCASION_KEY} = {key}")
+    at = join(
+        (cid, occ), (offers.customer_id, offers.occasion),
+        lambda key: MissingArtifactError(f"{path} has no score for row {key}"),
+    )
+    return np.asarray(scores, dtype=float)[at]
 
 
 def run_pipeline(subcommand: str, config: PipelineConfig, args: argparse.Namespace | None = None):

@@ -7,8 +7,10 @@ and ``read_customers_csv`` the customer table (``choice.Customers``)
 checked by ``Customers.validate``, so a recorded row outside the model's
 domain is refused by file, column and key.  The offer CSV holds only keys,
 design and outcome; a customer's loyalty and covariates live in the
-customer CSV alone.  The splits work on (customer_id, occasion) key arrays
-and return row indices, for offer tables and retail choice sets alike.
+customer CSV alone.  ``ingest_retail_csv`` returns retail purchases as
+the ``RetailChoices`` table, one row per occasion x product.  The splits
+work on (customer_id, occasion) key arrays and return row indices, for
+offer tables and retail choices alike.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .choice import (
     UNLABELED,
     Customers,
     Offers,
+    _Table,
     key_runs,
 )
 from .errors import (
@@ -185,24 +188,19 @@ def split_kfold_by_occasion(customer_id, occasion, k: int, seed: int):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MultinomialChoiceSet:
-    """One purchase occasion: every product in the line is an alternative
-    with a chosen flag; augmentation occasions have zero chosen flags."""
+@dataclass(frozen=True, eq=False)
+class RetailChoices(_Table):
+    """Retail purchase occasions, one row per (occasion, product): every
+    product in the line is an alternative of every occasion, ``chosen`` 1
+    if the occasion bought it, else 0.  The columns are those of the
+    multinomial CSV, rows ordered by customer, occasion and product."""
 
-    customer_id: int
-    occasion: int
-    alternatives: tuple  # ((product_id, chosen 0/1), ...)
+    customer_id: np.ndarray
+    occasion: np.ndarray
+    product_id: np.ndarray
+    chosen: np.ndarray
 
-
-@dataclass(frozen=True)
-class MultinomialDataset:
-    choice_sets: tuple
-    product_ids: tuple
-
-    @property
-    def n_rows(self) -> int:
-        return sum(len(cs.alternatives) for cs in self.choice_sets)
+    _DTYPES = {"customer_id": np.int64, "occasion": np.int64, "product_id": str, "chosen": np.int8}
 
 
 _RETAIL_ALIASES = {
@@ -226,8 +224,8 @@ def _parse_invoice_date(text: str):
     return None
 
 
-def ingest_retail_csv(path, product_filter=None, n_products: int = 18) -> MultinomialDataset:
-    """Restructure transaction data into per-occasion choice sets.
+def ingest_retail_csv(path, product_filter=None, n_products: int = 18) -> RetailChoices:
+    """Restructure transaction data into a table of per-occasion choices.
 
     Every invoice containing at least one product from the filtered line
     becomes one occasion with a row per product in the line; one extra
@@ -269,8 +267,10 @@ def ingest_retail_csv(path, product_filter=None, n_products: int = 18) -> Multin
             try:
                 customer = int(float(customer_cell))
                 quantity = int(float(row[cols["quantity"]]))
-            except ValueError as exc:
+            except (ValueError, OverflowError) as exc:  # OverflowError: "inf"
                 raise ParseError(f"{path}: line {lineno}: {exc}")
+            if not -(2**63) <= customer < 2**63:
+                raise ParseError(f"{path}: line {lineno}: customer id {customer} exceeds 64 bits")
             if quantity <= 0:
                 continue
             stock = row[cols["stock"]].strip()
@@ -294,7 +294,7 @@ def ingest_retail_csv(path, product_filter=None, n_products: int = 18) -> Multin
     if not line_purchases:
         raise EmptySelectionError("product filter matched no transactions")
 
-    products = tuple(sorted(product_filter))
+    products = sorted(product_filter)
     # occasions: invoices that include >= 1 product from the line
     by_customer = {}
     for customer, invoice, date, stock in line_purchases:
@@ -304,53 +304,37 @@ def ingest_retail_csv(path, product_filter=None, n_products: int = 18) -> Multin
         if entry["date"] is None or (date is not None and date < entry["date"]):
             entry["date"] = date
 
-    choice_sets = []
+    keys, chosen = [], []  # one (customer, occasion) per occasion; one flag per row
     for customer in sorted(by_customer):
         invoices = by_customer[customer]
         ordered = sorted(
             invoices, key=lambda inv: (invoices[inv]["date"] or datetime.max, inv)
         )
         for occ, invoice in enumerate(ordered, start=1):
-            chosen = invoices[invoice]["chosen"]
-            choice_sets.append(
-                MultinomialChoiceSet(
-                    customer_id=customer,
-                    occasion=occ,
-                    alternatives=tuple((p, int(p in chosen)) for p in products),
-                )
-            )
+            keys.append((customer, occ))
+            chosen += [p in invoices[invoice]["chosen"] for p in products]
         # augmentation: one all-no-purchase occasion per customer
-        choice_sets.append(
-            MultinomialChoiceSet(
-                customer_id=customer,
-                occasion=len(ordered) + 1,
-                alternatives=tuple((p, 0) for p in products),
-            )
-        )
-    return MultinomialDataset(choice_sets=tuple(choice_sets), product_ids=products)
+        keys.append((customer, len(ordered) + 1))
+        chosen += [False] * len(products)
+    customer_id, occasion = np.repeat(keys, len(products), axis=0).T
+    return RetailChoices(customer_id, occasion, np.tile(products, len(keys)), chosen)
 
 
-def write_multinomial_csv(path, dataset: MultinomialDataset) -> None:
-    rows = []
-    for cs in dataset.choice_sets:
-        for product_id, chosen in cs.alternatives:
-            rows.append((cs.customer_id, cs.occasion, product_id, chosen))
-    write_csv_atomic(path, MULTINOMIAL_COLUMNS, rows)
+def write_multinomial_csv(path, choices: RetailChoices) -> None:
+    columns = (getattr(choices, name).tolist() for name in MULTINOMIAL_COLUMNS)
+    write_csv_atomic(path, MULTINOMIAL_COLUMNS, zip(*columns))
 
 
-def multinomial_to_panel(dataset: MultinomialDataset):
-    """Dummy-code choice sets into estimation arrays.
+def multinomial_to_panel(choices: RetailChoices):
+    """Dummy-code retail choices into estimation arrays.
 
-    Each (occasion, product) row becomes a binary outcome with the
-    product's alternative-specific intercept as its only active feature.
-    Returns (X, y, row_customer, customer_ids, row_meta).
+    Each (occasion, product) row becomes a binary outcome whose only active
+    feature is its product's alternative-specific intercept, products in
+    sorted order.  Returns (X, y, row_customer, customer_ids, Z) as
+    ``hb.build_panel`` does, with ``Z`` None: retail rows carry no
+    covariates.
     """
-    col = {p: i for i, p in enumerate(dataset.product_ids)}
-    row_meta = [
-        (cs.customer_id, cs.occasion, p) for cs in dataset.choice_sets for p, _ in cs.alternatives
-    ]
-    y = np.array([c for cs in dataset.choice_sets for _, c in cs.alternatives], dtype=float)
-    customer_ids, row_customer = np.unique([m[0] for m in row_meta], return_inverse=True)
-    X = np.zeros((len(row_meta), len(col)))
-    X[np.arange(len(row_meta)), [col[m[2]] for m in row_meta]] = 1.0
-    return X, y, row_customer, customer_ids.tolist(), row_meta
+    products, column = np.unique(choices.product_id, return_inverse=True)
+    customer_ids, row_customer = np.unique(choices.customer_id, return_inverse=True)
+    X = np.eye(len(products))[column]
+    return X, choices.chosen.astype(float), row_customer, customer_ids.tolist(), None

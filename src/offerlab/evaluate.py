@@ -96,14 +96,10 @@ def lift_curve(data: ScoredLabels, granularity: int = 100):
     if total == 0:
         raise DegenerateInputError("lift curve undefined without positive labels")
     order = np.argsort(-data.scores, kind="mergesort")
-    cum = np.cumsum(data.labels[order])
-    n = len(order)
-    points = []
-    for i in range(granularity + 1):
-        top = round(i * n / granularity)
-        capture = float(cum[top - 1]) / total if top > 0 else 0.0
-        points.append((i / granularity, capture))
-    return points
+    captured = np.concatenate([[0], np.cumsum(data.labels[order])])  # [k]: in the top k rows
+    steps = np.arange(granularity + 1)
+    top = np.round(steps * len(order) / granularity).astype(int)
+    return list(zip((steps / granularity).tolist(), (captured[top] / total).tolist()))
 
 
 def capture_at(points, fraction: float) -> float:

@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .choice import join, logistic
+from .choice import first_repeat, join, logistic
 from .errors import (
     ConfigurationError,
     DataIntegrityError,
@@ -207,11 +207,20 @@ class PosteriorDraws:
                 )
         if header["format"] != "hb-posterior-v1":
             raise DataIntegrityError(f"unrecognized posterior format in {header_path}")
+        ids = header["customer_ids"]
+        for cid in ids:
+            if type(cid) is not int or not -(2**63) <= cid < 2**63:
+                raise DataIntegrityError(
+                    f"{header_path}: customer id {cid!r} is not a 64-bit integer"
+                )
+        repeat = first_repeat(np.array(ids, dtype=np.int64))
+        if repeat >= 0:
+            raise DataIntegrityError(f"{header_path} repeats customer id {ids[repeat]}")
         for name in cls._ARRAYS:
             if not (path / f"{name}.npy").exists():
                 raise MissingArtifactError(str(path / f"{name}.npy"))
         arrays = {name: np.load(path / f"{name}.npy") for name in cls._ARRAYS}
-        n_customers = len(header["customer_ids"])
+        n_customers = len(ids)
         for name, array in arrays.items():
             expected = header["shapes"].get(name)
             if list(array.shape) != expected:
@@ -226,7 +235,7 @@ class PosteriorDraws:
                     f"not {n_customers} customers on axis {axis} as header.json lists"
                 )
         return cls(
-            customer_ids=list(header["customer_ids"]),
+            customer_ids=ids,
             config=load_dataclass(McmcConfig, header["config"], f"{header_path}: config"),
             **arrays,
         )

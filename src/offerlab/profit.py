@@ -23,19 +23,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .choice import UTILITY_CLAMP, join
+from .choice import DISCOUNT_MAX, DISCOUNT_MIN, UTILITY_CLAMP, join
 from .errors import ConfigurationError, InvalidInputError, UnknownCustomerError
 from .hb import DRAW_AVERAGED, POSTERIOR_MEAN, PosteriorDraws
 from .segments import SEGMENTS
 
 # the choice model was trained on discounts in this band; the objective
 # refuses to extrapolate outside it
-TRAINED_DISCOUNT_BAND = (-0.5, 0.5)
+TRAINED_DISCOUNT_BAND = (DISCOUNT_MIN, DISCOUNT_MAX)
 
 DEFAULT_CONTRACT_OPTIONS = (1, 12, 24, 36, 60)
 
-# elements of the objective's scratch buffer per block (512 KB of float64;
-# the derivative, when asked for, has a second block of the same size):
+# elements of each of the objective's two scratch blocks, one for the
+# probabilities and one for their derivative (512 KB of float64 each):
 # large enough to amortize numpy's per-call overhead, small enough to stay
 # in a core's L2 cache and to keep memory flat however long the r grid
 VALUES_BLOCK = 1 << 16
@@ -64,7 +64,7 @@ class NopConfig:
     initial_cost: float = 0.0
     default_mrp: float = 100.0  # undiscounted monthly recurring price
     r_bounds: dict[str, tuple[float, float]] = field(
-        default_factory=lambda: {s: (-0.5, 0.5) for s in SEGMENTS}
+        default_factory=lambda: {s: TRAINED_DISCOUNT_BAND for s in SEGMENTS}
     )
     contract_options: tuple[int, ...] = DEFAULT_CONTRACT_OPTIONS
 
@@ -152,8 +152,8 @@ def present_value(mrp: float, mrc: float, r: float, months: int, annual_rate: fl
 
 
 class _SegmentObjective:
-    """Reusable evaluator of a segment's total next-offer profit and, on
-    request, of its derivative in r.
+    """Reusable evaluator of a segment's total next-offer profit and its
+    derivative in r.
 
     The segment's coefficient draws are copied once into contiguous
     (customers x draws) arrays, so each customer's draw mean is one pairwise
@@ -177,8 +177,7 @@ class _SegmentObjective:
         self.seg = seg
         self.config = config
         self._months = None
-        self._scratch = np.empty(0)
-        self._slope_scratch = np.empty(0)
+        self._scratch = np.empty((2, 0))
 
     def _select(self, months: int) -> None:
         """Negated base utility -(b0 + b1 * years) and the annuity factor of
@@ -191,50 +190,44 @@ class _SegmentObjective:
         self.factor = annuity_factor(months, self.config.annual_rate)
         self._months = months
 
-    def _draw_means(self, rs: np.ndarray, cols: int, slope: bool):
+    def _draw_means(self, rs: np.ndarray, cols: int):
         """(len(rs), customers) draw means of the acceptance probability p
-        and, if ``slope``, of dp/dr = b2 * p * (1 - p) (else None), computed
-        in place in the scratch buffers, ``cols`` customers at a time."""
+        and of dp/dr = b2 * p * (1 - p), computed in place in the two
+        scratch blocks, ``cols`` customers at a time."""
         n, n_draws = self.na.shape
         size = len(rs) * cols * n_draws
-        if self._scratch.size < size:
-            self._scratch = np.empty(size)
-        if slope and self._slope_scratch.size < size:
-            self._slope_scratch = np.empty(size)
+        if self._scratch.shape[1] < size:
+            self._scratch = np.empty((2, size))
         r = rs[:, None, None]
         probs = np.empty((len(rs), n))
-        slopes = np.empty((len(rs), n)) if slope else None
+        slopes = np.empty((len(rs), n))
         for j in range(0, n, cols):
             nb = self.nb[j : j + cols]
-            buf = self._scratch[: len(rs) * nb.size].reshape(len(rs), *nb.shape)
+            buf, sbuf = (s[: len(rs) * nb.size].reshape(len(rs), *nb.shape) for s in self._scratch)
             np.multiply(r, nb, out=buf)
             buf += self.na[j : j + cols]
             np.clip(buf, -UTILITY_CLAMP, UTILITY_CLAMP, out=buf)
-            if slope:
-                # 1 where u is above the lower clamp; below it p is constant
-                # in r (above the upper one, 1 - p is exactly 0)
-                sbuf = self._slope_scratch[: buf.size].reshape(buf.shape)
-                np.less(buf, UTILITY_CLAMP, out=sbuf)
+            # 1 where u is above the lower clamp; below it p is constant
+            # in r (above the upper one, 1 - p is exactly 0)
+            np.less(buf, UTILITY_CLAMP, out=sbuf)
             np.exp(buf, out=buf)
             buf += 1.0
             np.divide(1.0, buf, out=buf)
             np.add.reduce(buf, axis=2, out=probs[:, j : j + cols])
-            if slope:
-                # -nb * p * (1 - p) where free, summed here and negated below
-                sbuf *= buf
-                np.subtract(1.0, buf, out=buf)
-                sbuf *= buf
-                sbuf *= nb
-                np.add.reduce(sbuf, axis=2, out=slopes[:, j : j + cols])
+            # -nb * p * (1 - p) where free, summed here and negated below
+            sbuf *= buf
+            np.subtract(1.0, buf, out=buf)
+            sbuf *= buf
+            sbuf *= nb
+            np.add.reduce(sbuf, axis=2, out=slopes[:, j : j + cols])
         probs /= n_draws
-        if slope:
-            slopes /= -n_draws
+        slopes /= -n_draws
         return probs, slopes
 
-    def _evaluate(self, rs, months: int, slope: bool):
-        """Total next-offer profit at each discount rate in ``rs`` and, if
-        ``slope``, its derivative in r (else None), scored in blocks of at
-        most VALUES_BLOCK (rate, customer, draw) elements."""
+    def values_and_slopes(self, rs, months: int):
+        """Total next-offer profit at each discount rate in ``rs`` and its
+        derivative in r, scored in blocks of at most VALUES_BLOCK (rate,
+        customer, draw) elements."""
         rs = np.asarray(rs, dtype=float).reshape(-1)
         lo, hi = TRAINED_DISCOUNT_BAND
         outside = ~((rs >= lo) & (rs <= hi))
@@ -242,7 +235,7 @@ class _SegmentObjective:
             r = float(rs[np.argmax(outside)])
             raise InvalidInputError(f"discount rate {r!r} leaves the trained band [{lo}, {hi}]")
         out = np.zeros(rs.size)
-        d_out = np.zeros(rs.size) if slope else None
+        d_out = np.zeros(rs.size)
         if self.seg.n_customers == 0 or rs.size == 0:
             return out, d_out
         self._select(months)
@@ -252,26 +245,13 @@ class _SegmentObjective:
         mrp, loyalty, config = self.seg.mrp, self.seg.loyalty, self.config
         for i in range(0, rs.size, rows):
             r = rs[i : i + rows]
-            probs, slopes = self._draw_means(r, cols, slope)
+            probs, slopes = self._draw_means(r, cols)
             margin = (mrp * (1.0 + r[:, None]) - config.monthly_cost) * self.factor
             margin -= config.initial_cost
             out[i : i + rows] = np.sum(probs * loyalty * margin, axis=1)
-            if slope:
-                d = probs * (mrp * self.factor) + slopes * margin
-                d_out[i : i + rows] = np.sum(loyalty * d, axis=1)
+            d = probs * (mrp * self.factor) + slopes * margin
+            d_out[i : i + rows] = np.sum(loyalty * d, axis=1)
         return out, d_out
-
-    def values(self, rs, months: int) -> np.ndarray:
-        """Total next-offer profit at each discount rate in ``rs``."""
-        return self._evaluate(rs, months, slope=False)[0]
-
-    def values_and_slopes(self, rs, months: int):
-        """Profit and its derivative in r at each rate in ``rs``; the
-        profit is bit-identical to ``values``."""
-        return self._evaluate(rs, months, slope=True)
-
-    def value(self, r: float, months: int) -> float:
-        return float(self.values([r], months)[0])
 
 
 def segment_objective(
@@ -283,7 +263,8 @@ def segment_objective(
     mode: str = DRAW_AVERAGED,
 ) -> float:
     """Total next-offer profit of offering (r, months) to a segment."""
-    return _SegmentObjective(seg, draws, config, mode).value(r, months)
+    values, _ = _SegmentObjective(seg, draws, config, mode).values_and_slopes([r], months)
+    return float(values[0])
 
 
 def _bisect_slope(objective, months: int, a: float, b: float, best_r: float, best_v: float):
@@ -383,7 +364,7 @@ def grid_oracle(
     rs = _r_grid(lo, hi, max(int(round((hi - lo) / r_step)), 1) + 1)
     best = None
     for months in sorted(config.contract_options):
-        values = objective.values(rs, months)
+        values, _ = objective.values_and_slopes(rs, months)
         i = int(np.argmax(values))
         if best is None or values[i] > best.nop_value:
             r = float(rs[i])

@@ -7,7 +7,6 @@ discount, with relative price defined as 1 + discount.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,62 +34,34 @@ class SegmentAssignment:
     segment: str
 
 
-def arc_elasticity(p0: float, p1: float, price0: float, price1: float) -> float:
-    """Midpoint elasticity of probability with respect to price."""
-    if price0 == price1:
-        raise DegenerateInputError("price0 == price1: arc elasticity undefined")
-    if p0 + p1 <= 0:
-        raise DegenerateInputError("probabilities sum to zero: arc elasticity undefined")
-    if price0 + price1 <= 0:
-        raise DegenerateInputError("prices sum to zero: arc elasticity undefined")
+def arc_elasticity(p0, p1, price0, price1):
+    """Midpoint elasticity of probability with respect to price, elementwise
+    over arrays; scalars give a scalar."""
+    p0, p1, price0, price1 = (np.asarray(a, dtype=float) for a in (p0, p1, price0, price1))
+    for undefined, reason in (
+        (price0 == price1, "price0 == price1"),
+        (p0 + p1 <= 0, "probabilities sum to zero"),
+        (price0 + price1 <= 0, "prices sum to zero"),
+    ):
+        if np.any(undefined):
+            raise DegenerateInputError(f"{reason}: arc elasticity undefined")
     prob_change = (p1 - p0) / ((p0 + p1) / 2.0)
     price_change = (price1 - price0) / ((price0 + price1) / 2.0)
     return prob_change / price_change
 
 
-def _elasticities(
-    draws: PosteriorDraws,
-    offers,
-    delta: float = DEFAULT_DISCOUNT_SHIFT,
-) -> list:
-    """Arc elasticity of each offer's customer, from the offered discount to
-    ``delta`` more discount.
-
-    Probabilities are draw-averaged, from one batched prediction at the
-    offered discounts and one at the shifted discounts; relative prices are
-    1 + discount.
-    """
-    if draws.n_params != 3:
-        raise InvalidInputError("elasticities require the 3-attribute offer model")
-    X = offers.X.copy()
-    discounts = offers.X[:, 2]
-    shifted = discounts - delta
-    lo, hi = DISCOUNT_SAFETY_BAND
-    outside = ~((shifted >= lo) & (shifted <= hi))
-    if outside.any():
-        i = int(np.argmax(outside))
-        raise InvalidInputError(
-            f"customer {offers.customer_id[i]}: shifted discount {float(shifted[i])!r} "
-            f"leaves the safety band [{lo}, {hi}]"
-        )
-    p0 = predict_panel_probabilities(draws, X, offers.customer_id, mode=DRAW_AVERAGED)
-    X[:, 2] = shifted
-    p1 = predict_panel_probabilities(draws, X, offers.customer_id, mode=DRAW_AVERAGED)
-    return [
-        arc_elasticity(a, b, 1.0 + d, 1.0 + s)
-        for a, b, d, s in zip(p0.tolist(), p1.tolist(), discounts.tolist(), shifted.tolist())
-    ]
-
-
-def assign_segment(elasticity: float, loyalty: float) -> str:
-    """Elasticity >= -1 is inelastic; loyalty > 0.5 is loyal."""
-    if not math.isfinite(elasticity):
-        raise InvalidInputError(f"elasticity must be finite, got {elasticity!r}")
-    if not 0.0 <= loyalty <= 1.0:
-        raise InvalidInputError(f"loyalty must lie in [0, 1], got {loyalty!r}")
-    elastic_part = "inelastic" if elasticity >= -1.0 else "elastic"
-    loyal_part = "loyal" if loyalty > 0.5 else "not-loyal"
-    return f"{elastic_part}-{loyal_part}"
+def assign_segment(elasticity, loyalty):
+    """The segment of each (elasticity, loyalty) pair: elasticity >= -1 is
+    inelastic, loyalty > 0.5 is loyal.  Arrays give an array of labels,
+    scalars one label."""
+    elasticity, loyalty = np.asarray(elasticity, dtype=float), np.asarray(loyalty, dtype=float)
+    for name, values, bad, rule in (
+        ("elasticity", elasticity, ~np.isfinite(elasticity), "must be finite"),
+        ("loyalty", loyalty, ~((loyalty >= 0.0) & (loyalty <= 1.0)), "must lie in [0, 1]"),
+    ):
+        if np.any(bad):
+            raise InvalidInputError(f"{name} {rule}, got {values.flat[np.argmax(bad)].item()!r}")
+    return np.asarray(SEGMENTS)[2 * (elasticity < -1.0) + (loyalty > 0.5)]
 
 
 def assign_segments(
@@ -99,17 +70,48 @@ def assign_segments(
     customers,
     delta: float = DEFAULT_DISCOUNT_SHIFT,
 ):
-    """SegmentAssignment per customer, from each customer's test offer and
-    its loyalty in the ``Customers`` table ``customers``."""
+    """SegmentAssignment per customer, in ascending id order, from each
+    customer's test offer and its loyalty in the ``Customers`` table
+    ``customers``.
+
+    The elasticity is the arc elasticity between the draw-averaged
+    acceptance probability at the offered discount and at ``delta`` more
+    discount, both from one prediction over the offered and the shifted
+    designs stacked; relative prices are 1 + discount.
+    """
     offers = test_offers.take(np.argsort(test_offers.customer_id, kind="stable"))
+    ids = offers.customer_id
     rows = join(
-        customers.customer_id, offers.customer_id,
+        customers.customer_id, ids,
         lambda cid: InvalidInputError(f"customer {cid} is not in the customer table"),
     )
-    ids, loyalty = offers.customer_id.tolist(), customers.loyalty[rows].tolist()
+    if draws.n_params != 3:
+        raise InvalidInputError("elasticities require the 3-attribute offer model")
+    discount = offers.X[:, 2]
+    shifted = discount - delta
+    lo, hi = DISCOUNT_SAFETY_BAND
+    outside = ~((shifted >= lo) & (shifted <= hi))
+    if outside.any():
+        i = int(np.argmax(outside))
+        raise InvalidInputError(
+            f"customer {ids[i]}: shifted discount {float(shifted[i])!r} "
+            f"leaves the safety band [{lo}, {hi}]"
+        )
+    X = np.concatenate([offers.X, offers.X])
+    X[len(offers) :, 2] = shifted
+    p = predict_panel_probabilities(draws, X, np.tile(ids, 2), mode=DRAW_AVERAGED)
+    elasticity = arc_elasticity(*p.reshape(2, -1), 1.0 + discount, 1.0 + shifted)
+    bad = ~np.isfinite(elasticity)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise InvalidInputError(
+            f"customer {ids[i]}: elasticity must be finite, got {elasticity[i].item()!r}"
+        )
+    loyalty = customers.loyalty[rows]
+    segments = assign_segment(elasticity, loyalty)
     return [
-        SegmentAssignment(cid, elasticity, loyal, assign_segment(elasticity, loyal))
-        for cid, elasticity, loyal in zip(ids, _elasticities(draws, offers, delta=delta), loyalty)
+        SegmentAssignment(*row)
+        for row in zip(ids.tolist(), elasticity.tolist(), loyalty.tolist(), segments.tolist())
     ]
 
 

@@ -17,6 +17,8 @@ import numpy as np
 from .choice import (
     CONTRACT_YEAR_VALUES,
     DESIGN_COLUMNS,
+    DISCOUNT_MAX,
+    DISCOUNT_MIN,
     OUTCOMES,
     UNLABELED,
     Customers,
@@ -107,8 +109,8 @@ class GroundTruthConfig:
     mixture: tuple[MixtureComponent, ...] = DEFAULT_MIXTURE
     loyalty_loadings: Vector3 = DEFAULT_LOYALTY_LOADINGS
     offer_count_distribution: tuple[tuple[int, float], ...] = DEFAULT_OFFER_COUNTS
-    discount_bounds: tuple[float, float] = (-0.5, 0.5)
-    contract_values: tuple[int, ...] = (0, 1, 2, 3, 4, 5)
+    discount_bounds: tuple[float, float] = (DISCOUNT_MIN, DISCOUNT_MAX)
+    contract_values: tuple[int, ...] = CONTRACT_YEAR_VALUES
     seed: int = 20210521
 
     def validate(self) -> "GroundTruthConfig":
@@ -137,8 +139,10 @@ class GroundTruthConfig:
         if np.any(probs < 0) or abs(probs.sum() - 1.0) > 1e-9:
             raise ConfigurationError("offer count probabilities must sum to 1")
         lo, hi = self.discount_bounds
-        if not (-0.5 <= lo <= hi <= 0.5):
-            raise ConfigurationError("discount bounds must satisfy -0.5 <= lo <= hi <= 0.5")
+        if not (DISCOUNT_MIN <= lo <= hi <= DISCOUNT_MAX):
+            raise ConfigurationError(
+                f"discount bounds must satisfy {DISCOUNT_MIN} <= lo <= hi <= {DISCOUNT_MAX}"
+            )
         if not self.contract_values or not set(self.contract_values) <= set(CONTRACT_YEAR_VALUES):
             raise ConfigurationError(
                 f"contract_values must be a non-empty list of whole years in 0..5, "

@@ -9,7 +9,6 @@ import itertools
 import json
 import os
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -391,21 +390,13 @@ class TestCriterion11RetailBestEffort:
         )
 
         data = ingest_retail_csv(path)
-        per_customer = {}
-        for cs in data.choice_sets:
-            per_customer.setdefault(cs.customer_id, []).append(cs)
-        n_products = len(data.product_ids)
-        row_identity = all(
-            sum(len(cs.alternatives) for cs in sets) == len(sets) * n_products
-            for sets in per_customer.values()
+        n_products = len(np.unique(data.product_id))
+        _, rows_per_occasion = np.unique(
+            np.column_stack([data.customer_id, data.occasion]), axis=0, return_counts=True
         )
-        sets = data.choice_sets
-        train, validation = split_per_customer_holdout(
-            [cs.customer_id for cs in sets], [cs.occasion for cs in sets], seed=1
-        )
-        X, y, row_customer, customer_ids, _ = multinomial_to_panel(
-            replace(data, choice_sets=tuple(sets[i] for i in train))
-        )
+        row_identity = bool(np.all(rows_per_occasion == n_products))
+        train, validation = split_per_customer_holdout(data.customer_id, data.occasion, seed=1)
+        X, y, row_customer, customer_ids, _ = multinomial_to_panel(data.take(train))
         draws = hb.fit_hb_panel(
             X,
             y,
@@ -415,11 +406,10 @@ class TestCriterion11RetailBestEffort:
             ncomp=1,
             config=hb.McmcConfig(total_draws=600, burn_in=120, seed=3),
         )
-        Xv, yv, _, _, meta = multinomial_to_panel(
-            replace(data, choice_sets=tuple(sets[i] for i in validation))
-        )
+        held_out = data.take(validation)
+        Xv, yv, _, _, _ = multinomial_to_panel(held_out)
         scores = hb.predict_panel_probabilities(
-            draws, Xv, [m[0] for m in meta], fallback_population_mean=True
+            draws, Xv, held_out.customer_id, fallback_population_mean=True
         )
         auc = evaluate.auc(evaluate.ScoredLabels(scores, yv.astype(int)))
         report("11", row_identity and auc >= 0.75, f"row identity={row_identity}, holdout AUC={auc:.4f}")

@@ -219,3 +219,29 @@ class TestJoin:
         keys = data.draw(st.permutations(keys + [repeated]))
         with pytest.raises(DataIntegrityError, match=r"^key -?\d+ is repeated$"):
             join(keys, [1])
+
+    @settings(max_examples=200)
+    @given(
+        keys=st.lists(
+            st.tuples(st.integers(-3, 3), st.integers(-(2**62), 2**62)), unique=True, max_size=30
+        ),
+        absent=st.lists(st.tuples(st.integers(-3, 3), st.integers(-5, 5)), max_size=10),
+        data=st.data(),
+    )
+    def test_key_tuples_agree_with_a_dict_lookup(self, keys, absent, data):
+        ids = absent + (data.draw(st.lists(st.sampled_from(keys), max_size=30)) if keys else [])
+        ids = data.draw(st.permutations(ids))
+        row_of = {key: row for row, key in enumerate(keys)}
+        columns = tuple(np.array(c, dtype=np.int64).reshape(-1) for c in zip(*keys)) or ([], [])
+        id_columns = tuple(np.array(c, dtype=np.int64).reshape(-1) for c in zip(*ids)) or ([], [])
+        assert join(columns, id_columns).tolist() == [row_of.get(i, -1) for i in ids]
+        missing = [i for i in ids if i not in row_of]
+        if missing:
+            with pytest.raises(KeyError) as exc:
+                join(columns, id_columns, unknown=KeyError)
+            assert exc.value.args == (missing[0],)
+
+    def test_a_repeated_key_tuple_is_refused(self):
+        with pytest.raises(DataIntegrityError, match=r"^key \(2, 7\) is repeated$"):
+            join(([1, 2, 2], [7, 7, 7]), ([1], [7]))
+        assert join(([1, 2, 2], [7, 7, 8]), ([2, 2, 1, 3], [8, 7, 7, 7])).tolist() == [2, 1, 0, -1]

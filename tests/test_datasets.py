@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from offerlab import simulate
 from offerlab.choice import UNLABELED, Customers
 from offerlab.datasets import (
+    MULTINOMIAL_COLUMNS,
     OFFER_COLUMNS,
     ResamplingScheme,
     ingest_retail_csv,
@@ -348,12 +349,12 @@ class TestRetailIngestion:
     def test_row_count_identity(self, retail_csv):
         data = ingest_retail_csv(retail_csv, product_filter={"C0", "C1", "C2"})
         # customer 1: 9 occasions + 1 augmented; customer 2: 1 + 1
-        by_customer = {}
-        for cs in data.choice_sets:
-            by_customer.setdefault(cs.customer_id, []).append(cs)
-        assert len(by_customer[1]) == 10
-        assert len(by_customer[2]) == 2
-        assert data.n_rows == (9 + 1) * 3 + (1 + 1) * 3
+        occasions = {cid: set() for cid in data.customer_id.tolist()}
+        for cid, occ in zip(data.customer_id.tolist(), data.occasion.tolist()):
+            occasions[cid].add(occ)
+        assert len(occasions[1]) == 10
+        assert len(occasions[2]) == 2
+        assert len(data) == (9 + 1) * 3 + (1 + 1) * 3
 
     def test_nine_occasions_with_eighteen_products_gives_180_rows(self, tmp_path):
         rows = []
@@ -369,25 +370,37 @@ class TestRetailIngestion:
         path = tmp_path / "retail18.csv"
         write_retail_csv(path, rows)
         data = ingest_retail_csv(path, product_filter=set(products))
-        rows_for_7 = sum(
-            len(cs.alternatives) for cs in data.choice_sets if cs.customer_id == 7
-        )
+        rows_for_7 = int(np.sum(data.customer_id == 7))
         assert rows_for_7 == (9 + 1) * 18 == 180
 
     def test_augmentation_occasion_has_no_purchases(self, retail_csv):
         data = ingest_retail_csv(retail_csv, product_filter={"C0", "C1", "C2"})
-        for cs in data.choice_sets:
-            last = max(c.occasion for c in data.choice_sets if c.customer_id == cs.customer_id)
-            if cs.occasion == last:
-                assert all(chosen == 0 for _, chosen in cs.alternatives)
+        for cid in np.unique(data.customer_id):
+            mine = data.customer_id == cid
+            last = mine & (data.occasion == data.occasion[mine].max())
+            assert last.sum() == 3 and np.all(data.chosen[last] == 0)
 
     def test_default_cup_filter(self, retail_csv):
         data = ingest_retail_csv(retail_csv)
-        assert set(data.product_ids) == {"C0", "C1", "C2"}
+        assert set(data.product_id.tolist()) == {"C0", "C1", "C2"}
 
     def test_empty_filter_match(self, retail_csv):
         with pytest.raises(EmptySelectionError):
             ingest_retail_csv(retail_csv, product_filter={"ZZZ"})
+
+    @pytest.mark.parametrize(
+        "customer, message",
+        [
+            ("1e30", r"customer id \d+ exceeds 64 bits"),
+            (str(2**63), r"customer id \d+ exceeds 64 bits"),
+            ("inf", "cannot convert float infinity to integer"),
+        ],
+    )
+    def test_customer_id_beyond_64_bits_names_line(self, tmp_path, customer, message):
+        path = tmp_path / "big.csv"
+        write_retail_csv(path, [["I1", "C0", "CUP", 1, "01/01/2010 10:00", 1.0, customer, "UK"]])
+        with pytest.raises(ParseError, match=rf"big\.csv: line 2: {message}"):
+            ingest_retail_csv(path)
 
     def test_malformed_quantity_names_line(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -401,22 +414,44 @@ class TestRetailIngestion:
 
     def test_panel_conversion(self, retail_csv):
         data = ingest_retail_csv(retail_csv, product_filter={"C0", "C1", "C2"})
-        X, y, row_customer, customer_ids, row_meta = multinomial_to_panel(data)
-        assert X.shape == (data.n_rows, 3)
+        X, y, row_customer, customer_ids, Z = multinomial_to_panel(data)
+        assert X.shape == (len(data), 3)
         assert np.all(X.sum(axis=1) == 1.0)
         assert customer_ids == [1, 2]
-        assert len(row_meta) == data.n_rows
+        assert Z is None
         # chosen flags line up with the y vector
-        k = data.product_ids.index("C0")
-        first_c0_rows = [i for i, meta in enumerate(row_meta) if meta[2] == "C0"]
+        first_c0_rows = np.flatnonzero(data.product_id == "C0")
         assert y[first_c0_rows].sum() >= 1
+
+    def test_panel_is_the_hand_expansion_of_the_fixture(self, retail_csv):
+        data = ingest_retail_csv(retail_csv, product_filter={"C2", "C0", "C1"})
+        # customer 1 buys C(i % 3) on 1..9 January, then the augmented
+        # occasion 10; customer 2 buys C0 once, then occasion 2
+        expected = [
+            (1, occ, f"C{k}", int(occ <= 9 and (occ - 1) % 3 == k))
+            for occ in range(1, 11) for k in range(3)
+        ] + [(2, occ, f"C{k}", int(occ == 1 and k == 0)) for occ in (1, 2) for k in range(3)]
+        assert list(zip(*(getattr(data, c).tolist() for c in MULTINOMIAL_COLUMNS))) == expected
+        X, y, row_customer, customer_ids, Z = multinomial_to_panel(data)
+        assert np.array_equal(X, np.eye(3)[[int(p[1]) for _, _, p, _ in expected]])
+        assert y.tolist() == [float(c) for *_, c in expected]
+        assert row_customer.tolist() == [cid - 1 for cid, *_ in expected]
+        assert (customer_ids, Z) == ([1, 2], None)
+
+    def test_holdout_moves_whole_occasions(self, retail_csv):
+        data = ingest_retail_csv(retail_csv, product_filter={"C0", "C1", "C2"})
+        train, validation = split_per_customer_holdout(data.customer_id, data.occasion, seed=1)
+        assert sorted(train.tolist() + validation.tolist()) == list(range(len(data)))
+        held = data.take(validation)
+        train_keys = set(zip(data.customer_id[train].tolist(), data.occasion[train].tolist()))
+        held_keys = set(zip(held.customer_id.tolist(), held.occasion.tolist()))
+        # one non-first occasion per customer, with all three of its rows
+        assert sorted(cid for cid, _ in held_keys) == [1, 2] and len(held) == 2 * 3
+        assert not held_keys & train_keys and all(occ != 1 for _, occ in held_keys)
 
     def test_split_works_on_choice_sets(self, retail_csv):
         data = ingest_retail_csv(retail_csv, product_filter={"C0", "C1", "C2"})
-        sets = data.choice_sets
-        train, validation = split_per_customer_holdout(
-            [cs.customer_id for cs in sets], [cs.occasion for cs in sets], seed=1
-        )
-        val_keys = {(sets[i].customer_id, sets[i].occasion) for i in validation}
+        train, validation = split_per_customer_holdout(data.customer_id, data.occasion, seed=1)
+        val_keys = set(zip(data.customer_id[validation].tolist(), data.occasion[validation].tolist()))
         assert val_keys
         assert all(occ != 1 for _, occ in val_keys)

@@ -219,6 +219,27 @@ class TestLiftCurve:
         with pytest.raises(DegenerateInputError):
             lift_curve(ScoredLabels([0.1, 0.2], [0, 0]))
 
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 300),
+        granularity=st.integers(1, 400),
+        ties=st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_points_equal_the_per_point_loop(self, seed, n, granularity, ties):
+        rng = np.random.default_rng(seed)
+        scores = rng.integers(0, 4, n) / 4 if ties else rng.random(n)
+        labels = rng.integers(0, 2, n)
+        labels[rng.integers(n)] = 1
+        data = ScoredLabels(scores, labels)
+        cum = np.cumsum(labels[np.argsort(-scores, kind="mergesort")])
+        expected = []
+        for i in range(granularity + 1):
+            top = round(i * n / granularity)
+            capture = float(cum[top - 1]) / labels.sum() if top > 0 else 0.0
+            expected.append((i / granularity, capture))
+        assert lift_curve(data, granularity) == expected
+
 
 class TestDelong:
     def test_identical_scores(self):

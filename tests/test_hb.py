@@ -560,6 +560,24 @@ class TestPersistence:
         with pytest.raises(DataIntegrityError, match="not 2 customers on axis 1"):
             PosteriorDraws.load(tmp_path / "posterior")
 
+    def test_repeated_customer_id_rejected_by_name(self, tmp_path):
+        hand_built_draws(np.zeros((2, 2, 3)), customer_ids=[5, 5]).save(tmp_path / "posterior")
+        header_path = tmp_path / "posterior" / "header.json"
+        with pytest.raises(DataIntegrityError) as info:
+            PosteriorDraws.load(tmp_path / "posterior")
+        assert str(info.value) == f"{header_path} repeats customer id 5"
+
+    @pytest.mark.parametrize("bad", [1.5, "7", True, None, 2**63])
+    def test_non_integer_customer_id_rejected_by_name(self, tmp_path, bad):
+        hand_built_draws(np.zeros((2, 2, 3))).save(tmp_path / "posterior")
+        header_path = tmp_path / "posterior" / "header.json"
+        header = json.loads(header_path.read_text())
+        header["customer_ids"][1] = bad
+        header_path.write_text(json.dumps(header))
+        with pytest.raises(DataIntegrityError) as info:
+            PosteriorDraws.load(tmp_path / "posterior")
+        assert str(info.value) == f"{header_path}: customer id {bad!r} is not a 64-bit integer"
+
     def test_header_config_with_unknown_key_rejected_by_name(self, tmp_path):
         hand_built_draws(np.zeros((2, 3, 3))).save(tmp_path / "posterior")
         header_path = tmp_path / "posterior" / "header.json"

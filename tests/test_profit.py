@@ -73,6 +73,11 @@ def reference_values(seg, draws, config, rs, months, mode=DRAW_AVERAGED):
     return np.array(out)
 
 
+def values_of(objective, rs, months):
+    """The profit at each rate in ``rs``, without its derivative."""
+    return objective.values_and_slopes(rs, months)[0]
+
+
 class SeedObjective:
     """The scalar objective as first written (one numpy pass per r), kept as
     the reference the batched objective must reproduce."""
@@ -262,7 +267,7 @@ class TestBatchedObjective:
         config = NopConfig()
         rs = rng.uniform(-0.5, 0.5, n_rates)
         with mock.patch.object(profit, "VALUES_BLOCK", block):
-            values = profit._SegmentObjective(seg, draws, config, mode).values(rs, months)
+            values = values_of(profit._SegmentObjective(seg, draws, config, mode), rs, months)
         expected = reference_values(seg, draws, config, rs, months, mode)
         assert values == pytest.approx(expected, rel=1e-12, abs=0.0)
 
@@ -274,7 +279,7 @@ class TestBatchedObjective:
         objective = profit._SegmentObjective(seg, draws, config, DRAW_AVERAGED)
         rs = np.linspace(-0.5, 0.5, 11)
         with np.errstate(over="raise"):
-            values = objective.values(rs, 12)
+            values = values_of(objective, rs, 12)
         assert np.all(values > 0.0)
         assert values == pytest.approx(
             reference_values(seg, draws, config, rs, 12), rel=1e-12, abs=0.0
@@ -285,8 +290,8 @@ class TestBatchedObjective:
         seg, draws = random_segment(rng, 9, 50)
         objective = profit._SegmentObjective(seg, draws, NopConfig(), DRAW_AVERAGED)
         rs = np.linspace(-0.5, 0.5, 101)
-        batch = objective.values(rs, 24)
-        assert [objective.value(float(r), 24) for r in rs] == list(batch)
+        batch = values_of(objective, rs, 24)
+        assert [values_of(objective, [r], 24)[0] for r in rs] == list(batch)
 
     def test_bit_identical_to_seed_objective(self):
         rng = np.random.default_rng(8)
@@ -298,18 +303,7 @@ class TestBatchedObjective:
             with mock.patch.object(profit, "VALUES_BLOCK", block):
                 objective = profit._SegmentObjective(seg, draws, config, DRAW_AVERAGED)
                 for months in (1, 60):
-                    assert np.array_equal(objective.values(rs, months), seed.values(rs, months))
-
-    def test_slope_request_leaves_values_bit_identical(self):
-        rng = np.random.default_rng(8)
-        seg, draws = random_segment(rng, 300, 120)
-        rs = np.linspace(-0.5, 0.5, 101)
-        for block in (97, profit.VALUES_BLOCK):
-            with mock.patch.object(profit, "VALUES_BLOCK", block):
-                objective = profit._SegmentObjective(seg, draws, NopConfig(), DRAW_AVERAGED)
-                for months in (1, 60):
-                    values, _ = objective.values_and_slopes(rs, months)
-                    assert np.array_equal(values, objective.values(rs, months))
+                    assert np.array_equal(values_of(objective, rs, months), seed.values(rs, months))
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -347,7 +341,7 @@ class TestBatchedObjective:
         width 1, so f sets the scale there)."""
         objective = profit._SegmentObjective(seg, draws, NopConfig(), mode)
         values, slopes = objective.values_and_slopes([r], months)
-        below, above = objective.values([r - h, r + h], months)
+        below, above = values_of(objective, [r - h, r + h], months)
         assert slopes[0] == pytest.approx(
             (above - below) / (2 * h), rel=1e-6, abs=1e-6 * abs(values[0])
         )
@@ -357,9 +351,9 @@ class TestBatchedObjective:
         seg, draws = make_segment([[0.5, 0.2, -3.0]], [0.5])
         objective = profit._SegmentObjective(seg, draws, NopConfig(), DRAW_AVERAGED)
         with pytest.raises(InvalidInputError, match="leaves the trained band"):
-            objective.values([0.0, bad, 0.1], 12)
+            objective.values_and_slopes([0.0, bad, 0.1], 12)
         with pytest.raises(InvalidInputError, match="leaves the trained band"):
-            objective.value(bad, 12)
+            objective.values_and_slopes(bad, 12)
 
 
 class TestOptimizePolicy:

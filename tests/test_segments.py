@@ -168,6 +168,62 @@ class TestAssignSegment:
         assert assign_segment(elasticity, loyalty) in SEGMENTS
 
 
+def reference_elasticity(p0, p1, price0, price1):
+    """The scalar arc elasticity, one Python-float pair at a time."""
+    return ((p1 - p0) / ((p0 + p1) / 2.0)) / ((price1 - price0) / ((price0 + price1) / 2.0))
+
+
+def reference_segment(elasticity, loyalty):
+    """The scalar segment rule: elasticity >= -1 is inelastic, loyalty > 0.5 loyal."""
+    elastic_part = "inelastic" if elasticity >= -1.0 else "elastic"
+    return f"{elastic_part}-{'loyal' if loyalty > 0.5 else 'not-loyal'}"
+
+
+class TestArrayPasses:
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.floats(1e-6, 1.0),
+                st.floats(1e-6, 1.0),
+                st.floats(0.4, 1.6),
+                st.sampled_from([-0.1, -0.05, 1e-9]),
+                st.one_of(st.just(0.5), st.floats(0.0, 1.0)),
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_arrays_equal_the_scalar_reference(self, rows):
+        p0, p1, price0, shift, loyalty = (np.array(column) for column in zip(*rows))
+        price1 = price0 + shift
+        elasticity = arc_elasticity(p0, p1, price0, price1)
+        columns = (a.tolist() for a in (p0, p1, price0, price1))
+        expected = [reference_elasticity(*row) for row in zip(*columns)]
+        assert elasticity.tolist() == expected
+        # the boundaries themselves: elasticity exactly -1, loyalty exactly 0.5
+        for e in (elasticity, np.full(len(rows), -1.0)):
+            labels = assign_segment(e, loyalty).tolist()
+            assert labels == [reference_segment(x, y) for x, y in zip(e.tolist(), loyalty)]
+
+    def test_boundary_labels(self):
+        labels = assign_segment([-1.0, -1.0, -1.0000001, 2.0], [0.5, 0.5000001, 0.5, 0.0])
+        assert labels.tolist() == [
+            "inelastic-not-loyal", "inelastic-loyal", "elastic-not-loyal", "inelastic-not-loyal"
+        ]
+
+    def test_non_finite_elasticity_is_refused_by_customer(self):
+        betas = np.zeros((2, 3, 3))
+        betas[1, 1, 2] = np.nan  # customer 2's discount coefficient in one draw
+        offers = offer_rows((3, 0, 0.1), (2, 0, 0.1), (1, 0, 0.1))
+        with pytest.raises(InvalidInputError, match=r"^customer 2: elasticity must be finite, got nan$"):
+            assign_segments(hand_built_draws(betas), offers, customer_table([1, 2, 3]))
+        with pytest.raises(InvalidInputError, match=r"^elasticity must be finite, got inf$"):
+            assign_segment([0.0, np.inf], [0.5, 0.5])
+        with pytest.raises(InvalidInputError, match=r"^loyalty must lie in \[0, 1\], got 1\.5$"):
+            assign_segment([0.0, 0.0], [0.5, 1.5])
+
+
 class TestDistribution:
     def test_identical_customers(self):
         assignments = [SegmentAssignment(i, -0.5, 0.9, "inelastic-loyal") for i in range(9)]
