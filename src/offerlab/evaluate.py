@@ -4,7 +4,7 @@ the DeLong correlated-ROC test, and cross-validated mixture-size tuning."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -51,18 +51,18 @@ class ScoredLabels:
         return int(len(self.labels) - self.labels.sum())
 
 
-def _average_ranks(x: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties sharing the average rank of their run."""
-    order = np.argsort(x, kind="mergesort")
-    sx = x[order]
-    boundaries = np.r_[True, sx[1:] != sx[:-1]]
-    run_id = np.cumsum(boundaries) - 1
-    counts = np.bincount(run_id)
-    start = np.r_[0, np.cumsum(counts)[:-1]]
-    avg = start + (counts - 1) / 2.0 + 1.0
-    ranks = np.empty(len(x))
-    ranks[order] = avg[run_id]
-    return ranks
+def _placement_counts(scores: np.ndarray, labels: np.ndarray):
+    """DeLong placement counts, exact half-integers: per positive, the
+    negatives scored below it; per negative, the positives scored above it;
+    ties count one half.  Divided by the other class's size they are the
+    placement values V10 and V01."""
+    pos, neg = scores[labels == 1], scores[labels == 0]
+
+    def below(x, others):
+        others = np.sort(others)
+        return 0.5 * (np.searchsorted(others, x, "left") + np.searchsorted(others, x, "right"))
+
+    return below(pos, neg), len(pos) - below(neg, pos)
 
 
 def auc(data: ScoredLabels) -> float:
@@ -71,9 +71,8 @@ def auc(data: ScoredLabels) -> float:
     n_pos, n_neg = data.n_positive, data.n_negative
     if n_pos == 0 or n_neg == 0:
         raise DegenerateInputError("AUC undefined without both classes")
-    ranks = _average_ranks(data.scores)
-    pos_rank_sum = float(ranks[data.labels == 1].sum())
-    return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+    positive_counts, _ = _placement_counts(data.scores, data.labels)
+    return float(positive_counts.sum()) / (n_pos * n_neg)
 
 
 def accuracy_at_base_rate(data: ScoredLabels, base_rate: float) -> float:
@@ -107,22 +106,6 @@ def capture_at(points, fraction: float) -> float:
     return min(points, key=lambda p: abs(p[0] - fraction))[1]
 
 
-def _placement_values(scores: np.ndarray, labels: np.ndarray):
-    """DeLong placement values (V10 per positive, V01 per negative)."""
-    pos = scores[labels == 1]
-    neg = scores[labels == 0]
-    neg_sorted = np.sort(neg)
-    less = np.searchsorted(neg_sorted, pos, side="left")
-    upto = np.searchsorted(neg_sorted, pos, side="right")
-    v10 = (less + 0.5 * (upto - less)) / len(neg)
-    pos_sorted = np.sort(pos)
-    below = np.searchsorted(pos_sorted, neg, side="left")
-    upto = np.searchsorted(pos_sorted, neg, side="right")
-    greater = len(pos) - upto
-    v01 = (greater + 0.5 * (upto - below)) / len(pos)
-    return v10, v01
-
-
 @dataclass(frozen=True)
 class DelongResult:
     auc_a: float
@@ -143,10 +126,9 @@ def delong_test(scores_a, scores_b, labels) -> DelongResult:
     if n_pos == 0 or n_neg == 0:
         raise DegenerateInputError("DeLong test undefined without both classes")
 
-    v10_a, v01_a = _placement_values(a.scores, a.labels)
-    v10_b, v01_b = _placement_values(b.scores, b.labels)
-    auc_a = float(v10_a.mean())
-    auc_b = float(v10_b.mean())
+    c10_a, c01_a = _placement_counts(a.scores, a.labels)
+    c10_b, c01_b = _placement_counts(b.scores, b.labels)
+    auc_a, auc_b = auc(a), auc(b)
     diff = auc_a - auc_b
 
     def _cov(u, v):
@@ -154,8 +136,8 @@ def delong_test(scores_a, scores_b, labels) -> DelongResult:
             return np.zeros((2, 2))
         return np.cov(np.stack([u, v]), ddof=1)
 
-    s10 = _cov(v10_a, v10_b)
-    s01 = _cov(v01_a, v01_b)
+    s10 = _cov(c10_a / n_neg, c10_b / n_neg)
+    s01 = _cov(c01_a / n_pos, c01_b / n_pos)
     variance = (s10[0, 0] + s10[1, 1] - 2 * s10[0, 1]) / n_pos + (
         s01[0, 0] + s01[1, 1] - 2 * s01[0, 1]
     ) / n_neg
@@ -197,16 +179,12 @@ class _Cell(NamedTuple):
     seed: int
 
 
-def _scored_repeat(cells, ncomp, config):
-    """Fit one repeat's cells as one stacked chain and score each cell's
-    validation rows; returns one (AUC, accuracy) pair per cell.  The
-    cells' draws are freed when this returns."""
+def _scored_candidate(cells, ncomp, config):
+    """Fit every cell as one stacked chain and score each cell's validation
+    rows; returns one (AUC, accuracy) pair per cell.  The cells' draws are
+    freed when this returns."""
     try:
-        fits = fit_hb_panels(
-            [cell.panel for cell in cells],
-            ncomp,
-            [replace(config, seed=cell.seed) for cell in cells],
-        )
+        fits = fit_hb_panels([cell.panel for cell in cells], ncomp, config, [c.seed for c in cells])
     except EstimationError as exc:
         cell = cells[exc.block]
         raise EstimationError(
@@ -245,9 +223,10 @@ def tune_ncomp(
     per-cell chain seeds are derived from the config seed independently of
     the candidate, so candidate comparisons share their randomness); the
     candidate with the highest mean validation AUC wins, ties going to the
-    smallest candidate.  For each candidate, the cells of one repeat are
-    fitted as one stacked chain (``fit_hb_panels``), each cell on its own
-    random stream, and scored before the next repeat's chain starts.
+    smallest candidate.  For each candidate, every cell of every repeat is
+    fitted as one block of one stacked chain (``fit_hb_panels``), each on
+    its own random stream, and scored before the next candidate's chain
+    starts.
     """
     candidates = sorted(set(int(c) for c in candidates))
     if not candidates:
@@ -255,7 +234,7 @@ def tune_ncomp(
     scheme.validate()
     keys = (offers.customer_id, offers.occasion)
 
-    cells = []  # (repeat, fold, training offers, validation offers, cell_seed)
+    cells = []
     for repeat in range(scheme.repeats):
         split_seed = derive_seed(config.seed, 7001, repeat)
         if scheme.kind == KFOLD_BY_OCCASION:
@@ -263,27 +242,20 @@ def tune_ncomp(
         else:
             splits = [split_per_customer_holdout(*keys, split_seed)]
         for fold, (train, validation) in enumerate(splits):
-            seed = derive_seed(config.seed, 7013, repeat, fold)
-            cells.append((repeat, fold, offers.take(train), offers.take(validation), seed))
-    # AUC needs both outcome classes in a cell's validation rows; a cell's
-    # usability depends only on the split, so every candidate skips the
-    # same cells
-    cells = [
-        _Cell(repeat, fold, build_panel(train, covariates), validation, seed)
-        for repeat, fold, train, validation, seed in cells
-        if len(np.unique(validation.labels())) == 2
-    ]
+            validation = offers.take(validation)
+            # AUC needs both outcome classes in a cell's validation rows; a
+            # cell's usability depends only on the split, so every candidate
+            # skips the same cells
+            if len(np.unique(validation.labels())) == 2:
+                panel = build_panel(offers.take(train), covariates)
+                seed = derive_seed(config.seed, 7013, repeat, fold)
+                cells.append(_Cell(repeat, fold, panel, validation, seed))
     if not cells:
         raise InvalidInputError("resampling produced no usable validation cells")
-    repeats = [[cell for cell in cells if cell.repeat == r] for r in range(scheme.repeats)]
-    repeats = [group for group in repeats if group]
 
     rows = []
     for ncomp in candidates:
-        scored = []
-        for group in repeats:
-            scored += _scored_repeat(group, ncomp, config)
-        aucs, accuracies = zip(*scored)
+        aucs, accuracies = zip(*_scored_candidate(cells, ncomp, config))
         rows.append(
             TuningRow(
                 ncomp=ncomp,

@@ -14,9 +14,10 @@ One chain can carry several independent panels ("blocks") along a leading
 block axis (``fit_hb_panels``): the five steps run as batched numpy calls
 over (block, component), while every block draws its variates from its own
 generator in the order of a one-block fit, so a block's draws do not depend
-on what it is stacked with.  ``fit_hb_panel`` is the one-block call, and
-cross-validated tuning fits the cells of one resampling repeat as one
-stacked chain.
+on what it is stacked with.  All blocks share one ``McmcConfig`` and differ
+only in their seeds.  ``fit_hb_panel`` is the one-block call, and
+cross-validated tuning fits every cell of one candidate as one stacked
+chain.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -485,38 +486,24 @@ def _population_cov(weights, mu, roots):
     return np.einsum("k,kij->ij", weights, Sigma) + (centered.T * weights) @ centered
 
 
-def _config_of_stack(configs, n_blocks):
-    """The one config of a stack whose configs may differ only in seed."""
-    if len(configs) != n_blocks:
-        raise InvalidInputError(f"{len(configs)} configs for {n_blocks} blocks")
-    first = configs[0]
-    for b, other in enumerate(configs[1:], 1):
-        for f in fields(McmcConfig):
-            if f.name != "seed" and getattr(other, f.name) != getattr(first, f.name):
-                raise ConfigurationError(
-                    f"block {b}: config differs from block 0 in {f.name} "
-                    f"({getattr(other, f.name)!r} != {getattr(first, f.name)!r})"
-                )
-    return first
-
-
-def fit_hb_panels(panels, ncomp: int, configs) -> list[PosteriorDraws]:
+def fit_hb_panels(panels, ncomp: int, config: McmcConfig, seeds) -> list[PosteriorDraws]:
     """Run one Metropolis-within-Gibbs chain over a stack of panels (blocks).
 
     Each panel is the ``(X, y, row_customer, customer_ids, Z)`` of
     ``build_panel``: ``row_customer`` maps each row to a position in
     ``customer_ids`` and ``Z`` holds one covariate row per customer (may be
-    None or zero-width).  ``configs`` holds one McmcConfig per block; they
-    may differ only in ``seed``.  Block b draws every variate from its own
-    generator, seeded from ``configs[b].seed``, in the per-step order of a
-    one-block fit, so its draws equal those of fitting it alone up to
-    rounding.  Returns one PosteriorDraws per block.
+    None or zero-width).  Every block runs under ``config`` and draws every
+    variate from its own generator, seeded from ``seeds[b]``, in the
+    per-step order of a one-block fit, so its draws equal those of fitting
+    it alone up to rounding.  Returns one PosteriorDraws per block, whose
+    config is ``config`` with ``seed=seeds[b]``.
     """
     if not panels:
         raise InvalidInputError("no panels to fit")
     if ncomp < 1:
         raise ConfigurationError("ncomp must be >= 1")
-    config = _config_of_stack(configs, len(panels))
+    if len(seeds) != len(panels):
+        raise InvalidInputError(f"{len(seeds)} seeds for {len(panels)} panels")
     n_params = np.shape(panels[0][0])[1]
     n_cov = 0 if panels[0][4] is None else np.shape(panels[0][4])[1]
     config.validate(n_params)
@@ -545,9 +532,7 @@ def fit_hb_panels(panels, ncomp: int, configs) -> list[PosteriorDraws]:
 
     sizes = [len(p[3]) for p in panels]
     n_blocks, n_max = len(panels), max(sizes)
-    rngs = [
-        np.random.default_rng(np.random.SeedSequence(c.seed & 0xFFFFFFFFFFFFFFFF)) for c in configs
-    ]
+    rngs = [np.random.default_rng(np.random.SeedSequence(s & 0xFFFFFFFFFFFFFFFF)) for s in seeds]
     # rows of every block against the flattened (B * n_max) customers
     X = np.concatenate([block[0] for block in blocks])
     y = np.concatenate([block[1] for block in blocks])
@@ -653,7 +638,7 @@ def fit_hb_panels(panels, ncomp: int, configs) -> list[PosteriorDraws]:
             kept += 1
 
     fits = []
-    for b, (p, block_config, n) in enumerate(zip(panels, configs, sizes)):
+    for b, (p, seed, n) in enumerate(zip(panels, seeds, sizes)):
         rates = accept_counts[b, :n] / config.total_draws
         low, high = float(rates.min()), float(rates.max())
         if low < 0.05 or high > 0.70:
@@ -672,7 +657,7 @@ def fit_hb_panels(panels, ncomp: int, configs) -> list[PosteriorDraws]:
                 delta=np.ascontiguousarray(out_delta[:, b]),
                 log_likelihood=np.ascontiguousarray(out_loglik[:, b]),
                 acceptance_rates=rates,
-                config=block_config,
+                config=replace(config, seed=seed),
             )
         )
     return fits
@@ -689,8 +674,8 @@ def fit_hb_panel(
 ) -> PosteriorDraws:
     """Run the Metropolis-within-Gibbs chain on one panel's estimation arrays:
     the one-block call of ``fit_hb_panels``."""
-    panel = (X, y, row_customer, customer_ids, Z)
-    return fit_hb_panels([panel], ncomp, [config or McmcConfig()])[0]
+    config = config or McmcConfig()
+    return fit_hb_panels([(X, y, row_customer, customer_ids, Z)], ncomp, config, [config.seed])[0]
 
 
 def fit_hb_mixed_logit(

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .choice import DISCOUNT_MAX, DISCOUNT_MIN, UTILITY_CLAMP, join
+from .choice import DISCOUNT_MAX, DISCOUNT_MIN, UTILITY_CLAMP, first_repeat, join
 from .errors import ConfigurationError, InvalidInputError, UnknownCustomerError
 from .hb import DRAW_AVERAGED, POSTERIOR_MEAN, PosteriorDraws
 from .segments import SEGMENTS
@@ -118,7 +118,13 @@ class SegmentData:
 
 
 def segment_data_from_assignments(assignments, config: NopConfig, mrp: dict | None = None):
-    """Group segment assignments into SegmentData, one per segment."""
+    """Group segment assignments into SegmentData, one per segment; a
+    customer assigned twice is an InvalidInputError."""
+    assignments = list(assignments)
+    ids = np.array([a.customer_id for a in assignments], dtype=np.int64)
+    repeat = first_repeat(ids)
+    if repeat >= 0:
+        raise InvalidInputError(f"customer {ids[repeat]} is assigned more than once")
     mrp = mrp or {}
     grouped = {segment: [] for segment in SEGMENTS}
     for a in assignments:

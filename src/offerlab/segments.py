@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .choice import join
+from .choice import first_repeat, join
 from .errors import DegenerateInputError, InvalidInputError
 from .hb import DRAW_AVERAGED, PosteriorDraws, predict_panel_probabilities
 
@@ -71,7 +71,7 @@ def assign_segments(
     delta: float = DEFAULT_DISCOUNT_SHIFT,
 ):
     """SegmentAssignment per customer, in ascending id order, from each
-    customer's test offer and its loyalty in the ``Customers`` table
+    customer's one test offer and its loyalty in the ``Customers`` table
     ``customers``.
 
     The elasticity is the arc elasticity between the draw-averaged
@@ -81,6 +81,9 @@ def assign_segments(
     """
     offers = test_offers.take(np.argsort(test_offers.customer_id, kind="stable"))
     ids = offers.customer_id
+    repeat = first_repeat(ids)
+    if repeat >= 0:
+        raise InvalidInputError(f"customer {ids[repeat]} has more than one test offer")
     rows = join(
         customers.customer_id, ids,
         lambda cid: InvalidInputError(f"customer {cid} is not in the customer table"),

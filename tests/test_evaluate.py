@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from offerlab.datasets import (
@@ -30,6 +30,7 @@ from offerlab.hb import (
     McmcConfig,
     build_panel,
     fit_hb_panel,
+    fit_hb_panels,
     predict_panel_probabilities,
 )
 from offerlab.simulate import GroundTruthConfig, simulate_dataset
@@ -271,6 +272,20 @@ class TestDelong:
         assert result.z == pytest.approx(z, abs=1e-10)
         assert result.p_value == pytest.approx(math.erfc(abs(z) / math.sqrt(2)), abs=1e-10)
 
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 80), levels=st.integers(1, 12))
+    def test_aucs_equal_auc_exactly(self, seed, n, levels):
+        rng = np.random.default_rng(seed)
+        labels = rng.integers(0, 2, n)
+        labels[:2] = [0, 1]
+        a, b = rng.integers(0, levels, (2, n)) / levels  # few levels: many ties
+        try:
+            result = delong_test(a, b, labels)
+        except DegenerateInputError:  # zero variance with unequal AUCs
+            assume(False)
+        assert result.auc_a == auc(ScoredLabels(a, labels))
+        assert result.auc_b == auc(ScoredLabels(b, labels))
+
     def test_perfect_vs_random_is_significant(self):
         rng = np.random.default_rng(7)
         labels = np.array([1] * 50 + [0] * 50)
@@ -410,11 +425,37 @@ class TestStackedTuning:
         from tests.test_hb import break_block_at_draw
 
         offers, covariates, scheme, config = small_tuning_problem()
-        # block 1 of the second chain: repeat 1, fold 1 of ncomp 1
-        break_block_at_draw(monkeypatch, "_draw_components", block=1, draw=3, chain=2)
+        # ncomp 1's one chain stacks repeat 0's three folds, then repeat 1's:
+        # repeat 1, fold 1 is its block 4
+        break_block_at_draw(monkeypatch, "_draw_components", block=4, draw=3, chain=1)
         expected = (
-            "^ncomp 1, repeat 1, fold 1: block 1: Cholesky of inverse scale of component 0 "
+            "^ncomp 1, repeat 1, fold 1: block 4: Cholesky of inverse scale of component 0 "
             "failed at draw 3$"
         )
         with pytest.raises(EstimationError, match=expected):
             tune_ncomp(offers, covariates, [1, 2], scheme, config)
+
+    def test_one_stacked_chain_per_candidate_holds_every_cell(self, monkeypatch):
+        import offerlab.evaluate as evaluate
+
+        offers, covariates, scheme, config = small_tuning_problem()
+        built, calls = [], []
+
+        def spy_build_panel(*args):
+            built.append(build_panel(*args))
+            return built[-1]
+
+        def spy_fit_hb_panels(panels, ncomp, chain_config, seeds):
+            calls.append((ncomp, list(panels), list(seeds)))
+            return fit_hb_panels(panels, ncomp, chain_config, seeds)
+
+        monkeypatch.setattr(evaluate, "build_panel", spy_build_panel)
+        monkeypatch.setattr(evaluate, "fit_hb_panels", spy_fit_hb_panels)
+        tune_ncomp(offers, covariates, [1, 2, 3], scheme, config)
+        cells = [(r, f) for r in range(scheme.repeats) for f in range(scheme.folds)]
+        assert len(built) == len(cells)  # every cell of this problem is usable
+        assert [ncomp for ncomp, _, _ in calls] == [1, 2, 3]
+        for _, panels, seeds in calls:
+            assert len(panels) == len(built)
+            assert all(got is cell for got, cell in zip(panels, built))
+            assert seeds == [derive_seed(config.seed, 7013, r, f) for r, f in cells]

@@ -260,8 +260,7 @@ def assert_same_fit(got, expected):
         np.testing.assert_allclose(a, b, rtol=1e-9, atol=0, err_msg=name)
 
 
-def stack_configs(seeds):
-    return [McmcConfig(total_draws=24, burn_in=8, seed=seed) for seed in seeds]
+STACK_CONFIG = McmcConfig(total_draws=24, burn_in=8)
 
 
 class TestStacking:
@@ -275,32 +274,33 @@ class TestStacking:
     )
     def test_each_block_equals_its_solo_fit_in_any_order(self, sizes, ncomp, n_cov, seed, order):
         panels = [random_panel(seed + b, n, n_cov) for b, n in enumerate(sizes)]
-        configs = stack_configs([seed + 100 * b for b in range(len(sizes))])
-        stacked = fit_hb_panels(panels, ncomp, configs)
+        seeds = [seed + 100 * b for b in range(len(sizes))]
+        stacked = fit_hb_panels(panels, ncomp, STACK_CONFIG, seeds)
         assert len(stacked) == len(panels)
-        for panel, config, fit in zip(panels, configs, stacked):
-            assert_same_fit(fit, fit_hb_panel(*panel, ncomp=ncomp, config=config))
+        for panel, block_seed, fit in zip(panels, seeds, stacked):
+            solo_config = replace(STACK_CONFIG, seed=block_seed)
+            assert_same_fit(fit, fit_hb_panel(*panel, ncomp=ncomp, config=solo_config))
         perm = list(range(len(sizes)))
         order.shuffle(perm)
-        permuted = fit_hb_panels([panels[i] for i in perm], ncomp, [configs[i] for i in perm])
+        permuted = fit_hb_panels(
+            [panels[i] for i in perm], ncomp, STACK_CONFIG, [seeds[i] for i in perm]
+        )
         for i, fit in zip(perm, permuted):
             assert_same_fit(fit, stacked[i])
 
     def test_reruns_are_byte_identical(self):
         panels = [random_panel(b, n, 1) for b, n in enumerate([7, 3, 11])]
-        first = fit_hb_panels(panels, 2, stack_configs([1, 2, 3]))
-        second = fit_hb_panels(panels, 2, stack_configs([1, 2, 3]))
+        first = fit_hb_panels(panels, 2, STACK_CONFIG, [1, 2, 3])
+        second = fit_hb_panels(panels, 2, STACK_CONFIG, [1, 2, 3])
         for a, b in zip(first, second):
             for name in PosteriorDraws._ARRAYS:
                 assert np.array_equal(getattr(a, name), getattr(b, name))
 
-    def test_config_differing_beyond_seed_named_by_block_and_field(self):
+    def test_seed_count_differing_from_panel_count_named(self):
         panels = [random_panel(b, 5, 0) for b in range(3)]
-        configs = stack_configs([1, 2, 3])
-        configs[1] = replace(configs[1], burn_in=9)
-        expected = "^block 1: config differs from block 0 in burn_in"
-        with pytest.raises(ConfigurationError, match=expected):
-            fit_hb_panels(panels, 1, configs)
+        for seeds in ([1, 2], [1, 2, 3, 4]):
+            with pytest.raises(InvalidInputError, match=f"^{len(seeds)} seeds for 3 panels$"):
+                fit_hb_panels(panels, 1, STACK_CONFIG, seeds)
 
     def test_customer_without_rows_named_by_block(self):
         panels = [random_panel(b, 5, 0) for b in range(3)]
@@ -309,7 +309,7 @@ class TestStacking:
         with pytest.raises(
             DataIntegrityError, match="^block 1: every customer needs at least one observation$"
         ):
-            fit_hb_panels(panels, 1, stack_configs([1, 2, 3]))
+            fit_hb_panels(panels, 1, STACK_CONFIG, [1, 2, 3])
 
     @pytest.mark.parametrize(
         "step, message",
@@ -322,7 +322,7 @@ class TestStacking:
         break_block_at_draw(monkeypatch, step, block=1, draw=3)
         panels = [random_panel(b, 6, 1) for b in range(3)]
         with pytest.raises(EstimationError, match=f"^block 1: {message}$") as info:
-            fit_hb_panels(panels, 2, stack_configs([1, 2, 3]))
+            fit_hb_panels(panels, 2, STACK_CONFIG, [1, 2, 3])
         assert info.value.block == 1
 
     @pytest.mark.parametrize(
@@ -339,9 +339,9 @@ class TestStacking:
         message = rf"^block {n_blocks - 1}: {name} row {position} = .*{value!r}.* {rule}$"
         with pytest.raises(InvalidInputError, match=message):
             if n_blocks == 1:
-                fit_hb_panel(*panels[0], config=stack_configs([1])[0])
+                fit_hb_panel(*panels[0], config=replace(STACK_CONFIG, seed=1))
             else:
-                fit_hb_panels(panels, 1, stack_configs([1, 2]))
+                fit_hb_panels(panels, 1, STACK_CONFIG, [1, 2])
 
 
 # two customers, six offers whose labels a plane separates: without a bound

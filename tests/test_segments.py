@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from offerlab.choice import UNLABELED, Customers, Offers
 from offerlab.errors import DegenerateInputError, InvalidInputError
 from offerlab.hb import predict_panel_probabilities
+from offerlab.profit import NopConfig, segment_data_from_assignments
 from offerlab.segments import (
+    INELASTIC_LOYAL,
     SEGMENTS,
     SegmentAssignment,
     arc_elasticity,
@@ -258,3 +260,24 @@ class TestDistribution:
             assign_segments(draws, offers, customer_table([1, 3]))
         shares = segment_distribution(assignments)
         assert sum(shares.values()) == pytest.approx(100.0, abs=0.1)
+
+
+class TestRepeatedCustomer:
+    """Customer 1 holds two test offers, so it would sit twice in one
+    segment and read as two thirds of two customers."""
+
+    OFFERS = Offers([1, 1, 2], [1, 2, 1], [[1, 1, 0.2], [1, 2, 0.1], [1, 3, -0.1]], [-1, -1, -1])
+
+    def test_assign_segments_refuses_a_second_test_offer(self):
+        draws = hand_built_draws(np.zeros((1, 2, 3)), customer_ids=[1, 2])
+        with pytest.raises(InvalidInputError, match="^customer 1 has more than one test offer$"):
+            assign_segments(draws, self.OFFERS, customer_table([1, 2], loyalty=[0.9, 0.1]))
+
+    def test_segment_data_refuses_a_repeated_customer(self):
+        # as a hand-edited segments.csv would list the offers' customers
+        assignments = [
+            SegmentAssignment(cid, -0.5, 0.9, INELASTIC_LOYAL)
+            for cid in self.OFFERS.customer_id.tolist()
+        ]
+        with pytest.raises(InvalidInputError, match="^customer 1 is assigned more than once$"):
+            segment_data_from_assignments(assignments, NopConfig())
