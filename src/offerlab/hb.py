@@ -18,6 +18,12 @@ on what it is stacked with.  All blocks share one ``McmcConfig`` and differ
 only in their seeds.  ``fit_hb_panel`` is the one-block call, and
 cross-validated tuning fits every cell of one candidate as one stacked
 chain.
+
+The sweep skips work whose result is known in advance: with one component
+the indicator step draws only its uniforms, which keeps every stream in
+place, and returns zeros, as the weight step returns ones.  log(1 + e^u) is
+numpy's scalar ``logaddexp`` formula written out in ufuncs, several times
+faster than ``np.logaddexp`` and different from it only in the last bit.
 """
 
 from __future__ import annotations
@@ -50,9 +56,10 @@ PREDICTION_MODES = (DRAW_AVERAGED, POSTERIOR_MEAN, POPULATION_MEAN)
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
-# design rows per draw-averaged prediction block: bounds the
-# (draws x rows) utility temporary
-PREDICT_CHUNK = 1024
+# (draw, row) pairs per draw-averaged prediction block, at least one row:
+# bounds the (draws x rows x K) coefficient gather and the (draws x rows)
+# utility temporary however many draws the posterior keeps
+PREDICT_PAIRS = 1 << 15
 
 # ridge on the pooled logit's Newton steps, which start the sampler
 POOLED_RIDGE = 1e-6
@@ -172,6 +179,16 @@ class PosteriorDraws:
         "log_likelihood",
         "acceptance_rates",
     )
+    _NDIM = dict(
+        betas=3, weights=2, means=3, covariances=4, delta=3, log_likelihood=1, acceptance_rates=1
+    )
+    # (array, axis) pairs that must agree in size: every draw array on the
+    # draw axis, the mixture arrays on ncomp, the coefficient arrays on K
+    _SHARED_AXES = {
+        "draw": [(name, 0) for name in _ARRAYS if name != "acceptance_rates"],
+        "ncomp": [("weights", 1), ("means", 1), ("covariances", 1)],
+        "K": [("betas", 2), ("means", 2), ("covariances", 2), ("covariances", 3), ("delta", 1)],
+    }
 
     def save(self, path) -> None:
         """Write a header.json plus one .npy file per draw array."""
@@ -235,6 +252,20 @@ class PosteriorDraws:
                     f"posterior array {name} has shape {list(arrays[name].shape)}, "
                     f"not {n_customers} customers on axis {axis} as header.json lists"
                 )
+        for name, array in arrays.items():
+            if array.ndim != cls._NDIM[name]:
+                raise DataIntegrityError(
+                    f"posterior array {name} has {array.ndim} axes, not {cls._NDIM[name]}"
+                )
+        for axis_name, members in cls._SHARED_AXES.items():
+            (first, first_axis), *rest = members
+            size = arrays[first].shape[first_axis]
+            for name, axis in rest:
+                if arrays[name].shape[axis] != size:
+                    raise DataIntegrityError(
+                        f"posterior arrays {first} and {name} disagree on the {axis_name} "
+                        f"axis: {size} against {arrays[name].shape[axis]}"
+                    )
         return cls(
             customer_ids=ids,
             config=load_dataclass(McmcConfig, header["config"], f"{header_path}: config"),
@@ -322,8 +353,11 @@ def _customer_loglik(X, y, row_customer, betas):
     """(B, n) per-customer binary-logit log likelihood at one beta per
     customer; ``row_customer`` indexes the flattened (B * n) customers."""
     flat = betas.reshape(-1, betas.shape[-1])
-    u = np.einsum("ij,ij->i", X, flat[row_customer])
-    row_ll = y * u - np.logaddexp(0.0, u)
+    u = np.einsum("ij,ij->i", X, np.take(flat, row_customer, axis=0))
+    # log(1 + e^u) in the overflow-free form of numpy's scalar logaddexp(0, u);
+    # the ufunc np.logaddexp takes several times as long
+    softplus = np.maximum(u, 0.0) + np.log1p(np.exp(-np.abs(u)))
+    row_ll = y * u - softplus
     return np.bincount(row_customer, weights=row_ll, minlength=len(flat)).reshape(betas.shape[:-1])
 
 
@@ -397,23 +431,26 @@ def _metropolis(
     # flat index of (b, ind_i, i) in a (B, ncomp, n) density array
     n = beta.shape[1]
     pick = member * n + np.arange(n)
-    logprior_cur = _mvn_logpdf(beta - prior_mean, roots).reshape(-1)[pick]
-    logprior_prop = _mvn_logpdf(proposal - prior_mean, roots).reshape(-1)[pick]
+    logprior_cur = np.take(_mvn_logpdf(beta - prior_mean, roots), pick)
+    logprior_prop = np.take(_mvn_logpdf(proposal - prior_mean, roots), pick)
     log_ratio = (loglik_prop - loglik) + (logprior_prop - logprior_cur)
     accept = np.log(_stacked(rngs, sizes, "random", 1.0)) < log_ratio
-    beta[accept] = proposal[accept]
-    loglik[accept] = loglik_prop[accept]
+    np.copyto(beta, proposal, where=accept[..., None])
+    np.copyto(loglik, loglik_prop, where=accept)
     return accept
 
 
 def _draw_indicators(rngs, sizes, resid, mu, roots, weights):
     """(b) Component indicators (B, n) on the covariate-adjusted
-    coefficients."""
+    coefficients.  With one component every indicator is 0; its uniforms
+    are still drawn, so every later variate of each stream stays in place."""
+    u = _stacked(rngs, sizes, "random", 1.0)
+    if weights.shape[1] == 1:
+        return np.zeros(u.shape, dtype=np.intp)
     log_post = np.log(weights)[..., None] + _mvn_logpdf(resid[:, None] - mu[..., None, :], roots)
     log_post -= log_post.max(axis=1, keepdims=True)
     probs = np.exp(log_post)
     probs /= probs.sum(axis=1, keepdims=True)
-    u = _stacked(rngs, sizes, "random", 1.0)
     ind = np.minimum((u[:, None] > np.cumsum(probs, axis=1)).sum(axis=1), weights.shape[1] - 1)
     return ind.astype(np.intp)
 
@@ -604,7 +641,7 @@ def fit_hb_panels(panels, ncomp: int, config: McmcConfig, seeds) -> list[Posteri
     kept = 0
     for it in range(1, config.total_draws + 1):
         shift = Z @ np.swapaxes(delta, -1, -2)
-        prior_mean = mu.reshape(-1, n_params)[member] + shift
+        prior_mean = np.take(mu.reshape(-1, n_params), member, axis=0) + shift
         accept_counts += _metropolis(
             rngs, sizes, X, y, row_customer, beta, loglik_cust, prop_factor, prior_mean, member,
             roots,
@@ -617,7 +654,7 @@ def fit_hb_panels(panels, ncomp: int, config: McmcConfig, seeds) -> list[Posteri
         weights = _draw_weights(rngs, counts, dir_alpha)
         mu, roots = _draw_components(rngs, resid, onehot, counts, mubar, amu, nu, V, it)
         if n_cov:
-            dev = beta - mu.reshape(-1, n_params)[member]
+            dev = beta - np.take(mu.reshape(-1, n_params), member, axis=0)
             delta = _draw_delta(rngs, dev, Z, onehot, roots, amu, it)
 
         if it <= config.burn_in and it % adapt_every == 0:
@@ -729,8 +766,9 @@ def predict_panel_probabilities(
         out[known] = logistic(np.einsum("ij,ij->i", X[known], mean[idx[known]]))
     else:
         ks = np.flatnonzero(known)
-        for start in range(0, len(ks), PREDICT_CHUNK):
-            rows = ks[start : start + PREDICT_CHUNK]
+        chunk = max(1, PREDICT_PAIRS // draws.n_draws)
+        for start in range(0, len(ks), chunk):
+            rows = ks[start : start + chunk]
             # (n_draws, chunk): utility of each row under each retained draw
             u = np.einsum("rij,ij->ri", draws.betas[:, idx[rows], :], X[rows])
             out[rows] = logistic(u).mean(axis=0)

@@ -22,6 +22,8 @@ from offerlab.hb import (
     POSTERIOR_MEAN,
     McmcConfig,
     PosteriorDraws,
+    _customer_loglik,
+    _draw_indicators,
     _mvn_logpdf,
     _pooled_logit,
     _wishart_root,
@@ -484,8 +486,79 @@ class TestSamplerParts:
             assert np.array_equal(pair[0][b], alone[0][0])
             assert np.array_equal(pair[1][b], alone[1][0])
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n_blocks=st.integers(1, 3),
+        n=st.integers(1, 8),
+        k=st.integers(1, 4),
+        rows=st.integers(1, 40),
+        scale=st.sampled_from([0.1, 1.0, 10.0, 100.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_customer_loglik_matches_logaddexp_reference(self, n_blocks, n, k, rows, scale, seed):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(scale=scale, size=(rows, k))
+        y = rng.integers(0, 2, rows).astype(float)
+        row_customer = rng.integers(0, n_blocks * n, rows)
+        betas = rng.normal(size=(n_blocks, n, k))
+        u = np.einsum("ij,ij->i", X, betas.reshape(-1, k)[row_customer])
+        row_ll = y * u - np.logaddexp(0.0, u)
+        expected = np.bincount(row_customer, weights=row_ll, minlength=n_blocks * n)
+        got = _customer_loglik(X, y, row_customer, betas)
+        assert got.shape == (n_blocks, n)
+        np.testing.assert_allclose(got.reshape(-1), expected, rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("u", [0.0, 5e-324, 709.0, 710.0, 800.0, 1e300])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("label", [0.0, 1.0])
+    def test_customer_loglik_exact_and_finite_at_extremes(self, u, sign, label):
+        # one row per customer, x = u and beta = 1, so each customer's log
+        # likelihood is its row's y * u - log(1 + e^u)
+        u = sign * u
+        X, y, row_customer = np.array([[u]]), np.array([label]), np.array([0])
+        got = _customer_loglik(X, y, row_customer, np.ones((1, 1, 1)))
+        assert np.isfinite(got).all()
+        assert got[0, 0] == label * u - np.logaddexp(0.0, u)
+
+    @pytest.mark.parametrize("sizes", [[6], [4, 9, 1]])
+    def test_one_component_indicators_are_zero_and_draw_only_uniforms(self, sizes):
+        rngs = [np.random.default_rng(s) for s in range(len(sizes))]
+        twins = [np.random.default_rng(s) for s in range(len(sizes))]
+        n_blocks, n_max, k = len(sizes), max(sizes), 3
+        rng = np.random.default_rng(99)
+        resid = rng.normal(size=(n_blocks, n_max, k))
+        mu = rng.normal(size=(n_blocks, 1, k))
+        roots = np.stack([random_roots(rng, 1, k) for _ in range(n_blocks)])
+        ind = _draw_indicators(rngs, sizes, resid, mu, roots, np.ones((n_blocks, 1)))
+        assert ind.shape == (n_blocks, n_max) and ind.dtype == np.intp
+        assert not ind.any()
+        for got, twin, n_b in zip(rngs, twins, sizes):
+            twin.random(n_b)
+            assert got.bit_generator.state == twin.bit_generator.state
+
 
 class TestPrediction:
+    # chunk bounds of half a row (so one row), 1, 2 and 7 rows, and the whole table
+    @pytest.mark.parametrize("chunk_rows", [0.5, 1, 2, 7, None])
+    def test_chunk_bound_leaves_draw_averaged_scores_bit_identical(self, monkeypatch, chunk_rows):
+        rng = np.random.default_rng(5)
+        n_draws, n_customers, n_rows = 40, 12, 30
+        draws = hand_built_draws(rng.normal(size=(n_draws, n_customers, 3)))
+        X = rng.normal(size=(n_rows, 3))
+        ids = rng.integers(1, n_customers + 1, n_rows).tolist()
+        # the reference scores each row on its own
+        expected = np.array([
+            np.mean(1.0 / (1.0 + np.exp(-(draws.betas[:, cid - 1, :] @ x))))
+            for x, cid in zip(X, ids)
+        ])
+        pairs = int(n_draws * (chunk_rows or n_rows))
+        monkeypatch.setattr(hb, "PREDICT_PAIRS", pairs)
+        got = predict_panel_probabilities(draws, X, ids)
+        monkeypatch.setattr(hb, "PREDICT_PAIRS", n_draws * n_rows)
+        whole = predict_panel_probabilities(draws, X, ids)
+        assert np.array_equal(got, whole)
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
+
     def test_single_draw_modes_agree(self):
         draws = hand_built_draws([[[1.0, 0.5, -2.0]]])
         x = np.array([[1.0, 2.0, 0.1]])
@@ -530,6 +603,15 @@ class TestPrediction:
             predict_panel_probabilities(draws, np.ones((1, 3)), [1], mode="oracular")
 
 
+def replace_array(path, name, array):
+    """Overwrite one saved posterior array and record its shape in
+    header.json, so that only the arrays can disagree."""
+    np.save(path / f"{name}.npy", array)
+    header = json.loads((path / "header.json").read_text())
+    header["shapes"][name] = list(array.shape)
+    (path / "header.json").write_text(json.dumps(header))
+
+
 class TestPersistence:
     def test_round_trip(self, tmp_path):
         _, draws = small_fit(n_customers=10, total_draws=200, burn_in=40, ncomp=2)
@@ -548,6 +630,40 @@ class TestPersistence:
         truncated = np.delete(getattr(draws, name), -1, axis=1 if name == "betas" else 0)
         np.save(tmp_path / "posterior" / f"{name}.npy", truncated)
         with pytest.raises(DataIntegrityError, match=f"posterior array {name} has shape"):
+            PosteriorDraws.load(tmp_path / "posterior")
+
+    @pytest.mark.parametrize(
+        "name, axis, size, message",
+        [
+            ("weights", 0, 3, "betas and weights disagree on the draw axis: 4 against 3"),
+            ("means", 0, 5, "betas and means disagree on the draw axis: 4 against 5"),
+            ("covariances", 0, 3, "betas and covariances disagree on the draw axis: 4 against 3"),
+            ("delta", 0, 3, "betas and delta disagree on the draw axis: 4 against 3"),
+            ("log_likelihood", 0, 3, "betas and log_likelihood disagree on the draw axis"),
+            ("means", 1, 3, "weights and means disagree on the ncomp axis: 2 against 3"),
+            ("covariances", 1, 1, "weights and covariances disagree on the ncomp axis: 2 against 1"),
+            ("means", 2, 2, "betas and means disagree on the K axis: 3 against 2"),
+            ("covariances", 2, 2, "betas and covariances disagree on the K axis: 3 against 2"),
+            ("covariances", 3, 4, "betas and covariances disagree on the K axis: 3 against 4"),
+            ("delta", 1, 2, "betas and delta disagree on the K axis: 3 against 2"),
+        ],
+    )
+    def test_arrays_disagreeing_with_each_other_rejected_by_name(
+        self, tmp_path, name, axis, size, message
+    ):
+        means = np.zeros((4, 2, 3))  # two components
+        hand_built_draws(np.zeros((4, 2, 3)), means=means).save(tmp_path / "posterior")
+        array = np.load(tmp_path / "posterior" / f"{name}.npy")
+        shape = list(array.shape)
+        shape[axis] = size
+        replace_array(tmp_path / "posterior", name, np.resize(array, shape))
+        with pytest.raises(DataIntegrityError, match=f"^posterior arrays {message}"):
+            PosteriorDraws.load(tmp_path / "posterior")
+
+    def test_array_with_a_wrong_axis_count_rejected_by_name(self, tmp_path):
+        hand_built_draws(np.zeros((4, 2, 3))).save(tmp_path / "posterior")
+        replace_array(tmp_path / "posterior", "weights", np.ones(4))
+        with pytest.raises(DataIntegrityError, match="^posterior array weights has 1 axes, not 2$"):
             PosteriorDraws.load(tmp_path / "posterior")
 
     def test_header_disagreeing_with_customer_ids_rejected(self, tmp_path):
