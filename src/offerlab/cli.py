@@ -139,8 +139,8 @@ def run_pipeline(subcommand: str, config: PipelineConfig, args: argparse.Namespa
         write_offer_csv(out / "test.csv", dataset.test)
         write_customers_csv(out / "customers.csv", dataset.customers)
         write_truth_csv(out / "truth.csv", dataset.true_coefficients)
-        summary = summarize_dataset(dataset.train, dataset.customers).to_text()
-        summary += "\n" + summarize_dataset(dataset.test, dataset.customers).to_text()
+        summary = summarize_dataset(dataset.train, dataset.customers)
+        summary += "\n" + summarize_dataset(dataset.test, dataset.customers)
         write_text_atomic(out / "summary.txt", summary)
         artifacts += ["train.csv", "test.csv", "customers.csv", "truth.csv", "summary.txt"]
 
@@ -149,11 +149,7 @@ def run_pipeline(subcommand: str, config: PipelineConfig, args: argparse.Namespa
         customers, _ = read_customers_csv(out / "customers.csv")
         covariates = customers.covariates(config.include_demographic)
         draws = fit_hb_mixed_logit(offers, covariates, ncomp=config.ncomp, config=config.mcmc)
-        draws.save(out / "posterior")
-        artifacts += [
-            f"posterior/{name}"
-            for name in ["header.json"] + [f"{a}.npy" for a in PosteriorDraws._ARRAYS]
-        ]
+        artifacts += [f"posterior/{name}" for name in draws.save(out / "posterior")]
 
     elif subcommand == "tune":
         offers = read_offer_csv(out / "train.csv")

@@ -16,6 +16,7 @@ offer tables and retail choices alike.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, fields
 from datetime import datetime
 from pathlib import Path
@@ -40,7 +41,7 @@ from .errors import (
     MissingArtifactError,
     ParseError,
 )
-from .storage import read_csv, write_csv_atomic
+from .storage import read_csv, seeded_rng, write_csv_atomic
 
 OFFER_COLUMNS = ("id", "setnum", *DESIGN_COLUMNS, "outcome")
 CUSTOMER_COLUMNS = ("id", "loyalty", "loyalty_centered", "demographic_centered", "mrp")
@@ -98,7 +99,8 @@ def _parse_customer(row):
 def read_customers_csv(path):
     """``(customers, mrp)``: the customer table of ``path`` in file order,
     checked by ``Customers.validate``, and the monthly recurring price of
-    each id whose row carries one."""
+    each id whose row carries one; a price that is not finite and > 0 is a
+    ``DataIntegrityError`` naming the file, the id and the value."""
     rows = read_csv(path, CUSTOMER_COLUMNS, _parse_customer)
     *columns, mrp = zip(*rows) if rows else [()] * 5
     try:
@@ -106,7 +108,11 @@ def read_customers_csv(path):
     except OverflowError:
         raise DataIntegrityError(f"{path}: an id exceeds 64 bits") from None
     customers.validate(path)
-    return customers, {cid: m for cid, m in zip(columns[0], mrp) if m is not None}
+    mrp = {cid: m for cid, m in zip(columns[0], mrp) if m is not None}
+    for cid, m in mrp.items():
+        if not 0 < m < math.inf:
+            raise DataIntegrityError(f"{path}: mrp = {m!r} at id = {cid} must be finite and > 0")
+    return customers, mrp
 
 
 def write_truth_csv(path, coefficients: np.ndarray) -> None:
@@ -156,7 +162,7 @@ def split_per_customer_holdout(customer_id, occasion, seed: int):
     customers stay entirely in training.  Each side lists its rows in
     ascending (customer_id, occasion) order, ties in input order."""
     order, first = key_runs(customer_id, occasion)
-    rng = np.random.default_rng(np.random.SeedSequence(seed & 0xFFFFFFFFFFFFFFFF))
+    rng = seeded_rng(seed)
     held_out = np.zeros(int(first.sum()), dtype=bool)  # one entry per occasion
     _, starts, counts = np.unique(
         np.asarray(customer_id)[order][first], return_index=True, return_counts=True
@@ -177,7 +183,7 @@ def split_kfold_by_occasion(customer_id, occasion, k: int, seed: int):
     if k > n_occasions:
         raise InvalidInputError(f"cannot make {k} folds from {n_occasions} occasions")
     fold_of = np.empty(n_occasions, dtype=int)
-    rng = np.random.default_rng(np.random.SeedSequence(seed & 0xFFFFFFFFFFFFFFFF))
+    rng = seeded_rng(seed)
     fold_of[rng.permutation(n_occasions)] = np.arange(n_occasions) % k
     row_fold = fold_of[np.cumsum(first) - 1]
     return [(order[row_fold != fold], order[row_fold == fold]) for fold in range(k)]

@@ -101,11 +101,6 @@ def lift_curve(data: ScoredLabels, granularity: int = 100):
     return list(zip((steps / granularity).tolist(), (captured[top] / total).tolist()))
 
 
-def capture_at(points, fraction: float) -> float:
-    """Capture value of the lift point nearest the requested fraction."""
-    return min(points, key=lambda p: abs(p[0] - fraction))[1]
-
-
 @dataclass(frozen=True)
 class DelongResult:
     auc_a: float

@@ -45,7 +45,7 @@ from .errors import (
     MissingArtifactError,
     UnknownCustomerError,
 )
-from .storage import load_dataclass, write_array_atomic, write_json_atomic
+from .storage import load_dataclass, seeded_rng, write_array_atomic, write_json_atomic
 
 log = logging.getLogger(__name__)
 
@@ -56,7 +56,7 @@ PREDICTION_MODES = (DRAW_AVERAGED, POSTERIOR_MEAN, POPULATION_MEAN)
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
-# (draw, row) pairs per draw-averaged prediction block, at least one row:
+# (draw, row) pairs per prediction block, at least one row:
 # bounds the (draws x rows x K) coefficient gather and the (draws x rows)
 # utility temporary however many draws the posterior keeps
 PREDICT_PAIRS = 1 << 15
@@ -132,17 +132,27 @@ class McmcConfig:
 
 @dataclass
 class PosteriorDraws:
-    """Retained MCMC draws plus per-customer acceptance diagnostics."""
+    """Retained MCMC draws plus per-customer acceptance diagnostics.
+
+    ``_AXES`` names each array's axes by letter: D draws, N customers, C
+    mixture components, K coefficients, V covariates (the draw layout of
+    ``bayesm::rhierMnlRwMixture``); ``save`` and ``load`` read it."""
 
     customer_ids: list
-    betas: np.ndarray  # (n_draws, n_customers, K)
-    weights: np.ndarray  # (n_draws, ncomp)
-    means: np.ndarray  # (n_draws, ncomp, K)
-    covariances: np.ndarray  # (n_draws, ncomp, K, K)
-    delta: np.ndarray  # (n_draws, K, n_covariates)
-    log_likelihood: np.ndarray  # (n_draws,)
-    acceptance_rates: np.ndarray  # (n_customers,)
+    betas: np.ndarray
+    weights: np.ndarray
+    means: np.ndarray
+    covariances: np.ndarray
+    delta: np.ndarray
+    log_likelihood: np.ndarray
+    acceptance_rates: np.ndarray
     config: McmcConfig
+
+    _AXES = dict(
+        betas="DNK", weights="DC", means="DCK", covariances="DCKK", delta="DKV",
+        log_likelihood="D", acceptance_rates="N",
+    )
+    _AXIS_NAMES = dict(D="draw", C="ncomp", K="K", V="covariate")
 
     @property
     def n_draws(self) -> int:
@@ -165,44 +175,34 @@ class PosteriorDraws:
         that were not in the training data."""
         return np.einsum("rk,rkp->p", self.weights, self.means) / self.n_draws
 
-    def posterior_mean_matrix(self) -> np.ndarray:
-        return self.betas.mean(axis=0)
+    def scored_coefficients(self, mode: str) -> np.ndarray | None:
+        """The (draws, customers, K) coefficients that prediction ``mode``
+        scores each customer with: every retained draw (draw-averaged) or
+        their mean as one draw (posterior-mean).  None for population-mean,
+        which scores every row at ``population_mean_coefficients``."""
+        if mode not in PREDICTION_MODES:
+            raise InvalidInputError(f"mode must be one of {PREDICTION_MODES}, got {mode!r}")
+        if mode == POPULATION_MEAN:
+            return None
+        return self.betas.mean(axis=0, keepdims=True) if mode == POSTERIOR_MEAN else self.betas
 
     # -- persistence ----------------------------------------------------
 
-    _ARRAYS = (
-        "betas",
-        "weights",
-        "means",
-        "covariances",
-        "delta",
-        "log_likelihood",
-        "acceptance_rates",
-    )
-    _NDIM = dict(
-        betas=3, weights=2, means=3, covariances=4, delta=3, log_likelihood=1, acceptance_rates=1
-    )
-    # (array, axis) pairs that must agree in size: every draw array on the
-    # draw axis, the mixture arrays on ncomp, the coefficient arrays on K
-    _SHARED_AXES = {
-        "draw": [(name, 0) for name in _ARRAYS if name != "acceptance_rates"],
-        "ncomp": [("weights", 1), ("means", 1), ("covariances", 1)],
-        "K": [("betas", 2), ("means", 2), ("covariances", 2), ("covariances", 3), ("delta", 1)],
-    }
-
-    def save(self, path) -> None:
-        """Write a header.json plus one .npy file per draw array."""
+    def save(self, path) -> list[str]:
+        """Write a header.json plus one .npy file per draw array; returns
+        the names of the files written."""
         path = Path(path)
         path.mkdir(parents=True, exist_ok=True)
         header = {
             "format": "hb-posterior-v1",
             "customer_ids": [int(c) for c in self.customer_ids],
             "config": asdict(self.config),
-            "shapes": {name: list(getattr(self, name).shape) for name in self._ARRAYS},
+            "shapes": {name: list(getattr(self, name).shape) for name in self._AXES},
         }
-        for name in self._ARRAYS:
+        for name in self._AXES:
             write_array_atomic(path / f"{name}.npy", getattr(self, name))
         write_json_atomic(path / "header.json", header)
+        return ["header.json"] + [f"{name}.npy" for name in self._AXES]
 
     @classmethod
     def load(cls, path) -> "PosteriorDraws":
@@ -234,38 +234,44 @@ class PosteriorDraws:
         repeat = first_repeat(np.array(ids, dtype=np.int64))
         if repeat >= 0:
             raise DataIntegrityError(f"{header_path} repeats customer id {ids[repeat]}")
-        for name in cls._ARRAYS:
-            if not (path / f"{name}.npy").exists():
-                raise MissingArtifactError(str(path / f"{name}.npy"))
-        arrays = {name: np.load(path / f"{name}.npy") for name in cls._ARRAYS}
-        n_customers = len(ids)
-        for name, array in arrays.items():
+        arrays = {}
+        for name in cls._AXES:
+            file = path / f"{name}.npy"
+            if not file.exists():
+                raise MissingArtifactError(str(file))
+            try:  # a dtype that does not cast safely to float64 is refused too
+                arrays[name] = np.load(file).astype(float, casting="safe", copy=False)
+            except (ValueError, EOFError, TypeError) as exc:
+                raise DataIntegrityError(f"{file} is not a readable float array: {exc}") from None
             expected = header["shapes"].get(name)
-            if list(array.shape) != expected:
-                raise DataIntegrityError(
-                    f"posterior array {name} has shape {list(array.shape)}, "
-                    f"header.json records {expected}"
-                )
-        for name, axis in (("betas", 1), ("acceptance_rates", 0)):
-            if arrays[name].shape[axis : axis + 1] != (n_customers,):
+            if list(arrays[name].shape) != expected:
                 raise DataIntegrityError(
                     f"posterior array {name} has shape {list(arrays[name].shape)}, "
-                    f"not {n_customers} customers on axis {axis} as header.json lists"
+                    f"header.json records {expected}"
                 )
-        for name, array in arrays.items():
-            if array.ndim != cls._NDIM[name]:
+        # (first array, size) of each axis letter; N's is the header's id count
+        sizes = {"N": (None, len(ids))}
+        for name, axes in cls._AXES.items():
+            array = arrays[name]
+            if array.ndim != len(axes):
                 raise DataIntegrityError(
-                    f"posterior array {name} has {array.ndim} axes, not {cls._NDIM[name]}"
+                    f"posterior array {name} has {array.ndim} axes, not {len(axes)}"
                 )
-        for axis_name, members in cls._SHARED_AXES.items():
-            (first, first_axis), *rest = members
-            size = arrays[first].shape[first_axis]
-            for name, axis in rest:
-                if arrays[name].shape[axis] != size:
+            for axis, (letter, size) in enumerate(zip(axes, array.shape)):
+                first, expected = sizes.setdefault(letter, (name, size))
+                if size != expected:
                     raise DataIntegrityError(
-                        f"posterior arrays {first} and {name} disagree on the {axis_name} "
-                        f"axis: {size} against {arrays[name].shape[axis]}"
+                        f"posterior array {name} has shape {list(array.shape)}, not {expected} "
+                        f"customers on axis {axis} as header.json lists" if letter == "N" else
+                        f"posterior arrays {first} and {name} disagree on the "
+                        f"{cls._AXIS_NAMES[letter]} axis: {expected} against {size}"
                     )
+            finite = np.isfinite(array)
+            if not finite.all():
+                index = tuple(int(i) for i in np.unravel_index(np.argmin(finite), array.shape))
+                raise DataIntegrityError(
+                    f"posterior array {name} holds {array[index].item()!r} at index {index}"
+                )
         return cls(
             customer_ids=ids,
             config=load_dataclass(McmcConfig, header["config"], f"{header_path}: config"),
@@ -569,7 +575,7 @@ def fit_hb_panels(panels, ncomp: int, config: McmcConfig, seeds) -> list[Posteri
 
     sizes = [len(p[3]) for p in panels]
     n_blocks, n_max = len(panels), max(sizes)
-    rngs = [np.random.default_rng(np.random.SeedSequence(s & 0xFFFFFFFFFFFFFFFF)) for s in seeds]
+    rngs = [seeded_rng(s) for s in seeds]
     # rows of every block against the flattened (B * n_max) customers
     X = np.concatenate([block[0] for block in blocks])
     y = np.concatenate([block[1] for block in blocks])
@@ -744,33 +750,26 @@ def predict_panel_probabilities(
     mode: str = DRAW_AVERAGED,
     fallback_population_mean: bool = False,
 ) -> np.ndarray:
-    """Acceptance probabilities for arbitrary design rows.
-
-    Unknown customers raise UnknownCustomerError unless
-    ``fallback_population_mean`` is set, in which case their rows are scored
-    at the population mean coefficients.
-    """
-    if mode not in PREDICTION_MODES:
-        raise InvalidInputError(f"mode must be one of {PREDICTION_MODES}, got {mode!r}")
+    """Acceptance probabilities for arbitrary design rows: each row's
+    logistic probability averaged over the draws that ``mode`` scores its
+    customer with (``PosteriorDraws.scored_coefficients``), PREDICT_PAIRS
+    (draw, row) pairs at a time.  Rows scored at the population mean
+    coefficients: all in population-mean mode, and an unknown customer's if
+    ``fallback_population_mean`` is set (else an UnknownCustomerError)."""
+    betas = draws.scored_coefficients(mode)
     X = np.asarray(X, dtype=float)
-    pop_beta = draws.population_mean_coefficients()
-    if mode == POPULATION_MEAN:
-        return logistic(X @ pop_beta)
-
-    unknown = None if fallback_population_mean else UnknownCustomerError
-    idx = join(draws.customer_ids, row_customer_ids, unknown)
-    known = idx >= 0
     out = np.empty(len(X))
-    if mode == POSTERIOR_MEAN:
-        mean = draws.posterior_mean_matrix()
-        out[known] = logistic(np.einsum("ij,ij->i", X[known], mean[idx[known]]))
-    else:
-        ks = np.flatnonzero(known)
-        chunk = max(1, PREDICT_PAIRS // draws.n_draws)
-        for start in range(0, len(ks), chunk):
-            rows = ks[start : start + chunk]
-            # (n_draws, chunk): utility of each row under each retained draw
-            u = np.einsum("rij,ij->ri", draws.betas[:, idx[rows], :], X[rows])
+    fallback = np.ones(len(X), dtype=bool)
+    if betas is not None:
+        unknown = None if fallback_population_mean else UnknownCustomerError
+        idx = join(draws.customer_ids, row_customer_ids, unknown)
+        fallback = idx < 0
+        known = np.flatnonzero(~fallback)
+        chunk = max(1, PREDICT_PAIRS // len(betas))
+        for start in range(0, len(known), chunk):
+            rows = known[start : start + chunk]
+            # (draws, chunk): utility of each row under each scored draw
+            u = np.einsum("rij,ij->ri", betas[:, idx[rows], :], X[rows])
             out[rows] = logistic(u).mean(axis=0)
-    out[~known] = logistic(X[~known] @ pop_beta)
+    out[fallback] = logistic(X[fallback] @ draws.population_mean_coefficients())
     return out

@@ -26,7 +26,7 @@ import numpy as np
 from .choice import DISCOUNT_MAX, DISCOUNT_MIN, UTILITY_CLAMP, first_repeat, join
 from .errors import ConfigurationError, InvalidInputError, UnknownCustomerError
 from .hb import DRAW_AVERAGED, POSTERIOR_MEAN, PosteriorDraws
-from .segments import SEGMENTS
+from .segments import SEGMENTS, assign_segment
 
 # the choice model was trained on discounts in this band; the objective
 # refuses to extrapolate outside it
@@ -71,6 +71,8 @@ class NopConfig:
     def validate(self) -> "NopConfig":
         if self.annual_rate < 0:
             raise ConfigurationError("annual_rate must be >= 0")
+        if not self.default_mrp > 0:
+            raise ConfigurationError(f"default_mrp must be > 0, got {self.default_mrp!r}")
         if not self.contract_options or min(self.contract_options) < 1:
             raise ConfigurationError("contract_options must be non-empty months >= 1")
         lo_band, hi_band = TRAINED_DISCOUNT_BAND
@@ -117,14 +119,35 @@ class SegmentData:
         return len(self.customer_ids)
 
 
+def _segment_of(a) -> str:
+    """``assign_segment`` of one assignment's elasticity and loyalty; a
+    value it refuses is an InvalidInputError naming the customer."""
+    try:
+        return str(assign_segment(a.elasticity, a.loyalty))
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"customer {a.customer_id}: {exc}") from None
+
+
 def segment_data_from_assignments(assignments, config: NopConfig, mrp: dict | None = None):
-    """Group segment assignments into SegmentData, one per segment; a
-    customer assigned twice is an InvalidInputError."""
+    """Group segment assignments into SegmentData, one per segment.  A
+    customer assigned twice, or to another segment than ``assign_segment``
+    gives its elasticity and loyalty, is an InvalidInputError naming it."""
     assignments = list(assignments)
     ids = np.array([a.customer_id for a in assignments], dtype=np.int64)
     repeat = first_repeat(ids)
     if repeat >= 0:
         raise InvalidInputError(f"customer {ids[repeat]} is assigned more than once")
+    elasticity, loyalty = [a.elasticity for a in assignments], [a.loyalty for a in assignments]
+    try:
+        expected = assign_segment(elasticity, loyalty).tolist()
+    except InvalidInputError:
+        expected = [_segment_of(a) for a in assignments]  # raises naming the customer
+    for a, segment in zip(assignments, expected):
+        if segment != a.segment:
+            raise InvalidInputError(
+                f"customer {a.customer_id} is assigned to {a.segment!r}, but its elasticity "
+                f"{a.elasticity!r} and loyalty {a.loyalty!r} give {segment!r}"
+            )
     mrp = mrp or {}
     grouped = {segment: [] for segment in SEGMENTS}
     for a in assignments:
@@ -176,7 +199,7 @@ class _SegmentObjective:
             raise InvalidInputError("the objective requires the 3-attribute offer model")
         config.validate()
         idx = join(draws.customer_ids, seg.customer_ids, UnknownCustomerError)
-        betas = draws.posterior_mean_matrix()[None] if mode == POSTERIOR_MEAN else draws.betas
+        betas = draws.scored_coefficients(mode)
         self.b0 = np.ascontiguousarray(betas[:, idx, 0].T)
         self.b1 = np.ascontiguousarray(betas[:, idx, 1].T)
         self.nb = np.negative(np.ascontiguousarray(betas[:, idx, 2].T))

@@ -26,6 +26,7 @@ from .choice import (
     logistic,
 )
 from .errors import ConfigurationError, DataIntegrityError
+from .storage import seeded_rng
 
 # Independent sub-stream per purpose: relabeling responses, for example,
 # never disturbs the offers already drawn, and because every customer is
@@ -36,8 +37,7 @@ _STREAMS = {"coefficients": 0, "offers": 1, "responses": 2}
 
 def purpose_rng(seed: int, purpose: str) -> np.random.Generator:
     """PCG64 generator keyed by (seed, purpose)."""
-    code = _STREAMS[purpose]
-    return np.random.default_rng(np.random.SeedSequence((seed & 0xFFFFFFFFFFFFFFFF, code)))
+    return seeded_rng(seed, _STREAMS[purpose])
 
 
 Vector3 = tuple[float, float, float]
@@ -300,68 +300,27 @@ def simulate_dataset(config: GroundTruthConfig) -> SimulatedDataset:
     return simulate_responses(dataset.true_coefficients, dataset)
 
 
-@dataclass(frozen=True)
-class ColumnStats:
-    minimum: float
-    first_quartile: float
-    median: float
-    mean: float
-    third_quartile: float
-    maximum: float
-    count: int
+# the rows of the dataset summary: each statistic of a column
+SUMMARY_STATS = {
+    "Min.": np.min,
+    "1st Qu.": lambda values: np.quantile(values, 0.25),
+    "Median": lambda values: np.quantile(values, 0.5),
+    "Mean": np.mean,
+    "3rd Qu.": lambda values: np.quantile(values, 0.75),
+    "Max.": np.max,
+    "Count": np.size,
+}
 
 
-@dataclass(frozen=True)
-class DatasetSummary:
-    columns: dict = field(default_factory=dict)
-    outcome_counts: dict = field(default_factory=dict)
-    empty: bool = False
-
-    def to_text(self) -> str:
-        if self.empty:
-            return "(empty dataset: no observations to summarize)\n"
-        stats = ["Min.", "1st Qu.", "Median", "Mean", "3rd Qu.", "Max.", "Count"]
-        names = list(self.columns)
-        widths = [max(len(n), 12) for n in names]
-        lines = ["\t".join([""] + [n.ljust(w) for n, w in zip(names, widths)])]
-        for row_idx, label in enumerate(stats):
-            cells = []
-            for n, w in zip(names, widths):
-                c = self.columns[n]
-                value = [
-                    c.minimum, c.first_quartile, c.median, c.mean, c.third_quartile,
-                    c.maximum, c.count,
-                ][row_idx]
-                cells.append(f"{value:.6g}".ljust(w))
-            lines.append("\t".join([label] + cells))
-        lines.append("")
-        lines.append("Outcome counts:")
-        for key in sorted(self.outcome_counts):
-            lines.append(f"  {key}\t{self.outcome_counts[key]}")
-        return "\n".join(lines) + "\n"
-
-
-def _column_stats(values: np.ndarray) -> ColumnStats:
-    return ColumnStats(
-        minimum=float(np.min(values)),
-        first_quartile=float(np.quantile(values, 0.25)),
-        median=float(np.quantile(values, 0.5)),
-        mean=float(np.mean(values)),
-        third_quartile=float(np.quantile(values, 0.75)),
-        maximum=float(np.max(values)),
-        count=int(values.size),
-    )
-
-
-def summarize_dataset(offers: Offers, customers: Customers | None = None) -> DatasetSummary:
-    """Descriptive statistics per column plus outcome counts; given a
-    customer table, also of its centered covariates.
+def summarize_dataset(offers: Offers, customers: Customers | None = None) -> str:
+    """A text table of descriptive statistics per column plus outcome
+    counts; given a customer table, also of its centered covariates.
 
     An empty offer table produces an explicit empty-report marker rather
     than an error, so filtered subsets are safe to summarize.
     """
     if not len(offers):
-        return DatasetSummary(empty=True)
+        return "(empty dataset: no observations to summarize)\n"
     columns = {
         "id": offers.customer_id.astype(float),
         "setnum": offers.occasion.astype(float),
@@ -370,8 +329,12 @@ def summarize_dataset(offers: Offers, customers: Customers | None = None) -> Dat
     if customers:
         columns["demographic_centered"] = customers.demographic_centered
         columns["loyalty_centered"] = customers.loyalty_centered
+    widths = [max(len(name), 12) for name in columns]
+    lines = ["\t".join([""] + [name.ljust(w) for name, w in zip(columns, widths)])]
+    for label, stat in SUMMARY_STATS.items():
+        cells = [f"{stat(values):.6g}".ljust(w) for values, w in zip(columns.values(), widths)]
+        lines.append("\t".join([label] + cells))
     labels, counts = np.unique(offers.label, return_counts=True)
-    return DatasetSummary(
-        columns={name: _column_stats(vals) for name, vals in columns.items()},
-        outcome_counts={OUTCOMES[k]: c for k, c in zip(labels.tolist(), counts.tolist())},
-    )
+    outcomes = sorted(zip((OUTCOMES[k] for k in labels.tolist()), counts.tolist()))
+    lines += ["", "Outcome counts:"] + [f"  {outcome}\t{count}" for outcome, count in outcomes]
+    return "\n".join(lines) + "\n"

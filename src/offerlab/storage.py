@@ -15,6 +15,9 @@ instead of being parsed by position.
 Config JSON has one reader too: ``load_dataclass`` builds a dataclass from
 a parsed JSON object by the dataclass's own annotations and refuses an
 unknown key or a mistyped value by its dotted path.
+
+Every random stream starts at ``seeded_rng``, and every derived seed at
+``derive_seed``, so reruns with identical seeds draw identical variates.
 """
 
 from __future__ import annotations
@@ -114,10 +117,15 @@ def sha256_file(path) -> str:
     return h.hexdigest()
 
 
+def seeded_rng(*parts: int) -> np.random.Generator:
+    """PCG64 generator seeded by the integer parts, each taken modulo 2**64."""
+    entropy = [int(p) & 0xFFFFFFFFFFFFFFFF for p in parts]
+    return np.random.default_rng(np.random.SeedSequence(entropy))
+
+
 def derive_seed(*parts: int) -> int:
     """Deterministically derive a 32-bit seed from integer parts."""
-    ss = np.random.SeedSequence([int(p) & 0xFFFFFFFFFFFFFFFF for p in parts])
-    return int(ss.generate_state(1)[0])
+    return int(seeded_rng(*parts).bit_generator.seed_seq.generate_state(1)[0])
 
 
 def load_dataclass(cls, obj, where: str):

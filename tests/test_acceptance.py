@@ -19,7 +19,7 @@ from offerlab.config import PipelineConfig
 from offerlab.datasets import KFOLD_BY_OCCASION, ResamplingScheme
 from offerlab.simulate import GroundTruthConfig, MixtureComponent
 from offerlab.storage import derive_seed
-from tests.test_evaluate import brute_force_auc, delong_by_hand
+from tests.test_evaluate import brute_force_auc, capture_at, delong_by_hand
 from tests.test_hb import hand_built_draws
 
 
@@ -70,7 +70,7 @@ class TestCriterion1EndToEnd:
 class TestCriterion2Recovery:
     def test_discount_coefficient_correlations(self, desk_run):
         _, dataset, draws, _, _ = desk_run
-        posterior = draws.posterior_mean_matrix()
+        posterior = draws.betas.mean(axis=0)
         true = dataset.true_coefficients[np.array(draws.customer_ids) - 1]
         counts = np.bincount(
             join(draws.customer_ids, dataset.train.customer_id),
@@ -273,7 +273,7 @@ class TestCriterion7Lift:
         data = evaluate.ScoredLabels(scores, dataset.test.labels())
         points = evaluate.lift_curve(data, granularity=100)
         captures = [c for _, c in points]
-        capture20 = evaluate.capture_at(points, 0.20)
+        capture20 = capture_at(points, 0.20)
         monotone = all(b >= a for a, b in zip(captures, captures[1:]))
         report(
             "7",

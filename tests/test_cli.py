@@ -4,6 +4,7 @@ import json
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from offerlab.cli import TUNING_COLUMNS, main, run_pipeline
@@ -450,6 +451,78 @@ class TestStageInputs:
         assert main(["optimize", "--config", str(config_path)]) == 1
         assert "got 'population-mean'" in capsys.readouterr().err
         assert not (out / "policy.csv").exists()
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "0.0", "-5.0"])
+    def test_optimize_refuses_an_mrp_that_is_not_finite_and_positive(
+        self, pipeline, tmp_path, capsys, cell
+    ):
+        out, config_path = copy_run(pipeline, tmp_path)
+        (out / "policy.csv").unlink()
+
+        def spoil(rows):
+            rows[2][4] = cell
+
+        rewrite_rows(out / "customers.csv", spoil)
+        assert main(["optimize", "--config", str(config_path)]) == 1
+        cid = read_rows(out / "customers.csv")[2][0]
+        expected = f"customers.csv: mrp = {float(cell)!r} at id = {cid} must be finite and > 0"
+        assert expected in capsys.readouterr().err
+        assert not (out / "policy.csv").exists()
+
+    @pytest.mark.parametrize(
+        "column, cell, message",
+        [
+            (2, "nan", "loyalty must lie in [0, 1], got nan"),
+            (2, "40.0", "loyalty must lie in [0, 1], got 40.0"),
+            (1, "nan", "elasticity must be finite, got nan"),
+            (1, "inf", "elasticity must be finite, got inf"),
+            (2, "flip", "is assigned to"),
+        ],
+    )
+    def test_optimize_refuses_a_segment_row_the_rule_does_not_give(
+        self, pipeline, tmp_path, capsys, column, cell, message
+    ):
+        out, config_path = copy_run(pipeline, tmp_path)
+        (out / "policy.csv").unlink()
+
+        def spoil(rows):
+            # "flip" moves the loyalty across 0.5 and keeps the segment
+            flipped = "0.1" if float(rows[2][2]) > 0.5 else "0.9"
+            rows[2][column] = flipped if cell == "flip" else cell
+
+        rewrite_rows(out / "segments.csv", spoil)
+        assert main(["optimize", "--config", str(config_path)]) == 1
+        cid = read_rows(out / "segments.csv")[2][0]
+        err = capsys.readouterr().err
+        assert f"customer {cid}" in err and message in err
+        assert not (out / "policy.csv").exists()
+
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            ("nan-in-betas", "posterior array betas holds nan at index (0, 0, 1)"),
+            ("truncated-weights", "weights.npy is not a readable float array"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "stage, output",
+        [("predict", "scores.csv"), ("segment", "segments.csv"), ("optimize", "policy.csv")],
+    )
+    def test_stage_refuses_a_damaged_posterior(
+        self, pipeline, tmp_path, capsys, stage, output, damage, message
+    ):
+        out, config_path = copy_run(pipeline, tmp_path)
+        (out / output).unlink()
+        if damage == "nan-in-betas":
+            betas = np.load(out / "posterior" / "betas.npy")
+            betas[0, 0, 1] = np.nan
+            np.save(out / "posterior" / "betas.npy", betas)
+        else:
+            weights = out / "posterior" / "weights.npy"
+            weights.write_bytes(weights.read_bytes()[:-8])
+        assert main([stage, "--config", str(config_path)]) == 1
+        assert message in capsys.readouterr().err
+        assert not (out / output).exists()
 
     def test_fit_refuses_repeated_offer_rows(self, pipeline, tmp_path, capsys):
         out, config_path = copy_run(pipeline, tmp_path)

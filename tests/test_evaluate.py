@@ -20,7 +20,6 @@ from offerlab.evaluate import (
     TuningRow,
     accuracy_at_base_rate,
     auc,
-    capture_at,
     delong_test,
     lift_curve,
     tune_ncomp,
@@ -35,6 +34,11 @@ from offerlab.hb import (
 )
 from offerlab.simulate import GroundTruthConfig, simulate_dataset
 from offerlab.storage import derive_seed
+
+
+def capture_at(points, fraction: float) -> float:
+    """Capture value of the lift point nearest the requested fraction."""
+    return min(points, key=lambda p: abs(p[0] - fraction))[1]
 
 
 def brute_force_auc(scores, labels):

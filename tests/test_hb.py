@@ -1,3 +1,4 @@
+import io
 import json
 import math
 from dataclasses import replace
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from offerlab import hb
-from offerlab.choice import ACCEPTED, REJECTED, UNLABELED, Offers, join
+from offerlab.choice import ACCEPTED, REJECTED, UNLABELED, Offers, join, logistic
 from offerlab.errors import (
     ConfigurationError,
     DataIntegrityError,
@@ -183,7 +184,7 @@ class TestSampler:
     def test_shrinkage_keeps_sparse_customers_near_population(self):
         dataset, draws = small_fit(n_customers=60, total_draws=600, burn_in=150, data_seed=81)
         counts = np.bincount(dataset.train.customer_id)
-        post_mean = draws.posterior_mean_matrix()
+        post_mean = draws.betas.mean(axis=0)
         mean_mu = draws.means.mean(axis=0)[0]
         mean_sigma = draws.covariances.mean(axis=0)[0]
         mean_delta = draws.delta.mean(axis=0)
@@ -224,7 +225,7 @@ class TestSampler:
         covariates = dataset.customers.covariates(include_demographic=False)
         config = McmcConfig(total_draws=800, burn_in=150, seed=14)
         draws = fit_hb_mixed_logit(dataset.train, covariates, ncomp=1, config=config)
-        post = draws.posterior_mean_matrix()
+        post = draws.betas.mean(axis=0)
         true = dataset.true_coefficients[np.array(draws.customer_ids) - 1]
         corr = np.corrcoef(post[:, 2], true[:, 2])[0, 1]
         assert corr >= 0.5
@@ -256,7 +257,7 @@ def assert_same_fit(got, expected):
     assert got.customer_ids == expected.customer_ids
     assert got.config == expected.config
     assert np.array_equal(got.acceptance_rates, expected.acceptance_rates)
-    for name in PosteriorDraws._ARRAYS:
+    for name in PosteriorDraws._AXES:
         a, b = getattr(got, name), getattr(expected, name)
         assert a.shape == b.shape, name
         np.testing.assert_allclose(a, b, rtol=1e-9, atol=0, err_msg=name)
@@ -295,7 +296,7 @@ class TestStacking:
         first = fit_hb_panels(panels, 2, STACK_CONFIG, [1, 2, 3])
         second = fit_hb_panels(panels, 2, STACK_CONFIG, [1, 2, 3])
         for a, b in zip(first, second):
-            for name in PosteriorDraws._ARRAYS:
+            for name in PosteriorDraws._AXES:
                 assert np.array_equal(getattr(a, name), getattr(b, name))
 
     def test_seed_count_differing_from_panel_count_named(self):
@@ -365,7 +366,7 @@ class TestPooledStart:
         start, info = _pooled_logit(X, y)
         assert np.all(np.abs(start) <= hb.POOLED_BOX) and np.isfinite(info).all()
         draws = fit_hb_panel(*SEPARABLE_PANEL, config=McmcConfig(total_draws=300, burn_in=50))
-        for name in PosteriorDraws._ARRAYS:
+        for name in PosteriorDraws._AXES:
             assert np.isfinite(getattr(draws, name)).all(), name
 
     @settings(max_examples=30, deadline=None)
@@ -408,12 +409,12 @@ def break_block_at_draw(monkeypatch, step, block, draw, chain=1):
 class TestSummaries:
     def test_posterior_mean_of_single_draw(self):
         draws = hand_built_draws([[[0.5, -0.2, 1.0]]])
-        assert draws.posterior_mean_matrix()[0] == pytest.approx([0.5, -0.2, 1.0])
+        assert draws.scored_coefficients(POSTERIOR_MEAN)[0, 0] == pytest.approx([0.5, -0.2, 1.0])
 
     def test_symmetric_draws_cancel(self):
         b = np.array([[0.4, -1.0, 2.0]])
         draws = hand_built_draws([b, -b])
-        assert draws.posterior_mean_matrix()[0] == pytest.approx([0, 0, 0])
+        assert draws.scored_coefficients(POSTERIOR_MEAN)[0, 0] == pytest.approx([0, 0, 0])
 
 
 def dense_mvn_logpdf(x, cov):
@@ -537,6 +538,32 @@ class TestSamplerParts:
             assert got.bit_generator.state == twin.bit_generator.state
 
 
+def three_path_predict(draws, X, row_customer_ids, mode, fallback_population_mean, pairs):
+    """Prediction as written before one kernel served every mode: a path
+    per mode, chunking draw-averaged rows by ``pairs`` (draw, row) pairs.
+    Kept as the reference the kernel must reproduce bit for bit."""
+    X = np.asarray(X, dtype=float)
+    pop_beta = draws.population_mean_coefficients()
+    if mode == POPULATION_MEAN:
+        return logistic(X @ pop_beta)
+    unknown = None if fallback_population_mean else UnknownCustomerError
+    idx = join(draws.customer_ids, row_customer_ids, unknown)
+    known = idx >= 0
+    out = np.empty(len(X))
+    if mode == POSTERIOR_MEAN:
+        mean = draws.betas.mean(axis=0)
+        out[known] = logistic(np.einsum("ij,ij->i", X[known], mean[idx[known]]))
+    else:
+        ks = np.flatnonzero(known)
+        chunk = max(1, pairs // draws.n_draws)
+        for start in range(0, len(ks), chunk):
+            rows = ks[start : start + chunk]
+            u = np.einsum("rij,ij->ri", draws.betas[:, idx[rows], :], X[rows])
+            out[rows] = logistic(u).mean(axis=0)
+    out[~known] = logistic(X[~known] @ pop_beta)
+    return out
+
+
 class TestPrediction:
     # chunk bounds of half a row (so one row), 1, 2 and 7 rows, and the whole table
     @pytest.mark.parametrize("chunk_rows", [0.5, 1, 2, 7, None])
@@ -558,6 +585,42 @@ class TestPrediction:
         whole = predict_panel_probabilities(draws, X, ids)
         assert np.array_equal(got, whole)
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_draws=st.integers(1, 60),
+        n_customers=st.integers(1, 8),
+        n_rows=st.integers(0, 40),
+        k=st.integers(1, 4),
+        ncomp=st.integers(1, 3),
+        pairs=st.sampled_from([1, 7, 64, 1 << 15]),
+        mode=st.sampled_from(hb.PREDICTION_MODES),
+        unknown_share=st.sampled_from([0.0, 0.3]),
+    )
+    def test_every_mode_equals_the_three_path_reference_bit_for_bit(
+        self, seed, n_draws, n_customers, n_rows, k, ncomp, pairs, mode, unknown_share
+    ):
+        rng = np.random.default_rng(seed)
+        means = rng.normal(size=(n_draws, ncomp, k))
+        weights = rng.dirichlet(np.ones(ncomp), size=n_draws)
+        draws = hand_built_draws(
+            rng.normal(scale=3.0, size=(n_draws, n_customers, k)), weights=weights, means=means
+        )
+        X = rng.normal(size=(n_rows, k))
+        ids = rng.integers(1, n_customers + 1, n_rows)
+        ids[rng.random(n_rows) < unknown_share] = 999  # not in the posterior
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(hb, "PREDICT_PAIRS", pairs)
+            for fallback in (False, True):
+                try:
+                    expected = three_path_predict(draws, X, ids, mode, fallback, pairs)
+                except UnknownCustomerError:
+                    with pytest.raises(UnknownCustomerError):
+                        predict_panel_probabilities(draws, X, ids, mode, fallback)
+                    continue
+                got = predict_panel_probabilities(draws, X, ids, mode, fallback)
+                assert got.tobytes() == expected.tobytes()
 
     def test_single_draw_modes_agree(self):
         draws = hand_built_draws([[[1.0, 0.5, -2.0]]])
@@ -601,6 +664,12 @@ class TestPrediction:
         draws = hand_built_draws([[[1.0, 0.5, -2.0]]])
         with pytest.raises(InvalidInputError):
             predict_panel_probabilities(draws, np.ones((1, 3)), [1], mode="oracular")
+
+
+def npy_bytes(array):
+    buffer = io.BytesIO()
+    np.save(buffer, array)
+    return buffer.getvalue()
 
 
 def replace_array(path, name, array):
@@ -665,6 +734,43 @@ class TestPersistence:
         replace_array(tmp_path / "posterior", "weights", np.ones(4))
         with pytest.raises(DataIntegrityError, match="^posterior array weights has 1 axes, not 2$"):
             PosteriorDraws.load(tmp_path / "posterior")
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", list(PosteriorDraws._AXES))
+    def test_non_finite_value_rejected_by_array_and_index(self, tmp_path, name, value):
+        means = np.zeros((4, 2, 3))  # two components
+        draws = hand_built_draws(np.zeros((4, 2, 3)), means=means)
+        draws.delta = np.zeros((4, 3, 1))
+        draws.save(tmp_path / "posterior")
+        array = np.load(tmp_path / "posterior" / f"{name}.npy")
+        index = tuple(size - 1 for size in array.shape)
+        array[index] = value
+        np.save(tmp_path / "posterior" / f"{name}.npy", array)
+        message = f"posterior array {name} holds {value!r} at index {index}"
+        with pytest.raises(DataIntegrityError) as info:
+            PosteriorDraws.load(tmp_path / "posterior")
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "spoil",
+        [
+            lambda data: data[:-8], lambda data: data[:40], lambda data: b"",
+            lambda data: b"junk" * 9, lambda data: npy_bytes(np.array([["a"]] * 4)),
+            lambda data: npy_bytes(np.ones((4, 1), dtype=complex)),
+        ],
+        ids=["truncated-data", "truncated-header", "empty", "garbage", "strings", "complex"],
+    )
+    def test_unreadable_array_rejected_by_file(self, tmp_path, spoil):
+        hand_built_draws(np.zeros((4, 2, 3))).save(tmp_path / "posterior")
+        file = tmp_path / "posterior" / "weights.npy"
+        file.write_bytes(spoil(file.read_bytes()))
+        with pytest.raises(DataIntegrityError, match=f"^{file} is not a readable float array: "):
+            PosteriorDraws.load(tmp_path / "posterior")
+
+    def test_save_returns_the_files_it_wrote(self, tmp_path):
+        names = hand_built_draws(np.zeros((2, 2, 3))).save(tmp_path / "posterior")
+        assert sorted(names) == sorted(p.name for p in (tmp_path / "posterior").iterdir())
+        assert names[0] == "header.json"
 
     def test_header_disagreeing_with_customer_ids_rejected(self, tmp_path):
         draws = hand_built_draws(np.zeros((4, 3, 3)))

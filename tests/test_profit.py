@@ -56,7 +56,7 @@ def random_segment(rng, n, n_draws, scale=1.0):
 
 def reference_values(seg, draws, config, rs, months, mode=DRAW_AVERAGED):
     """Per-customer, per-draw recomputation of the objective with math.exp."""
-    betas = draws.posterior_mean_matrix()[None] if mode == POSTERIOR_MEAN else draws.betas
+    betas = draws.betas.mean(axis=0)[None] if mode == POSTERIOR_MEAN else draws.betas
     years = contract_months_to_years(months)
     out = []
     for r in rs:
@@ -85,7 +85,7 @@ class SeedObjective:
     def __init__(self, seg, draws, config, mode):
         idx = join(draws.customer_ids, seg.customer_ids)
         if mode == POSTERIOR_MEAN:
-            self.betas = draws.posterior_mean_matrix()[None, idx, :]
+            self.betas = draws.betas.mean(axis=0)[None, idx, :]
         else:
             self.betas = draws.betas[:, idx, :]
         self.seg = seg
@@ -547,6 +547,35 @@ class TestNopConfig:
         assert grouped["elastic-not-loyal"].mrp == pytest.approx([55.0])
         assert grouped["inelastic-loyal"].mrp == pytest.approx([100.0, 100.0])
         assert grouped["elastic-loyal"].n_customers == 0
+
+    @pytest.mark.parametrize("value", [0.0, -5.0, math.nan])
+    def test_default_mrp_must_be_positive(self, value):
+        with pytest.raises(ConfigurationError, match=f"^default_mrp must be > 0, got {value!r}$"):
+            NopConfig(default_mrp=value).validate()
+
+    @pytest.mark.parametrize(
+        "elasticity, loyalty, segment, message",
+        [
+            (-0.5, 0.9, "elastic-loyal", "customer 2 is assigned to 'elastic-loyal', but its "
+             "elasticity -0.5 and loyalty 0.9 give 'inelastic-loyal'"),
+            (-0.5, 0.3, "inelastic-loyal", "customer 2 is assigned to 'inelastic-loyal', but its "
+             "elasticity -0.5 and loyalty 0.3 give 'inelastic-not-loyal'"),
+            (math.nan, 0.9, "inelastic-loyal", "customer 2: elasticity must be finite, got nan"),
+            (-0.5, 40.0, "inelastic-loyal", "customer 2: loyalty must lie in [0, 1], got 40.0"),
+            (-0.5, math.nan, "inelastic-loyal", "customer 2: loyalty must lie in [0, 1], got nan"),
+        ],
+    )
+    def test_segment_data_refuses_a_segment_the_rule_does_not_give(
+        self, elasticity, loyalty, segment, message
+    ):
+        assignments = [
+            SegmentAssignment(1, -2.5, 0.2, "elastic-not-loyal"),
+            SegmentAssignment(2, elasticity, loyalty, segment),
+            SegmentAssignment(3, -0.1, 0.8, "inelastic-loyal"),
+        ]
+        with pytest.raises(InvalidInputError) as info:
+            segment_data_from_assignments(assignments, NopConfig())
+        assert str(info.value) == message
 
     def test_months_to_years(self):
         assert contract_months_to_years(1) == pytest.approx(1 / 12)

@@ -2,6 +2,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, field
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -12,7 +13,14 @@ from offerlab.errors import ConfigurationError, DataIntegrityError, MissingArtif
 from offerlab.hb import McmcConfig
 from offerlab.profit import NopConfig
 from offerlab.simulate import GroundTruthConfig, MixtureComponent
-from offerlab.storage import canonical_json, load_dataclass, read_csv, write_csv_atomic
+from offerlab.storage import (
+    canonical_json,
+    derive_seed,
+    load_dataclass,
+    read_csv,
+    seeded_rng,
+    write_csv_atomic,
+)
 
 COLUMNS = ("name", "value")
 
@@ -185,3 +193,25 @@ class TestLoadDataclass:
         with pytest.raises(ConfigurationError) as info:
             load_dataclass(Sample, raw, "sample")
         assert str(info.value) == message
+
+
+MASK = 0xFFFFFFFFFFFFFFFF
+
+
+class TestSeededRng:
+    """The one generator helper keeps every stream it replaced."""
+
+    @given(st.one_of(st.integers(-(2**70), 2**70), st.sampled_from([2**63 + 5, 2**64 - 1, -1])))
+    def test_one_part_is_the_masked_seed_sequence(self, seed):
+        expected = np.random.default_rng(np.random.SeedSequence(seed & MASK)).random(4)
+        assert np.array_equal(seeded_rng(seed).random(4), expected)
+
+    @given(st.integers(-(2**70), 2**70), st.integers(0, 2))
+    def test_two_parts_are_the_purpose_stream(self, seed, code):
+        expected = np.random.default_rng(np.random.SeedSequence((seed & MASK, code))).random(4)
+        assert np.array_equal(seeded_rng(seed, code).random(4), expected)
+
+    @given(st.lists(st.integers(-(2**70), 2**70), min_size=1, max_size=4))
+    def test_derive_seed_is_the_first_word_of_the_seed_sequence(self, parts):
+        ss = np.random.SeedSequence([p & MASK for p in parts])
+        assert derive_seed(*parts) == int(ss.generate_state(1)[0])
