@@ -8,7 +8,7 @@ __version__ = "0.1.0"
 from .choice import Customers, Offers
 from .evaluate import ScoredLabels, accuracy_at_base_rate, auc, delong_test, lift_curve, tune_ncomp
 from .hb import McmcConfig, PosteriorDraws, fit_hb_mixed_logit, predict_panel_probabilities
-from .profit import NopConfig, OfferPolicy, grid_oracle, optimize_policy, segment_objective
+from .profit import NopConfig, OfferPolicy, optimize_policy, segment_objective
 from .segments import arc_elasticity, assign_segment, segment_distribution
 from .simulate import (
     GroundTruthConfig,

@@ -36,7 +36,7 @@ DISCOUNT_MIN = -0.5
 DISCOUNT_MAX = 0.5
 
 # the design columns, as the offer CSV names them
-DESIGN_COLUMNS = ("X1", "contract_length_years", "offer_discount")
+DESIGN_NAMES = ("X1", "contract_length_years", "offer_discount")
 
 # exp() overflows just above 709; clamping keeps the logistic finite while
 # changing no probability by a visible amount.
@@ -121,10 +121,10 @@ class Offers(_Table):
         checks = (
             ("customer_id", self.customer_id, self.customer_id < 1, "must be >= 1"),
             ("occasion", self.occasion, self.occasion < 1, "must be >= 1"),
-            (DESIGN_COLUMNS[0], x1, x1 != 1.0, "must be 1"),
-            (DESIGN_COLUMNS[1], years, ~np.isin(years, CONTRACT_YEAR_VALUES),
+            (DESIGN_NAMES[0], x1, x1 != 1.0, "must be 1"),
+            (DESIGN_NAMES[1], years, ~np.isin(years, CONTRACT_YEAR_VALUES),
              "must be a whole year in 0..5"),
-            (DESIGN_COLUMNS[2], discount, ~in_range, f"must lie in [{DISCOUNT_MIN}, {DISCOUNT_MAX}]"),
+            (DESIGN_NAMES[2], discount, ~in_range, f"must lie in [{DISCOUNT_MIN}, {DISCOUNT_MAX}]"),
             ("label", self.label, ~np.isin(self.label, list(OUTCOMES)),
              f"must be one of {list(OUTCOMES)}"),
         )

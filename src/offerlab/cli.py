@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +29,7 @@ from .datasets import (
 from .errors import DataIntegrityError, MissingArtifactError, OfferLabError
 from .evaluate import (
     ScoredLabels,
+    TuningRow,
     accuracy_at_base_rate,
     auc,
     delong_test,
@@ -36,11 +37,15 @@ from .evaluate import (
     tune_ncomp,
 )
 from .hb import PosteriorDraws, fit_hb_mixed_logit, predict_panel_probabilities
-from .profit import optimize_policy, segment_data_from_assignments
+from .profit import OfferPolicy, optimize_policy, segment_data_from_assignments
 from .segments import SEGMENTS, SegmentAssignment, assign_segments, segment_distribution
 from .simulate import simulate_dataset, summarize_dataset
 from .storage import (
+    FLAG,
+    FLOAT,
+    INT,
     canonical_json,
+    enum_cell,
     read_csv,
     sha256_file,
     sha256_text,
@@ -61,13 +66,17 @@ SUBCOMMANDS = (
     "report",
 )
 
-# the schemas of the CSV artifacts the CLI writes itself; a stage that
-# reads one of them back refuses any other header
-SEGMENT_COLUMNS = ("customer_id", "elasticity", "loyalty", "segment")
-DISTRIBUTION_COLUMNS = ("segment", "percent")
-TUNING_COLUMNS = ("ncomp", "mean_auc", "mean_accuracy", "selected")
-LIFT_COLUMNS = ("fraction", "capture")
-POLICY_COLUMNS = ("segment", "r", "M_months", "nop", "n_customers", "degenerate", "at_bound")
+# the segment cell and the schemas of the CSV artifacts the CLI writes
+# itself; a stage that reads one of them back refuses any other header
+SEGMENT = enum_cell("segment", {segment: segment for segment in SEGMENTS})
+SEGMENT_CSV = {"customer_id": INT, "elasticity": FLOAT, "loyalty": FLOAT, "segment": SEGMENT}
+DISTRIBUTION_CSV = {"segment": SEGMENT, "percent": FLOAT}
+TUNING_CSV = {"ncomp": INT, "mean_auc": FLOAT, "mean_accuracy": FLOAT, "selected": FLAG}
+LIFT_CSV = {"fraction": FLOAT, "capture": FLOAT}
+POLICY_CSV = {
+    "segment": SEGMENT, "r": FLOAT, "M_months": INT, "nop": FLOAT, "n_customers": INT,
+    "degenerate": FLAG, "at_bound": FLAG,
+}
 
 
 def _out(config: PipelineConfig) -> Path:
@@ -97,26 +106,15 @@ def _write_manifest(out: Path, subcommand: str, config: PipelineConfig, artifact
     return path
 
 
-def _segment(cell: str) -> str:
-    if cell not in SEGMENTS:
-        raise ValueError(f"unknown segment {cell!r}")
-    return cell
-
-
-def _flag(cell: str) -> bool:
-    return {"0": False, "1": True}[cell]
-
-
-def _cells(*types):
-    """A row parser that converts the i-th cell with ``types[i]``."""
-    return lambda row: tuple(convert(cell) for convert, cell in zip(types, row))
+def _fields(records, cls) -> list:
+    """The columns of ``records``, one per field of the dataclass ``cls``, in field order."""
+    return [[getattr(record, f.name) for record in records] for f in fields(cls)]
 
 
 def _aligned_scores(path, offers) -> np.ndarray:
     """The scores of ``path`` in the row order of ``offers``, joined on
     (customer_id, occasion)."""
-    rows = read_scores_csv(path)
-    cid, occ, _, scores = (np.array(column) for column in zip(*rows)) if rows else [[]] * 4
+    cid, occ, _, scores = (np.asarray(column) for column in read_scores_csv(path))
     repeat = first_repeat(cid, occ)
     if repeat >= 0:
         key = (int(cid[repeat]), int(occ[repeat]))
@@ -158,11 +156,9 @@ def run_pipeline(subcommand: str, config: PipelineConfig, args: argparse.Namespa
         report = tune_ncomp(
             offers, covariates, config.ncomp_candidates, config.resampling, config.mcmc
         )
-        rows = [
-            (r.ncomp, r.mean_auc, r.mean_accuracy, int(r.ncomp == report.selected_ncomp))
-            for r in report.rows
-        ]
-        write_csv_atomic(out / "tuning.csv", TUNING_COLUMNS, rows)
+        columns = _fields(report.rows, TuningRow)
+        columns.append([ncomp == report.selected_ncomp for ncomp in columns[0]])
+        write_csv_atomic(out / "tuning.csv", TUNING_CSV, columns)
         artifacts += ["tuning.csv"]
 
     elif subcommand == "predict":
@@ -172,8 +168,8 @@ def run_pipeline(subcommand: str, config: PipelineConfig, args: argparse.Namespa
             draws, offers.X, offers.customer_id, mode=config.predict_mode,
             fallback_population_mean=True,
         )
-        rows = zip(offers.customer_id.tolist(), offers.occasion.tolist(), scores.tolist())
-        write_scores_csv(out / "scores.csv", [(cid, occ, 1, s) for cid, occ, s in rows])
+        columns = [offers.customer_id, offers.occasion, [1] * len(offers), scores]
+        write_scores_csv(out / "scores.csv", columns)
         artifacts += ["scores.csv"]
 
     elif subcommand == "evaluate":
@@ -200,8 +196,7 @@ def run_pipeline(subcommand: str, config: PipelineConfig, args: argparse.Namespa
                 "p_value": result.p_value,
             }
         write_json_atomic(out / "metrics.json", metrics)
-        points = lift_curve(data)
-        write_csv_atomic(out / "lift.csv", LIFT_COLUMNS, points)
+        write_csv_atomic(out / "lift.csv", LIFT_CSV, list(zip(*lift_curve(data))))
         artifacts += ["metrics.json", "lift.csv"]
 
     elif subcommand == "segment":
@@ -209,44 +204,22 @@ def run_pipeline(subcommand: str, config: PipelineConfig, args: argparse.Namespa
         offers = read_offer_csv(out / "test.csv")
         customers, _ = read_customers_csv(out / "customers.csv")
         assignments = assign_segments(draws, offers, customers, delta=config.elasticity_delta)
-        write_csv_atomic(
-            out / "segments.csv",
-            SEGMENT_COLUMNS,
-            [(a.customer_id, a.elasticity, a.loyalty, a.segment) for a in assignments],
-        )
+        write_csv_atomic(out / "segments.csv", SEGMENT_CSV, _fields(assignments, SegmentAssignment))
         shares = segment_distribution(assignments)
-        write_csv_atomic(
-            out / "segment_distribution.csv",
-            DISTRIBUTION_COLUMNS,
-            [(segment, shares[segment]) for segment in SEGMENTS],
-        )
+        columns = [SEGMENTS, [shares[segment] for segment in SEGMENTS]]
+        write_csv_atomic(out / "segment_distribution.csv", DISTRIBUTION_CSV, columns)
         artifacts += ["segments.csv", "segment_distribution.csv"]
 
     elif subcommand == "optimize":
         draws = PosteriorDraws.load(out / "posterior")
-        parse = _cells(int, float, float, _segment)
-        rows = read_csv(out / "segments.csv", SEGMENT_COLUMNS, parse)
-        assignments = [SegmentAssignment(*row) for row in rows]
+        assignments = list(map(SegmentAssignment, *read_csv(out / "segments.csv", SEGMENT_CSV)))
         _, mrp = read_customers_csv(out / "customers.csv")
         segments = segment_data_from_assignments(assignments, config.nop, mrp)
-        rows = []
-        for segment in SEGMENTS:
-            seg = segments[segment]
-            if seg.n_customers == 0:
-                continue
-            policy = optimize_policy(seg, draws, config.nop, mode=config.predict_mode)
-            rows.append(
-                (
-                    policy.segment,
-                    policy.r,
-                    policy.months,
-                    policy.nop_value,
-                    policy.n_customers,
-                    int(policy.degenerate),
-                    int(policy.at_bound),
-                )
-            )
-        write_csv_atomic(out / "policy.csv", POLICY_COLUMNS, rows)
+        policies = [
+            optimize_policy(segments[segment], draws, config.nop, mode=config.predict_mode)
+            for segment in SEGMENTS if segments[segment].n_customers > 0
+        ]
+        write_csv_atomic(out / "policy.csv", POLICY_CSV, _fields(policies, OfferPolicy))
         artifacts += ["policy.csv"]
 
     elif subcommand == "ingest-retail":
@@ -264,14 +237,14 @@ def run_pipeline(subcommand: str, config: PipelineConfig, args: argparse.Namespa
         sections = []
         dist_path = out / "segment_distribution.csv"
         if dist_path.exists():
-            shares = dict(read_csv(dist_path, DISTRIBUTION_COLUMNS, _cells(_segment, float)))
+            shares = dict(zip(*read_csv(dist_path, DISTRIBUTION_CSV)))
             lines = ["Customer segments (percent of customers)", "-" * 44]
             for segment in SEGMENTS:
                 lines.append(f"{segment:<24}{shares.get(segment, 0.0):>8.1f}")
             sections.append("\n".join(lines))
         tuning_path = out / "tuning.csv"
         if tuning_path.exists():
-            rows = read_csv(tuning_path, TUNING_COLUMNS, _cells(int, float, float, _flag))
+            rows = zip(*read_csv(tuning_path, TUNING_CSV))
             lines = ["Mixture-size tuning (mean validation AUC)", "-" * 44]
             lines.append(f"{'ncomp':<8}{'AUC':>10}{'accuracy':>12}{'selected':>10}")
             for ncomp, mean_auc, mean_accuracy, selected in rows:
@@ -280,8 +253,7 @@ def run_pipeline(subcommand: str, config: PipelineConfig, args: argparse.Namespa
             sections.append("\n".join(lines))
         policy_path = out / "policy.csv"
         if policy_path.exists():
-            parse = _cells(_segment, float, int, float, int, _flag, _flag)
-            policies = {row[0]: row for row in read_csv(policy_path, POLICY_COLUMNS, parse)}
+            policies = {row[0]: row for row in zip(*read_csv(policy_path, POLICY_CSV))}
 
             def _cell(segment):
                 if segment not in policies:

@@ -39,8 +39,10 @@ class PipelineConfig:
     def validate(self) -> "PipelineConfig":
         if self.ncomp < 1:
             raise ConfigurationError("ncomp must be >= 1")
-        if not self.ncomp_candidates:
-            raise ConfigurationError("ncomp_candidates must be non-empty")
+        if not self.ncomp_candidates or min(self.ncomp_candidates) < 1:
+            raise ConfigurationError(
+                f"ncomp_candidates must be non-empty, each >= 1, got {self.ncomp_candidates}"
+            )
         if self.predict_mode not in PREDICTION_MODES:
             raise ConfigurationError(f"predict_mode must be one of {PREDICTION_MODES}")
         if self.elasticity_delta <= 0:

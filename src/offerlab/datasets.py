@@ -1,7 +1,9 @@
 """Dataset persistence, retail ingestion, and train/validation splitting.
 
-Every dataset file goes through ``storage.write_csv_atomic`` and
-``storage.read_csv``, which define the CSV format.  ``read_offer_csv``
+Every dataset file is declared once, as a schema of named ``storage``
+cells (``OFFER_CSV``, ``CUSTOMER_CSV``, ``TRUTH_CSV``, ``SCORE_CSV``,
+``MULTINOMIAL_CSV``), and written and read by columns through
+``storage.write_csv_atomic`` and ``storage.read_csv``.  ``read_offer_csv``
 returns the offer table (``choice.Offers``) checked by ``Offers.validate``,
 and ``read_customers_csv`` the customer table (``choice.Customers``)
 checked by ``Customers.validate``, so a recorded row outside the model's
@@ -25,7 +27,7 @@ import numpy as np
 
 from .choice import (
     ACCEPTED,
-    DESIGN_COLUMNS,
+    DESIGN_NAMES,
     REJECTED,
     UNLABELED,
     Customers,
@@ -41,59 +43,47 @@ from .errors import (
     MissingArtifactError,
     ParseError,
 )
-from .storage import read_csv, seeded_rng, write_csv_atomic
+from .storage import FLOAT, INT, TEXT, Cell, enum_cell, read_csv, seeded_rng, write_csv_atomic
 
-OFFER_COLUMNS = ("id", "setnum", *DESIGN_COLUMNS, "outcome")
-CUSTOMER_COLUMNS = ("id", "loyalty", "loyalty_centered", "demographic_centered", "mrp")
-TRUTH_COLUMNS = ("id", "k", "beta_contract", "beta_discount")
-SCORE_COLUMNS = ("customer_id", "occasion", "alternative", "score")
-MULTINOMIAL_COLUMNS = ("customer_id", "occasion", "product_id", "chosen")
+# the outcome cell of an offer row: 1, 0, or blank for unlabeled
+OUTCOME = enum_cell("outcome", {ACCEPTED: "1", REJECTED: "0", UNLABELED: ""})
+# a customer's monthly recurring price, or a blank cell for none
+MRP = Cell(lambda c: float(c) if c else None, lambda p: "" if p is None else FLOAT.write(p))
+
+OFFER_CSV = {"id": INT, "setnum": INT, **dict.fromkeys(DESIGN_NAMES, FLOAT), "outcome": OUTCOME}
+CUSTOMER_CSV = {
+    "id": INT, "loyalty": FLOAT, "loyalty_centered": FLOAT, "demographic_centered": FLOAT,
+    "mrp": MRP,
+}
+TRUTH_CSV = {"id": INT, "k": FLOAT, "beta_contract": FLOAT, "beta_discount": FLOAT}
+SCORE_CSV = {"customer_id": INT, "occasion": INT, "alternative": INT, "score": FLOAT}
+MULTINOMIAL_CSV = {"customer_id": INT, "occasion": INT, "product_id": TEXT, "chosen": INT}
 
 # the key columns of an offer or a score row, as named in error messages
 OCCASION_KEY = "(customer_id, occasion)"
 
-_LABEL_TO_CELL = {ACCEPTED: "1", REJECTED: "0", UNLABELED: ""}
-_CELL_TO_LABEL = {"1": ACCEPTED, "0": REJECTED, "": UNLABELED}
-
 
 def write_offer_csv(path, offers: Offers) -> None:
-    labels = [_LABEL_TO_CELL[label] for label in offers.label.tolist()]
-    rows = zip(offers.customer_id.tolist(), offers.occasion.tolist(), *offers.X.T.tolist(), labels)
-    write_csv_atomic(path, OFFER_COLUMNS, rows)
-
-
-def _parse_offer(row):
-    return (
-        int(row[0]), int(row[1]), float(row[2]), float(row[3]), float(row[4]),
-        _CELL_TO_LABEL[row[5]],
-    )
+    columns = [offers.customer_id, offers.occasion, *offers.X.T, offers.label]
+    write_csv_atomic(path, OFFER_CSV, columns)
 
 
 def read_offer_csv(path) -> Offers:
     """The offer table of ``path``, in file order, checked by
     ``Offers.validate``: a row outside the model's domain or a repeated
     (customer_id, occasion) is a ``DataIntegrityError`` naming the file."""
-    rows = read_csv(path, OFFER_COLUMNS, _parse_offer)
-    customer_id, occasion, x1, years, discount, label = zip(*rows) if rows else [()] * 6
+    customer_id, occasion, *design, label = read_csv(path, OFFER_CSV)
     try:
-        offers = Offers(customer_id, occasion, np.column_stack([x1, years, discount]), label)
+        offers = Offers(customer_id, occasion, np.column_stack(design), label)
     except OverflowError:
         raise DataIntegrityError(f"{path}: a customer_id or occasion exceeds 64 bits") from None
     return offers.validate(path)
 
 
-def write_customers_csv(path, customers: Customers, mrp: dict | None = None) -> None:
-    """One row per customer, in table order; ``mrp`` maps an id to its
-    monthly recurring price, left blank for the others."""
-    mrp = mrp or {}
-    columns = [getattr(customers, f.name).tolist() for f in fields(customers)]
-    rows = zip(*columns, (mrp.get(cid, "") for cid in columns[0]))
-    write_csv_atomic(path, CUSTOMER_COLUMNS, rows)
-
-
-def _parse_customer(row):
-    mrp = float(row[4]) if row[4] != "" else None
-    return int(row[0]), float(row[1]), float(row[2]), float(row[3]), mrp
+def write_customers_csv(path, customers: Customers) -> None:
+    """One row per customer, in table order, its mrp cell blank."""
+    columns = [getattr(customers, f.name) for f in fields(customers)]
+    write_csv_atomic(path, CUSTOMER_CSV, [*columns, [None] * len(customers)])
 
 
 def read_customers_csv(path):
@@ -101,8 +91,7 @@ def read_customers_csv(path):
     checked by ``Customers.validate``, and the monthly recurring price of
     each id whose row carries one; a price that is not finite and > 0 is a
     ``DataIntegrityError`` naming the file, the id and the value."""
-    rows = read_csv(path, CUSTOMER_COLUMNS, _parse_customer)
-    *columns, mrp = zip(*rows) if rows else [()] * 5
+    *columns, mrp = read_csv(path, CUSTOMER_CSV)
     try:
         customers = Customers(*columns)
     except OverflowError:
@@ -117,19 +106,17 @@ def read_customers_csv(path):
 
 def write_truth_csv(path, coefficients: np.ndarray) -> None:
     """One row per customer; row ``i`` of ``coefficients`` is customer ``i + 1``."""
-    write_csv_atomic(path, TRUTH_COLUMNS, ((i + 1, *b) for i, b in enumerate(coefficients)))
+    write_csv_atomic(path, TRUTH_CSV, [range(1, len(coefficients) + 1), *coefficients.T])
 
 
-def write_scores_csv(path, rows) -> None:
-    """rows: iterable of (customer_id, occasion, alternative, score)."""
-    write_csv_atomic(path, SCORE_COLUMNS, rows)
+def write_scores_csv(path, columns) -> None:
+    """columns: (customer_id, occasion, alternative, score), one sequence each."""
+    write_csv_atomic(path, SCORE_CSV, columns)
 
 
 def read_scores_csv(path):
-    """Return [(customer_id, occasion, alternative, score)] in file order."""
-    return read_csv(
-        path, SCORE_COLUMNS, lambda row: (int(row[0]), int(row[1]), int(row[2]), float(row[3]))
-    )
+    """The columns (customer_id, occasion, alternative, score) of ``path``."""
+    return read_csv(path, SCORE_CSV)
 
 
 # ---------------------------------------------------------------------------
@@ -327,8 +314,7 @@ def ingest_retail_csv(path, product_filter=None, n_products: int = 18) -> Retail
 
 
 def write_multinomial_csv(path, choices: RetailChoices) -> None:
-    columns = (getattr(choices, name).tolist() for name in MULTINOMIAL_COLUMNS)
-    write_csv_atomic(path, MULTINOMIAL_COLUMNS, zip(*columns))
+    write_csv_atomic(path, MULTINOMIAL_CSV, [getattr(choices, name) for name in MULTINOMIAL_CSV])
 
 
 def multinomial_to_panel(choices: RetailChoices):

@@ -75,6 +75,11 @@ class NopConfig:
             raise ConfigurationError(f"default_mrp must be > 0, got {self.default_mrp!r}")
         if not self.contract_options or min(self.contract_options) < 1:
             raise ConfigurationError("contract_options must be non-empty months >= 1")
+        unknown = sorted(set(self.r_bounds) - set(SEGMENTS))
+        if unknown:
+            raise ConfigurationError(
+                f"r_bounds has unknown segments {unknown}; the segments are {list(SEGMENTS)}"
+            )
         lo_band, hi_band = TRAINED_DISCOUNT_BAND
         for segment, (lo, hi) in self.r_bounds.items():
             if lo > hi:
@@ -373,36 +378,3 @@ def optimize_policy(
         )
     return best
 
-
-def grid_oracle(
-    seg: SegmentData,
-    draws: PosteriorDraws,
-    config: NopConfig,
-    r_step: float = 0.001,
-    mode: str = DRAW_AVERAGED,
-) -> OfferPolicy:
-    """Exhaustive argmax over the r grid x contract options (verification).
-    The grid steps by about ``r_step`` and always holds both bounds."""
-    if not (math.isfinite(r_step) and r_step > 0):
-        raise InvalidInputError(f"r_step must be finite and > 0, got {r_step!r}")
-    if seg.n_customers == 0:
-        raise InvalidInputError(f"segment {seg.segment!r} has no customers")
-    config.validate()
-    objective = _SegmentObjective(seg, draws, config, mode)
-    lo, hi = config.bounds_for(seg.segment)
-    rs = _r_grid(lo, hi, max(int(round((hi - lo) / r_step)), 1) + 1)
-    best = None
-    for months in sorted(config.contract_options):
-        values, _ = objective.values_and_slopes(rs, months)
-        i = int(np.argmax(values))
-        if best is None or values[i] > best.nop_value:
-            r = float(rs[i])
-            best = OfferPolicy(
-                segment=seg.segment,
-                r=r,
-                months=int(months),
-                nop_value=float(values[i]),
-                n_customers=seg.n_customers,
-                at_bound=r in (lo, hi),
-            )
-    return best

@@ -16,7 +16,7 @@ import numpy as np
 
 from .choice import (
     CONTRACT_YEAR_VALUES,
-    DESIGN_COLUMNS,
+    DESIGN_NAMES,
     DISCOUNT_MAX,
     DISCOUNT_MIN,
     OUTCOMES,
@@ -324,7 +324,7 @@ def summarize_dataset(offers: Offers, customers: Customers | None = None) -> str
     columns = {
         "id": offers.customer_id.astype(float),
         "setnum": offers.occasion.astype(float),
-        **dict(zip(DESIGN_COLUMNS, offers.X.T)),
+        **dict(zip(DESIGN_NAMES, offers.X.T)),
     }
     if customers:
         columns["demographic_centered"] = customers.demographic_centered

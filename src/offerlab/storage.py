@@ -6,11 +6,13 @@ rendered with shortest round-trip ``repr``, JSON keys are sorted, nothing
 embeds a timestamp, and writes are atomic (temp file + rename).
 
 CSV artifacts are UTF-8 with a header row, RFC-4180 quoting and ``\n``
-line ends; floats are written with round-trip repr so that write-then-read
-reproduces the in-memory values exactly.  ``write_csv_atomic`` and
-``read_csv`` are the only CSV writer and reader: a reader names the exact
-header it expects, so a file written under another schema is refused
-instead of being parsed by position.
+line ends.  Each is declared once, as a schema: a dict from column name,
+in order, to the ``Cell`` that parses and writes it.  ``write_csv_atomic``
+and ``read_csv``, the only CSV writer and reader, move a schema's columns;
+a file whose header is not exactly the schema's names is refused instead
+of being parsed by position.  ``FLOAT`` writes round-trip repr, so values
+read back exactly; ``TEXT`` refuses a carriage return, which the csv
+module leaves unquoted and its reader would take for a line end.
 
 Config JSON has one reader too: ``load_dataclass`` builds a dataclass from
 a parsed JSON object by the dataclass's own annotations and refuses an
@@ -22,6 +24,7 @@ Every random stream starts at ``seeded_rng``, and every derived seed at
 
 from __future__ import annotations
 
+import collections
 import csv
 import dataclasses
 import hashlib
@@ -36,13 +39,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError, DataIntegrityError, MissingArtifactError, ParseError
-
-
-def fmt(value) -> str:
-    """Render a CSV cell; floats use round-trip repr, others use str."""
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)  # numpy integers print as plain integers too
 
 
 def _write_atomic(path, write) -> None:
@@ -63,37 +59,81 @@ def write_json_atomic(path, obj) -> None:
     write_text_atomic(path, canonical_json(obj) + "\n")
 
 
-def write_csv_atomic(path, header, rows) -> None:
+# how a column's values are read from and written to CSV cells; either
+# function raises ValueError for a value the column cannot hold
+Cell = collections.namedtuple("Cell", "parse write")
+
+
+def _text(value: str) -> str:
+    if "\r" in value:
+        raise ValueError(f"a carriage return does not round-trip: {value!r}")
+    return value
+
+
+def enum_cell(kind: str, codes: dict) -> Cell:
+    """A cell holding a key of ``codes``, written as its code; any other
+    value or cell is a ``ValueError`` naming ``kind``."""
+
+    class Table(dict):
+        def __missing__(self, key):
+            raise ValueError(f"unknown {kind} {key!r}")
+
+    values = Table({code: value for value, code in codes.items()})
+    return Cell(values.__getitem__, Table(codes).__getitem__)
+
+
+INT = Cell(int, str)
+FLOAT = Cell(float, lambda value: repr(float(value)))
+TEXT = Cell(str, _text)
+FLAG = enum_cell("flag", {False: "0", True: "1"})
+CSV_BLOCK_ROWS = 1024  # rows write_csv_atomic turns into cell texts at a time
+
+
+def write_csv_atomic(path, schema: dict, columns) -> None:
+    """Write ``columns``, one sequence per column of ``schema``, under its names.
+    A column count or length that does not match, or a value its cell refuses,
+    is a ``DataIntegrityError`` naming the column and row (the first is row 1)."""
+    columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
+    lengths = [len(values) for values in columns]
+    if len(columns) != len(schema) or len(set(lengths)) > 1:
+        raise DataIntegrityError(f"{path}: columns of lengths {lengths} for {list(schema)}")
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows([fmt(cell) for cell in row] for row in rows)
+    writer.writerow(schema)
+    for start in range(0, max(lengths, default=0), CSV_BLOCK_ROWS):
+        cells = [[] for _ in columns]
+        for texts, (name, cell), values in zip(cells, schema.items(), columns):
+            try:
+                texts += map(cell.write, values[start : start + CSV_BLOCK_ROWS])
+            except ValueError as exc:  # texts holds the cells written before
+                row = start + len(texts) + 1
+                raise DataIntegrityError(f"{path}: {name} in row {row}: {exc}") from None
+        writer.writerows(zip(*cells))
     write_text_atomic(path, buf.getvalue())
 
 
-def read_csv(path, columns, parse) -> list:
-    """``[parse(row) for row in path]`` for a CSV whose header is exactly
-    ``columns``.  A missing file is a ``MissingArtifactError``, another
-    header (or none) a ``DataIntegrityError`` naming both column lists, and
-    a row of the wrong width or one ``parse`` rejects a ``ParseError``."""
-    path = Path(path)
-    if not path.exists():
+def read_csv(path, schema: dict) -> list:
+    """The columns of the CSV ``path``, one tuple per column of ``schema``, in
+    file order.  A missing file is a ``MissingArtifactError``, a header other
+    than ``schema``'s names a ``DataIntegrityError``, and a row of the wrong
+    width or a cell its column refuses a ``ParseError`` naming the line."""
+    if not os.path.exists(path):
         raise MissingArtifactError(str(path))
+    parsers = [cell.parse for cell in schema.values()]
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
-        if tuple(header) != tuple(columns):
-            raise DataIntegrityError(f"{path} has columns {header}, expected {list(columns)}")
-        width = len(columns)
+        if header != list(schema):
+            raise DataIntegrityError(f"{path} has columns {header}, expected {list(schema)}")
         rows = []
         try:
             for row in reader:
-                if len(row) != width:
-                    raise ValueError(f"{len(row)} cells, expected {width}")
-                rows.append(parse(row))
-        except (csv.Error, ValueError, KeyError, IndexError) as exc:
+                if len(row) != len(parsers):
+                    raise ValueError(f"{len(row)} cells, expected {len(parsers)}")
+                rows.append([parse(cell) for parse, cell in zip(parsers, row)])
+        except (csv.Error, ValueError, KeyError) as exc:
             raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None
-    return rows
+    return list(zip(*rows)) if rows else [()] * len(schema)
 
 
 def write_array_atomic(path, array: np.ndarray) -> None:

@@ -21,6 +21,7 @@ from offerlab.simulate import GroundTruthConfig, MixtureComponent
 from offerlab.storage import derive_seed
 from tests.test_evaluate import brute_force_auc, capture_at, delong_by_hand
 from tests.test_hb import hand_built_draws
+from tests.test_profit import grid_oracle
 
 
 def report(criterion, passed, detail):
@@ -133,7 +134,7 @@ class TestCriterion3OptimizerOracle:
             draws = hand_built_draws(betas, customer_ids=list(range(1, n + 1)))
             t0 = time.time()
             policy = profit.optimize_policy(seg, draws, config)
-            oracle = profit.grid_oracle(seg, draws, config, r_step=0.001)
+            oracle = grid_oracle(seg, draws, config, r_step=0.001)
             elapsed = time.time() - t0
             gap = (oracle.nop_value - policy.nop_value) / max(abs(oracle.nop_value), 1e-12)
             worst_gap = max(worst_gap, gap)

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from offerlab.cli import TUNING_COLUMNS, main, run_pipeline
+from offerlab.cli import TUNING_CSV, main, run_pipeline
 from offerlab.config import PipelineConfig
 from offerlab.errors import ConfigurationError, DataIntegrityError
 from offerlab.storage import write_csv_atomic
@@ -69,18 +69,55 @@ def pipeline(tmp_path_factory):
     return out
 
 
+def load_perfbench(name):
+    """The benchmark's module ``perfbench/<name>.py``, loaded by path."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_benchmark_gate_passes_on_the_pipeline(pipeline):
     """The benchmark's correctness gate (``perfbench/gate.py``) reads the
     artifacts and calls offerlab's readers and objective by name; a change
     that breaks one of those calls fails here."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "gate.py"
-    spec = importlib.util.spec_from_file_location("perfbench_gate", path)
-    gate = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gate)
+    gate = load_perfbench("gate")
     config = PipelineConfig.from_dict({**SMALL_CONFIG, "out_dir": str(pipeline)})
     results = gate.run_gate(pipeline, config, PIPELINE_STAGES, floors=False)
     assert [name for name, passed, _ in results if not passed] == [], results
     assert len(results) == 5
+
+
+# the wraps of ``perfbench/spans.py`` that name a function its module no
+# longer has; each per-layer metric built on one reads 0
+DEAD_WRAPS = {("segments", "predict_probability"), ("evaluate", "fit_hb_panel")}
+
+
+def test_benchmark_spans_wrap_only_names_that_exist():
+    """Every (owner, name) the benchmark's tracer wraps resolves, except the
+    known dead wraps, which must still be dead: a rename in offerlab that
+    leaves a wrap pointing at nothing fails here, and so does mending them
+    in ``perfbench/`` without updating ``DEAD_WRAPS``."""
+    tracer = load_perfbench("spans").Tracer()
+    wrap, wrapped = tracer.wrap, []
+
+    def record(owner, attr, *args):
+        wrapped.append((owner, attr, vars(owner).get(attr)))
+        wrap(owner, attr, *args)
+
+    tracer.wrap = record
+    try:
+        tracer.install()
+    finally:
+        tracer.uninstall()
+    assert len(wrapped) > len(DEAD_WRAPS)
+    missing = {
+        (owner.__name__.rpartition(".")[2], attr) for owner, attr, raw in wrapped if raw is None
+    }
+    assert missing == DEAD_WRAPS
+    # uninstall put every original back
+    assert all(vars(owner).get(attr) is raw for owner, attr, raw in wrapped)
 
 
 COMPONENT = {"weight": 1.0, "mean": [1.0, 0.2, -2.0], "cov": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}
@@ -165,6 +202,28 @@ class TestConfig:
         config_path = write_config(tmp_path, overrides={"mcmc": mcmc}, out_name="copy")
         assert main(["fit", "--config", str(config_path)]) == 1
         assert f"{name} must be > 0, got 0.0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "stage, overrides, message",
+        [
+            ("tune", {"ncomp_candidates": [0, 1]},
+             "ncomp_candidates must be non-empty, each >= 1, got (0, 1)"),
+            ("optimize", {"nop": {"r_bounds": {"elastic_loyal": [-0.2, 0.3]}}},
+             "r_bounds has unknown segments ['elastic_loyal']; the segments are "
+             "['inelastic-not-loyal', 'inelastic-loyal', 'elastic-not-loyal', 'elastic-loyal']"),
+        ],
+        ids=["ncomp-candidate-0", "r-bounds-unknown-segment"],
+    )
+    def test_config_a_later_stage_cannot_use_is_refused_up_front(
+        self, pipeline, tmp_path, capsys, stage, overrides, message
+    ):
+        out, _ = copy_run(pipeline, tmp_path)
+        (out / "policy.csv").unlink()
+        config_path = write_config(tmp_path, overrides=overrides, out_name="copy")
+        before = {path: path.read_bytes() for path in out.rglob("*") if path.is_file()}
+        assert main([stage, "--config", str(config_path)]) == 1
+        assert message in capsys.readouterr().err
+        assert {path: path.read_bytes() for path in out.rglob("*") if path.is_file()} == before
 
     @pytest.mark.parametrize("overrides, message", CONFIG_FAULT_CASES)
     def test_config_fault_named_by_dotted_path(self, tmp_path, capsys, overrides, message):
@@ -336,7 +395,7 @@ class TestStageInputs:
     ):
         out, config_path = copy_run(pipeline, tmp_path)
         if name == "tuning.csv":
-            write_csv_atomic(out / name, TUNING_COLUMNS, [(1, 0.8, 0.7, 1), (2, 0.75, 0.7, 0)])
+            write_csv_atomic(out / name, TUNING_CSV, [(1, 2), (0.8, 0.75), (0.7, 0.7), (1, 0)])
 
         def edit(rows):
             if fault == "swapped-columns":

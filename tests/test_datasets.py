@@ -1,5 +1,6 @@
 import csv
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -9,8 +10,9 @@ from hypothesis import strategies as st
 from offerlab import simulate
 from offerlab.choice import UNLABELED, Customers
 from offerlab.datasets import (
-    MULTINOMIAL_COLUMNS,
-    OFFER_COLUMNS,
+    CUSTOMER_CSV,
+    MULTINOMIAL_CSV,
+    OFFER_CSV,
     ResamplingScheme,
     ingest_retail_csv,
     multinomial_to_panel,
@@ -31,6 +33,7 @@ from offerlab.errors import (
     ParseError,
 )
 from offerlab.simulate import GroundTruthConfig, generate_offers, simulate_dataset
+from offerlab.storage import write_csv_atomic
 
 
 @pytest.fixture(scope="module")
@@ -68,7 +71,7 @@ class TestOfferCsv:
 
     def test_header_only_file_is_an_empty_table(self, tmp_path):
         path = tmp_path / "empty.csv"
-        path.write_text(",".join(OFFER_COLUMNS) + "\n")
+        path.write_text(",".join(OFFER_CSV) + "\n")
         offers = read_offer_csv(path)
         assert len(offers) == 0 and offers.X.shape == (0, 3)
 
@@ -121,7 +124,7 @@ class TestOfferCsv:
 
     def test_wrong_header_is_refused(self, dataset, tmp_path):
         path = tmp_path / "scores.csv"
-        write_scores_csv(path, [(1, 1, 1, 0.5)])
+        write_scores_csv(path, [[1], [1], [1], [0.5]])
         with pytest.raises(DataIntegrityError, match="scores.csv has columns"):
             read_offer_csv(path)
 
@@ -171,7 +174,9 @@ class TestCustomerTable:
 class TestOtherCsvs:
     def test_customers_round_trip(self, dataset, tmp_path):
         path = tmp_path / "customers.csv"
-        write_customers_csv(path, dataset.customers, mrp={3: 120.5})
+        columns = [getattr(dataset.customers, f.name) for f in fields(Customers)]
+        mrp = [120.5 if cid == 3 else None for cid in dataset.customers.customer_id.tolist()]
+        write_csv_atomic(path, CUSTOMER_CSV, [*columns, mrp])
         customers, mrp = read_customers_csv(path)
         assert customers == dataset.customers
         assert mrp == {3: 120.5}
@@ -182,10 +187,10 @@ class TestOtherCsvs:
         assert read_customers_csv(path)[1] == {}
 
     def test_scores_round_trip(self, tmp_path):
-        rows = [(1, 1, 1, 0.25), (2, 1, 1, 1 / 3)]
+        columns = [(1, 2), (1, 1), (1, 1), (0.25, 1 / 3)]
         path = tmp_path / "scores.csv"
-        write_scores_csv(path, rows)
-        assert read_scores_csv(path) == rows
+        write_scores_csv(path, columns)
+        assert read_scores_csv(path) == columns
 
 
 def keys(offers):
@@ -431,7 +436,7 @@ class TestRetailIngestion:
             (1, occ, f"C{k}", int(occ <= 9 and (occ - 1) % 3 == k))
             for occ in range(1, 11) for k in range(3)
         ] + [(2, occ, f"C{k}", int(occ == 1 and k == 0)) for occ in (1, 2) for k in range(3)]
-        assert list(zip(*(getattr(data, c).tolist() for c in MULTINOMIAL_COLUMNS))) == expected
+        assert list(zip(*(getattr(data, c).tolist() for c in MULTINOMIAL_CSV))) == expected
         X, y, row_customer, customer_ids, Z = multinomial_to_panel(data)
         assert np.array_equal(X, np.eye(3)[[int(p[1]) for _, _, p, _ in expected]])
         assert y.tolist() == [float(c) for *_, c in expected]

@@ -12,10 +12,12 @@ from offerlab.errors import ConfigurationError, InvalidInputError
 from offerlab.hb import DRAW_AVERAGED, POPULATION_MEAN, POSTERIOR_MEAN
 from offerlab.profit import (
     NopConfig,
+    OfferPolicy,
     SegmentData,
+    _r_grid,
+    _SegmentObjective,
     annuity_factor,
     contract_months_to_years,
-    grid_oracle,
     optimize_policy,
     present_value,
     segment_data_from_assignments,
@@ -52,6 +54,35 @@ def random_segment(rng, n, n_draws, scale=1.0):
     """A criterion-3-style segment: n customers, n_draws coefficient draws."""
     betas = scale * rng.normal([0.5, 0.1, -3.0], [1.2, 0.4, 2.5], size=(n_draws, n, 3))
     return make_segment(betas, rng.random(n), 60 + 80 * rng.random(n))
+
+
+def grid_oracle(seg, draws, config, r_step=0.001, mode=DRAW_AVERAGED) -> OfferPolicy:
+    """Exhaustive argmax over the r grid x contract options, the oracle the
+    optimizer is verified against.  The grid steps by about ``r_step`` and
+    always holds both bounds."""
+    if not (math.isfinite(r_step) and r_step > 0):
+        raise InvalidInputError(f"r_step must be finite and > 0, got {r_step!r}")
+    if seg.n_customers == 0:
+        raise InvalidInputError(f"segment {seg.segment!r} has no customers")
+    config.validate()
+    objective = _SegmentObjective(seg, draws, config, mode)
+    lo, hi = config.bounds_for(seg.segment)
+    rs = _r_grid(lo, hi, max(int(round((hi - lo) / r_step)), 1) + 1)
+    best = None
+    for months in sorted(config.contract_options):
+        values, _ = objective.values_and_slopes(rs, months)
+        i = int(np.argmax(values))
+        if best is None or values[i] > best.nop_value:
+            r = float(rs[i])
+            best = OfferPolicy(
+                segment=seg.segment,
+                r=r,
+                months=int(months),
+                nop_value=float(values[i]),
+                n_customers=seg.n_customers,
+                at_bound=r in (lo, hi),
+            )
+    return best
 
 
 def reference_values(seg, draws, config, rs, months, mode=DRAW_AVERAGED):
@@ -530,6 +561,15 @@ class TestNopConfig:
     def test_bounds_must_stay_in_trained_band(self):
         with pytest.raises(ConfigurationError):
             NopConfig(r_bounds={s: (-0.7, 0.5) for s in SEGMENTS}).validate()
+
+    def test_bounds_for_an_unknown_segment_are_refused(self):
+        bounds = {"elastic_loyal": (-0.2, 0.3), "inelastic-loyal": (0.0, 0.1)}
+        with pytest.raises(ConfigurationError, match=r"unknown segments \['elastic_loyal'\]; "
+                           r"the segments are \['inelastic-not-loyal', 'inelastic-loyal', "):
+            NopConfig(r_bounds=bounds).validate()
+        # a segment left out is allowed: optimize skips an empty segment
+        # before it reads the bounds, and names a missing one otherwise
+        NopConfig(r_bounds={"inelastic-loyal": (0.0, 0.1)}).validate()
 
     def test_contract_options_floor(self):
         with pytest.raises(ConfigurationError):
