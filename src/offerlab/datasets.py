@@ -133,14 +133,13 @@ class ResamplingScheme:
     folds: int = 10
     repeats: int = 1
 
-    def validate(self) -> "ResamplingScheme":
+    def __post_init__(self):
         if self.kind not in (PER_CUSTOMER_HOLDOUT, KFOLD_BY_OCCASION):
             raise ConfigurationError(f"unknown resampling kind {self.kind!r}")
         if self.kind == KFOLD_BY_OCCASION and self.folds < 2:
             raise ConfigurationError("k-fold resampling needs folds >= 2")
         if self.repeats < 1:
             raise ConfigurationError("repeats must be >= 1")
-        return self
 
 
 def split_per_customer_holdout(customer_id, occasion, seed: int):

@@ -226,7 +226,6 @@ def tune_ncomp(
     candidates = sorted(set(int(c) for c in candidates))
     if not candidates:
         raise InvalidInputError("candidates must be non-empty")
-    scheme.validate()
     keys = (offers.customer_id, offers.occasion)
 
     cells = []

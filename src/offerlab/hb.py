@@ -31,7 +31,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +45,9 @@ from .errors import (
     MissingArtifactError,
     UnknownCustomerError,
 )
-from .storage import load_dataclass, seeded_rng, write_array_atomic, write_json_atomic
+from .storage import (
+    check_finite_fields, load_dataclass, seeded_rng, write_array_atomic, write_json_atomic
+)
 
 log = logging.getLogger(__name__)
 
@@ -89,11 +91,8 @@ class McmcConfig:
     dirichlet_concentration: float = 5.0
     seed: int = 0
 
-    def validate(self, n_params: int) -> "McmcConfig":
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ConfigurationError(f"{f.name} must be finite, got {value!r}")
+    def __post_init__(self):
+        check_finite_fields(self)
         if not 0 < self.burn_in < self.total_draws:
             raise ConfigurationError("need 0 < burn_in < total_draws")
         if self.keep < 1:
@@ -103,20 +102,17 @@ class McmcConfig:
                 f"keep = {self.keep} retains no draw of the "
                 f"{self.total_draws - self.burn_in} after burn-in"
             )
-        if self.mu_prior_precision <= 0:
-            raise ConfigurationError("mu_prior_precision must be > 0")
-        if self.resolved_iw_dof(n_params) <= n_params + 1:
-            raise ConfigurationError("iw_dof must exceed n_params + 1")
-        for name in ("iw_scale", "rw_scale"):
+        for name in ("mu_prior_precision", "iw_scale", "rw_scale", "dirichlet_concentration"):
             value = getattr(self, name)
             if value is not None and value <= 0:
                 raise ConfigurationError(f"{name} must be > 0, got {value!r}")
-        if self.dirichlet_concentration <= 0:
-            raise ConfigurationError("dirichlet_concentration must be > 0")
-        return self
 
     def resolved_iw_dof(self, n_params: int) -> int:
-        return self.iw_dof if self.iw_dof is not None else n_params + 3
+        """The prior's inverse-Wishart dof at K = ``n_params``; it must exceed K + 1."""
+        dof = self.iw_dof if self.iw_dof is not None else n_params + 3
+        if dof <= n_params + 1:
+            raise ConfigurationError(f"iw_dof = {dof} must exceed n_params + 1 = {n_params + 1}")
+        return dof
 
     def resolved_iw_scale(self, n_params: int) -> float:
         return (
@@ -234,6 +230,7 @@ class PosteriorDraws:
         repeat = first_repeat(np.array(ids, dtype=np.int64))
         if repeat >= 0:
             raise DataIntegrityError(f"{header_path} repeats customer id {ids[repeat]}")
+        config = load_dataclass(McmcConfig, header["config"], f"{header_path}: config")
         arrays = {}
         for name in cls._AXES:
             file = path / f"{name}.npy"
@@ -272,11 +269,12 @@ class PosteriorDraws:
                 raise DataIntegrityError(
                     f"posterior array {name} holds {array[index].item()!r} at index {index}"
                 )
-        return cls(
-            customer_ids=ids,
-            config=load_dataclass(McmcConfig, header["config"], f"{header_path}: config"),
-            **arrays,
-        )
+        if config.n_retained() != sizes["D"][1]:
+            raise DataIntegrityError(
+                f"{header_path}: config retains {config.n_retained()} draws, "
+                f"the posterior arrays hold {sizes['D'][1]}"
+            )
+        return cls(customer_ids=ids, config=config, **arrays)
 
 
 # ---------------------------------------------------------------------------
@@ -549,7 +547,7 @@ def fit_hb_panels(panels, ncomp: int, config: McmcConfig, seeds) -> list[Posteri
         raise InvalidInputError(f"{len(seeds)} seeds for {len(panels)} panels")
     n_params = np.shape(panels[0][0])[1]
     n_cov = 0 if panels[0][4] is None else np.shape(panels[0][4])[1]
-    config.validate(n_params)
+    nu = config.resolved_iw_dof(n_params)
     blocks = []  # (X, y, row_customer, Z, rows per customer) of each block
     for b, (X_b, y_b, row_b, ids, Z_b) in enumerate(panels):
         X_b = np.asarray(X_b, dtype=float)
@@ -588,7 +586,6 @@ def fit_hb_panels(panels, ncomp: int, config: McmcConfig, seeds) -> list[Posteri
     # Priors
     amu = config.mu_prior_precision
     mubar = np.full(n_params, config.mu_prior_mean)
-    nu = config.resolved_iw_dof(n_params)
     V = config.resolved_iw_scale(n_params) * np.eye(n_params)
     dir_alpha = np.full(ncomp, config.dirichlet_concentration)
     prior_cov_guess = V / (nu - n_params - 1)

@@ -27,6 +27,7 @@ from .choice import DISCOUNT_MAX, DISCOUNT_MIN, UTILITY_CLAMP, first_repeat, joi
 from .errors import ConfigurationError, InvalidInputError, UnknownCustomerError
 from .hb import DRAW_AVERAGED, POSTERIOR_MEAN, PosteriorDraws
 from .segments import SEGMENTS, assign_segment
+from .storage import check_finite_fields
 
 # the choice model was trained on discounts in this band; the objective
 # refuses to extrapolate outside it
@@ -68,7 +69,8 @@ class NopConfig:
     )
     contract_options: tuple[int, ...] = DEFAULT_CONTRACT_OPTIONS
 
-    def validate(self) -> "NopConfig":
+    def __post_init__(self):
+        check_finite_fields(self)
         if self.annual_rate < 0:
             raise ConfigurationError("annual_rate must be >= 0")
         if not self.default_mrp > 0:
@@ -88,7 +90,6 @@ class NopConfig:
                 raise ConfigurationError(
                     f"bounds for {segment} leave the trained discount band {TRAINED_DISCOUNT_BAND}"
                 )
-        return self
 
     def bounds_for(self, segment: str):
         try:
@@ -202,7 +203,6 @@ class _SegmentObjective:
             raise InvalidInputError(f"objective modes are {OBJECTIVE_MODES}, got {mode!r}")
         if draws.n_params != 3:
             raise InvalidInputError("the objective requires the 3-attribute offer model")
-        config.validate()
         idx = join(draws.customer_ids, seg.customer_ids, UnknownCustomerError)
         betas = draws.scored_coefficients(mode)
         self.b0 = np.ascontiguousarray(betas[:, idx, 0].T)
@@ -337,7 +337,6 @@ def optimize_policy(
     the bound.  Ties across contract options go to the shorter contract."""
     if seg.n_customers == 0:
         raise InvalidInputError(f"segment {seg.segment!r} has no customers")
-    config.validate()
     objective = _SegmentObjective(seg, draws, config, mode)
     lo, hi = config.bounds_for(seg.segment)
     rs = _r_grid(lo, hi, COARSE_POINTS)

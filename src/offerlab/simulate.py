@@ -26,7 +26,7 @@ from .choice import (
     logistic,
 )
 from .errors import ConfigurationError, DataIntegrityError
-from .storage import seeded_rng
+from .storage import check_finite_fields, seeded_rng
 
 # Independent sub-stream per purpose: relabeling responses, for example,
 # never disturbs the offers already drawn, and because every customer is
@@ -43,17 +43,32 @@ def purpose_rng(seed: int, purpose: str) -> np.random.Generator:
 Vector3 = tuple[float, float, float]
 
 
+def _psd_factor(cov: np.ndarray) -> np.ndarray:
+    """Cholesky-like factor; accepts positive semidefinite matrices so a
+    degenerate (zero-variance) component is a legal configuration."""
+    try:
+        return np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        eigvals, eigvecs = np.linalg.eigh(cov)
+        if np.min(eigvals) < -1e-10:
+            raise ConfigurationError("cov is not positive semidefinite")
+        return eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
+
+
 @dataclass(frozen=True)
 class MixtureComponent:
     weight: float
     mean: Vector3  # (k, beta_contract, beta_discount)
     cov: tuple[Vector3, Vector3, Vector3]  # symmetric positive semidefinite
 
-    def mean_array(self) -> np.ndarray:
-        return np.asarray(self.mean, dtype=float)
-
-    def cov_array(self) -> np.ndarray:
-        return np.asarray(self.cov, dtype=float)
+    def __post_init__(self):
+        check_finite_fields(self)
+        cov = np.asarray(self.cov, dtype=float)
+        if np.shape(self.mean) != (3,) or cov.shape != (3, 3):
+            raise ConfigurationError("mean and cov must be 3-dimensional")
+        if not np.allclose(cov, cov.T, atol=1e-12):
+            raise ConfigurationError("cov must be symmetric")
+        _psd_factor(cov)
 
 
 # Default ground truth, shaped like a real B2B offer book: roughly 61%
@@ -113,31 +128,21 @@ class GroundTruthConfig:
     contract_values: tuple[int, ...] = CONTRACT_YEAR_VALUES
     seed: int = 20210521
 
-    def validate(self) -> "GroundTruthConfig":
+    def __post_init__(self):
+        check_finite_fields(self)
         if self.n_customers < 1:
             raise ConfigurationError("n_customers must be >= 1")
-        if not self.mixture:
-            raise ConfigurationError("mixture must have at least one component")
+        # an empty mixture or offer count distribution fails its sum check
         weights = np.array([c.weight for c in self.mixture], dtype=float)
         if np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-9:
             raise ConfigurationError("mixture weights must lie on the simplex")
-        for i, comp in enumerate(self.mixture):
-            cov = comp.cov_array()
-            if cov.shape != (3, 3) or comp.mean_array().shape != (3,):
-                raise ConfigurationError(f"component {i} must be 3-dimensional")
-            if not np.allclose(cov, cov.T, atol=1e-12):
-                raise ConfigurationError(f"component {i} covariance must be symmetric")
-            _psd_factor(cov, context=f"component {i} covariance")
         if len(self.loyalty_loadings) != 3:
             raise ConfigurationError("loyalty_loadings must have 3 entries")
-        if not self.offer_count_distribution:
-            raise ConfigurationError("offer_count_distribution must be non-empty")
-        counts = [c for c, _ in self.offer_count_distribution]
         probs = np.array([p for _, p in self.offer_count_distribution], dtype=float)
-        if min(counts) < 1:
-            raise ConfigurationError("offer counts must be >= 1")
         if np.any(probs < 0) or abs(probs.sum() - 1.0) > 1e-9:
             raise ConfigurationError("offer count probabilities must sum to 1")
+        if min(c for c, _ in self.offer_count_distribution) < 1:
+            raise ConfigurationError("offer counts must be >= 1")
         lo, hi = self.discount_bounds
         if not (DISCOUNT_MIN <= lo <= hi <= DISCOUNT_MAX):
             raise ConfigurationError(
@@ -148,7 +153,6 @@ class GroundTruthConfig:
                 f"contract_values must be a non-empty list of whole years in 0..5, "
                 f"got {list(self.contract_values)}"
             )
-        return self
 
 
 @dataclass(frozen=True)
@@ -171,18 +175,6 @@ class SimulatedDataset:
         return len(self.customers)
 
 
-def _psd_factor(cov: np.ndarray, context: str = "covariance") -> np.ndarray:
-    """Cholesky-like factor; accepts positive semidefinite matrices so a
-    degenerate (zero-variance) component is a legal configuration."""
-    try:
-        return np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        eigvals, eigvecs = np.linalg.eigh(cov)
-        if np.min(eigvals) < -1e-10:
-            raise ConfigurationError(f"{context} is not positive semidefinite")
-        return eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
-
-
 def _draw_population(config: GroundTruthConfig):
     """Single pass over customers drawing the customer table and the true
     coefficients.
@@ -191,12 +183,11 @@ def _draw_population(config: GroundTruthConfig):
     normal is drawn through the component's covariance factor, and the
     loyalty loadings times the centered loyalty are added to the mean.
     """
-    config.validate()
     rng = purpose_rng(config.seed, "coefficients")
     n = config.n_customers
     weights = np.cumsum([c.weight for c in config.mixture])
-    means = [c.mean_array() for c in config.mixture]
-    factors = [_psd_factor(c.cov_array()) for c in config.mixture]
+    means = [np.asarray(c.mean, dtype=float) for c in config.mixture]
+    factors = [_psd_factor(np.asarray(c.cov, dtype=float)) for c in config.mixture]
     loadings = np.asarray(config.loyalty_loadings, dtype=float)
 
     loyalty = np.empty(n)
@@ -259,20 +250,16 @@ def _unlabeled_offers(rows, where: str) -> Offers:
     return Offers(customer_id, occasion, X, np.full(len(rows), UNLABELED)).validate(where)
 
 
-def simulate_responses(
-    truth: np.ndarray, dataset: SimulatedDataset, rng: np.random.Generator | None = None
-) -> SimulatedDataset:
+def simulate_responses(truth: np.ndarray, dataset: SimulatedDataset) -> SimulatedDataset:
     """Label every offer with an independent Bernoulli draw at its logit
     acceptance probability under the true coefficients ``truth`` (row ``i``
     for customer ``i + 1``).
 
     The offers of ``train + test`` are scored as one design matrix and
-    labelled with one uniform draw each, in that order.  Probabilities are
-    clamped into the open unit interval, so finite utility never makes an
-    outcome certain.
+    labelled with one uniform draw each, in that order, from the dataset
+    seed's responses stream.  Probabilities are clamped into the open unit
+    interval, so finite utility never makes an outcome certain.
     """
-    if rng is None:
-        rng = purpose_rng(dataset.seed, "responses")
     truth = np.asarray(truth, dtype=float)
     expected = (dataset.n_customers, 3)
     if truth.shape != expected:
@@ -285,7 +272,8 @@ def simulate_responses(
     rows = np.concatenate([o.customer_id for o in offers]) - 1
     p = logistic(np.einsum("ij,ij->i", X, truth[rows]))
     p = np.clip(p, math.nextafter(0.0, 1.0), math.nextafter(1.0, 0.0))
-    label = rng.random(len(X)) < p  # accepted is 1, rejected 0
+    # accepted is 1, rejected 0
+    label = purpose_rng(dataset.seed, "responses").random(len(X)) < p
     n_train = len(dataset.train)
     return replace(
         dataset,

@@ -16,7 +16,7 @@ module leaves unquoted and its reader would take for a line end.
 
 Config JSON has one reader too: ``load_dataclass`` builds a dataclass from
 a parsed JSON object by the dataclass's own annotations and refuses an
-unknown key or a mistyped value by its dotted path.
+unknown key, a mistyped value or a value out of range by its dotted path.
 
 Every random stream starts at ``seeded_rng``, and every derived seed at
 ``derive_seed``, so reruns with identical seeds draw identical variates.
@@ -168,18 +168,33 @@ def derive_seed(*parts: int) -> int:
     return int(seeded_rng(*parts).bit_generator.seed_seq.generate_state(1)[0])
 
 
+def check_finite_fields(config) -> None:
+    """Refuse by name a NaN or infinite float in a dataclass field, tuple and dict items too."""
+    pending = [(f.name, getattr(config, f.name)) for f in dataclasses.fields(config)]
+    for where, value in pending:  # which grows by the items of each tuple and dict
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigurationError(f"{where} must be finite, got {value!r}")
+        if isinstance(value, (tuple, list, dict)):
+            items = value.items() if isinstance(value, dict) else enumerate(value)
+            pending += [(f"{where}[{key!r}]", item) for key, item in items]
+
+
 def load_dataclass(cls, obj, where: str):
     """Dataclass ``cls`` built from the parsed JSON object ``obj``; keys left
     out keep their defaults.  An unknown key or a value that does not match
     its field's annotation is a ``ConfigurationError`` naming its dotted path
-    below ``where``."""
+    below ``where``, as is a value the class's own check refuses."""
     if not isinstance(obj, dict):
         raise ConfigurationError(f"{where} must be an object, got {obj!r}")
     unknown = sorted(set(obj) - {f.name for f in dataclasses.fields(cls) if f.init})
     if unknown:
         raise ConfigurationError(f"{where} has unknown keys {unknown}")
     hints = typing.get_type_hints(cls)
-    return cls(**{key: _load_value(hints[key], v, f"{where}.{key}") for key, v in obj.items()})
+    values = {key: _load_value(hints[key], v, f"{where}.{key}") for key, v in obj.items()}
+    try:
+        return cls(**values)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{where}: {exc}") from None
 
 
 def _load_value(tp, value, where: str):

@@ -2,6 +2,7 @@ import csv
 import importlib.util
 import json
 import shutil
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from offerlab.cli import TUNING_CSV, main, run_pipeline
 from offerlab.config import PipelineConfig
 from offerlab.errors import ConfigurationError, DataIntegrityError
+from offerlab.hb import McmcConfig
 from offerlab.storage import write_csv_atomic
 
 SMALL_CONFIG = {
@@ -122,54 +124,87 @@ def test_benchmark_spans_wrap_only_names_that_exist():
 
 COMPONENT = {"weight": 1.0, "mean": [1.0, 0.2, -2.0], "cov": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}
 
-# per config section: a misspelt key and a mistyped value (and for nop, an
-# integer beyond the float range), each with the message that names it
+# per config section: a misspelt key, a mistyped value and a value out of
+# range (and for nop, an integer beyond the float range), each with the
+# message that names it
 CONFIG_FAULTS = {
-    "top": [
-        ({"sede": 1}, "config has unknown keys ['sede']"),
-        ({"ncomp": "2"}, "config.ncomp must be int, got '2'"),
-    ],
-    "ground_truth": [
-        (
+    "top": {
+        "unknown-key": ({"sede": 1}, "config has unknown keys ['sede']"),
+        "wrong-type": ({"ncomp": "2"}, "config.ncomp must be int, got '2'"),
+        "out-of-range": ({"ncomp": 0}, "config: ncomp must be >= 1"),
+    },
+    "ground_truth": {
+        "unknown-key": (
             {"ground_truth": {"n_customer": 50}},
             "config.ground_truth has unknown keys ['n_customer']",
         ),
-        (
+        "wrong-type": (
             {"ground_truth": {"n_customers": 50.7}},
             "config.ground_truth.n_customers must be int, got 50.7",
         ),
-    ],
-    "mixture": [
-        (
+        "out-of-range": (
+            {"ground_truth": {"n_customers": 0}},
+            "config.ground_truth: n_customers must be >= 1",
+        ),
+    },
+    "mixture": {
+        "unknown-key": (
             {"ground_truth": {"mixture": [{**COMPONENT, "wieght": 1.0}]}},
             "config.ground_truth.mixture[0] has unknown keys ['wieght']",
         ),
-        (
+        "wrong-type": (
             {"ground_truth": {"mixture": [{**COMPONENT, "mean": [1.0, 0.2]}]}},
             "config.ground_truth.mixture[0].mean must be a list of 3, got [1.0, 0.2]",
         ),
-    ],
-    "mcmc": [
-        ({"mcmc": {"total_draw": 700}}, "config.mcmc has unknown keys ['total_draw']"),
-        ({"mcmc": {"total_draws": "700"}}, "config.mcmc.total_draws must be int, got '700'"),
-    ],
-    "nop": [
-        ({"nop": {"anual_rate": 0.5}}, "config.nop has unknown keys ['anual_rate']"),
-        ({"nop": {"annual_rate": True}}, "config.nop.annual_rate must be float, got True"),
-        (
+        "out-of-range": (
+            {"ground_truth": {"mixture": [
+                {**COMPONENT, "weight": 0.5},
+                {**COMPONENT, "weight": 0.5, "cov": [[1, 0.5, 0], [0, 1, 0], [0, 0, 1]]},
+            ]}},
+            "config.ground_truth.mixture[1]: cov must be symmetric",
+        ),
+    },
+    "mcmc": {
+        "unknown-key": (
+            {"mcmc": {"total_draw": 700}}, "config.mcmc has unknown keys ['total_draw']"
+        ),
+        "wrong-type": (
+            {"mcmc": {"total_draws": "700"}}, "config.mcmc.total_draws must be int, got '700'"
+        ),
+        "out-of-range": (
+            {"mcmc": {"total_draws": 100, "burn_in": 200}},
+            "config.mcmc: need 0 < burn_in < total_draws",
+        ),
+        # the floor on iw_dof depends on K, which the offer model fixes at 3
+        "iw-dof": (
+            {"mcmc": {"iw_dof": 4}}, "config: mcmc.iw_dof = 4 must exceed n_params + 1 = 4"
+        ),
+    },
+    "nop": {
+        "unknown-key": (
+            {"nop": {"anual_rate": 0.5}}, "config.nop has unknown keys ['anual_rate']"
+        ),
+        "wrong-type": (
+            {"nop": {"annual_rate": True}}, "config.nop.annual_rate must be float, got True"
+        ),
+        "overflow": (
             {"nop": {"annual_rate": 10**400}},
             "config.nop.annual_rate must be a finite float, got an integer beyond the float range",
         ),
-    ],
-    "resampling": [
-        ({"resampling": {"fold": 3}}, "config.resampling has unknown keys ['fold']"),
-        ({"resampling": {"folds": [3]}}, "config.resampling.folds must be int, got [3]"),
-    ],
+        "out-of-range": ({"nop": {"annual_rate": -0.1}}, "config.nop: annual_rate must be >= 0"),
+    },
+    "resampling": {
+        "unknown-key": ({"resampling": {"fold": 3}}, "config.resampling has unknown keys ['fold']"),
+        "wrong-type": (
+            {"resampling": {"folds": [3]}}, "config.resampling.folds must be int, got [3]"
+        ),
+        "out-of-range": ({"resampling": {"repeats": 0}}, "config.resampling: repeats must be >= 1"),
+    },
 }
 CONFIG_FAULT_CASES = [
     pytest.param(overrides, message, id=f"{section}-{kind}")
     for section, faults in CONFIG_FAULTS.items()
-    for kind, (overrides, message) in zip(("unknown-key", "wrong-type", "overflow"), faults)
+    for kind, (overrides, message) in faults.items()
 ]
 
 class TestConfig:
@@ -180,7 +215,14 @@ class TestConfig:
             PipelineConfig.from_json(path)
 
     def test_defaults_validate(self):
-        PipelineConfig().validate()
+        # a config is checked when it is built, and it cannot change after
+        config = PipelineConfig()
+        with pytest.raises(FrozenInstanceError):
+            config.ncomp = 0
+        with pytest.raises(ConfigurationError, match="^ncomp must be >= 1$"):
+            replace(config, ncomp=0)
+        with pytest.raises(ConfigurationError, match=r"^mcmc\.iw_dof = 4 must exceed"):
+            replace(config, mcmc=McmcConfig(iw_dof=4))
 
     def test_seed_override_rederives_subseeds(self, tmp_path):
         path = write_config(tmp_path)

@@ -26,6 +26,7 @@ from offerlab.datasets import (
     write_scores_csv,
 )
 from offerlab.errors import (
+    ConfigurationError,
     DataIntegrityError,
     EmptySelectionError,
     InvalidInputError,
@@ -320,8 +321,8 @@ class TestSplitting:
                 assert len(held[c]) == 1 and min(occs) not in held[c]
 
     def test_scheme_validation(self):
-        with pytest.raises(Exception):
-            ResamplingScheme(kind="bootstrap").validate()
+        with pytest.raises(ConfigurationError, match="unknown resampling kind 'bootstrap'"):
+            ResamplingScheme(kind="bootstrap")
 
 
 def write_retail_csv(path, rows):

@@ -65,45 +65,51 @@ def hand_built_draws(betas, weights=None, means=None, customer_ids=None):
         delta=np.zeros((n_draws, k, 0)),
         log_likelihood=np.zeros(n_draws),
         acceptance_rates=np.full(n_cust, 0.3),
-        config=McmcConfig(seed=0),
+        config=McmcConfig(total_draws=n_draws + 1, burn_in=1, seed=0),
     )
 
 
 class TestConfig:
     def test_burn_in_bounds(self):
         with pytest.raises(ConfigurationError):
-            McmcConfig(total_draws=100, burn_in=100).validate(3)
+            McmcConfig(total_draws=100, burn_in=100)
         with pytest.raises(ConfigurationError):
-            McmcConfig(total_draws=100, burn_in=0).validate(3)
+            McmcConfig(total_draws=100, burn_in=0)
 
     def test_keep_and_dirichlet(self):
         with pytest.raises(ConfigurationError):
-            McmcConfig(keep=0).validate(3)
+            McmcConfig(keep=0)
         with pytest.raises(ConfigurationError):
-            McmcConfig(dirichlet_concentration=0.0).validate(3)
+            McmcConfig(dirichlet_concentration=0.0)
 
     def test_iw_dof_floor(self):
-        with pytest.raises(ConfigurationError):
-            McmcConfig(iw_dof=4).validate(3)
+        # the floor depends on K, so it is checked where K is known
+        config = McmcConfig(iw_dof=4)
+        assert config.resolved_iw_dof(2) == 4
+        with pytest.raises(ConfigurationError, match=r"^iw_dof = 4 must exceed n_params \+ 1 = 4$"):
+            config.resolved_iw_dof(3)
+        X, y, row_customer, customer_ids, _ = random_panel(3, 4, 0)
+        config = replace(config, total_draws=60, burn_in=10)
+        with pytest.raises(ConfigurationError, match="iw_dof = 4 must exceed"):
+            fit_hb_panel(X, y, row_customer, customer_ids, config=config)
 
     @pytest.mark.parametrize(
         "name, value", [("iw_scale", 0.0), ("iw_scale", -1.0), ("rw_scale", 0.0)]
     )
     def test_nonpositive_scales_named(self, name, value):
         with pytest.raises(ConfigurationError, match=f"{name} must be > 0"):
-            McmcConfig(**{name: value}).validate(3)
+            McmcConfig(**{name: value})
 
     def test_retained_count(self):
         assert McmcConfig(total_draws=5000, burn_in=500, keep=1).n_retained() == 4500
         assert McmcConfig(total_draws=1000, burn_in=100, keep=7).n_retained() == 128
 
     def test_empty_posterior_refused_by_keep(self):
-        config = McmcConfig(total_draws=60, burn_in=10, keep=100)
         with pytest.raises(ConfigurationError, match="keep = 100 retains no draw of the 50"):
-            config.validate(3)
-        X, y, row_customer, customer_ids, _ = random_panel(3, 4, 0)
+            McmcConfig(total_draws=60, burn_in=10, keep=100)
+        # replace checks again, so no chain can start from such a config
         with pytest.raises(ConfigurationError, match="keep = 100"):
-            fit_hb_panel(X, y, row_customer, customer_ids, config=config)
+            replace(McmcConfig(total_draws=60, burn_in=10), keep=100)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize(
@@ -111,12 +117,10 @@ class TestConfig:
         ["rw_scale", "mu_prior_mean", "mu_prior_precision", "iw_scale", "dirichlet_concentration"],
     )
     def test_non_finite_float_refused_by_name(self, name, value):
-        config = McmcConfig(total_draws=60, burn_in=10, **{name: value})
         with pytest.raises(ConfigurationError, match=f"^{name} must be finite, got {value!r}$"):
-            config.validate(3)
-        X, y, row_customer, customer_ids, _ = random_panel(3, 4, 0)
+            McmcConfig(total_draws=60, burn_in=10, **{name: value})
         with pytest.raises(ConfigurationError, match=f"^{name} must be finite"):
-            fit_hb_panel(X, y, row_customer, customer_ids, config=config)
+            replace(McmcConfig(total_draws=60, burn_in=10), **{name: value})
 
 
 class TestPanel:
@@ -809,6 +813,36 @@ class TestPersistence:
         expected = r"header\.json: config has unknown keys \['total_draw'\]"
         with pytest.raises(ConfigurationError, match=expected):
             PosteriorDraws.load(tmp_path / "posterior")
+
+    def test_header_config_out_of_range_rejected_by_name(self, tmp_path):
+        hand_built_draws(np.zeros((2, 3, 3))).save(tmp_path / "posterior")
+        header_path = tmp_path / "posterior" / "header.json"
+        header = json.loads(header_path.read_text())
+        header["config"].update(total_draws=5000, burn_in=9000)
+        header_path.write_text(json.dumps(header))
+        with pytest.raises(ConfigurationError) as info:
+            PosteriorDraws.load(tmp_path / "posterior")
+        assert str(info.value) == f"{header_path}: config: need 0 < burn_in < total_draws"
+
+    @pytest.mark.parametrize(
+        "settings, retained",
+        [(dict(total_draws=5000, burn_in=500), 4500), (dict(keep=2), 1), (dict(burn_in=2), 2)],
+        ids=["total-draws", "keep", "burn-in"],
+    )
+    def test_header_config_disagreeing_with_the_draw_count_rejected(
+        self, tmp_path, settings, retained
+    ):
+        # three draws kept of total_draws 4, burn_in 1, keep 1
+        hand_built_draws(np.zeros((3, 2, 3))).save(tmp_path / "posterior")
+        header_path = tmp_path / "posterior" / "header.json"
+        header = json.loads(header_path.read_text())
+        header["config"].update(settings)
+        header_path.write_text(json.dumps(header))
+        with pytest.raises(DataIntegrityError) as info:
+            PosteriorDraws.load(tmp_path / "posterior")
+        assert str(info.value) == (
+            f"{header_path}: config retains {retained} draws, the posterior arrays hold 3"
+        )
 
     def test_missing_array_is_a_missing_artifact(self, tmp_path):
         from offerlab.errors import MissingArtifactError

@@ -64,7 +64,6 @@ def grid_oracle(seg, draws, config, r_step=0.001, mode=DRAW_AVERAGED) -> OfferPo
         raise InvalidInputError(f"r_step must be finite and > 0, got {r_step!r}")
     if seg.n_customers == 0:
         raise InvalidInputError(f"segment {seg.segment!r} has no customers")
-    config.validate()
     objective = _SegmentObjective(seg, draws, config, mode)
     lo, hi = config.bounds_for(seg.segment)
     rs = _r_grid(lo, hi, max(int(round((hi - lo) / r_step)), 1) + 1)
@@ -560,20 +559,20 @@ class TestGridOracle:
 class TestNopConfig:
     def test_bounds_must_stay_in_trained_band(self):
         with pytest.raises(ConfigurationError):
-            NopConfig(r_bounds={s: (-0.7, 0.5) for s in SEGMENTS}).validate()
+            NopConfig(r_bounds={s: (-0.7, 0.5) for s in SEGMENTS})
 
     def test_bounds_for_an_unknown_segment_are_refused(self):
         bounds = {"elastic_loyal": (-0.2, 0.3), "inelastic-loyal": (0.0, 0.1)}
         with pytest.raises(ConfigurationError, match=r"unknown segments \['elastic_loyal'\]; "
                            r"the segments are \['inelastic-not-loyal', 'inelastic-loyal', "):
-            NopConfig(r_bounds=bounds).validate()
+            NopConfig(r_bounds=bounds)
         # a segment left out is allowed: optimize skips an empty segment
         # before it reads the bounds, and names a missing one otherwise
-        NopConfig(r_bounds={"inelastic-loyal": (0.0, 0.1)}).validate()
+        NopConfig(r_bounds={"inelastic-loyal": (0.0, 0.1)})
 
     def test_contract_options_floor(self):
         with pytest.raises(ConfigurationError):
-            NopConfig(contract_options=(0, 12)).validate()
+            NopConfig(contract_options=(0, 12))
 
     def test_segment_data_grouping(self):
         assignments = [
@@ -590,8 +589,27 @@ class TestNopConfig:
 
     @pytest.mark.parametrize("value", [0.0, -5.0, math.nan])
     def test_default_mrp_must_be_positive(self, value):
-        with pytest.raises(ConfigurationError, match=f"^default_mrp must be > 0, got {value!r}$"):
-            NopConfig(default_mrp=value).validate()
+        # NaN meets the finiteness rule every config field shares first
+        rule = "must be finite" if math.isnan(value) else "must be > 0"
+        with pytest.raises(ConfigurationError, match=f"^default_mrp {rule}, got {value!r}$"):
+            NopConfig(default_mrp=value)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "fields, name",
+        [
+            (lambda v: dict(annual_rate=v), "annual_rate"),
+            (lambda v: dict(monthly_cost=v), "monthly_cost"),
+            (lambda v: dict(initial_cost=v), "initial_cost"),
+            (lambda v: dict(default_mrp=v), "default_mrp"),
+            (lambda v: dict(r_bounds={"elastic-loyal": (-0.2, v)}), "r_bounds['elastic-loyal'][1]"),
+        ],
+        ids=["annual_rate", "monthly_cost", "initial_cost", "default_mrp", "r_bounds"],
+    )
+    def test_non_finite_float_refused_by_name(self, fields, name, value):
+        with pytest.raises(ConfigurationError) as info:
+            NopConfig(**fields(value))
+        assert str(info.value) == f"{name} must be finite, got {value!r}"
 
     @pytest.mark.parametrize(
         "elasticity, loyalty, segment, message",

@@ -1,5 +1,8 @@
+import json
 import re
 from pathlib import Path
+
+from offerlab.config import PipelineConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -10,3 +13,11 @@ def test_library_block_runs():
     assert blocks
     for block in blocks:
         exec(compile(block, str(README), "exec"), {})
+
+
+def test_json_config_blocks_load():
+    # a documented config must pass the loader's type and range checks
+    blocks = re.findall(r"```json\n(.*?)```", README.read_text(), flags=re.S)
+    assert blocks
+    for block in blocks:
+        PipelineConfig.from_dict(json.loads(block))

@@ -32,25 +32,57 @@ def point_mass_config(mean=(1.0, 0.2, -2.0), n=50, seed=1):
 
 class TestConfigValidation:
     def test_default_config_valid(self):
-        GroundTruthConfig().validate()
+        GroundTruthConfig()
 
     def test_weights_must_be_simplex(self):
         mixture = (MixtureComponent(0.7, (0, 0, 0), diag3(1, 1, 1)),)
         with pytest.raises(ConfigurationError):
-            GroundTruthConfig(mixture=mixture).validate()
+            GroundTruthConfig(mixture=mixture)
 
     def test_covariance_must_be_psd(self):
-        mixture = (MixtureComponent(1.0, (0, 0, 0), diag3(1, 1, -1)),)
-        with pytest.raises(ConfigurationError):
-            GroundTruthConfig(mixture=mixture).validate()
+        with pytest.raises(ConfigurationError, match="^cov is not positive semidefinite$"):
+            MixtureComponent(1.0, (0, 0, 0), diag3(1, 1, -1))
+
+    @pytest.mark.parametrize(
+        "mean, cov, message",
+        [
+            ((0, 0), diag3(1, 1, 1), "mean and cov must be 3-dimensional"),
+            ((0, 0, 0), ((1, 0), (0, 1)), "mean and cov must be 3-dimensional"),
+            ((0, 0, 0), ((1, 0.5, 0), (0, 1, 0), (0, 0, 1)), "cov must be symmetric"),
+        ],
+        ids=["mean-2d", "cov-2x2", "asymmetric"],
+    )
+    def test_component_checks_itself(self, mean, cov, message):
+        with pytest.raises(ConfigurationError, match=f"^{message}$"):
+            MixtureComponent(1.0, mean, cov)
 
     def test_offer_counts_must_sum_to_one(self):
         with pytest.raises(ConfigurationError):
-            GroundTruthConfig(offer_count_distribution=((1, 0.5), (2, 0.4))).validate()
+            GroundTruthConfig(offer_count_distribution=((1, 0.5), (2, 0.4)))
 
     def test_empty_distribution_rejected(self):
         with pytest.raises(ConfigurationError):
-            GroundTruthConfig(offer_count_distribution=()).validate()
+            GroundTruthConfig(offer_count_distribution=())
+
+    @pytest.mark.parametrize(
+        "build, name",
+        [
+            (lambda v: MixtureComponent(v, (0, 0, 0), diag3(1, 1, 1)), "weight"),
+            (lambda v: MixtureComponent(1.0, (0, v, 0), diag3(1, 1, 1)), "mean[1]"),
+            (lambda v: MixtureComponent(1.0, (0, 0, 0), diag3(1, 1, v)), "cov[2][2]"),
+            (lambda v: GroundTruthConfig(loyalty_loadings=(v, 0.0, 0.0)), "loyalty_loadings[0]"),
+            (
+                lambda v: GroundTruthConfig(offer_count_distribution=((1, 1.0), (2, v))),
+                "offer_count_distribution[1][1]",
+            ),
+            (lambda v: GroundTruthConfig(discount_bounds=(v, 0.5)), "discount_bounds[0]"),
+        ],
+        ids=["weight", "mean", "cov", "loadings", "offer-count-probability", "discount-bounds"],
+    )
+    def test_nan_refused_by_field(self, build, name):
+        with pytest.raises(ConfigurationError) as info:
+            build(math.nan)
+        assert str(info.value) == f"{name} must be finite, got nan"
 
     def test_overflowing_coefficients_rejected(self):
         # a loyalty loading on a mean near the float maximum overflows to inf
@@ -67,7 +99,7 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError, match=rf"contract_values .* got {re.escape(str(values))}"):
             PipelineConfig.from_dict({"ground_truth": {"contract_values": values}})
         with pytest.raises(ConfigurationError, match="contract_values"):
-            GroundTruthConfig(contract_values=tuple(values)).validate()
+            GroundTruthConfig(contract_values=tuple(values))
 
     def test_default_offer_counts_sum_to_one(self):
         assert abs(sum(p for _, p in DEFAULT_OFFER_COUNTS) - 1.0) < 1e-12

@@ -213,6 +213,10 @@ class TestSchemas:
 class Inner:
     weight: float = 1.0
 
+    def __post_init__(self):
+        if self.weight < 0:
+            raise ConfigurationError(f"weight must be >= 0, got {self.weight!r}")
+
 
 @dataclass(frozen=True)
 class Sample:
@@ -300,6 +304,9 @@ class TestLoadDataclass:
                 {"rate": 10**400},
                 "sample.rate must be a finite float, got an integer beyond the float range",
             ),
+            # a class's own check is named by its dotted path, once
+            ({"inner": {"weight": -1}}, "sample.inner: weight must be >= 0, got -1.0"),
+            ({"parts": [{}, {"weight": -2.5}]}, "sample.parts[1]: weight must be >= 0, got -2.5"),
         ],
     )
     def test_refusals_name_the_dotted_path(self, raw, message):
