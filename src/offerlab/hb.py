@@ -269,6 +269,10 @@ class PosteriorDraws:
                 raise DataIntegrityError(
                     f"posterior array {name} holds {array[index].item()!r} at index {index}"
                 )
+        try:
+            config.resolved_iw_dof(sizes["K"][1])
+        except ConfigurationError as exc:
+            raise DataIntegrityError(f"{header_path}: config: {exc}") from None
         if config.n_retained() != sizes["D"][1]:
             raise DataIntegrityError(
                 f"{header_path}: config retains {config.n_retained()} draws, "

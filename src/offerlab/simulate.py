@@ -9,6 +9,7 @@ independent Bernoulli draws at each offer's logit acceptance probability.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field, replace
 
@@ -184,21 +185,24 @@ def _draw_population(config: GroundTruthConfig):
     loyalty loadings times the centered loyalty are added to the mean.
     """
     rng = purpose_rng(config.seed, "coefficients")
+    random, normal = rng.random, rng.standard_normal
     n = config.n_customers
-    weights = np.cumsum([c.weight for c in config.mixture])
-    means = [np.asarray(c.mean, dtype=float) for c in config.mixture]
-    factors = [_psd_factor(np.asarray(c.cov, dtype=float)) for c in config.mixture]
+    weights = np.cumsum([c.weight for c in config.mixture]).tolist()
+    means = np.array([c.mean for c in config.mixture], dtype=float)
+    factors = np.array([_psd_factor(np.asarray(c.cov, dtype=float)) for c in config.mixture])
     loadings = np.asarray(config.loyalty_loadings, dtype=float)
 
-    loyalty = np.empty(n)
-    demographic = np.empty(n)
-    raw_beta = np.empty((n, 3))
+    # the scalar draws in stream order, then one stacked matmul, which
+    # gives bitwise the per-customer ``factors[comp] @ z`` (test_simulate)
+    loyalty, demographic, comps, z = [], [], [], np.empty((n, 3))
+    last = len(means) - 1
     for i in range(n):
-        loyalty[i] = rng.random()
-        demographic[i] = rng.random()
-        comp = int(np.searchsorted(weights, rng.random(), side="right"))
-        comp = min(comp, len(means) - 1)
-        raw_beta[i] = means[comp] + factors[comp] @ rng.standard_normal(3)
+        loyalty.append(random())
+        demographic.append(random())
+        comps.append(min(bisect.bisect_right(weights, random()), last))
+        z[i] = normal(3)
+    loyalty, demographic = np.array(loyalty), np.array(demographic)
+    raw_beta = means[comps] + (factors[comps] @ z[:, :, None])[:, :, 0]
 
     loyalty_c = loyalty - loyalty.mean()
     demographic_c = demographic - demographic.mean()
@@ -219,19 +223,20 @@ def generate_offers(config: GroundTruthConfig) -> SimulatedDataset:
     """
     customers, coefficients = _draw_population(config)
     rng = purpose_rng(config.seed, "offers")
+    random, integers = rng.random, rng.integers
     count_values = [c for c, _ in config.offer_count_distribution]
-    count_cum = np.cumsum([p for _, p in config.offer_count_distribution])
+    count_cum = np.cumsum([p for _, p in config.offer_count_distribution]).tolist()
+    last = len(count_values) - 1
     lo, hi = config.discount_bounds
-    contracts = config.contract_values
+    span = hi - lo  # lo + span * random() is bitwise rng.uniform(lo, hi)
+    contracts = [float(c) for c in config.contract_values]
 
     def attributes():
-        return float(contracts[int(rng.integers(len(contracts)))]), float(rng.uniform(lo, hi))
+        return contracts[int(integers(len(contracts)))], lo + span * random()
 
     train, test = [], []  # (customer_id, occasion, contract years, discount)
     for cid in range(1, config.n_customers + 1):
-        n_offers = count_values[
-            min(int(np.searchsorted(count_cum, rng.random(), side="right")), len(count_values) - 1)
-        ]
+        n_offers = count_values[min(bisect.bisect_right(count_cum, random()), last)]
         for occ in range(1, n_offers + 1):
             train.append((cid, occ, *attributes()))
         test.append((cid, 1, *attributes()))

@@ -29,6 +29,7 @@ import csv
 import dataclasses
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -86,7 +87,7 @@ INT = Cell(int, str)
 FLOAT = Cell(float, lambda value: repr(float(value)))
 TEXT = Cell(str, _text)
 FLAG = enum_cell("flag", {False: "0", True: "1"})
-CSV_BLOCK_ROWS = 1024  # rows write_csv_atomic turns into cell texts at a time
+CSV_BLOCK_ROWS = 1024  # rows write_csv_atomic and read_csv convert at a time
 
 
 def write_csv_atomic(path, schema: dict, columns) -> None:
@@ -116,15 +117,36 @@ def read_csv(path, schema: dict) -> list:
     """The columns of the CSV ``path``, one tuple per column of ``schema``, in
     file order.  A missing file is a ``MissingArtifactError``, a header other
     than ``schema``'s names a ``DataIntegrityError``, and a row of the wrong
-    width or a cell its column refuses a ``ParseError`` naming the line."""
+    width or a cell its column refuses a ``ParseError`` naming the line.
+
+    Rows are parsed by column, ``CSV_BLOCK_ROWS`` at a time; a block that
+    fails sends the file through ``_read_rows``, which names the line."""
     if not os.path.exists(path):
         raise MissingArtifactError(str(path))
     parsers = [cell.parse for cell in schema.values()]
+    columns = [[] for _ in parsers]
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
         if header != list(schema):
             raise DataIntegrityError(f"{path} has columns {header}, expected {list(schema)}")
+        try:
+            while block := list(itertools.islice(reader, CSV_BLOCK_ROWS)):
+                if set(map(len, block)) != {len(parsers)}:
+                    raise ValueError("a row of the wrong width")
+                for values, parse, cells in zip(columns, parsers, zip(*block)):
+                    values += map(parse, cells)
+        except (csv.Error, ValueError, KeyError):
+            columns = _read_rows(path, parsers)
+    return [tuple(values) for values in columns]
+
+
+def _read_rows(path, parsers) -> list:
+    """``read_csv``'s columns parsed row by row, so that the first row of the
+    wrong width or with a refused cell is a ``ParseError`` naming its line."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        next(reader)
         rows = []
         try:
             for row in reader:
@@ -133,7 +155,7 @@ def read_csv(path, schema: dict) -> list:
                 rows.append([parse(cell) for parse, cell in zip(parsers, row)])
         except (csv.Error, ValueError, KeyError) as exc:
             raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None
-    return list(zip(*rows)) if rows else [()] * len(schema)
+    return list(zip(*rows)) if rows else [()] * len(parsers)
 
 
 def write_array_atomic(path, array: np.ndarray) -> None:

@@ -844,6 +844,23 @@ class TestPersistence:
             f"{header_path}: config retains {retained} draws, the posterior arrays hold 3"
         )
 
+    @pytest.mark.parametrize("iw_dof", [2, 4, 5, None])
+    def test_header_iw_dof_checked_against_the_arrays_k(self, tmp_path, iw_dof):
+        # K = 3, so the prior needs iw_dof > 4; None resolves to K + 3
+        hand_built_draws(np.zeros((2, 3, 3))).save(tmp_path / "posterior")
+        header_path = tmp_path / "posterior" / "header.json"
+        header = json.loads(header_path.read_text())
+        header["config"]["iw_dof"] = iw_dof
+        header_path.write_text(json.dumps(header))
+        if iw_dof is not None and iw_dof <= 4:
+            with pytest.raises(DataIntegrityError) as info:
+                PosteriorDraws.load(tmp_path / "posterior")
+            assert str(info.value) == (
+                f"{header_path}: config: iw_dof = {iw_dof} must exceed n_params + 1 = 4"
+            )
+        else:
+            assert PosteriorDraws.load(tmp_path / "posterior").config.iw_dof == iw_dof
+
     def test_missing_array_is_a_missing_artifact(self, tmp_path):
         from offerlab.errors import MissingArtifactError
 

@@ -1,16 +1,32 @@
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from offerlab.choice import ACCEPTED, UTILITY_CLAMP, Offers, logistic
+from offerlab.choice import (
+    ACCEPTED,
+    CONTRACT_YEAR_VALUES,
+    DISCOUNT_MAX,
+    DISCOUNT_MIN,
+    UTILITY_CLAMP,
+    Customers,
+    Offers,
+    logistic,
+)
 from offerlab.config import PipelineConfig
 from offerlab.errors import ConfigurationError, DataIntegrityError
 from offerlab.simulate import (
+    DEFAULT_MIXTURE,
     DEFAULT_OFFER_COUNTS,
     GroundTruthConfig,
     MixtureComponent,
+    SimulatedDataset,
+    _psd_factor,
+    _unlabeled_offers,
     generate_offers,
     purpose_rng,
     simulate_dataset,
@@ -269,6 +285,103 @@ class TestSimulateResponses:
         expected = per_offer_labels(generate_offers(config))
         labels = np.concatenate([labelled.train.label, labelled.test.label])
         assert (labels == ACCEPTED).tolist() == expected
+
+
+def seed_simulate_dataset(config):
+    """``simulate_dataset`` as first written, with one scalar numpy pass per
+    customer and per offer, kept as the reference the simulator must
+    reproduce bit for bit."""
+    rng = purpose_rng(config.seed, "coefficients")
+    n = config.n_customers
+    weights = np.cumsum([c.weight for c in config.mixture])
+    means = [np.asarray(c.mean, dtype=float) for c in config.mixture]
+    factors = [_psd_factor(np.asarray(c.cov, dtype=float)) for c in config.mixture]
+    loadings = np.asarray(config.loyalty_loadings, dtype=float)
+
+    loyalty = np.empty(n)
+    demographic = np.empty(n)
+    raw_beta = np.empty((n, 3))
+    for i in range(n):
+        loyalty[i] = rng.random()
+        demographic[i] = rng.random()
+        comp = int(np.searchsorted(weights, rng.random(), side="right"))
+        comp = min(comp, len(means) - 1)
+        raw_beta[i] = means[comp] + factors[comp] @ rng.standard_normal(3)
+
+    loyalty_c = loyalty - loyalty.mean()
+    demographic_c = demographic - demographic.mean()
+    betas = raw_beta + loyalty_c[:, None] * loadings[None, :]
+    customers = Customers(np.arange(1, n + 1), loyalty, loyalty_c, demographic_c)
+
+    rng = purpose_rng(config.seed, "offers")
+    count_values = [c for c, _ in config.offer_count_distribution]
+    count_cum = np.cumsum([p for _, p in config.offer_count_distribution])
+    lo, hi = config.discount_bounds
+    contracts = config.contract_values
+
+    def attributes():
+        return float(contracts[int(rng.integers(len(contracts)))]), float(rng.uniform(lo, hi))
+
+    train, test = [], []
+    for cid in range(1, config.n_customers + 1):
+        n_offers = count_values[
+            min(int(np.searchsorted(count_cum, rng.random(), side="right")), len(count_values) - 1)
+        ]
+        for occ in range(1, n_offers + 1):
+            train.append((cid, occ, *attributes()))
+        test.append((cid, 1, *attributes()))
+    dataset = SimulatedDataset(
+        train=_unlabeled_offers(train, "reference training offers"),
+        test=_unlabeled_offers(test, "reference test offers"),
+        customers=customers,
+        true_coefficients=betas,
+        seed=config.seed,
+    )
+    return simulate_responses(betas, dataset)
+
+
+# no Cholesky factor (the contract coefficient has no variance), so the
+# simulator factors this component's covariance by eigh
+SINGULAR = MixtureComponent(
+    1.0, (0.5, 0.1, -3.0), ((0.4, 0.0, 0.3), (0.0, 0.0, 0.0), (0.3, 0.0, 0.9))
+)
+
+
+@st.composite
+def ground_truths(draw):
+    lo = draw(st.floats(DISCOUNT_MIN, DISCOUNT_MAX))
+    hi = draw(st.just(lo) | st.floats(lo, DISCOUNT_MAX))
+    weight = draw(st.floats(0.0, 1.0))
+    two = (replace(SINGULAR, weight=weight), replace(DEFAULT_MIXTURE[2], weight=1.0 - weight))
+    mixture = draw(st.sampled_from([DEFAULT_MIXTURE, (SINGULAR,), two]))
+    return GroundTruthConfig(
+        n_customers=draw(st.integers(1, 300)),
+        mixture=mixture,
+        discount_bounds=(lo, hi),
+        contract_values=tuple(
+            draw(st.lists(st.sampled_from(CONTRACT_YEAR_VALUES), min_size=1, unique=True))
+        ),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+class TestReference:
+    def test_singular_component_has_no_cholesky_factor(self):
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(np.asarray(SINGULAR.cov))
+
+    @given(config=ground_truths())
+    @settings(max_examples=60, deadline=None)
+    def test_simulate_dataset_equals_the_scalar_reference(self, config):
+        dataset, reference = simulate_dataset(config), seed_simulate_dataset(config)
+        assert dataset == reference  # every Offers and Customers column, exactly
+        assert np.array_equal(dataset.true_coefficients, reference.true_coefficients)
+
+    def test_default_config_equals_the_scalar_reference(self):
+        config = GroundTruthConfig(n_customers=1000, seed=20260809)
+        dataset, reference = simulate_dataset(config), seed_simulate_dataset(config)
+        assert dataset == reference
+        assert np.array_equal(dataset.true_coefficients, reference.true_coefficients)
 
 
 def summary_table(text):

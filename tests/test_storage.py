@@ -1,5 +1,8 @@
+import csv
+import io
 import json
 import math
+import os
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -82,6 +85,111 @@ class TestReadCsv:
         write_csv_atomic(path, SCHEMA, [[], []])
         assert path.read_text() == "name,value\n"
         assert read_csv(path, SCHEMA) == [(), ()]
+
+
+def seed_read_csv(path, schema):
+    """``read_csv`` as first written, one row at a time, kept as the
+    reference for the columns and the ``ParseError`` the reader must give."""
+    if not os.path.exists(path):
+        raise MissingArtifactError(str(path))
+    parsers = [cell.parse for cell in schema.values()]
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        if header != list(schema):
+            raise DataIntegrityError(f"{path} has columns {header}, expected {list(schema)}")
+        rows = []
+        try:
+            for row in reader:
+                if len(row) != len(parsers):
+                    raise ValueError(f"{len(row)} cells, expected {len(parsers)}")
+                rows.append([parse(cell) for parse, cell in zip(parsers, row)])
+        except (csv.Error, ValueError, KeyError) as exc:
+            raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None
+    return list(zip(*rows)) if rows else [()] * len(schema)
+
+
+def read_outcome(read, path, schema):
+    """The columns ``read`` gives, or the type and text of what it raises."""
+    try:
+        return read(path, schema)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+# each cell kind: a cell text it holds, drawn from a generator, and one it refuses
+CELL_TEXTS = {
+    INT: (lambda rng: str(int(rng.integers(-(2**62), 2**62))), "1.5"),
+    FLOAT: (lambda rng: repr(float(rng.standard_normal() * 10.0 ** rng.integers(-5, 5))), "oops"),
+    TEXT: (lambda rng: "".join(rng.choice(list('ab ,"x'), size=rng.integers(0, 5))), None),
+    FLAG: (lambda rng: str(rng.integers(0, 2)), "2"),
+    datasets.OUTCOME: (lambda rng: str(rng.choice(["1", "0", ""])), "maybe"),
+}
+FAULTS = ("bad cell", "short row", "long row", "unterminated quote")
+
+
+def csv_text(schema, rows):
+    """The CSV text of ``schema``'s header and ``rows``; a row given as a
+    string is written as it is, one line."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    for row in [list(schema)] + rows:
+        buf.write(row + "\n") if isinstance(row, str) else writer.writerow(row)
+    return buf.getvalue()
+
+
+class TestReadByColumns:
+    """``read_csv`` parses block by block and by column; it must give the
+    reference reader's columns, or its ``ParseError`` to the letter."""
+
+    @given(
+        cells=st.lists(st.sampled_from(list(CELL_TEXTS)), min_size=1, max_size=4),
+        n_rows=st.integers(0, 3000),
+        seed=st.integers(0, 2**32 - 1),
+        fault=st.none() | st.tuples(st.sampled_from(FAULTS), st.floats(0, 1), st.booleans()),
+    )
+    @example([INT, TEXT, FLOAT], 3000, 1, ("bad cell", 0.9, True))
+    @example([TEXT, datasets.OUTCOME], 2500, 2, ("unterminated quote", 0.5, True))
+    @example([FLOAT, FLAG], 2049, 3, ("short row", 1.0, False))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_row_by_row_reference(self, tmp_path_factory, cells, n_rows, seed, fault):
+        """At most one fault, optionally after a quoted newline."""
+        rng = np.random.default_rng(seed)
+        schema = {f"c{i}": cell for i, cell in enumerate(cells)}
+        rows = [[CELL_TEXTS[cell][0](rng) for cell in cells] for _ in range(n_rows)]
+        if fault and rows:
+            kind, where, newline_before = fault
+            row = min(int(where * n_rows), n_rows - 1)
+            texts = [i for i, cell in enumerate(cells) if cell is TEXT]
+            if newline_before and texts and row > 0:
+                rows[row - 1][texts[0]] += "\nquoted"
+            refused = [i for i, cell in enumerate(cells) if CELL_TEXTS[cell][1] is not None]
+            if kind == "bad cell" and refused:
+                column = refused[int(rng.integers(len(refused)))]
+                rows[row][column] = CELL_TEXTS[cells[column]][1]
+            elif kind == "short row":
+                rows[row].pop()
+            elif kind == "long row":
+                rows[row].append("extra")
+            elif kind == "unterminated quote":
+                rows[row] = '"open' + "," * (len(cells) - 1)
+        path = tmp_path_factory.mktemp("csv") / "rows.csv"
+        path.write_text(csv_text(schema, rows))
+        assert read_outcome(read_csv, path, schema) == read_outcome(seed_read_csv, path, schema)
+
+    @pytest.mark.parametrize("later", ["x,2.5", "1,oops,extra"])
+    def test_the_earlier_of_two_faulty_rows_is_named(self, tmp_path, later):
+        """One block holds a refused cell in the second column at line 1502
+        and a later fault in the first column at line 1602; 1502 wins."""
+        schema = {"a": INT, "b": FLOAT}
+        rows = [f"{i},{i / 4}" for i in range(3000)]
+        rows[1500], rows[1600] = "1,oops", later
+        path = tmp_path / "two.csv"
+        path.write_text(csv_text(schema, rows))
+        with pytest.raises(ParseError) as info:
+            read_csv(path, schema)
+        assert str(info.value) == read_outcome(seed_read_csv, path, schema)[1]
+        assert str(info.value).startswith(f"{path}: line 1502: could not convert")
 
 
 class TestRoundTrip:
