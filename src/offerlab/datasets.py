@@ -21,6 +21,7 @@ import csv
 import math
 from dataclasses import dataclass, fields
 from datetime import datetime
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -244,6 +245,7 @@ def ingest_retail_csv(path, product_filter=None, n_products: int = 18) -> Retail
             else:
                 raise ParseError(f"{path}: missing column {aliases[0]!r}")
 
+        parse_date = cache(_parse_invoice_date)  # once per distinct InvoiceDate text
         purchases = []  # (customer, invoice, date, stock)
         volume = {}
         description = {}
@@ -267,7 +269,7 @@ def ingest_retail_csv(path, product_filter=None, n_products: int = 18) -> Retail
                 continue
             stock = row[cols["stock"]].strip()
             desc = row[cols["description"]].strip()
-            date = _parse_invoice_date(row[cols["date"]])
+            date = parse_date(row[cols["date"]])
             purchases.append((customer, invoice, date, stock))
             volume[stock] = volume.get(stock, 0) + quantity
             if desc:

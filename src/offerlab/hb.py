@@ -171,15 +171,17 @@ class PosteriorDraws:
         that were not in the training data."""
         return np.einsum("rk,rkp->p", self.weights, self.means) / self.n_draws
 
-    def scored_coefficients(self, mode: str) -> np.ndarray | None:
+    def scored_coefficients(self, mode: str) -> np.ndarray:
         """The (draws, customers, K) coefficients that prediction ``mode``
-        scores each customer with: every retained draw (draw-averaged) or
-        their mean as one draw (posterior-mean).  None for population-mean,
-        which scores every row at ``population_mean_coefficients``."""
+        scores each customer with: every retained draw (draw-averaged),
+        their mean as one draw (posterior-mean), or one read-only draw that
+        holds ``population_mean_coefficients`` for every customer
+        (population-mean)."""
         if mode not in PREDICTION_MODES:
             raise InvalidInputError(f"mode must be one of {PREDICTION_MODES}, got {mode!r}")
         if mode == POPULATION_MEAN:
-            return None
+            shape = (1, self.n_customers, self.n_params)
+            return np.broadcast_to(self.population_mean_coefficients(), shape)
         return self.betas.mean(axis=0, keepdims=True) if mode == POSTERIOR_MEAN else self.betas
 
     # -- persistence ----------------------------------------------------
@@ -563,11 +565,15 @@ def fit_hb_panels(panels, ncomp: int, config: McmcConfig, seeds) -> list[Posteri
                 f"match block 0's {n_params} and (customers, {n_cov})"
             )
         y_b = np.asarray(y_b, dtype=float)
-        for name, array in (("X", X_b), ("Z", Z_b), ("y", y_b)):
-            bad = (array != 0) & (array != 1) if name == "y" else ~np.isfinite(array)
+        for name, array, bad, rule in (
+            ("X", X_b, ~np.isfinite(X_b), "must be finite"),
+            ("Z", Z_b, ~np.isfinite(Z_b), "must be finite"),
+            ("y", y_b, (y_b != 0) & (y_b != 1), "must be 0 or 1"),
+            ("row_customer", row_b, (row_b < 0) | (row_b >= len(ids)),
+             f"must lie in [0, {len(ids)})"),
+        ):
             if bad.any():
                 row = int(np.argmax(bad.reshape(len(array), -1).any(axis=1)))
-                rule = "must be 0 or 1" if name == "y" else "must be finite"
                 value = array[row].tolist()
                 raise InvalidInputError(f"block {b}: {name} row {row} = {value} {rule}")
         rows_per_cust = np.bincount(row_b, minlength=len(ids))
@@ -761,7 +767,7 @@ def predict_panel_probabilities(
     X = np.asarray(X, dtype=float)
     out = np.empty(len(X))
     fallback = np.ones(len(X), dtype=bool)
-    if betas is not None:
+    if mode != POPULATION_MEAN:
         unknown = None if fallback_population_mean else UnknownCustomerError
         idx = join(draws.customer_ids, row_customer_ids, unknown)
         fallback = idx < 0

@@ -25,8 +25,8 @@ import numpy as np
 
 from .choice import DISCOUNT_MAX, DISCOUNT_MIN, UTILITY_CLAMP, first_repeat, join
 from .errors import ConfigurationError, InvalidInputError, UnknownCustomerError
-from .hb import DRAW_AVERAGED, POSTERIOR_MEAN, PosteriorDraws
-from .segments import SEGMENTS, assign_segment
+from .hb import DRAW_AVERAGED, PosteriorDraws
+from .segments import SEGMENTS, assign_segment, first_refused_pair
 from .storage import check_finite_fields
 
 # the choice model was trained on discounts in this band; the objective
@@ -47,9 +47,6 @@ VALUES_BLOCK = 1 << 16
 COARSE_POINTS = 11
 REFINE_TOL = 1e-5
 
-# the modes the objective implements: the mean over draws, or one plug-in draw
-OBJECTIVE_MODES = (DRAW_AVERAGED, POSTERIOR_MEAN)
-
 
 def contract_months_to_years(months: float) -> float:
     """Contract attribute seen by the choice model (1 month -> 1/12 year)."""
@@ -58,7 +55,8 @@ def contract_months_to_years(months: float) -> float:
 
 @dataclass(frozen=True)
 class NopConfig:
-    """Economic constants, per-segment discount bounds, contract options."""
+    """Economic constants, per-segment discount bounds, contract options.
+    A segment that ``r_bounds`` leaves out keeps the trained band."""
 
     annual_rate: float = 0.12  # rate-of-return d used to discount cash flows
     monthly_cost: float = 5.0  # recurring cost to serve, per customer-month
@@ -92,10 +90,7 @@ class NopConfig:
                 )
 
     def bounds_for(self, segment: str):
-        try:
-            return self.r_bounds[segment]
-        except KeyError:
-            raise ConfigurationError(f"no discount bounds configured for segment {segment!r}")
+        return self.r_bounds.get(segment, TRAINED_DISCOUNT_BAND)
 
 
 @dataclass(frozen=True)
@@ -125,46 +120,41 @@ class SegmentData:
         return len(self.customer_ids)
 
 
-def _segment_of(a) -> str:
-    """``assign_segment`` of one assignment's elasticity and loyalty; a
-    value it refuses is an InvalidInputError naming the customer."""
-    try:
-        return str(assign_segment(a.elasticity, a.loyalty))
-    except InvalidInputError as exc:
-        raise InvalidInputError(f"customer {a.customer_id}: {exc}") from None
-
-
 def segment_data_from_assignments(assignments, config: NopConfig, mrp: dict | None = None):
-    """Group segment assignments into SegmentData, one per segment.  A
-    customer assigned twice, or to another segment than ``assign_segment``
-    gives its elasticity and loyalty, is an InvalidInputError naming it."""
+    """Group segment assignments into SegmentData, one per segment, in
+    assignment order.  A customer assigned twice, or whose elasticity and
+    loyalty ``assign_segment`` refuses or gives another segment, is an
+    InvalidInputError naming the first such customer."""
     assignments = list(assignments)
     ids = np.array([a.customer_id for a in assignments], dtype=np.int64)
     repeat = first_repeat(ids)
     if repeat >= 0:
         raise InvalidInputError(f"customer {ids[repeat]} is assigned more than once")
-    elasticity, loyalty = [a.elasticity for a in assignments], [a.loyalty for a in assignments]
+    elasticity = np.array([a.elasticity for a in assignments], dtype=float)
+    loyalty = np.array([a.loyalty for a in assignments], dtype=float)
     try:
-        expected = assign_segment(elasticity, loyalty).tolist()
+        segments = assign_segment(elasticity, loyalty)
     except InvalidInputError:
-        expected = [_segment_of(a) for a in assignments]  # raises naming the customer
-    for a, segment in zip(assignments, expected):
-        if segment != a.segment:
-            raise InvalidInputError(
-                f"customer {a.customer_id} is assigned to {a.segment!r}, but its elasticity "
-                f"{a.elasticity!r} and loyalty {a.loyalty!r} give {segment!r}"
-            )
+        row, message = first_refused_pair(elasticity, loyalty)
+        raise InvalidInputError(f"customer {assignments[row].customer_id}: {message}") from None
+    wrong = segments != np.array([a.segment for a in assignments], dtype=str)
+    if wrong.any():
+        row = int(np.argmax(wrong))
+        a = assignments[row]
+        raise InvalidInputError(
+            f"customer {a.customer_id} is assigned to {a.segment!r}, but its elasticity "
+            f"{a.elasticity!r} and loyalty {a.loyalty!r} give {str(segments[row])!r}"
+        )
     mrp = mrp or {}
-    grouped = {segment: [] for segment in SEGMENTS}
-    for a in assignments:
-        grouped[a.segment].append(a)
+    prices = np.array([mrp.get(i, config.default_mrp) for i in ids.tolist()], dtype=float)
     out = {}
-    for segment, members in grouped.items():
+    for segment in SEGMENTS:
+        mask = segments == segment
         out[segment] = SegmentData(
             segment=segment,
-            customer_ids=tuple(a.customer_id for a in members),
-            loyalty=np.array([a.loyalty for a in members]),
-            mrp=np.array([mrp.get(a.customer_id, config.default_mrp) for a in members]),
+            customer_ids=tuple(ids[mask].tolist()),
+            loyalty=loyalty[mask],
+            mrp=prices[mask],
         )
     return out
 
@@ -199,8 +189,6 @@ class _SegmentObjective:
     """
 
     def __init__(self, seg: SegmentData, draws: PosteriorDraws, config: NopConfig, mode: str):
-        if mode not in OBJECTIVE_MODES:
-            raise InvalidInputError(f"objective modes are {OBJECTIVE_MODES}, got {mode!r}")
         if draws.n_params != 3:
             raise InvalidInputError("the objective requires the 3-attribute offer model")
         idx = join(draws.customer_ids, seg.customer_ids, UnknownCustomerError)
@@ -270,8 +258,6 @@ class _SegmentObjective:
             raise InvalidInputError(f"discount rate {r!r} leaves the trained band [{lo}, {hi}]")
         out = np.zeros(rs.size)
         d_out = np.zeros(rs.size)
-        if self.seg.n_customers == 0 or rs.size == 0:
-            return out, d_out
         self._select(months)
         n, n_draws = self.na.shape
         cols = max(1, min(n, VALUES_BLOCK // n_draws))
@@ -340,12 +326,11 @@ def optimize_policy(
     objective = _SegmentObjective(seg, draws, config, mode)
     lo, hi = config.bounds_for(seg.segment)
     rs = _r_grid(lo, hi, COARSE_POINTS)
-    best = None
-    any_nonzero = False
+    best = None  # (value, r, months) of the best contract option so far
+    degenerate = True  # until some option scores a nonzero profit
     for months in sorted(config.contract_options):
         values, slopes = objective.values_and_slopes(rs, months)
-        if np.any(values != 0.0):
-            any_nonzero = True
+        degenerate &= not np.any(values != 0.0)
         i = int(np.argmax(values))
         r_star, v_star = float(rs[i]), float(values[i])
         bracket = None
@@ -355,25 +340,12 @@ def optimize_policy(
             bracket = (float(rs[i - 1]), r_star)
         if bracket:
             r_star, v_star = _bisect_slope(objective, months, *bracket, r_star, v_star)
-        if best is None or v_star > best.nop_value:
-            best = OfferPolicy(
-                segment=seg.segment,
-                r=r_star,
-                months=int(months),
-                nop_value=v_star,
-                n_customers=seg.n_customers,
-                at_bound=r_star in (lo, hi),
-            )
-    if not any_nonzero:
-        # nothing to optimize (e.g. zero loyalty everywhere): flag it
-        return OfferPolicy(
-            segment=seg.segment,
-            r=hi,
-            months=int(max(config.contract_options)),
-            nop_value=0.0,
-            n_customers=seg.n_customers,
-            degenerate=True,
-            at_bound=True,
-        )
-    return best
+        if best is None or v_star > best[0]:
+            best = (v_star, r_star, months)
+    # nothing to optimize (e.g. zero loyalty everywhere): flag it, at defaults
+    value, r, months = (0.0, hi, max(config.contract_options)) if degenerate else best
+    return OfferPolicy(
+        segment=seg.segment, r=r, months=int(months), nop_value=value,
+        n_customers=seg.n_customers, degenerate=degenerate, at_bound=r in (lo, hi),
+    )
 

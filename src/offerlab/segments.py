@@ -50,17 +50,29 @@ def arc_elasticity(p0, p1, price0, price1):
     return prob_change / price_change
 
 
+def first_refused_pair(elasticity, loyalty):
+    """(index, reason) of the first (elasticity, loyalty) pair, in flat
+    order, that ``assign_segment`` refuses, or None: an elasticity must be
+    finite and a loyalty lie in [0, 1], and an elasticity is named first."""
+    pairs = (np.asarray(elasticity, dtype=float), np.asarray(loyalty, dtype=float))
+    elasticity, loyalty = (a.reshape(-1) for a in np.broadcast_arrays(*pairs))
+    bad = np.stack([~np.isfinite(elasticity), ~((loyalty >= 0.0) & (loyalty <= 1.0))], axis=1)
+    if not bad.any():
+        return None
+    i, j = divmod(int(np.argmax(bad)), 2)  # row-major: pair by pair
+    rule = ("elasticity must be finite", "loyalty must lie in [0, 1]")[j]
+    return i, f"{rule}, got {(elasticity, loyalty)[j][i].item()!r}"
+
+
 def assign_segment(elasticity, loyalty):
     """The segment of each (elasticity, loyalty) pair: elasticity >= -1 is
     inelastic, loyalty > 0.5 is loyal.  Arrays give an array of labels,
-    scalars one label."""
+    scalars one label.  A refused pair (``first_refused_pair``) is an
+    InvalidInputError."""
+    refused = first_refused_pair(elasticity, loyalty)
+    if refused:
+        raise InvalidInputError(refused[1])
     elasticity, loyalty = np.asarray(elasticity, dtype=float), np.asarray(loyalty, dtype=float)
-    for name, values, bad, rule in (
-        ("elasticity", elasticity, ~np.isfinite(elasticity), "must be finite"),
-        ("loyalty", loyalty, ~((loyalty >= 0.0) & (loyalty <= 1.0)), "must lie in [0, 1]"),
-    ):
-        if np.any(bad):
-            raise InvalidInputError(f"{name} {rule}, got {values.flat[np.argmax(bad)].item()!r}")
     return np.asarray(SEGMENTS)[2 * (elasticity < -1.0) + (loyalty > 0.5)]
 
 
@@ -120,11 +132,8 @@ def assign_segments(
 
 def segment_distribution(assignments) -> dict:
     """Percent of customers per segment; the four shares sum to 100."""
-    assignments = list(assignments)
-    if not assignments:
+    labels = np.array([a.segment for a in assignments], dtype=str)
+    if not labels.size:
         raise InvalidInputError("no assignments to summarize")
-    counts = {segment: 0 for segment in SEGMENTS}
-    for a in assignments:
-        counts[a.segment] += 1
-    n = len(assignments)
-    return {segment: 100.0 * counts[segment] / n for segment in SEGMENTS}
+    n = labels.size
+    return {segment: 100.0 * np.count_nonzero(labels == segment) / n for segment in SEGMENTS}

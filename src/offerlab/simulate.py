@@ -30,9 +30,13 @@ from .errors import ConfigurationError, DataIntegrityError
 from .storage import check_finite_fields, seeded_rng
 
 # Independent sub-stream per purpose: relabeling responses, for example,
-# never disturbs the offers already drawn, and because every customer is
-# processed in id order with a self-contained block of draws, growing
-# n_customers leaves earlier customers' draws untouched.
+# never disturbs the offers already drawn.  Every customer is processed in
+# id order with a self-contained block of draws, so growing n_customers
+# keeps earlier customers' loyalty and offers.  Their centered covariates
+# and true coefficients move, as centering uses every customer's mean (the
+# coefficients by one shift along the loyalty loadings); that shift can
+# flip a training label, and test labels, drawn after every training
+# label, take other uniforms.
 _STREAMS = {"coefficients": 0, "offers": 1, "responses": 2}
 
 

@@ -12,7 +12,8 @@ and ``read_csv``, the only CSV writer and reader, move a schema's columns;
 a file whose header is not exactly the schema's names is refused instead
 of being parsed by position.  ``FLOAT`` writes round-trip repr, so values
 read back exactly; ``TEXT`` refuses a carriage return, which the csv
-module leaves unquoted and its reader would take for a line end.
+module leaves unquoted and its reader would take for a line end, and a
+cell longer than ``csv.field_size_limit()``, which its reader refuses.
 
 Config JSON has one reader too: ``load_dataclass`` builds a dataclass from
 a parsed JSON object by the dataclass's own annotations and refuses an
@@ -68,6 +69,8 @@ Cell = collections.namedtuple("Cell", "parse write")
 def _text(value: str) -> str:
     if "\r" in value:
         raise ValueError(f"a carriage return does not round-trip: {value!r}")
+    if len(value) > (limit := csv.field_size_limit()):
+        raise ValueError(f"{len(value)} characters exceed the csv reader's field limit {limit}")
     return value
 
 

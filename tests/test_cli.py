@@ -544,14 +544,22 @@ class TestStageInputs:
         cid = read_rows(out / "customers.csv")[1][0]
         assert f"customers.csv repeats id = {cid}" in capsys.readouterr().err
 
-    def test_optimize_refuses_a_mode_it_does_not_implement(self, pipeline, tmp_path, capsys):
-        out, config_path = copy_run(pipeline, tmp_path)
-        (out / "policy.csv").unlink()
-        raw = json.loads(config_path.read_text())
-        config_path.write_text(json.dumps({**raw, "predict_mode": "population-mean"}))
-        assert main(["optimize", "--config", str(config_path)]) == 1
-        assert "got 'population-mean'" in capsys.readouterr().err
-        assert not (out / "policy.csv").exists()
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"predict_mode": "population-mean"}, {"nop": {"r_bounds": {"elastic-loyal": [-0.2, 0.3]}}}],
+        ids=["population-mean", "partial-r-bounds"],
+    )
+    def test_every_stage_serves_a_config_that_loads(self, tmp_path, overrides):
+        # every prediction mode, and r_bounds that leave segments out
+        config_path = write_config(tmp_path, overrides)
+        for subcommand in PIPELINE_STAGES:
+            assert main([subcommand, "--config", str(config_path)]) == 0, subcommand
+        policies = read_rows(tmp_path / "run" / "policy.csv")
+        assert len(policies) > 1
+        if "nop" in overrides:
+            for segment, r, *_ in policies[1:]:
+                lo, hi = (-0.2, 0.3) if segment == "elastic-loyal" else (-0.5, 0.5)
+                assert lo <= float(r) <= hi
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "0.0", "-5.0"])
     def test_optimize_refuses_an_mrp_that_is_not_finite_and_positive(

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from offerlab import simulate
+from offerlab import datasets, simulate
 from offerlab.choice import UNLABELED, Customers
 from offerlab.datasets import (
     CUSTOMER_CSV,
@@ -417,6 +417,30 @@ class TestRetailIngestion:
         )
         with pytest.raises(ParseError, match="line 3"):
             ingest_retail_csv(path, product_filter={"C0"})
+
+    def test_each_date_text_is_parsed_once_into_the_per_row_table(self, tmp_path, monkeypatch):
+        # invoice numbers run against date order, two rows share each
+        # invoice, and blank or unparseable dates sort after every date
+        dates = ["03/01/2011 10:00", "2011-01-02 09:00:00", "", "not a date",
+                 "01/13/2011 08:00", " 2011-01-01 07:30", "03/01/2011 10:00 "]
+        rows = [
+            [f"IN{i // 2:03d}", f"C{i % 3}", f"CUP {i % 3}", 1, dates[(5 * i) % len(dates)], 1.0,
+             1 + i % 4 // 3, "UK"]
+            for i in range(40)
+        ]
+        path = tmp_path / "dates.csv"
+        write_retail_csv(path, rows)
+        parsed = []
+        parse = datasets._parse_invoice_date
+        monkeypatch.setattr(datasets, "_parse_invoice_date", lambda t: parsed.append(t) or parse(t))
+        table = ingest_retail_csv(path)
+        assert sorted(parsed) == sorted(dates)
+        # the reference: the cache off, so every row is parsed with strptime
+        monkeypatch.setattr(datasets, "cache", lambda function: function)
+        reference = ingest_retail_csv(path)
+        assert len(parsed) == len(dates) + len(rows)
+        for column in MULTINOMIAL_CSV:
+            assert getattr(table, column).tolist() == getattr(reference, column).tolist()
 
     def test_panel_conversion(self, retail_csv):
         data = ingest_retail_csv(retail_csv, product_filter={"C0", "C1", "C2"})

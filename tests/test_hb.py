@@ -350,6 +350,18 @@ class TestStacking:
             else:
                 fit_hb_panels(panels, 1, STACK_CONFIG, [1, 2])
 
+    @pytest.mark.parametrize("index", [-1, -7, 5, 6])
+    @pytest.mark.parametrize("n_blocks", [1, 2])
+    def test_row_customer_outside_the_block_named_by_block_and_row(self, index, n_blocks):
+        panels = [random_panel(b, 5, 1) for b in range(n_blocks)]
+        X, y, row_customer, customer_ids, Z = panels[-1]
+        row_customer = row_customer.copy()
+        row_customer[3] = index
+        panels[-1] = (X, y, row_customer, customer_ids, Z)
+        message = rf"^block {n_blocks - 1}: row_customer row 3 = {index} must lie in \[0, 5\)$"
+        with pytest.raises(InvalidInputError, match=message):
+            fit_hb_panels(panels, 1, STACK_CONFIG, list(range(n_blocks)))
+
 
 # two customers, six offers whose labels a plane separates: without a bound
 # the pooled start ran off to about (-2e6, -9e5, 9e4), and the first

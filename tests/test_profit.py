@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from offerlab import profit
 from offerlab.choice import UTILITY_CLAMP, join, logistic
 from offerlab.errors import ConfigurationError, InvalidInputError
-from offerlab.hb import DRAW_AVERAGED, POPULATION_MEAN, POSTERIOR_MEAN
+from offerlab.hb import DRAW_AVERAGED, POPULATION_MEAN, POSTERIOR_MEAN, PREDICTION_MODES
 from offerlab.profit import (
     NopConfig,
     OfferPolicy,
@@ -23,7 +23,7 @@ from offerlab.profit import (
     segment_data_from_assignments,
     segment_objective,
 )
-from offerlab.segments import SEGMENTS, SegmentAssignment
+from offerlab.segments import SEGMENTS, SegmentAssignment, assign_segment
 from tests.test_hb import hand_built_draws
 
 
@@ -84,9 +84,19 @@ def grid_oracle(seg, draws, config, r_step=0.001, mode=DRAW_AVERAGED) -> OfferPo
     return best
 
 
+def population_mean_draw(draws):
+    """A one-draw posterior holding the population mean for every customer."""
+    betas = np.tile(draws.population_mean_coefficients(), (1, draws.n_customers, 1))
+    return hand_built_draws(betas, customer_ids=draws.customer_ids)
+
+
 def reference_values(seg, draws, config, rs, months, mode=DRAW_AVERAGED):
     """Per-customer, per-draw recomputation of the objective with math.exp."""
-    betas = draws.betas.mean(axis=0)[None] if mode == POSTERIOR_MEAN else draws.betas
+    betas = {
+        DRAW_AVERAGED: draws.betas,
+        POSTERIOR_MEAN: draws.betas.mean(axis=0)[None],
+        POPULATION_MEAN: population_mean_draw(draws).betas,
+    }[mode]
     years = contract_months_to_years(months)
     out = []
     for r in rs:
@@ -283,7 +293,7 @@ class TestBatchedObjective:
         scale=st.sampled_from([1.0, 400.0]),
         n_rates=st.integers(1, 30),
         months=st.sampled_from(NopConfig().contract_options),
-        mode=st.sampled_from([DRAW_AVERAGED, POSTERIOR_MEAN]),
+        mode=st.sampled_from(PREDICTION_MODES),
         block=st.sampled_from([1, 4, 13, profit.VALUES_BLOCK]),
     )
     @settings(max_examples=150, deadline=None)
@@ -339,7 +349,7 @@ class TestBatchedObjective:
         seed=st.integers(0, 2**32 - 1),
         n=st.integers(1, 12),
         n_draws=st.integers(1, 120),
-        mode=st.sampled_from(profit.OBJECTIVE_MODES),
+        mode=st.sampled_from(PREDICTION_MODES),
         months=st.sampled_from(NopConfig().contract_options),
         r=st.floats(-0.49, 0.49),
     )
@@ -350,7 +360,7 @@ class TestBatchedObjective:
         self.assert_slope_matches_central_difference(seg, draws, mode, months, r)
 
     @pytest.mark.parametrize("u0", [-800.0, -700.3, -699.7, 699.7, 700.3, 800.0])
-    @pytest.mark.parametrize("mode", profit.OBJECTIVE_MODES)
+    @pytest.mark.parametrize("mode", PREDICTION_MODES)
     def test_slope_near_the_utility_clamp(self, u0, mode):
         # every utility stays within 0.25 of u0 for |r| <= 0.2, so none
         # crosses the clamp at +-700 inside a difference step; beyond -700
@@ -506,19 +516,15 @@ class TestOptimizePolicy:
         policy = optimize_policy(seg, draws, NopConfig(), mode=POSTERIOR_MEAN)
         assert policy.months in NopConfig().contract_options
 
-    @pytest.mark.parametrize(
-        "solve",
-        [
-            optimize_policy,
-            grid_oracle,
-            lambda seg, draws, config, mode: segment_objective(0.0, 12, seg, draws, config, mode),
-        ],
-        ids=["optimize_policy", "grid_oracle", "segment_objective"],
-    )
-    def test_unimplemented_mode_rejected_by_name(self, solve):
-        seg, draws = make_segment([[0.5, 0.1, -2.0]], [0.8])
-        with pytest.raises(InvalidInputError, match="got 'population-mean'"):
-            solve(seg, draws, NopConfig(), mode=POPULATION_MEAN)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_population_mean_is_the_plug_in_posterior(self, seed):
+        # population-mean scores every customer at one shared draw, so its
+        # policy is the draw-averaged policy of that draw, bit for bit
+        rng = np.random.default_rng(seed)
+        seg, draws = random_segment(rng, 7, 30)
+        config = NopConfig(r_bounds={seg.segment: (-0.3, 0.4)})
+        policy = optimize_policy(seg, draws, config, mode=POPULATION_MEAN)
+        assert policy == optimize_policy(seg, population_mean_draw(draws), config)
 
 
 class TestGridOracle:
@@ -556,6 +562,83 @@ class TestGridOracle:
         assert (policy.r, policy.at_bound) == (bound, True)
 
 
+def reference_segment_data(assignments, config, mrp=None):
+    """The record-by-record grouping that ``segment_data_from_assignments``
+    replaced, kept as its reference: every record's values are checked
+    before any record's segment."""
+    seen = set()
+    for a in assignments:
+        if a.customer_id in seen:
+            raise InvalidInputError(f"customer {a.customer_id} is assigned more than once")
+        seen.add(a.customer_id)
+    expected = []
+    for a in assignments:
+        try:
+            expected.append(str(assign_segment(a.elasticity, a.loyalty)))
+        except InvalidInputError as exc:
+            raise InvalidInputError(f"customer {a.customer_id}: {exc}") from None
+    for a, segment in zip(assignments, expected):
+        if segment != a.segment:
+            raise InvalidInputError(
+                f"customer {a.customer_id} is assigned to {a.segment!r}, but its elasticity "
+                f"{a.elasticity!r} and loyalty {a.loyalty!r} give {segment!r}"
+            )
+    mrp = mrp or {}
+    out = {}
+    for segment in SEGMENTS:
+        members = [a for a in assignments if a.segment == segment]
+        out[segment] = SegmentData(
+            segment=segment,
+            customer_ids=tuple(a.customer_id for a in members),
+            loyalty=np.array([a.loyalty for a in members]),
+            mrp=np.array([mrp.get(a.customer_id, config.default_mrp) for a in members]),
+        )
+    return out
+
+
+def outcome(build, *args):
+    """``build(*args)`` as comparable values, or the message it raised."""
+    try:
+        grouped = build(*args)
+    except InvalidInputError as exc:
+        return str(exc)
+    return {
+        segment: (seg.customer_ids, seg.loyalty.tolist(), seg.mrp.tolist())
+        for segment, seg in grouped.items()
+    }
+
+
+class TestSegmentDataReference:
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.one_of(st.floats(-3.0, 1.0), st.sampled_from([math.nan, math.inf, -1.0])),
+                st.one_of(st.floats(0.0, 1.0), st.sampled_from([math.nan, -0.1, 1.5, 0.5])),
+                st.one_of(st.none(), st.sampled_from(SEGMENTS)),  # None: the rule's segment
+                st.one_of(st.none(), st.floats(1.0, 500.0)),  # None: no mrp on file
+            ),
+            max_size=12,
+        ),
+        ids=st.permutations(range(1, 13)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_array_pass_equals_the_per_record_reference(self, rows, ids):
+        assignments, mrp = [], {}
+        for cid, (elasticity, loyalty, segment, price) in zip(ids, rows):
+            if segment is None:
+                try:
+                    segment = str(assign_segment(elasticity, loyalty))
+                except InvalidInputError:
+                    segment = SEGMENTS[0]
+            assignments.append(SegmentAssignment(cid, elasticity, loyalty, segment))
+            if price is not None:
+                mrp[cid] = price
+        config = NopConfig(default_mrp=80.0)
+        assert outcome(segment_data_from_assignments, assignments, config, mrp) == outcome(
+            reference_segment_data, assignments, config, mrp
+        )
+
+
 class TestNopConfig:
     def test_bounds_must_stay_in_trained_band(self):
         with pytest.raises(ConfigurationError):
@@ -566,9 +649,10 @@ class TestNopConfig:
         with pytest.raises(ConfigurationError, match=r"unknown segments \['elastic_loyal'\]; "
                            r"the segments are \['inelastic-not-loyal', 'inelastic-loyal', "):
             NopConfig(r_bounds=bounds)
-        # a segment left out is allowed: optimize skips an empty segment
-        # before it reads the bounds, and names a missing one otherwise
-        NopConfig(r_bounds={"inelastic-loyal": (0.0, 0.1)})
+        # a segment left out keeps the trained band
+        config = NopConfig(r_bounds={"inelastic-loyal": (0.0, 0.1)})
+        assert config.bounds_for("inelastic-loyal") == (0.0, 0.1)
+        assert config.bounds_for("elastic-loyal") == profit.TRAINED_DISCOUNT_BAND
 
     def test_contract_options_floor(self):
         with pytest.raises(ConfigurationError):

@@ -230,6 +230,34 @@ class TestGenerateOffers:
         assert abs(dataset.customers.demographic_centered.mean()) < 1e-9
 
 
+class TestGrowingCustomers:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 40),
+        extra=st.integers(1, 20),
+        loadings=st.sampled_from([GroundTruthConfig().loyalty_loadings, (0.0, 0.0, 0.0)]),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_earlier_customers_keep_their_draws(self, seed, n, extra, loadings):
+        config = GroundTruthConfig(seed=seed, loyalty_loadings=loadings)
+        small, large = (simulate_dataset(replace(config, n_customers=m)) for m in (n, n + extra))
+        n_train = len(small.train)
+        assert np.array_equal(small.customers.loyalty, large.customers.loyalty[:n])
+        for part, whole, rows in ((small.train, large.train, n_train), (small.test, large.test, n)):
+            for column in ("customer_id", "occasion", "X"):
+                assert np.array_equal(getattr(part, column), getattr(whole, column)[:rows])
+        # centering on the mean loyalty of every customer shifts all true
+        # coefficients by one vector along the loyalty loadings
+        shift = (large.customers.loyalty.mean() - small.customers.loyalty.mean()) * np.array(loadings)
+        assert small.true_coefficients == pytest.approx(
+            large.true_coefficients[:n] + shift, rel=0.0, abs=1e-12
+        )
+        if not any(loadings):
+            # no shift: coefficients and training labels are a prefix too
+            assert np.array_equal(small.true_coefficients, large.true_coefficients[:n])
+            assert np.array_equal(small.train.label, large.train.label[:n_train])
+
+
 class TestSimulateResponses:
     def test_saturated_utility_accepts_everything(self):
         config = point_mass_config(mean=(50.0, 0.0, 0.0), n=40, seed=3)

@@ -236,6 +236,23 @@ class TestRoundTrip:
             write_csv_atomic(path, SCHEMA, columns)
             assert read_csv(path, SCHEMA) == [tuple(column) for column in columns]
 
+    @pytest.mark.parametrize("text", ["x", '"', "a,\n"])
+    def test_text_longer_than_the_reader_field_limit_is_refused(self, tmp_path, text):
+        """The longest cell the csv reader accepts round-trips, quoted or
+        not; a longer one is refused by file, column and row, and nothing
+        is written."""
+        limit = csv.field_size_limit()
+        longest = (text * limit)[:limit]
+        path = tmp_path / "long.csv"
+        write_csv_atomic(path, SCHEMA, [["short", longest], [0.0, 1.0]])
+        assert read_csv(path, SCHEMA) == [("short", longest), (0.0, 1.0)]
+        path.unlink()
+        for n in (limit + 1, 200_000):
+            message = rf"long\.csv: name in row 2: {n} characters exceed the csv reader's field limit"
+            with pytest.raises(DataIntegrityError, match=message):
+                write_csv_atomic(path, SCHEMA, [["short", "x" * n], [0.0, 1.0]])
+            assert not path.exists()
+
 
 # every CSV artifact's schema, by the module that declares it
 SCHEMAS = {
