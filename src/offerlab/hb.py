@@ -565,6 +565,11 @@ def fit_hb_panels(panels, ncomp: int, config: McmcConfig, seeds) -> list[Posteri
                 f"match block 0's {n_params} and (customers, {n_cov})"
             )
         y_b = np.asarray(y_b, dtype=float)
+        for name, array in (("y", y_b), ("row_customer", row_b)):
+            if len(array) != len(X_b):
+                raise InvalidInputError(
+                    f"block {b}: {name} has {len(array)} entries for the {len(X_b)} rows of X"
+                )
         for name, array, bad, rule in (
             ("X", X_b, ~np.isfinite(X_b), "must be finite"),
             ("Z", Z_b, ~np.isfinite(Z_b), "must be finite"),

@@ -1,5 +1,8 @@
 import itertools
 import math
+import multiprocessing
+import os
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -14,7 +17,12 @@ from offerlab.datasets import (
     split_kfold_by_occasion,
     split_per_customer_holdout,
 )
-from offerlab.errors import DegenerateInputError, EstimationError, InvalidInputError
+from offerlab.errors import (
+    DegenerateInputError,
+    EstimationError,
+    InvalidInputError,
+    OfferLabError,
+)
 from offerlab.evaluate import (
     ScoredLabels,
     TuningRow,
@@ -455,6 +463,9 @@ class TestStackedTuning:
 
         monkeypatch.setattr(evaluate, "build_panel", spy_build_panel)
         monkeypatch.setattr(evaluate, "fit_hb_panels", spy_fit_hb_panels)
+        # the spies record into this process's memory, which a forked share
+        # cannot reach: one share scores every candidate here
+        monkeypatch.setattr(evaluate, "_usable_cpus", lambda: 1)
         tune_ncomp(offers, covariates, [1, 2, 3], scheme, config)
         cells = [(r, f) for r in range(scheme.repeats) for f in range(scheme.folds)]
         assert len(built) == len(cells)  # every cell of this problem is usable
@@ -463,3 +474,124 @@ class TestStackedTuning:
             assert len(panels) == len(built)
             assert all(got is cell for got, cell in zip(panels, built))
             assert seeds == [derive_seed(config.seed, 7013, r, f) for r, f in cells]
+
+
+def score_by_process(monkeypatch, in_caller, in_child):
+    """Replace ``_scored_candidate`` by ``in_caller`` in this process and by
+    ``in_child`` in every forked share."""
+    import offerlab.evaluate as evaluate
+
+    caller = os.getpid()
+
+    def scored_candidate(cells, ncomp, config):
+        run = in_caller if os.getpid() == caller else in_child
+        return run(cells, ncomp, config)
+
+    monkeypatch.setattr(evaluate, "_scored_candidate", scored_candidate)
+
+
+class TestTuningShares:
+    """tune_ncomp scores one share of the candidates in the caller and every
+    other share in a forked process, one share per usable CPU."""
+
+    @pytest.fixture(params=[1, 2, 3], ids=lambda n: f"{n}cpu")
+    def cpus(self, request, monkeypatch):
+        import offerlab.evaluate as evaluate
+
+        monkeypatch.setattr(evaluate, "_usable_cpus", lambda: request.param)
+        yield request.param
+        assert multiprocessing.active_children() == []
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        offers, covariates, scheme, config = small_tuning_problem()
+        rows = per_cell_tuning_rows(offers, covariates, [1, 2, 3], scheme, config)
+        return (offers, covariates, scheme, config), rows
+
+    def test_rows_equal_the_per_cell_loop_for_any_share_count(self, cpus, reference):
+        (offers, covariates, scheme, config), rows = reference
+        assert tune_ncomp(offers, covariates, [1, 2, 3], scheme, config).rows == rows
+
+    @pytest.mark.parametrize(
+        "candidates, expected",
+        [
+            ([1, 2, 3], {1: [[1, 2, 3]], 2: [[3], [1, 2]], 3: [[3], [2], [1]]}),
+            ([1, 2, 3, 4], {1: [[1, 2, 3, 4]], 2: [[1, 4], [2, 3]], 3: [[4], [3], [1, 2]]}),
+        ],
+    )
+    def test_largest_candidate_first_to_the_lightest_share(
+        self, monkeypatch, cpus, candidates, expected
+    ):
+        import offerlab.evaluate as evaluate
+
+        # every candidate scores (pid, ncomp) in one cell: the AUC column
+        # then says which process scored which candidate
+        monkeypatch.setattr(
+            evaluate, "_scored_candidate", lambda cells, ncomp, config: [(os.getpid(), ncomp)]
+        )
+        offers, covariates, scheme, config = small_tuning_problem()
+        report = tune_ncomp(offers, covariates, candidates, scheme, config)
+        assert [row.mean_accuracy for row in report.rows] == candidates
+        shares = {}
+        for row in report.rows:
+            shares.setdefault(row.mean_auc, []).append(row.ncomp)
+        assert shares.pop(os.getpid()) == expected[cpus][0]
+        assert sorted(shares.values()) == sorted(expected[cpus][1:])
+
+    def test_cholesky_failure_named_at_any_share_count(self, monkeypatch, cpus):
+        TestStackedTuning().test_cholesky_failure_names_repeat_and_fold(monkeypatch)
+
+    def test_each_share_stops_at_its_first_failure_and_the_smallest_wins(
+        self, monkeypatch, cpus, tmp_path
+    ):
+        import offerlab.evaluate as evaluate
+
+        started = tmp_path / "started"
+
+        def failing(cells, ncomp, config):
+            with started.open("a") as log:  # every process appends here
+                log.write(f"{ncomp}\n")
+            raise EstimationError(f"ncomp {ncomp} failed")
+
+        monkeypatch.setattr(evaluate, "_scored_candidate", failing)
+        offers, covariates, scheme, config = small_tuning_problem()
+        with pytest.raises(EstimationError, match="^ncomp 1 failed$"):
+            tune_ncomp(offers, covariates, [1, 2, 3], scheme, config)
+        # the shares are {1, 2, 3}; {3} and {1, 2}; {3}, {2} and {1}
+        expected = {1: [1], 2: [1, 3], 3: [1, 2, 3]}[cpus]
+        assert sorted(int(n) for n in started.read_text().split()) == expected
+
+    def test_child_exit_without_result_named(self, monkeypatch, cpus):
+        import offerlab.evaluate as evaluate
+
+        score_by_process(monkeypatch, evaluate._scored_candidate, lambda *args: os._exit(3))
+        offers, covariates, scheme, config = small_tuning_problem()
+        if cpus == 1:  # no child: the caller scores every candidate
+            tune_ncomp(offers, covariates, [1, 2, 3], scheme, config)
+            return
+        share = {2: "1, 2", 3: "2"}[cpus]  # the first child's share
+        message = rf"^the process tuning ncomp \[{share}\] exited with code 3 before sending a result$"
+        with pytest.raises(OfferLabError, match=message):
+            tune_ncomp(offers, covariates, [1, 2, 3], scheme, config)
+
+    def test_without_fork_the_caller_scores_every_candidate(self, monkeypatch, cpus):
+        def in_caller(cells, ncomp, config):
+            return [(0.5, ncomp)]
+
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        score_by_process(monkeypatch, in_caller, lambda *args: os._exit(3))
+        offers, covariates, scheme, config = small_tuning_problem()
+        report = tune_ncomp(offers, covariates, [1, 2, 3], scheme, config)
+        assert [row.mean_accuracy for row in report.rows] == [1, 2, 3]
+
+    def test_interrupt_in_the_caller_stops_every_child(self, monkeypatch, cpus):
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        # a child would run on for a minute after the caller stops
+        score_by_process(monkeypatch, interrupted, lambda *args: time.sleep(60))
+        offers, covariates, scheme, config = small_tuning_problem()
+        started = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            tune_ncomp(offers, covariates, [1, 2, 3], scheme, config)
+        assert time.perf_counter() - started < 30

@@ -362,6 +362,18 @@ class TestStacking:
         with pytest.raises(InvalidInputError, match=message):
             fit_hb_panels(panels, 1, STACK_CONFIG, list(range(n_blocks)))
 
+    @pytest.mark.parametrize("name, position", [("y", 1), ("row_customer", 2)])
+    @pytest.mark.parametrize("n_blocks", [1, 2])
+    def test_array_one_row_short_named_by_block_and_lengths(self, name, position, n_blocks):
+        panels = [random_panel(b, 5, 1) for b in range(n_blocks)]
+        panel = list(panels[-1])
+        rows = len(panel[0])
+        panel[position] = panel[position][:-1]
+        panels[-1] = tuple(panel)
+        message = rf"^block {n_blocks - 1}: {name} has {rows - 1} entries for the {rows} rows of X$"
+        with pytest.raises(InvalidInputError, match=message):
+            fit_hb_panels(panels, 1, STACK_CONFIG, list(range(n_blocks)))
+
 
 # two customers, six offers whose labels a plane separates: without a bound
 # the pooled start ran off to about (-2e6, -9e5, 9e4), and the first
