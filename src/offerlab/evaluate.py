@@ -4,7 +4,6 @@ the DeLong correlated-ROC test, and cross-validated mixture-size tuning."""
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -16,8 +15,9 @@ from .datasets import (
     split_kfold_by_occasion,
     split_per_customer_holdout,
 )
-from .errors import DegenerateInputError, EstimationError, InvalidInputError, OfferLabError
+from .errors import DegenerateInputError, EstimationError, InvalidInputError
 from .hb import DRAW_AVERAGED, McmcConfig, build_panel, fit_hb_panels, predict_panel_probabilities
+from .shares import scored_in_shares
 from .storage import derive_seed
 
 
@@ -206,30 +206,6 @@ def _scored_candidate(cells, ncomp, config):
     return scored
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _scored_share(cells, share, config):
-    """``(ncomp, pairs)`` per candidate of ``share`` in ascending order,
-    ending at the first failing candidate with ``(ncomp, error)``."""
-    scored = []
-    for ncomp in share:
-        try:
-            scored.append((ncomp, _scored_candidate(cells, ncomp, config)))
-        except Exception as exc:
-            scored.append((ncomp, exc))
-            break
-    return scored
-
-
-def _send_share(sender, cells, share, config):
-    sender.send(_scored_share(cells, share, config))
-
-
 def tune_ncomp(
     offers,
     covariates,
@@ -248,15 +224,13 @@ def tune_ncomp(
     its own random stream, and its draws are scored and freed when that
     chain ends.
 
-    The chains share no state, so the candidates are split into one share
-    per usable CPU: largest ``ncomp`` first, each to the share with the
-    smallest sum of ``ncomp``.  The caller scores the first share; each
-    other share runs in a forked process that sends back its (AUC,
-    accuracy) pairs, and writes its own warnings to stderr.  With one CPU
-    or candidate, or without ``fork``, the caller scores every candidate.
-    The report is the same for any number of shares, and so is the error:
-    each share stops at its first failing candidate, and the error of the
-    smallest failing candidate is raised once every share has finished.
+    The chains share no state, so ``shares.scored_in_shares`` scores the
+    candidates on every usable CPU, each weighing its ``ncomp``: the
+    caller scores one share and a forked process each other share, which
+    sends back its (AUC, accuracy) pairs and writes its own warnings to
+    stderr.  The report is the same for any number of shares, and so is
+    the error: the smallest failing candidate's, raised once every share
+    has finished.
     """
     candidates = sorted(set(int(c) for c in candidates))
     if not candidates:
@@ -282,43 +256,12 @@ def tune_ncomp(
     if not cells:
         raise InvalidInputError("resampling produced no usable validation cells")
 
-    import multiprocessing
-
-    forks = "fork" in multiprocessing.get_all_start_methods()
-    shares = [[] for _ in range(min(len(candidates), _usable_cpus()) if forks else 1)]
-    for ncomp in reversed(candidates):
-        min(shares, key=sum).insert(0, ncomp)
-    children, received = [], 0
-    try:
-        for share in shares[1:]:
-            receiver, sender = multiprocessing.Pipe(duplex=False)
-            child = multiprocessing.get_context("fork").Process(
-                target=_send_share, args=(sender, cells, share, config)
-            )
-            child.start()
-            sender.close()
-            children.append((share, receiver, child))
-        scored = _scored_share(cells, shares[0], config)
-        for share, receiver, child in children:
-            try:
-                scored += receiver.recv()
-            except EOFError:
-                child.join()
-                raise OfferLabError(
-                    f"the process tuning ncomp {share} exited with code {child.exitcode} "
-                    "before sending a result"
-                ) from None
-            received += 1
-    finally:
-        for *_, child in children[received:]:
-            child.terminate()
-        for _, receiver, child in children:
-            child.join()
-            receiver.close()
-    scored = dict(scored)
-    failed = [c for c in candidates if isinstance(scored.get(c), Exception)]
-    if failed:
-        raise scored[failed[0]]
+    scored = scored_in_shares(
+        candidates,
+        lambda ncomp: _scored_candidate(cells, ncomp, config),
+        "tuning ncomp",
+        weight=lambda ncomp: ncomp,
+    )
 
     rows = []
     for ncomp in candidates:

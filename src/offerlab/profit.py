@@ -27,6 +27,7 @@ from .choice import DISCOUNT_MAX, DISCOUNT_MIN, UTILITY_CLAMP, first_repeat, joi
 from .errors import ConfigurationError, InvalidInputError, UnknownCustomerError
 from .hb import DRAW_AVERAGED, PosteriorDraws
 from .segments import SEGMENTS, assign_segment, first_refused_pair
+from .shares import scored_in_shares
 from .storage import check_finite_fields
 
 # the choice model was trained on discounts in this band; the objective
@@ -201,6 +202,11 @@ class _SegmentObjective:
         self._months = None
         self._scratch = np.empty((2, 0))
 
+    @property
+    def pairs(self) -> int:
+        """The (customer, scored draw) pairs that each rate sums over."""
+        return self.nb.size
+
     def _select(self, months: int) -> None:
         """Negated base utility -(b0 + b1 * years) and the annuity factor of
         one contract option."""
@@ -309,43 +315,65 @@ def _r_grid(lo: float, hi: float, n_points: int) -> np.ndarray:
     return np.linspace(lo, hi, n_points)
 
 
+def _best_option(objective, rs, months: int):
+    """``(value, r, nonzero)`` of one contract option: f and f' at the scan
+    rates ``rs`` in one batched call; from the best of them, f' points to
+    the neighbouring interval that holds a higher value, which
+    ``_bisect_slope`` narrows to REFINE_TOL.  A best point at a bound whose
+    slope points out of the range stays exactly at the bound.  ``nonzero``
+    says whether any scan rate scored a nonzero profit."""
+    values, slopes = objective.values_and_slopes(rs, months)
+    i = int(np.argmax(values))
+    r_star, v_star = float(rs[i]), float(values[i])
+    bracket = None
+    if slopes[i] > 0 and i + 1 < len(rs):
+        bracket = (r_star, float(rs[i + 1]))
+    elif slopes[i] < 0 and i > 0:
+        bracket = (float(rs[i - 1]), r_star)
+    if bracket:
+        r_star, v_star = _bisect_slope(objective, months, *bracket, r_star, v_star)
+    return v_star, r_star, bool(np.any(values != 0.0))
+
+
 def optimize_policy(
     seg: SegmentData,
     draws: PosteriorDraws,
     config: NopConfig,
     mode: str = DRAW_AVERAGED,
 ) -> OfferPolicy:
-    """Best (r, months) for a segment.  Per contract option, f and f' are
-    scored at COARSE_POINTS evenly spaced rates in one batched call; from
-    the best of them, f' points to the neighbouring interval that holds a
-    higher value, which ``_bisect_slope`` narrows to REFINE_TOL.  A best
-    point at a bound whose slope points out of the range stays exactly at
-    the bound.  Ties across contract options go to the shorter contract."""
+    """Best (r, months) for a segment: ``_best_option`` searches the rate
+    of each distinct contract option once, and ties across options go to
+    the shorter contract.
+
+    The options share no state, so a segment of at least VALUES_BLOCK
+    (customer, scored draw) pairs has them searched on every usable CPU by
+    ``shares.scored_in_shares``: the caller scores one share of the months
+    and a forked process each other share, reading the objective's draws
+    copy-on-write and sending back only each option's (value, r, nonzero).
+    A smaller segment is searched in the caller, where the whole search
+    costs about as much as a fork.  The policy is the same for any number
+    of shares, and so is the error: the smallest failing month's, raised
+    once every share has finished."""
     if seg.n_customers == 0:
         raise InvalidInputError(f"segment {seg.segment!r} has no customers")
     objective = _SegmentObjective(seg, draws, config, mode)
     lo, hi = config.bounds_for(seg.segment)
     rs = _r_grid(lo, hi, COARSE_POINTS)
+    options = scored_in_shares(
+        config.contract_options,
+        lambda months: _best_option(objective, rs, months),
+        f"optimizing {seg.segment} months",
+        fork=objective.pairs >= VALUES_BLOCK,
+    )
     best = None  # (value, r, months) of the best contract option so far
     degenerate = True  # until some option scores a nonzero profit
-    for months in sorted(config.contract_options):
-        values, slopes = objective.values_and_slopes(rs, months)
-        degenerate &= not np.any(values != 0.0)
-        i = int(np.argmax(values))
-        r_star, v_star = float(rs[i]), float(values[i])
-        bracket = None
-        if slopes[i] > 0 and i + 1 < len(rs):
-            bracket = (r_star, float(rs[i + 1]))
-        elif slopes[i] < 0 and i > 0:
-            bracket = (float(rs[i - 1]), r_star)
-        if bracket:
-            r_star, v_star = _bisect_slope(objective, months, *bracket, r_star, v_star)
-        if best is None or v_star > best[0]:
-            best = (v_star, r_star, months)
+    for months, (value, r, nonzero) in options.items():
+        degenerate &= not nonzero
+        if best is None or value > best[0]:
+            best = (value, r, months)
     # nothing to optimize (e.g. zero loyalty everywhere): flag it, at defaults
     value, r, months = (0.0, hi, max(config.contract_options)) if degenerate else best
     return OfferPolicy(
         segment=seg.segment, r=r, months=int(months), nop_value=value,
         n_customers=seg.n_customers, degenerate=degenerate, at_bound=r in (lo, hi),
     )
-

@@ -1,7 +1,10 @@
 import csv
 import importlib.util
 import json
+import os
 import shutil
+import subprocess
+import sys
 from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
@@ -89,6 +92,19 @@ def test_benchmark_gate_passes_on_the_pipeline(pipeline):
     results = gate.run_gate(pipeline, config, PIPELINE_STAGES, floors=False)
     assert [name for name, passed, _ in results if not passed] == [], results
     assert len(results) == 5
+
+
+def test_importing_the_cli_leaves_multiprocessing_unimported():
+    # only a call that forks imports multiprocessing, so that every stage's
+    # start-up, forking or not, skips it
+    import offerlab
+
+    env = {**os.environ, "PYTHONPATH": str(Path(offerlab.__file__).resolve().parents[1])}
+    code = "import sys, offerlab.cli; print('multiprocessing' in sys.modules)"
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert run.stdout == "False\n"
 
 
 # the wraps of ``perfbench/spans.py`` that name a function its module no

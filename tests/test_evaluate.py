@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from offerlab import shares
 from offerlab.datasets import (
     KFOLD_BY_OCCASION,
     PER_CUSTOMER_HOLDOUT,
@@ -42,6 +43,7 @@ from offerlab.hb import (
 )
 from offerlab.simulate import GroundTruthConfig, simulate_dataset
 from offerlab.storage import derive_seed
+from tests.test_profit import in_pool_worker
 
 
 def capture_at(points, fraction: float) -> float:
@@ -465,7 +467,7 @@ class TestStackedTuning:
         monkeypatch.setattr(evaluate, "fit_hb_panels", spy_fit_hb_panels)
         # the spies record into this process's memory, which a forked share
         # cannot reach: one share scores every candidate here
-        monkeypatch.setattr(evaluate, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(shares, "_usable_cpus", lambda: 1)
         tune_ncomp(offers, covariates, [1, 2, 3], scheme, config)
         cells = [(r, f) for r in range(scheme.repeats) for f in range(scheme.folds)]
         assert len(built) == len(cells)  # every cell of this problem is usable
@@ -496,9 +498,7 @@ class TestTuningShares:
 
     @pytest.fixture(params=[1, 2, 3], ids=lambda n: f"{n}cpu")
     def cpus(self, request, monkeypatch):
-        import offerlab.evaluate as evaluate
-
-        monkeypatch.setattr(evaluate, "_usable_cpus", lambda: request.param)
+        monkeypatch.setattr(shares, "_usable_cpus", lambda: request.param)
         yield request.param
         assert multiprocessing.active_children() == []
 
@@ -583,6 +583,12 @@ class TestTuningShares:
         offers, covariates, scheme, config = small_tuning_problem()
         report = tune_ncomp(offers, covariates, [1, 2, 3], scheme, config)
         assert [row.mean_accuracy for row in report.rows] == [1, 2, 3]
+
+    def test_a_pool_worker_scores_every_candidate_itself(self, cpus, reference):
+        # a daemonic process may not have children
+        (offers, covariates, scheme, config), rows = reference
+        report = in_pool_worker(tune_ncomp, offers, covariates, [1, 2, 3], scheme, config)
+        assert report.rows == rows
 
     def test_interrupt_in_the_caller_stops_every_child(self, monkeypatch, cpus):
         def interrupted(*args):

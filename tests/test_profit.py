@@ -1,4 +1,7 @@
 import math
+import multiprocessing
+import os
+import time
 from unittest import mock
 
 import numpy as np
@@ -6,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from offerlab import profit
+from offerlab import profit, shares
 from offerlab.choice import UTILITY_CLAMP, join, logistic
-from offerlab.errors import ConfigurationError, InvalidInputError
+from offerlab.errors import ConfigurationError, InvalidInputError, OfferLabError
 from offerlab.hb import DRAW_AVERAGED, POPULATION_MEAN, POSTERIOR_MEAN, PREDICTION_MODES
 from offerlab.profit import (
     NopConfig,
@@ -128,6 +131,7 @@ class SeedObjective:
             self.betas = draws.betas.mean(axis=0)[None, idx, :]
         else:
             self.betas = draws.betas[:, idx, :]
+        self.pairs = self.betas[..., 0].size
         self.seg = seg
         self.config = config
 
@@ -481,6 +485,23 @@ class TestOptimizePolicy:
             assert calls[0] == profit.COARSE_POINTS == 11
             assert calls[1:] == [1] * len(calls[1:]) and len(calls) - 1 <= steps
 
+    def test_repeated_contract_months_are_searched_once(self, monkeypatch):
+        scans = []
+
+        class Counting(profit._SegmentObjective):
+            def values_and_slopes(self, rs, months):
+                if len(rs) == profit.COARSE_POINTS:
+                    scans.append(months)
+                return super().values_and_slopes(rs, months)
+
+        monkeypatch.setattr(shares, "_usable_cpus", lambda: 1)
+        seg, draws = random_segment(np.random.default_rng(5), 8, 40)
+        once = optimize_policy(seg, draws, NopConfig(contract_options=(12, 60)))
+        with mock.patch.object(profit, "_SegmentObjective", Counting):
+            repeated = optimize_policy(seg, draws, NopConfig(contract_options=(12, 12, 60)))
+        assert repeated == once
+        assert scans == [12, 60]
+
     def test_empty_segment_rejected(self):
         _, draws = make_segment([[0.5, 0.1, -2.0]], [0.8])
         empty = SegmentData("elastic-loyal", (), np.array([]), np.array([]))
@@ -525,6 +546,175 @@ class TestOptimizePolicy:
         config = NopConfig(r_bounds={seg.segment: (-0.3, 0.4)})
         policy = optimize_policy(seg, draws, config, mode=POPULATION_MEAN)
         assert policy == optimize_policy(seg, population_mean_draw(draws), config)
+
+
+def in_pool_worker(function, *args):
+    """``function(*args)`` in the one worker of a forked ``Pool``, a
+    daemonic process."""
+    pool = multiprocessing.get_context("fork").Pool(1)
+    try:
+        return pool.apply(function, args)
+    finally:
+        pool.close()
+        pool.join()
+
+
+def insensitive_case():  # the optimum sits at the upper bound
+    rng = np.random.default_rng(9)
+    betas = np.column_stack(
+        [rng.normal(1.0, 0.3, 12), rng.normal(0.2, 0.05, 12), rng.normal(0.0, 0.01, 12)]
+    )
+    return (*make_segment(betas, rng.random(12)), NopConfig())
+
+
+def short_contract_case():  # an interior optimum on a 24-month contract
+    rng = np.random.default_rng(0)
+    betas = rng.normal([1.0, -1.2, -5.0], [0.8, 0.3, 1.5], size=(40, 7, 3))
+    return (*make_segment(betas, rng.random(7), 60 + 80 * rng.random(7)), NopConfig())
+
+
+def zero_loyalty_case():
+    return (*make_segment([[0.5, 0.1, -2.0]], [0.0]), NopConfig())
+
+
+def pinned_rate_case():
+    config = NopConfig(r_bounds={s: (0.15, 0.15) for s in SEGMENTS})
+    return (*make_segment([[0.5, 0.1, -2.0]], [0.8]), config)
+
+
+def one_option_case():
+    seg, draws = random_segment(np.random.default_rng(4), 6, 30)
+    return seg, draws, NopConfig(contract_options=(24,))
+
+
+# (segment, draws, config) builders and the (months, at_bound, degenerate)
+# of their policy
+SHARE_CASES = {
+    "at-bound": (insensitive_case, (60, True, False)),
+    "interior": (short_contract_case, (24, False, False)),
+    "degenerate": (zero_loyalty_case, (60, True, True)),
+    "lo-equals-hi": (pinned_rate_case, (60, True, False)),
+    "one-option": (one_option_case, (24, False, False)),
+}
+
+
+def log_months(monkeypatch, log, in_caller, in_child):
+    """Replace ``_best_option`` by one that appends "pid months" to ``log``
+    and then runs ``in_caller`` in this process and ``in_child`` in every
+    forked share."""
+    caller = os.getpid()
+
+    def best_option(objective, rs, months):
+        with log.open("a") as fh:  # every process appends here
+            fh.write(f"{os.getpid()} {months}\n")
+        run = in_caller if os.getpid() == caller else in_child
+        return run(objective, rs, months)
+
+    monkeypatch.setattr(profit, "_best_option", best_option)
+
+
+def months_by_process(log):
+    by_pid = {}
+    for line in log.read_text().split("\n")[:-1]:
+        pid, months = map(int, line.split())
+        by_pid.setdefault(pid, []).append(months)
+    return by_pid
+
+
+class TestOptimizeShares:
+    """optimize_policy searches the contract options of a segment of at
+    least VALUES_BLOCK (customer, draw) pairs in one share per usable CPU.
+    VALUES_BLOCK is lowered to 1 here, so that every segment is large."""
+
+    @pytest.fixture(params=[1, 2, 3], ids=lambda n: f"{n}cpu")
+    def cpus(self, request, monkeypatch):
+        monkeypatch.setattr(shares, "_usable_cpus", lambda: request.param)
+        monkeypatch.setattr(profit, "VALUES_BLOCK", 1)
+        return request.param
+
+    @pytest.fixture(scope="class")
+    def serial(self):
+        """Each case's policy at the package's VALUES_BLOCK, searched in the
+        caller: the cases are too small to fork."""
+        return {case: optimize_policy(*build()) for case, (build, _) in SHARE_CASES.items()}
+
+    @pytest.mark.parametrize("case", SHARE_CASES)
+    def test_policy_equals_the_serial_one(self, serial, cpus, case):
+        build, (months, at_bound, degenerate) = SHARE_CASES[case]
+        policy = optimize_policy(*build())
+        assert (policy.months, policy.at_bound, policy.degenerate) == (months, at_bound, degenerate)
+        assert policy == serial[case]
+
+    def test_which_process_searched_which_months(self, monkeypatch, cpus, tmp_path):
+        log = tmp_path / "searched"
+        log_months(monkeypatch, log, profit._best_option, profit._best_option)
+        seg, draws, config = short_contract_case()
+        optimize_policy(seg, draws, config)
+        expected = {
+            1: [[1, 12, 24, 36, 60]],
+            2: [[1, 24, 60], [12, 36]],
+            3: [[12, 60], [1, 36], [24]],
+        }[cpus]
+        by_pid = months_by_process(log)
+        assert by_pid.pop(os.getpid()) == expected[0]
+        assert sorted(by_pid.values()) == sorted(expected[1:])
+
+    @pytest.mark.parametrize("extra, forks", [(0, True), (1, False)])
+    def test_a_segment_below_one_block_stays_in_the_caller(
+        self, monkeypatch, tmp_path, extra, forks
+    ):
+        monkeypatch.setattr(shares, "_usable_cpus", lambda: 2)
+        seg, draws, config = short_contract_case()
+        monkeypatch.setattr(profit, "VALUES_BLOCK", seg.n_customers * draws.n_draws + extra)
+        log = tmp_path / "searched"
+        log_months(monkeypatch, log, profit._best_option, profit._best_option)
+        optimize_policy(seg, draws, config)
+        assert len(months_by_process(log)) == (2 if forks else 1)
+
+    def test_smallest_failing_month_raised_after_every_share(self, monkeypatch, cpus, tmp_path):
+        def failing(objective, rs, months):
+            raise InvalidInputError(f"months {months} failed")
+
+        log = tmp_path / "searched"
+        log_months(monkeypatch, log, failing, failing)
+        seg, draws, config = short_contract_case()
+        with pytest.raises(InvalidInputError, match="^months 1 failed$"):
+            optimize_policy(seg, draws, config)
+        # each share stops at its first month: 1; 1 and 12; 12, 1 and 24
+        searched = sorted(m for months in months_by_process(log).values() for m in months)
+        assert searched == {1: [1], 2: [1, 12], 3: [1, 12, 24]}[cpus]
+
+    def test_child_exit_without_result_named(self, monkeypatch, cpus, tmp_path):
+        log_months(monkeypatch, tmp_path / "searched", profit._best_option, lambda *a: os._exit(3))
+        seg, draws, config = short_contract_case()
+        if cpus == 1:  # no child: the caller searches every month
+            assert optimize_policy(seg, draws, config).months == 24
+            return
+        share = {2: "12, 36", 3: "1, 36"}[cpus]  # the first child's share
+        message = (
+            rf"^the process optimizing inelastic-loyal months \[{share}\] exited with code 3 "
+            "before sending a result$"
+        )
+        with pytest.raises(OfferLabError, match=message):
+            optimize_policy(seg, draws, config)
+
+    def test_interrupt_in_the_caller_stops_every_child(self, monkeypatch, cpus, tmp_path):
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        # a child would run on for a minute after the caller stops
+        log_months(monkeypatch, tmp_path / "searched", interrupted, lambda *a: time.sleep(60))
+        seg, draws, config = short_contract_case()
+        started = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            optimize_policy(seg, draws, config)
+        assert time.perf_counter() - started < 30
+
+    def test_a_pool_worker_searches_every_month_itself(self, cpus):
+        # a daemonic process may not have children
+        seg, draws, config = short_contract_case()
+        serial = optimize_policy(seg, draws, config)
+        assert in_pool_worker(optimize_policy, seg, draws, config) == serial
 
 
 class TestGridOracle:
