@@ -13,7 +13,8 @@ dp/dr = b2 * p * (1 - p), so
 
 where pbar_i and sbar_i are customer i's draw means of p and of
 b2 * p * (1 - p), A is the annuity factor and c0 the initial cost.  The
-optimizer scans r coarsely and then bisects on the sign of f'.
+optimizer scans r coarsely, then searches bisection's grid for the sign
+change of f' by ITP, which interpolates f' between the bracket's ends.
 """
 
 from __future__ import annotations
@@ -43,8 +44,9 @@ DEFAULT_CONTRACT_OPTIONS = (1, 12, 24, 36, 60)
 VALUES_BLOCK = 1 << 16
 
 # optimize_policy scans this many evenly spaced rates per contract option,
-# then bisects on the sign of f' between the best one and the neighbour its
-# slope points to, until the bracket is at most this wide
+# then narrows the interval between the best one and the neighbour its
+# slope points to onto one cell of bisection's grid, whose cells are at
+# most this wide
 COARSE_POINTS = 11
 REFINE_TOL = 1e-5
 
@@ -187,6 +189,11 @@ class _SegmentObjective:
     exact, so ``exp(na + r * nb)`` is ``exp(-u)`` bit for bit.  Only the
     contract option being searched keeps its base utility and annuity
     factor, so memory stays at a few copies of one draw slice.
+
+    ``clamped`` says whether some utility of the option may reach the
+    clamp at a rate in the trained band: max|na| + max|r| * max|nb| bounds
+    every |u|.  Where it cannot, the clip and the clamp mask are identity
+    operations, and the kernel skips them.
     """
 
     def __init__(self, seg: SegmentData, draws: PosteriorDraws, config: NopConfig, mode: str):
@@ -197,6 +204,10 @@ class _SegmentObjective:
         self.b0 = np.ascontiguousarray(betas[:, idx, 0].T)
         self.b1 = np.ascontiguousarray(betas[:, idx, 1].T)
         self.nb = np.negative(np.ascontiguousarray(betas[:, idx, 2].T))
+        # |r * nb| over the band, from scalar reductions: a segment-sized
+        # |nb| would raise peak memory
+        rate = max(map(abs, TRAINED_DISCOUNT_BAND))
+        self._nb_reach = rate * max(self.nb.max(initial=0.0), -self.nb.min(initial=0.0))
         self.seg = seg
         self.config = config
         self._months = None
@@ -215,6 +226,8 @@ class _SegmentObjective:
         na = self.b1 * contract_months_to_years(months)
         na += self.b0
         self.na = np.negative(na, out=na)
+        reach = max(na.max(initial=0.0), -na.min(initial=0.0)) + self._nb_reach
+        self.clamped = not reach < UTILITY_CLAMP
         self.factor = annuity_factor(months, self.config.annual_rate)
         self._months = months
 
@@ -234,17 +247,22 @@ class _SegmentObjective:
             buf, sbuf = (s[: len(rs) * nb.size].reshape(len(rs), *nb.shape) for s in self._scratch)
             np.multiply(r, nb, out=buf)
             buf += self.na[j : j + cols]
-            np.clip(buf, -UTILITY_CLAMP, UTILITY_CLAMP, out=buf)
-            # 1 where u is above the lower clamp; below it p is constant
-            # in r (above the upper one, 1 - p is exactly 0)
-            np.less(buf, UTILITY_CLAMP, out=sbuf)
+            if self.clamped:
+                np.clip(buf, -UTILITY_CLAMP, UTILITY_CLAMP, out=buf)
+                # 1 where u is above the lower clamp; below it p is constant
+                # in r (above the upper one, 1 - p is exactly 0)
+                np.less(buf, UTILITY_CLAMP, out=sbuf)
             np.exp(buf, out=buf)
             buf += 1.0
             np.divide(1.0, buf, out=buf)
             np.add.reduce(buf, axis=2, out=probs[:, j : j + cols])
-            # -nb * p * (1 - p) where free, summed here and negated below
-            sbuf *= buf
-            np.subtract(1.0, buf, out=buf)
+            # -nb * p * (1 - p) where free, summed here and negated below;
+            # without the clamp, (1 - p) * p is the same product bit for bit
+            if self.clamped:
+                sbuf *= buf
+                np.subtract(1.0, buf, out=buf)
+            else:
+                np.subtract(1.0, buf, out=sbuf)
             sbuf *= buf
             sbuf *= nb
             np.add.reduce(sbuf, axis=2, out=slopes[:, j : j + cols])
@@ -293,19 +311,64 @@ def segment_objective(
     return float(values[0])
 
 
-def _bisect_slope(objective, months: int, a: float, b: float, best_r: float, best_v: float):
-    """Bisection on the sign of f' over [a, b] down to REFINE_TOL, one
-    (f, f') evaluation per midpoint.  (best_r, best_v) is the scan's best
-    point, at one end; returns the best point probed, never worse."""
-    for _ in range(max(0, math.ceil(math.log2((b - a) / REFINE_TOL)))):
-        m = 0.5 * (a + b)
+def _grid_rate(a: float, b: float, steps: int, k: int) -> float:
+    """The rate bisection of [a, b] computes for node k of its grid of
+    2**steps cells (0 < k < 2**steps): bisection's own ``0.5 * (a + b)``
+    steps, replayed down to the bracket whose midpoint is k."""
+    lo, hi = 0, 1 << steps
+    while True:
+        mid, m = (lo + hi) >> 1, 0.5 * (a + b)
+        if k == mid:
+            return m
+        if k > mid:
+            a, lo = m, mid
+        else:
+            b, hi = m, mid
+
+
+def _itp_slope(objective, months: int, a: float, b: float, ends, best_r: float, best_v: float):
+    """The cell of bisection's grid over [a, b] where f' changes sign, found
+    by ITP (Oliveira & Takahashi 2020) over the grid's node indices, one
+    (f, f') evaluation per probe.  ``ends`` is f' at a and at b, from the
+    scan; (best_r, best_v) is the scan's best point, at one end.  Returns
+    the best point probed, never worse.
+
+    The grid has 2**n cells, n being bisection's step count down to
+    REFINE_TOL; each probe is a node index, evaluated at the float that
+    bisection computes there.  The probe interpolates f' linearly when
+    f'(lo) > 0 >= f'(hi), else it is the midpoint; then it is truncated
+    and projected as ITP prescribes (kappa1 = 0.2 / 2**n, kappa2 = 2,
+    n0 = 1) and rounded to a node.  f' > 0 moves the lower end, as in
+    bisection.  So when f' changes sign once, the search ends in
+    bisection's final cell and returns its point; it never takes more
+    than n + 1 probes."""
+    steps = max(0, math.ceil(math.log2((b - a) / REFINE_TOL)))
+    lo, hi = 0, 1 << steps
+    slope_lo, slope_hi = ends
+    kappa1 = 0.2 / hi
+    for j in range(steps + 1):
+        if hi - lo <= 1:
+            break
+        x = half = 0.5 * (lo + hi)
+        if slope_lo > 0 >= slope_hi and math.isfinite(slope_lo - slope_hi):
+            x = lo + (hi - lo) * (slope_lo / (slope_lo - slope_hi))
+            delta = kappa1 * (hi - lo) ** 2
+            if delta <= abs(half - x):
+                x += math.copysign(delta, half - x)
+            else:
+                x = half
+        # the projection onto |x - half| <= 2**(n - j) - (hi - lo) / 2 is
+        # the clip to these nodes, which keeps the worst case at n + 1 probes
+        radius = 1 << (steps - j)
+        k = min(max(math.floor(x + 0.5), lo + 1, hi - radius), hi - 1, lo + radius)
+        m = _grid_rate(a, b, steps, k)
         values, slopes = objective.values_and_slopes([m], months)
         if values[0] > best_v:
             best_r, best_v = m, float(values[0])
         if slopes[0] > 0:
-            a = m
+            lo, slope_lo = k, float(slopes[0])
         else:
-            b = m
+            hi, slope_hi = k, float(slopes[0])
     return best_r, best_v
 
 
@@ -319,19 +382,22 @@ def _best_option(objective, rs, months: int):
     """``(value, r, nonzero)`` of one contract option: f and f' at the scan
     rates ``rs`` in one batched call; from the best of them, f' points to
     the neighbouring interval that holds a higher value, which
-    ``_bisect_slope`` narrows to REFINE_TOL.  A best point at a bound whose
-    slope points out of the range stays exactly at the bound.  ``nonzero``
-    says whether any scan rate scored a nonzero profit."""
+    ``_itp_slope`` narrows to one cell of bisection's grid, at most
+    REFINE_TOL wide.  A best point at a bound whose slope points out of the
+    range stays exactly at the bound.  ``nonzero`` says whether any scan
+    rate scored a nonzero profit."""
     values, slopes = objective.values_and_slopes(rs, months)
     i = int(np.argmax(values))
     r_star, v_star = float(rs[i]), float(values[i])
     bracket = None
     if slopes[i] > 0 and i + 1 < len(rs):
-        bracket = (r_star, float(rs[i + 1]))
+        bracket = slice(i, i + 2)
     elif slopes[i] < 0 and i > 0:
-        bracket = (float(rs[i - 1]), r_star)
+        bracket = slice(i - 1, i + 1)
     if bracket:
-        r_star, v_star = _bisect_slope(objective, months, *bracket, r_star, v_star)
+        a, b = rs[bracket].tolist()
+        ends = slopes[bracket].tolist()
+        r_star, v_star = _itp_slope(objective, months, a, b, ends, r_star, v_star)
     return v_star, r_star, bool(np.any(values != 0.0))
 
 
@@ -342,8 +408,9 @@ def optimize_policy(
     mode: str = DRAW_AVERAGED,
 ) -> OfferPolicy:
     """Best (r, months) for a segment: ``_best_option`` searches the rate
-    of each distinct contract option once, and ties across options go to
-    the shorter contract.
+    of each distinct contract option once, an 11-rate scan and then an ITP
+    search of bisection's grid on the sign of f', and ties across options
+    go to the shorter contract.
 
     The options share no state, so a segment of at least VALUES_BLOCK
     (customer, scored draw) pairs has them searched on every usable CPU by

@@ -206,11 +206,12 @@ def _draw_population(config: GroundTruthConfig):
         comps.append(min(bisect.bisect_right(weights, random()), last))
         z[i] = normal(3)
     loyalty, demographic = np.array(loyalty), np.array(demographic)
-    raw_beta = means[comps] + (factors[comps] @ z[:, :, None])[:, :, 0]
-
     loyalty_c = loyalty - loyalty.mean()
     demographic_c = demographic - demographic.mean()
-    betas = raw_beta + loyalty_c[:, None] * loadings[None, :]
+    # an overflow is refused by name just below, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        raw_beta = means[comps] + (factors[comps] @ z[:, :, None])[:, :, 0]
+        betas = raw_beta + loyalty_c[:, None] * loadings[None, :]
 
     if not np.isfinite(betas).all():
         raise ConfigurationError("ground truth draws non-finite coefficients")

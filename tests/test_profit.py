@@ -162,6 +162,60 @@ class SeedObjective:
         return self.values(rs, months), np.array([self.slope(r, months) for r in rs])
 
 
+def seed_bisect_slope(objective, months: int, a: float, b: float, best_r: float, best_v: float):
+    """Bisection on the sign of f' over [a, b] down to REFINE_TOL, one
+    (f, f') evaluation per midpoint.  (best_r, best_v) is the scan's best
+    point, at one end; returns the best point probed, never worse.
+
+    The rate refinement as first written, kept as the reference that
+    ``profit._itp_slope`` must reproduce where f' changes sign once."""
+    for _ in range(max(0, math.ceil(math.log2((b - a) / profit.REFINE_TOL)))):
+        m = 0.5 * (a + b)
+        values, slopes = objective.values_and_slopes([m], months)
+        if values[0] > best_v:
+            best_r, best_v = m, float(values[0])
+        if slopes[0] > 0:
+            a = m
+        else:
+            b = m
+    return best_r, best_v
+
+
+class StubObjective:
+    """values_and_slopes of a stub profit f with derivative df, one rate
+    per call, recording each rate asked for and the value it got."""
+
+    def __init__(self, f, df):
+        self.f, self.df, self.probes = f, df, {}
+
+    def values_and_slopes(self, rs, months):
+        (r,) = rs
+        self.probes[r] = value = self.f(r)
+        return np.array([value]), np.array([self.df(r)])
+
+
+def one_root(root):
+    """A stub with f' > 0 left of ``root``, f'(root) = 0 and f' < 0 right
+    of it; f is steeper on the right, so two nodes rarely tie."""
+    def f(r):
+        return -(r - root) ** 2 * (1.0 if r <= root else 1.5)
+
+    def df(r):
+        return -2.0 * (r - root) * (1.0 if r <= root else 1.5)
+
+    return f, df
+
+
+def grid_steps(a, b):
+    """Bisection's step count over [a, b]: its grid has 2**steps cells."""
+    return max(0, math.ceil(math.log2((b - a) / profit.REFINE_TOL)))
+
+
+def scan_best(f, a, b):
+    """The scan's best point: the end of [a, b] with the higher profit."""
+    return (a, f(a)) if f(a) >= f(b) else (b, f(b))
+
+
 class TestPresentValue:
     def test_single_undiscounted_term(self):
         assert present_value(100.0, 5.0, 0.5, 1, 0.0) == 145.0
@@ -400,6 +454,195 @@ class TestBatchedObjective:
             objective.values_and_slopes(bad, 12)
 
 
+class TestItpSlope:
+    """The rate search over bisection's grid: where f' changes sign once in
+    the bracket, bisection's point bit for bit, from at most n + 1 probes."""
+
+    @given(
+        a=st.floats(-0.5, 0.4),
+        width=st.floats(1e-6, 0.1),
+        where=st.sampled_from(["anywhere", "node", "nominal node", "first cell", "last cell"]),
+        t=st.floats(0.0, 1.0),
+        k=st.integers(1, 2**14 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_one_sign_change_is_bisection(self, a, width, where, t, k):
+        b = a + width
+        steps = grid_steps(a, b)
+        cells = 1 << steps
+        k = 1 + k % max(cells - 1, 1)
+        root = {
+            "anywhere": a + t * (b - a),
+            # f' = 0 exactly at the float bisection computes for node k
+            "node": profit._grid_rate(a, b, steps, k) if steps else a,
+            "nominal node": a + (b - a) * k / cells,
+            "first cell": a + t * (b - a) / cells,
+            "last cell": b - t * (b - a) / cells,
+        }[where]
+        f, df = one_root(root)
+        best = scan_best(f, a, b)
+        reference = StubObjective(f, df)
+        expected = seed_bisect_slope(reference, 12, a, b, *best)
+        search = StubObjective(f, df)
+        assert profit._itp_slope(search, 12, a, b, (df(a), df(b)), *best) == expected
+        assert len(search.probes) <= steps + 1
+        assert len(reference.probes) == steps
+
+    @given(
+        a=st.floats(-0.5, 0.4),
+        width=st.floats(1e-5, 0.1),
+        t=st.floats(0.0, 1.0),
+        up=st.sampled_from([1e-9, 1.0, 1e9]),
+        down=st.sampled_from([3e-9, 3.0, 3e9]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_a_step_in_the_slope_is_bisection_within_n_plus_1(self, a, width, t, up, down):
+        # f' jumps from up to -down at the root: interpolation lands next to
+        # one end on every probe, so only the projection bounds the probes
+        b = a + width
+        root = a + t * width
+
+        def f(r):
+            return up * (r - root) if r < root else -down * (r - root)
+
+        def df(r):
+            return up if r < root else -down
+
+        best = scan_best(f, a, b)
+        search = StubObjective(f, df)
+        found = profit._itp_slope(search, 12, a, b, (df(a), df(b)), *best)
+        assert found == seed_bisect_slope(StubObjective(f, df), 12, a, b, *best)
+        assert len(search.probes) <= grid_steps(a, b) + 1
+
+    @given(
+        a=st.floats(-0.5, 0.4),
+        width=st.floats(1e-5, 0.1),
+        turns=st.floats(0.5, 60.0),
+        phase=st.floats(0.0, 6.3),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_several_sign_changes(self, a, width, turns, phase):
+        b = a + width
+        w = 2 * math.pi * turns / width
+        objective = StubObjective(
+            lambda r: math.sin(w * (r - a) + phase), lambda r: w * math.cos(w * (r - a) + phase)
+        )
+        self.assert_probed_and_bounded(objective, a, b, objective.df(a), objective.df(b))
+
+    @given(
+        a=st.floats(-0.5, 0.4),
+        width=st.floats(1e-5, 0.1),
+        ends=st.tuples(st.floats(), st.floats()),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_any_slopes(self, a, width, ends, data):
+        # same-sign ends, NaN and infinite slopes, values in any order
+        draw = data.draw
+        objective = StubObjective(
+            lambda r: draw(st.floats(-1e3, 1e3)), lambda r: draw(st.floats())
+        )
+        self.assert_probed_and_bounded(objective, a, a + width, *ends)
+
+    @staticmethod
+    def assert_probed_and_bounded(objective, a, b, slope_a, slope_b):
+        """At most n + 1 probes, each strictly inside [a, b]; the point
+        returned is the scan point or the best probe, with its value."""
+        best_v = objective.f(a)
+        r, v = profit._itp_slope(objective, 12, a, b, (slope_a, slope_b), a, best_v)
+        probes = objective.probes
+        assert len(probes) <= grid_steps(a, b) + 1
+        assert all(a < m < b for m in probes)
+        assert (r, v) == (a, best_v) or (probes[r] == v and v > best_v)
+        assert v == max([best_v, *probes.values()])
+
+    def test_grid_rate_is_bisections_midpoint(self):
+        # every node of a 2**5 grid, against bisection's own floats
+        a, b, steps = -0.3, -0.2, 5
+        nodes = {}
+
+        def walk(lo, hi, a, b):
+            if hi - lo > 1:
+                mid, m = (lo + hi) // 2, 0.5 * (a + b)
+                nodes[mid] = m
+                walk(lo, mid, a, m)
+                walk(mid, hi, m, b)
+
+        walk(0, 1 << steps, a, b)
+        assert [profit._grid_rate(a, b, steps, k) for k in range(1, 32)] == [
+            nodes[k] for k in range(1, 32)
+        ]
+
+    def test_policy_is_bisections_on_criterion_3_segments(self):
+        rng = np.random.default_rng(20261019)
+        config = NopConfig()
+
+        def bisection(objective, months, a, b, ends, best_r, best_v):
+            return seed_bisect_slope(objective, months, a, b, best_r, best_v)
+
+        for _ in range(8):
+            seg, draws = random_segment(rng, int(rng.integers(3, 13)), int(rng.integers(20, 81)))
+            policy = optimize_policy(seg, draws, config)
+            with mock.patch.object(profit, "_itp_slope", bisection):
+                assert optimize_policy(seg, draws, config) == policy
+
+
+class ClampedObjective(profit._SegmentObjective):
+    """The objective with the clamped kernel forced on for every option."""
+
+    def _select(self, months):
+        super()._select(months)
+        self.clamped = True
+
+
+class TestClampFreeKernel:
+    """Where no utility can reach the clamp, the kernel skips the clip and
+    the clamp mask; its values and slopes stay bit for bit the same."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 40),
+        n_draws=st.integers(1, 60),
+        scale=st.sampled_from([0.1, 1.0, 3.0, 10.0]),
+        months=st.sampled_from(NopConfig().contract_options),
+        mode=st.sampled_from(PREDICTION_MODES),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_bit_identical_to_the_clamped_path(self, seed, n, n_draws, scale, months, mode):
+        rng = np.random.default_rng(seed)
+        seg, draws = random_segment(rng, n, n_draws, scale)
+        rs = np.concatenate([[-0.5, 0.5], rng.uniform(-0.5, 0.5, 20)])
+        for block in (97, profit.VALUES_BLOCK):
+            with mock.patch.object(profit, "VALUES_BLOCK", block):
+                objective = profit._SegmentObjective(seg, draws, NopConfig(), mode)
+                values, slopes = objective.values_and_slopes(rs, months)
+                clamped = ClampedObjective(seg, draws, NopConfig(), mode)
+                expected = clamped.values_and_slopes(rs, months)
+            assert not objective.clamped
+            assert np.array_equal(values, expected[0]) and np.array_equal(slopes, expected[1])
+
+    @pytest.mark.parametrize(
+        "draws, clamped",
+        [
+            # u reaches 699.4 + 0.5 = 699.9 at r = -0.5 and at r = 0.5
+            ([[699.4, 0.0, -1.0], [699.4, 0.0, 1.0]], False),
+            # a third draw's |b2| = 1.4 lifts max|a| + 0.5 max|b2| to 700.1
+            ([[699.4, 0.0, -1.0], [699.4, 0.0, 1.0], [0.0, 0.0, 1.4]], True),
+            ([[-699.4, 0.0, 1.0], [0.0, 0.0, -1.4]], True),
+        ],
+    )
+    def test_a_bound_at_the_clamp_takes_the_clamped_path(self, draws, clamped):
+        seg, draws = make_segment([[beta] for beta in draws], [0.7])
+        rs = np.linspace(-0.5, 0.5, 11)
+        objective = profit._SegmentObjective(seg, draws, NopConfig(), DRAW_AVERAGED)
+        with mock.patch.object(profit.np, "clip", wraps=np.clip) as clip:
+            values, slopes = objective.values_and_slopes(rs, 12)
+        assert objective.clamped is clamped and clip.called is clamped
+        expected = ClampedObjective(seg, draws, NopConfig(), DRAW_AVERAGED)
+        expected = expected.values_and_slopes(rs, 12)
+        assert np.array_equal(values, expected[0]) and np.array_equal(slopes, expected[1])
+
+
 class TestOptimizePolicy:
     def test_discount_insensitive_segment_hits_upper_bound(self):
         rng = np.random.default_rng(9)
@@ -464,8 +707,10 @@ class TestOptimizePolicy:
             assert gap <= 1e-6
 
     def test_evaluation_budget(self):
-        # one COARSE_POINTS scan, then single-rate bisection steps down to
-        # REFINE_TOL from a bracket one scan interval (0.1) wide
+        # one COARSE_POINTS scan, then single-rate probes of bisection's
+        # grid, whose cells are at most REFINE_TOL wide, over a bracket one
+        # scan interval (0.1) wide: at most steps + 1, yet these options
+        # take at most 6
         rates = []
 
         class Counting(profit._SegmentObjective):

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -106,8 +107,11 @@ class TestConfigValidation:
         config = GroundTruthConfig(
             n_customers=50, mixture=config.mixture, loyalty_loadings=(1e308, 0.0, 0.0), seed=1
         )
-        with pytest.raises(ConfigurationError, match="non-finite coefficients"):
-            generate_offers(config)
+        # refused by name, with no numpy overflow warning on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigurationError, match="non-finite coefficients"):
+                generate_offers(config)
 
     @pytest.mark.parametrize("values", [[7], [-1], [0, 2, 6]])
     def test_contract_values_must_be_whole_years_in_range(self, values):
