@@ -1,6 +1,8 @@
-"""Command-line front end: simulate, fit, tune, predict, evaluate, segment,
-optimize, ingest-retail, and report, each writing CSV/JSON artifacts plus a
-manifest that records the resolved config, seed, and artifact hashes."""
+"""Command-line front end.  ``STAGES`` maps each subcommand, in pipeline
+order, to one stage function that writes CSV/JSON artifacts; ``run_pipeline``
+adds a manifest recording the resolved config, seed, and artifact hashes.
+``report`` renders one section per artifact of ``REPORT_SECTIONS`` present,
+and refuses one whose first column repeats a key."""
 
 from __future__ import annotations
 
@@ -54,18 +56,6 @@ from .storage import (
     write_text_atomic,
 )
 
-SUBCOMMANDS = (
-    "simulate",
-    "fit",
-    "tune",
-    "predict",
-    "evaluate",
-    "segment",
-    "optimize",
-    "ingest-retail",
-    "report",
-)
-
 # the segment cell and the schemas of the CSV artifacts the CLI writes
 # itself; a stage that reads one of them back refuses any other header
 SEGMENT = enum_cell("segment", {segment: segment for segment in SEGMENTS})
@@ -77,33 +67,6 @@ POLICY_CSV = {
     "segment": SEGMENT, "r": FLOAT, "M_months": INT, "nop": FLOAT, "n_customers": INT,
     "degenerate": FLAG, "at_bound": FLAG,
 }
-
-
-def _out(config: PipelineConfig) -> Path:
-    path = Path(config.out_dir)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
-def _require(path: Path) -> Path:
-    if not path.exists():
-        raise MissingArtifactError(str(path))
-    return path
-
-
-def _write_manifest(out: Path, subcommand: str, config: PipelineConfig, artifacts) -> Path:
-    config_dict = asdict(config)
-    manifest = {
-        "subcommand": subcommand,
-        "seed": config.seed,
-        "version": __version__,
-        "config": config_dict,
-        "config_sha256": sha256_text(canonical_json(config_dict)),
-        "artifacts": {name: sha256_file(out / name) for name in sorted(artifacts)},
-    }
-    path = out / f"manifest-{subcommand}.json"
-    write_json_atomic(path, manifest)
-    return path
 
 
 def _fields(records, cls) -> list:
@@ -126,165 +89,213 @@ def _aligned_scores(path, offers) -> np.ndarray:
     return np.asarray(scores, dtype=float)[at]
 
 
-def run_pipeline(subcommand: str, config: PipelineConfig, args: argparse.Namespace | None = None):
-    """Execute one stage; returns the list of artifact names written."""
-    out = _out(config)
-    artifacts: list[str] = []
+def _simulate(out: Path, config: PipelineConfig, args) -> list[str]:
+    dataset = simulate_dataset(config.ground_truth)
+    write_offer_csv(out / "train.csv", dataset.train)
+    write_offer_csv(out / "test.csv", dataset.test)
+    write_customers_csv(out / "customers.csv", dataset.customers)
+    write_truth_csv(out / "truth.csv", dataset.true_coefficients)
+    summary = summarize_dataset(dataset.train, dataset.customers)
+    summary += "\n" + summarize_dataset(dataset.test, dataset.customers)
+    write_text_atomic(out / "summary.txt", summary)
+    return ["train.csv", "test.csv", "customers.csv", "truth.csv", "summary.txt"]
 
-    if subcommand == "simulate":
-        dataset = simulate_dataset(config.ground_truth)
-        write_offer_csv(out / "train.csv", dataset.train)
-        write_offer_csv(out / "test.csv", dataset.test)
-        write_customers_csv(out / "customers.csv", dataset.customers)
-        write_truth_csv(out / "truth.csv", dataset.true_coefficients)
-        summary = summarize_dataset(dataset.train, dataset.customers)
-        summary += "\n" + summarize_dataset(dataset.test, dataset.customers)
-        write_text_atomic(out / "summary.txt", summary)
-        artifacts += ["train.csv", "test.csv", "customers.csv", "truth.csv", "summary.txt"]
 
-    elif subcommand == "fit":
-        offers = read_offer_csv(out / "train.csv")
-        customers, _ = read_customers_csv(out / "customers.csv")
-        covariates = customers.covariates(config.include_demographic)
-        draws = fit_hb_mixed_logit(offers, covariates, ncomp=config.ncomp, config=config.mcmc)
-        artifacts += [f"posterior/{name}" for name in draws.save(out / "posterior")]
+def _fit(out: Path, config: PipelineConfig, args) -> list[str]:
+    offers = read_offer_csv(out / "train.csv")
+    customers, _ = read_customers_csv(out / "customers.csv")
+    covariates = customers.covariates(config.include_demographic)
+    draws = fit_hb_mixed_logit(offers, covariates, ncomp=config.ncomp, config=config.mcmc)
+    return [f"posterior/{name}" for name in draws.save(out / "posterior")]
 
-    elif subcommand == "tune":
-        offers = read_offer_csv(out / "train.csv")
-        customers, _ = read_customers_csv(out / "customers.csv")
-        covariates = customers.covariates(config.include_demographic)
-        report = tune_ncomp(
-            offers, covariates, config.ncomp_candidates, config.resampling, config.mcmc
-        )
-        columns = _fields(report.rows, TuningRow)
-        columns.append([ncomp == report.selected_ncomp for ncomp in columns[0]])
-        write_csv_atomic(out / "tuning.csv", TUNING_CSV, columns)
-        artifacts += ["tuning.csv"]
 
-    elif subcommand == "predict":
-        draws = PosteriorDraws.load(out / "posterior")
-        offers = read_offer_csv(out / "test.csv")
-        scores = predict_panel_probabilities(
-            draws, offers.X, offers.customer_id, mode=config.predict_mode,
-            fallback_population_mean=True,
-        )
-        columns = [offers.customer_id, offers.occasion, [1] * len(offers), scores]
-        write_scores_csv(out / "scores.csv", columns)
-        artifacts += ["scores.csv"]
+def _tune(out: Path, config: PipelineConfig, args) -> list[str]:
+    offers = read_offer_csv(out / "train.csv")
+    customers, _ = read_customers_csv(out / "customers.csv")
+    covariates = customers.covariates(config.include_demographic)
+    report = tune_ncomp(
+        offers, covariates, config.ncomp_candidates, config.resampling, config.mcmc
+    )
+    columns = _fields(report.rows, TuningRow)
+    columns.append([ncomp == report.selected_ncomp for ncomp in columns[0]])
+    write_csv_atomic(out / "tuning.csv", TUNING_CSV, columns)
+    return ["tuning.csv"]
 
-    elif subcommand == "evaluate":
-        offers = read_offer_csv(out / "test.csv")
-        base_rate = float(np.mean(read_offer_csv(out / "train.csv").labels()))
-        scores = _aligned_scores(out / "scores.csv", offers)
-        labels = offers.labels()
-        data = ScoredLabels(scores, labels)
-        metrics = {
-            "auc": auc(data),
-            "accuracy": accuracy_at_base_rate(data, base_rate),
-            "base_rate": base_rate,
-            "n_rows": len(labels),
+
+def _predict(out: Path, config: PipelineConfig, args) -> list[str]:
+    draws = PosteriorDraws.load(out / "posterior")
+    offers = read_offer_csv(out / "test.csv")
+    scores = predict_panel_probabilities(
+        draws, offers.X, offers.customer_id, mode=config.predict_mode,
+        fallback_population_mean=True,
+    )
+    columns = [offers.customer_id, offers.occasion, [1] * len(offers), scores]
+    write_scores_csv(out / "scores.csv", columns)
+    return ["scores.csv"]
+
+
+def _evaluate(out: Path, config: PipelineConfig, args) -> list[str]:
+    offers = read_offer_csv(out / "test.csv")
+    base_rate = float(np.mean(read_offer_csv(out / "train.csv").labels()))
+    scores = _aligned_scores(out / "scores.csv", offers)
+    labels = offers.labels()
+    data = ScoredLabels(scores, labels)
+    metrics = {
+        "auc": auc(data),
+        "accuracy": accuracy_at_base_rate(data, base_rate),
+        "base_rate": base_rate,
+        "n_rows": len(labels),
+    }
+    if args.compare:
+        # imported benchmark scores (e.g. an external model) aligned on
+        # (customer_id, occasion); compared via the DeLong ROC test
+        result = delong_test(scores, _aligned_scores(Path(args.compare), offers), labels)
+        metrics["delong"] = {
+            "auc_model": result.auc_a,
+            "auc_compare": result.auc_b,
+            "z": result.z,
+            "p_value": result.p_value,
         }
-        if args is not None and getattr(args, "compare", None):
-            # imported benchmark scores (e.g. an external model) aligned on
-            # (customer_id, occasion); compared via the DeLong ROC test
-            other = _aligned_scores(Path(args.compare), offers)
-            result = delong_test(scores, other, labels)
-            metrics["delong"] = {
-                "auc_model": result.auc_a,
-                "auc_compare": result.auc_b,
-                "z": result.z,
-                "p_value": result.p_value,
-            }
-        write_json_atomic(out / "metrics.json", metrics)
-        write_csv_atomic(out / "lift.csv", LIFT_CSV, list(zip(*lift_curve(data))))
-        artifacts += ["metrics.json", "lift.csv"]
+    write_json_atomic(out / "metrics.json", metrics)
+    write_csv_atomic(out / "lift.csv", LIFT_CSV, list(zip(*lift_curve(data))))
+    return ["metrics.json", "lift.csv"]
 
-    elif subcommand == "segment":
-        draws = PosteriorDraws.load(out / "posterior")
-        offers = read_offer_csv(out / "test.csv")
-        customers, _ = read_customers_csv(out / "customers.csv")
-        assignments = assign_segments(draws, offers, customers, delta=config.elasticity_delta)
-        write_csv_atomic(out / "segments.csv", SEGMENT_CSV, _fields(assignments, SegmentAssignment))
-        shares = segment_distribution(assignments)
-        columns = [SEGMENTS, [shares[segment] for segment in SEGMENTS]]
-        write_csv_atomic(out / "segment_distribution.csv", DISTRIBUTION_CSV, columns)
-        artifacts += ["segments.csv", "segment_distribution.csv"]
 
-    elif subcommand == "optimize":
-        draws = PosteriorDraws.load(out / "posterior")
-        assignments = list(map(SegmentAssignment, *read_csv(out / "segments.csv", SEGMENT_CSV)))
-        _, mrp = read_customers_csv(out / "customers.csv")
-        segments = segment_data_from_assignments(assignments, config.nop, mrp)
-        policies = [
-            optimize_policy(segments[segment], draws, config.nop, mode=config.predict_mode)
-            for segment in SEGMENTS if segments[segment].n_customers > 0
-        ]
-        write_csv_atomic(out / "policy.csv", POLICY_CSV, _fields(policies, OfferPolicy))
-        artifacts += ["policy.csv"]
+def _segment(out: Path, config: PipelineConfig, args) -> list[str]:
+    draws = PosteriorDraws.load(out / "posterior")
+    offers = read_offer_csv(out / "test.csv")
+    customers, _ = read_customers_csv(out / "customers.csv")
+    assignments = assign_segments(draws, offers, customers, delta=config.elasticity_delta)
+    write_csv_atomic(out / "segments.csv", SEGMENT_CSV, _fields(assignments, SegmentAssignment))
+    shares = segment_distribution(assignments)
+    columns = [SEGMENTS, [shares[segment] for segment in SEGMENTS]]
+    write_csv_atomic(out / "segment_distribution.csv", DISTRIBUTION_CSV, columns)
+    return ["segments.csv", "segment_distribution.csv"]
 
-    elif subcommand == "ingest-retail":
-        if args is None or not args.input:
-            raise MissingArtifactError("ingest-retail requires --input <retail csv>")
-        product_filter = None
-        if args.products:
-            lines = _require(Path(args.products)).read_text().split()
-            product_filter = {line.strip() for line in lines if line.strip()}
-        dataset = ingest_retail_csv(args.input, product_filter=product_filter)
-        write_multinomial_csv(out / "multinomial.csv", dataset)
-        artifacts += ["multinomial.csv"]
 
-    elif subcommand == "report":
-        sections = []
-        dist_path = out / "segment_distribution.csv"
-        if dist_path.exists():
-            shares = dict(zip(*read_csv(dist_path, DISTRIBUTION_CSV)))
-            lines = ["Customer segments (percent of customers)", "-" * 44]
-            for segment in SEGMENTS:
-                lines.append(f"{segment:<24}{shares.get(segment, 0.0):>8.1f}")
-            sections.append("\n".join(lines))
-        tuning_path = out / "tuning.csv"
-        if tuning_path.exists():
-            rows = zip(*read_csv(tuning_path, TUNING_CSV))
-            lines = ["Mixture-size tuning (mean validation AUC)", "-" * 44]
-            lines.append(f"{'ncomp':<8}{'AUC':>10}{'accuracy':>12}{'selected':>10}")
-            for ncomp, mean_auc, mean_accuracy, selected in rows:
-                mark = "*" if selected else ""
-                lines.append(f"{ncomp:<8}{mean_auc:>10.4f}{mean_accuracy:>12.4f}{mark:>10}")
-            sections.append("\n".join(lines))
-        policy_path = out / "policy.csv"
-        if policy_path.exists():
-            policies = {row[0]: row for row in zip(*read_csv(policy_path, POLICY_CSV))}
+def _optimize(out: Path, config: PipelineConfig, args) -> list[str]:
+    draws = PosteriorDraws.load(out / "posterior")
+    assignments = list(map(SegmentAssignment, *read_csv(out / "segments.csv", SEGMENT_CSV)))
+    _, mrp = read_customers_csv(out / "customers.csv")
+    segments = segment_data_from_assignments(assignments, config.nop, mrp)
+    policies = [
+        optimize_policy(segments[segment], draws, config.nop, mode=config.predict_mode)
+        for segment in SEGMENTS if segments[segment].n_customers > 0
+    ]
+    write_csv_atomic(out / "policy.csv", POLICY_CSV, _fields(policies, OfferPolicy))
+    return ["policy.csv"]
 
-            def _cell(segment):
-                if segment not in policies:
-                    return "(no customers)"
-                _, r, months, _, _, degenerate, at_bound = policies[segment]
-                marks = "!" * degenerate + "^" * at_bound
-                return f"r = {100 * r:+.1f}%  m = {months} months {marks}".rstrip()
 
-            lines = ["Optimal discount rate (r) and contract length (m)", "-" * 60]
-            lines.append(f"{'':<22}{'Not Loyal':<30}{'Loyal':<30}")
-            lines.append(
-                f"{'Discount Inelastic':<22}{_cell('inelastic-not-loyal'):<30}{_cell('inelastic-loyal'):<30}"
-            )
-            lines.append(
-                f"{'Discount Elastic':<22}{_cell('elastic-not-loyal'):<30}{_cell('elastic-loyal'):<30}"
-            )
-            lines.append("^ r at a bound of the segment's discount range")
-            lines.append("! degenerate: no customer adds profit, r and m are defaults")
-            sections.append("\n".join(lines))
-        if not sections:
-            raise MissingArtifactError(
-                "report needs at least one of segment_distribution.csv, tuning.csv, policy.csv"
-            )
-        write_text_atomic(out / "report.txt", "\n\n".join(sections) + "\n")
-        artifacts += ["report.txt"]
+def _ingest_retail(out: Path, config: PipelineConfig, args) -> list[str]:
+    if not args.input:
+        raise MissingArtifactError("ingest-retail requires --input <retail csv>")
+    product_filter = None
+    if args.products:
+        products = Path(args.products)
+        if not products.exists():
+            raise MissingArtifactError(str(products))
+        product_filter = set(products.read_text().split())
+    dataset = ingest_retail_csv(args.input, product_filter=product_filter)
+    write_multinomial_csv(out / "multinomial.csv", dataset)
+    return ["multinomial.csv"]
 
-    else:
+
+def _distribution_section(segments, percents) -> str:
+    shares = dict(zip(segments, percents))
+    lines = ["Customer segments (percent of customers)", "-" * 44]
+    lines += [f"{segment:<24}{shares.get(segment, 0.0):>8.1f}" for segment in SEGMENTS]
+    return "\n".join(lines)
+
+
+def _tuning_section(*columns) -> str:
+    lines = ["Mixture-size tuning (mean validation AUC)", "-" * 44]
+    lines.append(f"{'ncomp':<8}{'AUC':>10}{'accuracy':>12}{'selected':>10}")
+    for ncomp, mean_auc, mean_accuracy, selected in zip(*columns):
+        mark = "*" if selected else ""
+        lines.append(f"{ncomp:<8}{mean_auc:>10.4f}{mean_accuracy:>12.4f}{mark:>10}")
+    return "\n".join(lines)
+
+
+def _policy_section(*columns) -> str:
+    cells = {}
+    for segment, r, months, _, _, degenerate, at_bound in zip(*columns):
+        marks = "!" * degenerate + "^" * at_bound
+        cells[segment] = f"r = {100 * r:+.1f}%  m = {months} months {marks}".rstrip()
+    lines = ["Optimal discount rate (r) and contract length (m)", "-" * 60]
+    lines.append(f"{'':<22}{'Not Loyal':<30}{'Loyal':<30}")
+    # SEGMENTS is ordered as assign_segment indexes it: 2 * elastic + loyal
+    for elastic, label in enumerate(("Discount Inelastic", "Discount Elastic")):
+        row = [cells.get(SEGMENTS[2 * elastic + loyal], "(no customers)") for loyal in (0, 1)]
+        lines.append(f"{label:<22}{row[0]:<30}{row[1]:<30}")
+    lines.append("^ r at a bound of the segment's discount range")
+    lines.append("! degenerate: no customer adds profit, r and m are defaults")
+    return "\n".join(lines)
+
+
+# the report's sections in order: (artifact, schema, renderer of its
+# columns); a missing artifact leaves its section out
+REPORT_SECTIONS = (
+    ("segment_distribution.csv", DISTRIBUTION_CSV, _distribution_section),
+    ("tuning.csv", TUNING_CSV, _tuning_section),
+    ("policy.csv", POLICY_CSV, _policy_section),
+)
+
+
+def _report(out: Path, config: PipelineConfig, args) -> list[str]:
+    sections = []
+    for name, schema, render in REPORT_SECTIONS:
+        path = out / name
+        if path.exists():
+            columns = read_csv(path, schema)
+            repeat = first_repeat(columns[0])
+            if repeat >= 0:
+                key = next(iter(schema))
+                raise DataIntegrityError(f"{path} repeats {key} = {columns[0][repeat]}")
+            sections.append(render(*columns))
+    if not sections:
+        names = ", ".join(name for name, _, _ in REPORT_SECTIONS)
+        raise MissingArtifactError(f"report needs at least one of {names}")
+    write_text_atomic(out / "report.txt", "\n\n".join(sections) + "\n")
+    return ["report.txt"]
+
+
+# the subcommands in pipeline order, each to its stage function
+# ``(out, config, args) -> artifact names``
+STAGES = {
+    "simulate": _simulate,
+    "fit": _fit,
+    "tune": _tune,
+    "predict": _predict,
+    "evaluate": _evaluate,
+    "segment": _segment,
+    "optimize": _optimize,
+    "ingest-retail": _ingest_retail,
+    "report": _report,
+}
+
+# the options a stage reads when ``run_pipeline`` is called without ``args``
+_NO_ARGS = argparse.Namespace(input=None, products=None, compare=None)
+
+
+def run_pipeline(subcommand: str, config: PipelineConfig, args: argparse.Namespace | None = None):
+    """Run one stage and write its manifest; returns the artifact names, the manifest last."""
+    if subcommand not in STAGES:
         raise OfferLabError(f"unknown subcommand {subcommand!r}")
-
-    manifest = _write_manifest(out, subcommand, config, artifacts)
-    return artifacts + [manifest.name]
+    out = Path(config.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    artifacts = STAGES[subcommand](out, config, _NO_ARGS if args is None else args)
+    config_dict = asdict(config)
+    manifest = {
+        "subcommand": subcommand,
+        "seed": config.seed,
+        "version": __version__,
+        "config": config_dict,
+        "config_sha256": sha256_text(canonical_json(config_dict)),
+        "artifacts": {name: sha256_file(out / name) for name in sorted(artifacts)},
+    }
+    name = f"manifest-{subcommand}.json"
+    write_json_atomic(out / name, manifest)
+    return artifacts + [name]
 
 
 def main(argv=None) -> int:
@@ -292,7 +303,7 @@ def main(argv=None) -> int:
         prog="offerlab",
         description="Offer-response modeling, segmentation, and next-offer profit optimization",
     )
-    parser.add_argument("subcommand", choices=SUBCOMMANDS)
+    parser.add_argument("subcommand", choices=STAGES)
     parser.add_argument("--config", required=True, help="path to the pipeline JSON config")
     parser.add_argument("--seed", type=int, default=None, help="override the master seed")
     parser.add_argument("--out", default=None, help="override the output directory")

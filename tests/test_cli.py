@@ -11,9 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from offerlab.cli import TUNING_CSV, main, run_pipeline
+from offerlab.cli import DISTRIBUTION_CSV, POLICY_CSV, TUNING_CSV, main, run_pipeline
 from offerlab.config import PipelineConfig
-from offerlab.errors import ConfigurationError, DataIntegrityError
+from offerlab.errors import ConfigurationError, DataIntegrityError, OfferLabError
 from offerlab.hb import McmcConfig
 from offerlab.storage import write_csv_atomic
 
@@ -136,6 +136,37 @@ def test_benchmark_spans_wrap_only_names_that_exist():
     assert missing == DEAD_WRAPS
     # uninstall put every original back
     assert all(vars(owner).get(attr) is raw for owner, attr, raw in wrapped)
+
+
+def test_benchmark_spans_see_every_cli_call(tmp_path):
+    """Every name the benchmark's tracer wraps on ``cli`` records a span over
+    the whole chain.  A stage that held one of those functions from import
+    time, instead of looking it up in ``cli``'s globals when it runs, would
+    bypass the tracer's patch, and the per-layer metrics built on it would
+    read 0 without any error."""
+    from offerlab import cli
+
+    tracer = load_perfbench("spans").Tracer()
+    wrap, wrapped = tracer.wrap, set()
+
+    def by_name(owner, attr, name, describe=None):
+        # a span name of its own for each name wrapped on cli, which the
+        # tracer otherwise shares between, e.g., the four offer/score writers
+        if owner is cli:
+            wrapped.add(attr)
+            name = f"cli:{attr}"
+        wrap(owner, attr, name, describe)
+
+    tracer.wrap = by_name
+    config = PipelineConfig.from_dict({**SMALL_CONFIG, "out_dir": str(tmp_path / "run")})
+    tracer.install()
+    try:
+        for stage in ("simulate", "tune") + PIPELINE_STAGES[1:]:
+            run_pipeline(stage, config)
+    finally:
+        tracer.uninstall()
+    seen = {span.name.removeprefix("cli:") for span in tracer.spans}
+    assert wrapped and sorted(wrapped - seen) == []
 
 
 COMPONENT = {"weight": 1.0, "mean": [1.0, 0.2, -2.0], "cov": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}
@@ -422,6 +453,12 @@ class TestDependencies:
         config_path = write_config(tmp_path, out_name="bare")
         assert main(["report", "--config", str(config_path)]) == 2
 
+    def test_unknown_subcommand_creates_nothing(self, tmp_path):
+        config = PipelineConfig.from_dict({}, out_override=str(tmp_path / "run"))
+        with pytest.raises(OfferLabError, match="unknown subcommand 'bogus'"):
+            run_pipeline("bogus", config)
+        assert not (tmp_path / "run").exists()
+
 
 # the offer files, a stage that reads each, and what that stage writes
 OFFER_INPUTS = [
@@ -443,7 +480,34 @@ STAGE_INPUTS = [
 ]
 
 
+# a report input whose key column repeats a value, which the report
+# would otherwise print twice or silently keep once: (file, schema,
+# columns, the repeated key)
+REPEATED_REPORT_KEYS = [
+    ("segment_distribution.csv", DISTRIBUTION_CSV,
+     [("inelastic-loyal", "inelastic-loyal"), (20.0, 20.0)], "segment = inelastic-loyal"),
+    ("tuning.csv", TUNING_CSV, [(1, 2, 1), (0.8, 0.75, 0.7), (0.7, 0.7, 0.7), (1, 0, 0)],
+     "ncomp = 1"),
+    ("policy.csv", POLICY_CSV,
+     [("elastic-loyal",) * 2, (0.1, 0.2), (12, 24), (1.0, 2.0), (3, 4), (0, 0), (0, 0)],
+     "segment = elastic-loyal"),
+]
+
+
 class TestStageInputs:
+    @pytest.mark.parametrize(
+        "name, schema, columns, key", REPEATED_REPORT_KEYS,
+        ids=[case[0] for case in REPEATED_REPORT_KEYS],
+    )
+    def test_report_refuses_a_repeated_key(self, tmp_path, capsys, name, schema, columns, key):
+        config_path = write_config(tmp_path, out_name="repeated")
+        out = tmp_path / "repeated"
+        out.mkdir()
+        write_csv_atomic(out / name, schema, columns)
+        assert main(["report", "--config", str(config_path)]) == 1
+        assert f"{out / name} repeats {key}" in capsys.readouterr().err
+        assert not (out / "report.txt").exists()
+
     @pytest.mark.parametrize("fault", ["swapped-columns", "malformed-cell"])
     @pytest.mark.parametrize(
         "name, stage, swap, spoil", STAGE_INPUTS, ids=[case[0] for case in STAGE_INPUTS]
