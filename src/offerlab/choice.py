@@ -194,20 +194,33 @@ def first_repeat(*columns) -> int:
     return int(np.argmax(repeated)) if repeated.any() else -1
 
 
+def as_ids(values) -> np.ndarray:
+    """``values`` as an int64 array; a value that is not a whole number in
+    64 bits (1.9, nan, 2**63, a bool, a text) is an ``InvalidInputError``
+    naming the first one, where a cast would truncate 1.9 to id 1."""
+    values = np.asarray(values)
+    if values.dtype.kind != "i":
+        for value in values.reshape(-1).tolist():
+            whole = int(value) if isinstance(value, float) and value.is_integer() else value
+            if type(whole) is not int or not -(2**63) <= whole < 2**63:
+                raise InvalidInputError(f"id {value!r} is not a 64-bit integer")
+    return values.astype(np.int64, copy=False)
+
+
 def join(keys, ids, unknown=None) -> np.ndarray:
     """The row of each of ``ids`` in the key column ``keys``; ``keys`` may
     also be a tuple of key columns, and ``ids`` then the tuple of the same
     columns of the ids, each key being one tuple of values.
 
-    Keys and ids are numbered together by one ``key_runs`` sort.  An id
-    absent from ``keys`` gets row -1, or, if ``unknown`` is given, raises
-    ``unknown(id)`` for the first such id.  A key repeated in ``keys`` is a
-    ``DataIntegrityError``.
+    Keys and ids, checked by ``as_ids``, are numbered together by one
+    ``key_runs`` sort.  An id absent from ``keys`` gets row -1, or, if
+    ``unknown`` is given, raises ``unknown(id)`` for the first such id.  A
+    key repeated in ``keys`` is a ``DataIntegrityError``.
     """
     key_columns, id_columns = (keys, ids) if isinstance(keys, tuple) else ((keys,), (ids,))
     n = len(key_columns[0])
     order, first = key_runs(*(
-        np.concatenate([np.asarray(k, dtype=np.int64), np.asarray(i, dtype=np.int64)])
+        np.concatenate([as_ids(k), as_ids(i)])
         for k, i in zip(key_columns, id_columns)
     ))
     number = np.empty(len(order), dtype=np.intp)

@@ -205,6 +205,8 @@ _RETAIL_ALIASES = {
     "customer": ("Customer ID", "CustomerID"),
 }
 
+RETAIL_PRODUCTS = 18  # the default product line: this many top-volume "CUP" codes
+
 _DATE_FORMATS = ("%d/%m/%Y %H:%M", "%m/%d/%Y %H:%M", "%Y-%m-%d %H:%M:%S", "%Y-%m-%d %H:%M")
 
 
@@ -217,15 +219,15 @@ def _parse_invoice_date(text: str):
     return None
 
 
-def ingest_retail_csv(path, product_filter=None, n_products: int = 18) -> RetailChoices:
+def ingest_retail_csv(path, product_filter=None) -> RetailChoices:
     """Restructure transaction data into a table of per-occasion choices.
 
     Every invoice containing at least one product from the filtered line
     becomes one occasion with a row per product in the line; one extra
     all-no-purchase occasion is appended per customer.  When no explicit
     ``product_filter`` (set of stock codes) is given, the filter defaults
-    to the ``n_products`` highest-volume codes whose description contains
-    "CUP".
+    to the ``RETAIL_PRODUCTS`` highest-volume codes whose description
+    contains "CUP".
     """
     path = Path(path)
     if not path.exists():
@@ -278,7 +280,7 @@ def ingest_retail_csv(path, product_filter=None, n_products: int = 18) -> Retail
     if product_filter is None:
         cups = [s for s, d in description.items() if "CUP" in d.upper()]
         cups.sort(key=lambda s: (-volume.get(s, 0), s))
-        product_filter = set(cups[:n_products])
+        product_filter = set(cups[:RETAIL_PRODUCTS])
     else:
         product_filter = set(product_filter)
         if not product_filter:

@@ -24,10 +24,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .choice import DISCOUNT_MAX, DISCOUNT_MIN, UTILITY_CLAMP, first_repeat, join
+from .choice import DISCOUNT_MAX, DISCOUNT_MIN, UTILITY_CLAMP, as_ids, first_repeat, join
 from .errors import ConfigurationError, InvalidInputError, UnknownCustomerError
 from .hb import DRAW_AVERAGED, PosteriorDraws
-from .segments import SEGMENTS, assign_segment, first_refused_pair
+from .segments import SEGMENTS, assign_segment
 from .shares import scored_in_shares
 from .storage import check_finite_fields
 
@@ -129,17 +129,13 @@ def segment_data_from_assignments(assignments, config: NopConfig, mrp: dict | No
     loyalty ``assign_segment`` refuses or gives another segment, is an
     InvalidInputError naming the first such customer."""
     assignments = list(assignments)
-    ids = np.array([a.customer_id for a in assignments], dtype=np.int64)
+    ids = as_ids([a.customer_id for a in assignments])
     repeat = first_repeat(ids)
     if repeat >= 0:
         raise InvalidInputError(f"customer {ids[repeat]} is assigned more than once")
     elasticity = np.array([a.elasticity for a in assignments], dtype=float)
     loyalty = np.array([a.loyalty for a in assignments], dtype=float)
-    try:
-        segments = assign_segment(elasticity, loyalty)
-    except InvalidInputError:
-        row, message = first_refused_pair(elasticity, loyalty)
-        raise InvalidInputError(f"customer {assignments[row].customer_id}: {message}") from None
+    segments = assign_segment(elasticity, loyalty, ids)
     wrong = segments != np.array([a.segment for a in assignments], dtype=str)
     if wrong.any():
         row = int(np.argmax(wrong))

@@ -2,7 +2,8 @@
 
 Each customer's elasticity is an arc elasticity between the acceptance
 probability at the offered discount and at an extra ten points of
-discount, with relative price defined as 1 + discount.
+discount, with relative price defined as 1 + discount.  ``assign_segment``
+is the one rule: it labels or refuses each (elasticity, loyalty) pair.
 """
 
 from __future__ import annotations
@@ -50,29 +51,21 @@ def arc_elasticity(p0, p1, price0, price1):
     return prob_change / price_change
 
 
-def first_refused_pair(elasticity, loyalty):
-    """(index, reason) of the first (elasticity, loyalty) pair, in flat
-    order, that ``assign_segment`` refuses, or None: an elasticity must be
-    finite and a loyalty lie in [0, 1], and an elasticity is named first."""
-    pairs = (np.asarray(elasticity, dtype=float), np.asarray(loyalty, dtype=float))
-    elasticity, loyalty = (a.reshape(-1) for a in np.broadcast_arrays(*pairs))
-    bad = np.stack([~np.isfinite(elasticity), ~((loyalty >= 0.0) & (loyalty <= 1.0))], axis=1)
-    if not bad.any():
-        return None
-    i, j = divmod(int(np.argmax(bad)), 2)  # row-major: pair by pair
-    rule = ("elasticity must be finite", "loyalty must lie in [0, 1]")[j]
-    return i, f"{rule}, got {(elasticity, loyalty)[j][i].item()!r}"
-
-
-def assign_segment(elasticity, loyalty):
+def assign_segment(elasticity, loyalty, customer_ids=None):
     """The segment of each (elasticity, loyalty) pair: elasticity >= -1 is
     inelastic, loyalty > 0.5 is loyal.  Arrays give an array of labels,
-    scalars one label.  A refused pair (``first_refused_pair``) is an
-    InvalidInputError."""
-    refused = first_refused_pair(elasticity, loyalty)
-    if refused:
-        raise InvalidInputError(refused[1])
+    scalars one label.  The first pair, in flat order, whose elasticity is
+    not finite or whose loyalty lies outside [0, 1] is an InvalidInputError
+    naming that value, the elasticity first, and prefixed ``customer {id}: ``
+    when ``customer_ids`` gives the pairs' ids."""
     elasticity, loyalty = np.asarray(elasticity, dtype=float), np.asarray(loyalty, dtype=float)
+    pairs = [a.reshape(-1) for a in np.broadcast_arrays(elasticity, loyalty)]
+    bad = np.stack([~np.isfinite(pairs[0]), ~((pairs[1] >= 0.0) & (pairs[1] <= 1.0))], axis=1)
+    if bad.any():
+        i, j = divmod(int(np.argmax(bad)), 2)  # row-major: pair by pair
+        rule = ("elasticity must be finite", "loyalty must lie in [0, 1]")[j]
+        who = "" if customer_ids is None else f"customer {np.ravel(customer_ids)[i]}: "
+        raise InvalidInputError(f"{who}{rule}, got {pairs[j][i].item()!r}")
     return np.asarray(SEGMENTS)[2 * (elasticity < -1.0) + (loyalty > 0.5)]
 
 
@@ -116,14 +109,8 @@ def assign_segments(
     X[len(offers) :, 2] = shifted
     p = predict_panel_probabilities(draws, X, np.tile(ids, 2), mode=DRAW_AVERAGED)
     elasticity = arc_elasticity(*p.reshape(2, -1), 1.0 + discount, 1.0 + shifted)
-    bad = ~np.isfinite(elasticity)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise InvalidInputError(
-            f"customer {ids[i]}: elasticity must be finite, got {elasticity[i].item()!r}"
-        )
     loyalty = customers.loyalty[rows]
-    segments = assign_segment(elasticity, loyalty)
+    segments = assign_segment(elasticity, loyalty, ids)
     return [
         SegmentAssignment(*row)
         for row in zip(ids.tolist(), elasticity.tolist(), loyalty.tolist(), segments.tolist())

@@ -1,11 +1,21 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from offerlab.choice import ACCEPTED, REJECTED, UNLABELED, Customers, Offers, join, logistic
+from offerlab.choice import (
+    ACCEPTED,
+    REJECTED,
+    UNLABELED,
+    Customers,
+    Offers,
+    as_ids,
+    join,
+    logistic,
+)
 from offerlab.errors import DataIntegrityError, InvalidInputError
 
 
@@ -240,6 +250,35 @@ class TestJoin:
             with pytest.raises(KeyError) as exc:
                 join(columns, id_columns, unknown=KeyError)
             assert exc.value.args == (missing[0],)
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [], (), [5, 2**63 - 1, -(2**63)], np.array([3, 1]),
+            np.array([7, 0], dtype=np.uint32), np.array([4.0, -1.0]),
+        ],
+    )
+    def test_whole_ids_pass(self, values):
+        ids = as_ids(values)
+        assert ids.dtype == np.int64 and ids.tolist() == list(values)
+
+    @pytest.mark.parametrize(
+        "values, first",
+        [
+            ([1.9], "1.9"),
+            ([1, 1.9], "1.9"),
+            ([2, 3, 2**64], str(2**64)),
+            (np.array([1, 2**64 - 1], dtype=np.uint64), str(2**64 - 1)),
+            ([math.nan], "nan"),
+            ([True], "True"),
+            (["7"], "'7'"),
+        ],
+    )
+    def test_other_ids_are_refused_by_value(self, values, first):
+        with pytest.raises(InvalidInputError, match=rf"^id {re.escape(first)} is not a 64-bit integer$"):
+            as_ids(values)
+        with pytest.raises(InvalidInputError, match="is not a 64-bit integer"):
+            join([1, 2], values)
 
     def test_a_repeated_key_tuple_is_refused(self):
         with pytest.raises(DataIntegrityError, match=r"^key \(2, 7\) is repeated$"):

@@ -679,6 +679,12 @@ class TestPrediction:
         with pytest.raises(UnknownCustomerError):
             predict_panel_probabilities(draws, np.array([[1.0, 2.0, 0.1]]), [55])
 
+    def test_a_fractional_customer_id_is_refused_not_truncated(self):
+        # a cast to int64 would score the row as customer 1's
+        draws = hand_built_draws([[[1.0, 0.5, -2.0]]])
+        with pytest.raises(InvalidInputError, match=r"^id 1\.9 is not a 64-bit integer$"):
+            predict_panel_probabilities(draws, np.array([[1.0, 2.0, 0.1]]), [1.9])
+
     def test_unknown_customer_fallback_matches_population_mode(self):
         draws = hand_built_draws([[[1.0, 0.5, -2.0]], [[0.2, 0.0, -1.0]]])
         x = np.array([[1.0, 2.0, 0.1]])

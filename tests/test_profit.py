@@ -1154,6 +1154,12 @@ class TestNopConfig:
             segment_data_from_assignments(assignments, NopConfig())
         assert str(info.value) == message
 
+    def test_segment_data_refuses_a_fractional_customer_id(self):
+        # a cast to int64 would file the row under customer 1
+        assignments = [SegmentAssignment(1.5, -0.5, 0.9, "inelastic-loyal")]
+        with pytest.raises(InvalidInputError, match=r"^id 1\.5 is not a 64-bit integer$"):
+            segment_data_from_assignments(assignments, NopConfig())
+
     def test_months_to_years(self):
         assert contract_months_to_years(1) == pytest.approx(1 / 12)
         assert contract_months_to_years(60) == 5.0

@@ -226,6 +226,63 @@ class TestArrayPasses:
             assign_segment([0.0, 0.0], [0.5, 1.5])
 
 
+def reference_refusal(elasticity, loyalty):
+    """(index, reason) of the first (elasticity, loyalty) pair, in flat
+    order, that ``assign_segment`` refuses, or None: an elasticity must be
+    finite and a loyalty lie in [0, 1], and an elasticity is named first."""
+    pairs = (np.asarray(elasticity, dtype=float), np.asarray(loyalty, dtype=float))
+    elasticity, loyalty = (a.reshape(-1) for a in np.broadcast_arrays(*pairs))
+    bad = np.stack([~np.isfinite(elasticity), ~((loyalty >= 0.0) & (loyalty <= 1.0))], axis=1)
+    if not bad.any():
+        return None
+    i, j = divmod(int(np.argmax(bad)), 2)  # row-major: pair by pair
+    rule = ("elasticity must be finite", "loyalty must lie in [0, 1]")[j]
+    return i, f"{rule}, got {(elasticity, loyalty)[j][i].item()!r}"
+
+
+class TestOneRefusal:
+    """``assign_segment`` refuses exactly the pair, with exactly the
+    message, that ``reference_refusal`` gives, by customer when given ids."""
+
+    BAD_ELASTICITY = st.sampled_from([math.nan, math.inf, -math.inf])
+    BAD_LOYALTY = st.sampled_from([math.nan, -1e-12, -2.0, 1.0000001, 40.0, math.inf])
+
+    @given(shape=st.sampled_from([(), (1,), (5,), (2, 3)]), scalars=st.booleans(), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_refuses_the_first_bad_pair_by_customer(self, shape, scalars, data):
+        size = math.prod(shape)
+        elasticity = np.array(data.draw(st.lists(st.floats(-10, 10), min_size=size, max_size=size)))
+        loyalty = np.array(data.draw(st.lists(st.floats(0, 1), min_size=size, max_size=size)))
+        position = st.integers(0, size - 1)
+        for column, values in ((elasticity, self.BAD_ELASTICITY), (loyalty, self.BAD_LOYALTY)):
+            for i, value in data.draw(st.lists(st.tuples(position, values), max_size=3)):
+                column[i] = value
+        if data.draw(st.booleans()):  # a pair with both fields bad
+            i = data.draw(position)
+            elasticity[i], loyalty[i] = data.draw(self.BAD_ELASTICITY), data.draw(self.BAD_LOYALTY)
+        ids = np.array(data.draw(st.lists(st.integers(1, 10**9), min_size=size, max_size=size)))
+        elasticity, loyalty, ids = (a.reshape(shape) for a in (elasticity, loyalty, ids))
+        if shape == () and scalars:  # 0-d Python scalars
+            elasticity, loyalty, ids = elasticity.item(), loyalty.item(), ids.item()
+        refused = reference_refusal(elasticity, loyalty)
+        for customer_ids in (None, ids):
+            if refused is None:
+                labels = assign_segment(elasticity, loyalty, customer_ids)
+                assert np.shape(labels) == shape and np.isin(labels, SEGMENTS).all()
+                continue
+            with pytest.raises(InvalidInputError) as info:
+                assign_segment(elasticity, loyalty, customer_ids)
+            i, message = refused
+            prefix = "" if customer_ids is None else f"customer {np.ravel(ids)[i]}: "
+            assert str(info.value) == prefix + message
+
+    def test_a_pair_with_both_fields_bad_names_its_elasticity(self):
+        with pytest.raises(InvalidInputError) as info:
+            assign_segment([0.0, -math.inf, math.nan], [0.5, 7.0, 0.5], customer_ids=[4, 9, 2])
+        assert str(info.value) == "customer 9: elasticity must be finite, got -inf"
+        assert assign_segment(-2.0, 0.75, customer_ids=3) == "elastic-loyal"
+
+
 class TestDistribution:
     def test_identical_customers(self):
         assignments = [SegmentAssignment(i, -0.5, 0.9, "inelastic-loyal") for i in range(9)]
