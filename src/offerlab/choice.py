@@ -49,9 +49,20 @@ class _Table:
     _DTYPES: dict = {}  # column -> dtype; the others are float
 
     def __post_init__(self):
+        """Hold every column as an array of its dtype.  A value of an
+        integer column that is not a whole number (1.5, a bool) or does not
+        fit its dtype is an ``InvalidInputError`` naming the column and the
+        value, where a cast would truncate or wrap it."""
         for f in fields(self):
-            dtype = self._DTYPES.get(f.name, float)
-            object.__setattr__(self, f.name, np.asarray(getattr(self, f.name), dtype=dtype))
+            values = getattr(self, f.name)
+            dtype = np.dtype(self._DTYPES.get(f.name, float))
+            if dtype.kind == "i":
+                ids = as_ids(values, f.name)
+                values = ids.astype(dtype, copy=False)
+                if not np.array_equal(values, ids):
+                    value = ids[values != ids][0]
+                    raise InvalidInputError(f"{f.name} {value} does not fit in {dtype}")
+            object.__setattr__(self, f.name, np.asarray(values, dtype=dtype))
 
     def __len__(self) -> int:
         return len(self.customer_id)
@@ -194,16 +205,17 @@ def first_repeat(*columns) -> int:
     return int(np.argmax(repeated)) if repeated.any() else -1
 
 
-def as_ids(values) -> np.ndarray:
+def as_ids(values, name: str = "id") -> np.ndarray:
     """``values`` as an int64 array; a value that is not a whole number in
     64 bits (1.9, nan, 2**63, a bool, a text) is an ``InvalidInputError``
-    naming the first one, where a cast would truncate 1.9 to id 1."""
+    naming ``name`` and the first such value, where a cast would truncate
+    1.9 to id 1."""
     values = np.asarray(values)
     if values.dtype.kind != "i":
         for value in values.reshape(-1).tolist():
             whole = int(value) if isinstance(value, float) and value.is_integer() else value
             if type(whole) is not int or not -(2**63) <= whole < 2**63:
-                raise InvalidInputError(f"id {value!r} is not a 64-bit integer")
+                raise InvalidInputError(f"{name} {value!r} is not a 64-bit integer")
     return values.astype(np.int64, copy=False)
 
 

@@ -76,7 +76,7 @@ def read_offer_csv(path) -> Offers:
     customer_id, occasion, *design, label = read_csv(path, OFFER_CSV)
     try:
         offers = Offers(customer_id, occasion, np.column_stack(design), label)
-    except OverflowError:
+    except InvalidInputError:  # the INT cells hold whole numbers, so one is too large
         raise DataIntegrityError(f"{path}: a customer_id or occasion exceeds 64 bits") from None
     return offers.validate(path)
 
@@ -95,7 +95,7 @@ def read_customers_csv(path):
     *columns, mrp = read_csv(path, CUSTOMER_CSV)
     try:
         customers = Customers(*columns)
-    except OverflowError:
+    except InvalidInputError:  # the INT cells hold whole numbers, so one is too large
         raise DataIntegrityError(f"{path}: an id exceeds 64 bits") from None
     customers.validate(path)
     mrp = {cid: m for cid, m in zip(columns[0], mrp) if m is not None}
@@ -308,10 +308,10 @@ def ingest_retail_csv(path, product_filter=None) -> RetailChoices:
         )
         for occ, invoice in enumerate(ordered, start=1):
             keys.append((customer, occ))
-            chosen += [p in invoices[invoice]["chosen"] for p in products]
+            chosen += [int(p in invoices[invoice]["chosen"]) for p in products]
         # augmentation: one all-no-purchase occasion per customer
         keys.append((customer, len(ordered) + 1))
-        chosen += [False] * len(products)
+        chosen += [0] * len(products)
     customer_id, occasion = np.repeat(keys, len(products), axis=0).T
     return RetailChoices(customer_id, occasion, np.tile(products, len(keys)), chosen)
 

@@ -14,7 +14,9 @@ One chain can carry several independent panels ("blocks") along a leading
 block axis (``fit_hb_panels``): the five steps run as batched numpy calls
 over (block, component), while every block draws its variates from its own
 generator in the order of a one-block fit, so a block's draws do not depend
-on what it is stacked with.  All blocks share one ``McmcConfig`` and differ
+on what it is stacked with.  Per-customer state is held customers-last,
+(block, ..., customer), so each pass over the customers runs one long inner
+loop (see "Sampler internals").  All blocks share one ``McmcConfig`` and differ
 only in their seeds.  ``fit_hb_panel`` is the one-block call, and
 cross-validated tuning fits every cell of one candidate as one stacked
 chain.
@@ -317,11 +319,16 @@ def build_panel(offers, covariates=None):
 # Sampler internals
 # ---------------------------------------------------------------------------
 #
-# The chain runs over a leading block axis: every per-customer array is held
-# block-padded as (B, n, ...) with n the largest block's customer count, and
-# every population array as (B, ncomp, ...).  Padded customers have no rows,
-# draw no variates and are masked out of the population steps, so a block's
-# draws do not depend on what it is stacked with.
+# The chain runs over a leading block axis and holds every per-customer
+# array block-padded and customers-last, (B, ..., n) with n the largest
+# block's customer count: beta and the prior mean are (B, K, n), the
+# proposal factors (B, K, K, n) and the covariates (B, V, n).  Every
+# elementwise pass and every sum over K or V then runs over contiguous
+# n-long rows, in order.  Every population array is (B, ncomp, ...).
+# Padded customers have no rows, draw no variates and are masked out of the
+# population steps, so a block's draws do not depend on what it is stacked
+# with.  The retained betas are transposed to (customers, K) only as they
+# are written out.
 
 
 def _pooled_logit(X: np.ndarray, y: np.ndarray):
@@ -361,14 +368,15 @@ def _stacked(rngs, sizes, method, fill, tail=()):
 
 def _customer_loglik(X, y, row_customer, betas):
     """(B, n) per-customer binary-logit log likelihood at one beta per
-    customer; ``row_customer`` indexes the flattened (B * n) customers."""
-    flat = betas.reshape(-1, betas.shape[-1])
+    customer, ``betas`` (B, K, n); ``row_customer`` indexes the flattened
+    (B * n) customers."""
+    flat = np.swapaxes(betas, 1, 2).reshape(-1, betas.shape[1])
     u = np.einsum("ij,ij->i", X, np.take(flat, row_customer, axis=0))
     # log(1 + e^u) in the overflow-free form of numpy's scalar logaddexp(0, u);
     # the ufunc np.logaddexp takes several times as long
     softplus = np.maximum(u, 0.0) + np.log1p(np.exp(-np.abs(u)))
     row_ll = y * u - softplus
-    return np.bincount(row_customer, weights=row_ll, minlength=len(flat)).reshape(betas.shape[:-1])
+    return np.bincount(row_customer, weights=row_ll, minlength=len(flat)).reshape(len(betas), -1)
 
 
 def _chol_or_abort(matrices, draw, what):
@@ -392,15 +400,23 @@ def _chol_or_abort(matrices, draw, what):
 def _mvn_logpdf(diff, roots):
     """(B, ncomp, n) log N(diff_i | 0, Sigma_k) of each block, each Sigma_k
     given by its lower-triangular precision factor ``roots[b, k]``
-    (Sigma_k^-1 = P_k P_k^T).  ``diff`` is one (B, n, K) block shared by
-    every component or one (B, ncomp, n, K) block per component."""
+    (Sigma_k^-1 = P_k P_k^T).  ``diff`` is one (B, K, n) block shared by
+    every component or one (B, ncomp, K, n) block per component."""
     if diff.ndim == 3:
         diff = diff[:, None]
-    proj = diff @ roots
+    proj = np.swapaxes(roots, -1, -2) @ diff  # P_k^T diff_i, one (K, n) GEMM per component
     # -0.5 * log|Sigma_k| = sum(log diag P_k)
     half_logdet = np.log(np.diagonal(roots, axis1=2, axis2=3)).sum(axis=2)
     norm = half_logdet - 0.5 * roots.shape[-1] * _LOG_2PI
-    return norm[..., None] - 0.5 * np.einsum("bcnk,bcnk->bcn", proj, proj)
+    return norm[..., None] - 0.5 * np.einsum("bckn,bckn->bcn", proj, proj)
+
+
+def _component_means(mu, member):
+    """(B, K, n) mean of each customer's component, where ``member`` (B, n)
+    is b * ncomp + ind_i; with one component the (B, K, 1) broadcast of mu."""
+    if mu.shape[1] == 1:
+        return mu[:, 0, :, None]
+    return np.swapaxes(np.take(mu.reshape(-1, mu.shape[2]).T, member, axis=1), 0, 1)
 
 
 def _wishart_root(rngs, dof, scale, draw):
@@ -431,33 +447,42 @@ def _metropolis(
 ):
     """(a) Random-walk Metropolis update of every customer of every block at
     once against the logit likelihood times N(prior_mean_i, Sigma_{ind_i}),
-    where ``member`` (B, n) is b * ncomp + ind_i.  Updates ``beta`` (B, n,
-    K) and its per-customer ``loglik`` (B, n) in place; returns the (B, n)
+    where ``member`` (B, n) is b * ncomp + ind_i.  Updates ``beta`` (B, K,
+    n) and its per-customer ``loglik`` (B, n) in place; returns the (B, n)
     accept mask.  A padded customer proposes a zero step and is never
     accepted."""
-    eps = _stacked(rngs, sizes, "standard_normal", 0.0, beta.shape[-1:])
-    proposal = beta + np.einsum("bnij,bnj->bni", prop_factor, eps)
+    n = beta.shape[-1]
+    # each customer's K normals, drawn consecutively, as contiguous (K, n) rows
+    eps = _stacked(rngs, sizes, "standard_normal", 0.0, beta.shape[1:2])
+    eps = np.ascontiguousarray(np.swapaxes(eps, 1, 2))
+    proposal = beta + np.einsum("bijn,bjn->bin", prop_factor, eps)
     loglik_prop = _customer_loglik(X, y, row_customer, proposal)
-    # flat index of (b, ind_i, i) in a (B, ncomp, n) density array
-    n = beta.shape[1]
-    pick = member * n + np.arange(n)
-    logprior_cur = np.take(_mvn_logpdf(beta - prior_mean, roots), pick)
-    logprior_prop = np.take(_mvn_logpdf(proposal - prior_mean, roots), pick)
-    log_ratio = (loglik_prop - loglik) + (logprior_prop - logprior_cur)
+    # the prior densities of both, current then proposed, from one (K, 2n)
+    # product per component; each customer's component is picked once
+    diff = np.empty(beta.shape[:2] + (2 * n,))
+    np.subtract(beta, prior_mean, out=diff[..., :n])
+    np.subtract(proposal, prior_mean, out=diff[..., n:])
+    logprior = _mvn_logpdf(diff, roots)
+    if roots.shape[1] == 1:
+        logprior = logprior[:, 0]
+    else:  # flat index of (b, ind_i, column) in the (B, ncomp, 2n) densities
+        logprior = np.take(logprior, np.tile(member, 2) * (2 * n) + np.arange(2 * n))
+    log_ratio = (loglik_prop - loglik) + (logprior[:, n:] - logprior[:, :n])
     accept = np.log(_stacked(rngs, sizes, "random", 1.0)) < log_ratio
-    np.copyto(beta, proposal, where=accept[..., None])
+    np.copyto(beta, proposal, where=accept[:, None])
     np.copyto(loglik, loglik_prop, where=accept)
     return accept
 
 
 def _draw_indicators(rngs, sizes, resid, mu, roots, weights):
     """(b) Component indicators (B, n) on the covariate-adjusted
-    coefficients.  With one component every indicator is 0; its uniforms
-    are still drawn, so every later variate of each stream stays in place."""
+    coefficients ``resid`` (B, K, n).  With one component every indicator
+    is 0; its uniforms are still drawn, so every later variate of each
+    stream stays in place."""
     u = _stacked(rngs, sizes, "random", 1.0)
     if weights.shape[1] == 1:
         return np.zeros(u.shape, dtype=np.intp)
-    log_post = np.log(weights)[..., None] + _mvn_logpdf(resid[:, None] - mu[..., None, :], roots)
+    log_post = np.log(weights)[..., None] + _mvn_logpdf(resid[:, None] - mu[..., None], roots)
     log_post -= log_post.max(axis=1, keepdims=True)
     probs = np.exp(log_post)
     probs /= probs.sum(axis=1, keepdims=True)
@@ -475,13 +500,14 @@ def _draw_weights(rngs, counts, dir_alpha):
 
 def _draw_components(rngs, resid, onehot, counts, mubar, amu, nu, V, draw):
     """(d) Normal / inverse-Wishart moments of every (block, component), whose
-    members are the customers ``onehot`` (B, ncomp, n) marks; returns the
-    means (B, ncomp, K) and precision factors (B, ncomp, K, K).  The mean's
-    covariance Sigma_k / (amu + n_k) is drawn as P_k^-T z / sqrt(amu + n_k)."""
+    members are the customers ``onehot`` (B, ncomp, n) marks among the
+    columns of ``resid`` (B, K, n); returns the means (B, ncomp, K) and
+    precision factors (B, ncomp, K, K).  The mean's covariance
+    Sigma_k / (amu + n_k) is drawn as P_k^-T z / sqrt(amu + n_k)."""
     n_k = counts[..., None]
-    bbar = (onehot @ resid) / np.maximum(n_k, 1.0)
-    centered = (resid[:, None] - bbar[:, :, None]) * onehot[..., None]
-    scatter = np.swapaxes(centered, -1, -2) @ centered
+    bbar = (onehot @ np.swapaxes(resid, -1, -2)) / np.maximum(n_k, 1.0)
+    centered = (resid[:, None] - bbar[..., None]) * onehot[:, :, None]
+    scatter = centered @ np.swapaxes(centered, -1, -2)
     dev = bbar - mubar
     shrink = (amu * n_k / (amu + n_k))[..., None]
     iw_scale_post = V + scatter + shrink * (dev[..., :, None] * dev[..., None, :])
@@ -493,18 +519,19 @@ def _draw_components(rngs, resid, onehot, counts, mubar, amu, nu, V, draw):
 
 def _draw_delta(rngs, dev, Z, onehot, roots, amu, draw):
     """(e) Covariate loading (B, K, n_cov) of each block via Bayes
-    multivariate regression of ``dev`` = beta - mu[ind] on ``Z`` (GLS over
-    components, prior precision amu * I on vec(delta))."""
-    n_blocks, _, n_params = dev.shape
-    dim = n_params * Z.shape[-1]
+    multivariate regression of ``dev`` = beta - mu[ind] (B, K, n) on ``Z``
+    (B, n_cov, n) (GLS over components, prior precision amu * I on
+    vec(delta))."""
+    n_blocks, n_params = dev.shape[:2]
+    dim = n_params * Z.shape[1]
     precision = roots @ np.swapaxes(roots, -1, -2)
-    Zk = onehot[..., None] * Z[:, None]  # (B, ncomp, n, n_cov): members' rows
-    ZZ = np.swapaxes(Zk, -1, -2) @ Z[:, None]
+    Zk = onehot[:, :, None] * Z[:, None]  # (B, ncomp, n_cov, n): members' covariates
+    ZZ = Zk @ np.swapaxes(Z, -1, -2)[:, None]
     # sum_k kron(Z_k^T Z_k, P_k P_k^T) and vec_F(sum_k P_k P_k^T dev_k^T Z_k)
     A = amu * np.eye(dim) + np.einsum("bcqr,bckl->bqkrl", ZZ, precision).reshape(
         n_blocks, dim, dim
     )
-    rhs = (precision @ (np.swapaxes(dev, -1, -2)[:, None] @ Zk)).sum(axis=1)
+    rhs = (precision @ (dev[:, None] @ np.swapaxes(Zk, -1, -2))).sum(axis=1)
     rhs = np.swapaxes(rhs, -1, -2).reshape(n_blocks, dim, 1)
     A_inv = np.linalg.inv(A)
     z = np.stack([rng.standard_normal(dim) for rng in rngs])[..., None]
@@ -513,17 +540,18 @@ def _draw_delta(rngs, dev, Z, onehot, roots, amu, draw):
 
 
 def _proposal_factors(rows_per_cust, info, population_cov, scale, prior_cov_guess):
-    """(n, K, K) random-walk proposal factors of one block: the scaled
-    inverse of each customer's pooled-likelihood Hessian approximation
-    (rows * mean row information) plus the population precision; a fraction
-    of the prior covariance when that is singular."""
+    """(K, K, n) random-walk proposal factors of one block, customers last:
+    the scaled inverse of each customer's pooled-likelihood Hessian
+    approximation (rows * mean row information) plus the population
+    precision; a fraction of the prior covariance when that is singular."""
     counts, by_customer = np.unique(rows_per_cust, return_inverse=True)
     try:
         precision = counts[:, None, None] * info + np.linalg.inv(population_cov)
-        return np.linalg.cholesky(scale**2 * np.linalg.inv(precision))[by_customer]
+        factors = np.linalg.cholesky(scale**2 * np.linalg.inv(precision))
     except np.linalg.LinAlgError:
         fallback = np.linalg.cholesky(scale**2 * 0.5 * prior_cov_guess)
-        return np.tile(fallback, (len(rows_per_cust), 1, 1))
+        return np.repeat(fallback[..., None], len(rows_per_cust), axis=-1)
+    return np.moveaxis(factors, 0, -1)[..., by_customer]
 
 
 def _population_cov(weights, mu, roots):
@@ -594,9 +622,9 @@ def fit_hb_panels(panels, ncomp: int, config: McmcConfig, seeds) -> list[Posteri
     y = np.concatenate([block[1] for block in blocks])
     row_customer = np.concatenate([block[2] + b * n_max for b, block in enumerate(blocks)])
     valid = np.arange(n_max) < np.array(sizes)[:, None]
-    Z = np.zeros((n_blocks, n_max, n_cov))
+    Z = np.zeros((n_blocks, n_cov, n_max))
     for b, (block, n) in enumerate(zip(blocks, sizes)):
-        Z[b, :n] = block[3]
+        Z[b, :, :n] = block[3].T
 
     # Priors
     amu = config.mu_prior_precision
@@ -620,18 +648,18 @@ def fit_hb_panels(panels, ncomp: int, config: McmcConfig, seeds) -> list[Posteri
     # start can settle into a sign-flipped basin that the chain corrects
     # only slowly.
     infos = []
-    prop_factor = np.zeros((n_blocks, n_max, n_params, n_params))
-    beta = np.zeros((n_blocks, n_max, n_params))
+    prop_factor = np.zeros((n_blocks, n_params, n_params, n_max))
+    beta = np.zeros((n_blocks, n_params, n_max))
     mu = np.empty((n_blocks, ncomp, n_params))
     delta = np.zeros((n_blocks, n_params, n_cov))
     start_factor = np.linalg.cholesky(prior_cov_guess).T
     for b, ((X_b, y_b, row_b, Z_b, rows_per_cust), rng, n) in enumerate(zip(blocks, rngs, sizes)):
         beta_pool, info = _pooled_logit(X_b, y_b)
         infos.append(info)
-        prop_factor[b, :n] = _proposal_factors(
+        prop_factor[b, ..., :n] = _proposal_factors(
             rows_per_cust, info, prior_cov_guess, scale, prior_cov_guess
         )
-        beta[b, :n] = beta_pool + rng.standard_normal((n, n_params)) @ start_factor
+        beta[b, :, :n] = (beta_pool + rng.standard_normal((n, n_params)) @ start_factor).T
         mu[b] = beta_pool
         if n_cov:
             z_rows = Z_b[row_b]
@@ -658,8 +686,9 @@ def fit_hb_panels(panels, ncomp: int, config: McmcConfig, seeds) -> list[Posteri
 
     kept = 0
     for it in range(1, config.total_draws + 1):
-        shift = Z @ np.swapaxes(delta, -1, -2)
-        prior_mean = np.take(mu.reshape(-1, n_params), member, axis=0) + shift
+        # (B, K, n) covariate shift delta Z, a sum of n-long rows over V
+        shift = (delta[..., None] * Z[:, None]).sum(axis=2)
+        prior_mean = _component_means(mu, member) + shift
         accept_counts += _metropolis(
             rngs, sizes, X, y, row_customer, beta, loglik_cust, prop_factor, prior_mean, member,
             roots,
@@ -672,19 +701,19 @@ def fit_hb_panels(panels, ncomp: int, config: McmcConfig, seeds) -> list[Posteri
         weights = _draw_weights(rngs, counts, dir_alpha)
         mu, roots = _draw_components(rngs, resid, onehot, counts, mubar, amu, nu, V, it)
         if n_cov:
-            dev = beta - np.take(mu.reshape(-1, n_params), member, axis=0)
+            dev = beta - _component_means(mu, member)
             delta = _draw_delta(rngs, dev, Z, onehot, roots, amu, it)
 
         if it <= config.burn_in and it % adapt_every == 0:
             for b, (block, info, n) in enumerate(zip(blocks, infos, sizes)):
                 pop_cov = _population_cov(weights[b], mu[b], roots[b])
-                prop_factor[b, :n] = _proposal_factors(
+                prop_factor[b, ..., :n] = _proposal_factors(
                     block[4], info, pop_cov, scale, prior_cov_guess
                 )
 
         if it > config.burn_in and (it - config.burn_in) % config.keep == 0:
             for b, n in enumerate(sizes):
-                out_betas[b][kept] = beta[b, :n]
+                out_betas[b][kept] = beta[b, :, :n].T
                 out_loglik[kept, b] = loglik_cust[b, :n].sum()
             out_weights[kept] = weights
             out_means[kept] = mu

@@ -16,11 +16,13 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .choice import (
+    ACCEPTED,
     CONTRACT_YEAR_VALUES,
     DESIGN_NAMES,
     DISCOUNT_MAX,
     DISCOUNT_MIN,
     OUTCOMES,
+    REJECTED,
     UNLABELED,
     Customers,
     Offers,
@@ -282,8 +284,7 @@ def simulate_responses(truth: np.ndarray, dataset: SimulatedDataset) -> Simulate
     rows = np.concatenate([o.customer_id for o in offers]) - 1
     p = logistic(np.einsum("ij,ij->i", X, truth[rows]))
     p = np.clip(p, math.nextafter(0.0, 1.0), math.nextafter(1.0, 0.0))
-    # accepted is 1, rejected 0
-    label = purpose_rng(dataset.seed, "responses").random(len(X)) < p
+    label = np.where(purpose_rng(dataset.seed, "responses").random(len(X)) < p, ACCEPTED, REJECTED)
     n_train = len(dataset.train)
     return replace(
         dataset,

@@ -200,6 +200,40 @@ class TestDomainTypes:
         assert table != table.take([1, 0]) and len(table) == 2
         assert table.validate("t") is table
 
+    @pytest.mark.parametrize(
+        "column, values, named",
+        [("customer_id", [1.5], "customer_id 1.5"), ("occasion", [2.7], "occasion 2.7"),
+         ("label", [0.5], "label 0.5"), ("label", [True], "label True"),
+         ("customer_id", [2**63], f"customer_id {2**63}")],
+    )
+    def test_offer_integer_column_that_is_no_whole_number_refused(self, column, values, named):
+        # a cast to int64 held customer 1, occasion 2 for [1.5], [2.7]
+        columns = dict(customer_id=[1], occasion=[2], X=[[1.0, 1.0, 0.1]], label=[REJECTED])
+        columns[column] = values
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(named)} is not a 64-bit integer$"):
+            Offers(**columns)
+
+    @pytest.mark.parametrize("label", [[300], np.array([-129])])
+    def test_label_outside_int8_refused_not_wrapped(self, label):
+        # an int8 cast held 300 as 44
+        with pytest.raises(InvalidInputError, match=rf"^label {label[0]} does not fit in int8$"):
+            Offers([1], [1], [[1.0, 1.0, 0.1]], label)
+
+    def test_customer_id_that_is_no_whole_number_refused(self):
+        # a cast to int64 held id 3
+        with pytest.raises(InvalidInputError, match=r"^customer_id 3\.9 is not a 64-bit integer$"):
+            Customers([3.9], [0.5], [0.0], [0.0])
+        with pytest.raises(InvalidInputError, match=r"^customer_id nan is not a 64-bit integer$"):
+            Customers([1, math.nan], [0.5, 0.5], [0.0, 0.0], [0.0, 0.0])
+
+    def test_whole_numbers_of_any_type_are_held_as_integers(self):
+        offers = Offers([3.0], np.array([2], dtype=np.uint8), [[1, 1, 0.1]], [1.0])
+        assert offers == Offers([3], [2], [[1, 1, 0.1]], [ACCEPTED])
+        assert [offers.customer_id.dtype, offers.occasion.dtype, offers.label.dtype] == [
+            np.int64, np.int64, np.int8
+        ]
+        assert Customers([4.0], [0.5], [0.0], [0.0]).customer_id.tolist() == [4]
+
 
 class TestJoin:
     @settings(max_examples=200)

@@ -24,6 +24,8 @@ from offerlab.hb import (
     McmcConfig,
     PosteriorDraws,
     _customer_loglik,
+    _draw_components,
+    _draw_delta,
     _draw_indicators,
     _mvn_logpdf,
     _pooled_logit,
@@ -269,6 +271,70 @@ def assert_same_fit(got, expected):
 
 STACK_CONFIG = McmcConfig(total_draws=24, burn_in=8)
 
+# accepted Metropolis steps per customer and posterior means of the stacked
+# fit of random_panel blocks of 7, 3 and 11 customers (ncomp 2, one
+# covariate, STACK_CONFIG, seeds 1, 2, 3), recorded from the sweep that held
+# per-customer state as (blocks, customers, K), to 13 significant digits
+PINNED_STACK = [
+    dict(
+        accepted=[2, 9, 5, 3, 3, 3, 5],
+        betas=[[0.547588238697, 1.134901216877, -1.121448911334],
+               [0.1268155404434, -0.001832951038523, 0.651887129659],
+               [-1.124478074943, 0.5437872656681, -0.901237264952],
+               [0.01290789809188, 0.3912476706432, 0.6404903500346],
+               [-1.187974440314, 0.8409767309002, -0.5036585658824],
+               [-1.082363857488, -0.6381675741388, -1.486968603689],
+               [-0.07645465164732, 0.2388187503291, -1.639797904223]],
+        means=[[4.34776255523, -0.480480642528, -0.08406819871762],
+               [0.3048019351106, -0.1413205864217, -0.2141795697298]],
+        covariances=[[[2.139217595582, 0.0006730415806111, 0.1079728879877],
+                      [0.0006730415806111, 1.206487251882, -0.2445945637515],
+                      [0.1079728879877, -0.2445945637515, 1.581554505793]],
+                     [[1.089691721167, -0.2226073621686, 0.2040995016491],
+                      [-0.2226073621686, 1.626700929127, 0.1075612174019],
+                      [0.2040995016491, 0.1075612174019, 1.312598222788]]],
+        delta=[[-0.6160917875646], [0.2785107022468], [-0.5471181727887]],
+    ),
+    dict(
+        accepted=[4, 5, 5],
+        betas=[[-1.84273997724, 0.5769426498646, -1.326242522869],
+               [-3.594506980099, 2.105516573864, -0.2539051035073],
+               [-1.958883568413, 0.927875271661, 0.1279915689375]],
+        means=[[-1.086966941019, 7.197613616759, 4.73543052911],
+               [-3.456583478647, 1.475627410849, -0.2384527058097]],
+        covariances=[[[2.902159625706, -0.1738282067176, 0.2880942120604],
+                      [-0.1738282067176, 3.087896159036, 0.2680649598373],
+                      [0.2880942120604, 0.2680649598373, 1.861736691956]],
+                     [[1.638603451229, 0.4315801052458, 0.05395476330717],
+                      [0.4315801052458, 1.860225709188, -0.09812333178092],
+                      [0.05395476330717, -0.09812333178092, 1.40121417208]]],
+        delta=[[-6.138855534576], [2.454283892641], [0.8443502621623]],
+    ),
+    dict(
+        accepted=[5, 2, 8, 5, 5, 2, 5, 7, 8, 4, 8],
+        betas=[[2.623824730089, -3.217819607081, 0.4562127964382],
+               [0.5243173433741, -0.834218993443, -5.085261365706],
+               [-2.572872236056, 0.4601101765726, -1.33643238153],
+               [-2.586564526455, 1.171419581984, -2.245059937175],
+               [2.621788689779, -0.7609458597594, -0.752678611878],
+               [-0.7937653248654, 0.4997670681655, -0.6076353551861],
+               [3.631992467934, -2.463201258297, -1.90369090645],
+               [0.636288913257, -0.6124251321793, 1.139449093506],
+               [0.6764799266949, -0.1874115787924, 0.768726098197],
+               [-1.639209953612, 0.1636645134251, -1.196938666695],
+               [-1.115336719753, 0.3934119737314, -1.836790034625]],
+        means=[[1.000866220839, -1.073041166058, 0.3867465847182],
+               [-0.2661338919628, -0.0968308102434, -2.297035168982]],
+        covariances=[[[1.762793838753, -0.4181584433103, -0.4700763422415],
+                      [-0.4181584433103, 1.033783111695, 0.1774624160972],
+                      [-0.4700763422415, 0.1774624160972, 2.225327376621]],
+                     [[2.042682713714, -0.4844503516791, -0.583760803003],
+                      [-0.4844503516791, 1.118073377106, 0.3928193152767],
+                      [-0.583760803003, 0.3928193152767, 1.522660331583]]],
+        delta=[[1.575968642869], [-0.8990047354792], [0.9930460299747]],
+    ),
+]
+
 
 class TestStacking:
     @settings(max_examples=50, deadline=None)
@@ -302,6 +368,17 @@ class TestStacking:
         for a, b in zip(first, second):
             for name in PosteriorDraws._AXES:
                 assert np.array_equal(getattr(a, name), getattr(b, name))
+
+    def test_stacked_chain_equals_its_pinned_record(self):
+        panels = [random_panel(b, n, 1) for b, n in enumerate([7, 3, 11])]
+        fits = fit_hb_panels(panels, 2, STACK_CONFIG, [1, 2, 3])
+        for fit, pinned in zip(fits, PINNED_STACK):
+            accepted = np.rint(fit.acceptance_rates * STACK_CONFIG.total_draws)
+            assert accepted.tolist() == pinned["accepted"]
+            for name in ("betas", "means", "covariances", "delta"):
+                np.testing.assert_allclose(
+                    getattr(fit, name).mean(axis=0), pinned[name], rtol=1e-9, atol=0, err_msg=name
+                )
 
     def test_seed_count_differing_from_panel_count_named(self):
         panels = [random_panel(b, 5, 0) for b in range(3)]
@@ -459,6 +536,26 @@ def random_roots(rng, ncomp, k):
     return roots
 
 
+def step_layout(rows):
+    """A (blocks, customers, width) array in the customers-last layout
+    (blocks, width, customers) of the sampler's steps."""
+    return np.ascontiguousarray(np.swapaxes(rows, -1, -2))
+
+
+def population_state(rng, sizes, ncomp, k, n_cov):
+    """Block-padded (blocks, customers, k) rows and (blocks, customers,
+    n_cov) covariates, drawn for padded customers too, the components
+    ``ind``, the real-customer mask ``valid`` and the (blocks, ncomp,
+    customers) membership one-hot, which leaves padded customers out."""
+    n_blocks, n_max = len(sizes), max(sizes)
+    rows = rng.normal(scale=2.0, size=(n_blocks, n_max, k))
+    Z = rng.normal(size=(n_blocks, n_max, n_cov))
+    ind = rng.integers(0, ncomp, (n_blocks, n_max))
+    valid = np.arange(n_max) < np.array(sizes)[:, None]
+    onehot = ((ind[:, None] == np.arange(ncomp)[:, None]) & valid[:, None]).astype(float)
+    return rows, Z, ind, valid, onehot
+
+
 class TestSamplerParts:
     @given(
         n_blocks=st.integers(1, 3),
@@ -473,7 +570,7 @@ class TestSamplerParts:
         roots = np.stack([random_roots(rng, ncomp, k) for _ in range(n_blocks)])
         shape = (n_blocks, ncomp, n, k) if per_component else (n_blocks, n, k)
         diff = rng.normal(scale=2.0, size=shape)
-        got = _mvn_logpdf(diff, roots)
+        got = _mvn_logpdf(step_layout(diff), roots)
         assert got.shape == (n_blocks, ncomp, n)
         for b in range(n_blocks):
             for c in range(ncomp):
@@ -533,7 +630,7 @@ class TestSamplerParts:
         u = np.einsum("ij,ij->i", X, betas.reshape(-1, k)[row_customer])
         row_ll = y * u - np.logaddexp(0.0, u)
         expected = np.bincount(row_customer, weights=row_ll, minlength=n_blocks * n)
-        got = _customer_loglik(X, y, row_customer, betas)
+        got = _customer_loglik(X, y, row_customer, step_layout(betas))
         assert got.shape == (n_blocks, n)
         np.testing.assert_allclose(got.reshape(-1), expected, rtol=1e-15, atol=0)
 
@@ -549,6 +646,81 @@ class TestSamplerParts:
         assert np.isfinite(got).all()
         assert got[0, 0] == label * u - np.logaddexp(0.0, u)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(1, 8), min_size=1, max_size=3),
+        ncomp=st.integers(1, 3),
+        k=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_draw_components_matches_per_component_reference(self, sizes, ncomp, k, seed):
+        rng = np.random.default_rng(seed)
+        resid, _, ind, valid, onehot = population_state(rng, sizes, ncomp, k, 0)
+        mubar = rng.normal(size=k)
+        amu = rng.uniform(0.01, 2.0)
+        nu = k + int(rng.integers(2, 6))
+        W = rng.normal(size=(k, k))
+        V = W @ W.T + k * np.eye(k)
+        seeds = [seed + b for b in range(len(sizes))]
+        rngs = [np.random.default_rng(s) for s in seeds]
+        mu, roots = _draw_components(
+            rngs, step_layout(resid), onehot, onehot.sum(axis=2), mubar, amu, nu, V, 1
+        )
+        assert mu.shape == (len(sizes), ncomp, k) and roots.shape == (len(sizes), ncomp, k, k)
+        for b, (got_rng, twin) in enumerate(zip(rngs, map(np.random.default_rng, seeds))):
+            for c in range(ncomp):
+                members = resid[b][(ind[b] == c) & valid[b]]
+                n_k = len(members)
+                bbar = members.mean(axis=0) if n_k else np.zeros(k)
+                scatter = (members - bbar).T @ (members - bbar)
+                dev = bbar - mubar
+                scale = V + scatter + amu * n_k / (amu + n_k) * np.outer(dev, dev)
+                # Bartlett factor of Wishart(nu + n_k, scale^-1), row by row, then z
+                A = np.zeros((k, k))
+                for i in range(k):
+                    A[i, i] = math.sqrt(twin.chisquare(nu + n_k - i))
+                    A[i, :i] = twin.standard_normal(i)
+                z = twin.standard_normal(k)
+                root = np.linalg.cholesky(np.linalg.inv(scale)) @ A
+                post_mean = (amu * mubar + n_k * bbar) / (amu + n_k)
+                mean = post_mean + np.linalg.solve(root.T, z) / math.sqrt(amu + n_k)
+                np.testing.assert_allclose(roots[b, c], root, rtol=1e-9, atol=1e-12)
+                np.testing.assert_allclose(mu[b, c], mean, rtol=1e-9, atol=1e-12)
+            assert got_rng.bit_generator.state == twin.bit_generator.state
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(1, 8), min_size=1, max_size=3),
+        ncomp=st.integers(1, 3),
+        k=st.integers(1, 4),
+        n_cov=st.integers(1, 2),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_draw_delta_matches_kronecker_reference(self, sizes, ncomp, k, n_cov, seed):
+        rng = np.random.default_rng(seed)
+        dev, Z, ind, valid, onehot = population_state(rng, sizes, ncomp, k, n_cov)
+        roots = np.stack([random_roots(rng, ncomp, k) for _ in sizes])
+        amu = rng.uniform(0.01, 2.0)
+        seeds = [seed + b for b in range(len(sizes))]
+        rngs = [np.random.default_rng(s) for s in seeds]
+        delta = _draw_delta(rngs, step_layout(dev), step_layout(Z), onehot, roots, amu, 1)
+        assert delta.shape == (len(sizes), k, n_cov)
+        for b, (got_rng, twin) in enumerate(zip(rngs, map(np.random.default_rng, seeds))):
+            # A = amu I + sum_k kron(Z_k^T Z_k, P_k P_k^T) and its right-hand
+            # side vec_F(sum_k P_k P_k^T dev_k^T Z_k), columns stacked
+            A = amu * np.eye(k * n_cov)
+            M = np.zeros((k, n_cov))
+            for c in range(ncomp):
+                rows = (ind[b] == c) & valid[b]
+                Z_c, dev_c = Z[b][rows], dev[b][rows]
+                precision = roots[b, c] @ roots[b, c].T
+                A += np.kron(Z_c.T @ Z_c, precision)
+                M += precision @ dev_c.T @ Z_c
+            z = twin.standard_normal(k * n_cov)
+            vec = np.linalg.solve(A, M.T.reshape(-1)) + np.linalg.cholesky(np.linalg.inv(A)) @ z
+            np.testing.assert_allclose(delta[b], vec.reshape(n_cov, k).T, rtol=1e-9, atol=1e-12)
+            assert got_rng.bit_generator.state == twin.bit_generator.state
+
     @pytest.mark.parametrize("sizes", [[6], [4, 9, 1]])
     def test_one_component_indicators_are_zero_and_draw_only_uniforms(self, sizes):
         rngs = [np.random.default_rng(s) for s in range(len(sizes))]
@@ -558,7 +730,7 @@ class TestSamplerParts:
         resid = rng.normal(size=(n_blocks, n_max, k))
         mu = rng.normal(size=(n_blocks, 1, k))
         roots = np.stack([random_roots(rng, 1, k) for _ in range(n_blocks)])
-        ind = _draw_indicators(rngs, sizes, resid, mu, roots, np.ones((n_blocks, 1)))
+        ind = _draw_indicators(rngs, sizes, step_layout(resid), mu, roots, np.ones((n_blocks, 1)))
         assert ind.shape == (n_blocks, n_max) and ind.dtype == np.intp
         assert not ind.any()
         for got, twin, n_b in zip(rngs, twins, sizes):
