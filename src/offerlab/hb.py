@@ -22,10 +22,12 @@ cross-validated tuning fits every cell of one candidate as one stacked
 chain.
 
 The sweep skips work whose result is known in advance: with one component
-the indicator step draws only its uniforms, which keeps every stream in
-place, and returns zeros, as the weight step returns ones.  log(1 + e^u) is
-numpy's scalar ``logaddexp`` formula written out in ufuncs, several times
-faster than ``np.logaddexp`` and different from it only in the last bit.
+the indicator step advances each generator past the uniforms it would draw,
+which keeps every stream in place, and returns zeros, as the weight step
+returns ones, and the membership and step (e)'s member covariates, which
+then never change, are formed once.  log(1 + e^u) is numpy's scalar
+``logaddexp`` formula written out in in-place ufuncs, several times faster
+than ``np.logaddexp`` and different from it only in the last bit.
 """
 
 from __future__ import annotations
@@ -327,7 +329,11 @@ def build_panel(offers, covariates=None):
 # n-long rows, in order.  Every population array is (B, ncomp, ...).
 # Padded customers have no rows, draw no variates and are masked out of the
 # population steps, so a block's draws do not depend on what it is stacked
-# with.  The retained betas are transposed to (customers, K) only as they
+# with.  The likelihood pass is the one row-major reader: it gathers each
+# offer row's K coefficients from a contiguous (B * n, K) copy of beta, as
+# a gather from the strided (n, K) view of the (K, n) rows is slower.  Step
+# (a) updates its state by np.where selects, half the time of masked
+# copies.  The retained betas are transposed to (customers, K) only as they
 # are written out.
 
 
@@ -370,12 +376,17 @@ def _customer_loglik(X, y, row_customer, betas):
     """(B, n) per-customer binary-logit log likelihood at one beta per
     customer, ``betas`` (B, K, n); ``row_customer`` indexes the flattened
     (B * n) customers."""
-    flat = np.swapaxes(betas, 1, 2).reshape(-1, betas.shape[1])
+    flat = np.ascontiguousarray(np.swapaxes(betas, 1, 2)).reshape(-1, betas.shape[1])
     u = np.einsum("ij,ij->i", X, np.take(flat, row_customer, axis=0))
-    # log(1 + e^u) in the overflow-free form of numpy's scalar logaddexp(0, u);
-    # the ufunc np.logaddexp takes several times as long
-    softplus = np.maximum(u, 0.0) + np.log1p(np.exp(-np.abs(u)))
-    row_ll = y * u - softplus
+    # log(1 + e^u) in the overflow-free form of numpy's scalar logaddexp(0, u),
+    # in place; the ufunc np.logaddexp takes several times as long
+    softplus = np.abs(u)
+    np.negative(softplus, out=softplus)
+    np.exp(softplus, out=softplus)
+    np.log1p(softplus, out=softplus)
+    softplus += np.maximum(u, 0.0)
+    row_ll = y * u
+    row_ll -= softplus
     return np.bincount(row_customer, weights=row_ll, minlength=len(flat)).reshape(len(betas), -1)
 
 
@@ -469,19 +480,24 @@ def _metropolis(
         logprior = np.take(logprior, np.tile(member, 2) * (2 * n) + np.arange(2 * n))
     log_ratio = (loglik_prop - loglik) + (logprior[:, n:] - logprior[:, :n])
     accept = np.log(_stacked(rngs, sizes, "random", 1.0)) < log_ratio
-    np.copyto(beta, proposal, where=accept[:, None])
-    np.copyto(loglik, loglik_prop, where=accept)
+    beta[...] = np.where(accept[:, None], proposal, beta)
+    loglik[...] = np.where(accept, loglik_prop, loglik)
     return accept
 
 
 def _draw_indicators(rngs, sizes, resid, mu, roots, weights):
     """(b) Component indicators (B, n) on the covariate-adjusted
     coefficients ``resid`` (B, K, n).  With one component every indicator
-    is 0; its uniforms are still drawn, so every later variate of each
-    stream stays in place."""
-    u = _stacked(rngs, sizes, "random", 1.0)
+    is 0, and each generator advances past the block's uniforms instead of
+    drawing them: ``random`` takes one 64-bit output per double, and no
+    draw of the sampler uses the generator's 32-bit buffer, which
+    ``advance`` clears, so every later variate of each stream stays in
+    place."""
     if weights.shape[1] == 1:
-        return np.zeros(u.shape, dtype=np.intp)
+        for rng, n in zip(rngs, sizes):
+            rng.bit_generator.advance(n)
+        return np.zeros((len(rngs), resid.shape[-1]), dtype=np.intp)
+    u = _stacked(rngs, sizes, "random", 1.0)
     log_post = np.log(weights)[..., None] + _mvn_logpdf(resid[:, None] - mu[..., None], roots)
     log_post -= log_post.max(axis=1, keepdims=True)
     probs = np.exp(log_post)
@@ -506,7 +522,9 @@ def _draw_components(rngs, resid, onehot, counts, mubar, amu, nu, V, draw):
     Sigma_k / (amu + n_k) is drawn as P_k^-T z / sqrt(amu + n_k)."""
     n_k = counts[..., None]
     bbar = (onehot @ np.swapaxes(resid, -1, -2)) / np.maximum(n_k, 1.0)
-    centered = (resid[:, None] - bbar[..., None]) * onehot[:, :, None]
+    centered = resid[:, None] - bbar[..., None]
+    if (counts < resid.shape[-1]).any():  # else the mask is all ones
+        centered *= onehot[:, :, None]
     scatter = centered @ np.swapaxes(centered, -1, -2)
     dev = bbar - mubar
     shrink = (amu * n_k / (amu + n_k))[..., None]
@@ -517,16 +535,23 @@ def _draw_components(rngs, resid, onehot, counts, mubar, amu, nu, V, draw):
     return post_mean + step / np.sqrt(amu + n_k), roots
 
 
-def _draw_delta(rngs, dev, Z, onehot, roots, amu, draw):
+def _member_covariates(Z, onehot):
+    """Each component's members' covariates Z_k (B, ncomp, n_cov, n), the
+    customers ``onehot`` (B, ncomp, n) marks among the columns of ``Z`` (B,
+    n_cov, n), and Z_k^T Z_k (B, ncomp, n_cov, n_cov): step (e)'s inputs
+    that depend on the indicators alone."""
+    Zk = onehot[:, :, None] * Z[:, None]
+    return Zk, Zk @ np.swapaxes(Z, -1, -2)[:, None]
+
+
+def _draw_delta(rngs, dev, Zk, ZZ, roots, amu, draw):
     """(e) Covariate loading (B, K, n_cov) of each block via Bayes
-    multivariate regression of ``dev`` = beta - mu[ind] (B, K, n) on ``Z``
-    (B, n_cov, n) (GLS over components, prior precision amu * I on
-    vec(delta))."""
+    multivariate regression of ``dev`` = beta - mu[ind] (B, K, n) on the
+    covariates (GLS over components, prior precision amu * I on
+    vec(delta)), given the ``_member_covariates`` Zk and ZZ."""
     n_blocks, n_params = dev.shape[:2]
-    dim = n_params * Z.shape[1]
+    dim = n_params * Zk.shape[2]
     precision = roots @ np.swapaxes(roots, -1, -2)
-    Zk = onehot[:, :, None] * Z[:, None]  # (B, ncomp, n_cov, n): members' covariates
-    ZZ = Zk @ np.swapaxes(Z, -1, -2)[:, None]
     # sum_k kron(Z_k^T Z_k, P_k P_k^T) and vec_F(sum_k P_k P_k^T dev_k^T Z_k)
     A = amu * np.eye(dim) + np.einsum("bcqr,bckl->bqkrl", ZZ, precision).reshape(
         n_blocks, dim, dim
@@ -584,6 +609,8 @@ def fit_hb_panels(panels, ncomp: int, config: McmcConfig, seeds) -> list[Posteri
     nu = config.resolved_iw_dof(n_params)
     blocks = []  # (X, y, row_customer, Z, rows per customer) of each block
     for b, (X_b, y_b, row_b, ids, Z_b) in enumerate(panels):
+        if not len(ids):
+            raise InvalidInputError(f"block {b}: no customers to fit")
         X_b = np.asarray(X_b, dtype=float)
         row_b = np.asarray(row_b, dtype=np.intp)
         Z_b = np.zeros((len(ids), 0)) if Z_b is None else np.asarray(Z_b, dtype=float)
@@ -686,8 +713,7 @@ def fit_hb_panels(panels, ncomp: int, config: McmcConfig, seeds) -> list[Posteri
 
     kept = 0
     for it in range(1, config.total_draws + 1):
-        # (B, K, n) covariate shift delta Z, a sum of n-long rows over V
-        shift = (delta[..., None] * Z[:, None]).sum(axis=2)
+        shift = np.einsum("bkv,bvn->bkn", delta, Z)  # (B, K, n) covariate shift delta Z
         prior_mean = _component_means(mu, member) + shift
         accept_counts += _metropolis(
             rngs, sizes, X, y, row_customer, beta, loglik_cust, prop_factor, prior_mean, member,
@@ -695,14 +721,16 @@ def fit_hb_panels(panels, ncomp: int, config: McmcConfig, seeds) -> list[Posteri
         )
         resid = beta - shift
         ind = _draw_indicators(rngs, sizes, resid, mu, roots, weights)
-        member = ind + comp_offset
-        onehot = ((ind[:, None] == np.arange(ncomp)[:, None]) & valid[:, None]).astype(float)
-        counts = onehot.sum(axis=2)
+        if ncomp > 1 or it == 1:  # one component's membership never changes
+            member = ind + comp_offset
+            onehot = ((ind[:, None] == np.arange(ncomp)[:, None]) & valid[:, None]).astype(float)
+            counts = onehot.sum(axis=2)
+            Zk, ZZ = _member_covariates(Z, onehot)
         weights = _draw_weights(rngs, counts, dir_alpha)
         mu, roots = _draw_components(rngs, resid, onehot, counts, mubar, amu, nu, V, it)
         if n_cov:
             dev = beta - _component_means(mu, member)
-            delta = _draw_delta(rngs, dev, Z, onehot, roots, amu, it)
+            delta = _draw_delta(rngs, dev, Zk, ZZ, roots, amu, it)
 
         if it <= config.burn_in and it % adapt_every == 0:
             for b, (block, info, n) in enumerate(zip(blocks, infos, sizes)):
@@ -796,9 +824,20 @@ def predict_panel_probabilities(
     customer with (``PosteriorDraws.scored_coefficients``), PREDICT_PAIRS
     (draw, row) pairs at a time.  Rows scored at the population mean
     coefficients: all in population-mean mode, and an unknown customer's if
-    ``fallback_population_mean`` is set (else an UnknownCustomerError)."""
+    ``fallback_population_mean`` is set (else an UnknownCustomerError).
+    ``X`` must be (rows, K) and ``row_customer_ids`` hold one id per row,
+    in every mode; other shapes are an InvalidInputError."""
     betas = draws.scored_coefficients(mode)
     X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != draws.n_params:
+        raise InvalidInputError(
+            f"X has shape {X.shape}; the posterior's coefficients need (rows, {draws.n_params})"
+        )
+    if np.shape(row_customer_ids) != X.shape[:1]:
+        raise InvalidInputError(
+            f"row_customer_ids has shape {np.shape(row_customer_ids)}; "
+            f"the {len(X)} rows of X need {X.shape[:1]}"
+        )
     out = np.empty(len(X))
     fallback = np.ones(len(X), dtype=bool)
     if mode != POPULATION_MEAN:

@@ -27,6 +27,7 @@ from offerlab.hb import (
     _draw_components,
     _draw_delta,
     _draw_indicators,
+    _member_covariates,
     _mvn_logpdf,
     _pooled_logit,
     _wishart_root,
@@ -395,6 +396,14 @@ class TestStacking:
         ):
             fit_hb_panels(panels, 1, STACK_CONFIG, [1, 2, 3])
 
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_block_without_customers_named_by_block(self, position):
+        panels = [random_panel(b, 5, 1) for b in range(2)]
+        empty = (np.empty((0, 3)), np.empty(0), np.empty(0, dtype=int), [], np.empty((0, 1)))
+        panels.insert(position, empty)
+        with pytest.raises(InvalidInputError, match=f"^block {position}: no customers to fit$"):
+            fit_hb_panels(panels, 1, STACK_CONFIG, [1, 2, 3])
+
     @pytest.mark.parametrize(
         "step, message",
         [
@@ -556,6 +565,70 @@ def population_state(rng, sizes, ncomp, k, n_cov):
     return rows, Z, ind, valid, onehot
 
 
+def strided_customer_loglik(X, y, row_customer, betas):
+    """The likelihood pass as written before it gathered from a contiguous
+    copy and formed log(1 + e^u) in place: rows gathered from the strided
+    (customers, K) view.  Kept verbatim as the reference the sampler's pass
+    must reproduce bit for bit."""
+    flat = np.swapaxes(betas, 1, 2).reshape(-1, betas.shape[1])
+    u = np.einsum("ij,ij->i", X, np.take(flat, row_customer, axis=0))
+    # log(1 + e^u) in the overflow-free form of numpy's scalar logaddexp(0, u);
+    # the ufunc np.logaddexp takes several times as long
+    softplus = np.maximum(u, 0.0) + np.log1p(np.exp(-np.abs(u)))
+    row_ll = y * u - softplus
+    return np.bincount(row_customer, weights=row_ll, minlength=len(flat)).reshape(len(betas), -1)
+
+
+def masked_copy_metropolis(
+    rngs, sizes, X, y, row_customer, beta, loglik, prop_factor, prior_mean, member, roots
+):
+    """Step (a) as written before it accepted by a select: masked copies
+    into ``beta`` and ``loglik``, on the strided likelihood pass.  Kept
+    verbatim as the reference the sampler's step must reproduce bit for
+    bit."""
+    n = beta.shape[-1]
+    # each customer's K normals, drawn consecutively, as contiguous (K, n) rows
+    eps = hb._stacked(rngs, sizes, "standard_normal", 0.0, beta.shape[1:2])
+    eps = np.ascontiguousarray(np.swapaxes(eps, 1, 2))
+    proposal = beta + np.einsum("bijn,bjn->bin", prop_factor, eps)
+    loglik_prop = strided_customer_loglik(X, y, row_customer, proposal)
+    # the prior densities of both, current then proposed, from one (K, 2n)
+    # product per component; each customer's component is picked once
+    diff = np.empty(beta.shape[:2] + (2 * n,))
+    np.subtract(beta, prior_mean, out=diff[..., :n])
+    np.subtract(proposal, prior_mean, out=diff[..., n:])
+    logprior = _mvn_logpdf(diff, roots)
+    if roots.shape[1] == 1:
+        logprior = logprior[:, 0]
+    else:  # flat index of (b, ind_i, column) in the (B, ncomp, 2n) densities
+        logprior = np.take(logprior, np.tile(member, 2) * (2 * n) + np.arange(2 * n))
+    log_ratio = (loglik_prop - loglik) + (logprior[:, n:] - logprior[:, :n])
+    accept = np.log(hb._stacked(rngs, sizes, "random", 1.0)) < log_ratio
+    np.copyto(beta, proposal, where=accept[:, None])
+    np.copyto(loglik, loglik_prop, where=accept)
+    return accept
+
+
+def metropolis_state(rng, sizes, ncomp, k):
+    """Block-padded step (a) inputs held as the sampler holds them: rows of
+    1-3 offers for each real customer against the flattened (blocks *
+    customers) columns, and a padded customer's beta and proposal factor
+    zero, so it has no rows, proposes no step and its log likelihood is 0."""
+    n_blocks, n_max = len(sizes), max(sizes)
+    valid = np.arange(n_max) < np.array(sizes)[:, None]
+    real = np.flatnonzero(valid.reshape(-1))
+    row_customer = rng.permutation(np.repeat(real, rng.integers(1, 4, len(real))))
+    X = rng.normal(scale=rng.choice([0.3, 1.0, 5.0]), size=(len(row_customer), k))
+    y = rng.integers(0, 2, len(row_customer)).astype(float)
+    beta = rng.normal(size=(n_blocks, k, n_max)) * valid[:, None]
+    prop_factor = np.tril(rng.normal(scale=0.5, size=(n_blocks, n_max, k, k)))
+    prop_factor = np.ascontiguousarray(np.moveaxis(prop_factor * valid[..., None, None], 1, -1))
+    prior_mean = rng.normal(size=(n_blocks, k, n_max))
+    member = ncomp * np.arange(n_blocks)[:, None] + rng.integers(0, ncomp, (n_blocks, n_max))
+    roots = np.stack([random_roots(rng, ncomp, k) for _ in sizes])
+    return X, y, row_customer, beta, prop_factor, prior_mean, member, roots
+
+
 class TestSamplerParts:
     @given(
         n_blocks=st.integers(1, 3),
@@ -703,7 +776,8 @@ class TestSamplerParts:
         amu = rng.uniform(0.01, 2.0)
         seeds = [seed + b for b in range(len(sizes))]
         rngs = [np.random.default_rng(s) for s in seeds]
-        delta = _draw_delta(rngs, step_layout(dev), step_layout(Z), onehot, roots, amu, 1)
+        Zk, ZZ = _member_covariates(step_layout(Z), onehot)
+        delta = _draw_delta(rngs, step_layout(dev), Zk, ZZ, roots, amu, 1)
         assert delta.shape == (len(sizes), k, n_cov)
         for b, (got_rng, twin) in enumerate(zip(rngs, map(np.random.default_rng, seeds))):
             # A = amu I + sum_k kron(Z_k^T Z_k, P_k P_k^T) and its right-hand
@@ -736,6 +810,62 @@ class TestSamplerParts:
         for got, twin, n_b in zip(rngs, twins, sizes):
             twin.random(n_b)
             assert got.bit_generator.state == twin.bit_generator.state
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(1, 9), min_size=1, max_size=3),
+        ncomp=st.integers(1, 3),
+        k=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_metropolis_and_loglik_equal_their_masked_copy_references_bit_for_bit(
+        self, sizes, ncomp, k, seed
+    ):
+        rng = np.random.default_rng(seed)
+        X, y, row_customer, beta, prop_factor, prior_mean, member, roots = metropolis_state(
+            rng, sizes, ncomp, k
+        )
+        loglik = _customer_loglik(X, y, row_customer, beta)
+        assert loglik.tobytes() == strided_customer_loglik(X, y, row_customer, beta).tobytes()
+
+        def run(step):
+            rngs = [np.random.default_rng([seed, b]) for b in range(len(sizes))]
+            state = (beta.copy(), loglik.copy())
+            accept = step(
+                rngs, sizes, X, y, row_customer, *state, prop_factor, prior_mean, member, roots
+            )
+            return accept, *state, [g.bit_generator.state for g in rngs]
+
+        got, expected = run(hb._metropolis), run(masked_copy_metropolis)
+        for a, b in zip(got[:3], expected[:3]):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert got[3] == expected[3]
+        # the same pass on an accepted state gives the state's log likelihood
+        assert got[2].tobytes() == _customer_loglik(X, y, row_customer, got[1]).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(1, 9), min_size=1, max_size=3),
+        before=st.lists(st.sampled_from(["random", "standard_normal", "chisquare"]), max_size=4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_one_component_indicators_leave_each_stream_where_its_uniforms_would(
+        self, sizes, before, seed
+    ):
+        # each block's generator has made the sampler's kinds of draws first
+        rngs = [np.random.default_rng([seed, b]) for b in range(len(sizes))]
+        twins = [np.random.default_rng([seed, b]) for b in range(len(sizes))]
+        for rng in rngs + twins:
+            for method in before:
+                getattr(rng, method)(*([3.5] if method == "chisquare" else []), size=2)
+        n_blocks, n_max, k = len(sizes), max(sizes), 2
+        resid = np.zeros((n_blocks, k, n_max))
+        mu, roots = np.zeros((n_blocks, 1, k)), np.tile(np.eye(k), (n_blocks, 1, 1, 1))
+        _draw_indicators(rngs, sizes, resid, mu, roots, np.ones((n_blocks, 1)))
+        for got, twin, n_b in zip(rngs, twins, sizes):
+            twin.random(n_b)
+            assert got.bit_generator.state == twin.bit_generator.state
+            assert got.standard_normal(3).tobytes() == twin.standard_normal(3).tobytes()
 
 
 def three_path_predict(draws, X, row_customer_ids, mode, fallback_population_mean, pairs):
@@ -870,6 +1000,28 @@ class TestPrediction:
         draws = hand_built_draws([[[1.0, 0.5, -2.0]]])
         with pytest.raises(InvalidInputError):
             predict_panel_probabilities(draws, np.ones((1, 3)), [1], mode="oracular")
+
+    @pytest.mark.parametrize("mode", [DRAW_AVERAGED, POSTERIOR_MEAN, POPULATION_MEAN])
+    @pytest.mark.parametrize(
+        "X, ids, message",
+        [
+            # one row passed as a 1-D design: population-mean mode scored K ids
+            (np.array([1.0, 2.0, 0.1]), [1],
+             r"^X has shape \(3,\); the posterior's coefficients need \(rows, 3\)$"),
+            (np.ones((2, 4)), [1, 2],
+             r"^X has shape \(2, 4\); the posterior's coefficients need \(rows, 3\)$"),
+            (np.ones((2, 3)), [1, 2, 2],
+             r"^row_customer_ids has shape \(3,\); the 2 rows of X need \(2,\)$"),
+            (np.ones((3, 3)), [1, 2],
+             r"^row_customer_ids has shape \(2,\); the 3 rows of X need \(3,\)$"),
+            (np.ones((2, 3)), [[1, 2]],
+             r"^row_customer_ids has shape \(1, 2\); the 2 rows of X need \(2,\)$"),
+        ],
+    )
+    def test_inputs_of_the_wrong_shape_refused_in_every_mode(self, mode, X, ids, message):
+        draws = hand_built_draws([[[1.0, 0.5, -2.0], [0.2, 0.0, -1.0]]], customer_ids=[1, 2])
+        with pytest.raises(InvalidInputError, match=message):
+            predict_panel_probabilities(draws, X, ids, mode, fallback_population_mean=True)
 
 
 def npy_bytes(array):
