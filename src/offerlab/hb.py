@@ -329,12 +329,12 @@ def build_panel(offers, covariates=None):
 # n-long rows, in order.  Every population array is (B, ncomp, ...).
 # Padded customers have no rows, draw no variates and are masked out of the
 # population steps, so a block's draws do not depend on what it is stacked
-# with.  The likelihood pass is the one row-major reader: it gathers each
-# offer row's K coefficients from a contiguous (B * n, K) copy of beta, as
-# a gather from the strided (n, K) view of the (K, n) rows is slower.  Step
-# (a) updates its state by np.where selects, half the time of masked
-# copies.  The retained betas are transposed to (customers, K) only as they
-# are written out.
+# with.  The likelihood pass is the one row-major reader: it takes each
+# offer row's K coefficients straight from beta by a (rows, K) flat index
+# built once per fit, in half the time of a row gather from the strided
+# (n, K) view.  Step (a) updates its state by np.where selects, half the
+# time of masked copies.  The retained betas are transposed to (customers,
+# K) only as they are written out.
 
 
 def _pooled_logit(X: np.ndarray, y: np.ndarray):
@@ -372,12 +372,19 @@ def _stacked(rngs, sizes, method, fill, tail=()):
     return out
 
 
-def _customer_loglik(X, y, row_customer, betas):
+def _coef_index(row_customer, n_params, n):
+    """(rows, K) flat index of each offer row's K coefficients in the (B, K,
+    n) betas, given ``row_customer``, its index among the flattened (B * n)
+    customers."""
+    block, i = np.divmod(row_customer, n)
+    return (block * (n_params * n) + i)[:, None] + n * np.arange(n_params)
+
+
+def _customer_loglik(X, y, row_customer, row_coef, betas):
     """(B, n) per-customer binary-logit log likelihood at one beta per
     customer, ``betas`` (B, K, n); ``row_customer`` indexes the flattened
-    (B * n) customers."""
-    flat = np.ascontiguousarray(np.swapaxes(betas, 1, 2)).reshape(-1, betas.shape[1])
-    u = np.einsum("ij,ij->i", X, np.take(flat, row_customer, axis=0))
+    (B * n) customers and ``row_coef`` is its ``_coef_index``."""
+    u = np.einsum("ij,ij->i", X, np.take(betas, row_coef))
     # log(1 + e^u) in the overflow-free form of numpy's scalar logaddexp(0, u),
     # in place; the ufunc np.logaddexp takes several times as long
     softplus = np.abs(u)
@@ -387,7 +394,8 @@ def _customer_loglik(X, y, row_customer, betas):
     softplus += np.maximum(u, 0.0)
     row_ll = y * u
     row_ll -= softplus
-    return np.bincount(row_customer, weights=row_ll, minlength=len(flat)).reshape(len(betas), -1)
+    n_cust = len(betas) * betas.shape[-1]
+    return np.bincount(row_customer, weights=row_ll, minlength=n_cust).reshape(len(betas), -1)
 
 
 def _chol_or_abort(matrices, draw, what):
@@ -454,7 +462,8 @@ def _wishart_root(rngs, dof, scale, draw):
 
 
 def _metropolis(
-    rngs, sizes, X, y, row_customer, beta, loglik, prop_factor, prior_mean, member, roots
+    rngs, sizes, X, y, row_customer, row_coef, beta, loglik, prop_factor, prior_mean, member,
+    roots,
 ):
     """(a) Random-walk Metropolis update of every customer of every block at
     once against the logit likelihood times N(prior_mean_i, Sigma_{ind_i}),
@@ -467,7 +476,7 @@ def _metropolis(
     eps = _stacked(rngs, sizes, "standard_normal", 0.0, beta.shape[1:2])
     eps = np.ascontiguousarray(np.swapaxes(eps, 1, 2))
     proposal = beta + np.einsum("bijn,bjn->bin", prop_factor, eps)
-    loglik_prop = _customer_loglik(X, y, row_customer, proposal)
+    loglik_prop = _customer_loglik(X, y, row_customer, row_coef, proposal)
     # the prior densities of both, current then proposed, from one (K, 2n)
     # product per component; each customer's component is picked once
     diff = np.empty(beta.shape[:2] + (2 * n,))
@@ -522,9 +531,7 @@ def _draw_components(rngs, resid, onehot, counts, mubar, amu, nu, V, draw):
     Sigma_k / (amu + n_k) is drawn as P_k^-T z / sqrt(amu + n_k)."""
     n_k = counts[..., None]
     bbar = (onehot @ np.swapaxes(resid, -1, -2)) / np.maximum(n_k, 1.0)
-    centered = resid[:, None] - bbar[..., None]
-    if (counts < resid.shape[-1]).any():  # else the mask is all ones
-        centered *= onehot[:, :, None]
+    centered = (resid[:, None] - bbar[..., None]) * onehot[:, :, None]
     scatter = centered @ np.swapaxes(centered, -1, -2)
     dev = bbar - mubar
     shrink = (amu * n_k / (amu + n_k))[..., None]
@@ -648,6 +655,7 @@ def fit_hb_panels(panels, ncomp: int, config: McmcConfig, seeds) -> list[Posteri
     X = np.concatenate([block[0] for block in blocks])
     y = np.concatenate([block[1] for block in blocks])
     row_customer = np.concatenate([block[2] + b * n_max for b, block in enumerate(blocks)])
+    row_coef = _coef_index(row_customer, n_params, n_max)
     valid = np.arange(n_max) < np.array(sizes)[:, None]
     Z = np.zeros((n_blocks, n_cov, n_max))
     for b, (block, n) in enumerate(zip(blocks, sizes)):
@@ -700,7 +708,7 @@ def fit_hb_panels(panels, ncomp: int, config: McmcConfig, seeds) -> list[Posteri
     # member[b, i] = b * ncomp + ind[b, i] indexes mu.reshape(-1, K)
     comp_offset = ncomp * np.arange(n_blocks)[:, None]
     member = np.repeat(comp_offset, n_max, axis=1)
-    loglik_cust = _customer_loglik(X, y, row_customer, beta)
+    loglik_cust = _customer_loglik(X, y, row_customer, row_coef, beta)
     accept_counts = np.zeros((n_blocks, n_max))
 
     n_keep = config.n_retained()
@@ -716,8 +724,8 @@ def fit_hb_panels(panels, ncomp: int, config: McmcConfig, seeds) -> list[Posteri
         shift = np.einsum("bkv,bvn->bkn", delta, Z)  # (B, K, n) covariate shift delta Z
         prior_mean = _component_means(mu, member) + shift
         accept_counts += _metropolis(
-            rngs, sizes, X, y, row_customer, beta, loglik_cust, prop_factor, prior_mean, member,
-            roots,
+            rngs, sizes, X, y, row_customer, row_coef, beta, loglik_cust, prop_factor, prior_mean,
+            member, roots,
         )
         resid = beta - shift
         ind = _draw_indicators(rngs, sizes, resid, mu, roots, weights)
@@ -725,7 +733,8 @@ def fit_hb_panels(panels, ncomp: int, config: McmcConfig, seeds) -> list[Posteri
             member = ind + comp_offset
             onehot = ((ind[:, None] == np.arange(ncomp)[:, None]) & valid[:, None]).astype(float)
             counts = onehot.sum(axis=2)
-            Zk, ZZ = _member_covariates(Z, onehot)
+            if n_cov:
+                Zk, ZZ = _member_covariates(Z, onehot)
         weights = _draw_weights(rngs, counts, dir_alpha)
         mu, roots = _draw_components(rngs, resid, onehot, counts, mubar, amu, nu, V, it)
         if n_cov:

@@ -23,6 +23,7 @@ from offerlab.hb import (
     POSTERIOR_MEAN,
     McmcConfig,
     PosteriorDraws,
+    _coef_index,
     _customer_loglik,
     _draw_components,
     _draw_delta,
@@ -566,8 +567,8 @@ def population_state(rng, sizes, ncomp, k, n_cov):
 
 
 def strided_customer_loglik(X, y, row_customer, betas):
-    """The likelihood pass as written before it gathered from a contiguous
-    copy and formed log(1 + e^u) in place: rows gathered from the strided
+    """The likelihood pass as written before it took rows by a flat index
+    and formed log(1 + e^u) in place: rows gathered from the strided
     (customers, K) view.  Kept verbatim as the reference the sampler's pass
     must reproduce bit for bit."""
     flat = np.swapaxes(betas, 1, 2).reshape(-1, betas.shape[1])
@@ -703,7 +704,8 @@ class TestSamplerParts:
         u = np.einsum("ij,ij->i", X, betas.reshape(-1, k)[row_customer])
         row_ll = y * u - np.logaddexp(0.0, u)
         expected = np.bincount(row_customer, weights=row_ll, minlength=n_blocks * n)
-        got = _customer_loglik(X, y, row_customer, step_layout(betas))
+        row_coef = _coef_index(row_customer, k, n)
+        got = _customer_loglik(X, y, row_customer, row_coef, step_layout(betas))
         assert got.shape == (n_blocks, n)
         np.testing.assert_allclose(got.reshape(-1), expected, rtol=1e-15, atol=0)
 
@@ -715,7 +717,8 @@ class TestSamplerParts:
         # likelihood is its row's y * u - log(1 + e^u)
         u = sign * u
         X, y, row_customer = np.array([[u]]), np.array([label]), np.array([0])
-        got = _customer_loglik(X, y, row_customer, np.ones((1, 1, 1)))
+        row_coef = _coef_index(row_customer, 1, 1)
+        got = _customer_loglik(X, y, row_customer, row_coef, np.ones((1, 1, 1)))
         assert np.isfinite(got).all()
         assert got[0, 0] == label * u - np.logaddexp(0.0, u)
 
@@ -825,23 +828,22 @@ class TestSamplerParts:
         X, y, row_customer, beta, prop_factor, prior_mean, member, roots = metropolis_state(
             rng, sizes, ncomp, k
         )
-        loglik = _customer_loglik(X, y, row_customer, beta)
+        rows = (row_customer, _coef_index(row_customer, k, max(sizes)))
+        loglik = _customer_loglik(X, y, *rows, beta)
         assert loglik.tobytes() == strided_customer_loglik(X, y, row_customer, beta).tobytes()
 
-        def run(step):
+        def run(step, *rows):
             rngs = [np.random.default_rng([seed, b]) for b in range(len(sizes))]
             state = (beta.copy(), loglik.copy())
-            accept = step(
-                rngs, sizes, X, y, row_customer, *state, prop_factor, prior_mean, member, roots
-            )
+            accept = step(rngs, sizes, X, y, *rows, *state, prop_factor, prior_mean, member, roots)
             return accept, *state, [g.bit_generator.state for g in rngs]
 
-        got, expected = run(hb._metropolis), run(masked_copy_metropolis)
+        got, expected = run(hb._metropolis, *rows), run(masked_copy_metropolis, row_customer)
         for a, b in zip(got[:3], expected[:3]):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
         assert got[3] == expected[3]
         # the same pass on an accepted state gives the state's log likelihood
-        assert got[2].tobytes() == _customer_loglik(X, y, row_customer, got[1]).tobytes()
+        assert got[2].tobytes() == _customer_loglik(X, y, *rows, got[1]).tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(
