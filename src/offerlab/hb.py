@@ -40,7 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .choice import first_repeat, join, logistic
+from .choice import as_ids, first_repeat, join, logistic
 from .errors import (
     ConfigurationError,
     DataIntegrityError,
@@ -197,7 +197,7 @@ class PosteriorDraws:
         path.mkdir(parents=True, exist_ok=True)
         header = {
             "format": "hb-posterior-v1",
-            "customer_ids": [int(c) for c in self.customer_ids],
+            "customer_ids": as_ids(self.customer_ids, "customer id").tolist(),
             "config": asdict(self.config),
             "shapes": {name: list(getattr(self, name).shape) for name in self._AXES},
         }
@@ -321,20 +321,20 @@ def build_panel(offers, covariates=None):
 # Sampler internals
 # ---------------------------------------------------------------------------
 #
-# The chain runs over a leading block axis and holds every per-customer
-# array block-padded and customers-last, (B, ..., n) with n the largest
-# block's customer count: beta and the prior mean are (B, K, n), the
-# proposal factors (B, K, K, n) and the covariates (B, V, n).  Every
-# elementwise pass and every sum over K or V then runs over contiguous
-# n-long rows, in order.  Every population array is (B, ncomp, ...).
-# Padded customers have no rows, draw no variates and are masked out of the
-# population steps, so a block's draws do not depend on what it is stacked
-# with.  The likelihood pass is the one row-major reader: it takes each
-# offer row's K coefficients straight from beta by a (rows, K) flat index
-# built once per fit, in half the time of a row gather from the strided
-# (n, K) view.  Step (a) updates its state by np.where selects, half the
-# time of masked copies.  The retained betas are transposed to (customers,
-# K) only as they are written out.
+# ``_Chain.sweep`` is the one place the steps below are composed into a
+# Gibbs sweep, over the state a ``_Chain`` holds.  The chain runs over a
+# leading block axis and holds every per-customer array block-padded and
+# customers-last, (B, ..., n) with n the largest block's customer count:
+# beta and the prior mean are (B, K, n), the proposal factors (B, K, K, n)
+# and the covariates (B, V, n), so every elementwise pass and every sum
+# over K or V runs over contiguous n-long rows.  Population arrays are (B,
+# ncomp, ...).  Padded customers have no rows, draw no variates and are
+# masked out of the population steps, so a block's draws do not depend on
+# what it is stacked with.  The likelihood pass, the one row-major reader,
+# takes each row's K coefficients from beta by a (rows, K) flat index built
+# once per fit, in half the time of a gather from the strided (n, K) view.
+# Step (a) updates its state by np.where selects, half the time of masked
+# copies.  Retained betas are transposed to (customers, K) as they are kept.
 
 
 def _pooled_logit(X: np.ndarray, y: np.ndarray):
@@ -593,6 +593,170 @@ def _population_cov(weights, mu, roots):
     return np.einsum("k,kij->ij", weights, Sigma) + (centered.T * weights) @ centered
 
 
+def _checked_blocks(panels, ncomp, seeds):
+    """The (X, y, row_customer, Z, rows per customer) of each panel of
+    ``fit_hb_panels``; a malformed array is an error naming its block."""
+    if not panels:
+        raise InvalidInputError("no panels to fit")
+    if ncomp < 1:
+        raise ConfigurationError("ncomp must be >= 1")
+    if len(seeds) != len(panels):
+        raise InvalidInputError(f"{len(seeds)} seeds for {len(panels)} panels")
+    blocks = []
+    for b, (X_b, y_b, row_b, ids, Z_b) in enumerate(panels):
+        if not len(ids):
+            raise InvalidInputError(f"block {b}: no customers to fit")
+        ids = as_ids(ids, f"block {b}: customer id")
+        repeat = first_repeat(ids)
+        if repeat >= 0:
+            raise InvalidInputError(f"block {b}: repeats customer id {ids[repeat]}")
+        X_b, y_b = np.asarray(X_b, dtype=float), np.asarray(y_b, dtype=float)
+        row_b = np.asarray(row_b)
+        Z_b = np.zeros((len(ids), 0)) if Z_b is None else np.asarray(Z_b, dtype=float)
+        for name, array, ndim in (("X", X_b, 2), ("y", y_b, 1), ("row_customer", row_b, 1),
+                                  ("Z", Z_b, 2)):
+            if array.ndim != ndim:
+                raise InvalidInputError(f"block {b}: {name} has shape {array.shape}, not {ndim}-D")
+        if not b:
+            n_params, n_cov = X_b.shape[1], Z_b.shape[1]
+        if X_b.shape[1] != n_params or Z_b.shape != (len(ids), n_cov):
+            raise InvalidInputError(
+                f"block {b}: design width {X_b.shape[1]} and covariates {Z_b.shape} do not "
+                f"match block 0's {n_params} and (customers, {n_cov})"
+            )
+        for name, array in (("y", y_b), ("row_customer", row_b)):
+            if len(array) != len(X_b):
+                raise InvalidInputError(
+                    f"block {b}: {name} has {len(array)} entries for the {len(X_b)} rows of X"
+                )
+        for name, array, bad, rule in (
+            ("X", X_b, ~np.isfinite(X_b), "must be finite"),
+            ("Z", Z_b, ~np.isfinite(Z_b), "must be finite"),
+            ("y", y_b, (y_b != 0) & (y_b != 1), "must be 0 or 1"),
+            ("row_customer", row_b, row_b != np.round(row_b), "must be a whole number"),
+            ("row_customer", row_b, (row_b < 0) | (row_b >= len(ids)),
+             f"must lie in [0, {len(ids)})"),
+        ):
+            if bad.any():
+                row = int(np.argmax(bad.reshape(len(array), -1).any(axis=1)))
+                value = array[row].tolist()
+                raise InvalidInputError(f"block {b}: {name} row {row} = {value} {rule}")
+        row_b = row_b.astype(np.intp, copy=False)
+        rows_per_cust = np.bincount(row_b, minlength=len(ids))
+        if rows_per_cust.min() < 1:
+            raise DataIntegrityError(f"block {b}: every customer needs at least one observation")
+        blocks.append((X_b, y_b, row_b, Z_b, rows_per_cust))
+    return blocks
+
+
+class _Chain:
+    """The state of one Metropolis-within-Gibbs chain over the
+    ``_checked_blocks`` of ``fit_hb_panels``: ``sweep`` runs one Gibbs
+    sweep, steps (a)-(e), and ``adapt`` refits the random-walk proposal.
+
+    Customer betas start at their block's pooled fit plus prior-scale noise:
+    an all-equal start has zero scatter, which collapses the first
+    covariance draw and can trap the chain in an over-shrunk state.  The
+    covariate loading starts at its pooled interaction estimate; a zero
+    start can settle into a sign-flipped basin that the chain corrects only
+    slowly.  The start proposal takes the prior covariance for the
+    population's: without a population precision term the proposal is far
+    wider than a sparse customer's posterior and the chain stalls."""
+
+    def __init__(self, blocks, ncomp, config, seeds):
+        self.sizes = sizes = [len(block[4]) for block in blocks]
+        n_blocks, n_max = len(blocks), max(sizes)
+        n_params, self.n_cov = blocks[0][0].shape[1], blocks[0][3].shape[1]
+        self.rngs = [seeded_rng(s) for s in seeds]
+        # every block's rows against the flattened (B * n_max) customers
+        row_customer = np.concatenate([block[2] + b * n_max for b, block in enumerate(blocks)])
+        X, y = (np.concatenate([block[i] for block in blocks]) for i in (0, 1))
+        self.rows = (X, y, row_customer, _coef_index(row_customer, n_params, n_max))
+        self.valid = np.arange(n_max) < np.array(sizes)[:, None]
+        self.Z = np.zeros((n_blocks, self.n_cov, n_max))
+        self.rows_per_cust = [block[4] for block in blocks]
+        self.amu = config.mu_prior_precision
+        self.mubar = np.full(n_params, config.mu_prior_mean)
+        self.nu = config.resolved_iw_dof(n_params)
+        self.V = config.resolved_iw_scale(n_params) * np.eye(n_params)
+        self.dir_alpha = np.full(ncomp, config.dirichlet_concentration)
+        self.prior_cov_guess = self.V / (self.nu - n_params - 1)
+        self.scale = config.resolved_rw_scale(n_params)
+
+        self.infos = []
+        self.beta = np.zeros((n_blocks, n_params, n_max))
+        self.mu = np.empty((n_blocks, ncomp, n_params))
+        self.delta = np.zeros((n_blocks, n_params, self.n_cov))
+        start_factor = np.linalg.cholesky(self.prior_cov_guess).T
+        for b, ((X_b, y_b, row_b, Z_b, _), rng, n) in enumerate(zip(blocks, self.rngs, sizes)):
+            self.Z[b, :, :n] = Z_b.T
+            beta_pool, info = _pooled_logit(X_b, y_b)
+            self.infos.append(info)
+            self.beta[b, :, :n] = (beta_pool + rng.standard_normal((n, n_params)) @ start_factor).T
+            self.mu[b] = beta_pool
+            if self.n_cov:
+                z_rows = Z_b[row_b]
+                X_ext = np.hstack([X_b] + [X_b * z_rows[:, [j]] for j in range(self.n_cov)])
+                beta_ext, _ = _pooled_logit(X_ext, y_b)
+                self.delta[b] = beta_ext[n_params:].reshape(self.n_cov, n_params).T
+        self.weights = np.full((n_blocks, ncomp), 1.0 / ncomp)
+        # component covariances are held as precision factors P_k (Sigma_k^-1 =
+        # P_k P_k^T); Sigma_k itself is formed only for adaptation and output
+        root = np.linalg.cholesky(np.linalg.inv(self.prior_cov_guess))
+        self.roots = np.tile(root, (n_blocks, ncomp, 1, 1))
+        self.prop_factor = np.zeros((n_blocks, n_params, n_params, n_max))
+        self.adapt([self.prior_cov_guess] * n_blocks)
+        # member[b, i] = b * ncomp + ind[b, i] indexes mu.reshape(-1, K)
+        self.comp_offset = ncomp * np.arange(n_blocks)[:, None]
+        self._assign(np.zeros((n_blocks, n_max), dtype=np.intp))
+        self.loglik = _customer_loglik(*self.rows, self.beta)
+        self.accept_counts = np.zeros((n_blocks, n_max))
+
+    def _assign(self, ind):
+        """Form the membership of the (B, n) component indicators ``ind``."""
+        self.member = ind + self.comp_offset
+        comps = np.arange(self.mu.shape[1])[:, None]
+        self.onehot = ((ind[:, None] == comps) & self.valid[:, None]).astype(float)
+        self.counts = self.onehot.sum(axis=2)
+        if self.n_cov:
+            self.Zk, self.ZZ = _member_covariates(self.Z, self.onehot)
+
+    def sweep(self, it):
+        """Gibbs sweep ``it`` (from 1), steps (a)-(e) in turn; one
+        component's membership never changes."""
+        shift = np.einsum("bkv,bvn->bkn", self.delta, self.Z)  # (B, K, n) covariate shift delta Z
+        prior_mean = _component_means(self.mu, self.member) + shift
+        self.accept_counts += _metropolis(
+            self.rngs, self.sizes, *self.rows, self.beta, self.loglik, self.prop_factor,
+            prior_mean, self.member, self.roots,
+        )
+        resid = self.beta - shift
+        ind = _draw_indicators(self.rngs, self.sizes, resid, self.mu, self.roots, self.weights)
+        if self.mu.shape[1] > 1:
+            self._assign(ind)
+        self.weights = _draw_weights(self.rngs, self.counts, self.dir_alpha)
+        self.mu, self.roots = _draw_components(
+            self.rngs, resid, self.onehot, self.counts, self.mubar, self.amu, self.nu, self.V, it
+        )
+        if self.n_cov:
+            dev = self.beta - _component_means(self.mu, self.member)
+            self.delta = _draw_delta(self.rngs, dev, self.Zk, self.ZZ, self.roots, self.amu, it)
+
+    def adapt(self, covs=None):
+        """Refit each block's proposal factors against its population
+        covariance ``covs[b]``, by default that of its current draw."""
+        if covs is None:
+            covs = map(_population_cov, self.weights, self.mu, self.roots)
+        for b, (cov, n) in enumerate(zip(covs, self.sizes)):
+            self.prop_factor[b, ..., :n] = _proposal_factors(
+                self.rows_per_cust[b], self.infos[b], cov, self.scale, self.prior_cov_guess
+            )
+
+    def population(self):
+        """The population draw: weights, means, precision factors, loading."""
+        return self.weights, self.mu, self.roots, self.delta
+
+
 def fit_hb_panels(panels, ncomp: int, config: McmcConfig, seeds) -> list[PosteriorDraws]:
     """Run one Metropolis-within-Gibbs chain over a stack of panels (blocks).
 
@@ -603,181 +767,42 @@ def fit_hb_panels(panels, ncomp: int, config: McmcConfig, seeds) -> list[Posteri
     variate from its own generator, seeded from ``seeds[b]``, in the
     per-step order of a one-block fit, so its draws equal those of fitting
     it alone up to rounding.  Returns one PosteriorDraws per block, whose
-    config is ``config`` with ``seed=seeds[b]``.
+    config is ``config`` with ``seed=seeds[b]``.  The proposal is refitted
+    in burn-in only, so the retained draws come from a fixed-kernel chain.
     """
-    if not panels:
-        raise InvalidInputError("no panels to fit")
-    if ncomp < 1:
-        raise ConfigurationError("ncomp must be >= 1")
-    if len(seeds) != len(panels):
-        raise InvalidInputError(f"{len(seeds)} seeds for {len(panels)} panels")
-    n_params = np.shape(panels[0][0])[1]
-    n_cov = 0 if panels[0][4] is None else np.shape(panels[0][4])[1]
-    nu = config.resolved_iw_dof(n_params)
-    blocks = []  # (X, y, row_customer, Z, rows per customer) of each block
-    for b, (X_b, y_b, row_b, ids, Z_b) in enumerate(panels):
-        if not len(ids):
-            raise InvalidInputError(f"block {b}: no customers to fit")
-        X_b = np.asarray(X_b, dtype=float)
-        row_b = np.asarray(row_b, dtype=np.intp)
-        Z_b = np.zeros((len(ids), 0)) if Z_b is None else np.asarray(Z_b, dtype=float)
-        if X_b.shape[1] != n_params or Z_b.shape != (len(ids), n_cov):
-            raise InvalidInputError(
-                f"block {b}: design width {X_b.shape[1]} and covariates {Z_b.shape} do not "
-                f"match block 0's {n_params} and (customers, {n_cov})"
-            )
-        y_b = np.asarray(y_b, dtype=float)
-        for name, array in (("y", y_b), ("row_customer", row_b)):
-            if len(array) != len(X_b):
-                raise InvalidInputError(
-                    f"block {b}: {name} has {len(array)} entries for the {len(X_b)} rows of X"
-                )
-        for name, array, bad, rule in (
-            ("X", X_b, ~np.isfinite(X_b), "must be finite"),
-            ("Z", Z_b, ~np.isfinite(Z_b), "must be finite"),
-            ("y", y_b, (y_b != 0) & (y_b != 1), "must be 0 or 1"),
-            ("row_customer", row_b, (row_b < 0) | (row_b >= len(ids)),
-             f"must lie in [0, {len(ids)})"),
-        ):
-            if bad.any():
-                row = int(np.argmax(bad.reshape(len(array), -1).any(axis=1)))
-                value = array[row].tolist()
-                raise InvalidInputError(f"block {b}: {name} row {row} = {value} {rule}")
-        rows_per_cust = np.bincount(row_b, minlength=len(ids))
-        if rows_per_cust.min() < 1:
-            raise DataIntegrityError(f"block {b}: every customer needs at least one observation")
-        blocks.append((X_b, y_b, row_b, Z_b, rows_per_cust))
-
-    sizes = [len(p[3]) for p in panels]
-    n_blocks, n_max = len(panels), max(sizes)
-    rngs = [seeded_rng(s) for s in seeds]
-    # rows of every block against the flattened (B * n_max) customers
-    X = np.concatenate([block[0] for block in blocks])
-    y = np.concatenate([block[1] for block in blocks])
-    row_customer = np.concatenate([block[2] + b * n_max for b, block in enumerate(blocks)])
-    row_coef = _coef_index(row_customer, n_params, n_max)
-    valid = np.arange(n_max) < np.array(sizes)[:, None]
-    Z = np.zeros((n_blocks, n_cov, n_max))
-    for b, (block, n) in enumerate(zip(blocks, sizes)):
-        Z[b, :, :n] = block[3].T
-
-    # Priors
-    amu = config.mu_prior_precision
-    mubar = np.full(n_params, config.mu_prior_mean)
-    V = config.resolved_iw_scale(n_params) * np.eye(n_params)
-    dir_alpha = np.full(ncomp, config.dirichlet_concentration)
-    prior_cov_guess = V / (nu - n_params - 1)
-
-    # Random-walk proposal (see _proposal_factors): without the population
-    # precision term the proposal is far wider than a sparse customer's
-    # posterior and the chain stalls.  The population covariance is
-    # re-estimated a few times during burn-in and frozen afterwards, so
-    # retained draws come from a fixed-kernel chain.
-    scale = config.resolved_rw_scale(n_params)
-    adapt_every = max(min(25, config.burn_in // 4), 1)
-
-    # State.  Customer betas start at the pooled fit plus prior-scale noise:
-    # an all-equal start has zero scatter, which collapses the first
-    # covariance draw and can trap the chain in an over-shrunk state.  The
-    # covariate loading starts at its pooled interaction estimate; a zero
-    # start can settle into a sign-flipped basin that the chain corrects
-    # only slowly.
-    infos = []
-    prop_factor = np.zeros((n_blocks, n_params, n_params, n_max))
-    beta = np.zeros((n_blocks, n_params, n_max))
-    mu = np.empty((n_blocks, ncomp, n_params))
-    delta = np.zeros((n_blocks, n_params, n_cov))
-    start_factor = np.linalg.cholesky(prior_cov_guess).T
-    for b, ((X_b, y_b, row_b, Z_b, rows_per_cust), rng, n) in enumerate(zip(blocks, rngs, sizes)):
-        beta_pool, info = _pooled_logit(X_b, y_b)
-        infos.append(info)
-        prop_factor[b, ..., :n] = _proposal_factors(
-            rows_per_cust, info, prior_cov_guess, scale, prior_cov_guess
-        )
-        beta[b, :, :n] = (beta_pool + rng.standard_normal((n, n_params)) @ start_factor).T
-        mu[b] = beta_pool
-        if n_cov:
-            z_rows = Z_b[row_b]
-            X_ext = np.hstack([X_b] + [X_b * z_rows[:, [j]] for j in range(n_cov)])
-            beta_ext, _ = _pooled_logit(X_ext, y_b)
-            delta[b] = beta_ext[n_params:].reshape(n_cov, n_params).T
-    weights = np.full((n_blocks, ncomp), 1.0 / ncomp)
-    # component covariances are held as precision factors P_k (Sigma_k^-1 =
-    # P_k P_k^T); Sigma_k itself is formed only for adaptation and output
-    roots = np.tile(np.linalg.cholesky(np.linalg.inv(prior_cov_guess)), (n_blocks, ncomp, 1, 1))
-    # member[b, i] = b * ncomp + ind[b, i] indexes mu.reshape(-1, K)
-    comp_offset = ncomp * np.arange(n_blocks)[:, None]
-    member = np.repeat(comp_offset, n_max, axis=1)
-    loglik_cust = _customer_loglik(X, y, row_customer, row_coef, beta)
-    accept_counts = np.zeros((n_blocks, n_max))
-
+    chain = _Chain(_checked_blocks(panels, ncomp, seeds), ncomp, config, seeds)
     n_keep = config.n_retained()
-    out_betas = [np.empty((n_keep, n, n_params)) for n in sizes]
-    out_weights = np.empty((n_keep, n_blocks, ncomp))
-    out_means = np.empty((n_keep, n_blocks, ncomp, n_params))
-    out_roots = np.empty((n_keep, n_blocks, ncomp, n_params, n_params))
-    out_delta = np.empty((n_keep, n_blocks, n_params, n_cov))
-    out_loglik = np.empty((n_keep, n_blocks))
-
-    kept = 0
+    out_betas = [np.empty((n_keep, n, chain.beta.shape[1])) for n in chain.sizes]
+    out_loglik = np.empty((n_keep, len(panels)))
+    out_population = [np.empty((n_keep, *array.shape)) for array in chain.population()]
+    adapt_every = max(min(25, config.burn_in // 4), 1)
     for it in range(1, config.total_draws + 1):
-        shift = np.einsum("bkv,bvn->bkn", delta, Z)  # (B, K, n) covariate shift delta Z
-        prior_mean = _component_means(mu, member) + shift
-        accept_counts += _metropolis(
-            rngs, sizes, X, y, row_customer, row_coef, beta, loglik_cust, prop_factor, prior_mean,
-            member, roots,
-        )
-        resid = beta - shift
-        ind = _draw_indicators(rngs, sizes, resid, mu, roots, weights)
-        if ncomp > 1 or it == 1:  # one component's membership never changes
-            member = ind + comp_offset
-            onehot = ((ind[:, None] == np.arange(ncomp)[:, None]) & valid[:, None]).astype(float)
-            counts = onehot.sum(axis=2)
-            if n_cov:
-                Zk, ZZ = _member_covariates(Z, onehot)
-        weights = _draw_weights(rngs, counts, dir_alpha)
-        mu, roots = _draw_components(rngs, resid, onehot, counts, mubar, amu, nu, V, it)
-        if n_cov:
-            dev = beta - _component_means(mu, member)
-            delta = _draw_delta(rngs, dev, Zk, ZZ, roots, amu, it)
-
+        chain.sweep(it)
         if it <= config.burn_in and it % adapt_every == 0:
-            for b, (block, info, n) in enumerate(zip(blocks, infos, sizes)):
-                pop_cov = _population_cov(weights[b], mu[b], roots[b])
-                prop_factor[b, ..., :n] = _proposal_factors(
-                    block[4], info, pop_cov, scale, prior_cov_guess
-                )
-
+            chain.adapt()
         if it > config.burn_in and (it - config.burn_in) % config.keep == 0:
-            for b, n in enumerate(sizes):
-                out_betas[b][kept] = beta[b, :, :n].T
-                out_loglik[kept, b] = loglik_cust[b, :n].sum()
-            out_weights[kept] = weights
-            out_means[kept] = mu
-            out_roots[kept] = roots
-            out_delta[kept] = delta
-            kept += 1
+            kept = (it - config.burn_in) // config.keep - 1
+            for b, n in enumerate(chain.sizes):
+                out_betas[b][kept] = chain.beta[b, :, :n].T
+                out_loglik[kept, b] = chain.loglik[b, :n].sum()
+            for out, array in zip(out_population, chain.population()):
+                out[kept] = array
 
     fits = []
-    for b, (p, seed, n) in enumerate(zip(panels, seeds, sizes)):
-        rates = accept_counts[b, :n] / config.total_draws
+    for b, (p, seed, n) in enumerate(zip(panels, seeds, chain.sizes)):
+        rates = chain.accept_counts[b, :n] / config.total_draws
         low, high = float(rates.min()), float(rates.max())
         if low < 0.05 or high > 0.70:
             log.warning(
                 "block %d: Metropolis acceptance rates outside (0.05, 0.70): min=%.3f max=%.3f",
                 b, low, high,
             )
-        block_roots = out_roots[:, b]
+        weights, means, roots, delta = (np.ascontiguousarray(out[:, b]) for out in out_population)
         fits.append(
             PosteriorDraws(
-                customer_ids=list(p[3]),
-                betas=out_betas[b],
-                weights=np.ascontiguousarray(out_weights[:, b]),
-                means=np.ascontiguousarray(out_means[:, b]),
-                covariances=np.linalg.inv(block_roots @ np.swapaxes(block_roots, -1, -2)),
-                delta=np.ascontiguousarray(out_delta[:, b]),
-                log_likelihood=np.ascontiguousarray(out_loglik[:, b]),
-                acceptance_rates=rates,
+                customer_ids=list(p[3]), betas=out_betas[b], weights=weights, means=means,
+                covariances=np.linalg.inv(roots @ np.swapaxes(roots, -1, -2)), delta=delta,
+                log_likelihood=np.ascontiguousarray(out_loglik[:, b]), acceptance_rates=rates,
                 config=replace(config, seed=seed),
             )
         )

@@ -164,8 +164,6 @@ def annuity_factor(months: int, annual_rate: float) -> float:
         raise InvalidInputError(f"months must be >= 1, got {months}")
     if annual_rate < 0:
         raise InvalidInputError("annual_rate must be >= 0")
-    if annual_rate == 0.0:
-        return float(months)
     g = 1.0 + annual_rate / 12.0
     return float(np.sum(g ** -np.arange(1, months + 1, dtype=float)))
 

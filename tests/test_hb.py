@@ -422,14 +422,17 @@ class TestStacking:
     @pytest.mark.parametrize(
         "name, position, value, rule",
         [("X", 0, math.nan, "must be finite"), ("Z", 4, math.inf, "must be finite"),
-         ("y", 1, 2.0, "must be 0 or 1"), ("y", 1, math.nan, "must be 0 or 1")],
+         ("y", 1, 2.0, "must be 0 or 1"), ("y", 1, math.nan, "must be 0 or 1"),
+         ("row_customer", 3, 2.5, "must be a whole number")],
     )
     @pytest.mark.parametrize("n_blocks", [1, 2])
     def test_non_finite_input_named_by_block_and_array(self, name, position, value, rule, n_blocks):
         panels = [random_panel(b, 5, 1) for b in range(n_blocks)]
         X, y, row_customer, customer_ids, Z = (np.array(a, dtype=float) for a in panels[-1])
-        {"X": X[:, 1], "Z": Z[:, 0], "y": y}[name][position] = value
-        panels[-1] = (X, y, row_customer.astype(int), customer_ids.astype(int).tolist(), Z)
+        if name != "row_customer":  # a fractional row_customer is refused, not truncated
+            row_customer = row_customer.astype(int)
+        {"X": X[:, 1], "Z": Z[:, 0], "y": y, "row_customer": row_customer}[name][position] = value
+        panels[-1] = (X, y, row_customer, customer_ids.astype(int).tolist(), Z)
         message = rf"^block {n_blocks - 1}: {name} row {position} = .*{value!r}.* {rule}$"
         with pytest.raises(InvalidInputError, match=message):
             if n_blocks == 1:
@@ -460,6 +463,70 @@ class TestStacking:
         message = rf"^block {n_blocks - 1}: {name} has {rows - 1} entries for the {rows} rows of X$"
         with pytest.raises(InvalidInputError, match=message):
             fit_hb_panels(panels, 1, STACK_CONFIG, list(range(n_blocks)))
+
+    @pytest.mark.parametrize(
+        "position, spoil, message",
+        [
+            (0, lambda X: X[:, 1], r"X has shape \(\d+,\), not 2-D"),
+            (4, lambda Z: Z[:, 0], r"Z has shape \(5,\), not 2-D"),
+            (1, lambda y: y[:, None], r"y has shape \(\d+, 1\), not 1-D"),
+            (2, lambda rows: rows[:, None], r"row_customer has shape \(\d+, 1\), not 1-D"),
+            (3, lambda ids: [1.7] + ids[1:], r"customer id 1\.7 is not a 64-bit integer"),
+            (3, lambda ids: ids[:1] * 2 + ids[2:], "repeats customer id 100"),
+        ],
+        ids=["X-1d", "Z-1d", "y-2d", "row_customer-2d", "fractional-id", "repeated-id"],
+    )
+    @pytest.mark.parametrize("n_blocks, block", [(1, 0), (2, 0), (2, 1)])
+    def test_malformed_array_or_id_named_by_block(self, position, spoil, message, n_blocks, block):
+        panels = [random_panel(b, 5, 1) for b in range(n_blocks)]
+        panel = list(panels[block])
+        panel[position] = spoil(panel[position])
+        panels[block] = tuple(panel)
+        with pytest.raises(InvalidInputError, match=f"^block {block}: {message}$"):
+            fit_hb_panels(panels, 1, STACK_CONFIG, list(range(n_blocks)))
+
+
+class TestChain:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(1, 12), min_size=1, max_size=3),
+        ncomp=st.integers(1, 3),
+        n_cov=st.integers(0, 2),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_sweeps_keep_the_state_invariants_and_reproduce_the_fit(
+        self, sizes, ncomp, n_cov, seed
+    ):
+        panels = [random_panel(seed + b, n, n_cov) for b, n in enumerate(sizes)]
+        seeds = [seed + 100 * b for b in range(len(sizes))]
+        config = STACK_CONFIG
+        chain = hb._Chain(hb._checked_blocks(panels, ncomp, seeds), ncomp, config, seeds)
+        padded = ~chain.valid
+        start = (chain.member, chain.onehot, chain.counts)
+        adapt_every = max(min(25, config.burn_in // 4), 1)  # the schedule of fit_hb_panels
+        for it in range(1, config.total_draws + 1):
+            chain.sweep(it)
+            if it <= config.burn_in and it % adapt_every == 0:
+                chain.adapt()
+            assert not np.swapaxes(chain.beta, 1, 2)[padded].any()
+            assert not np.moveaxis(chain.prop_factor, -1, 1)[padded].any()
+            assert not chain.accept_counts[padded].any()
+            assert np.array_equal(chain.loglik, _customer_loglik(*chain.rows, chain.beta))
+            assert not np.swapaxes(chain.onehot, 1, 2)[padded].any()
+            assert chain.counts.sum(axis=1).tolist() == sizes
+            if ncomp == 1:
+                membership = (chain.member, chain.onehot, chain.counts)
+                assert all(now is then for now, then in zip(membership, start))
+        for b, (fit, n) in enumerate(zip(fit_hb_panels(panels, ncomp, config, seeds), sizes)):
+            roots, rates = chain.roots[b], chain.accept_counts[b, :n] / config.total_draws
+            assert np.array_equal(fit.betas[-1], chain.beta[b, :, :n].T)
+            assert np.array_equal(fit.weights[-1], chain.weights[b])
+            assert np.array_equal(fit.means[-1], chain.mu[b])
+            covariances = np.linalg.inv(roots @ np.swapaxes(roots, 1, 2))
+            assert np.array_equal(fit.covariances[-1], covariances)
+            assert np.array_equal(fit.delta[-1], chain.delta[b])
+            assert fit.log_likelihood[-1] == chain.loglik[b, :n].sum()
+            assert np.array_equal(fit.acceptance_rates, rates)
 
 
 # two customers, six offers whose labels a plane separates: without a bound
@@ -1126,6 +1193,11 @@ class TestPersistence:
         file.write_bytes(spoil(file.read_bytes()))
         with pytest.raises(DataIntegrityError, match=f"^{file} is not a readable float array: "):
             PosteriorDraws.load(tmp_path / "posterior")
+
+    def test_save_refuses_a_fractional_customer_id_not_truncating_it(self, tmp_path):
+        draws = hand_built_draws(np.zeros((2, 2, 3)), customer_ids=[1.7, 2])
+        with pytest.raises(InvalidInputError, match=r"^customer id 1\.7 is not a 64-bit integer"):
+            draws.save(tmp_path / "posterior")
 
     def test_save_returns_the_files_it_wrote(self, tmp_path):
         names = hand_built_draws(np.zeros((2, 2, 3))).save(tmp_path / "posterior")
