@@ -13,8 +13,10 @@ and checked there by its ``validate``; every other stage reads columns,
 and ``join`` finds the row of each customer id in a key column.
 Acceptance follows a binary logit in which the no-purchase alternative's
 utility is normalized to exactly zero, so ``logistic`` of the utility is
-the single acceptance probability: the simulator, the sampler, prediction
-and the profit objective all call it on arrays of utilities.
+the single acceptance probability: the simulator, prediction and the
+sampler's pooled start call it on arrays of utilities.  The sampler's
+likelihood pass forms log(1 + e^u) directly, and the profit objective
+forms 1 / (1 + e^(-u)) in place.
 """
 
 from __future__ import annotations

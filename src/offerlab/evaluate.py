@@ -31,12 +31,13 @@ class ScoredLabels:
     def __post_init__(self):
         scores = np.asarray(self.scores, dtype=float)
         labels = np.asarray(self.labels)
-        object.__setattr__(self, "scores", scores)
-        object.__setattr__(self, "labels", labels.astype(int))
         if scores.ndim != 1 or scores.shape != labels.shape or scores.size == 0:
             raise InvalidInputError("scores and labels must be equal-length non-empty vectors")
-        if not np.all(np.isin(self.labels, (0, 1))):
+        # checked before the cast, which would truncate 0.5 to 0
+        if not np.all((labels == 0) | (labels == 1)):
             raise InvalidInputError("labels must be 0/1")
+        object.__setattr__(self, "scores", scores)
+        object.__setattr__(self, "labels", labels.astype(int))
         bad = np.flatnonzero(~np.isfinite(scores))
         if bad.size:
             raise InvalidInputError(
@@ -124,7 +125,7 @@ def delong_test(scores_a, scores_b, labels) -> DelongResult:
 
     c10_a, c01_a = _placement_counts(a.scores, a.labels)
     c10_b, c01_b = _placement_counts(b.scores, b.labels)
-    auc_a, auc_b = auc(a), auc(b)
+    auc_a, auc_b = (float(c10.sum()) / (n_pos * n_neg) for c10 in (c10_a, c10_b))
     diff = auc_a - auc_b
 
     def _cov(u, v):

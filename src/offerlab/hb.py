@@ -617,6 +617,8 @@ def _checked_blocks(panels, ncomp, seeds):
                                   ("Z", Z_b, 2)):
             if array.ndim != ndim:
                 raise InvalidInputError(f"block {b}: {name} has shape {array.shape}, not {ndim}-D")
+        if not X_b.shape[1]:
+            raise InvalidInputError(f"block {b}: X has shape {X_b.shape}, with no columns")
         if not b:
             n_params, n_cov = X_b.shape[1], Z_b.shape[1]
         if X_b.shape[1] != n_params or Z_b.shape != (len(ids), n_cov):

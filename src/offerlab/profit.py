@@ -40,7 +40,9 @@ DEFAULT_CONTRACT_OPTIONS = (1, 12, 24, 36, 60)
 # elements of each of the objective's two scratch blocks, one for the
 # probabilities and one for their derivative (512 KB of float64 each):
 # large enough to amortize numpy's per-call overhead, small enough to stay
-# in a core's L2 cache and to keep memory flat however long the r grid
+# in a core's L2 cache.  A block scores every requested rate for as many
+# customers as fit; only one customer's rates x draws can exceed it, which
+# at the 11-rate scan takes more than 5957 kept draws
 VALUES_BLOCK = 1 << 16
 
 # optimize_policy scans this many evenly spaced rates per contract option,
@@ -182,7 +184,10 @@ class _SegmentObjective:
     sum over contiguous memory.  Utilities are kept negated: negation is
     exact, so ``exp(na + r * nb)`` is ``exp(-u)`` bit for bit.  Only the
     contract option being searched keeps its base utility and annuity
-    factor, so memory stays at a few copies of one draw slice.
+    factor, so memory stays at a few copies of one draw slice.  A call
+    scores all its rates in one pass over blocks of customers, each of at
+    most VALUES_BLOCK (rate, customer, draw) elements unless one
+    customer's rates x draws exceed it.
 
     ``clamped`` says whether some utility of the option may reach the
     clamp at a rate in the trained band: max|na| + max|r| * max|nb| bounds
@@ -225,20 +230,28 @@ class _SegmentObjective:
         self.factor = annuity_factor(months, self.config.annual_rate)
         self._months = months
 
-    def _draw_means(self, rs: np.ndarray, cols: int):
-        """(len(rs), customers) draw means of the acceptance probability p
-        and of dp/dr = b2 * p * (1 - p), computed in place in the two
-        scratch blocks, ``cols`` customers at a time."""
+    def values_and_slopes(self, rs, months: int):
+        """Total next-offer profit at each discount rate in ``rs`` and its
+        derivative in r, from the draw means of p and of dp/dr = b2 * p *
+        (1 - p), formed in place in the two scratch blocks."""
+        rs = np.asarray(rs, dtype=float).reshape(-1)
+        lo, hi = TRAINED_DISCOUNT_BAND
+        outside = ~((rs >= lo) & (rs <= hi))
+        if outside.any():
+            r = float(rs[np.argmax(outside)])
+            raise InvalidInputError(f"discount rate {r!r} leaves the trained band [{lo}, {hi}]")
+        self._select(months)
         n, n_draws = self.na.shape
-        size = len(rs) * cols * n_draws
+        cols = max(1, min(n, VALUES_BLOCK // (max(1, rs.size) * n_draws)))
+        size = rs.size * cols * n_draws
         if self._scratch.shape[1] < size:
             self._scratch = np.empty((2, size))
         r = rs[:, None, None]
-        probs = np.empty((len(rs), n))
-        slopes = np.empty((len(rs), n))
+        probs = np.empty((rs.size, n))
+        slopes = np.empty((rs.size, n))
         for j in range(0, n, cols):
             nb = self.nb[j : j + cols]
-            buf, sbuf = (s[: len(rs) * nb.size].reshape(len(rs), *nb.shape) for s in self._scratch)
+            buf, sbuf = (s[: rs.size * nb.size].reshape(rs.size, *nb.shape) for s in self._scratch)
             np.multiply(r, nb, out=buf)
             buf += self.na[j : j + cols]
             if self.clamped:
@@ -262,34 +275,11 @@ class _SegmentObjective:
             np.add.reduce(sbuf, axis=2, out=slopes[:, j : j + cols])
         probs /= n_draws
         slopes /= -n_draws
-        return probs, slopes
-
-    def values_and_slopes(self, rs, months: int):
-        """Total next-offer profit at each discount rate in ``rs`` and its
-        derivative in r, scored in blocks of at most VALUES_BLOCK (rate,
-        customer, draw) elements."""
-        rs = np.asarray(rs, dtype=float).reshape(-1)
-        lo, hi = TRAINED_DISCOUNT_BAND
-        outside = ~((rs >= lo) & (rs <= hi))
-        if outside.any():
-            r = float(rs[np.argmax(outside)])
-            raise InvalidInputError(f"discount rate {r!r} leaves the trained band [{lo}, {hi}]")
-        out = np.zeros(rs.size)
-        d_out = np.zeros(rs.size)
-        self._select(months)
-        n, n_draws = self.na.shape
-        cols = max(1, min(n, VALUES_BLOCK // n_draws))
-        rows = max(1, VALUES_BLOCK // (cols * n_draws))
         mrp, loyalty, config = self.seg.mrp, self.seg.loyalty, self.config
-        for i in range(0, rs.size, rows):
-            r = rs[i : i + rows]
-            probs, slopes = self._draw_means(r, cols)
-            margin = (mrp * (1.0 + r[:, None]) - config.monthly_cost) * self.factor
-            margin -= config.initial_cost
-            out[i : i + rows] = np.sum(probs * loyalty * margin, axis=1)
-            d = probs * (mrp * self.factor) + slopes * margin
-            d_out[i : i + rows] = np.sum(loyalty * d, axis=1)
-        return out, d_out
+        margin = (mrp * (1.0 + rs[:, None]) - config.monthly_cost) * self.factor
+        margin -= config.initial_cost
+        d = probs * (mrp * self.factor) + slopes * margin
+        return np.sum(probs * loyalty * margin, axis=1), np.sum(loyalty * d, axis=1)
 
 
 def segment_objective(

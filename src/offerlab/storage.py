@@ -206,14 +206,22 @@ def check_finite_fields(config) -> None:
 
 def load_dataclass(cls, obj, where: str):
     """Dataclass ``cls`` built from the parsed JSON object ``obj``; keys left
-    out keep their defaults.  An unknown key or a value that does not match
-    its field's annotation is a ``ConfigurationError`` naming its dotted path
-    below ``where``, as is a value the class's own check refuses."""
+    out keep their defaults.  An unknown key, a left-out field that has no
+    default or a value that does not match its field's annotation is a
+    ``ConfigurationError`` naming its dotted path below ``where``, as is a
+    value the class's own check refuses."""
     if not isinstance(obj, dict):
         raise ConfigurationError(f"{where} must be an object, got {obj!r}")
-    unknown = sorted(set(obj) - {f.name for f in dataclasses.fields(cls) if f.init})
+    fields = [f for f in dataclasses.fields(cls) if f.init]
+    unknown = sorted(set(obj) - {f.name for f in fields})
     if unknown:
         raise ConfigurationError(f"{where} has unknown keys {unknown}")
+    missing = sorted(
+        f.name for f in fields if f.name not in obj
+        and f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+    )
+    if missing:
+        raise ConfigurationError(f"{where} lacks keys {missing}")
     hints = typing.get_type_hints(cls)
     values = {key: _load_value(hints[key], v, f"{where}.{key}") for key, v in obj.items()}
     try:

@@ -172,8 +172,9 @@ def test_benchmark_spans_see_every_cli_call(tmp_path):
 COMPONENT = {"weight": 1.0, "mean": [1.0, 0.2, -2.0], "cov": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}
 
 # per config section: a misspelt key, a mistyped value and a value out of
-# range (and for nop, an integer beyond the float range), each with the
-# message that names it
+# range (and for nop, an integer beyond the float range; for a mixture
+# component, a left-out key that has no default), each with the message
+# that names it
 CONFIG_FAULTS = {
     "top": {
         "unknown-key": ({"sede": 1}, "config has unknown keys ['sede']"),
@@ -198,6 +199,10 @@ CONFIG_FAULTS = {
         "unknown-key": (
             {"ground_truth": {"mixture": [{**COMPONENT, "wieght": 1.0}]}},
             "config.ground_truth.mixture[0] has unknown keys ['wieght']",
+        ),
+        "missing-key": (
+            {"ground_truth": {"mixture": [{"weight": 1.0, "mean": [0, 0, 0]}]}},
+            "config.ground_truth.mixture[0] lacks keys ['cov']",
         ),
         "wrong-type": (
             {"ground_truth": {"mixture": [{**COMPONENT, "mean": [1.0, 0.2]}]}},

@@ -109,6 +109,18 @@ class TestScoredLabels:
         with pytest.raises(InvalidInputError):
             ScoredLabels([0.1], [2])
 
+    @pytest.mark.parametrize("bad", [0.5, 1.7, float("nan")])
+    def test_label_other_than_0_or_1_refused_before_the_int_cast(self, bad):
+        # a cast first held 0.5 as 0 and 1.7 as 1, and warned on NaN
+        scores, labels = [0.1, 0.9, 0.5, 0.3], [0, 1, bad, 1]
+        for score in (
+            lambda: ScoredLabels(scores, labels),
+            lambda: auc(ScoredLabels(scores, labels)),
+            lambda: delong_test(scores, scores[::-1], labels),
+        ):
+            with pytest.raises(InvalidInputError, match="^labels must be 0/1$"):
+                score()
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_scores_rejected_by_name(self, bad):
         with pytest.raises(InvalidInputError, match=r"2 score\(s\) not finite, the first at index 1"):

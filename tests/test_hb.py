@@ -468,13 +468,15 @@ class TestStacking:
         "position, spoil, message",
         [
             (0, lambda X: X[:, 1], r"X has shape \(\d+,\), not 2-D"),
+            (0, lambda X: X[:, :0], r"X has shape \(\d+, 0\), with no columns"),
             (4, lambda Z: Z[:, 0], r"Z has shape \(5,\), not 2-D"),
             (1, lambda y: y[:, None], r"y has shape \(\d+, 1\), not 1-D"),
             (2, lambda rows: rows[:, None], r"row_customer has shape \(\d+, 1\), not 1-D"),
             (3, lambda ids: [1.7] + ids[1:], r"customer id 1\.7 is not a 64-bit integer"),
             (3, lambda ids: ids[:1] * 2 + ids[2:], "repeats customer id 100"),
         ],
-        ids=["X-1d", "Z-1d", "y-2d", "row_customer-2d", "fractional-id", "repeated-id"],
+        ids=["X-1d", "X-no-columns", "Z-1d", "y-2d", "row_customer-2d", "fractional-id",
+             "repeated-id"],
     )
     @pytest.mark.parametrize("n_blocks, block", [(1, 0), (2, 0), (2, 1)])
     def test_malformed_array_or_id_named_by_block(self, position, spoil, message, n_blocks, block):
