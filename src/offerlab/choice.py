@@ -208,17 +208,25 @@ def first_repeat(*columns) -> int:
 
 
 def as_ids(values, name: str = "id") -> np.ndarray:
-    """``values`` as an int64 array; a value that is not a whole number in
-    64 bits (1.9, nan, 2**63, a bool, a text) is an ``InvalidInputError``
-    naming ``name`` and the first such value, where a cast would truncate
-    1.9 to id 1."""
-    values = np.asarray(values)
-    if values.dtype.kind != "i":
-        for value in values.reshape(-1).tolist():
-            whole = int(value) if isinstance(value, float) and value.is_integer() else value
-            if type(whole) is not int or not -(2**63) <= whole < 2**63:
-                raise InvalidInputError(f"{name} {value!r} is not a 64-bit integer")
-    return values.astype(np.int64, copy=False)
+    """``values`` as an int64 array.  Each value is judged as given, a list
+    by its items, where ``np.asarray`` reads ``[2, True]`` as ids 2 and 1.
+    An id is an int in 64 bits, or a whole float below 2**53 in magnitude, as
+    a larger double may be a neighbouring id, rounded; any other value (1.9,
+    nan, 2**63, a bool, a text) is an ``InvalidInputError`` naming ``name``
+    and the first such value, where a cast would truncate 1.9 to id 1."""
+    given = isinstance(values, (list, tuple))
+    types = set(map(type, values)) if given else ()
+    if not any(t is bool or not issubclass(t, (int, np.integer)) for t in types):
+        array = np.asarray(values)
+        if array.dtype.kind == "i":
+            return array.astype(np.int64, copy=False)
+    items = np.fromiter(values, object, len(values)) if given else np.asarray(values, dtype=object)
+    for value in items.reshape(-1).tolist():
+        value = value.item() if isinstance(value, np.generic) else value
+        if not (type(value) is int and -(2**63) <= value < 2**63
+                or type(value) is float and value.is_integer() and abs(value) < 2**53):
+            raise InvalidInputError(f"{name} {value!r} is not a 64-bit integer")
+    return items.astype(np.int64)
 
 
 def join(keys, ids, unknown=None) -> np.ndarray:

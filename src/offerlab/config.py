@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .choice import DESIGN_NAMES
-from .datasets import KFOLD_BY_OCCASION, ResamplingScheme
+from .datasets import ResamplingScheme
 from .errors import ConfigurationError
 from .hb import DRAW_AVERAGED, PREDICTION_MODES, McmcConfig
 from .profit import NopConfig
@@ -33,9 +33,7 @@ class PipelineConfig:
     nop: NopConfig = field(default_factory=NopConfig)
     ncomp: int = 1
     ncomp_candidates: tuple[int, ...] = (1, 2, 3)
-    resampling: ResamplingScheme = field(
-        default_factory=lambda: ResamplingScheme(kind=KFOLD_BY_OCCASION, folds=10, repeats=1)
-    )
+    resampling: ResamplingScheme = field(default_factory=ResamplingScheme)
     include_demographic: bool = False
     elasticity_delta: float = DEFAULT_DISCOUNT_SHIFT
     predict_mode: str = DRAW_AVERAGED

@@ -34,6 +34,7 @@ from .choice import (
     Customers,
     Offers,
     _Table,
+    as_ids,
     key_runs,
 )
 from .errors import (
@@ -219,6 +220,12 @@ def _parse_invoice_date(text: str):
     return None
 
 
+def _whole_cell(cell: str, name: str) -> int:
+    """A retail cell as an int literal, or else a float, judged by ``choice.as_ids``."""
+    number = int(cell) if cell.strip().lstrip("+-").isdigit() else float(cell)
+    return int(as_ids(number, name))
+
+
 def ingest_retail_csv(path, product_filter=None) -> RetailChoices:
     """Restructure transaction data into a table of per-occasion choices.
 
@@ -240,17 +247,14 @@ def ingest_retail_csv(path, product_filter=None) -> RetailChoices:
             raise ParseError(f"{path}: empty file")
         cols = {}
         for field_name, aliases in _RETAIL_ALIASES.items():
-            for alias in aliases:
-                if alias in header:
-                    cols[field_name] = header.index(alias)
-                    break
-            else:
+            present = [header.index(alias) for alias in aliases if alias in header]
+            if not present:
                 raise ParseError(f"{path}: missing column {aliases[0]!r}")
+            cols[field_name] = present[0]
 
         parse_date = cache(_parse_invoice_date)  # once per distinct InvoiceDate text
         purchases = []  # (customer, invoice, date, stock)
-        volume = {}
-        description = {}
+        volume, description = {}, {}  # per stock code: total quantity, last description
         for lineno, row in enumerate(reader, start=2):
             if len(row) <= max(cols.values()):
                 raise ParseError(f"{path}: line {lineno}: too few fields")
@@ -261,12 +265,10 @@ def ingest_retail_csv(path, product_filter=None) -> RetailChoices:
             if invoice.startswith(("C", "c")):
                 continue  # cancellation
             try:
-                customer = int(float(customer_cell))
-                quantity = int(float(row[cols["quantity"]]))
-            except (ValueError, OverflowError) as exc:  # OverflowError: "inf"
+                customer = _whole_cell(customer_cell, "customer id")
+                quantity = _whole_cell(row[cols["quantity"]], "quantity")
+            except ValueError as exc:  # as_ids' InvalidInputError is one
                 raise ParseError(f"{path}: line {lineno}: {exc}")
-            if not -(2**63) <= customer < 2**63:
-                raise ParseError(f"{path}: line {lineno}: customer id {customer} exceeds 64 bits")
             if quantity <= 0:
                 continue
             stock = row[cols["stock"]].strip()
@@ -303,9 +305,7 @@ def ingest_retail_csv(path, product_filter=None) -> RetailChoices:
     keys, chosen = [], []  # one (customer, occasion) per occasion; one flag per row
     for customer in sorted(by_customer):
         invoices = by_customer[customer]
-        ordered = sorted(
-            invoices, key=lambda inv: (invoices[inv]["date"] or datetime.max, inv)
-        )
+        ordered = sorted(invoices, key=lambda inv: (invoices[inv]["date"] or datetime.max, inv))
         for occ, invoice in enumerate(ordered, start=1):
             keys.append((customer, occ))
             chosen += [int(p in invoices[invoice]["chosen"]) for p in products]

@@ -4,7 +4,7 @@ the DeLong correlated-ROC test, and cross-validated mixture-size tuning."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -161,8 +161,8 @@ class TuningRow:
 
 @dataclass
 class TuningReport:
-    rows: list = field(default_factory=list)
-    selected_ncomp: int = 1
+    rows: list
+    selected_ncomp: int
 
 
 class _Cell(NamedTuple):

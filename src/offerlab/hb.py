@@ -166,10 +166,6 @@ class PosteriorDraws:
     def n_params(self) -> int:
         return self.betas.shape[2]
 
-    @property
-    def ncomp(self) -> int:
-        return self.weights.shape[1]
-
     def population_mean_coefficients(self) -> np.ndarray:
         """Posterior mean of the weighted mixture mean; used for customers
         that were not in the training data."""
@@ -227,35 +223,31 @@ class PosteriorDraws:
                 )
         if header["format"] != "hb-posterior-v1":
             raise DataIntegrityError(f"unrecognized posterior format in {header_path}")
-        ids = header["customer_ids"]
-        for cid in ids:
-            if type(cid) is not int or not -(2**63) <= cid < 2**63:
-                raise DataIntegrityError(
-                    f"{header_path}: customer id {cid!r} is not a 64-bit integer"
-                )
-        repeat = first_repeat(np.array(ids, dtype=np.int64))
+        try:
+            ids = as_ids(header["customer_ids"], "customer id")
+        except InvalidInputError as exc:
+            raise DataIntegrityError(f"{header_path}: {exc}") from None
+        repeat = first_repeat(ids)
         if repeat >= 0:
             raise DataIntegrityError(f"{header_path} repeats customer id {ids[repeat]}")
         config = load_dataclass(McmcConfig, header["config"], f"{header_path}: config")
         arrays = {}
-        for name in cls._AXES:
+        # (first array, size) of each axis letter; N's is the header's id count
+        sizes = {"N": (None, len(ids))}
+        for name, axes in cls._AXES.items():
             file = path / f"{name}.npy"
             if not file.exists():
                 raise MissingArtifactError(str(file))
             try:  # a dtype that does not cast safely to float64 is refused too
-                arrays[name] = np.load(file).astype(float, casting="safe", copy=False)
+                arrays[name] = array = np.load(file).astype(float, casting="safe", copy=False)
             except (ValueError, EOFError, TypeError) as exc:
                 raise DataIntegrityError(f"{file} is not a readable float array: {exc}") from None
             expected = header["shapes"].get(name)
-            if list(arrays[name].shape) != expected:
+            if list(array.shape) != expected:
                 raise DataIntegrityError(
-                    f"posterior array {name} has shape {list(arrays[name].shape)}, "
+                    f"posterior array {name} has shape {list(array.shape)}, "
                     f"header.json records {expected}"
                 )
-        # (first array, size) of each axis letter; N's is the header's id count
-        sizes = {"N": (None, len(ids))}
-        for name, axes in cls._AXES.items():
-            array = arrays[name]
             if array.ndim != len(axes):
                 raise DataIntegrityError(
                     f"posterior array {name} has {array.ndim} axes, not {len(axes)}"
@@ -284,7 +276,7 @@ class PosteriorDraws:
                 f"{header_path}: config retains {config.n_retained()} draws, "
                 f"the posterior arrays hold {sizes['D'][1]}"
             )
-        return cls(customer_ids=ids, config=config, **arrays)
+        return cls(customer_ids=ids.tolist(), config=config, **arrays)
 
 
 # ---------------------------------------------------------------------------
@@ -594,8 +586,8 @@ def _population_cov(weights, mu, roots):
 
 
 def _checked_blocks(panels, ncomp, seeds):
-    """The (X, y, row_customer, Z, rows per customer) of each panel of
-    ``fit_hb_panels``; a malformed array is an error naming its block."""
+    """The (X, y, row_customer, Z, rows per customer, customer ids) of each
+    panel of ``fit_hb_panels``; a malformed array is an error naming its block."""
     if not panels:
         raise InvalidInputError("no panels to fit")
     if ncomp < 1:
@@ -647,7 +639,7 @@ def _checked_blocks(panels, ncomp, seeds):
         rows_per_cust = np.bincount(row_b, minlength=len(ids))
         if rows_per_cust.min() < 1:
             raise DataIntegrityError(f"block {b}: every customer needs at least one observation")
-        blocks.append((X_b, y_b, row_b, Z_b, rows_per_cust))
+        blocks.append((X_b, y_b, row_b, Z_b, rows_per_cust, ids))
     return blocks
 
 
@@ -690,7 +682,7 @@ class _Chain:
         self.mu = np.empty((n_blocks, ncomp, n_params))
         self.delta = np.zeros((n_blocks, n_params, self.n_cov))
         start_factor = np.linalg.cholesky(self.prior_cov_guess).T
-        for b, ((X_b, y_b, row_b, Z_b, _), rng, n) in enumerate(zip(blocks, self.rngs, sizes)):
+        for b, ((X_b, y_b, row_b, Z_b, *_), rng, n) in enumerate(zip(blocks, self.rngs, sizes)):
             self.Z[b, :, :n] = Z_b.T
             beta_pool, info = _pooled_logit(X_b, y_b)
             self.infos.append(info)
@@ -772,7 +764,8 @@ def fit_hb_panels(panels, ncomp: int, config: McmcConfig, seeds) -> list[Posteri
     config is ``config`` with ``seed=seeds[b]``.  The proposal is refitted
     in burn-in only, so the retained draws come from a fixed-kernel chain.
     """
-    chain = _Chain(_checked_blocks(panels, ncomp, seeds), ncomp, config, seeds)
+    blocks = _checked_blocks(panels, ncomp, seeds)
+    chain = _Chain(blocks, ncomp, config, seeds)
     n_keep = config.n_retained()
     out_betas = [np.empty((n_keep, n, chain.beta.shape[1])) for n in chain.sizes]
     out_loglik = np.empty((n_keep, len(panels)))
@@ -791,7 +784,7 @@ def fit_hb_panels(panels, ncomp: int, config: McmcConfig, seeds) -> list[Posteri
                 out[kept] = array
 
     fits = []
-    for b, (p, seed, n) in enumerate(zip(panels, seeds, chain.sizes)):
+    for b, (block, seed, n) in enumerate(zip(blocks, seeds, chain.sizes)):
         rates = chain.accept_counts[b, :n] / config.total_draws
         low, high = float(rates.min()), float(rates.max())
         if low < 0.05 or high > 0.70:
@@ -802,7 +795,7 @@ def fit_hb_panels(panels, ncomp: int, config: McmcConfig, seeds) -> list[Posteri
         weights, means, roots, delta = (np.ascontiguousarray(out[:, b]) for out in out_population)
         fits.append(
             PosteriorDraws(
-                customer_ids=list(p[3]), betas=out_betas[b], weights=weights, means=means,
+                customer_ids=block[5].tolist(), betas=out_betas[b], weights=weights, means=means,
                 covariances=np.linalg.inv(roots @ np.swapaxes(roots, -1, -2)), delta=delta,
                 log_likelihood=np.ascontiguousarray(out_loglik[:, b]), acceptance_rates=rates,
                 config=replace(config, seed=seed),

@@ -290,6 +290,7 @@ class TestJoin:
         [
             [], (), [5, 2**63 - 1, -(2**63)], np.array([3, 1]),
             np.array([7, 0], dtype=np.uint32), np.array([4.0, -1.0]),
+            [2**60 + 1, 1.0], np.array([2.0**53 - 1]),
         ],
     )
     def test_whole_ids_pass(self, values):
@@ -306,6 +307,11 @@ class TestJoin:
             ([math.nan], "nan"),
             ([True], "True"),
             (["7"], "'7'"),
+            ([2, True], "True"),
+            ([1, "7"], "'7'"),
+            (np.array([2.0**53 + 2]), "9007199254740994.0"),
+            ([1.0, -(2.0**53)], "-9007199254740992.0"),
+            ([[1], [2, 3]], "[1]"),
         ],
     )
     def test_other_ids_are_refused_by_value(self, values, first):

@@ -397,15 +397,38 @@ class TestRetailIngestion:
     @pytest.mark.parametrize(
         "customer, message",
         [
-            ("1e30", r"customer id \d+ exceeds 64 bits"),
-            (str(2**63), r"customer id \d+ exceeds 64 bits"),
-            ("inf", "cannot convert float infinity to integer"),
+            ("1e30", r"customer id 1e\+30 is not a 64-bit integer"),
+            (str(2**63), rf"customer id {2**63} is not a 64-bit integer"),
+            ("inf", "customer id inf is not a 64-bit integer"),
+            ("12.7", r"customer id 12\.7 is not a 64-bit integer"),
+            # the double nearest 2**53 + 1 is 2**53, another customer's id
+            (f"{2**53 + 1}.0", rf"customer id {2**53}\.0 is not a 64-bit integer"),
         ],
     )
     def test_customer_id_beyond_64_bits_names_line(self, tmp_path, customer, message):
         path = tmp_path / "big.csv"
         write_retail_csv(path, [["I1", "C0", "CUP", 1, "01/01/2010 10:00", 1.0, customer, "UK"]])
         with pytest.raises(ParseError, match=rf"big\.csv: line 2: {message}"):
+            ingest_retail_csv(path)
+
+    def test_customer_id_read_as_int_literal_or_whole_float(self, tmp_path):
+        # a float cast read 2**53 + 1 as 2**53, merging two customers
+        path = tmp_path / "ids.csv"
+        ids = ["13085.0", str(2**53 + 1), str(2**53)]
+        write_retail_csv(path, [[f"I{i}", "C0", "CUP", 1, "01/01/2010 10:00", 1.0, cid, "UK"]
+                                for i, cid in enumerate(ids)])
+        assert set(ingest_retail_csv(path).customer_id.tolist()) == {13085, 2**53 + 1, 2**53}
+
+    def test_fractional_quantity_names_line(self, tmp_path):
+        # a cast counted 2.9 as 2 in the default filter's volume ranking
+        path = tmp_path / "bad.csv"
+        write_retail_csv(
+            path,
+            [["I1", "C0", "CUP", "2.0", "01/01/2010 10:00", 1.0, 1, "UK"],
+             ["I2", "C0", "CUP", "2.9", "01/01/2010 10:00", 1.0, 1, "UK"]],
+        )
+        message = r"bad\.csv: line 3: quantity 2\.9 is not a 64-bit integer$"
+        with pytest.raises(ParseError, match=message):
             ingest_retail_csv(path)
 
     def test_malformed_quantity_names_line(self, tmp_path):

@@ -181,7 +181,7 @@ class TestSampler:
         np.testing.assert_allclose(draws.weights.sum(axis=1), 1.0, rtol=0, atol=1e-12)
         assert np.all(draws.weights >= 0)
         for r in range(0, draws.n_draws, 37):
-            for k in range(draws.ncomp):
+            for k in range(draws.weights.shape[1]):
                 np.linalg.cholesky(draws.covariances[r, k])  # raises unless SPD
 
     def test_acceptance_rates_within_diagnostic_band(self):
@@ -237,6 +237,11 @@ class TestSampler:
         true = dataset.true_coefficients[np.array(draws.customer_ids) - 1]
         corr = np.corrcoef(post[:, 2], true[:, 2])[0, 1]
         assert corr >= 0.5
+
+    def test_fit_holds_the_checked_ids_as_ints(self):
+        X, y, row_customer, _, _ = random_panel(0, 2, 0)
+        draws = fit_hb_panel(X, y, row_customer, np.array([1.0, 2.0]), config=STACK_CONFIG)
+        assert draws.customer_ids == [1, 2] and {type(i) for i in draws.customer_ids} == {int}
 
     def test_zero_observation_guard(self):
         X = np.ones((2, 1))
@@ -474,9 +479,10 @@ class TestStacking:
             (2, lambda rows: rows[:, None], r"row_customer has shape \(\d+, 1\), not 1-D"),
             (3, lambda ids: [1.7] + ids[1:], r"customer id 1\.7 is not a 64-bit integer"),
             (3, lambda ids: ids[:1] * 2 + ids[2:], "repeats customer id 100"),
+            (3, lambda ids: ids[:1] + [True] + ids[2:], "customer id True is not a 64-bit integer"),
         ],
         ids=["X-1d", "X-no-columns", "Z-1d", "y-2d", "row_customer-2d", "fractional-id",
-             "repeated-id"],
+             "repeated-id", "bool-id"],
     )
     @pytest.mark.parametrize("n_blocks, block", [(1, 0), (2, 0), (2, 1)])
     def test_malformed_array_or_id_named_by_block(self, position, spoil, message, n_blocks, block):
