@@ -65,6 +65,29 @@ MULTINOMIAL_CSV = {"customer_id": INT, "occasion": INT, "product_id": TEXT, "cho
 OCCASION_KEY = "(customer_id, occasion)"
 
 
+def _record_lines(path) -> list:
+    """The line on which each row of the CSV ``path`` ends, the header's
+    left out."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        return [reader.line_num for _ in reader][1:]
+
+
+def _refused(path, lines, columns: dict, error=ParseError):
+    """``error`` naming the line and the refusal of the first cell that
+    ``choice.as_ids`` refuses in ``columns`` (name: cells, one per line of
+    ``lines``), by row and then by column.  A cell may hold the
+    ``ValueError`` of a text that is not a number."""
+    for lineno, *cells in zip(lines, *columns.values()):
+        for name, value in zip(columns, cells):
+            try:
+                if isinstance(value, ValueError):
+                    raise value
+                as_ids(value, name)
+            except ValueError as exc:
+                return error(f"{path}: line {lineno}: {exc}")
+
+
 def write_offer_csv(path, offers: Offers) -> None:
     columns = [offers.customer_id, offers.occasion, *offers.X.T, offers.label]
     write_csv_atomic(path, OFFER_CSV, columns)
@@ -78,7 +101,8 @@ def read_offer_csv(path) -> Offers:
     try:
         offers = Offers(customer_id, occasion, np.column_stack(design), label)
     except InvalidInputError:  # the INT cells hold whole numbers, so one is too large
-        raise DataIntegrityError(f"{path}: a customer_id or occasion exceeds 64 bits") from None
+        keys = {"customer_id": customer_id, "occasion": occasion}
+        raise _refused(path, _record_lines(path), keys, DataIntegrityError) from None
     return offers.validate(path)
 
 
@@ -97,7 +121,7 @@ def read_customers_csv(path):
     try:
         customers = Customers(*columns)
     except InvalidInputError:  # the INT cells hold whole numbers, so one is too large
-        raise DataIntegrityError(f"{path}: an id exceeds 64 bits") from None
+        raise _refused(path, _record_lines(path), {"id": columns[0]}, DataIntegrityError) from None
     customers.validate(path)
     mrp = {cid: m for cid, m in zip(columns[0], mrp) if m is not None}
     for cid, m in mrp.items():
@@ -220,10 +244,13 @@ def _parse_invoice_date(text: str):
     return None
 
 
-def _whole_cell(cell: str, name: str) -> int:
-    """A retail cell as an int literal, or else a float, judged by ``choice.as_ids``."""
-    number = int(cell) if cell.strip().lstrip("+-").isdigit() else float(cell)
-    return int(as_ids(number, name))
+def _number(cell: str):
+    """A retail cell as an int literal, or else a float; a cell that is
+    neither is kept as its ``ValueError``, which ``as_ids`` refuses."""
+    try:
+        return int(cell) if cell.strip().lstrip("+-").isdigit() else float(cell)
+    except ValueError as exc:
+        return exc
 
 
 def ingest_retail_csv(path, product_filter=None) -> RetailChoices:
@@ -239,6 +266,7 @@ def ingest_retail_csv(path, product_filter=None) -> RetailChoices:
     path = Path(path)
     if not path.exists():
         raise MissingArtifactError(str(path))
+    rows = []  # (line, customer, quantity, invoice, date, stock, description)
     with open(path, newline="", encoding="utf-8", errors="replace") as fh:
         reader = csv.reader(fh)
         try:
@@ -252,32 +280,35 @@ def ingest_retail_csv(path, product_filter=None) -> RetailChoices:
                 raise ParseError(f"{path}: missing column {aliases[0]!r}")
             cols[field_name] = present[0]
 
-        parse_date = cache(_parse_invoice_date)  # once per distinct InvoiceDate text
-        purchases = []  # (customer, invoice, date, stock)
-        volume, description = {}, {}  # per stock code: total quantity, last description
+        last = max(cols.values())
         for lineno, row in enumerate(reader, start=2):
-            if len(row) <= max(cols.values()):
-                raise ParseError(f"{path}: line {lineno}: too few fields")
+            if len(row) <= last:  # refused as a cell is, after the rows before it
+                rows.append((lineno, ValueError("too few fields"), *[None] * 5))
+                break
             customer_cell = row[cols["customer"]].strip()
-            if not customer_cell:
-                continue
             invoice = row[cols["invoice"]].strip()
-            if invoice.startswith(("C", "c")):
-                continue  # cancellation
-            try:
-                customer = _whole_cell(customer_cell, "customer id")
-                quantity = _whole_cell(row[cols["quantity"]], "quantity")
-            except ValueError as exc:  # as_ids' InvalidInputError is one
-                raise ParseError(f"{path}: line {lineno}: {exc}")
-            if quantity <= 0:
-                continue
-            stock = row[cols["stock"]].strip()
-            desc = row[cols["description"]].strip()
-            date = parse_date(row[cols["date"]])
-            purchases.append((customer, invoice, date, stock))
-            volume[stock] = volume.get(stock, 0) + quantity
-            if desc:
-                description[stock] = desc
+            if customer_cell and not invoice.startswith(("C", "c")):  # C: a cancellation
+                rows.append((lineno, _number(customer_cell), _number(row[cols["quantity"]]),
+                             invoice, row[cols["date"]], row[cols["stock"]].strip(),
+                             row[cols["description"]].strip()))
+    lines, customers, quantities, *rest = zip(*rows) if rows else [()] * 7
+    try:
+        customers, quantities = as_ids(customers, "customer id"), as_ids(quantities, "quantity")
+    except InvalidInputError:  # each row is judged again, to name the line
+        raise _refused(path, lines, {"customer id": customers, "quantity": quantities}) from None
+
+    parse_date = cache(_parse_invoice_date)  # once per distinct InvoiceDate text
+    purchases = []  # (customer, invoice, date, stock)
+    volume, description = {}, {}  # per stock code: total quantity, last description
+    for customer, quantity, invoice, date, stock, desc in zip(
+        customers.tolist(), quantities.tolist(), *rest
+    ):
+        if quantity <= 0:
+            continue
+        purchases.append((customer, invoice, parse_date(date), stock))
+        volume[stock] = volume.get(stock, 0) + quantity
+        if desc:
+            description[stock] = desc
 
     if product_filter is None:
         cups = [s for s, d in description.items() if "CUP" in d.upper()]

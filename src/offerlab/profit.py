@@ -15,6 +15,12 @@ where pbar_i and sbar_i are customer i's draw means of p and of
 b2 * p * (1 - p), A is the annuity factor and c0 the initial cost.  The
 optimizer scans r coarsely, then searches bisection's grid for the sign
 change of f' by ITP, which interpolates f' between the bracket's ends.
+
+As pbar_i lies in [0, 1] and PV_i(r) - c0 is affine in r, no rate in
+[lo, hi] gives a contract option more than B = sum_i max(0, L_i *
+(PV_i(lo) - c0), L_i * (PV_i(hi) - c0)).  The options are searched in
+descending B, and the search stops at the first whose B is below the best
+profit found (branch and bound, Land & Doig 1960).
 """
 
 from __future__ import annotations
@@ -28,7 +34,6 @@ from .choice import DISCOUNT_MAX, DISCOUNT_MIN, UTILITY_CLAMP, as_ids, first_rep
 from .errors import ConfigurationError, InvalidInputError, UnknownCustomerError
 from .hb import DRAW_AVERAGED, PosteriorDraws
 from .segments import SEGMENTS, assign_segment
-from .shares import scored_in_shares
 from .storage import check_finite_fields
 
 # the choice model was trained on discounts in this band; the objective
@@ -51,6 +56,11 @@ VALUES_BLOCK = 1 << 16
 # most this wide
 COARSE_POINTS = 11
 REFINE_TOL = 1e-5
+
+# an option is skipped only where its bound, raised by this relative
+# margin, is below the best profit: the bound and the kernel round their
+# sums in their own orders
+BOUND_SLACK = 1e-9
 
 
 def contract_months_to_years(months: float) -> float:
@@ -175,6 +185,25 @@ def present_value(mrp: float, mrc: float, r: float, months: int, annual_rate: fl
     return (mrp * (1.0 + r) - mrc) * annuity_factor(months, annual_rate)
 
 
+def _margins(seg: SegmentData, config: NopConfig, rs, factor: float):
+    """Each customer's contract margin PV - c0 at each rate of ``rs``, as a
+    (rates, customers) array: one expression for the objective and its
+    bound, each step of it monotone in r, so that the bound holds after
+    rounding too."""
+    margin = (seg.mrp * (1.0 + rs[:, None]) - config.monthly_cost) * factor
+    margin -= config.initial_cost
+    return margin
+
+
+def _profit_bound(seg: SegmentData, config: NopConfig, lo: float, hi: float, months: int):
+    """B: no rate in [lo, hi] gives option ``months`` a higher profit.
+    Each customer adds at most L * margin at the end of [lo, hi] where the
+    affine margin is larger, or 0 where both are negative."""
+    factor = annuity_factor(months, config.annual_rate)
+    ends = seg.loyalty * _margins(seg, config, np.array([lo, hi]), factor)
+    return float(np.sum(np.maximum(ends.max(axis=0), 0.0)))
+
+
 class _SegmentObjective:
     """Reusable evaluator of a segment's total next-offer profit and its
     derivative in r.
@@ -211,11 +240,6 @@ class _SegmentObjective:
         self.config = config
         self._months = None
         self._scratch = np.empty((2, 0))
-
-    @property
-    def pairs(self) -> int:
-        """The (customer, scored draw) pairs that each rate sums over."""
-        return self.nb.size
 
     def _select(self, months: int) -> None:
         """Negated base utility -(b0 + b1 * years) and the annuity factor of
@@ -275,9 +299,8 @@ class _SegmentObjective:
             np.add.reduce(sbuf, axis=2, out=slopes[:, j : j + cols])
         probs /= n_draws
         slopes /= -n_draws
-        mrp, loyalty, config = self.seg.mrp, self.seg.loyalty, self.config
-        margin = (mrp * (1.0 + rs[:, None]) - config.monthly_cost) * self.factor
-        margin -= config.initial_cost
+        mrp, loyalty = self.seg.mrp, self.seg.loyalty
+        margin = _margins(self.seg, self.config, rs, self.factor)
         d = probs * (mrp * self.factor) + slopes * margin
         return np.sum(probs * loyalty * margin, axis=1), np.sum(loyalty * d, axis=1)
 
@@ -396,31 +419,27 @@ def optimize_policy(
     search of bisection's grid on the sign of f', and ties across options
     go to the shorter contract.
 
-    The options share no state, so a segment of at least VALUES_BLOCK
-    (customer, scored draw) pairs has them searched on every usable CPU by
-    ``shares.scored_in_shares``: the caller scores one share of the months
-    and a forked process each other share, reading the objective's draws
-    copy-on-write and sending back only each option's (value, r, nonzero).
-    A smaller segment is searched in the caller, where the whole search
-    costs about as much as a fork.  The policy is the same for any number
-    of shares, and so is the error: the smallest failing month's, raised
-    once every share has finished."""
+    The options are searched in descending order of their profit bound B
+    (``_profit_bound``), ties by months, up to the first whose B, raised by
+    BOUND_SLACK, is below the best profit so far: neither it nor a later
+    option can win or tie, so the policy is that of a search of every
+    option.  Nothing is skipped while the best profit is not positive, so
+    a degenerate segment has every option searched.  An error is the first
+    failing option's, in search order."""
     if seg.n_customers == 0:
         raise InvalidInputError(f"segment {seg.segment!r} has no customers")
     objective = _SegmentObjective(seg, draws, config, mode)
     lo, hi = config.bounds_for(seg.segment)
     rs = _r_grid(lo, hi, COARSE_POINTS)
-    options = scored_in_shares(
-        config.contract_options,
-        lambda months: _best_option(objective, rs, months),
-        f"optimizing {seg.segment} months",
-        fork=objective.pairs >= VALUES_BLOCK,
-    )
+    bounds = {m: _profit_bound(seg, config, lo, hi, m) for m in set(config.contract_options)}
     best = None  # (value, r, months) of the best contract option so far
     degenerate = True  # until some option scores a nonzero profit
-    for months, (value, r, nonzero) in options.items():
+    for months in sorted(bounds, key=lambda m: (-bounds[m], m)):
+        if best and bounds[months] * (1.0 + BOUND_SLACK) < best[0]:
+            break
+        value, r, nonzero = _best_option(objective, rs, months)
         degenerate &= not nonzero
-        if best is None or value > best[0]:
+        if best is None or (value, -months) > (best[0], -best[2]):
             best = (value, r, months)
     # nothing to optimize (e.g. zero loyalty everywhere): flag it, at defaults
     value, r, months = (0.0, hi, max(config.contract_options)) if degenerate else best

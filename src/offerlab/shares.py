@@ -37,17 +37,16 @@ def _scored_share(share, score):
     return scored
 
 
-def scored_in_shares(tasks, score, what: str, weight=lambda task: 1, fork: bool = True) -> dict:
+def scored_in_shares(tasks, score, what: str, weight) -> dict:
     """``{task: score(task)}`` for each distinct task, in ascending order.
 
     The tasks are split into one share per usable CPU (at most one per
     task): the largest task first, each to the share with the smallest sum
     of ``weight``.  The caller scores the first share; each other share
     runs in a forked process that sends back its results and writes its
-    own warnings to stderr.  The caller scores every task when ``fork`` is
-    false, with one CPU or task, without the ``fork`` start method, and in
-    a daemonic process (a ``multiprocessing.Pool`` worker), which may not
-    have children.
+    own warnings to stderr.  The caller scores every task with one CPU or
+    task, without the ``fork`` start method, and in a daemonic process (a
+    ``multiprocessing.Pool`` worker), which may not have children.
 
     The result is the same for any number of shares, and so is the error:
     each share stops at its first failing task, and the error of the
@@ -59,7 +58,7 @@ def scored_in_shares(tasks, score, what: str, weight=lambda task: 1, fork: bool 
     first, so an interrupt does not wait for it.
     """
     tasks = sorted(set(tasks))
-    n_shares = min(len(tasks), _usable_cpus()) if fork else 1
+    n_shares = min(len(tasks), _usable_cpus())
     if n_shares > 1:  # a call that cannot fork does not import multiprocessing
         import multiprocessing
 

@@ -13,8 +13,8 @@ settings.load_profile("deterministic")
 
 @pytest.fixture(autouse=True)
 def no_stray_children():
-    """Fail a test that leaves a child process running: tuning and
-    optimizing fork, and must join every child on every path."""
+    """Fail a test that leaves a child process running: tuning forks, and
+    must join every child on every path."""
     yield
     stray = multiprocessing.active_children()
     for child in stray:

@@ -105,7 +105,8 @@ class TestOfferCsv:
         [
             (0, "0", "customer_id = 0"),
             (1, "0", "occasion = 0"),
-            (0, str(2**63), "exceeds 64 bits"),
+            (0, str(2**63), rf"line 3: customer_id {2**63} is not a 64-bit integer$"),
+            (1, str(-(2**63) - 1), rf"line 3: occasion {-(2**63) - 1} is not a 64-bit integer$"),
             (2, "nan", "X1 = nan"),
             (3, "inf", "contract_length_years = inf"),
             (4, "-inf", "offer_discount = -inf"),
@@ -173,6 +174,17 @@ class TestCustomerTable:
 
 
 class TestOtherCsvs:
+    def test_customer_id_beyond_64_bits_names_line_and_value(self, dataset, tmp_path):
+        path = tmp_path / "customers.csv"
+        write_customers_csv(path, dataset.customers.take(np.arange(4)))
+        lines = path.read_text().splitlines()
+        lines[3] = str(2**64) + lines[3][1:]  # customer 3's row
+        lines[2] = str(2**63) + lines[2][1:]  # customer 2's row, the first refused
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataIntegrityError) as exc:
+            read_customers_csv(path)
+        assert str(exc.value) == f"{path}: line 3: id {2**63} is not a 64-bit integer"
+
     def test_customers_round_trip(self, dataset, tmp_path):
         path = tmp_path / "customers.csv"
         columns = [getattr(dataset.customers, f.name) for f in fields(Customers)]
@@ -430,6 +442,40 @@ class TestRetailIngestion:
         message = r"bad\.csv: line 3: quantity 2\.9 is not a 64-bit integer$"
         with pytest.raises(ParseError, match=message):
             ingest_retail_csv(path)
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            # the first refused cell is the earliest row's, whichever column
+            ([("1", "2.9"), ("12.7", "1")], "line 3: quantity 2.9 is not a 64-bit integer"),
+            ([("12.7", "1"), ("1", "2.9")], "line 3: customer id 12.7 is not a 64-bit integer"),
+            # within a row the customer id comes first, though the quantity
+            # is not even a number
+            ([("12.7", "many")], "line 3: customer id 12.7 is not a 64-bit integer"),
+            ([("x1", "2.9")], "line 3: could not convert string to float: 'x1'"),
+            ([("1", "many"), ("12.7", "1")], "line 3: could not convert string to float: 'many'"),
+            # a short row stops the read, after the rows before it are judged
+            ([("1", "2.9"), None], "line 3: quantity 2.9 is not a 64-bit integer"),
+            ([None, ("1", "2.9")], "line 3: too few fields"),
+            # a row without a customer, or of a cancelled invoice, is skipped
+            ([("", "2.9"), ("1", "2.9", "C9"), ("1", "-2.5")],
+             "line 5: quantity -2.5 is not a 64-bit integer"),
+        ],
+    )
+    def test_first_refused_row_named(self, tmp_path, rows, message):
+        path = tmp_path / "bad.csv"
+        good = ["I1", "C0", "CUP", 1, "01/01/2010 10:00", 1.0, 1, "UK"]
+        lines = [good]
+        for row in rows:
+            if row is None:
+                lines.append(good[:5])
+                continue
+            customer, quantity, invoice = (*row, "I2")[:3]
+            lines.append([invoice, "C0", "CUP", quantity, "01/01/2010 10:00", 1.0, customer, "UK"])
+        write_retail_csv(path, lines)
+        with pytest.raises(ParseError) as exc:
+            ingest_retail_csv(path)
+        assert str(exc.value) == f"{path}: {message}"
 
     def test_malformed_quantity_names_line(self, tmp_path):
         path = tmp_path / "bad.csv"

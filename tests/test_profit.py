@@ -1,7 +1,6 @@
 import math
 import multiprocessing
 import os
-import time
 from unittest import mock
 
 import numpy as np
@@ -11,7 +10,7 @@ from hypothesis import strategies as st
 
 from offerlab import profit, shares
 from offerlab.choice import UTILITY_CLAMP, join, logistic
-from offerlab.errors import ConfigurationError, InvalidInputError, OfferLabError
+from offerlab.errors import ConfigurationError, InvalidInputError
 from offerlab.hb import DRAW_AVERAGED, POPULATION_MEAN, POSTERIOR_MEAN, PREDICTION_MODES
 from offerlab.profit import (
     NopConfig,
@@ -724,8 +723,9 @@ class TestOptimizePolicy:
         with mock.patch.object(profit, "_SegmentObjective", Counting):
             optimize_policy(seg, draws, config)
         steps = math.ceil(math.log2(0.1 / profit.REFINE_TOL))
-        assert len(rates) > len(config.contract_options)  # some option bisected
-        for months in config.contract_options:
+        searched = dict.fromkeys(m for m, _ in rates)  # options the bound left
+        assert len(rates) > len(searched)  # some option bisected
+        for months in searched:
             calls = [k for m, k in rates if m == months]
             assert calls[0] == profit.COARSE_POINTS == 11
             assert calls[1:] == [1] * len(calls[1:]) and len(calls) - 1 <= steps
@@ -739,13 +739,13 @@ class TestOptimizePolicy:
                     scans.append(months)
                 return super().values_and_slopes(rs, months)
 
-        monkeypatch.setattr(shares, "_usable_cpus", lambda: 1)
-        seg, draws = random_segment(np.random.default_rng(5), 8, 40)
-        once = optimize_policy(seg, draws, NopConfig(contract_options=(12, 60)))
+        # both options are searched, the one of the larger bound first
+        seg, draws, _ = short_contract_case()
+        once = optimize_policy(seg, draws, NopConfig(contract_options=(12, 24)))
         with mock.patch.object(profit, "_SegmentObjective", Counting):
-            repeated = optimize_policy(seg, draws, NopConfig(contract_options=(12, 12, 60)))
+            repeated = optimize_policy(seg, draws, NopConfig(contract_options=(12, 12, 24)))
         assert repeated == once
-        assert scans == [12, 60]
+        assert scans == [24, 12]
 
     def test_empty_segment_rejected(self):
         _, draws = make_segment([[0.5, 0.1, -2.0]], [0.8])
@@ -843,123 +843,162 @@ SHARE_CASES = {
 }
 
 
-def log_months(monkeypatch, log, in_caller, in_child):
-    """Replace ``_best_option`` by one that appends "pid months" to ``log``
-    and then runs ``in_caller`` in this process and ``in_child`` in every
-    forked share."""
-    caller = os.getpid()
+def every_option_policy(seg, draws, config, mode=DRAW_AVERAGED):
+    """``optimize_policy`` as it was before the profit bound: every distinct
+    contract option searched in ascending months, ties to the shorter, kept
+    as the reference the bounded search must reproduce."""
+    if seg.n_customers == 0:
+        raise InvalidInputError(f"segment {seg.segment!r} has no customers")
+    objective = _SegmentObjective(seg, draws, config, mode)
+    lo, hi = config.bounds_for(seg.segment)
+    rs = _r_grid(lo, hi, profit.COARSE_POINTS)
+    options = {
+        months: profit._best_option(objective, rs, months)
+        for months in sorted(set(config.contract_options))
+    }
+    best = None  # (value, r, months) of the best contract option so far
+    degenerate = True  # until some option scores a nonzero profit
+    for months, (value, r, nonzero) in options.items():
+        degenerate &= not nonzero
+        if best is None or value > best[0]:
+            best = (value, r, months)
+    # nothing to optimize (e.g. zero loyalty everywhere): flag it, at defaults
+    value, r, months = (0.0, hi, max(config.contract_options)) if degenerate else best
+    return OfferPolicy(
+        segment=seg.segment, r=r, months=int(months), nop_value=value,
+        n_customers=seg.n_customers, degenerate=degenerate, at_bound=r in (lo, hi),
+    )
 
-    def best_option(objective, rs, months):
-        with log.open("a") as fh:  # every process appends here
-            fh.write(f"{os.getpid()} {months}\n")
-        run = in_caller if os.getpid() == caller else in_child
-        return run(objective, rs, months)
 
-    monkeypatch.setattr(profit, "_best_option", best_option)
+class RecordingObjective(profit._SegmentObjective):
+    """The objective, recording every (months, value) it scores."""
 
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.scored = []
 
-def months_by_process(log):
-    by_pid = {}
-    for line in log.read_text().split("\n")[:-1]:
-        pid, months = map(int, line.split())
-        by_pid.setdefault(pid, []).append(months)
-    return by_pid
+    def values_and_slopes(self, rs, months):
+        values, slopes = super().values_and_slopes(rs, months)
+        self.scored += [(months, v) for v in values.tolist()]
+        return values, slopes
 
 
-class TestOptimizeShares:
-    """optimize_policy searches the contract options of a segment of at
-    least VALUES_BLOCK (customer, draw) pairs in one share per usable CPU.
-    VALUES_BLOCK is lowered to 1 here, so that every segment is large."""
+@st.composite
+def bounded_problems(draw):
+    """A segment, its draws and a config: b1 and b2 of either sign,
+    loyalty in [0, 1], mrp > 0, any finite costs, a rate range that may be
+    one point, and contract months that may repeat."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, n_draws = draw(st.integers(1, 8)), draw(st.integers(1, 30))
+    scale = draw(st.sampled_from([0.3, 1.0, 5.0, 50.0]))
+    betas = rng.normal(0.0, scale, size=(n_draws, n, 3))
+    loyalty = rng.random(n)
+    loyalty[rng.random(n) < 0.2] = draw(st.sampled_from([0.0, 1.0]))
+    mrp = np.exp(rng.uniform(-3.0, 6.0, n))
+    seg, draws = make_segment(betas, loyalty, mrp)
+    cost = st.floats(-1e4, 1e4, allow_nan=False)
+    lo = draw(st.floats(-0.5, 0.5))
+    hi = draw(st.one_of(st.just(lo), st.floats(lo, 0.5)))
+    config = NopConfig(
+        monthly_cost=draw(cost),
+        initial_cost=draw(cost),
+        r_bounds={seg.segment: (lo, hi)},
+        contract_options=tuple(
+            draw(st.lists(st.sampled_from([1, 3, 12, 24, 36, 60]), min_size=1, max_size=6))
+        ),
+    )
+    return seg, draws, config
+
+
+class TestProfitBound:
+    """Every option's profit B bounds what the scan and ITP score for it,
+    and the search that skips options below the best profit gives the
+    policy of a search of every option."""
 
     @pytest.fixture(params=[1, 2, 3], ids=lambda n: f"{n}cpu")
     def cpus(self, request, monkeypatch):
+        """Any number of usable CPUs, with VALUES_BLOCK lowered to 1 so that
+        every segment is many kernel blocks; starting a process fails."""
+
+        def no_process(*args, **kwargs):
+            raise AssertionError("optimize_policy started a process")
+
         monkeypatch.setattr(shares, "_usable_cpus", lambda: request.param)
         monkeypatch.setattr(profit, "VALUES_BLOCK", 1)
+        monkeypatch.setattr(os, "fork", no_process)
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", no_process)
         return request.param
 
-    @pytest.fixture(scope="class")
-    def serial(self):
-        """Each case's policy at the package's VALUES_BLOCK, searched in the
-        caller: the cases are too small to fork."""
-        return {case: optimize_policy(*build()) for case, (build, _) in SHARE_CASES.items()}
+    @given(problem=bounded_problems(), mode=st.sampled_from(PREDICTION_MODES))
+    @settings(max_examples=200, deadline=None)
+    def test_every_scored_value_is_within_the_bound(self, problem, mode):
+        seg, draws, config = problem
+        objective = RecordingObjective(seg, draws, config, mode)
+        lo, hi = config.bounds_for(seg.segment)
+        rs = _r_grid(lo, hi, profit.COARSE_POINTS)
+        for months in config.contract_options:
+            profit._best_option(objective, rs, months)
+        assert {m for m, _ in objective.scored} == set(config.contract_options)
+        for months, value in objective.scored:
+            assert value <= profit._profit_bound(seg, config, lo, hi, months)
+
+    @given(problem=bounded_problems(), mode=st.sampled_from(PREDICTION_MODES))
+    @settings(max_examples=200, deadline=None)
+    def test_policy_is_the_every_option_search(self, problem, mode):
+        seg, draws, config = problem
+        assert optimize_policy(seg, draws, config, mode) == every_option_policy(
+            seg, draws, config, mode
+        )
 
     @pytest.mark.parametrize("case", SHARE_CASES)
-    def test_policy_equals_the_serial_one(self, serial, cpus, case):
+    def test_share_cases_are_the_every_option_search(self, cpus, case):
         build, (months, at_bound, degenerate) = SHARE_CASES[case]
         policy = optimize_policy(*build())
         assert (policy.months, policy.at_bound, policy.degenerate) == (months, at_bound, degenerate)
-        assert policy == serial[case]
+        assert policy == every_option_policy(*build())
 
-    def test_which_process_searched_which_months(self, monkeypatch, cpus, tmp_path):
-        log = tmp_path / "searched"
-        log_months(monkeypatch, log, profit._best_option, profit._best_option)
-        seg, draws, config = short_contract_case()
-        optimize_policy(seg, draws, config)
-        expected = {
-            1: [[1, 12, 24, 36, 60]],
-            2: [[1, 24, 60], [12, 36]],
-            3: [[12, 60], [1, 36], [24]],
-        }[cpus]
-        by_pid = months_by_process(log)
-        assert by_pid.pop(os.getpid()) == expected[0]
-        assert sorted(by_pid.values()) == sorted(expected[1:])
+    @pytest.mark.parametrize(
+        "case, searched",
+        [
+            ("at-bound", [60]),
+            ("interior", [60, 36, 24, 12]),
+            ("degenerate", [1, 12, 24, 36, 60]),  # every bound is 0, the best profit too
+            ("lo-equals-hi", [60, 36]),
+            ("one-option", [24]),
+        ],
+    )
+    def test_options_below_the_best_profit_are_never_searched(self, monkeypatch, case, searched):
+        seg, draws, config = SHARE_CASES[case][0]()
+        calls = []
+        search = profit._best_option
+        monkeypatch.setattr(
+            profit, "_best_option", lambda *args: calls.append(args[2]) or search(*args)
+        )
+        policy = optimize_policy(seg, draws, config)
+        assert calls == searched
+        lo, hi = config.bounds_for(seg.segment)
+        for months in set(config.contract_options) - set(searched):
+            assert profit._profit_bound(seg, config, lo, hi, months) * (1 + profit.BOUND_SLACK) < policy.nop_value
 
-    @pytest.mark.parametrize("extra, forks", [(0, True), (1, False)])
-    def test_a_segment_below_one_block_stays_in_the_caller(
-        self, monkeypatch, tmp_path, extra, forks
-    ):
-        monkeypatch.setattr(shares, "_usable_cpus", lambda: 2)
-        seg, draws, config = short_contract_case()
-        monkeypatch.setattr(profit, "VALUES_BLOCK", seg.n_customers * draws.n_draws + extra)
-        log = tmp_path / "searched"
-        log_months(monkeypatch, log, profit._best_option, profit._best_option)
-        optimize_policy(seg, draws, config)
-        assert len(months_by_process(log)) == (2 if forks else 1)
+    def test_the_first_failing_option_in_search_order_is_raised_at_once(self, monkeypatch, cpus):
+        calls = []
 
-    def test_smallest_failing_month_raised_after_every_share(self, monkeypatch, cpus, tmp_path):
         def failing(objective, rs, months):
+            calls.append(months)
             raise InvalidInputError(f"months {months} failed")
 
-        log = tmp_path / "searched"
-        log_months(monkeypatch, log, failing, failing)
+        monkeypatch.setattr(profit, "_best_option", failing)
         seg, draws, config = short_contract_case()
-        with pytest.raises(InvalidInputError, match="^months 1 failed$"):
+        with pytest.raises(InvalidInputError, match="^months 60 failed$"):
             optimize_policy(seg, draws, config)
-        # each share stops at its first month: 1; 1 and 12; 12, 1 and 24
-        searched = sorted(m for months in months_by_process(log).values() for m in months)
-        assert searched == {1: [1], 2: [1, 12], 3: [1, 12, 24]}[cpus]
+        assert calls == [60]
 
-    def test_child_exit_without_result_named(self, monkeypatch, cpus, tmp_path):
-        log_months(monkeypatch, tmp_path / "searched", profit._best_option, lambda *a: os._exit(3))
-        seg, draws, config = short_contract_case()
-        if cpus == 1:  # no child: the caller searches every month
-            assert optimize_policy(seg, draws, config).months == 24
-            return
-        share = {2: "12, 36", 3: "1, 36"}[cpus]  # the first child's share
-        message = (
-            rf"^the process optimizing inelastic-loyal months \[{share}\] exited with code 3 "
-            "before sending a result$"
-        )
-        with pytest.raises(OfferLabError, match=message):
-            optimize_policy(seg, draws, config)
-
-    def test_interrupt_in_the_caller_stops_every_child(self, monkeypatch, cpus, tmp_path):
-        def interrupted(*args):
-            raise KeyboardInterrupt
-
-        # a child would run on for a minute after the caller stops
-        log_months(monkeypatch, tmp_path / "searched", interrupted, lambda *a: time.sleep(60))
-        seg, draws, config = short_contract_case()
-        started = time.perf_counter()
-        with pytest.raises(KeyboardInterrupt):
-            optimize_policy(seg, draws, config)
-        assert time.perf_counter() - started < 30
-
-    def test_a_pool_worker_searches_every_month_itself(self, cpus):
+    def test_a_pool_worker_searches_every_month_itself(self):
         # a daemonic process may not have children
         seg, draws, config = short_contract_case()
-        serial = optimize_policy(seg, draws, config)
-        assert in_pool_worker(optimize_policy, seg, draws, config) == serial
+        assert in_pool_worker(optimize_policy, seg, draws, config) == optimize_policy(
+            seg, draws, config
+        )
 
 
 class TestGridOracle:
