@@ -7,8 +7,9 @@ and refuses one whose first column repeats a key."""
 from __future__ import annotations
 
 import argparse
+import json
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +29,7 @@ from .datasets import (
     write_scores_csv,
     write_truth_csv,
 )
-from .errors import DataIntegrityError, MissingArtifactError, OfferLabError
+from .errors import ConfigurationError, DataIntegrityError, MissingArtifactError, OfferLabError
 from .evaluate import (
     ScoredLabels,
     TuningRow,
@@ -48,6 +49,7 @@ from .storage import (
     INT,
     canonical_json,
     enum_cell,
+    load_dataclass,
     read_csv,
     sha256_file,
     sha256_text,
@@ -101,12 +103,49 @@ def _simulate(out: Path, config: PipelineConfig, args) -> list[str]:
     return ["train.csv", "test.csv", "customers.csv", "truth.csv", "summary.txt"]
 
 
+@dataclass(frozen=True)
+class BaseRate:
+    """The training base rate, recorded by ``fit`` in ``BASE_RATE_JSON``
+    with the sha256 of the ``train.csv`` it was taken from, so that
+    ``evaluate`` need not parse that file again."""
+
+    base_rate: float
+    train_sha256: str
+
+
+BASE_RATE_JSON = "base_rate.json"
+
+
 def _fit(out: Path, config: PipelineConfig, args) -> list[str]:
     offers = read_offer_csv(out / "train.csv")
     customers, _ = read_customers_csv(out / "customers.csv")
     covariates = customers.covariates(config.include_demographic)
     draws = fit_hb_mixed_logit(offers, covariates, ncomp=config.ncomp, config=config.mcmc)
-    return [f"posterior/{name}" for name in draws.save(out / "posterior")]
+    record = BaseRate(float(np.mean(offers.labels())), sha256_file(out / "train.csv"))
+    write_json_atomic(out / BASE_RATE_JSON, asdict(record))
+    return [f"posterior/{name}" for name in draws.save(out / "posterior")] + [BASE_RATE_JSON]
+
+
+def _training_base_rate(out: Path) -> float:
+    """The base rate ``fit`` recorded, once the current ``train.csv`` is
+    checked against the hash recorded with it.  A missing record is a
+    ``MissingArtifactError``; a malformed one, or a ``train.csv`` that has
+    changed since, is a ``DataIntegrityError`` naming the file."""
+    path, train = out / BASE_RATE_JSON, out / "train.csv"
+    for required in (path, train):
+        if not required.exists():
+            raise MissingArtifactError(str(required))
+    try:
+        record = load_dataclass(BaseRate, json.loads(path.read_text()), str(path))
+    except json.JSONDecodeError as exc:
+        raise DataIntegrityError(f"{path} is not valid JSON: {exc}") from None
+    except ConfigurationError as exc:
+        raise DataIntegrityError(str(exc)) from None
+    if sha256_file(train) != record.train_sha256:
+        raise DataIntegrityError(
+            f"{train} has changed since fit recorded its base rate in {path}; run fit again"
+        )
+    return record.base_rate
 
 
 def _tune(out: Path, config: PipelineConfig, args) -> list[str]:
@@ -136,7 +175,7 @@ def _predict(out: Path, config: PipelineConfig, args) -> list[str]:
 
 def _evaluate(out: Path, config: PipelineConfig, args) -> list[str]:
     offers = read_offer_csv(out / "test.csv")
-    base_rate = float(np.mean(read_offer_csv(out / "train.csv").labels()))
+    base_rate = _training_base_rate(out)
     scores = _aligned_scores(out / "scores.csv", offers)
     labels = offers.labels()
     data = ScoredLabels(scores, labels)

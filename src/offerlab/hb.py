@@ -25,9 +25,18 @@ The sweep skips work whose result is known in advance: with one component
 the indicator step advances each generator past the uniforms it would draw,
 which keeps every stream in place, and returns zeros, as the weight step
 returns ones, and the membership and step (e)'s member covariates, which
-then never change, are formed once.  log(1 + e^u) is numpy's scalar
-``logaddexp`` formula written out in in-place ufuncs, several times faster
-than ``np.logaddexp`` and different from it only in the last bit.
+then never change, are formed once.
+
+Step (a) forms only what its accept test reads.  A row's log likelihood is
+-log(1 + e^v) at v = (1 - 2y) x.beta, the K products summed in order, and
+log(1 + e^v) is numpy's scalar ``logaddexp`` formula written out in
+in-place ufuncs, several times faster than ``np.logaddexp`` and different
+from it only in the last bit.  The prior log-ratio is -(|P^T d'|^2 -
+|P^T d|^2) / 2 under the customer's own component, whose normalizers
+cancel.  Another summation order, or the full densities, would move these
+values by a few ulps.  That reaches the saved log-likelihood trace, and a
+draw only through the accept test, where it flips no decision in practice;
+the tests pin both.
 """
 
 from __future__ import annotations
@@ -322,11 +331,14 @@ def build_panel(offers, covariates=None):
 # over K or V runs over contiguous n-long rows.  Population arrays are (B,
 # ncomp, ...).  Padded customers have no rows, draw no variates and are
 # masked out of the population steps, so a block's draws do not depend on
-# what it is stacked with.  The likelihood pass, the one row-major reader,
-# takes each row's K coefficients from beta by a (rows, K) flat index built
-# once per fit, in half the time of a gather from the strided (n, K) view.
-# Step (a) updates its state by np.where selects, half the time of masked
-# copies.  Retained betas are transposed to (customers, K) as they are kept.
+# what it is stacked with.  The likelihood pass gathers each offer row's K
+# coefficients from beta as a (K, rows) array, by a flat index built once
+# per fit, multiplies them by the (K, rows) signed design and sums them in
+# order over K: half the time of a (rows, K) gather and einsum.  Step (a)'s
+# prior ratio takes each customer's own component's factor, gathered
+# customers last when there are several, and updates its state by np.where
+# selects, half the time of masked copies.  Retained betas are transposed
+# to (customers, K) as they are kept.
 
 
 def _pooled_logit(X: np.ndarray, y: np.ndarray):
@@ -365,27 +377,38 @@ def _stacked(rngs, sizes, method, fill, tail=()):
 
 
 def _coef_index(row_customer, n_params, n):
-    """(rows, K) flat index of each offer row's K coefficients in the (B, K,
+    """(K, rows) flat index of each offer row's K coefficients in the (B, K,
     n) betas, given ``row_customer``, its index among the flattened (B * n)
     customers."""
     block, i = np.divmod(row_customer, n)
-    return (block * (n_params * n) + i)[:, None] + n * np.arange(n_params)
+    return n * np.arange(n_params)[:, None] + (block * (n_params * n) + i)
 
 
-def _customer_loglik(X, y, row_customer, row_coef, betas):
+def _signed_design(X, y):
+    """The (K, rows) design of the likelihood pass: each row's x times
+    1 - 2y, so that the row's log likelihood is -log(1 + e^v) at its
+    v = (1 - 2y) x.beta.  The sign flip is exact."""
+    return np.ascontiguousarray((X * (1.0 - 2.0 * y)[:, None]).T)
+
+
+def _customer_loglik(design, row_customer, row_coef, betas):
     """(B, n) per-customer binary-logit log likelihood at one beta per
-    customer, ``betas`` (B, K, n); ``row_customer`` indexes the flattened
-    (B * n) customers and ``row_coef`` is its ``_coef_index``."""
-    u = np.einsum("ij,ij->i", X, np.take(betas, row_coef))
-    # log(1 + e^u) in the overflow-free form of numpy's scalar logaddexp(0, u),
+    customer, ``betas`` (B, K, n); ``design`` is the ``_signed_design``,
+    ``row_customer`` indexes the flattened (B * n) customers and
+    ``row_coef`` is its ``_coef_index``."""
+    terms = np.take(betas, row_coef)
+    terms *= design
+    v = terms[0]
+    for term in terms[1:]:  # x_k beta_k summed in order over k
+        v += term
+    # -log(1 + e^v) in the overflow-free form of numpy's scalar logaddexp(0, v),
     # in place; the ufunc np.logaddexp takes several times as long
-    softplus = np.abs(u)
-    np.negative(softplus, out=softplus)
-    np.exp(softplus, out=softplus)
-    np.log1p(softplus, out=softplus)
-    softplus += np.maximum(u, 0.0)
-    row_ll = y * u
-    row_ll -= softplus
+    row_ll = np.abs(v)
+    np.negative(row_ll, out=row_ll)
+    np.exp(row_ll, out=row_ll)
+    np.log1p(row_ll, out=row_ll)
+    np.negative(row_ll, out=row_ll)
+    row_ll -= np.maximum(v, 0.0)
     n_cust = len(betas) * betas.shape[-1]
     return np.bincount(row_customer, weights=row_ll, minlength=n_cust).reshape(len(betas), -1)
 
@@ -453,8 +476,34 @@ def _wishart_root(rngs, dof, scale, draw):
     return L @ A, z
 
 
+def _own_sq_norms(diff, roots, member):
+    """(B, m) squared norms |P^T d|^2 of the columns d of ``diff`` (B, K,
+    m), which holds (K, n) blocks side by side, column i of each block
+    customer i's; P = ``roots[b, ind_i]`` is the precision factor of the
+    customer's own component, ``member`` (B, n) = b * ncomp + ind_i.  Each
+    norm sums the K squares in order."""
+    n_blocks, k, m = diff.shape
+    if roots.shape[1] == 1:  # one (K, m) GEMM per block
+        proj = np.swapaxes(roots[:, 0], -1, -2) @ diff
+    else:  # sum over j >= c of P_jc d_j, by each customer's own lower-triangular P
+        n = member.shape[1]
+        own = np.take(roots.reshape(-1, k * k).T, member, axis=1).reshape(k, k, n_blocks, 1, n)
+        d = diff.reshape(n_blocks, k, m // n, n)
+        proj = np.empty(d.shape)
+        for c in range(k):
+            np.multiply(own[c, c], d[:, c], out=proj[:, c])
+            for j in range(c + 1, k):
+                proj[:, c] += own[j, c] * d[:, j]
+        proj = proj.reshape(diff.shape)
+    proj *= proj
+    norms = proj[:, 0]
+    for c in range(1, k):
+        norms += proj[:, c]
+    return norms
+
+
 def _metropolis(
-    rngs, sizes, X, y, row_customer, row_coef, beta, loglik, prop_factor, prior_mean, member,
+    rngs, sizes, design, row_customer, row_coef, beta, loglik, prop_factor, prior_mean, member,
     roots,
 ):
     """(a) Random-walk Metropolis update of every customer of every block at
@@ -468,18 +517,16 @@ def _metropolis(
     eps = _stacked(rngs, sizes, "standard_normal", 0.0, beta.shape[1:2])
     eps = np.ascontiguousarray(np.swapaxes(eps, 1, 2))
     proposal = beta + np.einsum("bijn,bjn->bin", prop_factor, eps)
-    loglik_prop = _customer_loglik(X, y, row_customer, row_coef, proposal)
-    # the prior densities of both, current then proposed, from one (K, 2n)
-    # product per component; each customer's component is picked once
+    loglik_prop = _customer_loglik(design, row_customer, row_coef, proposal)
+    # the prior log-ratio -(|P^T d'|^2 - |P^T d|^2) / 2 of the proposed and
+    # the current deviation d' and d from the prior mean, under the
+    # customer's own component: the normal's normalizers cancel.  Both
+    # norms come from one (K, 2n) product
     diff = np.empty(beta.shape[:2] + (2 * n,))
     np.subtract(beta, prior_mean, out=diff[..., :n])
     np.subtract(proposal, prior_mean, out=diff[..., n:])
-    logprior = _mvn_logpdf(diff, roots)
-    if roots.shape[1] == 1:
-        logprior = logprior[:, 0]
-    else:  # flat index of (b, ind_i, column) in the (B, ncomp, 2n) densities
-        logprior = np.take(logprior, np.tile(member, 2) * (2 * n) + np.arange(2 * n))
-    log_ratio = (loglik_prop - loglik) + (logprior[:, n:] - logprior[:, :n])
+    sq = _own_sq_norms(diff, roots, member)
+    log_ratio = (loglik_prop - loglik) + 0.5 * (sq[:, :n] - sq[:, n:])
     accept = np.log(_stacked(rngs, sizes, "random", 1.0)) < log_ratio
     beta[...] = np.where(accept[:, None], proposal, beta)
     loglik[...] = np.where(accept, loglik_prop, loglik)
@@ -665,7 +712,8 @@ class _Chain:
         # every block's rows against the flattened (B * n_max) customers
         row_customer = np.concatenate([block[2] + b * n_max for b, block in enumerate(blocks)])
         X, y = (np.concatenate([block[i] for block in blocks]) for i in (0, 1))
-        self.rows = (X, y, row_customer, _coef_index(row_customer, n_params, n_max))
+        row_coef = _coef_index(row_customer, n_params, n_max)
+        self.rows = (_signed_design(X, y), row_customer, row_coef)
         self.valid = np.arange(n_max) < np.array(sizes)[:, None]
         self.Z = np.zeros((n_blocks, self.n_cov, n_max))
         self.rows_per_cust = [block[4] for block in blocks]

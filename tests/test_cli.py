@@ -11,11 +11,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from offerlab.cli import DISTRIBUTION_CSV, POLICY_CSV, TUNING_CSV, main, run_pipeline
+from offerlab.cli import (
+    BASE_RATE_JSON,
+    DISTRIBUTION_CSV,
+    POLICY_CSV,
+    TUNING_CSV,
+    main,
+    run_pipeline,
+)
 from offerlab.config import PipelineConfig
+from offerlab.datasets import read_offer_csv
 from offerlab.errors import ConfigurationError, DataIntegrityError, OfferLabError
 from offerlab.hb import McmcConfig
-from offerlab.storage import write_csv_atomic
+from offerlab.storage import sha256_file, write_csv_atomic
 
 SMALL_CONFIG = {
     "seed": 424242,
@@ -423,6 +431,20 @@ class TestArtifacts:
         regenerated = (tmp_path / "regen" / "train.csv").read_bytes()
         assert regenerated == (pipeline / "train.csv").read_bytes()
 
+    def test_fit_records_the_training_base_rate(self, pipeline):
+        """``fit`` records the mean training label and the hash of the
+        train.csv it read, outside posterior/, and its manifest lists the
+        record; ``evaluate`` reports that rate."""
+        record = json.loads((pipeline / BASE_RATE_JSON).read_text())
+        labels = read_offer_csv(pipeline / "train.csv").labels()
+        train_sha256 = sha256_file(pipeline / "train.csv")
+        assert record == {"base_rate": float(np.mean(labels)), "train_sha256": train_sha256}
+        manifest = json.loads((pipeline / "manifest-fit.json").read_text())
+        assert manifest["artifacts"][BASE_RATE_JSON] == sha256_file(pipeline / BASE_RATE_JSON)
+        assert not (pipeline / "posterior" / BASE_RATE_JSON).exists()
+        metrics = json.loads((pipeline / "metrics.json").read_text())
+        assert metrics["base_rate"] == record["base_rate"]
+
     def test_evaluate_compare_runs_delong(self, pipeline, tmp_path):
         out, config_path = copy_run(pipeline, tmp_path)
         # a benchmark score file: the model's own scores, perturbed
@@ -723,6 +745,44 @@ class TestStageInputs:
         rewrite_rows(out / "train.csv", lambda rows: rows.append(rows[1]))
         assert main(["fit", "--config", str(config_path)]) == 1
         assert "train.csv repeats (customer_id, occasion)" in capsys.readouterr().err
+
+
+# base_rate.json as evaluate must refuse it: (case, file text or None for
+# no file, exit code, message after the file's path)
+BASE_RATE_FAULTS = [
+    ("missing", None, 2, ""),
+    ("not-json", "{", 1, " is not valid JSON"),
+    ("not-an-object", "[0.25]", 1, " must be an object, got [0.25]"),
+    ("no-hash", '{"base_rate": 0.25}', 1, " lacks keys ['train_sha256']"),
+    ("text-rate", '{"base_rate": "0.25", "train_sha256": "0"}', 1, ".base_rate must be float"),
+    ("nan-rate", '{"base_rate": NaN, "train_sha256": "0"}', 1, ".base_rate must be a finite"),
+    ("extra-key", '{"base_rate": 0.25, "train_sha256": "0", "n": 1}', 1, " has unknown keys"),
+]
+
+
+class TestBaseRateRecord:
+    @pytest.mark.parametrize(
+        "case, text, code, message", BASE_RATE_FAULTS, ids=[c[0] for c in BASE_RATE_FAULTS]
+    )
+    def test_evaluate_refuses_a_missing_or_malformed_record(
+        self, pipeline, tmp_path, capsys, case, text, code, message
+    ):
+        out, config_path = copy_run(pipeline, tmp_path)
+        (out / "metrics.json").unlink()
+        record = out / BASE_RATE_JSON
+        record.unlink() if text is None else record.write_text(text)
+        assert main(["evaluate", "--config", str(config_path)]) == code
+        assert f"{record}{message}" in capsys.readouterr().err
+        assert not (out / "metrics.json").exists()
+
+    def test_evaluate_refuses_a_train_csv_changed_since_fit(self, pipeline, tmp_path, capsys):
+        out, config_path = copy_run(pipeline, tmp_path)
+        (out / "metrics.json").unlink()
+        rewrite_rows(out / "train.csv", lambda rows: rows.pop())
+        assert main(["evaluate", "--config", str(config_path)]) == 1
+        err = capsys.readouterr().err
+        assert f"{out / 'train.csv'} has changed since fit recorded its base rate" in err
+        assert not (out / "metrics.json").exists()
 
 
 class TestDeterminism:

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import math
@@ -31,6 +32,7 @@ from offerlab.hb import (
     _member_covariates,
     _mvn_logpdf,
     _pooled_logit,
+    _signed_design,
     _wishart_root,
     build_panel,
     fit_hb_mixed_logit,
@@ -343,6 +345,16 @@ PINNED_STACK = [
 ]
 
 
+# sha256 of the (20, 12, 3) betas of fit_hb_panel on random_panel(5, 12, 1)
+# at 80/20 draws, keep 3, seed 9, by ncomp.  Recorded on numpy 2.4.6 with
+# its OpenBLAS; a numpy whose kernels round differently can change them,
+# which is why CI prints its numpy configuration
+PINNED_BETAS_SHA256 = {
+    1: "85cd6a42b2805c43acc591d157ded758ff48bfc7a80cee472dbdcd7af7b6db18",
+    2: "e5aea6491a7c9161690fd3d691735ecd3abf1ebc8de37c8586037c8a36576c3a",
+}
+
+
 class TestStacking:
     @settings(max_examples=50, deadline=None)
     @given(
@@ -386,6 +398,37 @@ class TestStacking:
                 np.testing.assert_allclose(
                     getattr(fit, name).mean(axis=0), pinned[name], rtol=1e-9, atol=0, err_msg=name
                 )
+
+    @pytest.mark.parametrize("ncomp", [1, 3])
+    @pytest.mark.parametrize("ulps", [-3, 2])
+    def test_likelihood_rounding_reaches_only_the_trace(self, monkeypatch, ncomp, ulps):
+        """The likelihood pass's values enter a draw only through the accept
+        test's log-ratio, so moving every value a few ulps, as another
+        summation order does, leaves every draw byte-identical and moves
+        only the saved log-likelihood trace."""
+        panels = [random_panel(b, n, 1) for b, n in enumerate([7, 3, 11])]
+        config = McmcConfig(total_draws=120, burn_in=30)
+        exact = fit_hb_panels(panels, ncomp, config, [1, 2, 3])
+        original, toward = hb._customer_loglik, math.copysign(math.inf, ulps)
+
+        def moved(*args):
+            loglik = original(*args)
+            for _ in range(abs(ulps)):
+                loglik = np.nextafter(loglik, toward)
+            return loglik
+
+        monkeypatch.setattr(hb, "_customer_loglik", moved)
+        for got, expected in zip(fit_hb_panels(panels, ncomp, config, [1, 2, 3]), exact):
+            for name in ("betas", "means", "covariances", "weights", "delta", "acceptance_rates"):
+                assert getattr(got, name).tobytes() == getattr(expected, name).tobytes(), name
+            assert not np.array_equal(got.log_likelihood, expected.log_likelihood)
+
+    @pytest.mark.parametrize("ncomp, digest", PINNED_BETAS_SHA256.items())
+    def test_small_fit_betas_equal_their_pinned_hash(self, ncomp, digest):
+        """Any change to a draw of this fit changes the hash of its betas."""
+        config = McmcConfig(total_draws=80, burn_in=20, keep=3, seed=9)
+        draws = fit_hb_panel(*random_panel(5, 12, 1), ncomp=ncomp, config=config)
+        assert hashlib.sha256(draws.betas.tobytes()).hexdigest() == digest
 
     def test_seed_count_differing_from_panel_count_named(self):
         panels = [random_panel(b, 5, 0) for b in range(3)]
@@ -641,44 +684,71 @@ def population_state(rng, sizes, ncomp, k, n_cov):
     return rows, Z, ind, valid, onehot
 
 
+def in_order_utilities(X, coef):
+    """Each row's x.beta, the K products summed in order over k, as the
+    sampler's likelihood pass sums them."""
+    u = X[:, 0] * coef[:, 0]
+    for k in range(1, X.shape[1]):
+        u += X[:, k] * coef[:, k]
+    return u
+
+
 def strided_customer_loglik(X, y, row_customer, betas):
     """The likelihood pass as written before it took rows by a flat index
-    and formed log(1 + e^u) in place: rows gathered from the strided
-    (customers, K) view.  Kept verbatim as the reference the sampler's pass
-    must reproduce bit for bit."""
+    and formed log(1 + e^v) in place: rows gathered from the strided
+    (customers, K) view, y applied as the sign of v = (1 - 2y) x.beta.
+    Kept as the reference the sampler's pass must reproduce bit for bit."""
     flat = np.swapaxes(betas, 1, 2).reshape(-1, betas.shape[1])
-    u = np.einsum("ij,ij->i", X, np.take(flat, row_customer, axis=0))
-    # log(1 + e^u) in the overflow-free form of numpy's scalar logaddexp(0, u);
+    v = (1.0 - 2.0 * y) * in_order_utilities(X, np.take(flat, row_customer, axis=0))
+    # log(1 + e^v) in the overflow-free form of numpy's scalar logaddexp(0, v);
     # the ufunc np.logaddexp takes several times as long
-    softplus = np.maximum(u, 0.0) + np.log1p(np.exp(-np.abs(u)))
-    row_ll = y * u - softplus
+    row_ll = -(np.maximum(v, 0.0) + np.log1p(np.exp(-np.abs(v))))
     return np.bincount(row_customer, weights=row_ll, minlength=len(flat)).reshape(len(betas), -1)
+
+
+def every_component_sq_norms(diff, roots, member):
+    """The (B, 2n) squared norms |P^T d|^2 of the current and proposed
+    deviations under each customer's own component, picked from those under
+    every component: with one component one GEMM per block, else the
+    lower-triangular products summed in order over j >= c, as the sampler
+    forms them from each customer's own factor alone."""
+    n_blocks, ncomp, k, _ = roots.shape
+    if ncomp == 1:
+        proj = np.swapaxes(roots[:, 0], -1, -2) @ diff
+    else:
+        every = np.empty((n_blocks, ncomp) + diff.shape[1:])
+        for c in range(k):
+            every[:, :, c] = roots[:, :, c, c, None] * diff[:, None, c]
+            for j in range(c + 1, k):
+                every[:, :, c] += roots[:, :, j, c, None] * diff[:, None, j]
+        own = np.tile(member - ncomp * np.arange(n_blocks)[:, None], 2)
+        proj = np.take_along_axis(every, own[:, None, None], axis=1)[:, 0]
+    norms = proj[:, 0] ** 2
+    for c in range(1, k):
+        norms += proj[:, c] ** 2
+    return norms
 
 
 def masked_copy_metropolis(
     rngs, sizes, X, y, row_customer, beta, loglik, prop_factor, prior_mean, member, roots
 ):
     """Step (a) as written before it accepted by a select: masked copies
-    into ``beta`` and ``loglik``, on the strided likelihood pass.  Kept
-    verbatim as the reference the sampler's step must reproduce bit for
-    bit."""
+    into ``beta`` and ``loglik``, on the strided likelihood pass and the
+    squared norms under every component.  Kept as the reference the
+    sampler's step must reproduce bit for bit."""
     n = beta.shape[-1]
     # each customer's K normals, drawn consecutively, as contiguous (K, n) rows
     eps = hb._stacked(rngs, sizes, "standard_normal", 0.0, beta.shape[1:2])
     eps = np.ascontiguousarray(np.swapaxes(eps, 1, 2))
     proposal = beta + np.einsum("bijn,bjn->bin", prop_factor, eps)
     loglik_prop = strided_customer_loglik(X, y, row_customer, proposal)
-    # the prior densities of both, current then proposed, from one (K, 2n)
-    # product per component; each customer's component is picked once
+    # the prior log-ratio of the proposed and the current deviation, from
+    # one (K, 2n) product
     diff = np.empty(beta.shape[:2] + (2 * n,))
     np.subtract(beta, prior_mean, out=diff[..., :n])
     np.subtract(proposal, prior_mean, out=diff[..., n:])
-    logprior = _mvn_logpdf(diff, roots)
-    if roots.shape[1] == 1:
-        logprior = logprior[:, 0]
-    else:  # flat index of (b, ind_i, column) in the (B, ncomp, 2n) densities
-        logprior = np.take(logprior, np.tile(member, 2) * (2 * n) + np.arange(2 * n))
-    log_ratio = (loglik_prop - loglik) + (logprior[:, n:] - logprior[:, :n])
+    sq = every_component_sq_norms(diff, roots, member)
+    log_ratio = (loglik_prop - loglik) + 0.5 * (sq[:, :n] - sq[:, n:])
     accept = np.log(hb._stacked(rngs, sizes, "random", 1.0)) < log_ratio
     np.copyto(beta, proposal, where=accept[:, None])
     np.copyto(loglik, loglik_prop, where=accept)
@@ -776,11 +846,11 @@ class TestSamplerParts:
         y = rng.integers(0, 2, rows).astype(float)
         row_customer = rng.integers(0, n_blocks * n, rows)
         betas = rng.normal(size=(n_blocks, n, k))
-        u = np.einsum("ij,ij->i", X, betas.reshape(-1, k)[row_customer])
-        row_ll = y * u - np.logaddexp(0.0, u)
+        u = in_order_utilities(X, betas.reshape(-1, k)[row_customer])
+        row_ll = -np.logaddexp(0.0, (1.0 - 2.0 * y) * u)
         expected = np.bincount(row_customer, weights=row_ll, minlength=n_blocks * n)
         row_coef = _coef_index(row_customer, k, n)
-        got = _customer_loglik(X, y, row_customer, row_coef, step_layout(betas))
+        got = _customer_loglik(_signed_design(X, y), row_customer, row_coef, step_layout(betas))
         assert got.shape == (n_blocks, n)
         np.testing.assert_allclose(got.reshape(-1), expected, rtol=1e-15, atol=0)
 
@@ -789,13 +859,13 @@ class TestSamplerParts:
     @pytest.mark.parametrize("label", [0.0, 1.0])
     def test_customer_loglik_exact_and_finite_at_extremes(self, u, sign, label):
         # one row per customer, x = u and beta = 1, so each customer's log
-        # likelihood is its row's y * u - log(1 + e^u)
+        # likelihood is its row's -log(1 + e^v) at v = (1 - 2y) u
         u = sign * u
         X, y, row_customer = np.array([[u]]), np.array([label]), np.array([0])
         row_coef = _coef_index(row_customer, 1, 1)
-        got = _customer_loglik(X, y, row_customer, row_coef, np.ones((1, 1, 1)))
+        got = _customer_loglik(_signed_design(X, y), row_customer, row_coef, np.ones((1, 1, 1)))
         assert np.isfinite(got).all()
-        assert got[0, 0] == label * u - np.logaddexp(0.0, u)
+        assert got[0, 0] == -np.logaddexp(0.0, (1.0 - 2.0 * label) * u)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -903,22 +973,23 @@ class TestSamplerParts:
         X, y, row_customer, beta, prop_factor, prior_mean, member, roots = metropolis_state(
             rng, sizes, ncomp, k
         )
-        rows = (row_customer, _coef_index(row_customer, k, max(sizes)))
-        loglik = _customer_loglik(X, y, *rows, beta)
+        rows = (_signed_design(X, y), row_customer, _coef_index(row_customer, k, max(sizes)))
+        loglik = _customer_loglik(*rows, beta)
         assert loglik.tobytes() == strided_customer_loglik(X, y, row_customer, beta).tobytes()
 
         def run(step, *rows):
             rngs = [np.random.default_rng([seed, b]) for b in range(len(sizes))]
             state = (beta.copy(), loglik.copy())
-            accept = step(rngs, sizes, X, y, *rows, *state, prop_factor, prior_mean, member, roots)
+            accept = step(rngs, sizes, *rows, *state, prop_factor, prior_mean, member, roots)
             return accept, *state, [g.bit_generator.state for g in rngs]
 
-        got, expected = run(hb._metropolis, *rows), run(masked_copy_metropolis, row_customer)
+        got = run(hb._metropolis, *rows)
+        expected = run(masked_copy_metropolis, X, y, row_customer)
         for a, b in zip(got[:3], expected[:3]):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
         assert got[3] == expected[3]
         # the same pass on an accepted state gives the state's log likelihood
-        assert got[2].tobytes() == _customer_loglik(X, y, *rows, got[1]).tobytes()
+        assert got[2].tobytes() == _customer_loglik(*rows, got[1]).tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(

@@ -254,6 +254,54 @@ class TestRoundTrip:
             assert not path.exists()
 
 
+# characters that make csv.writer quote a cell, and some that do not
+QUOTING_TEXT = st.text(st.sampled_from(list(',"\n abé')), max_size=6)
+QUOTING_CODES = {"comma": "x,y", "quote": 'say "hi"', "blank": "", "lines": "a\nb", "plain": "p"}
+# cell kinds: (cell, the text csv.writer is given for a value, the values)
+WRITTEN_KINDS = {
+    "text": (TEXT, str, QUOTING_TEXT),
+    "float": (FLOAT, lambda value: repr(float(value)), st.floats(allow_nan=False)),
+    "int": (INT, str, st.integers(-(2**63), 2**63 - 1)),
+    "enum": (
+        storage.enum_cell("mark", QUOTING_CODES),
+        QUOTING_CODES.__getitem__,
+        st.sampled_from(list(QUOTING_CODES)),
+    ),
+}
+
+
+class TestWriterMatchesCsvModule:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        kinds=st.lists(st.sampled_from(list(WRITTEN_KINDS)), min_size=1, max_size=4),
+        names=st.lists(QUOTING_TEXT, min_size=4, max_size=4, unique=True),
+        n_rows=st.integers(0, 7),
+        block=st.sampled_from([1, 3, 1024]),
+        data=st.data(),
+    )
+    def test_bytes_equal_csv_writer_minimal_quoting(
+        self, tmp_path_factory, kinds, names, n_rows, block, data
+    ):
+        """Commas, double quotes, newlines and empty cells, in the header and
+        in the rows, one column or several, written block by block."""
+        schema = {name: WRITTEN_KINDS[kind][0] for name, kind in zip(names, kinds)}
+        columns = [
+            data.draw(st.lists(WRITTEN_KINDS[kind][2], min_size=n_rows, max_size=n_rows))
+            for kind in kinds
+        ]
+        path = tmp_path_factory.mktemp("writer") / "rows.csv"
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(storage, "CSV_BLOCK_ROWS", block)
+            write_csv_atomic(path, schema, columns)
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(schema)
+        texts = [list(map(WRITTEN_KINDS[kind][1], values)) for kind, values in zip(kinds, columns)]
+        writer.writerows(zip(*texts))
+        assert path.read_bytes() == buf.getvalue().encode("utf-8")
+        assert read_csv(path, schema) == [tuple(values) for values in columns]
+
+
 # every CSV artifact's schema, by the module that declares it
 SCHEMAS = {
     name: getattr(module, name)
