@@ -7,7 +7,6 @@ and refuses one whose first column repeats a key."""
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -51,6 +50,7 @@ from .storage import (
     enum_cell,
     load_dataclass,
     read_csv,
+    read_json_artifact,
     sha256_file,
     sha256_text,
     write_csv_atomic,
@@ -117,11 +117,17 @@ BASE_RATE_JSON = "base_rate.json"
 
 
 def _fit(out: Path, config: PipelineConfig, args) -> list[str]:
-    offers = read_offer_csv(out / "train.csv")
+    # hashed before it is read: a train.csv rewritten during the fit then
+    # fails evaluate's check instead of passing under the old data's rate
+    train = out / "train.csv"
+    if not train.exists():
+        raise MissingArtifactError(str(train))
+    train_sha256 = sha256_file(train)
+    offers = read_offer_csv(train)
     customers, _ = read_customers_csv(out / "customers.csv")
     covariates = customers.covariates(config.include_demographic)
     draws = fit_hb_mixed_logit(offers, covariates, ncomp=config.ncomp, config=config.mcmc)
-    record = BaseRate(float(np.mean(offers.labels())), sha256_file(out / "train.csv"))
+    record = BaseRate(float(np.mean(offers.labels())), train_sha256)
     write_json_atomic(out / BASE_RATE_JSON, asdict(record))
     return [f"posterior/{name}" for name in draws.save(out / "posterior")] + [BASE_RATE_JSON]
 
@@ -132,13 +138,11 @@ def _training_base_rate(out: Path) -> float:
     ``MissingArtifactError``; a malformed one, or a ``train.csv`` that has
     changed since, is a ``DataIntegrityError`` naming the file."""
     path, train = out / BASE_RATE_JSON, out / "train.csv"
-    for required in (path, train):
-        if not required.exists():
-            raise MissingArtifactError(str(required))
+    obj = read_json_artifact(path)
+    if not train.exists():
+        raise MissingArtifactError(str(train))
     try:
-        record = load_dataclass(BaseRate, json.loads(path.read_text()), str(path))
-    except json.JSONDecodeError as exc:
-        raise DataIntegrityError(f"{path} is not valid JSON: {exc}") from None
+        record = load_dataclass(BaseRate, obj, str(path))
     except ConfigurationError as exc:
         raise DataIntegrityError(str(exc)) from None
     if sha256_file(train) != record.train_sha256:

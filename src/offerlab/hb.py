@@ -41,7 +41,6 @@ the tests pin both.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 from dataclasses import asdict, dataclass, replace
@@ -59,7 +58,12 @@ from .errors import (
     UnknownCustomerError,
 )
 from .storage import (
-    check_finite_fields, load_dataclass, seeded_rng, write_array_atomic, write_json_atomic
+    check_finite_fields,
+    load_dataclass,
+    read_json_artifact,
+    seeded_rng,
+    write_array_atomic,
+    write_json_atomic,
 )
 
 log = logging.getLogger(__name__)
@@ -215,12 +219,7 @@ class PosteriorDraws:
     def load(cls, path) -> "PosteriorDraws":
         path = Path(path)
         header_path = path / "header.json"
-        if not header_path.exists():
-            raise MissingArtifactError(str(header_path))
-        try:
-            header = json.loads(header_path.read_text())
-        except json.JSONDecodeError as exc:
-            raise DataIntegrityError(f"{header_path} is not valid JSON: {exc}") from None
+        header = read_json_artifact(header_path)
         if not isinstance(header, dict):
             raise DataIntegrityError(f"{header_path} must hold a JSON object")
         kinds = {"format": str, "customer_ids": list, "config": dict, "shapes": dict}
@@ -335,9 +334,9 @@ def build_panel(offers, covariates=None):
 # coefficients from beta as a (K, rows) array, by a flat index built once
 # per fit, multiplies them by the (K, rows) signed design and sums them in
 # order over K: half the time of a (rows, K) gather and einsum.  Step (a)'s
-# prior ratio takes each customer's own component's factor, gathered
-# customers last when there are several, and updates its state by np.where
-# selects, half the time of masked copies.  Retained betas are transposed
+# prior ratio projects both deviations by one (K, 2n) GEMM per component,
+# picks each customer's squared norm under its own component, and updates
+# its state by np.where selects, half the time of masked copies.  Retained betas are transposed
 # to (customers, K) as they are kept.
 
 
@@ -482,24 +481,15 @@ def _own_sq_norms(diff, roots, member):
     customer i's; P = ``roots[b, ind_i]`` is the precision factor of the
     customer's own component, ``member`` (B, n) = b * ncomp + ind_i.  Each
     norm sums the K squares in order."""
-    n_blocks, k, m = diff.shape
-    if roots.shape[1] == 1:  # one (K, m) GEMM per block
-        proj = np.swapaxes(roots[:, 0], -1, -2) @ diff
-    else:  # sum over j >= c of P_jc d_j, by each customer's own lower-triangular P
-        n = member.shape[1]
-        own = np.take(roots.reshape(-1, k * k).T, member, axis=1).reshape(k, k, n_blocks, 1, n)
-        d = diff.reshape(n_blocks, k, m // n, n)
-        proj = np.empty(d.shape)
-        for c in range(k):
-            np.multiply(own[c, c], d[:, c], out=proj[:, c])
-            for j in range(c + 1, k):
-                proj[:, c] += own[j, c] * d[:, j]
-        proj = proj.reshape(diff.shape)
+    proj = np.swapaxes(roots, -1, -2) @ diff[:, None]  # one (K, m) GEMM per component
     proj *= proj
-    norms = proj[:, 0]
-    for c in range(1, k):
-        norms += proj[:, c]
-    return norms
+    norms = proj[:, :, 0]
+    for c in range(1, roots.shape[-1]):
+        norms += proj[:, :, c]
+    if roots.shape[1] == 1:
+        return norms[:, 0]
+    m = diff.shape[-1]  # flat index of (b, ind_i, column) in the (B, ncomp, m) norms
+    return np.take(norms, np.tile(member, m // member.shape[1]) * m + np.arange(m))
 
 
 def _metropolis(

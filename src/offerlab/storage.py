@@ -65,6 +65,19 @@ def write_json_atomic(path, obj) -> None:
     write_text_atomic(path, canonical_json(obj) + "\n")
 
 
+def read_json_artifact(path):
+    """The JSON value an artifact file holds.  A missing file is a
+    ``MissingArtifactError``, one that is not JSON a ``DataIntegrityError``
+    naming it."""
+    path = Path(path)
+    if not path.exists():
+        raise MissingArtifactError(str(path))
+    try:
+        return json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise DataIntegrityError(f"{path} is not valid JSON: {exc}") from None
+
+
 # how a column's values are read from and written to CSV cells; either
 # function raises ValueError for a value the column cannot hold
 Cell = collections.namedtuple("Cell", "parse write")

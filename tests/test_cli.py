@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from offerlab import cli
 from offerlab.cli import (
     BASE_RATE_JSON,
     DISTRIBUTION_CSV,
@@ -783,6 +784,23 @@ class TestBaseRateRecord:
         err = capsys.readouterr().err
         assert f"{out / 'train.csv'} has changed since fit recorded its base rate" in err
         assert not (out / "metrics.json").exists()
+
+    def test_evaluate_refuses_a_train_csv_rewritten_during_fit(
+        self, pipeline, tmp_path, capsys, monkeypatch
+    ):
+        """fit records the hash of the train.csv it read, so a file
+        rewritten while the sampler runs does not pass under that rate."""
+        out, config_path = copy_run(pipeline, tmp_path)
+        fit = cli.fit_hb_mixed_logit
+
+        def fit_while_rewriting(*args, **kwargs):
+            rewrite_rows(out / "train.csv", lambda rows: rows.pop())
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "fit_hb_mixed_logit", fit_while_rewriting)
+        assert main(["fit", "--config", str(config_path)]) == 0
+        assert main(["evaluate", "--config", str(config_path)]) == 1
+        assert "has changed since fit recorded its base rate" in capsys.readouterr().err
 
 
 class TestDeterminism:

@@ -1,4 +1,3 @@
-import hashlib
 import io
 import json
 import math
@@ -345,13 +344,42 @@ PINNED_STACK = [
 ]
 
 
-# sha256 of the (20, 12, 3) betas of fit_hb_panel on random_panel(5, 12, 1)
-# at 80/20 draws, keep 3, seed 9, by ncomp.  Recorded on numpy 2.4.6 with
-# its OpenBLAS; a numpy whose kernels round differently can change them,
-# which is why CI prints its numpy configuration
-PINNED_BETAS_SHA256 = {
-    1: "85cd6a42b2805c43acc591d157ded758ff48bfc7a80cee472dbdcd7af7b6db18",
-    2: "e5aea6491a7c9161690fd3d691735ecd3abf1ebc8de37c8586037c8a36576c3a",
+# fit_hb_panel on random_panel(5, 12, 1) at 80/20 draws, keep 3, seed 9,
+# by ncomp: each customer's accepted proposals, and the betas averaged over
+# the 20 kept draws to 13 significant digits.  A changed draw (one flipped
+# accept) moves the averages by about the proposal scale; BLAS rounding
+# moves them far less than the 1e-9 they are compared at
+PINNED_SMALL_FIT = {
+    1: dict(
+        accepted=[17, 17, 22, 19, 24, 12, 20, 22, 21, 19, 12, 14],
+        betas=[[-2.646091158676, 0.9744473553388, 3.693233895793],
+               [-0.8671505589336, 0.9983609483183, 0.4270379216612],
+               [-0.2776597667049, 0.08061260879489, -0.9853405831589],
+               [-0.03760667407555, -0.1150559780504, -2.888501844695],
+               [-0.2366650886022, 0.2326238512072, 3.855090910934],
+               [-0.3464204319174, -0.2052882804822, -1.719713926606],
+               [0.001184199713914, -0.227180720789, -1.241144419345],
+               [-2.60075682262, 1.210485091044, 2.226531258334],
+               [0.4809699840347, -0.1810987356704, -3.029573987603],
+               [-0.7127060056767, 0.7650588442333, -1.068579555553],
+               [-1.390338295252, 0.6985893077846, 1.461709828665],
+               [-0.004618146906085, -0.02727017111155, -0.2687020349397]],
+    ),
+    2: dict(
+        accepted=[9, 13, 12, 14, 17, 12, 12, 14, 9, 8, 9, 15],
+        betas=[[-0.9602766048241, 0.3806248548393, -2.173668519112],
+               [-0.9324085956175, 1.038877883918, -2.12564173924],
+               [0.3896509162426, 0.8926340672119, -3.419246442701],
+               [3.275595443259, -1.456683513153, 4.607925614781],
+               [-0.6175799901464, 0.6531683616525, -2.224629144264],
+               [2.435605806435, -0.4836919181913, 3.837185550108],
+               [2.455400896816, -0.5086452216018, 3.727122962172],
+               [0.2864495305071, -2.766589809206, -8.262564115425],
+               [1.914102239124, -0.4334343770148, -5.601898097809],
+               [-0.9516554167704, 0.984992471769, -2.253922353948],
+               [0.1421181231685, -0.0874930940208, -4.786165518299],
+               [2.144635598397, -1.025845760606, 4.9316862727]],
+    ),
 }
 
 
@@ -423,12 +451,15 @@ class TestStacking:
                 assert getattr(got, name).tobytes() == getattr(expected, name).tobytes(), name
             assert not np.array_equal(got.log_likelihood, expected.log_likelihood)
 
-    @pytest.mark.parametrize("ncomp, digest", PINNED_BETAS_SHA256.items())
-    def test_small_fit_betas_equal_their_pinned_hash(self, ncomp, digest):
-        """Any change to a draw of this fit changes the hash of its betas."""
+    @pytest.mark.parametrize("ncomp, pinned", PINNED_SMALL_FIT.items())
+    def test_small_fit_equals_its_pinned_record(self, ncomp, pinned):
+        """Any change to a draw of this fit moves its acceptance counts or
+        its average betas."""
         config = McmcConfig(total_draws=80, burn_in=20, keep=3, seed=9)
         draws = fit_hb_panel(*random_panel(5, 12, 1), ncomp=ncomp, config=config)
-        assert hashlib.sha256(draws.betas.tobytes()).hexdigest() == digest
+        accepted = np.rint(draws.acceptance_rates * config.total_draws)
+        assert accepted.tolist() == pinned["accepted"]
+        np.testing.assert_allclose(draws.betas.mean(axis=0), pinned["betas"], rtol=1e-9, atol=0)
 
     def test_seed_count_differing_from_panel_count_named(self):
         panels = [random_panel(b, 5, 0) for b in range(3)]
@@ -709,24 +740,15 @@ def strided_customer_loglik(X, y, row_customer, betas):
 def every_component_sq_norms(diff, roots, member):
     """The (B, 2n) squared norms |P^T d|^2 of the current and proposed
     deviations under each customer's own component, picked from those under
-    every component: with one component one GEMM per block, else the
-    lower-triangular products summed in order over j >= c, as the sampler
-    forms them from each customer's own factor alone."""
+    every component, each the K squares of one GEMM's projection summed in
+    order."""
     n_blocks, ncomp, k, _ = roots.shape
-    if ncomp == 1:
-        proj = np.swapaxes(roots[:, 0], -1, -2) @ diff
-    else:
-        every = np.empty((n_blocks, ncomp) + diff.shape[1:])
-        for c in range(k):
-            every[:, :, c] = roots[:, :, c, c, None] * diff[:, None, c]
-            for j in range(c + 1, k):
-                every[:, :, c] += roots[:, :, j, c, None] * diff[:, None, j]
-        own = np.tile(member - ncomp * np.arange(n_blocks)[:, None], 2)
-        proj = np.take_along_axis(every, own[:, None, None], axis=1)[:, 0]
-    norms = proj[:, 0] ** 2
+    proj = np.matmul(np.swapaxes(roots, -1, -2), diff[:, None])
+    every = proj[:, :, 0] ** 2
     for c in range(1, k):
-        norms += proj[:, c] ** 2
-    return norms
+        every += proj[:, :, c] ** 2
+    own = np.tile(member - ncomp * np.arange(n_blocks)[:, None], 2)
+    return np.take_along_axis(every, own[:, None], axis=1)[:, 0]
 
 
 def masked_copy_metropolis(
