@@ -18,12 +18,10 @@ from .choice import first_repeat, join
 from .config import PipelineConfig
 from .datasets import (
     OCCASION_KEY,
-    ingest_retail_csv,
     read_customers_csv,
     read_offer_csv,
     read_scores_csv,
     write_customers_csv,
-    write_multinomial_csv,
     write_offer_csv,
     write_scores_csv,
     write_truth_csv,
@@ -229,20 +227,6 @@ def _optimize(out: Path, config: PipelineConfig, args) -> list[str]:
     return ["policy.csv"]
 
 
-def _ingest_retail(out: Path, config: PipelineConfig, args) -> list[str]:
-    if not args.input:
-        raise MissingArtifactError("ingest-retail requires --input <retail csv>")
-    product_filter = None
-    if args.products:
-        products = Path(args.products)
-        if not products.exists():
-            raise MissingArtifactError(str(products))
-        product_filter = set(products.read_text().split())
-    dataset = ingest_retail_csv(args.input, product_filter=product_filter)
-    write_multinomial_csv(out / "multinomial.csv", dataset)
-    return ["multinomial.csv"]
-
-
 def _distribution_section(segments, percents) -> str:
     shares = dict(zip(segments, percents))
     lines = ["Customer segments (percent of customers)", "-" * 44]
@@ -312,12 +296,11 @@ STAGES = {
     "evaluate": _evaluate,
     "segment": _segment,
     "optimize": _optimize,
-    "ingest-retail": _ingest_retail,
     "report": _report,
 }
 
 # the options a stage reads when ``run_pipeline`` is called without ``args``
-_NO_ARGS = argparse.Namespace(input=None, products=None, compare=None)
+_NO_ARGS = argparse.Namespace(compare=None)
 
 
 def run_pipeline(subcommand: str, config: PipelineConfig, args: argparse.Namespace | None = None):
@@ -350,10 +333,6 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="path to the pipeline JSON config")
     parser.add_argument("--seed", type=int, default=None, help="override the master seed")
     parser.add_argument("--out", default=None, help="override the output directory")
-    parser.add_argument("--input", default=None, help="retail transactions CSV (ingest-retail)")
-    parser.add_argument(
-        "--products", default=None, help="file of stock codes to keep (ingest-retail)"
-    )
     parser.add_argument(
         "--compare", default=None, help="benchmark scores CSV for the DeLong test (evaluate)"
     )

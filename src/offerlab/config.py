@@ -76,9 +76,13 @@ class PipelineConfig:
         cls, path, seed_override: int | None = None, out_override: str | None = None
     ) -> "PipelineConfig":
         try:
-            raw = json.loads(Path(path).read_text())
+            raw = json.loads(Path(path).read_text(encoding="utf-8"))
         except FileNotFoundError:
             raise ConfigurationError(f"config file not found: {path}")
+        except OSError as exc:  # a directory, say, or no permission to read
+            raise ConfigurationError(f"config file {path} cannot be read: {exc.strerror}")
+        except UnicodeDecodeError as exc:
+            raise ConfigurationError(f"config file {path} is not UTF-8: {exc.reason}")
         except json.JSONDecodeError as exc:
             raise ConfigurationError(f"config file {path} is not valid JSON: {exc}")
         return cls.from_dict(raw, seed_override=seed_override, out_override=out_override)

@@ -1,8 +1,8 @@
 """Dataset persistence, retail ingestion, and train/validation splitting.
 
 Every dataset file is declared once, as a schema of named ``storage``
-cells (``OFFER_CSV``, ``CUSTOMER_CSV``, ``TRUTH_CSV``, ``SCORE_CSV``,
-``MULTINOMIAL_CSV``), and written and read by columns through
+cells (``OFFER_CSV``, ``CUSTOMER_CSV``, ``TRUTH_CSV``, ``SCORE_CSV``),
+and written and read by columns through
 ``storage.write_csv_atomic`` and ``storage.read_csv``.  ``read_offer_csv``
 returns the offer table (``choice.Offers``) checked by ``Offers.validate``,
 and ``read_customers_csv`` the customer table (``choice.Customers``)
@@ -10,7 +10,8 @@ checked by ``Customers.validate``, so a recorded row outside the model's
 domain is refused by file, column and key.  The offer CSV holds only keys,
 design and outcome; a customer's loyalty and covariates live in the
 customer CSV alone.  ``ingest_retail_csv`` returns retail purchases as
-the ``RetailChoices`` table, one row per occasion x product.  The splits
+the in-memory ``RetailChoices`` table, one row per occasion x product,
+which ``multinomial_to_panel`` turns into estimation arrays.  The splits
 work on (customer_id, occasion) key arrays and return row indices, for
 offer tables and retail choices alike.
 """
@@ -45,7 +46,7 @@ from .errors import (
     MissingArtifactError,
     ParseError,
 )
-from .storage import FLOAT, INT, TEXT, Cell, enum_cell, read_csv, seeded_rng, write_csv_atomic
+from .storage import FLOAT, INT, Cell, enum_cell, read_csv, seeded_rng, write_csv_atomic
 
 # the outcome cell of an offer row: 1, 0, or blank for unlabeled
 OUTCOME = enum_cell("outcome", {ACCEPTED: "1", REJECTED: "0", UNLABELED: ""})
@@ -59,7 +60,6 @@ CUSTOMER_CSV = {
 }
 TRUTH_CSV = {"id": INT, "k": FLOAT, "beta_contract": FLOAT, "beta_discount": FLOAT}
 SCORE_CSV = {"customer_id": INT, "occasion": INT, "alternative": INT, "score": FLOAT}
-MULTINOMIAL_CSV = {"customer_id": INT, "occasion": INT, "product_id": TEXT, "chosen": INT}
 
 # the key columns of an offer or a score row, as named in error messages
 OCCASION_KEY = "(customer_id, occasion)"
@@ -210,8 +210,9 @@ def split_kfold_by_occasion(customer_id, occasion, k: int, seed: int):
 class RetailChoices(_Table):
     """Retail purchase occasions, one row per (occasion, product): every
     product in the line is an alternative of every occasion, ``chosen`` 1
-    if the occasion bought it, else 0.  The columns are those of the
-    multinomial CSV, rows ordered by customer, occasion and product."""
+    if the occasion bought it, else 0.  Rows are ordered by customer,
+    occasion and product; the table lives in memory only, as the input of
+    ``multinomial_to_panel``."""
 
     customer_id: np.ndarray
     occasion: np.ndarray
@@ -345,10 +346,6 @@ def ingest_retail_csv(path, product_filter=None) -> RetailChoices:
         chosen += [0] * len(products)
     customer_id, occasion = np.repeat(keys, len(products), axis=0).T
     return RetailChoices(customer_id, occasion, np.tile(products, len(keys)), chosen)
-
-
-def write_multinomial_csv(path, choices: RetailChoices) -> None:
-    write_csv_atomic(path, MULTINOMIAL_CSV, [getattr(choices, name) for name in MULTINOMIAL_CSV])
 
 
 def multinomial_to_panel(choices: RetailChoices):

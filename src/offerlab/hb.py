@@ -433,10 +433,8 @@ def _chol_or_abort(matrices, draw, what):
 def _mvn_logpdf(diff, roots):
     """(B, ncomp, n) log N(diff_i | 0, Sigma_k) of each block, each Sigma_k
     given by its lower-triangular precision factor ``roots[b, k]``
-    (Sigma_k^-1 = P_k P_k^T).  ``diff`` is one (B, K, n) block shared by
-    every component or one (B, ncomp, K, n) block per component."""
-    if diff.ndim == 3:
-        diff = diff[:, None]
+    (Sigma_k^-1 = P_k P_k^T).  ``diff`` is one (B, ncomp, K, n) block per
+    component."""
     proj = np.swapaxes(roots, -1, -2) @ diff  # P_k^T diff_i, one (K, n) GEMM per component
     # -0.5 * log|Sigma_k| = sum(log diag P_k)
     half_logdet = np.log(np.diagonal(roots, axis1=2, axis2=3)).sum(axis=2)

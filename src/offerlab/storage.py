@@ -13,12 +13,11 @@ a file whose header is not exactly the schema's names is refused instead
 of being parsed by position.  A cell writes its value's CSV text, quoted
 where it needs it, and the writer joins each row's texts with commas, the
 bytes ``csv.writer``'s minimal quoting gives at a fraction of its time:
-``TEXT`` and an ``enum_cell`` code that holds a comma, a double quote or a
-newline quote themselves, and a number never needs it.  ``FLOAT`` writes
-round-trip repr, so values read back exactly; ``TEXT`` refuses a carriage
-return, which ``csv.writer`` leaves unquoted and the csv reader would take
-for a line end, and a cell longer than ``csv.field_size_limit()``, which
-that reader refuses.
+an ``enum_cell`` code that holds a comma, a double quote or a newline
+quotes itself, and a number never needs it.  ``FLOAT`` writes round-trip
+repr, so values read back exactly.  A file that is not UTF-8 is refused
+by name, as a ``ParseError`` for a CSV and a ``DataIntegrityError`` for
+JSON.
 
 Config JSON has one reader too: ``load_dataclass`` builds a dataclass from
 a parsed JSON object by the dataclass's own annotations and refuses an
@@ -67,13 +66,15 @@ def write_json_atomic(path, obj) -> None:
 
 def read_json_artifact(path):
     """The JSON value an artifact file holds.  A missing file is a
-    ``MissingArtifactError``, one that is not JSON a ``DataIntegrityError``
-    naming it."""
+    ``MissingArtifactError``, one that is not UTF-8 JSON a
+    ``DataIntegrityError`` naming it."""
     path = Path(path)
     if not path.exists():
         raise MissingArtifactError(str(path))
     try:
-        return json.loads(path.read_text())
+        return json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise DataIntegrityError(f"{path} is not UTF-8: {exc.reason}") from None
     except json.JSONDecodeError as exc:
         raise DataIntegrityError(f"{path} is not valid JSON: {exc}") from None
 
@@ -92,14 +93,6 @@ def _quoted(text: str) -> str:
     return text
 
 
-def _text(value: str) -> str:
-    if "\r" in value:
-        raise ValueError(f"a carriage return does not round-trip: {value!r}")
-    if len(value) > (limit := csv.field_size_limit()):
-        raise ValueError(f"{len(value)} characters exceed the csv reader's field limit {limit}")
-    return _quoted(value)
-
-
 def enum_cell(kind: str, codes: dict) -> Cell:
     """A cell holding a key of ``codes``, written as its code; any other
     value or cell is a ``ValueError`` naming ``kind``."""
@@ -115,7 +108,6 @@ def enum_cell(kind: str, codes: dict) -> Cell:
 
 INT = Cell(int, str)
 FLOAT = Cell(float, lambda value: repr(float(value)))
-TEXT = Cell(str, _text)
 FLAG = enum_cell("flag", {False: "0", True: "1"})
 CSV_BLOCK_ROWS = 1024  # rows write_csv_atomic and read_csv convert at a time
 
@@ -146,8 +138,9 @@ def write_csv_atomic(path, schema: dict, columns) -> None:
 def read_csv(path, schema: dict) -> list:
     """The columns of the CSV ``path``, one tuple per column of ``schema``, in
     file order.  A missing file is a ``MissingArtifactError``, a header other
-    than ``schema``'s names a ``DataIntegrityError``, and a row of the wrong
-    width or a cell its column refuses a ``ParseError`` naming the line.
+    than ``schema``'s names a ``DataIntegrityError``, a file that is not
+    UTF-8 a ``ParseError`` naming it, and a row of the wrong width or a cell
+    its column refuses a ``ParseError`` naming the line.
 
     Rows are parsed by column, ``CSV_BLOCK_ROWS`` at a time; a block that
     fails sends the file through ``_read_rows``, which names the line."""
@@ -155,19 +148,24 @@ def read_csv(path, schema: dict) -> list:
         raise MissingArtifactError(str(path))
     parsers = [cell.parse for cell in schema.values()]
     columns = [[] for _ in parsers]
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        if header != list(schema):
-            raise DataIntegrityError(f"{path} has columns {header}, expected {list(schema)}")
-        try:
-            while block := list(itertools.islice(reader, CSV_BLOCK_ROWS)):
-                if set(map(len, block)) != {len(parsers)}:
-                    raise ValueError("a row of the wrong width")
-                for values, parse, cells in zip(columns, parsers, zip(*block)):
-                    values += map(parse, cells)
-        except (csv.Error, ValueError, KeyError):
-            columns = _read_rows(path, parsers)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            if header != list(schema):
+                raise DataIntegrityError(f"{path} has columns {header}, expected {list(schema)}")
+            try:
+                while block := list(itertools.islice(reader, CSV_BLOCK_ROWS)):
+                    if set(map(len, block)) != {len(parsers)}:
+                        raise ValueError("a row of the wrong width")
+                    for values, parse, cells in zip(columns, parsers, zip(*block)):
+                        values += map(parse, cells)
+            except (csv.Error, ValueError, KeyError):
+                columns = _read_rows(path, parsers)
+    # from the header or from _read_rows; the file is decoded a chunk at a
+    # time, so the line the reader is on is not the byte's
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8: {exc.reason}") from None
     return [tuple(values) for values in columns]
 
 
@@ -183,6 +181,8 @@ def _read_rows(path, parsers) -> list:
                 if len(row) != len(parsers):
                     raise ValueError(f"{len(row)} cells, expected {len(parsers)}")
                 rows.append([parse(cell) for parse, cell in zip(parsers, row)])
+        except UnicodeDecodeError:  # read_csv names the file
+            raise
         except (csv.Error, ValueError, KeyError) as exc:
             raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None
     return list(zip(*rows)) if rows else [()] * len(parsers)

@@ -303,18 +303,8 @@ class TestCriterion8Tuning:
 
 class TestCriterion9Determinism:
     def test_all_subcommands_byte_identical(self, tmp_path):
-        from offerlab.cli import main
-        from tests.test_datasets import write_retail_csv
+        from offerlab.cli import STAGES, main
 
-        retail = tmp_path / "retail.csv"
-        write_retail_csv(
-            retail,
-            [
-                ["I1", "C0", "BIG CUP", 2, "01/02/2010 10:00", 1.0, 4, "UK"],
-                ["I2", "C1", "SMALL CUP", 1, "02/02/2010 10:00", 1.0, 4, "UK"],
-                ["I3", "C0", "BIG CUP", 1, "03/02/2010 10:00", 1.0, 5, "UK"],
-            ],
-        )
         out = tmp_path / "run"
         config_path = tmp_path / "config.json"
         config_path.write_text(
@@ -329,21 +319,10 @@ class TestCriterion9Determinism:
                 }
             )
         )
-        subcommands = [
-            ["simulate"],
-            ["fit"],
-            ["tune"],
-            ["predict"],
-            ["evaluate"],
-            ["segment"],
-            ["optimize"],
-            ["ingest-retail", "--input", str(retail)],
-            ["report"],
-        ]
 
         def run_all():
-            for args in subcommands:
-                assert main([args[0], "--config", str(config_path)] + args[1:]) == 0
+            for subcommand in STAGES:
+                assert main([subcommand, "--config", str(config_path)]) == 0
             return {
                 str(p.relative_to(out)): p.read_bytes()
                 for p in sorted(out.rglob("*"))
@@ -356,7 +335,7 @@ class TestCriterion9Determinism:
         report(
             "9",
             identical and len(first) > 10,
-            f"{len(first)} artifacts byte-identical across reruns of all 9 subcommands",
+            f"{len(first)} artifacts byte-identical across reruns of all {len(STAGES)} subcommands",
         )
 
 

@@ -328,6 +328,20 @@ class TestConfig:
         assert message in capsys.readouterr().err
         assert {path: path.read_bytes() for path in out.rglob("*") if path.is_file()} == before
 
+    @pytest.mark.parametrize(
+        "case, message",
+        [("directory", "cannot be read: Is a directory"), ("not-utf8", "is not UTF-8: invalid")],
+        ids=["directory", "not-utf8"],
+    )
+    def test_unreadable_config_is_refused_by_path(self, tmp_path, capsys, case, message):
+        path = tmp_path / "config.json"
+        if case == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b'{"out_dir": "r\xffn"}')
+        assert main(["simulate", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"offerlab simulate: config file {path} {message}")
+
     @pytest.mark.parametrize("overrides, message", CONFIG_FAULT_CASES)
     def test_config_fault_named_by_dotted_path(self, tmp_path, capsys, overrides, message):
         path = write_config(tmp_path, overrides=overrides)
@@ -536,7 +550,7 @@ class TestStageInputs:
         assert f"{out / name} repeats {key}" in capsys.readouterr().err
         assert not (out / "report.txt").exists()
 
-    @pytest.mark.parametrize("fault", ["swapped-columns", "malformed-cell"])
+    @pytest.mark.parametrize("fault", ["swapped-columns", "malformed-cell", "not-utf8"])
     @pytest.mark.parametrize(
         "name, stage, swap, spoil", STAGE_INPUTS, ids=[case[0] for case in STAGE_INPUTS]
     )
@@ -555,12 +569,17 @@ class TestStageInputs:
             else:
                 rows[1][spoil] = "oops"
 
-        rewrite_rows(out / name, edit)
+        if fault == "not-utf8":  # a byte that is not UTF-8 on the last line
+            (out / name).write_bytes((out / name).read_bytes()[:-1] + b"\xff\n")
+        else:
+            rewrite_rows(out / name, edit)
         assert main([stage, "--config", str(config_path)]) == 1
         err = capsys.readouterr().err
         assert name in err
         if fault == "swapped-columns":
             assert "has columns" in err and "expected" in err
+        elif fault == "not-utf8":
+            assert err == f"offerlab {stage}: {out / name} is not UTF-8: invalid start byte\n"
         else:
             assert "line 2: " in err
 
@@ -719,6 +738,7 @@ class TestStageInputs:
         [
             ("nan-in-betas", "posterior array betas holds nan at index (0, 0, 1)"),
             ("truncated-weights", "weights.npy is not a readable float array"),
+            ("header-not-utf8", "header.json is not UTF-8: invalid start byte"),
         ],
     )
     @pytest.mark.parametrize(
@@ -734,6 +754,9 @@ class TestStageInputs:
             betas = np.load(out / "posterior" / "betas.npy")
             betas[0, 0, 1] = np.nan
             np.save(out / "posterior" / "betas.npy", betas)
+        elif damage == "header-not-utf8":
+            header = out / "posterior" / "header.json"
+            header.write_bytes(header.read_bytes()[:-1] + b"\xff\n")
         else:
             weights = out / "posterior" / "weights.npy"
             weights.write_bytes(weights.read_bytes()[:-8])
@@ -848,57 +871,15 @@ class TestTuneAndIngest:
         assert len(rows) == 3
         assert sum(int(r[3]) for r in rows[1:]) == 1
 
-    def test_ingest_retail(self, tmp_path):
-        from tests.test_datasets import write_retail_csv
-
-        retail = tmp_path / "retail.csv"
-        write_retail_csv(
-            retail,
-            [
-                ["I1", "C0", "BIG CUP", 2, "01/02/2010 10:00", 1.0, 4, "UK"],
-                ["I2", "C1", "SMALL CUP", 1, "02/02/2010 10:00", 1.0, 4, "UK"],
-            ],
-        )
+    def test_ingest_retail_is_refused(self, tmp_path, capsys):
+        """Retail ingestion has no subcommand; it runs in-process through
+        ``datasets.ingest_retail_csv``."""
         config_path = write_config(tmp_path, out_name="retail_out")
-        code = main(
-            ["ingest-retail", "--config", str(config_path), "--input", str(retail)]
-        )
-        assert code == 0
-        rows = read_rows(tmp_path / "retail_out" / "multinomial.csv")
-        # 2 occasions + 1 augmentation, 2 products each
-        assert len(rows) - 1 == 3 * 2
-
-    def test_ingest_requires_input(self, tmp_path):
-        config_path = write_config(tmp_path, out_name="retail_missing")
-        assert main(["ingest-retail", "--config", str(config_path)]) == 2
-
-    def test_ingest_with_explicit_product_file(self, tmp_path):
-        from tests.test_datasets import write_retail_csv
-
-        retail = tmp_path / "retail.csv"
-        write_retail_csv(
-            retail,
-            [
-                ["I1", "C0", "BIG CUP", 2, "01/02/2010 10:00", 1.0, 4, "UK"],
-                ["I2", "C1", "SMALL CUP", 1, "02/02/2010 10:00", 1.0, 4, "UK"],
-            ],
-        )
-        products = tmp_path / "products.txt"
-        products.write_text("C0\n")
-        config_path = write_config(tmp_path, out_name="retail_filtered")
-        code = main(
-            [
-                "ingest-retail",
-                "--config",
-                str(config_path),
-                "--input",
-                str(retail),
-                "--products",
-                str(products),
-            ]
-        )
-        assert code == 0
-        rows = read_rows(tmp_path / "retail_filtered" / "multinomial.csv")
-        # only invoice I1 holds a filtered product: 1 occasion + 1 augmented
-        assert len(rows) - 1 == 2 * 1
-        assert {r[2] for r in rows[1:]} == {"C0"}
+        with pytest.raises(SystemExit) as info:
+            main(["ingest-retail", "--config", str(config_path)])
+        assert info.value.code == 2
+        assert "invalid choice: 'ingest-retail'" in capsys.readouterr().err
+        config = PipelineConfig.from_json(config_path)
+        with pytest.raises(OfferLabError, match="unknown subcommand 'ingest-retail'"):
+            run_pipeline("ingest-retail", config)
+        assert not (tmp_path / "retail_out").exists()

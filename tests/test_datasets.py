@@ -11,7 +11,6 @@ from offerlab import datasets, simulate
 from offerlab.choice import UNLABELED, Customers
 from offerlab.datasets import (
     CUSTOMER_CSV,
-    MULTINOMIAL_CSV,
     OFFER_CSV,
     ResamplingScheme,
     ingest_retail_csv,
@@ -508,8 +507,7 @@ class TestRetailIngestion:
         monkeypatch.setattr(datasets, "cache", lambda function: function)
         reference = ingest_retail_csv(path)
         assert len(parsed) == len(dates) + len(rows)
-        for column in MULTINOMIAL_CSV:
-            assert getattr(table, column).tolist() == getattr(reference, column).tolist()
+        assert table == reference
 
     def test_panel_conversion(self, retail_csv):
         data = ingest_retail_csv(retail_csv, product_filter={"C0", "C1", "C2"})
@@ -530,7 +528,7 @@ class TestRetailIngestion:
             (1, occ, f"C{k}", int(occ <= 9 and (occ - 1) % 3 == k))
             for occ in range(1, 11) for k in range(3)
         ] + [(2, occ, f"C{k}", int(occ == 1 and k == 0)) for occ in (1, 2) for k in range(3)]
-        assert list(zip(*(getattr(data, c).tolist() for c in MULTINOMIAL_CSV))) == expected
+        assert list(zip(*(getattr(data, f.name).tolist() for f in fields(data)))) == expected
         X, y, row_customer, customer_ids, Z = multinomial_to_panel(data)
         assert np.array_equal(X, np.eye(3)[[int(p[1]) for _, _, p, _ in expected]])
         assert y.tolist() == [float(c) for *_, c in expected]

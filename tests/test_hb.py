@@ -803,22 +803,19 @@ class TestSamplerParts:
         ncomp=st.integers(1, 3),
         k=st.integers(1, 4),
         n=st.integers(1, 6),
-        per_component=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_mvn_logpdf_matches_dense_reference(self, n_blocks, ncomp, k, n, per_component, seed):
+    def test_mvn_logpdf_matches_dense_reference(self, n_blocks, ncomp, k, n, seed):
         rng = np.random.default_rng(seed)
         roots = np.stack([random_roots(rng, ncomp, k) for _ in range(n_blocks)])
-        shape = (n_blocks, ncomp, n, k) if per_component else (n_blocks, n, k)
-        diff = rng.normal(scale=2.0, size=shape)
+        diff = rng.normal(scale=2.0, size=(n_blocks, ncomp, n, k))
         got = _mvn_logpdf(step_layout(diff), roots)
         assert got.shape == (n_blocks, ncomp, n)
         for b in range(n_blocks):
             for c in range(ncomp):
                 cov = np.linalg.inv(roots[b, c] @ roots[b, c].T)
                 for i in range(n):
-                    x = diff[b, c, i] if per_component else diff[b, i]
-                    expected = dense_mvn_logpdf(x, cov)
+                    expected = dense_mvn_logpdf(diff[b, c, i], cov)
                     assert got[b, c, i] == pytest.approx(expected, rel=1e-9, abs=1e-9)
 
     def test_wishart_root_is_lower_triangular_and_deterministic(self):

@@ -23,7 +23,6 @@ from offerlab.storage import (
     FLAG,
     FLOAT,
     INT,
-    TEXT,
     Cell,
     canonical_json,
     derive_seed,
@@ -33,6 +32,9 @@ from offerlab.storage import (
     write_csv_atomic,
 )
 
+# free text for files written here by hand or by csv.writer, where only
+# the parser matters; no artifact holds free text
+TEXT = Cell(str, str)
 SCHEMA = {"name": TEXT, "value": FLOAT}
 
 
@@ -74,6 +76,29 @@ class TestReadCsv:
         path.write_text("name,value\na,2\n")
         with pytest.raises(ParseError, match="line 2"):
             read_csv(path, {"name": TEXT, "value": Cell({"0": 0, "1": 1}.__getitem__, str)})
+
+    @pytest.mark.parametrize("line, n_rows", [(2, 3), (3001, 4000)])
+    def test_a_file_that_is_not_utf8_is_named(self, tmp_path, line, n_rows):
+        """A byte that is not UTF-8, in the first chunk the reader decodes or
+        more than 8 KB into the file, is a ``ParseError`` naming the file."""
+        schema = {"a": INT, "b": FLOAT}
+        lines = [b"a,b"] + [b"%d,%d.5" % (i, i) for i in range(n_rows)]
+        lines[line - 1] += b"\xff"
+        data = b"\n".join(lines) + b"\n"
+        assert (data.index(b"\xff") > 8192) == (line > 2)
+        path = tmp_path / "bytes.csv"
+        path.write_bytes(data)
+        with pytest.raises(ParseError) as info:
+            read_csv(path, schema)
+        assert str(info.value) == f"{path} is not UTF-8: invalid start byte"
+
+    @pytest.mark.parametrize("pad", [0, 9000])
+    def test_a_json_artifact_that_is_not_utf8_is_named(self, tmp_path, pad):
+        path = tmp_path / "header.json"
+        path.write_bytes(b'{"a": "' + b"x" * pad + b'\xff"}')
+        with pytest.raises(DataIntegrityError) as info:
+            storage.read_json_artifact(path)
+        assert str(info.value) == f"{path} is not UTF-8: invalid start byte"
 
     def test_rows_come_back_in_file_order(self, tmp_path):
         path = tmp_path / "ok.csv"
@@ -194,10 +219,12 @@ class TestReadByColumns:
 
 class TestRoundTrip:
     def test_comma_and_quote_are_quoted(self, tmp_path):
+        name = storage.enum_cell("name", {'a,"b"': 'a,"b"', "plain": "plain"})
+        schema = {"name": name, "value": FLOAT}
         path = tmp_path / "quoted.csv"
-        write_csv_atomic(path, SCHEMA, [['a,"b"', "plain"], [1.5, 1 / 3]])
+        write_csv_atomic(path, schema, [['a,"b"', "plain"], [1.5, 1 / 3]])
         assert path.read_text() == 'name,value\n"a,""b""",1.5\nplain,0.3333333333333333\n'
-        assert read_csv(path, SCHEMA) == [('a,"b"', "plain"), (1.5, 1 / 3)]
+        assert read_csv(path, schema) == [('a,"b"', "plain"), (1.5, 1 / 3)]
 
     @pytest.mark.parametrize("block", [1, 2, 5, 1024])
     def test_rows_written_block_by_block_read_back_in_order(self, tmp_path, monkeypatch, block):
@@ -206,52 +233,9 @@ class TestRoundTrip:
         path = tmp_path / "blocks.csv"
         write_csv_atomic(path, SCHEMA, [names, values])
         assert read_csv(path, SCHEMA) == [tuple(names), tuple(values)]
-        names[5] = "a\rb"
-        with pytest.raises(DataIntegrityError, match="blocks.csv: name in row 6: "):
+        values[5] = "oops"
+        with pytest.raises(DataIntegrityError, match="blocks.csv: value in row 6: "):
             write_csv_atomic(path, SCHEMA, [names, values])
-
-    @given(
-        st.lists(
-            st.tuples(
-                st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00")),
-                st.floats(allow_nan=False),
-            ),
-            max_size=8,
-        )
-    )
-    @example([("\r", 0.0)])
-    @example([("ok", 1.0), ("a\r\nb", 2.0)])
-    def test_text_and_float_cells_round_trip(self, tmp_path_factory, rows):
-        """Text holding a carriage return is refused by column and row;
-        any other text round-trips."""
-        path = tmp_path_factory.mktemp("csv") / "rows.csv"
-        columns = [[name for name, _ in rows], [value for _, value in rows]]
-        refused = [i for i, (name, _) in enumerate(rows) if "\r" in name]
-        if refused:
-            message = f"rows.csv: name in row {refused[0] + 1}: a carriage return"
-            with pytest.raises(DataIntegrityError, match=message):
-                write_csv_atomic(path, SCHEMA, columns)
-            assert not path.exists()
-        else:
-            write_csv_atomic(path, SCHEMA, columns)
-            assert read_csv(path, SCHEMA) == [tuple(column) for column in columns]
-
-    @pytest.mark.parametrize("text", ["x", '"', "a,\n"])
-    def test_text_longer_than_the_reader_field_limit_is_refused(self, tmp_path, text):
-        """The longest cell the csv reader accepts round-trips, quoted or
-        not; a longer one is refused by file, column and row, and nothing
-        is written."""
-        limit = csv.field_size_limit()
-        longest = (text * limit)[:limit]
-        path = tmp_path / "long.csv"
-        write_csv_atomic(path, SCHEMA, [["short", longest], [0.0, 1.0]])
-        assert read_csv(path, SCHEMA) == [("short", longest), (0.0, 1.0)]
-        path.unlink()
-        for n in (limit + 1, 200_000):
-            message = rf"long\.csv: name in row 2: {n} characters exceed the csv reader's field limit"
-            with pytest.raises(DataIntegrityError, match=message):
-                write_csv_atomic(path, SCHEMA, [["short", "x" * n], [0.0, 1.0]])
-            assert not path.exists()
 
 
 # characters that make csv.writer quote a cell, and some that do not
@@ -259,7 +243,6 @@ QUOTING_TEXT = st.text(st.sampled_from(list(',"\n abé')), max_size=6)
 QUOTING_CODES = {"comma": "x,y", "quote": 'say "hi"', "blank": "", "lines": "a\nb", "plain": "p"}
 # cell kinds: (cell, the text csv.writer is given for a value, the values)
 WRITTEN_KINDS = {
-    "text": (TEXT, str, QUOTING_TEXT),
     "float": (FLOAT, lambda value: repr(float(value)), st.floats(allow_nan=False)),
     "int": (INT, str, st.integers(-(2**63), 2**63 - 1)),
     "enum": (
@@ -306,7 +289,7 @@ class TestWriterMatchesCsvModule:
 SCHEMAS = {
     name: getattr(module, name)
     for module, names in (
-        (datasets, ("OFFER_CSV", "CUSTOMER_CSV", "TRUTH_CSV", "SCORE_CSV", "MULTINOMIAL_CSV")),
+        (datasets, ("OFFER_CSV", "CUSTOMER_CSV", "TRUTH_CSV", "SCORE_CSV")),
         (cli, ("SEGMENT_CSV", "DISTRIBUTION_CSV", "TUNING_CSV", "LIFT_CSV", "POLICY_CSV")),
     )
     for name in names
@@ -316,7 +299,6 @@ SCHEMAS = {
 VALUES = {
     INT: st.integers(-(2**63), 2**63 - 1),
     FLOAT: st.floats(allow_nan=False),
-    TEXT: st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\r\x00")),
     FLAG: st.booleans(),
     datasets.OUTCOME: st.sampled_from([ACCEPTED, REJECTED, UNLABELED]),
     datasets.MRP: st.none() | st.floats(allow_nan=False),
