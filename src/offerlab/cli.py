@@ -44,6 +44,7 @@ from .storage import (
     FLAG,
     FLOAT,
     INT,
+    artifact_file,
     canonical_json,
     enum_cell,
     load_dataclass,
@@ -117,9 +118,7 @@ BASE_RATE_JSON = "base_rate.json"
 def _fit(out: Path, config: PipelineConfig, args) -> list[str]:
     # hashed before it is read: a train.csv rewritten during the fit then
     # fails evaluate's check instead of passing under the old data's rate
-    train = out / "train.csv"
-    if not train.exists():
-        raise MissingArtifactError(str(train))
+    train = artifact_file(out / "train.csv")
     train_sha256 = sha256_file(train)
     offers = read_offer_csv(train)
     customers, _ = read_customers_csv(out / "customers.csv")
@@ -135,10 +134,9 @@ def _training_base_rate(out: Path) -> float:
     checked against the hash recorded with it.  A missing record is a
     ``MissingArtifactError``; a malformed one, or a ``train.csv`` that has
     changed since, is a ``DataIntegrityError`` naming the file."""
-    path, train = out / BASE_RATE_JSON, out / "train.csv"
+    path = out / BASE_RATE_JSON
     obj = read_json_artifact(path)
-    if not train.exists():
-        raise MissingArtifactError(str(train))
+    train = artifact_file(out / "train.csv")
     try:
         record = load_dataclass(BaseRate, obj, str(path))
     except ConfigurationError as exc:

@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass, fields
 from datetime import datetime
 from functools import cache
-from pathlib import Path
 
 import numpy as np
 
@@ -43,10 +42,18 @@ from .errors import (
     DataIntegrityError,
     EmptySelectionError,
     InvalidInputError,
-    MissingArtifactError,
     ParseError,
 )
-from .storage import FLOAT, INT, Cell, enum_cell, read_csv, seeded_rng, write_csv_atomic
+from .storage import (
+    FLOAT,
+    INT,
+    Cell,
+    artifact_file,
+    enum_cell,
+    read_csv,
+    seeded_rng,
+    write_csv_atomic,
+)
 
 # the outcome cell of an offer row: 1, 0, or blank for unlabeled
 OUTCOME = enum_cell("outcome", {ACCEPTED: "1", REJECTED: "0", UNLABELED: ""})
@@ -264,9 +271,7 @@ def ingest_retail_csv(path, product_filter=None) -> RetailChoices:
     to the ``RETAIL_PRODUCTS`` highest-volume codes whose description
     contains "CUP".
     """
-    path = Path(path)
-    if not path.exists():
-        raise MissingArtifactError(str(path))
+    path = artifact_file(path)
     rows = []  # (line, customer, quantity, invoice, date, stock, description)
     with open(path, newline="", encoding="utf-8", errors="replace") as fh:
         reader = csv.reader(fh)

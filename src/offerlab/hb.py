@@ -27,6 +27,18 @@ which keeps every stream in place, and returns zeros, as the weight step
 returns ones, and the membership and step (e)'s member covariates, which
 then never change, are formed once.
 
+Where a sweep's variates come from: every block draws from its own
+generator, in-process, except in a chain of one block and one component
+(the ``fit`` stage's at the default ``ncomp = 1``) of at least
+``DRAW_AHEAD_VALUES`` variates a sweep, about 2000 customers, when
+``shares.can_fork`` allows a second process.  Such a chain makes the same generator calls, with
+the same arguments, every sweep, so sweep 1 records them and a process
+forked then draws every later sweep's values one sweep ahead, in stream
+order, and streams them over a pipe (``_sweeps``).  The steps call a
+stand-in generator that checks each call against the recorded one, so the
+draws are bit-identical to the in-process chain's and a step that changes
+its draws is an error naming the call.
+
 Step (a) forms only what its accept test reads.  A row's log likelihood is
 -log(1 + e^v) at v = (1 - 2y) x.beta, the K products summed in order, and
 log(1 + e^v) is numpy's scalar ``logaddexp`` formula written out in
@@ -41,8 +53,12 @@ the tests pin both.
 
 from __future__ import annotations
 
+import contextlib
+import functools
+import itertools
 import logging
 import math
+import os
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -54,10 +70,12 @@ from .errors import (
     DataIntegrityError,
     EstimationError,
     InvalidInputError,
-    MissingArtifactError,
+    OfferLabError,
     UnknownCustomerError,
 )
+from .shares import can_fork, forking
 from .storage import (
+    artifact_file,
     check_finite_fields,
     load_dataclass,
     read_json_artifact,
@@ -79,6 +97,16 @@ _LOG_2PI = math.log(2.0 * math.pi)
 # bounds the (draws x rows x K) coefficient gather and the (draws x rows)
 # utility temporary however many draws the posterior keeps
 PREDICT_PAIRS = 1 << 15
+
+# the fewest variates per sweep, step (a)'s n (K + 1), at which a one-block
+# chain draws ahead: after a fork, each page of the chain's process takes a
+# copy-on-write fault at its first write, and below this the faults cost
+# about what moving the draws to the other CPU saves (at K = 3 the two
+# matched at 1000 to 2000 customers on a 2-vCPU VM, keeping every draw)
+DRAW_AHEAD_VALUES = 1 << 13
+# the pipe size a chain that draws ahead asks for: several sweeps' variates
+# of 5000 customers (about 160 KB each at K = 3)
+PIPE_BYTES = 1 << 20
 
 # ridge on the pooled logit's Newton steps, which start the sampler
 POOLED_RIDGE = 1e-6
@@ -243,9 +271,7 @@ class PosteriorDraws:
         # (first array, size) of each axis letter; N's is the header's id count
         sizes = {"N": (None, len(ids))}
         for name, axes in cls._AXES.items():
-            file = path / f"{name}.npy"
-            if not file.exists():
-                raise MissingArtifactError(str(file))
+            file = artifact_file(path / f"{name}.npy")
             try:  # a dtype that does not cast safely to float64 is refused too
                 arrays[name] = array = np.load(file).astype(float, casting="safe", copy=False)
             except (ValueError, EOFError, TypeError) as exc:
@@ -337,7 +363,11 @@ def build_panel(offers, covariates=None):
 # prior ratio projects both deviations by one (K, 2n) GEMM per component,
 # picks each customer's squared norm under its own component, and updates
 # its state by np.where selects, half the time of masked copies.  Retained betas are transposed
-# to (customers, K) as they are kept.
+# to (customers, K) as they are kept.  The steps draw from ``_Chain.rngs``:
+# one generator per block, or, in a chain that draws ahead, a ``_Tape`` that
+# hands out the values a forked ``_produce`` drew for the sweep, read from
+# its pipe into one reused buffer.  Step (d)'s Bartlett variates are drawn
+# into two lists and stored by one diagonal and one below-diagonal store.
 
 
 def _pooled_logit(X: np.ndarray, y: np.ndarray):
@@ -460,17 +490,32 @@ def _wishart_root(rngs, dof, scale, draw):
     (the chi-square, then the normals left of the diagonal), then z."""
     n_blocks, ncomp, k, _ = scale.shape
     L = _chol_or_abort(np.linalg.inv(scale), draw, "inverse scale of component {1}")
-    A = np.zeros(scale.shape)
-    z = np.empty((n_blocks, ncomp, k))
-    for b, rng in enumerate(rngs):
-        for c, component_dof in enumerate(dof[b].tolist()):
-            factor = A[b, c]
+    chisquares, normals = [], []
+    for rng, block_dof in zip(rngs, dof.tolist()):
+        for component_dof in block_dof:
             for i in range(k):
-                factor[i, i] = math.sqrt(rng.chisquare(component_dof - i))
+                chisquares.append(rng.chisquare(component_dof - i))
                 if i:
-                    factor[i, :i] = rng.standard_normal(i)
-            z[b, c] = rng.standard_normal(k)
-    return L @ A, z
+                    normals.append(rng.standard_normal(i))
+            normals.append(rng.standard_normal(k))
+    # each (block, component)'s normals: the factor's lower triangle row by
+    # row, then z
+    m = k * (k - 1) // 2
+    normals = np.concatenate(normals).reshape(-1, m + k)
+    A = np.zeros((n_blocks * ncomp, k * k))
+    A[:, :: k + 1] = np.sqrt(chisquares).reshape(-1, k)
+    A[:, _below_diagonal(k)] = normals[:, :m]
+    return L @ A.reshape(scale.shape), normals[:, m:].reshape(n_blocks, ncomp, k)
+
+
+@functools.cache
+def _below_diagonal(k):
+    """Flat indices of the entries below the diagonal of a k x k matrix, row
+    by row (``np.tril_indices`` takes longer than a small Bartlett draw)."""
+    rows, cols = np.tril_indices(k, -1)
+    index = rows * k + cols
+    index.flags.writeable = False
+    return index
 
 
 def _own_sq_norms(diff, roots, member):
@@ -787,6 +832,176 @@ class _Chain:
         return self.weights, self.mu, self.roots, self.delta
 
 
+class _Tape:
+    """A one-block chain's generator as its steps call it when the chain
+    draws ahead (``_sweeps``).
+
+    Sweep 1 draws from ``rng`` itself and records each call, (method,
+    argument).  ``start`` then forks ``_produce`` on a copy of the
+    generator and the record, and every later call is checked against the
+    recorded call at its place and answered by that call's view of one
+    buffer, into which ``read`` loads each sweep's values.  The next sweep
+    overwrites the buffer, so a step consumes its draws within its sweep,
+    as every step does."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.calls = []  # (method, argument) of each call of sweep 1
+        self.views = None  # each call's values in the buffer; None while recording
+        self.made = 0  # calls made so far in draw ``draw``
+        self.draw = 1
+        self.buffer = self.data = self.pipe = self.child = None
+
+    def standard_normal(self, size):
+        return self._call("standard_normal", size)
+
+    def random(self, size):
+        return self._call("random", size)
+
+    def chisquare(self, df):
+        return self._call("chisquare", df)
+
+    @property
+    def bit_generator(self):
+        return self
+
+    def advance(self, delta):
+        self._call("advance", delta)
+
+    def _call(self, method, arg):
+        if self.views is None:
+            self.calls.append((method, arg))
+            if method == "advance":
+                return self.rng.bit_generator.advance(arg)
+            return getattr(self.rng, method)(arg)
+        made = self.made
+        if made == len(self.calls) or self.calls[made] != (method, arg):
+            recorded = "{}({!r})".format(*self.calls[made]) if made < len(self.calls) else "none"
+            raise EstimationError(
+                f"block 0: generator call {made + 1} of draw {self.draw} is {method}({arg!r}); "
+                f"that of draw 1 was {recorded}",
+                block=0,
+            )
+        self.made += 1
+        view = self.views[made]
+        return float(view) if method == "chisquare" else view
+
+    def start(self, fork, sweeps: int) -> None:
+        """Start the producer of the next ``sweeps`` sweeps by ``fork``
+        (``shares.forking``) on a pipe grown to ``PIPE_BYTES`` where the
+        platform lets it; every later call is replayed."""
+        # the shape of each call's values; advance draws none
+        shapes = [
+            None if method == "advance" else () if method == "chisquare"
+            else tuple(np.atleast_1d(arg).tolist())
+            for method, arg in self.calls
+        ]
+        sizes = [0 if shape is None else math.prod(shape) for shape in shapes]
+        self.buffer, self.made = np.empty(sum(sizes)), len(self.calls)
+        self.data = memoryview(self.buffer).cast("B")
+        self.views = [
+            None if shape is None else self.buffer[start - size : start].reshape(shape)
+            for shape, size, start in zip(shapes, sizes, itertools.accumulate(sizes))
+        ]
+        import fcntl
+
+        read_end, write_end = os.pipe()
+        try:
+            if hasattr(fcntl, "F_SETPIPE_SZ"):
+                with contextlib.suppress(OSError):  # beyond the user's limit: the default size
+                    fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, PIPE_BYTES)
+            self.child = fork(_produce, self, write_end, read_end, sweeps)
+        except BaseException:
+            os.close(read_end)
+            raise
+        finally:
+            os.close(write_end)
+        self.pipe = open(read_end, "rb", buffering=0)
+
+    def read(self, draw: int) -> None:
+        """Load draw ``draw``'s values from the producer, once the draw
+        before has made every recorded call.  A producer that exits first
+        is an ``OfferLabError``."""
+        self.check_made()
+        got = 0
+        while got < len(self.data):
+            count = self.pipe.readinto(self.data[got:])
+            if not count:
+                self.child.join()
+                raise OfferLabError(
+                    f"the process drawing the chain's variates exited with code "
+                    f"{self.child.exitcode} before sending those of draw {draw}"
+                )
+            got += count
+        self.made, self.draw = 0, draw
+
+    def check_made(self) -> None:
+        """Refuse a draw that made fewer calls than draw 1."""
+        if self.made != len(self.calls):
+            raise EstimationError(
+                f"block 0: draw {self.draw} made {self.made} of the {len(self.calls)} "
+                "generator calls of draw 1",
+                block=0,
+            )
+
+
+def _produce(tape, write_end, read_end, sweeps):
+    """A ``_Tape``'s producer, in the forked process: ``sweeps`` times,
+    replay the tape's recorded calls on its copy of the generator into its
+    buffer, and write the buffer to the pipe ``write_end``."""
+    os.close(read_end)
+    rng, data = tape.rng, tape.data
+    with open(write_end, "wb", buffering=0) as pipe:
+        for _ in range(sweeps):
+            for (method, arg), view in zip(tape.calls, tape.views):
+                if method == "advance":
+                    rng.bit_generator.advance(arg)
+                elif method == "chisquare":
+                    view[...] = rng.chisquare(arg)
+                else:
+                    getattr(rng, method)(out=view)
+            sent = 0
+            while sent < len(data):
+                sent += pipe.write(data[sent:])
+
+
+@contextlib.contextmanager
+def _sweeps(chain, total_draws: int):
+    """A ``sweep(it)`` that runs ``chain.sweep(it)`` for ``it`` = 1, ...,
+    ``total_draws`` in turn.
+
+    A chain of one block and one component whose sweep draws at least
+    ``DRAW_AHEAD_VALUES`` variates draws ahead when ``shares.can_fork``
+    allows a second process: sweep 1 records its generator calls on a
+    ``_Tape``, and a forked producer draws every later sweep's values, in
+    stream order, while the chain computes.  The draws are those of the
+    generator itself.  A stacked chain, or one of several components, whose
+    Dirichlet and chi-square parameters follow the counts, draws
+    in-process.  The producer is joined on every path."""
+    n_blocks, n_params, n = chain.beta.shape
+    small = n * (n_params + 1) < DRAW_AHEAD_VALUES
+    if n_blocks > 1 or chain.mu.shape[1] > 1 or small or not can_fork():
+        yield chain.sweep
+        return
+    tape = _Tape(chain.rngs[0])
+    chain.rngs = [tape]
+    try:
+        with forking() as fork:
+
+            def sweep(it):
+                if it > 1:
+                    tape.read(it)
+                chain.sweep(it)
+                if it == 1:
+                    tape.start(fork, total_draws - 1)
+
+            yield sweep
+            tape.check_made()
+    finally:
+        if tape.pipe is not None:
+            tape.pipe.close()
+
+
 def fit_hb_panels(panels, ncomp: int, config: McmcConfig, seeds) -> list[PosteriorDraws]:
     """Run one Metropolis-within-Gibbs chain over a stack of panels (blocks).
 
@@ -807,17 +1022,18 @@ def fit_hb_panels(panels, ncomp: int, config: McmcConfig, seeds) -> list[Posteri
     out_loglik = np.empty((n_keep, len(panels)))
     out_population = [np.empty((n_keep, *array.shape)) for array in chain.population()]
     adapt_every = max(min(25, config.burn_in // 4), 1)
-    for it in range(1, config.total_draws + 1):
-        chain.sweep(it)
-        if it <= config.burn_in and it % adapt_every == 0:
-            chain.adapt()
-        if it > config.burn_in and (it - config.burn_in) % config.keep == 0:
-            kept = (it - config.burn_in) // config.keep - 1
-            for b, n in enumerate(chain.sizes):
-                out_betas[b][kept] = chain.beta[b, :, :n].T
-                out_loglik[kept, b] = chain.loglik[b, :n].sum()
-            for out, array in zip(out_population, chain.population()):
-                out[kept] = array
+    with _sweeps(chain, config.total_draws) as sweep:
+        for it in range(1, config.total_draws + 1):
+            sweep(it)
+            if it <= config.burn_in and it % adapt_every == 0:
+                chain.adapt()
+            if it > config.burn_in and (it - config.burn_in) % config.keep == 0:
+                kept = (it - config.burn_in) // config.keep - 1
+                for b, n in enumerate(chain.sizes):
+                    out_betas[b][kept] = chain.beta[b, :, :n].T
+                    out_loglik[kept, b] = chain.loglik[b, :n].sum()
+                for out, array in zip(out_population, chain.population()):
+                    out[kept] = array
 
     fits = []
     for b, (block, seed, n) in enumerate(zip(blocks, seeds, chain.sizes)):

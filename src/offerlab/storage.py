@@ -17,7 +17,8 @@ an ``enum_cell`` code that holds a comma, a double quote or a newline
 quotes itself, and a number never needs it.  ``FLOAT`` writes round-trip
 repr, so values read back exactly.  A file that is not UTF-8 is refused
 by name, as a ``ParseError`` for a CSV and a ``DataIntegrityError`` for
-JSON.
+JSON.  Every artifact reader checks its path with ``artifact_file``, so a
+directory where an artifact file should be is refused by name too.
 
 Config JSON has one reader too: ``load_dataclass`` builds a dataclass from
 a parsed JSON object by the dataclass's own annotations and refuses an
@@ -64,13 +65,24 @@ def write_json_atomic(path, obj) -> None:
     write_text_atomic(path, canonical_json(obj) + "\n")
 
 
-def read_json_artifact(path):
-    """The JSON value an artifact file holds.  A missing file is a
-    ``MissingArtifactError``, one that is not UTF-8 JSON a
-    ``DataIntegrityError`` naming it."""
+def artifact_file(path) -> Path:
+    """``path`` as a ``Path``, once it names a file an artifact can be read
+    from: nothing there is a ``MissingArtifactError``, anything else (a
+    directory, say) a ``DataIntegrityError`` naming it.  Every artifact
+    reader checks its path so."""
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
+        if path.exists():
+            raise DataIntegrityError(f"{path} is not a file")
         raise MissingArtifactError(str(path))
+    return path
+
+
+def read_json_artifact(path):
+    """The JSON value an artifact file holds.  A path ``artifact_file``
+    refuses is refused so, a file that is not UTF-8 JSON is a
+    ``DataIntegrityError`` naming it."""
+    path = artifact_file(path)
     try:
         return json.loads(path.read_text(encoding="utf-8"))
     except UnicodeDecodeError as exc:
@@ -137,15 +149,14 @@ def write_csv_atomic(path, schema: dict, columns) -> None:
 
 def read_csv(path, schema: dict) -> list:
     """The columns of the CSV ``path``, one tuple per column of ``schema``, in
-    file order.  A missing file is a ``MissingArtifactError``, a header other
+    file order.  A path ``artifact_file`` refuses is refused, a header other
     than ``schema``'s names a ``DataIntegrityError``, a file that is not
     UTF-8 a ``ParseError`` naming it, and a row of the wrong width or a cell
     its column refuses a ``ParseError`` naming the line.
 
     Rows are parsed by column, ``CSV_BLOCK_ROWS`` at a time; a block that
     fails sends the file through ``_read_rows``, which names the line."""
-    if not os.path.exists(path):
-        raise MissingArtifactError(str(path))
+    artifact_file(path)
     parsers = [cell.parse for cell in schema.values()]
     columns = [[] for _ in parsers]
     try:

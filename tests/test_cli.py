@@ -764,6 +764,27 @@ class TestStageInputs:
         assert message in capsys.readouterr().err
         assert not (out / output).exists()
 
+    @pytest.mark.parametrize(
+        "stage, artifact",
+        [("evaluate", "--compare"), ("evaluate", BASE_RATE_JSON),
+         ("predict", "posterior/betas.npy"), ("predict", "test.csv")],
+        ids=["compare", "base-rate", "posterior-array", "test-csv"],
+    )
+    def test_a_directory_where_an_artifact_file_should_be_is_refused_by_name(
+        self, pipeline, tmp_path, capsys, stage, artifact
+    ):
+        out, config_path = copy_run(pipeline, tmp_path)
+        argv = [stage, "--config", str(config_path)]
+        if artifact == "--compare":
+            path = tmp_path / "compare"
+            argv += ["--compare", str(path)]
+        else:
+            path = out / artifact
+            path.unlink()
+        path.mkdir()
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"offerlab {stage}: {path} is not a file\n"
+
     def test_fit_refuses_repeated_offer_rows(self, pipeline, tmp_path, capsys):
         out, config_path = copy_run(pipeline, tmp_path)
         rewrite_rows(out / "train.csv", lambda rows: rows.append(rows[1]))

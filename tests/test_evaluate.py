@@ -596,6 +596,15 @@ class TestTuningShares:
         report = tune_ncomp(offers, covariates, [1, 2, 3], scheme, config)
         assert [row.mean_accuracy for row in report.rows] == [1, 2, 3]
 
+    def test_no_process_of_running_shares_forks_again(self, cpus):
+        # the shares fill the usable CPUs, so a one-block fit in one of them
+        # draws its variates in-process
+        scored = shares.scored_in_shares(
+            [1, 2, 3], lambda task: shares.can_fork(), "checking", weight=lambda task: 1
+        )
+        assert scored == {1: False, 2: False, 3: False}
+        assert shares.can_fork() == (cpus > 1)
+
     def test_a_pool_worker_scores_every_candidate_itself(self, cpus, reference):
         # a daemonic process may not have children
         (offers, covariates, scheme, config), rows = reference

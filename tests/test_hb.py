@@ -1,6 +1,8 @@
 import io
 import json
 import math
+import multiprocessing
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -8,13 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from offerlab import hb
+from offerlab import hb, shares
 from offerlab.choice import ACCEPTED, REJECTED, UNLABELED, Offers, join, logistic
 from offerlab.errors import (
     ConfigurationError,
     DataIntegrityError,
     EstimationError,
     InvalidInputError,
+    OfferLabError,
     UnknownCustomerError,
 )
 from offerlab.hb import (
@@ -609,6 +612,195 @@ class TestChain:
             assert np.array_equal(fit.delta[-1], chain.delta[b])
             assert fit.log_likelihood[-1] == chain.loglik[b, :n].sum()
             assert np.array_equal(fit.acceptance_rates, rates)
+
+
+# a chain long enough for four proposal refits in burn-in, keeping every
+# third draw after it
+AHEAD_CONFIG = McmcConfig(total_draws=90, burn_in=40, keep=3, seed=17)
+# the producer, which a test replaces by one that sends fewer sweeps
+PRODUCE = hb._produce
+
+
+def counting_forks(monkeypatch, cpus):
+    """Make ``cpus`` CPUs usable and a chain of any size draw ahead; returns
+    the list that each process this process starts is appended to."""
+    started = []
+    start = multiprocessing.process.BaseProcess.start
+
+    def counted(process):
+        started.append(process)
+        start(process)
+
+    monkeypatch.setattr(shares, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(hb, "DRAW_AHEAD_VALUES", 1)
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counted)
+    return started
+
+
+def assert_no_child_left():
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestDrawAhead:
+    """A chain of one block and one component draws its variates a sweep
+    ahead in a forked process when a second CPU is usable, with the draws of
+    the chain that draws them itself."""
+
+    @pytest.mark.parametrize("n_cov", [0, 1, 2])
+    @pytest.mark.parametrize("n_customers, seed", [(1, 3), (9, 5), (40, 8)])
+    def test_drawn_ahead_fit_equals_the_in_process_fit(
+        self, monkeypatch, n_customers, seed, n_cov
+    ):
+        panel = random_panel(seed, n_customers, n_cov)
+        started = counting_forks(monkeypatch, 1)
+        alone = fit_hb_panel(*panel, config=AHEAD_CONFIG)
+        assert started == []
+        monkeypatch.setattr(shares, "_usable_cpus", lambda: 2)
+        ahead = fit_hb_panel(*panel, config=AHEAD_CONFIG)
+        assert len(started) == 1
+        assert ahead.customer_ids == alone.customer_ids and ahead.config == alone.config
+        for name in PosteriorDraws._AXES:
+            assert np.array_equal(getattr(ahead, name), getattr(alone, name)), name
+        assert_no_child_left()
+
+    def test_drawn_ahead_fit_equals_its_pinned_record(self, monkeypatch):
+        started = counting_forks(monkeypatch, 2)
+        config = McmcConfig(total_draws=80, burn_in=20, keep=3, seed=9)
+        draws = fit_hb_panel(*random_panel(5, 12, 1), config=config)
+        assert len(started) == 1
+        accepted = np.rint(draws.acceptance_rates * config.total_draws)
+        assert accepted.tolist() == PINNED_SMALL_FIT[1]["accepted"]
+        np.testing.assert_allclose(
+            draws.betas.mean(axis=0), PINNED_SMALL_FIT[1]["betas"], rtol=1e-9, atol=0
+        )
+        assert_no_child_left()
+
+    @pytest.mark.parametrize(
+        "produce, code, draw",
+        [
+            (lambda tape, write_end, read_end, sweeps: os._exit(3), 3, 2),
+            # five sweeps sent, then a normal exit
+            (lambda tape, *pipe_ends: PRODUCE(tape, *pipe_ends[:2], 5), 0, 7),
+        ],
+        ids=["killed", "short"],
+    )
+    def test_a_producer_that_exits_early_is_named(self, monkeypatch, produce, code, draw):
+        counting_forks(monkeypatch, 2)
+        monkeypatch.setattr(hb, "_produce", produce)
+        message = (
+            f"^the process drawing the chain's variates exited with code {code} "
+            f"before sending those of draw {draw}$"
+        )
+        with pytest.raises(OfferLabError, match=message):
+            fit_hb_panel(*random_panel(2, 6, 1), config=AHEAD_CONFIG)
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("step", ["_draw_components", "_draw_delta"])
+    def test_an_error_in_the_chain_leaves_no_child(self, monkeypatch, step):
+        started = counting_forks(monkeypatch, 2)
+        break_block_at_draw(monkeypatch, step, block=0, draw=5)
+        with pytest.raises(EstimationError, match="^block 0: Cholesky of .* failed at draw 5$"):
+            fit_hb_panel(*random_panel(2, 6, 1), config=AHEAD_CONFIG)
+        assert len(started) == 1
+        assert_no_child_left()
+
+    def test_an_interrupt_leaves_no_child(self, monkeypatch):
+        started = counting_forks(monkeypatch, 2)
+        adapt = hb._Chain.adapt
+
+        def interrupted(chain, covs=None):
+            if covs is None:  # the first refit in burn-in, after draw 10
+                raise KeyboardInterrupt
+            adapt(chain, covs)
+
+        monkeypatch.setattr(hb._Chain, "adapt", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            fit_hb_panel(*random_panel(2, 6, 1), config=AHEAD_CONFIG)
+        assert len(started) == 1
+        assert_no_child_left()
+
+    def test_a_step_that_asks_for_another_variate_is_named(self, monkeypatch):
+        counting_forks(monkeypatch, 2)
+        original, calls = hb._draw_indicators, []
+
+        def extra_draw(rngs, sizes, *args):
+            calls.append(None)
+            if len(calls) == 3:
+                rngs[0].standard_normal(2)
+            return original(rngs, sizes, *args)
+
+        monkeypatch.setattr(hb, "_draw_indicators", extra_draw)
+        # a draw's calls: (a)'s normals and uniforms, then (b)'s advance
+        message = (
+            r"^block 0: generator call 3 of draw 3 is standard_normal\(2\); "
+            r"that of draw 1 was advance\(6\)$"
+        )
+        with pytest.raises(EstimationError, match=message):
+            fit_hb_panel(*random_panel(2, 6, 1), config=AHEAD_CONFIG)
+        assert_no_child_left()
+
+    def test_a_step_that_skips_a_variate_is_named(self, monkeypatch):
+        counting_forks(monkeypatch, 2)
+        original = hb._draw_delta
+
+        def skipped(rngs, dev, Zk, ZZ, roots, amu, draw):
+            if draw == 4:
+                return np.zeros((1, dev.shape[1], Zk.shape[2]))
+            return original(rngs, dev, Zk, ZZ, roots, amu, draw)
+
+        monkeypatch.setattr(hb, "_draw_delta", skipped)
+        message = "^block 0: draw 4 made 9 of the 10 generator calls of draw 1$"
+        with pytest.raises(EstimationError, match=message):
+            fit_hb_panel(*random_panel(2, 6, 1), config=AHEAD_CONFIG)
+        assert_no_child_left()
+
+    @pytest.mark.parametrize(
+        "cpus, ncomp, sizes",
+        [(2, 1, [6, 4]), (2, 2, [6]), (2, 3, [6, 4]), (1, 1, [6])],
+        ids=["stacked", "two-components", "stacked-three-components", "one-cpu"],
+    )
+    def test_these_chains_draw_in_process(self, monkeypatch, cpus, ncomp, sizes):
+        panels = [random_panel(b, n, 1) for b, n in enumerate(sizes)]
+        seeds = list(range(len(sizes)))
+        started = counting_forks(monkeypatch, cpus)
+        fits = fit_hb_panels(panels, ncomp, AHEAD_CONFIG, seeds)
+        assert started == []
+        monkeypatch.setattr(shares, "_usable_cpus", lambda: 1)
+        for fit, expected in zip(fits, fit_hb_panels(panels, ncomp, AHEAD_CONFIG, seeds)):
+            for name in PosteriorDraws._AXES:
+                assert np.array_equal(getattr(fit, name), getattr(expected, name)), name
+
+    @pytest.mark.parametrize("n_customers", [6, 511, 512])
+    def test_a_chain_of_few_variates_a_sweep_draws_in_process(self, monkeypatch, n_customers):
+        # 512 customers at K = 3 draw 2048 variates in step (a)
+        started = counting_forks(monkeypatch, 2)
+        monkeypatch.setattr(hb, "DRAW_AHEAD_VALUES", 2048)
+        fit_hb_panel(*random_panel(2, n_customers, 0), config=STACK_CONFIG)
+        assert len(started) == (n_customers == 512)
+        assert_no_child_left()
+
+    def test_a_daemonic_process_draws_in_process(self, monkeypatch):
+        # a Pool worker may not start a process: one that tried would fail
+        monkeypatch.setattr(shares, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(hb, "DRAW_AHEAD_VALUES", 1)
+        panel = random_panel(2, 6, 1)
+        pool = multiprocessing.get_context("fork").Pool(1)
+        try:
+            got = pool.apply(fit_hb_panel, panel, {"config": AHEAD_CONFIG})
+        finally:
+            pool.close()
+            pool.join()
+        expected = fit_hb_panel(*panel, config=AHEAD_CONFIG)
+        for name in PosteriorDraws._AXES:
+            assert np.array_equal(getattr(got, name), getattr(expected, name)), name
+
+    def test_a_fit_inside_running_shares_draws_in_process(self, monkeypatch):
+        started = counting_forks(monkeypatch, 2)
+        monkeypatch.setattr(shares, "_sharing", True)
+        fit_hb_panel(*random_panel(2, 6, 1), config=AHEAD_CONFIG)
+        assert started == []
 
 
 # two customers, six offers whose labels a plane separates: without a bound
