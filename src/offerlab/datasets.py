@@ -7,9 +7,10 @@ and written and read by columns through
 returns the offer table (``choice.Offers``) checked by ``Offers.validate``,
 and ``read_customers_csv`` the customer table (``choice.Customers``)
 checked by ``Customers.validate``, so a recorded row outside the model's
-domain is refused by file, column and key.  The offer CSV holds only keys,
-design and outcome; a customer's loyalty and covariates live in the
-customer CSV alone.  ``ingest_retail_csv`` returns retail purchases as
+domain is refused by file, column and key (``read_csv`` has refused an id
+beyond 64 bits by line).  The offer CSV holds only keys, design and
+outcome; a customer's loyalty and covariates live in the customer CSV
+alone.  ``ingest_retail_csv`` returns retail purchases as
 the in-memory ``RetailChoices`` table, one row per occasion x product,
 which ``multinomial_to_panel`` turns into estimation arrays.  The splits
 work on (customer_id, occasion) key arrays and return row indices, for
@@ -72,19 +73,11 @@ SCORE_CSV = {"customer_id": INT, "occasion": INT, "alternative": INT, "score": F
 OCCASION_KEY = "(customer_id, occasion)"
 
 
-def _record_lines(path) -> list:
-    """The line on which each row of the CSV ``path`` ends, the header's
-    left out."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        return [reader.line_num for _ in reader][1:]
-
-
-def _refused(path, lines, columns: dict, error=ParseError):
-    """``error`` naming the line and the refusal of the first cell that
-    ``choice.as_ids`` refuses in ``columns`` (name: cells, one per line of
-    ``lines``), by row and then by column.  A cell may hold the
-    ``ValueError`` of a text that is not a number."""
+def _refused(path, lines, columns: dict) -> ParseError:
+    """The retail ingester's ``ParseError``, naming the line and refusal of
+    the first cell that ``choice.as_ids`` refuses in ``columns`` (name:
+    cells, one per line of ``lines``), by row and then by column; a cell may
+    hold the ``ValueError`` of a text that is not a number."""
     for lineno, *cells in zip(lines, *columns.values()):
         for name, value in zip(columns, cells):
             try:
@@ -92,7 +85,7 @@ def _refused(path, lines, columns: dict, error=ParseError):
                     raise value
                 as_ids(value, name)
             except ValueError as exc:
-                return error(f"{path}: line {lineno}: {exc}")
+                return ParseError(f"{path}: line {lineno}: {exc}")
 
 
 def write_offer_csv(path, offers: Offers) -> None:
@@ -105,12 +98,7 @@ def read_offer_csv(path) -> Offers:
     ``Offers.validate``: a row outside the model's domain or a repeated
     (customer_id, occasion) is a ``DataIntegrityError`` naming the file."""
     customer_id, occasion, *design, label = read_csv(path, OFFER_CSV)
-    try:
-        offers = Offers(customer_id, occasion, np.column_stack(design), label)
-    except InvalidInputError:  # the INT cells hold whole numbers, so one is too large
-        keys = {"customer_id": customer_id, "occasion": occasion}
-        raise _refused(path, _record_lines(path), keys, DataIntegrityError) from None
-    return offers.validate(path)
+    return Offers(customer_id, occasion, np.column_stack(design), label).validate(path)
 
 
 def write_customers_csv(path, customers: Customers) -> None:
@@ -125,11 +113,7 @@ def read_customers_csv(path):
     each id whose row carries one; a price that is not finite and > 0 is a
     ``DataIntegrityError`` naming the file, the id and the value."""
     *columns, mrp = read_csv(path, CUSTOMER_CSV)
-    try:
-        customers = Customers(*columns)
-    except InvalidInputError:  # the INT cells hold whole numbers, so one is too large
-        raise _refused(path, _record_lines(path), {"id": columns[0]}, DataIntegrityError) from None
-    customers.validate(path)
+    customers = Customers(*columns).validate(path)
     mrp = {cid: m for cid, m in zip(columns[0], mrp) if m is not None}
     for cid, m in mrp.items():
         if not 0 < m < math.inf:

@@ -231,7 +231,6 @@ class PosteriorDraws:
         """Write a header.json plus one .npy file per draw array; returns
         the names of the files written."""
         path = Path(path)
-        path.mkdir(parents=True, exist_ok=True)
         header = {
             "format": "hb-posterior-v1",
             "customer_ids": as_ids(self.customer_ids, "customer id").tolist(),

@@ -10,15 +10,17 @@ line ends.  Each is declared once, as a schema: a dict from column name,
 in order, to the ``Cell`` that parses and writes it.  ``write_csv_atomic``
 and ``read_csv``, the only CSV writer and reader, move a schema's columns;
 a file whose header is not exactly the schema's names is refused instead
-of being parsed by position.  A cell writes its value's CSV text, quoted
-where it needs it, and the writer joins each row's texts with commas, the
-bytes ``csv.writer``'s minimal quoting gives at a fraction of its time:
-an ``enum_cell`` code that holds a comma, a double quote or a newline
-quotes itself, and a number never needs it.  ``FLOAT`` writes round-trip
-repr, so values read back exactly.  A file that is not UTF-8 is refused
-by name, as a ``ParseError`` for a CSV and a ``DataIntegrityError`` for
-JSON.  Every artifact reader checks its path with ``artifact_file``, so a
-directory where an artifact file should be is refused by name too.
+of being parsed by position.  An ``INT`` cell holds a 64-bit integer;
+``read_csv`` refuses any other by line and column.  A cell writes its
+value's CSV text, quoted where it needs it, and the writer joins each
+row's texts with commas, the bytes ``csv.writer``'s minimal quoting gives
+at a fraction of its time: an ``enum_cell`` code that holds a comma, a
+double quote or a newline quotes itself, and a number never needs it.
+``FLOAT`` writes round-trip repr, so values read back exactly.  A file
+that is not UTF-8 is refused by name, as a ``ParseError`` for a CSV and a
+``DataIntegrityError`` for JSON.  Every artifact reader checks its path
+with ``artifact_file``, and every writer its target, so a directory where
+an artifact file should be is refused by name too.
 
 Config JSON has one reader too: ``load_dataclass`` builds a dataclass from
 a parsed JSON object by the dataclass's own annotations and refuses an
@@ -44,12 +46,15 @@ from pathlib import Path
 
 import numpy as np
 
+from .choice import as_ids
 from .errors import ConfigurationError, DataIntegrityError, MissingArtifactError, ParseError
 
 
 def _write_atomic(path, write) -> None:
     """Call ``write(fh)`` on a temp file beside ``path``, then rename it."""
     path = Path(path)
+    if path.is_dir():  # refused before a temp file is left beside it
+        raise DataIntegrityError(f"{path} is not a file")
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "wb") as fh:
@@ -152,13 +157,17 @@ def read_csv(path, schema: dict) -> list:
     file order.  A path ``artifact_file`` refuses is refused, a header other
     than ``schema``'s names a ``DataIntegrityError``, a file that is not
     UTF-8 a ``ParseError`` naming it, and a row of the wrong width or a cell
-    its column refuses a ``ParseError`` naming the line.
+    its column refuses (an ``INT`` beyond 64 bits too) a ``ParseError``
+    naming the line.
 
-    Rows are parsed by column, ``CSV_BLOCK_ROWS`` at a time; a block that
-    fails sends the file through ``_read_rows``, which names the line."""
+    Rows are parsed by column, ``CSV_BLOCK_ROWS`` at a time, and
+    ``choice.as_ids`` judges each ``INT`` column by its least and greatest
+    value; a block that fails, or a column it refuses, sends the file
+    through ``_read_rows``, which names the line."""
     artifact_file(path)
     parsers = [cell.parse for cell in schema.values()]
     columns = [[] for _ in parsers]
+    ints = [(name, values) for (name, cell), values in zip(schema.items(), columns) if cell is INT]
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
@@ -171,8 +180,10 @@ def read_csv(path, schema: dict) -> list:
                         raise ValueError("a row of the wrong width")
                     for values, parse, cells in zip(columns, parsers, zip(*block)):
                         values += map(parse, cells)
+                for name, values in ints:
+                    as_ids([min(values, default=0), max(values, default=0)], name)
             except (csv.Error, ValueError, KeyError):
-                columns = _read_rows(path, parsers)
+                columns = _read_rows(path, schema)
     # from the header or from _read_rows; the file is decoded a chunk at a
     # time, so the line the reader is on is not the byte's
     except UnicodeDecodeError as exc:
@@ -180,9 +191,14 @@ def read_csv(path, schema: dict) -> list:
     return [tuple(values) for values in columns]
 
 
-def _read_rows(path, parsers) -> list:
-    """``read_csv``'s columns parsed row by row, so that the first row of the
-    wrong width or with a refused cell is a ``ParseError`` naming its line."""
+def _read_rows(path, schema: dict) -> list:
+    """``read_csv``'s columns parsed row by row, each ``INT`` cell judged by
+    ``choice.as_ids``, so that the first row of the wrong width or with a
+    refused cell is a ``ParseError`` naming its line."""
+    parsers = [
+        (lambda cell, name=name: as_ids([int(cell)], name)[0].item()) if c is INT else c.parse
+        for name, c in schema.items()
+    ]
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         next(reader)

@@ -16,15 +16,16 @@ from offerlab.cli import (
     BASE_RATE_JSON,
     DISTRIBUTION_CSV,
     POLICY_CSV,
+    SEGMENT_CSV,
     TUNING_CSV,
     main,
     run_pipeline,
 )
 from offerlab.config import PipelineConfig
-from offerlab.datasets import read_offer_csv
+from offerlab.datasets import CUSTOMER_CSV, OFFER_CSV, SCORE_CSV, read_offer_csv
 from offerlab.errors import ConfigurationError, DataIntegrityError, OfferLabError
 from offerlab.hb import McmcConfig
-from offerlab.storage import sha256_file, write_csv_atomic
+from offerlab.storage import INT, sha256_file, write_csv_atomic
 
 SMALL_CONFIG = {
     "seed": 424242,
@@ -521,6 +522,33 @@ STAGE_INPUTS = [
     ("policy.csv", "report", (1, 3), 1),
 ]
 
+# the schema of each file of STAGE_INPUTS
+INPUT_SCHEMAS = {
+    "train.csv": OFFER_CSV,
+    "test.csv": OFFER_CSV,
+    "customers.csv": CUSTOMER_CSV,
+    "scores.csv": SCORE_CSV,
+    "segments.csv": SEGMENT_CSV,
+    "segment_distribution.csv": DISTRIBUTION_CSV,
+    "tuning.csv": TUNING_CSV,
+    "policy.csv": POLICY_CSV,
+}
+
+# every INT column of a CSV a stage reads: (file, a stage that reads it, column)
+INT_INPUTS = [
+    (name, stage, column)
+    for name, stage, _, _ in STAGE_INPUTS
+    for column, cell in INPUT_SCHEMAS[name].items()
+    if cell is INT
+]
+
+
+def copy_run_with_tuning(pipeline, tmp_path):
+    """``copy_run`` plus a two-row tuning.csv, which the pipeline does not write."""
+    out, config_path = copy_run(pipeline, tmp_path)
+    write_csv_atomic(out / "tuning.csv", TUNING_CSV, [(1, 2), (0.8, 0.75), (0.7, 0.7), (1, 0)])
+    return out, config_path
+
 
 # a report input whose key column repeats a value, which the report
 # would otherwise print twice or silently keep once: (file, schema,
@@ -557,9 +585,7 @@ class TestStageInputs:
     def test_stage_refuses_faulty_input(
         self, pipeline, tmp_path, capsys, name, stage, swap, spoil, fault
     ):
-        out, config_path = copy_run(pipeline, tmp_path)
-        if name == "tuning.csv":
-            write_csv_atomic(out / name, TUNING_CSV, [(1, 2), (0.8, 0.75), (0.7, 0.7), (1, 0)])
+        out, config_path = copy_run_with_tuning(pipeline, tmp_path)
 
         def edit(rows):
             if fault == "swapped-columns":
@@ -582,6 +608,27 @@ class TestStageInputs:
             assert err == f"offerlab {stage}: {out / name} is not UTF-8: invalid start byte\n"
         else:
             assert "line 2: " in err
+
+    @pytest.mark.parametrize("value", [2**63, -(2**63) - 1], ids=["2**63", "-2**63-1"])
+    @pytest.mark.parametrize(
+        "name, stage, column", INT_INPUTS, ids=[f"{name}:{column}" for name, _, column in INT_INPUTS]
+    )
+    def test_stage_refuses_an_int_beyond_64_bits_by_line_and_column(
+        self, pipeline, tmp_path, capsys, name, stage, column, value
+    ):
+        out, config_path = copy_run_with_tuning(pipeline, tmp_path)
+        j = list(INPUT_SCHEMAS[name]).index(column)
+
+        def spoil(rows):
+            rows[1][j] = str(value)
+
+        rewrite_rows(out / name, spoil)
+        before = {path: path.read_bytes() for path in out.rglob("*") if path.is_file()}
+        assert main([stage, "--config", str(config_path)]) == 1
+        assert capsys.readouterr().err == (
+            f"offerlab {stage}: {out / name}: line 2: {column} {value} is not a 64-bit integer\n"
+        )
+        assert {path: path.read_bytes() for path in out.rglob("*") if path.is_file()} == before
 
     @pytest.mark.parametrize(
         "column, cell",
@@ -767,12 +814,16 @@ class TestStageInputs:
     @pytest.mark.parametrize(
         "stage, artifact",
         [("evaluate", "--compare"), ("evaluate", BASE_RATE_JSON),
-         ("predict", "posterior/betas.npy"), ("predict", "test.csv")],
-        ids=["compare", "base-rate", "posterior-array", "test-csv"],
+         ("predict", "posterior/betas.npy"), ("predict", "test.csv"),
+         ("predict", "scores.csv"), ("evaluate", "manifest-evaluate.json")],
+        ids=["compare", "base-rate", "posterior-array", "test-csv", "scores-output",
+             "manifest-output"],
     )
     def test_a_directory_where_an_artifact_file_should_be_is_refused_by_name(
         self, pipeline, tmp_path, capsys, stage, artifact
     ):
+        """Where a stage reads the artifact or writes it; a refused write
+        leaves no temp file."""
         out, config_path = copy_run(pipeline, tmp_path)
         argv = [stage, "--config", str(config_path)]
         if artifact == "--compare":
@@ -784,6 +835,7 @@ class TestStageInputs:
         path.mkdir()
         assert main(argv) == 1
         assert capsys.readouterr().err == f"offerlab {stage}: {path} is not a file\n"
+        assert not list(tmp_path.rglob("*.tmp"))
 
     def test_fit_refuses_repeated_offer_rows(self, pipeline, tmp_path, capsys):
         out, config_path = copy_run(pipeline, tmp_path)

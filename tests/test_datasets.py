@@ -100,18 +100,21 @@ class TestOfferCsv:
             read_offer_csv(path)
 
     @pytest.mark.parametrize(
-        "column, cell, message",
+        "column, cell, error, message",
         [
-            (0, "0", "customer_id = 0"),
-            (1, "0", "occasion = 0"),
-            (0, str(2**63), rf"line 3: customer_id {2**63} is not a 64-bit integer$"),
-            (1, str(-(2**63) - 1), rf"line 3: occasion {-(2**63) - 1} is not a 64-bit integer$"),
-            (2, "nan", "X1 = nan"),
-            (3, "inf", "contract_length_years = inf"),
-            (4, "-inf", "offer_discount = -inf"),
+            (0, "0", DataIntegrityError, "customer_id = 0"),
+            (1, "0", DataIntegrityError, "occasion = 0"),
+            (0, str(2**63), ParseError, rf"line 3: id {2**63} is not a 64-bit integer$"),
+            (1, str(-(2**63) - 1), ParseError,
+             rf"line 3: setnum {-(2**63) - 1} is not a 64-bit integer$"),
+            (2, "nan", DataIntegrityError, "X1 = nan"),
+            (3, "inf", DataIntegrityError, "contract_length_years = inf"),
+            (4, "-inf", DataIntegrityError, "offer_discount = -inf"),
         ],
     )
-    def test_key_and_non_finite_cells_are_refused(self, dataset, tmp_path, column, cell, message):
+    def test_key_and_non_finite_cells_are_refused(
+        self, dataset, tmp_path, column, cell, error, message
+    ):
         path = tmp_path / "train.csv"
         write_offer_csv(path, dataset.train)
         lines = path.read_text().splitlines()
@@ -119,7 +122,7 @@ class TestOfferCsv:
         cells[column] = cell
         lines[2] = ",".join(cells)
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(DataIntegrityError, match=message) as exc:
+        with pytest.raises(error, match=message) as exc:
             read_offer_csv(path)
         assert str(exc.value).startswith(str(path))
 
@@ -180,7 +183,7 @@ class TestOtherCsvs:
         lines[3] = str(2**64) + lines[3][1:]  # customer 3's row
         lines[2] = str(2**63) + lines[2][1:]  # customer 2's row, the first refused
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(DataIntegrityError) as exc:
+        with pytest.raises(ParseError) as exc:
             read_customers_csv(path)
         assert str(exc.value) == f"{path}: line 3: id {2**63} is not a 64-bit integer"
 

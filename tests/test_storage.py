@@ -111,13 +111,62 @@ class TestReadCsv:
         assert path.read_text() == "name,value\n"
         assert read_csv(path, SCHEMA) == [(), ()]
 
+    @pytest.mark.parametrize("value", [2**63, -(2**63) - 1, 10**40])
+    @pytest.mark.parametrize("row", [1, 4, 6])
+    def test_an_int_beyond_64_bits_names_line_column_and_value(
+        self, tmp_path, monkeypatch, row, value
+    ):
+        """In the first block or a later one, after the int64 bounds."""
+        monkeypatch.setattr(storage, "CSV_BLOCK_ROWS", 2)
+        schema = {"key": INT, "count": INT}
+        counts = [-(2**63), 2**63 - 1, 0, 0, 0, 0]
+        counts[row - 1] = value
+        path = tmp_path / "ints.csv"
+        write_csv_atomic(path, schema, [range(6), counts])
+        with pytest.raises(ParseError) as info:
+            read_csv(path, schema)
+        assert str(info.value) == f"{path}: line {row + 1}: count {value} is not a 64-bit integer"
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            (["1,oops", f"{2**63},1.5"], "line 2: could not convert"),
+            ([f"{2**63},oops"], f"line 2: a {2**63} is not a 64-bit integer"),
+            (["1,1.5", "1,oops", f"{2**63},1.5"], "line 3: could not convert"),
+        ],
+    )
+    def test_the_first_refused_cell_is_named_by_row_then_column(self, tmp_path, rows, message):
+        path = tmp_path / "mixed.csv"
+        path.write_text(csv_text({"a": INT, "b": FLOAT}, rows))
+        with pytest.raises(ParseError) as info:
+            read_csv(path, {"a": INT, "b": FLOAT})
+        assert str(info.value).startswith(f"{path}: {message}")
+
+    def test_the_int64_bounds_read_back(self, tmp_path):
+        path = tmp_path / "bounds.csv"
+        write_csv_atomic(path, {"a": INT}, [[-(2**63), 2**63 - 1]])
+        assert read_csv(path, {"a": INT}) == [(-(2**63), 2**63 - 1)]
+
+
+def int64_parse(name):
+    """``INT.parse`` with the 64-bit rule, refusing by ``name`` and value."""
+
+    def parse(text):
+        value = int(text)
+        if not -(2**63) <= value < 2**63:
+            raise ValueError(f"{name} {value} is not a 64-bit integer")
+        return value
+
+    return parse
+
 
 def seed_read_csv(path, schema):
-    """``read_csv`` as first written, one row at a time, kept as the
-    reference for the columns and the ``ParseError`` the reader must give."""
+    """``read_csv`` as first written, one row at a time, with the 64-bit
+    rule for ``INT`` cells added, kept as the reference for the columns and
+    the ``ParseError`` the reader must give."""
     if not os.path.exists(path):
         raise MissingArtifactError(str(path))
-    parsers = [cell.parse for cell in schema.values()]
+    parsers = [int64_parse(name) if cell is INT else cell.parse for name, cell in schema.items()]
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
@@ -150,7 +199,7 @@ CELL_TEXTS = {
     FLAG: (lambda rng: str(rng.integers(0, 2)), "2"),
     datasets.OUTCOME: (lambda rng: str(rng.choice(["1", "0", ""])), "maybe"),
 }
-FAULTS = ("bad cell", "short row", "long row", "unterminated quote")
+FAULTS = ("bad cell", "short row", "long row", "unterminated quote", "int beyond 64 bits")
 
 
 def csv_text(schema, rows):
@@ -176,6 +225,7 @@ class TestReadByColumns:
     @example([INT, TEXT, FLOAT], 3000, 1, ("bad cell", 0.9, True))
     @example([TEXT, datasets.OUTCOME], 2500, 2, ("unterminated quote", 0.5, True))
     @example([FLOAT, FLAG], 2049, 3, ("short row", 1.0, False))
+    @example([FLOAT, INT], 3000, 4, ("int beyond 64 bits", 0.9, False))
     @settings(max_examples=60, deadline=None)
     def test_matches_the_row_by_row_reference(self, tmp_path_factory, cells, n_rows, seed, fault):
         """At most one fault, optionally after a quoted newline."""
@@ -198,6 +248,8 @@ class TestReadByColumns:
                 rows[row].append("extra")
             elif kind == "unterminated quote":
                 rows[row] = '"open' + "," * (len(cells) - 1)
+            elif kind == "int beyond 64 bits" and INT in cells:
+                rows[row][cells.index(INT)] = str(2**63 if rng.integers(2) else -(2**63) - 1)
         path = tmp_path_factory.mktemp("csv") / "rows.csv"
         path.write_text(csv_text(schema, rows))
         assert read_outcome(read_csv, path, schema) == read_outcome(seed_read_csv, path, schema)
